@@ -11,15 +11,34 @@ Shape criteria (Theorem 8 plus liveness):
   ``alpha(m, n + n-hat)``, stays below a small constant;
 * every injected probe completes (moderate load, generous budget);
 * every churn burst reconverges before the next one opens.
+
+``test_service_steady_series`` (CI's perf-smoke job) is the host-cost
+side: the repository benchmark's ``serve-poisson`` shape (n=1024, Poisson
+rate 50, duration 200000, about 10k operations), recorded under the
+``steady`` key.  Its two gated numbers are machine-independent ratios
+taken inside one process:
+
+* ``ratio`` -- service steps/s over the steps/s of a plain object-loop
+  discovery on the same graph.  The service loop is that same loop plus
+  the driver; the ratio is what the driver and a growing network cost.
+  Must stay above ``REGRESSION_FLOOR`` of the committed value.
+* ``growth`` -- host microseconds per step in the last quarter of the
+  run over the first quarter.  Cost per step may grow with the *network*
+  (it triples during the window) but not with the *history*; the parent
+  of the change that introduced this series measured 1.84.  Must stay
+  below ``GROWTH_SLACK`` times the committed value.
 """
 
 import datetime
 import json
+import os
 import pathlib
+import resource
 import time
 
 from repro.analysis.experiments import build_family
 from repro.core.adhoc import AdhocNetwork
+from repro.core.runner import build_simulation, default_step_budget
 from repro.service import ServiceDriver, build_workload, summarize_service
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_service.json"
@@ -33,6 +52,22 @@ WORKLOADS = (
 )
 #: msgs/(op * alpha) must stay below this constant (Theorem 8's "O(...)").
 AMORTIZED_CEILING = 8.0
+
+STEADY = dict(n=1024, seed=0, kind="poisson", rate=50.0, duration=200_000)
+STEADY_REPEATS = 3
+#: Measured ratio must stay above this fraction of the committed one.
+REGRESSION_FLOOR = 0.75
+#: Measured growth must stay below this multiple of the committed one.
+GROWTH_SLACK = 1.25
+
+
+def _load_bench():
+    if BENCH_PATH.exists():
+        try:
+            return json.loads(BENCH_PATH.read_text())
+        except ValueError:
+            pass
+    return {}
 
 
 def _run_one(kind, params):
@@ -122,15 +157,138 @@ def test_service_slo_bench(benchmark, record_table):
         ),
     )
 
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            data = {}
+    data = _load_bench()
     entries = data.get("entries", [])
     entries.append(
         {"date": datetime.date.today().isoformat(), "runs": entry_runs}
     )
     data["entries"] = entries
+    BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _object_loop_steps_per_s(graph, seed):
+    """A plain discovery on the legacy object loop: the same ``step()``
+    the service's ``run_for`` executes, with nothing around it."""
+    sim, _nodes = build_simulation(graph, "adhoc", seed=seed, fast=False)
+    start = time.perf_counter()
+    steps = sim.run(default_step_budget(graph))
+    return steps / (time.perf_counter() - start)
+
+
+def _steady_run(graph):
+    """One service run; returns ``(report, wall, first, last)`` with the
+    host microseconds per step of the first and last quarter of its steps.
+
+    Timed from outside: ``sim.run_for`` is shadowed by a wrapper that
+    notes ``(steps so far, now)`` on entry, so the gap between two
+    entries covers the simulator stretch *and* the driver work after it.
+    """
+    seed = STEADY["seed"]
+    workload = build_workload(
+        STEADY["kind"], graph, rate=STEADY["rate"], duration=STEADY["duration"], seed=seed
+    )
+    net = AdhocNetwork(graph, seed=seed)
+    sim = net.sim
+    marks = []
+    run_for = sim.run_for
+
+    def timed_run_for(max_steps):
+        marks.append((sim.steps, time.perf_counter()))
+        return run_for(max_steps)
+
+    sim.run_for = timed_run_for
+    start = time.perf_counter()
+    report = ServiceDriver(net, workload).run()
+    wall = time.perf_counter() - start
+    marks.append((sim.steps, time.perf_counter()))
+
+    def us_per_step(lo, hi):
+        (steps_a, t_a), (steps_b, t_b) = marks[lo], marks[hi]
+        return 1e6 * (t_b - t_a) / (steps_b - steps_a)
+
+    first_step, last_step = marks[0][0], marks[-1][0]
+    quarter = (last_step - first_step) // 4
+    lo = next(i for i, (steps, _t) in enumerate(marks) if steps >= first_step + quarter)
+    hi = next(i for i, (steps, _t) in enumerate(marks) if steps >= last_step - quarter)
+    return report, wall, us_per_step(0, lo), us_per_step(hi, len(marks) - 1)
+
+
+def test_service_steady_series(benchmark, record_table):
+    graph = build_family(FAMILY, STEADY["n"], STEADY["seed"])
+
+    def run():
+        # Interleaved best-of: reference and service see the same drift.
+        best = {"object": 0.0, "wall": float("inf"), "first": float("inf"), "last": float("inf")}
+        for _ in range(STEADY_REPEATS):
+            best["object"] = max(
+                best["object"], _object_loop_steps_per_s(graph, STEADY["seed"])
+            )
+            report, wall, first, last = _steady_run(graph)
+            best["wall"] = min(best["wall"], wall)
+            best["first"] = min(best["first"], first)
+            best["last"] = min(best["last"], last)
+        return report, best
+
+    report, best = benchmark.pedantic(run, rounds=1, iterations=1)
+    summary = summarize_service(report)
+    assert not report.budget_exhausted
+    assert summary.probes_incomplete == 0 and summary.probes_dropped == 0
+
+    steps_per_s = report.steps_executed / best["wall"]
+    steady = {
+        "date": datetime.date.today().isoformat(),
+        **STEADY,
+        "cpus": os.cpu_count(),
+        "operations": summary.operations,
+        "steps_executed": report.steps_executed,
+        "wall_ms": round(best["wall"] * 1e3, 1),
+        "ops_per_s": int(summary.operations / best["wall"]),
+        "steps_per_s": int(steps_per_s),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "us_per_step_first_quarter": round(best["first"], 2),
+        "us_per_step_last_quarter": round(best["last"], 2),
+        "growth": round(best["last"] / best["first"], 3),
+        "object_loop_steps_per_s": int(best["object"]),
+        "ratio": round(steps_per_s / best["object"], 4),
+    }
+
+    data = _load_bench()
+    series = data.setdefault("steady", [])
+    if series:
+        committed = series[-1]
+        floor = REGRESSION_FLOOR * committed["ratio"]
+        assert steady["ratio"] >= floor, (
+            f"service/object-loop steps ratio {steady['ratio']:.3f} fell below "
+            f"{floor:.3f} (committed {committed['ratio']:.3f}, floor {REGRESSION_FLOOR:.0%})"
+        )
+        ceiling = GROWTH_SLACK * committed["growth"]
+        assert steady["growth"] <= ceiling, (
+            f"per-step cost grew {steady['growth']:.2f}x from the first to the "
+            f"last quarter, above {ceiling:.2f}x (committed "
+            f"{committed['growth']:.2f}x, slack {GROWTH_SLACK:g}x)"
+        )
+
+    record_table(
+        "BENCH-service-steady",
+        ["ops/s", "steps/s", "object steps/s", "ratio", "us/step q1", "us/step q4", "growth", "rss MiB"],
+        [
+            [
+                steady["ops_per_s"],
+                steady["steps_per_s"],
+                steady["object_loop_steps_per_s"],
+                steady["ratio"],
+                steady["us_per_step_first_quarter"],
+                steady["us_per_step_last_quarter"],
+                steady["growth"],
+                steady["peak_rss_mb"],
+            ]
+        ],
+        notes=(
+            f"Ad-hoc service on {FAMILY} n={STEADY['n']}, Poisson rate "
+            f"{STEADY['rate']:g}/kstep for {STEADY['duration']} steps, best of "
+            f"{STEADY_REPEATS}. Criterion: ratio >= {REGRESSION_FLOOR:.0%} of the "
+            f"committed one, growth <= {GROWTH_SLACK:g}x the committed one."
+        ),
+    )
+    series.append(steady)
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")

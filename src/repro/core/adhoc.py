@@ -38,12 +38,15 @@ __all__ = ["AdhocNetwork", "ProbeHandle", "run_adhoc"]
 
 
 class ProbeHandle:
-    """A probe in flight: poll :attr:`done` as the simulator advances.
+    """A probe in flight: :attr:`done` once the answer has landed.
 
     The non-blocking face of :meth:`AdhocNetwork.probe`: the steady-state
     service driver injects probes without running to quiescence and needs
-    to observe, step by step, when each answer lands.  Leaders answer
-    immediately (zero messages), so a handle may be born ``done``.
+    to know when each answer landed.  It does not have to watch: the
+    initiating node stamps the simulator step of the reply's delivery
+    (:attr:`answered_at`), so the driver can run many steps and read the
+    latency afterwards.  Leaders answer immediately (zero messages), so a
+    handle may be born ``done``.
     """
 
     __slots__ = ("node", "_index", "_immediate")
@@ -61,6 +64,13 @@ class ProbeHandle:
     def immediate(self) -> bool:
         """Whether the probe was answered locally, with zero messages."""
         return self._immediate is not None
+
+    @property
+    def answered_at(self) -> Optional[int]:
+        """The simulator step whose delivery completed the probe; ``None``
+        while it is pending and for immediate answers (no step ran)."""
+        steps = self.node.probe_answer_steps or ()
+        return steps[self._index] if len(steps) > self._index else None
 
     @property
     def answer(self) -> Optional[Tuple[NodeId, FrozenSet[NodeId]]]:
@@ -160,8 +170,9 @@ class AdhocNetwork:
         """Inject a probe without running the system; returns a handle.
 
         The open-loop seam: the service driver schedules probes at their
-        arrival times and keeps stepping the simulator, polling each
-        handle for completion to measure per-probe virtual-time latency.
+        arrival times, keeps the simulator running, and reads each
+        handle's :attr:`~ProbeHandle.answered_at` stamp to measure
+        per-probe virtual-time latency.
         Raises :class:`~repro.core.node.ProtocolError` if the node is
         asleep or already has a probe outstanding -- call
         :meth:`can_probe` first to defer instead.

@@ -1070,7 +1070,9 @@ class ArrayCore:
                 pr = presults[i]
                 if pr is None:
                     pr = presults[i] = []
-                pr.append((msg[1], msg[2]))
+                # ``steps`` is the loop's counter: current here on every
+                # route in (Python delivery, C deopt token, C pump handoff).
+                pr.append((msg[1], msg[2], steps))
                 probe_out[i] = 0
                 return True
             if status[i] != _INACTIVE:
@@ -1598,6 +1600,7 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         more = {ids[x] for x in more_col[i]}
         d["more"] = more
         d["unaware"] = {ids[x] for x in unaware_col[i]}
+        node._knowledge = None  # a slot; the three sets above were replaced
         unexplored = {ids[x] for x in unexp_col[i]}
         d["unexplored"] = unexplored
         # Rebuild (repr, id) heaps from live members (see _build_from_sim).
@@ -1629,11 +1632,9 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         )
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []
-        pr = presults_col[i]
-        if pr:
-            node.probe_results.extend(
-                (ids[leader], frozenset(ids[x] for x in id_set))
-                for leader, id_set in pr
+        for leader, id_set, step in presults_col[i] or ():
+            node.record_probe_answer(
+                ids[leader], frozenset(ids[x] for x in id_set), step
             )
 
     # Channels created mid-run exist only in the core's arena; register
@@ -1648,12 +1649,17 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
             channels[(ids[src_col[cid]], ids[dst_col[cid]])] = chanq[cid]
 
     # Channels: wire tuples -> message objects, in place (deque identity
-    # is shared with sim._channels and the PR6 interning registry).
+    # is shared with sim._channels and the PR6 interning registry).  The
+    # arena holds every channel of the simulator, so the same pass
+    # re-establishes its O(1) in-flight count.
+    in_flight = 0
     for queue in chanq:
         if queue:
+            in_flight += len(queue)
             materialized = [to_message(m) for m in queue]
             queue.clear()
             queue.extend(materialized)
+    sim._in_flight = in_flight
 
     # Pool: ints -> tokens, preserving order.
     chan_src = core.chan_src

@@ -130,6 +130,14 @@ class DiscoveryNode(SimNode):
         (``O(|E0| log^2 n)`` bits).
     """
 
+    #: Kept in slots beside the instance ``__dict__``, not in it.  CPython
+    #: shares one key table between the dicts of all instances of a class
+    #: only up to 29 attributes, which this class already has; a 30th key
+    #: un-shares every node's dict (4.1 -> 5.5 KB per node, +5% peak RSS
+    #: on an n=128 discovery).  Code that writes node state through
+    #: ``node.__dict__`` (the array core) must set these two by attribute.
+    __slots__ = ("_knowledge", "probe_answer_steps")
+
     def __init__(
         self,
         node_id: NodeId,
@@ -158,6 +166,11 @@ class DiscoveryNode(SimNode):
         self.unaware: Set[NodeId] = set()
         self.unexplored: Set[NodeId] = set()
         self.previous: Deque[Tuple[Search, NodeId]] = deque()
+        #: the census snapshot :attr:`knowledge` last built, ``None`` once
+        #: ``more``/``done``/``unaware`` changed.  Every writer of those
+        #: three sets -- the helpers below, checkpoint restore and the
+        #: array core's materialize -- must drop it.
+        self._knowledge: Optional[FrozenSet[NodeId]] = None
 
         # -- event-driven bookkeeping -------------------------------------
         self._inbox: Deque[Tuple[NodeId, Any]] = deque()
@@ -182,6 +195,11 @@ class DiscoveryNode(SimNode):
         # -- Ad-hoc probe machinery (Section 4.5.2) ------------------------
         self.probe_previous: Deque[Tuple[Probe, NodeId]] = deque()
         self.probe_results: List[Tuple[NodeId, FrozenSet[NodeId]]] = []
+        #: ``probe_answer_steps[i]`` is the simulator step at which
+        #: ``probe_results[i]`` landed: latency is read off the node, never
+        #: found by polling it after every step.  ``None`` until the first
+        #: answer (see :meth:`record_probe_answer`): most nodes never probe.
+        self.probe_answer_steps: Optional[List[int]] = None
         self._probe_outstanding = False
         #: set while a crash-recovery rejoin probe is in flight; its reply
         #: refreshes ``next`` (see :meth:`rejoin`).
@@ -208,8 +226,18 @@ class DiscoveryNode(SimNode):
 
     @property
     def knowledge(self) -> FrozenSet[NodeId]:
-        """All ids this node has gathered as a leader (its cluster)."""
-        return frozenset(self.more | self.done | self.unaware | {self.node_id})
+        """All ids this node has gathered as a leader (its cluster).
+
+        One immutable snapshot per census: probes answered between two
+        membership changes share the same object instead of each copying
+        the whole cluster (they are all retained in ``probe_results``).
+        """
+        snapshot = self._knowledge
+        if snapshot is None:
+            snapshot = self._knowledge = frozenset().union(
+                self.more, self.done, self.unaware, (self.node_id,)
+            )
+        return snapshot
 
     def __repr__(self) -> str:
         return (
@@ -227,6 +255,7 @@ class DiscoveryNode(SimNode):
         if w not in self.more:
             self.more.add(w)
             heapq.heappush(self._more_heap, (repr(w), w))
+            self._knowledge = None
 
     def _add_unexplored(self, u: NodeId) -> None:
         if u not in self.unexplored:
@@ -264,13 +293,29 @@ class DiscoveryNode(SimNode):
             return u
         return None
 
+    # The two moves below shuffle a member between sets of the census;
+    # no id enters or leaves it, so the snapshot (if any) stays valid.
+    # That is what lets probes share one: every new link costs a
+    # done -> more -> done round trip at the leader and changes nothing.
     def _move_done_to_more(self, w: NodeId) -> None:
+        snapshot = self._knowledge if w in self.done else None
         self.done.discard(w)
         self._add_more(w)
+        self._knowledge = snapshot
 
     def _move_more_to_done(self, w: NodeId) -> None:
+        snapshot = self._knowledge if w in self.more else None
         self.more.discard(w)
+        self._add_done(w)
+        self._knowledge = snapshot
+
+    def _add_done(self, w: NodeId) -> None:
         self.done.add(w)
+        self._knowledge = None
+
+    def _add_unaware(self, ids: FrozenSet[NodeId]) -> None:
+        self.unaware |= ids
+        self._knowledge = None
 
     # ------------------------------------------------------------------
     # Simulator entry points
@@ -729,8 +774,7 @@ class DiscoveryNode(SimNode):
 
     def _merge_with_unaware(self, info: Info) -> None:
         """Figure 6: absorb the conquered leader's state, then conquer."""
-        newcomers = info.more | info.done | info.unaware
-        self.unaware |= newcomers
+        self._add_unaware(info.more | info.done | info.unaware)
         for u in info.unexplored:
             if (
                 u not in self.unaware
@@ -757,7 +801,7 @@ class DiscoveryNode(SimNode):
                 self._add_more(w)
         for w in info.done:
             if w not in self.more and w not in self.done:
-                self.done.add(w)
+                self._add_done(w)
         for u in info.unexplored:
             if u not in self.more and u not in self.done and u != self.node_id:
                 self._add_unexplored(u)
@@ -812,11 +856,12 @@ class DiscoveryNode(SimNode):
             raise ProtocolError(
                 f"{self.node_id!r}: more-done from {sender!r} not in unaware"
             )
+        # unaware -> more/done: the add side drops the census snapshot.
         self.unaware.discard(sender)
         if message.has_more:
             self._add_more(sender)
         else:
-            self.done.add(sender)
+            self._add_done(sender)
         if not self.unaware:
             self._explore()
         return True
@@ -881,9 +926,19 @@ class DiscoveryNode(SimNode):
         # Passive / conquered nodes resolve to inactive eventually; park it.
         return False
 
+    def record_probe_answer(
+        self, leader: NodeId, ids: FrozenSet[NodeId], step: int
+    ) -> None:
+        """Log the answer to one of this node's own probes, landed at
+        simulator step ``step`` (also the array core's way in)."""
+        self.probe_results.append((leader, ids))
+        if self.probe_answer_steps is None:
+            self.probe_answer_steps = []
+        self.probe_answer_steps.append(step)
+
     def _on_probe_reply(self, sender: NodeId, message: ProbeReply) -> bool:
         if message.initiator == self.node_id:
-            self.probe_results.append((message.leader, message.ids))
+            self.record_probe_answer(message.leader, message.ids, self._sim.steps)
             self._probe_outstanding = False
             if self._rejoining:
                 # Crash-recovery re-attach: the reply names the component's

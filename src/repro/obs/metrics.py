@@ -152,6 +152,9 @@ class MetricsRegistry:
         if name in self._instruments:
             raise ValueError(f"duplicate metric {name!r}")
         self._instruments[name] = instrument
+        # Kept in name order here, once, so that sample() -- called at
+        # every cadence tick of every run -- never sorts.
+        self._instruments = dict(sorted(self._instruments.items()))
         return instrument
 
     def counter(self, name: str) -> Counter:
@@ -166,11 +169,11 @@ class MetricsRegistry:
         return self._register(name, Histogram(fn))
 
     def names(self) -> List[str]:
-        return sorted(self._instruments)
+        return list(self._instruments)
 
     def sample(self) -> Dict[str, Any]:
         """One flat snapshot of every instrument, name -> value."""
-        return {name: inst.read() for name, inst in sorted(self._instruments.items())}
+        return {name: inst.read() for name, inst in self._instruments.items()}
 
 
 @dataclass(frozen=True)
@@ -202,12 +205,18 @@ class MetricsTimeline:
     def on_event(self, event: RunEvent) -> None:
         self.tick(event.step)
 
+    @property
+    def next_due(self) -> int:
+        """The first step at which :meth:`tick` will take a sample."""
+        return self._next_due
+
     def tick(self, step: int) -> None:
         """Advance the sampling clock to ``step``; sample if one is due.
 
         The event-bus path goes through :meth:`on_event`; drivers that own
         their virtual clock (the steady-state service loop) call ``tick``
-        directly each step, paying one comparison when no sample is due.
+        directly, and use :attr:`next_due` to run straight to the next
+        sample instead of ticking after every step.
         """
         if step >= self._next_due:
             self._take(step)

@@ -17,6 +17,11 @@ is free -- nothing is pending, so no steps exist to execute).  A probe's
 latency is therefore "steps of system work between injection and
 answer", the asynchronous analogue of wall-clock service latency.
 
+The driver does not supervise single steps: it runs the simulator to
+the next instant at which it has something to do (an arrival, a retry, a
+metrics sample, the end of the budget) and reads afterwards, from the
+step stamps the initiating nodes left, when each probe was answered.
+
 Probes that cannot be injected yet -- the target is still asleep (a join
 whose wake-up has not fired) or already has a probe of its own
 outstanding (the protocol carries one per initiator) -- are *deferred*
@@ -52,6 +57,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.adhoc import AdhocNetwork, ProbeHandle
@@ -82,6 +88,8 @@ class ProbeRecord:
     target: NodeId
     completed_at: Optional[int] = None
     immediate: bool = False
+    #: given up after ``DEFER_MAX_RETRIES`` deferrals, never injected.
+    dropped: bool = False
 
     @property
     def latency(self) -> Optional[int]:
@@ -151,7 +159,9 @@ class ServiceReport:
 
     @property
     def incomplete_probes(self) -> int:
-        return sum(1 for p in self.probes if p.completed_at is None)
+        """Probes injected but still unanswered (dropped ones excluded:
+        those are ``dropped_probes``, and each probe counts once)."""
+        return sum(1 for p in self.probes if p.completed_at is None and not p.dropped)
 
     def latency_histogram(self) -> Histogram:
         """Completed-probe latencies as an exact discrete histogram."""
@@ -227,7 +237,7 @@ class ServiceDriver:
         self._clock = 0
 
     # -- metrics wiring -------------------------------------------------
-    def _build_metrics(self) -> Tuple[MetricsRegistry, MetricsTimeline]:
+    def _build_metrics(self) -> MetricsTimeline:
         sim = self.net.sim
         registry = MetricsRegistry()
         registry.gauge("service-clock", lambda: self._clock)
@@ -240,7 +250,7 @@ class ServiceDriver:
         self._c_done = registry.counter("probes-completed")
         self._c_defer = registry.counter("probes-deferred")
         self._h_latency = registry.histogram("probe-latency")
-        return registry, MetricsTimeline(registry, cadence=self._cadence)
+        return MetricsTimeline(registry, cadence=self._cadence)
 
     # -- the run loop ---------------------------------------------------
     def run(self) -> ServiceReport:
@@ -269,8 +279,7 @@ class ServiceDriver:
             )
             sim.faults = injector
 
-        _registry, metrics = self._build_metrics()
-        report.metrics = metrics
+        metrics = report.metrics = self._build_metrics()
 
         events = workload.events
         arrival_times = [scheduled.at for scheduled in events]
@@ -279,11 +288,10 @@ class ServiceDriver:
         burst_thresholds = [
             bisect_left(arrival_times, burst.end) for burst in report.bursts
         ]
-        pending_bursts = list(range(len(report.bursts)))
+        next_burst = 0  # bursts settle in order
 
         next_index = 0
-        retries: List[Tuple[int, int]] = []  # (due step, probe-list index)
-        retry_counts: Dict[int, int] = {}
+        retries: List[Tuple[int, int, int]] = []  # (due, probe index, deferrals)
         outstanding: Dict[int, ProbeHandle] = {}  # probe-list index -> handle
         next_curve_at = 1
         self._clock = 0
@@ -292,15 +300,15 @@ class ServiceDriver:
             kind = event[0]
             report.injected[kind] = report.injected.get(kind, 0) + 1
             if kind == "join":
-                _, node_id, known = event
-                net.add_node(node_id, known)
+                net.add_node(*event[1:])  # (node id, known ids)
                 self._c_join.inc()
             elif kind == "link":
-                _, u, v = event
-                net.add_link(u, v)
+                net.add_link(*event[1:])  # (u, v)
                 self._c_link.inc()
             else:
-                self._inject_probe(event[1], report, outstanding, retries, retry_counts)
+                report.probes.append(ProbeRecord(at=self._clock, target=event[1]))
+                self._c_probe.inc()
+                self._launch_probe(len(report.probes) - 1, 0, report, outstanding, retries)
 
         def checkpoint_curve(force: bool = False) -> None:
             nonlocal next_curve_at
@@ -325,37 +333,51 @@ class ServiceDriver:
                 next_index += 1
                 injected_any = True
             while retries and retries[0][0] <= self._clock:
-                _due, probe_index = heapq.heappop(retries)
-                self._retry_probe(
-                    probe_index, report, outstanding, retries, retry_counts
-                )
+                _due, index, deferred = heapq.heappop(retries)
+                self._launch_probe(index, deferred, report, outstanding, retries)
                 injected_any = True
             if injected_any:
                 checkpoint_curve()
 
-            # 2. execute one atomic step
-            if report.steps_executed >= self.step_budget:
+            # 2. run to the event horizon: the driver has nothing to do
+            #    before the next arrival, retry or metrics sample, so the
+            #    steps up to the earliest of them need no supervision.
+            budget_left = self.step_budget - report.steps_executed
+            if budget_left <= 0:
                 report.budget_exhausted = True
                 break
-            if sim.step():
-                report.steps_executed += 1
-                self._clock += 1
-                metrics.tick(self._clock)
-                if outstanding:
-                    self._collect_completions(report, outstanding)
+            next_due = min(
+                events[next_index].at if next_index < len(events) else inf,
+                retries[0][0] if retries else inf,
+            )
+            horizon = min(
+                budget_left,
+                next_due - self._clock,
+                max(1, metrics.next_due - self._clock),
+            )
+            executed = sim.run_for(horizon)
+            if executed:
+                report.steps_executed += executed
+                self._clock += executed
+                self._collect_completions(report, outstanding, metrics)
+            if executed == horizon:
                 continue
 
-            # 3. quiescent: settle bursts, then jump the idle clock
-            self._settle_bursts(pending_bursts, burst_thresholds, next_index, report)
-            next_due = None
-            if next_index < len(events):
-                next_due = events[next_index].at
-            if retries:
-                retry_due = retries[0][0]
-                next_due = retry_due if next_due is None else min(next_due, retry_due)
-            if next_due is None:
+            # 3. quiescent: every burst whose arrivals are all in has
+            #    reconverged; then jump the idle clock
+            while (
+                next_burst < len(report.bursts)
+                and next_index >= burst_thresholds[next_burst]
+            ):
+                burst = report.bursts[next_burst]
+                burst.reconverged_at = self._clock
+                if self.verify_on_reconvergence:
+                    verify_discovery(net.result(), net.graph)
+                    burst.verified = True
+                next_burst += 1
+            if next_due == inf:
                 break  # schedule exhausted and the system is at rest
-            self._clock = max(self._clock, next_due)
+            self._clock = next_due
             metrics.tick(self._clock)
 
         delta = sim.stats.delta_since(warmup_stats)
@@ -378,73 +400,51 @@ class ServiceDriver:
         return report
 
     # -- probe bookkeeping ----------------------------------------------
-    def _inject_probe(self, target, report, outstanding, retries, retry_counts):
-        if self.net.can_probe(target):
-            index = len(report.probes)
-            record = ProbeRecord(at=self._clock, target=target)
-            report.probes.append(record)
-            handle = self.net.probe_async(target)
-            self._c_probe.inc()
+    def _launch_probe(self, index, deferred, report, outstanding, retries):
+        """Inject probe ``index`` now; while its target is asleep or busy,
+        park it for a retry instead, or drop it after too many of those."""
+        record = report.probes[index]
+        if self.net.can_probe(record.target):
+            handle = self.net.probe_async(record.target)
             if handle.done:
                 record.completed_at = self._clock
                 record.immediate = True
                 self._finish_probe(record)
             else:
                 outstanding[index] = handle
-            return
-        # Target asleep or busy: park the probe and retry a little later.
-        index = len(report.probes)
-        report.probes.append(ProbeRecord(at=self._clock, target=target))
-        self._c_probe.inc()
-        self._defer_probe(index, report, retries, retry_counts)
-
-    def _defer_probe(self, probe_index, report, retries, retry_counts):
-        attempts = retry_counts.get(probe_index, 0)
-        if attempts >= DEFER_MAX_RETRIES:
+        elif deferred >= DEFER_MAX_RETRIES:
+            record.dropped = True
             report.dropped_probes += 1
-            return
-        retry_counts[probe_index] = attempts + 1
-        report.deferrals += 1
-        self._c_defer.inc()
-        heapq.heappush(retries, (self._clock + DEFER_RETRY_GAP, probe_index))
-
-    def _retry_probe(self, probe_index, report, outstanding, retries, retry_counts):
-        record = report.probes[probe_index]
-        if not self.net.can_probe(record.target):
-            self._defer_probe(probe_index, report, retries, retry_counts)
-            return
-        handle = self.net.probe_async(record.target)
-        if handle.done:
-            record.completed_at = self._clock
-            record.immediate = True
-            self._finish_probe(record)
         else:
-            outstanding[probe_index] = handle
+            report.deferrals += 1
+            self._c_defer.inc()
+            heapq.heappush(
+                retries, (self._clock + DEFER_RETRY_GAP, index, deferred + 1)
+            )
 
-    def _collect_completions(self, report, outstanding):
-        finished = [index for index, handle in outstanding.items() if handle.done]
-        for index in finished:
-            record = report.probes[index]
-            record.completed_at = self._clock
-            self._finish_probe(record)
+    def _collect_completions(self, report, outstanding, metrics):
+        """Close the stretch that just ran: date every probe answered in
+        it from its node's step stamp and take the sample due at its end.
+        A sample at step ``t`` shows the counters *before* step ``t``'s own
+        completion is folded in, so that record is finished after the tick.
+        """
+        offset = self._clock - self.net.sim.steps  # constant while busy
+        at_horizon = []
+        for index, handle in list(outstanding.items()):
+            step = handle.answered_at
+            if step is None:
+                continue
             del outstanding[index]
+            record = report.probes[index]
+            record.completed_at = step + offset
+            if record.completed_at < self._clock:
+                self._finish_probe(record)
+            else:
+                at_horizon.append(record)
+        metrics.tick(self._clock)
+        for record in at_horizon:
+            self._finish_probe(record)
 
     def _finish_probe(self, record: ProbeRecord) -> None:
         self._c_done.inc()
         self._h_latency.observe(record.latency)
-
-    # -- burst reconvergence --------------------------------------------
-    def _settle_bursts(self, pending, thresholds, next_index, report):
-        """At a quiescent instant, resolve every fully-injected burst."""
-        settled = []
-        for position, burst_index in enumerate(pending):
-            if next_index < thresholds[burst_index]:
-                break  # bursts are chronological; later ones aren't done either
-            burst = report.bursts[burst_index]
-            burst.reconverged_at = self._clock
-            if self.verify_on_reconvergence:
-                verify_discovery(self.net.result(), self.net.graph)
-                burst.verified = True
-            settled.append(position)
-        for position in reversed(settled):
-            del pending[position]

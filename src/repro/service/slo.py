@@ -133,6 +133,7 @@ def slo_table(report: ServiceReport, summary: Optional[SLOSummary] = None) -> Ta
         ["  answered locally", summary.probes_immediate],
         ["  deferral retries", summary.deferrals],
         ["  incomplete", summary.probes_incomplete],
+        *([["  dropped", summary.probes_dropped]] if summary.probes_dropped else []),
         ["probe latency p50 (steps)", _cell(summary.latency_p50)],
         ["probe latency p95 (steps)", _cell(summary.latency_p95)],
         ["probe latency p99 (steps)", _cell(summary.latency_p99)],

@@ -23,10 +23,10 @@ How it stays bit-identical
   pushes that *int* into the scheduler's underlying pool instead of
   allocating a :class:`DeliverToken`; channel metadata lives in flat
   parallel lists indexed by the int (``chan_queues[cid]`` is the *same*
-  deque object as ``sim._channels[(src, dst)]``, so ``in_flight`` and
-  friends keep working mid-run).  Delivery order per channel is a deque
-  pop either way, so int tokens and pre-existing object tokens can even be
-  interleaved on one channel without reordering anything.
+  deque object as ``sim._channels[(src, dst)]``, so ``channel_backlog``
+  and ``channel_peek`` keep working mid-run).  Delivery order per channel
+  is a deque pop either way, so int tokens and pre-existing object tokens
+  can even be interleaved on one channel without reordering anything.
 * **Inlined scheduler pops.**  FIFO/LIFO pops are direct deque/list ops on
   the scheduler's pool; the random pop replays the exact legacy sequence
   (``rng.randrange(len(pool))`` + swap-with-tail) against the exact same
@@ -36,7 +36,10 @@ How it stays bit-identical
   ``{msg_type: count/bits}`` aggregates, folded into ``sim.stats`` once on
   every exit path (:meth:`MessageStats.record_bulk`), including
   :class:`StepLimitExceeded` and handler exceptions -- so post-mortem
-  readers see exactly what the legacy path would have recorded.
+  readers see exactly what the legacy path would have recorded.  The
+  simulator's O(1) ``in_flight()`` count is folded the same way (sends
+  minus interned deliveries), so it is exact after every exit but is
+  *not* current while a handler is running inside the loop.
 * **Timers, lifecycle and stray object tokens** are executed inline via
   the simulator's own ``_execute_*`` methods with ``sim.steps`` kept
   current every iteration, so ``schedule_timer`` arithmetic inside
@@ -218,6 +221,11 @@ def run_fast(sim, max_steps: Optional[int] = None) -> int:
         push(cid)
 
     executed = 0
+    #: steps that were not interned-channel deliveries (wakes, timers,
+    #: lifecycle, object tokens -- the last count themselves in
+    #: sim._execute_deliver); kept off the hot branch so the in-flight
+    #: fold, sends minus ``executed - other``, costs a delivery nothing.
+    other = 0
     steps = sim.steps
     limit = maxsize if max_steps is None else max_steps
     sim.transmit = fast_transmit
@@ -267,6 +275,7 @@ def run_fast(sim, max_steps: Optional[int] = None) -> int:
                 steps += 1
                 sim.steps = steps
                 executed += 1
+                other += 1
                 node = nodes[token.node]
                 if node.awake:
                     if trace_append is not None:
@@ -288,11 +297,13 @@ def run_fast(sim, max_steps: Optional[int] = None) -> int:
                 steps += 1
                 sim.steps = steps
                 executed += 1
+                other += 1
                 sim._execute_timer(token)
             elif tcls is LifecycleToken:
                 steps += 1
                 sim.steps = steps
                 executed += 1
+                other += 1
                 sim._execute_lifecycle(token)
             else:
                 # A pre-existing DeliverToken (pushed by a legacy-path
@@ -301,6 +312,7 @@ def run_fast(sim, max_steps: Optional[int] = None) -> int:
                 steps += 1
                 sim.steps = steps
                 executed += 1
+                other += 1
                 sim._execute_deliver(token)
 
             # Same source of truth as the legacy loop's boundary check:
@@ -309,13 +321,15 @@ def run_fast(sim, max_steps: Optional[int] = None) -> int:
             # ``max_steps`` cannot drift between the two paths (pinned by
             # tests/test_fastcore_regressions.py).
             if executed >= limit and not sim.is_quiescent:
+                pending = sim._in_flight + sum(counts.values()) - (executed - other)
                 raise StepLimitExceeded(
                     f"no quiescence within {max_steps} steps; "
-                    f"{sim.in_flight()} messages still in flight"
+                    f"{pending} messages still in flight"
                 )
     finally:
         del sim.transmit  # restore the class method
         sim.steps = steps
+        sim._in_flight += sum(counts.values()) - (executed - other)
         sim.stats.record_bulk(counts, bits_acc)
         if pool:
             _materialize(pool, chan_meta, mode)

@@ -249,6 +249,10 @@ class Simulator:
         self.id_bits = id_bits
         self.nodes: Dict[Hashable, SimNode] = {}
         self._channels: Dict[Tuple[Hashable, Hashable], Deque[Any]] = {}
+        #: sent-but-undelivered messages over all channels, kept current by
+        #: ``transmit``/``_pop_channel_message``; the fast and array loops
+        #: bypass both and fold their net change in once per exit.
+        self._in_flight = 0
         self.stats = MessageStats()
         self.steps = 0
         self.trace: Optional[ExecutionTrace] = ExecutionTrace() if keep_trace else None
@@ -327,10 +331,13 @@ class Simulator:
         self.stats.record(msg_type, bits)
         copies = 1 if self.faults is None else self.faults.copies(self, src, dst, message)
         if copies > 0:
-            channel = self._channels.setdefault((src, dst), deque())
+            channel = self._channels.get((src, dst))
+            if channel is None:
+                channel = self._channels[(src, dst)] = deque()
             for _ in range(copies):
                 channel.append(message)
                 self.scheduler.push(DeliverToken(src, dst))
+            self._in_flight += copies
         if self.obs is not None:
             self.obs.emit(
                 RunEvent(self.steps, "send", node=src, peer=dst, msg_type=msg_type)
@@ -361,8 +368,9 @@ class Simulator:
             observer(src, dst, message)
 
     def in_flight(self) -> int:
-        """Number of sent-but-undelivered messages."""
-        return sum(len(q) for q in self._channels.values())
+        """Number of sent-but-undelivered messages (O(1): a maintained
+        count, exact between steps and after every ``run`` exit)."""
+        return self._in_flight
 
     def channel_backlog(self, src: Hashable, dst: Hashable) -> int:
         """Pending messages on one ordered channel (diagnostics)."""
@@ -654,6 +662,7 @@ class Simulator:
 
     def _pop_channel_message(self, channel: Deque[Any]) -> Any:
         """Take the next message off a channel per the delivery discipline."""
+        self._in_flight -= 1
         if self.channel_discipline == "fifo" or len(channel) == 1:
             return channel.popleft()
         index = self._channel_rng.randrange(len(channel))

@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis.experiments import build_family
 from repro.core import arrayloop
+from repro.core.adhoc import AdhocNetwork
 from repro.core.arraystate import (
     IdSpace,
     _Ineligible,
@@ -232,6 +233,42 @@ class TestStepLimitAndResume:
         assert fast_path == "array"
         assert legacy_path == "legacy"
         assert fast_final == legacy_final
+
+
+# ----------------------------------------------------------------------
+# Probe answers landed inside an array run carry the object path's stamps
+# ----------------------------------------------------------------------
+class TestProbeAnswerStamps:
+    def _drive(self, fast, seed):
+        graph = _graph(48)
+        net = AdhocNetwork(graph, seed=seed, fast=fast)
+        with pytest.raises(StepLimitExceeded):
+            net.run(max_steps=200)
+        first_path = net.sim._last_run_path
+        # Mid-discovery, with the pool still full: these probes are routed
+        # and answered by whichever engine resumes the run.
+        handles = [
+            net.probe_async(x) for x in graph.nodes if net.can_probe(x)
+        ]
+        assert sum(not h.immediate for h in handles) >= 8
+        net.run()
+        assert all(h.done for h in handles)
+        return (
+            first_path,
+            net.sim._last_run_path,
+            [h.answered_at for h in handles],
+            {x: (n.probe_results, n.probe_answer_steps) for x, n in net.nodes.items()},
+        )
+
+    @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
+    @pytest.mark.parametrize("compiled", [True, False], ids=["c-loop", "py-loop"])
+    def test_stamps_match_object_path(self, seed, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(arrayloop, "_module", None)
+        first, resumed, stamps, per_node = self._drive(True, seed)
+        assert (first, resumed) == ("array", "array")
+        assert sum(stamp is not None for stamp in stamps) >= 8
+        assert self._drive(False, seed) == ("legacy", "legacy", stamps, per_node)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.adhoc import AdhocNetwork
 from repro.graphs.generators import random_weakly_connected
 from repro.service.driver import ServiceDriver
+from repro.service.slo import slo_table, summarize_service
 from repro.service.workload import ScheduledEvent, Workload, poisson_workload
 
 
@@ -124,4 +125,34 @@ class TestDeferral:
         events = [ScheduledEvent(0, ("probe", "never-joins"))]
         report = _run(_manual_workload(events, duration=1))
         assert report.dropped_probes == 1
-        assert report.incomplete_probes == 1
+        assert report.probes[0].dropped
+        assert report.incomplete_probes == 0  # counted once, as dropped
+
+    def test_dropped_probes_are_not_also_incomplete(self):
+        """An overloaded target that never wakes: every probe aimed at it
+        runs out of retries.  Each must be accounted exactly once, so
+        completed + incomplete + dropped is the number injected."""
+        graph = _graph()
+        busy = graph.nodes[1]
+        events = [ScheduledEvent(at, ("probe", "never-joins")) for at in (0, 3, 9)]
+        events += [ScheduledEvent(at, ("probe", busy)) for at in (1, 4)]
+        report = _run(_manual_workload(sorted(events, key=lambda e: e.at), duration=10))
+        summary = summarize_service(report)
+        assert summary.probes_dropped == report.dropped_probes == 3
+        assert summary.probes_incomplete == 0
+        assert (
+            summary.probes_completed + summary.probes_incomplete + summary.probes_dropped
+            == summary.probes_total
+            == report.injected["probe"]
+        )
+        assert [p.dropped for p in report.probes] == [
+            p.target == "never-joins" for p in report.probes
+        ]
+        rows = dict(slo_table(report, summary)[1])
+        assert rows["  dropped"] == 3 and rows["  incomplete"] == 0
+
+    def test_slo_table_has_no_dropped_row_without_drops(self):
+        workload = poisson_workload(_graph(), rate=10.0, duration=2000, seed=5)
+        report = _run(workload)
+        assert report.dropped_probes == 0
+        assert "  dropped" not in dict(slo_table(report)[1])
