@@ -45,7 +45,11 @@ from repro.verification.degradation import (
     SurvivalReport,
     verify_surviving,
 )
-from repro.verification.monitor import SafetyViolation, check_safety_now
+from repro.verification.monitor import (
+    SafetyViolation,
+    StepwiseMonitor,
+    check_safety_now,
+)
 
 NodeId = Hashable
 Rows = List[List[Any]]
@@ -96,6 +100,11 @@ class ChaosTrial:
         return self.survival.properties_ok
 
 
+def _check_monitor_every(monitor_every: int) -> None:
+    if monitor_every < 1:
+        raise ValueError(f"monitor_every must be >= 1, got {monitor_every}")
+
+
 def run_chaos_trial(
     scenario: "str | FaultPlan" = "baseline",
     variant: str = "generic",
@@ -137,6 +146,7 @@ def run_chaos_trial(
     timers and deferred deliveries all charge steps, so chaotic runs are
     legitimately longer than clean ones.
     """
+    _check_monitor_every(monitor_every)
     graph = build_family(family, n, seed)
     if isinstance(scenario, FaultPlan):
         plan, scenario = scenario, scenario.describe()
@@ -160,19 +170,15 @@ def run_chaos_trial(
             "lives in the ReliableNode transport wrapper"
         )
     manager = attach_recovery(sim, injector, checkpoint_every=checkpoint_every)
+    monitor = StepwiseMonitor(sim, nodes, every=monitor_every)
     budget = budget_factor * default_step_budget(graph)
     violated = detected = stalled = False
     detail = ""
-    executed = 0
     try:
-        while sim.step():
-            executed += 1
-            if executed % monitor_every == 0:
-                check_safety_now(nodes, step=sim.steps)
-            if executed >= budget and not sim.is_quiescent:
-                stalled = True
-                detail = f"no quiescence within {budget} steps"
-                break
+        # ``max(1, ...)``: a budget of zero has always bought one step.
+        _, stalled = monitor.advance(max(1, budget))
+        if stalled:
+            detail = f"no quiescence within {budget} steps"
     except SafetyViolation as exc:
         violated, detail = True, str(exc)
     except ProtocolError as exc:
@@ -299,6 +305,7 @@ def exp_chaos(
     ``chaos`` subcommand fan seeds of this function out over worker
     processes and aggregate the 0/1 verdict columns into rates.
     """
+    _check_monitor_every(monitor_every)
     rows: Rows = []
     for scenario in scenarios:
         for variant in variants:

@@ -77,7 +77,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.obs.events import RunEvent
 from repro.sim.events import TimerToken
-from repro.sim.network import SimNode, SimulationError, Simulator
+from repro.sim.network import TRANSPORT_ONLY, SimNode, SimulationError, Simulator
 from repro.sim.trace import MessageStats, bits_for_ids
 
 NodeId = Hashable
@@ -422,7 +422,13 @@ class ReliableNode(SimNode):
             ack=ack,
         )
 
-    def on_timer(self, tag: Hashable) -> None:
+    def on_timer(self, tag: Hashable) -> object:
+        """Delayed-ack and retransmit timers: the wrapped node never runs,
+        so every firing is :data:`~repro.sim.network.TRANSPORT_ONLY`."""
+        self._transport_timer(tag)
+        return TRANSPORT_ONLY
+
+    def _transport_timer(self, tag: Hashable) -> None:
         if type(tag) is tuple and len(tag) == 2 and tag[0] == _ACK_TAG:
             self._fire_delayed_ack(tag[1])
             return
@@ -651,7 +657,9 @@ class ReliableNode(SimNode):
     # ------------------------------------------------------------------
     # receiver side
     # ------------------------------------------------------------------
-    def _handle_data(self, src: NodeId, data: Data) -> None:
+    def _handle_data(self, src: NodeId, data: Data) -> bool:
+        """Process one admitted frame; ``True`` iff it (and whatever it
+        released from the reorder park) was handed to the wrapped node."""
         if data.ack is not None:
             self._handle_ack(src, data.ack)
         expected = self._expected.setdefault(src, 0)
@@ -678,7 +686,7 @@ class ReliableNode(SimNode):
                     self._owe_ack(src)
             else:
                 self._ack_per_frame(src)
-            return
+            return False
         if data.seq < expected:
             self.duplicates_discarded += 1
             if self.transport == "sr":
@@ -696,7 +704,7 @@ class ReliableNode(SimNode):
                     self._ack_now(src)
             else:
                 self._ack_per_frame(src)
-            return
+            return False
         # In-order: advance the receive cursor and mark the ack debt
         # *before* running the handlers, so a protocol reply sent from
         # inside _deliver piggybacks a cumulative ack covering this very
@@ -725,6 +733,7 @@ class ReliableNode(SimNode):
                     self._arm_ack_timer(src)
         else:
             self._ack_per_frame(src)
+        return True
 
     def _ack_per_frame(self, src: NodeId) -> None:
         # go-back-N: ack every frame; re-acking duplicates repairs a
@@ -980,24 +989,25 @@ class ReliableNode(SimNode):
             if self.recovery is not None:
                 self.recovery.observe(self)
 
-    def on_message(self, sender: NodeId, message: Any) -> None:
+    def on_message(self, sender: NodeId, message: Any) -> object:
+        """Returns :data:`~repro.sim.network.TRANSPORT_ONLY` unless the
+        frame reached the wrapped node: fenced frames, acks, nacks, and
+        parked or duplicate data change transport state only."""
         if isinstance(message, Data):
-            if not self._epoch_admit(sender, message):
-                return
-            self._handle_data(sender, message)
+            if self._epoch_admit(sender, message) and self._handle_data(sender, message):
+                return None
         elif isinstance(message, Ack):
-            if not self._epoch_admit(sender, message):
-                return
-            self._handle_ack(sender, message.cum)
+            if self._epoch_admit(sender, message):
+                self._handle_ack(sender, message.cum)
         elif isinstance(message, Nack):
-            if not self._epoch_admit(sender, message):
-                return
-            self._handle_nack(sender, message)
+            if self._epoch_admit(sender, message):
+                self._handle_nack(sender, message)
         else:
             raise SimulationError(
                 f"reliable node {self.node_id!r} got a raw {message!r}; mixing "
                 "wrapped and unwrapped nodes on one simulator is unsupported"
             )
+        return TRANSPORT_ONLY
 
     def on_crash(self) -> None:
         # Silence every pending retransmit and delayed-ack timer: the

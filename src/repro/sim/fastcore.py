@@ -100,6 +100,7 @@ _STOCK_MODES = {
 #: been shadowed by an *instance* attribute -- the obs Profiler wraps
 #: ``step``/``_execute_*`` that way, and tests monkeypatch ``transmit`` --
 #: the object path must run so the wrappers see every call.
+#: ``Simulator.run_for`` holds its inlined ``step`` to the same rule.
 _WRAPPABLE = frozenset(
     {
         "step",

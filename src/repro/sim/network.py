@@ -26,10 +26,13 @@ from __future__ import annotations
 import random as _random
 import warnings
 from collections import deque
+from sys import maxsize
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.obs.events import Recorder, RunEvent
+from repro.sim import fastcore
 from repro.sim.events import DeliverToken, LifecycleToken, TimerToken, Token, WakeToken
+from repro.sim.fastcore import _FIFO, _RANDOM, _STOCK_MODES, _WRAPPABLE
 from repro.sim.scheduler import GlobalFifoScheduler, Scheduler
 from repro.sim.trace import ExecutionTrace, MessageStats, TraceEvent
 
@@ -40,6 +43,7 @@ __all__ = [
     "DELIVER",
     "DROP",
     "DEFER",
+    "TRANSPORT_ONLY",
     "SimulationError",
     "StuckExecutionError",
     "StepLimitExceeded",
@@ -47,6 +51,14 @@ __all__ = [
 
 #: Verdicts a :class:`ChannelInterceptor` may return for a pending delivery.
 DELIVER, DROP, DEFER = "deliver", "drop", "defer"
+
+
+#: What a transport wrapper's ``on_message``/``on_timer`` returns when the
+#: step never reached the protocol node it wraps (an ack, a nack, a parked
+#: or duplicate frame, a retransmit timer).  Any other return value --
+#: including the ``None`` of every ordinary handler -- moves
+#: :attr:`Simulator.protocol_stamp`.
+TRANSPORT_ONLY = object()
 
 
 class ChannelInterceptor:
@@ -151,12 +163,16 @@ class SimNode:
         """Called exactly once, before the node's first action."""
 
     def on_message(self, sender: Hashable, message: Any) -> None:
+        """Handle one delivered message.  The return value is ignored
+        unless it is :data:`TRANSPORT_ONLY`, which only a wrapper around
+        a protocol node has reason to return."""
         raise NotImplementedError
 
     def on_timer(self, tag: Hashable) -> None:  # pragma: no cover - default
         """Called when a timer armed via :meth:`Simulator.schedule_timer`
         fires.  Only transport-layer wrappers (``repro.faults.reliable``)
-        use timers; the paper's protocol nodes have no clocks."""
+        use timers; the paper's protocol nodes have no clocks.  Return
+        value as for :meth:`on_message`."""
 
     def on_crash(self) -> None:  # pragma: no cover - interface default
         """Called when a :class:`~repro.sim.events.LifecycleToken` crashes
@@ -255,6 +271,16 @@ class Simulator:
         self._in_flight = 0
         self.stats = MessageStats()
         self.steps = 0
+        #: moves on every executed step that may have changed protocol
+        #: state: a wake-up, a due timer or delivery whose handler did not
+        #: answer :data:`TRANSPORT_ONLY`, a crash or recovery, a message
+        #: consumed undelivered, a compiled run that executed anything.
+        #: Not-due ticks, deferred deliveries and transport-only steps
+        #: leave it alone, so two checkpoints that read the same value
+        #: saw the same protocol state (``verification.monitor`` skips the
+        #: second).  A handler that raises may leave it unmoved: a loop
+        #: that compares stamps must not carry one across an exception.
+        self.protocol_stamp = 0
         self.trace: Optional[ExecutionTrace] = ExecutionTrace() if keep_trace else None
         self._send_observers: List[Callable[[Hashable, Hashable, Any], None]] = []
         #: "fifo" is the paper's model (Section 1.2); "random" is the ABL-3
@@ -481,20 +507,25 @@ class Simulator:
         scheduler), the loop is delegated to :func:`repro.sim.fastcore.run_fast`,
         which executes the same steps with identical observable results.
         """
-        if self.fast and type(self) is Simulator:
-            from repro.sim import fastcore
-
-            if fastcore.eligible(self):
+        if self.fast and type(self) is Simulator and fastcore.eligible(self):
+            before = self.steps
+            try:
                 return fastcore.run_fast(self, max_steps)
+            finally:
+                if self.steps != before:
+                    self.protocol_stamp += 1
         self._last_run_path = "legacy"
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_steps is not None and executed >= max_steps and not self.is_quiescent:
+        if max_steps is None:
+            return self.run_for(maxsize)
+        # ``max(1, ...)``: a budget of zero has always bought one step.
+        executed = self.run_for(max(1, max_steps))
+        if executed >= max_steps:
+            if not self.is_quiescent:
                 raise StepLimitExceeded(
                     f"no quiescence within {max_steps} steps; "
                     f"{self.in_flight()} messages still in flight"
                 )
+            self.step()  # quiescent: only cancelled timers left, collect them
         return executed
 
     def run_for(self, max_steps: int) -> int:
@@ -507,12 +538,96 @@ class Simulator:
         again after injecting more work.  Always takes the object path --
         callers interleave injections with execution, which the compiled
         loop's batched accounting cannot observe mid-flight.
+
+        With a stock scheduler this is :meth:`step` written out in place:
+        the same pop (same RNG draw), the same ``_execute_*`` call for
+        every token that does anything.  What it saves is the tick -- a
+        timer or lifecycle token popped before its due step, which
+        ``step`` carries through four calls only to push it back.  Here
+        that is one draw, one swap and ``steps += 1``.  A wrapper that
+        must see every ``step``/``_execute_*`` call (an instance attribute
+        named in ``fastcore._WRAPPABLE``, a ``step`` replaced on the
+        class) or a scheduler with selection state of its own gets the
+        plain ``while self.step()`` loop instead.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+        mode = _STOCK_MODES.get(type(self.scheduler))
+        if (
+            mode is None
+            or type(self).step is not _STEP
+            or not _WRAPPABLE.isdisjoint(self.__dict__)
+        ):
+            executed = 0
+            while executed < max_steps and self.step():
+                executed += 1
+            return executed
+
+        scheduler = self.scheduler
+        if mode == _RANDOM:
+            pool = scheduler._pool
+            getrandbits = scheduler._rng.getrandbits
+            sized = bits = 0
+        else:
+            pool = scheduler._queue if mode == _FIFO else scheduler._stack
+        steps = self.steps
         executed = 0
-        while executed < max_steps and self.step():
-            executed += 1
+        try:
+            while executed < max_steps:
+                size = len(pool)
+                if not size:
+                    break
+                if mode == _RANDOM:
+                    # ``rng.randrange(size)``, i.e. ``_randbelow(size)``,
+                    # written out: draw size.bit_length() bits until the
+                    # value is in range.
+                    if size != sized:
+                        sized, bits = size, size.bit_length()
+                    index = getrandbits(bits)
+                    while index >= size:
+                        index = getrandbits(bits)
+                    token = pool[index]
+                elif mode == _FIFO:
+                    token = pool[0]
+                else:
+                    token = pool[-1]
+                kind = type(token)
+                if (
+                    kind is TimerToken and not token.cancelled or kind is LifecycleToken
+                ) and steps + 1 < token.due:
+                    # The tick: pop + push leaves the token at the tail
+                    # (LIFO: on top, where it already is).
+                    steps += 1
+                    executed += 1
+                    if mode == _RANDOM:
+                        pool[index] = pool[-1]
+                        pool[-1] = token
+                    elif mode == _FIFO:
+                        pool.rotate(-1)
+                    continue
+                if mode == _RANDOM:
+                    pool[index] = pool[-1]
+                    pool.pop()
+                elif mode == _FIFO:
+                    pool.popleft()
+                else:
+                    pool.pop()
+                if kind is TimerToken and token.cancelled:
+                    self._cancelled_timers = max(0, self._cancelled_timers - 1)
+                    continue
+                steps += 1
+                executed += 1
+                self.steps = steps
+                if isinstance(token, WakeToken):
+                    self._execute_wake(token)
+                elif isinstance(token, TimerToken):
+                    self._execute_timer(token)
+                elif isinstance(token, LifecycleToken):
+                    self._execute_lifecycle(token)
+                else:
+                    self._execute_deliver(token)
+        finally:
+            self.steps = steps
         return executed
 
     # ------------------------------------------------------------------
@@ -536,6 +651,7 @@ class Simulator:
             self._record(TraceEvent(self.steps, "wake-noop", None, token.node, None))
             return
         node.awake = True
+        self.protocol_stamp += 1
         self._record(TraceEvent(self.steps, "wake", None, token.node, None))
         before = self._observed_state(node) if self.obs is not None else None
         if self.obs is not None:
@@ -563,7 +679,8 @@ class Simulator:
             return
         if self.obs is not None:
             self.obs.emit(RunEvent(self.steps, "timer", node=token.node))
-        self.nodes[token.node].on_timer(token.tag)
+        if self.nodes[token.node].on_timer(token.tag) is not TRANSPORT_ONLY:
+            self.protocol_stamp += 1
 
     def _execute_lifecycle(self, token: LifecycleToken) -> None:
         if self.steps < token.due:
@@ -572,6 +689,7 @@ class Simulator:
             self.scheduler.push(token)
             return
         node = self.nodes[token.node]
+        self.protocol_stamp += 1
         self._record(TraceEvent(self.steps, token.action, None, token.node, None))
         if self.obs is not None:
             self.obs.emit(RunEvent(self.steps, token.action, node=token.node))
@@ -612,6 +730,7 @@ class Simulator:
                 # Crash-stop receiver: the message is consumed by the
                 # network but no handler runs.
                 dropped = self._pop_channel_message(channel)
+                self.protocol_stamp += 1
                 if self.obs is not None:
                     self.obs.emit(
                         RunEvent(
@@ -632,6 +751,7 @@ class Simulator:
         if not node.awake:
             # Messages wake sleeping nodes (Section 1.2): initialize first.
             node.awake = True
+            self.protocol_stamp += 1
             self._record(TraceEvent(self.steps, "wake", None, token.dst, None))
             if self.obs is not None:
                 self.obs.emit(RunEvent(self.steps, "wake", node=token.dst))
@@ -656,7 +776,8 @@ class Simulator:
                     msg_type=getattr(message, "msg_type", None),
                 )
             )
-        node.on_message(token.src, message)
+        if node.on_message(token.src, message) is not TRANSPORT_ONLY:
+            self.protocol_stamp += 1
         if before is not None:
             self._emit_state_changes(token.dst, node, before)
 
@@ -707,3 +828,8 @@ class Simulator:
             self.obs.emit(
                 RunEvent(self.steps, "phase-change", node=node_id, value=phase)
             )
+
+
+#: ``Simulator.step`` as defined here; ``run_for`` inlines it only while
+#: the class still carries this one (tests replace it to exhaust budgets).
+_STEP = Simulator.step

@@ -61,6 +61,15 @@ class TestRunChaosTrial:
         assert trial.outcome != OUTCOME_VIOLATED
         assert trial.safety_ok
 
+    @pytest.mark.parametrize("monitor_every", [0, -3])
+    def test_monitor_every_is_validated(self, monitor_every):
+        # 0 used to be a ZeroDivisionError from inside the trial's try
+        # block; a negative cadence silently never checked anything.
+        with pytest.raises(ValueError, match="monitor_every must be >= 1"):
+            run_chaos_trial("baseline", n=8, monitor_every=monitor_every)
+        with pytest.raises(ValueError, match="monitor_every must be >= 1"):
+            exp_chaos(("baseline",), n=8, monitor_every=monitor_every)
+
     def test_trial_carries_its_plan(self):
         trial = run_chaos_trial("loss-10", n=12, seed=0, reliable=True)
         assert trial.plan.loss == 0.10

@@ -10,6 +10,7 @@ from repro.graphs.generators import (
     random_weakly_connected,
     star,
 )
+from repro.sim.network import StepLimitExceeded
 from repro.verification.invariants import verify_discovery
 from repro.verification.monitor import SafetyViolation, StepwiseMonitor, check_safety_now
 from repro.core.result import collect_result
@@ -42,6 +43,34 @@ class TestStepwiseSafety:
         monitor = StepwiseMonitor(sim, nodes, every=10)
         steps = monitor.run()
         assert monitor.steps_checked <= steps // 10 + 2
+
+    def test_repeat_checkpoints_are_counted_not_rerun(self):
+        graph = random_weakly_connected(15, 30, seed=1)
+        sim, nodes = build_simulation(graph, "generic", seed=1, reliable=True)
+        monitor = StepwiseMonitor(sim, nodes)
+        steps = monitor.run()
+        # every step is a checkpoint (plus the one at rest) ...
+        assert monitor.steps_checked == steps + 1
+        # ... but acks, ticks and retransmit timers cannot change the verdict
+        assert 0 < monitor.checks_skipped < monitor.steps_checked
+        assert monitor.checks_skipped > steps // 2
+
+    def test_step_limit_is_exact_and_typed(self):
+        # Failing-pre-fix: ``run(max_steps)`` executed max_steps + 1 steps
+        # before raising, raised even when that last step had quiesced the
+        # system, and raised a bare SimulationError.
+        graph = star(6)
+        sim, nodes = build_simulation(graph, "generic", seed=2)
+        total = StepwiseMonitor(sim, nodes).run()
+
+        sim, nodes = build_simulation(graph, "generic", seed=2)
+        assert StepwiseMonitor(sim, nodes).run(total) == total  # just enough
+        assert sim.is_quiescent
+
+        sim, nodes = build_simulation(graph, "generic", seed=2)
+        with pytest.raises(StepLimitExceeded, match=f"within {total - 1} steps"):
+            StepwiseMonitor(sim, nodes).run(total - 1)
+        assert sim.steps == total - 1  # at most max_steps, not one more
 
     def test_every_validation(self):
         graph = star(3)
