@@ -18,9 +18,18 @@ root.  Two parts:
   relative regression of the fast path fails the bench).
 
 * ``test_core_scaling_series`` (opt-in: ``BENCH_CORE_FULL=1``) -- the
-  scaling series up to n = 100,000 for the Generic and Ad-hoc engines on
-  the fast path, replacing the ``scaling`` block of ``BENCH_core.json``.
-  Takes ~2 minutes and >1 GB RSS at the top size, hence opt-in.
+  scaling series up to n = 200,000 for the Generic and Ad-hoc engines
+  through the object-free :func:`repro.core.arraystate.run_graph` driver,
+  one fresh process per point, replacing the ``scaling`` block of
+  ``BENCH_core.json``.  Each row carries the delivery loop's own
+  ``steps_per_s``, the channel count and ``rss_per_node_kb`` (RSS growth
+  across the ``run_graph`` call over n).  Takes ~2 minutes and ~1 GB RSS
+  at the top size, hence opt-in.
+
+* ``test_core_footprint`` (always runs; CI's perf-smoke job) -- the
+  n = 30,000 Generic point of that series alone, gated on bytes per node:
+  ``rss_per_node_kb`` must stay below ``FOOTPRINT_CEILING`` times the
+  committed series' value.  A byte ratio, so comparable across runners.
 
 * ``test_core_million`` (opt-in: ``BENCH_CORE_MILLION=1``) -- one
   n = 10^6 discovery per engine through the object-free
@@ -36,11 +45,14 @@ import datetime
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.analysis.experiments import build_family
+from repro.core.arraystate import ArrayCore, run_graph
 from repro.core.runner import build_simulation, default_step_budget
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_core.json"
@@ -55,9 +67,12 @@ SMOKE_REPEATS = 3
 #: Measured speedup must stay above this fraction of the committed one.
 REGRESSION_FLOOR = 0.75
 SCALING_NS = {
-    "generic": (128, 1024, 4096, 10_000, 100_000),
-    "adhoc": (1024, 10_000, 100_000),
+    "generic": (128, 1024, 4096, 10_000, 30_000, 100_000, 200_000),
+    "adhoc": (1024, 10_000, 30_000, 100_000, 200_000),
 }
+N_FOOTPRINT = 30_000
+#: Measured KiB per node must stay below this multiple of the committed one.
+FOOTPRINT_CEILING = 1.25
 FULL = os.environ.get("BENCH_CORE_FULL", "") == "1"
 N_MILLION = 1_000_000
 MILLION = os.environ.get("BENCH_CORE_MILLION", "") == "1"
@@ -190,45 +205,104 @@ def test_core_fast_vs_legacy(benchmark, record_table):
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
+def _rss_kb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
+
+
+def _scale_point(variant, n):
+    """One verified ``run_graph`` discovery, measured in this process.
+
+    The delivery loop is timed by itself (``ArrayCore.run_loop`` wrapped
+    by attribute, like the repository benchmark's ledger), and RSS is read
+    where the loop returns: every column and channel is still alive there,
+    and the graph was built before the baseline was taken.
+    """
+    graph = build_family(FAMILY, n, seed=0)
+    seen = {}
+    run_loop = ArrayCore.run_loop
+
+    def timed_loop(core, *args):
+        start = time.perf_counter()
+        try:
+            return run_loop(core, *args)
+        finally:
+            seen["loop_s"] = time.perf_counter() - start
+            seen["rss_kb"] = _rss_kb()
+            seen["channels"] = len(core.chanq)
+
+    ArrayCore.run_loop = timed_loop
+    try:
+        before_kb = _rss_kb()
+        start = time.perf_counter()
+        result = run_graph(graph, variant, seed=0)
+        wall = time.perf_counter() - start
+    finally:
+        ArrayCore.run_loop = run_loop
+    assert result.verified
+    return {
+        "engine": variant,
+        "n": n,
+        "cpus": os.cpu_count(),
+        "run_s": round(wall, 3),
+        "loop_s": round(seen["loop_s"], 3),
+        "steps": result.steps,
+        "messages": result.total_messages,
+        "channels": seen["channels"],
+        "steps_per_s": int(result.steps / seen["loop_s"]),
+        "rss_per_node_kb": round((seen["rss_kb"] - before_kb) / n, 2),
+    }
+
+
+def _scale_point_fresh(variant, n):
+    """``_scale_point`` in a new interpreter: RSS growth read in a process
+    that ran a larger point before measures the allocator's leftovers."""
+    proc = subprocess.run(
+        [sys.executable, __file__, variant, str(n)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _scaling_row(p):
+    return [
+        p["engine"], p["n"], p["run_s"], p["loop_s"], p["steps"], p["messages"],
+        p["channels"], p["steps_per_s"], p["rss_per_node_kb"],
+    ]
+
+
+_SCALING_HEADERS = [
+    "engine", "n", "run-s", "loop-s", "steps", "messages", "channels",
+    "loop-steps/s", "rss-KiB/node",
+]
+
+
 @pytest.mark.skipif(not FULL, reason="set BENCH_CORE_FULL=1 for the scaling series")
 def test_core_scaling_series(benchmark, record_table):
     def run():
-        series = []
-        for variant, sizes in SCALING_NS.items():
-            for n in sizes:
-                graph = build_family(FAMILY, n, seed=0)
-                built = time.perf_counter()
-                sim, _nodes = build_simulation(graph, variant, seed=0)
-                budget = default_step_budget(graph)
-                start = time.perf_counter()
-                steps = sim.run(budget)
-                wall = time.perf_counter() - start
-                series.append(
-                    {
-                        "engine": variant,
-                        "n": n,
-                        "build_s": round(start - built, 3),
-                        "run_s": round(wall, 3),
-                        "steps": steps,
-                        "messages": sim.stats.total_messages,
-                        "steps_per_s": int(steps / wall),
-                    }
-                )
-        return series
+        return [
+            _scale_point_fresh(variant, n)
+            for variant, sizes in SCALING_NS.items()
+            for n in sizes
+        ]
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
 
     record_table(
         "BENCH-core-scaling",
-        ["engine", "n", "run-s", "steps", "messages", "steps/s"],
-        [
-            [p["engine"], p["n"], p["run_s"], p["steps"], p["messages"], p["steps_per_s"]]
-            for p in series
-        ],
+        _SCALING_HEADERS,
+        [_scaling_row(p) for p in series],
         notes=(
-            f"Fast path on {FAMILY}, seed 0, single run per size "
-            "(run loop only). Criterion: completes n=100,000 for both "
-            "engines within the step budget; wall-clock informative."
+            f"run_graph on {FAMILY}, seed 0 (graph and scheduler), one "
+            "verified run per size, each in a fresh process. run-s is the "
+            "whole call (column build + loop + O(n+E) verification), "
+            "loop-s the delivery loop alone, rss-KiB/node the RSS growth "
+            "from before the call to the loop's return over n. Criterion: "
+            "completes n=200,000 for both engines within the step budget; "
+            "wall-clock informative."
         ),
     )
 
@@ -241,12 +315,39 @@ def test_core_scaling_series(benchmark, record_table):
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
+def test_core_footprint(benchmark, record_table):
+    point = benchmark.pedantic(
+        lambda: _scale_point_fresh("generic", N_FOOTPRINT), rounds=1, iterations=1
+    )
+    record_table(
+        "BENCH-core-footprint",
+        _SCALING_HEADERS,
+        [_scaling_row(point)],
+        notes=(
+            f"The n={N_FOOTPRINT} Generic point of BENCH-core-scaling. "
+            f"Criterion: rss-KiB/node within {FOOTPRINT_CEILING}x of the "
+            "committed series' value."
+        ),
+    )
+    committed = [
+        p["rss_per_node_kb"]
+        for p in _load_bench().get("scaling", {}).get("series", [])
+        if (p["engine"], p["n"]) == ("generic", N_FOOTPRINT)
+        and "rss_per_node_kb" in p
+    ]
+    assert committed, f"BENCH_core.json has no generic n={N_FOOTPRINT} footprint row"
+    ceiling = FOOTPRINT_CEILING * committed[0]
+    assert point["rss_per_node_kb"] <= ceiling, (
+        f"run_graph n={N_FOOTPRINT}: {point['rss_per_node_kb']} KiB/node "
+        f"exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
+        f"{FOOTPRINT_CEILING}x)"
+    )
+
+
 @pytest.mark.skipif(
     not MILLION, reason="set BENCH_CORE_MILLION=1 for the n=10^6 run"
 )
 def test_core_million(benchmark, record_table):
-    from repro.core.arraystate import run_graph
-
     def run():
         runs = []
         for variant in ("generic", "adhoc"):
@@ -296,6 +397,11 @@ def test_core_million(benchmark, record_table):
     data["million"] = {
         "date": datetime.date.today().isoformat(),
         "family": FAMILY,
+        "cpus": os.cpu_count(),
         "runs": runs,
     }
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    print(json.dumps(_scale_point(sys.argv[1], int(sys.argv[2]))))

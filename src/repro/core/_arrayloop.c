@@ -37,6 +37,10 @@
  *    emit(), which raises the same SimulationError with the same message.
  *  - Pool, channel, counts and `order` mutations happen in the exact order
  *    the Python handlers produce them.
+ *  - A channel slot (core.chanq[cid]) is None, the pending wire tuple, or a
+ *    deque, exactly as the Python loop leaves it: codes 2 and 3 hand over
+ *    with messages pending, so either loop may meet any form the other
+ *    wrote.  Only chan_push, chan_pop and the deliver arm's peek read one.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
  *    live sets at materialization, so layout is unobservable.
@@ -121,7 +125,7 @@ typedef struct {
     PyObject *local, *done, *more, *unaware, *unexp, *mheap, *uheap;
     PyObject *previous, *inbox, *deferred;
     PyObject *rrank, *by_rrank, *nrank;
-    PyObject *chanq, *chana, *chanp, *chan_src, *chan_dst, *out, *iobj;
+    PyObject *chanq, *chan_src, *chan_dst, *out, *iobj;
     PyObject *counts_l, *xtra_l, *order;
     long counts[N_TAGS], xtra[N_TAGS];
     /* run parameters */
@@ -251,6 +255,49 @@ heap_pop(PyObject *heap)
 /* ------------------------------------------------------------------ */
 /* Transport                                                           */
 /* ------------------------------------------------------------------ */
+/* Channel arena (ArrayCore.chanq): a slot is None (idle), the pending wire
+ * tuple itself (exactly one message), or a deque (two or more pending at
+ * once, or adopted from a live simulator).  A deque slot stays a deque. */
+
+/* Enqueue msg (borrowed) on channel cid. */
+static int
+chan_push(S *s, long cid, PyObject *msg)
+{
+    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
+    if (slot == Py_None)
+        return set_item_obj(s->chanq, cid, msg);
+    if (!PyTuple_CheckExact(slot)) {
+        PyObject *r = PyObject_CallMethodOneArg(slot, s_append, msg);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    /* a second message while the first is still pending */
+    PyObject *pair = PyTuple_Pack(2, slot, msg);
+    if (pair == NULL)
+        return -1;
+    PyObject *q = PyObject_CallOneArg(g_deque_type, pair);
+    Py_DECREF(pair);
+    if (q == NULL)
+        return -1;
+    return PyList_SetItem(s->chanq, cid, q); /* steals q, drops the tuple */
+}
+
+/* Pop the head of channel cid: new reference.  For a tuple slot the list's
+ * reference becomes the caller's and the slot goes idle. */
+static PyObject *
+chan_pop(S *s, long cid)
+{
+    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
+    if (PyTuple_CheckExact(slot)) {
+        Py_INCREF(Py_None);
+        PyList_SET_ITEM(s->chanq, cid, Py_None);
+        return slot;
+    }
+    return PyObject_CallMethodNoArgs(slot, s_popleft);
+}
+
 /* emit(src, dst, tag, msg): msg is borrowed.  Mirrors the Python closure
  * exactly, including the self-send SimulationError. */
 static int
@@ -279,21 +326,9 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
         if (PyErr_Occurred())
             return -1;
         cid = (long)PyList_GET_SIZE(s->chanq);
-        PyObject *q = PyObject_CallNoArgs(g_deque_type);
-        if (q == NULL)
-            return -1;
-        PyObject *ap = PyObject_GetAttr(q, s_append);
-        PyObject *pp = ap ? PyObject_GetAttr(q, s_popleft) : NULL;
-        int fail = (ap == NULL || pp == NULL ||
-                    PyList_Append(s->chanq, q) < 0 ||
-                    PyList_Append(s->chana, ap) < 0 ||
-                    PyList_Append(s->chanp, pp) < 0 ||
-                    PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
-                    PyList_Append(s->chan_dst, key) < 0);
-        Py_DECREF(q);
-        Py_XDECREF(ap);
-        Py_XDECREF(pp);
-        if (fail)
+        if (PyList_Append(s->chanq, Py_None) < 0 ||
+            PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
+            PyList_Append(s->chan_dst, key) < 0)
             return -1;
         PyObject *cid_new = PyLong_FromLong(cid);
         if (cid_new == NULL)
@@ -310,14 +345,12 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
         if (PyList_Append(s->order, g_tag_objs[tag]) < 0)
             return -1;
     }
-    PyObject *r = PyObject_CallOneArg(PyList_GET_ITEM(s->chana, cid), msg);
-    if (r == NULL)
+    if (chan_push(s, cid, msg) < 0)
         return -1;
-    Py_DECREF(r);
     PyObject *tok = PyLong_FromLong(cid);
     if (tok == NULL)
         return -1;
-    r = PyObject_CallOneArg(s->pool_append, tok);
+    PyObject *r = PyObject_CallOneArg(s->pool_append, tok);
     Py_DECREF(tok);
     if (r == NULL)
         return -1;
@@ -1473,8 +1506,6 @@ free_s(S *s)
     Py_XDECREF(s->by_rrank);
     Py_XDECREF(s->nrank);
     Py_XDECREF(s->chanq);
-    Py_XDECREF(s->chana);
-    Py_XDECREF(s->chanp);
     Py_XDECREF(s->chan_src);
     Py_XDECREF(s->chan_dst);
     Py_XDECREF(s->out);
@@ -1540,8 +1571,6 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(by_rrank, "by_rrank");
     FETCH_LIST(nrank, "nrank");
     FETCH_LIST(chanq, "chanq");
-    FETCH_LIST(chana, "chana");
-    FETCH_LIST(chanp, "chanp");
     FETCH_LIST(chan_src, "chan_src");
     FETCH_LIST(chan_dst, "chan_dst");
     FETCH_LIST(out, "out");
@@ -1719,10 +1748,14 @@ loop_run(PyObject *self, PyObject *args)
         }
         else {
             /* deliver token: peek, wake, precheck, then commit */
-            PyObject *chq = PyList_GET_ITEM(s.chanq, token);
-            PyObject *msg = PySequence_GetItem(chq, 0);
-            if (msg == NULL)
-                goto error;
+            PyObject *msg = PyList_GET_ITEM(s.chanq, token);
+            if (PyTuple_CheckExact(msg))
+                Py_INCREF(msg);
+            else {
+                msg = PySequence_GetItem(msg, 0);
+                if (msg == NULL)
+                    goto error;
+            }
             long dst = GETL(s.chan_dst, token);
             long src = GETL(s.chan_src, token);
             steps += 1;
@@ -1746,8 +1779,7 @@ loop_run(PyObject *self, PyObject *args)
                 busy = isz > 0;
             }
             if (busy) {
-                PyObject *popped =
-                    PyObject_CallNoArgs(PyList_GET_ITEM(s.chanp, token));
+                PyObject *popped = chan_pop(&s, token);
                 if (popped == NULL) {
                     Py_DECREF(msg);
                     goto error;
@@ -1794,8 +1826,7 @@ loop_run(PyObject *self, PyObject *args)
                     aux = token;
                     goto done;
                 }
-                PyObject *popped =
-                    PyObject_CallNoArgs(PyList_GET_ITEM(s.chanp, token));
+                PyObject *popped = chan_pop(&s, token);
                 if (popped == NULL) {
                     Py_DECREF(msg);
                     goto error;

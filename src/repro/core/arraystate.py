@@ -22,6 +22,13 @@ all three by running the *same* state machine over columnar state:
   tags of :mod:`repro.core.messages`; the payload-free handshakes are
   preallocated module singletons, so the hot path allocates at most one
   small tuple per send and zero for handshakes.
+* **Lazy channel arena**: the protocol's traffic is almost all one-shot
+  (one ``conquer`` out, one ``more/done`` back), so a channel's whole life
+  is about two messages and only a few percent ever hold two at once.
+  ``chanq[cid]`` is therefore ``None`` while idle, the pending wire tuple
+  itself while exactly one message is in flight, and a deque only once a
+  second message queues behind the first (or when the channel was adopted
+  from a live simulator); once a deque, always a deque.
 * **Int-only scheduler pool**: channel ids stay the non-negative ints of
   the fastcore seam, and *wake tokens* are encoded as ``-1 - node_int`` --
   the whole pool is ints, so the pop loop dispatches on a sign check
@@ -43,7 +50,10 @@ check has passed*.
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
 objects, channel deques and scheduler pool, so the simulator is always in
-a legal object-path state when anyone else can look at it.  Traces are
+a legal object-path state when anyone else can look at it: every arena
+slot becomes a deque *before* the mid-run channels are registered on
+``sim._channels``, so every value there is a deque, base channels keep
+their identity and ``sim._in_flight`` is exact.  Traces are
 emitted live with original ids (and dataclass payloads for digests), and
 stats fold through :meth:`MessageStats.record_indexed` preserving the
 first-send key order the per-message path would have produced.  The
@@ -419,8 +429,9 @@ class ArrayCore:
     Built either from a live simulator (:func:`maybe_run_array`) or
     straight from a graph (:func:`run_graph`).  ``fill=True`` initializes
     every node to the fresh ``DiscoveryNode.__init__`` state (asleep,
-    ``more = {self}``); ``fill=False`` leaves placeholder columns for a
-    builder that assigns every slot.
+    ``more = {self}``) except ``local``, the one column whose fresh value
+    is the builder's input; ``fill=False`` leaves placeholder columns for
+    a builder that assigns every slot.
     """
 
     __slots__ = (
@@ -462,8 +473,6 @@ class ArrayCore:
         "greedy",
         # -- interned channels -----------------------------------------
         "chanq",
-        "chana",
-        "chanp",
         "chan_src",
         "chan_dst",
         "out",
@@ -495,7 +504,7 @@ class ArrayCore:
             self.awake = bytearray(n)
             self.nxt = list(range(n))
             self.phase = [1] * n
-            self.local = [set() for _ in range(n)]
+            self.local = [None] * n
             self.done = [set() for _ in range(n)]
             self.more = [{i} for i in range(n)]
             self.unaware = [set() for _ in range(n)]
@@ -529,12 +538,11 @@ class ArrayCore:
         self.variant = bytearray(n)
         self.csize = [None] * n
         self.greedy = bytearray(n)
+        #: one slot per channel: ``None`` (idle), the pending wire tuple
+        #: itself (exactly one message), or a deque (two or more pending
+        #: at once, or adopted from a live simulator).  A slot that became
+        #: a deque stays one.
         self.chanq = []
-        # Parallel caches of each deque's bound ``append``/``popleft``:
-        # the loop and the transport hit one channel per step, and the
-        # attribute lookup per hit is pure overhead.
-        self.chana = []
-        self.chanp = []
         self.chan_src = []
         self.chan_dst = []
         self.out = [None] * n
@@ -599,8 +607,6 @@ class ArrayCore:
         csize = self.csize
         greedy = self.greedy
         chanq = self.chanq
-        chana = self.chana
-        chanp = self.chanp
         chan_src = self.chan_src
         chan_dst = self.chan_dst
         out = self.out
@@ -649,14 +655,12 @@ class ArrayCore:
                 d = out[src] = {}
             cid = d.get(dst)
             if cid is None:
-                # Mid-run channels are created as bare deques and synced
-                # onto ``sim._channels`` at materialization -- nothing can
-                # observe the dict mid-run on this path.
+                # Mid-run channels are bare arena slots, turned into
+                # deques and synced onto ``sim._channels`` at
+                # materialization -- nothing can observe the dict mid-run
+                # on this path.
                 cid = len(chanq)
-                q = new_deque()
-                chanq.append(q)
-                chana.append(q.append)
-                chanp.append(q.popleft)
+                chanq.append(None)
                 chan_src.append(src)
                 chan_dst.append(dst)
                 d[dst] = cid
@@ -664,7 +668,13 @@ class ArrayCore:
             if not c:
                 order.append(tag)
             counts[tag] = c + 1
-            chana[cid](msg)
+            slot = chanq[cid]
+            if slot is None:
+                chanq[cid] = msg
+            elif type(slot) is tuple:
+                chanq[cid] = new_deque((slot, msg))
+            else:
+                slot.append(msg)
             pool_append(cid)
 
         def emitx(src, dst, tag, msg, extra_ids):
@@ -1219,7 +1229,11 @@ class ArrayCore:
 
                 steps += 1
                 if token >= 0:
-                    msg = chanp[token]()
+                    msg = chanq[token]
+                    if type(msg) is tuple:
+                        chanq[token] = None
+                    else:
+                        msg = msg.popleft()
                     dst = chan_dst[token]
                     if not awake[dst]:
                         # Messages wake sleeping nodes (Section 1.2).
@@ -1402,6 +1416,16 @@ def _intern_space(sim, n: int) -> IdSpace:
     return space
 
 
+def _arena_in_flight(chanq) -> int:
+    """Messages pending in a channel arena (see ``ArrayCore.chanq``): a
+    tuple slot is one message, a deque slot its length, ``None`` zero."""
+    pending = 0
+    for slot in chanq:
+        if slot is not None:
+            pending += 1 if type(slot) is tuple else len(slot)
+    return pending
+
+
 def _build_from_sim(sim, pool):
     """Validate and build the columnar image of a live simulator.
 
@@ -1512,8 +1536,6 @@ def _build_from_sim(sim, pool):
 
         # -- channels: intern every existing pair, reusing its deque -----
         chanq = core.chanq
-        chana = core.chana
-        chanp = core.chanp
         chan_src = core.chan_src
         chan_dst = core.chan_dst
         out = core.out
@@ -1526,8 +1548,6 @@ def _build_from_sim(sim, pool):
                 d = out[si] = {}
             d[di] = len(chanq)
             chanq.append(queue)
-            chana.append(queue.append)
-            chanp.append(queue.popleft)
             chan_src.append(si)
             chan_dst.append(di)
             if queue:
@@ -1637,38 +1657,40 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
                 ids[leader], frozenset(ids[x] for x in id_set), step
             )
 
-    # Channels created mid-run exist only in the core's arena; register
-    # them on the simulator in creation order (matching the insertion
-    # order the per-send path would have produced).
+    # Channels: every slot becomes a deque of message objects.  Base
+    # channels are converted in place (deque identity is shared with
+    # sim._channels and the PR6 interning registry); channels created
+    # mid-run exist only in the core's arena, still in any slot form, and
+    # are registered on the simulator in creation order (matching the
+    # insertion order the per-send path would have produced) once they
+    # are deques.  The arena holds every channel of the simulator, so it
+    # also re-establishes the O(1) in-flight count.
     chanq = core.chanq
-    if len(chanq) > core.base_channels:
-        channels = sim._channels
-        src_col = core.chan_src
-        dst_col = core.chan_dst
-        for cid in range(core.base_channels, len(chanq)):
-            channels[(ids[src_col[cid]], ids[dst_col[cid]])] = chanq[cid]
-
-    # Channels: wire tuples -> message objects, in place (deque identity
-    # is shared with sim._channels and the PR6 interning registry).  The
-    # arena holds every channel of the simulator, so the same pass
-    # re-establishes its O(1) in-flight count.
-    in_flight = 0
-    for queue in chanq:
-        if queue:
-            in_flight += len(queue)
-            materialized = [to_message(m) for m in queue]
-            queue.clear()
-            queue.extend(materialized)
-    sim._in_flight = in_flight
+    sim._in_flight = _arena_in_flight(chanq)
+    channels = sim._channels
+    base_channels = core.base_channels
+    src_col = core.chan_src
+    dst_col = core.chan_dst
+    for cid, slot in enumerate(chanq):
+        if slot is None:
+            queue = new_deque()
+        elif type(slot) is tuple:
+            queue = new_deque((to_message(slot),))
+        else:
+            queue = slot
+            if queue:
+                materialized = [to_message(m) for m in queue]
+                queue.clear()
+                queue.extend(materialized)
+        if cid >= base_channels:
+            channels[(ids[src_col[cid]], ids[dst_col[cid]])] = queue
 
     # Pool: ints -> tokens, preserving order.
-    chan_src = core.chan_src
-    chan_dst = core.chan_dst
     if pool:
         items = [
             WakeToken(ids[-1 - token])
             if token < 0
-            else DeliverToken(ids[chan_src[token]], ids[chan_dst[token]])
+            else DeliverToken(ids[src_col[token]], ids[dst_col[token]])
             for token in pool
         ]
         if mode == _FIFO:
@@ -1720,14 +1742,13 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         return sim.is_quiescent
 
     def limit_msg():
-        # Summed over the channel arena, not sim.in_flight(): channels
+        # Counted over the channel arena, not sim.in_flight(): channels
         # created mid-run are registered on the simulator only at
         # materialization, but their pending messages are in flight now
         # (this is the count the legacy path would report).
-        in_flight = sum(len(q) for q in core.chanq)
         return (
             f"no quiescence within {max_steps} steps; "
-            f"{in_flight} messages still in flight"
+            f"{_arena_in_flight(core.chanq)} messages still in flight"
         )
 
     try:
@@ -1789,16 +1810,19 @@ def _graph_components(graph, idx, n: int) -> List[List[int]]:
     return list(components.values())
 
 
-def _verify_scale(core: ArrayCore, graph, variant: str) -> int:
+def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
     """O(n + E) check of properties (1)-(3)/(3a,3b) plus steady state.
 
     The cheap mirror of :func:`repro.verification.invariants.verify_discovery`
     (which wants a per-node ``DiscoveryResult`` -- exactly the object
-    blow-up this driver exists to avoid).  Returns the component count.
+    blow-up this driver exists to avoid).  ``components`` is the graph's
+    :func:`_graph_components` when the caller already has them.  Returns
+    the component count.
     """
     n = core.n
     status = core.status
-    components = _graph_components(graph, core.idx, n)
+    if components is None:
+        components = _graph_components(graph, core.idx, n)
 
     for i in range(n):
         name = STATUS_NAMES[status[i]]
@@ -1904,14 +1928,17 @@ def run_graph(
         raise SimulationError(f"graph ids not array-eligible: {exc}")
     idx = space.index
     core = ArrayCore(space, id_bits_for(n), fill=True)
+    local = core.local
     for i, node_id in enumerate(ids):
         successors = {idx[x] for x in graph.successors(node_id)}
         successors.discard(i)
-        core.local[i] = successors
+        local[i] = successors
     if greedy_queries:
         core.greedy = bytearray(b"\x01" * n)
+    components = None
     if variant == "bounded":
-        for members in _graph_components(graph, idx, n):
+        components = _graph_components(graph, idx, n)
+        for members in components:
             size = len(members)
             for m in members:
                 core.csize[m] = size
@@ -1919,7 +1946,6 @@ def run_graph(
     elif variant == "adhoc":
         core.variant = bytearray([_ADHOC]) * n
 
-    chanq = core.chanq
     wake_tokens = [-1 - i for i in range(n)]
     if seed is None:
         mode = _FIFO
@@ -1939,10 +1965,9 @@ def run_graph(
         return not pool
 
     def limit_msg():
-        in_flight = sum(len(q) for q in chanq)
         return (
             f"no quiescence within {limit} steps; "
-            f"{in_flight} messages still in flight"
+            f"{_arena_in_flight(core.chanq)} messages still in flight"
         )
 
     executed = core.run_loop(pool, mode, randbelow, limit, None, quiescent, limit_msg)
@@ -1951,10 +1976,12 @@ def run_graph(
     stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
     leaders = [core.ids[i] for i in range(n) if IS_LEADER[core.status[i]]]
     if verify:
-        n_components = _verify_scale(core, graph, variant)
+        n_components = _verify_scale(core, graph, variant, components)
         verified = True
     else:
-        n_components = len(_graph_components(graph, idx, n))
+        if components is None:
+            components = _graph_components(graph, idx, n)
+        n_components = len(components)
         verified = False
     return ScaleResult(
         variant=variant,

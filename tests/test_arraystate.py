@@ -14,15 +14,24 @@ Four layers:
   every variant under both FIFO and seeded-random scheduling;
 * the C loop: the compiled ``_arrayloop`` delivery loop and the pure-Python
   ``run_loop`` body produce identical results, including across a
-  ``StepLimitExceeded`` boundary (the ``cell`` step-count protocol).
+  ``StepLimitExceeded`` boundary (the ``cell`` step-count protocol);
+* the lazy channel arena: a slot is ``None``, the pending wire tuple or a
+  deque, and every engine reads every form -- runs interrupted mid-flight
+  and resumed on a different engine equal the uninterrupted object run,
+  and the C hand-off of a tuple slot's reference leaks nothing.
 """
+
+import gc
+import sys
+from collections import deque
 
 import pytest
 
 from repro.analysis.experiments import build_family
-from repro.core import arrayloop
+from repro.core import arrayloop, arraystate
 from repro.core.adhoc import AdhocNetwork
 from repro.core.arraystate import (
+    ArrayCore,
     IdSpace,
     _Ineligible,
     k_smallest,
@@ -32,6 +41,7 @@ from repro.core.arraystate import (
 from repro.core.node import VARIANTS, DiscoveryNode, behavior_is_pristine
 from repro.core.runner import build_simulation, default_step_budget
 from repro.sim.network import StepLimitExceeded
+from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
 
 FAMILY = "sparse-random"
 N = 32
@@ -302,3 +312,208 @@ class TestCompiledLoop:
         compiled_msg = interrupted()
         self._pure_python(monkeypatch)
         assert interrupted() == compiled_msg
+
+
+# ----------------------------------------------------------------------
+# Lazy channel arena: None / wire tuple / deque slots across engines
+# ----------------------------------------------------------------------
+SCHEDULERS = {
+    "fifo": GlobalFifoScheduler,
+    "lifo": LifoScheduler,
+    "random": lambda: RandomScheduler(seed=7),
+}
+
+#: (engine before the cut, engine after it).  "c"/"py" are the array core
+#: on the compiled loop / the Python mirror, "obj" the legacy object loop;
+#: after an "obj" first leg the array core adopts non-empty base deques.
+HANDOFFS = [("c", "py"), ("py", "c"), ("c", "obj"), ("obj", "c"), ("obj", "py")]
+
+_NODE_FIELDS = (
+    "status", "awake", "next", "phase", "local", "done", "more", "unaware",
+    "unexplored", "previous", "probe_previous", "probe_results", "_inbox",
+    "_deferred", "_awaiting_release", "_awaiting_query_from",
+    "_awaiting_info", "_expect_stale_release", "_probe_outstanding",
+)
+
+
+def _snapshot(sim, nodes):
+    """Everything two executions of one schedule can be compared on."""
+    channels = sim._channels
+    assert all(type(q) is deque for q in channels.values())
+    assert sim.in_flight() == sum(len(q) for q in channels.values())
+    return {
+        "steps": sim.steps,
+        "trace": None if sim.trace is None else sim.trace.fingerprint(),
+        "messages": list(sim.stats.messages_by_type.items()),
+        "bits": list(sim.stats.bits_by_type.items()),
+        "leaders": sorted(x for x, node in nodes.items() if node.is_leader),
+        "nodes": {
+            x: {f: getattr(node, f) for f in _NODE_FIELDS}
+            for x, node in nodes.items()
+        },
+        "channels": [(key, list(q)) for key, q in channels.items()],
+        "backlog": [sim.channel_backlog(*key) for key in channels],
+        "in_flight": sim.in_flight(),
+        "pool": list(sim.scheduler.pending()),
+    }
+
+
+class TestChannelSlotForms:
+    @pytest.fixture(autouse=True)
+    def _always_engage(self, monkeypatch):
+        # A resumed run's pool is often below the engagement threshold;
+        # every non-empty pool must reach the array core here.
+        monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
+        # ``None`` under REPRO_PURE_PYTHON or without a compiler: the "c"
+        # engine then degenerates to the Python mirror, still a valid run.
+        self.c_module = arrayloop.load()
+
+    @pytest.fixture
+    def arena_forms(self, monkeypatch):
+        """Slot types of the arena at each array-run exit, before the
+        materializer turns every slot into a deque."""
+        seen = []
+        materialize = arraystate._materialize_to_sim
+
+        def spy(core, sim, pool, mode):
+            seen.append([type(slot) for slot in core.chanq])
+            materialize(core, sim, pool, mode)
+
+        monkeypatch.setattr(arraystate, "_materialize_to_sim", spy)
+        return seen
+
+    def _leg(self, sim, engine, max_steps, monkeypatch):
+        """Run ``sim`` on ``engine``; returns the StepLimitExceeded text
+        (``None`` at quiescence)."""
+        sim.fast = engine != "obj"
+        monkeypatch.setattr(
+            arrayloop, "_module", self.c_module if engine == "c" else None
+        )
+        try:
+            sim.run(max_steps)
+        except StepLimitExceeded as exc:
+            message = str(exc)
+        else:
+            message = None
+        assert sim._last_run_path == ("legacy" if engine == "obj" else "array")
+        return message
+
+    def _build(self, variant, policy, keep_trace):
+        graph = _graph()
+        sim, nodes = build_simulation(
+            graph, variant, scheduler=SCHEDULERS[policy](),
+            keep_trace=keep_trace, fast=False,
+        )
+        return sim, nodes, default_step_budget(graph)
+
+    @pytest.mark.parametrize("first,second", HANDOFFS)
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_interrupted_runs_equal_the_object_run(
+        self, variant, policy, first, second, monkeypatch
+    ):
+        # A kept trace pins the array core to the Python mirror, so the
+        # legs that exercise the C loop compare everything but the trace.
+        keep_trace = "c" not in (first, second)
+        ref, ref_nodes, budget = self._build(variant, policy, keep_trace)
+        assert self._leg(ref, "obj", budget, monkeypatch) is None
+        final = _snapshot(ref, ref_nodes)
+        total = ref.steps
+        for cut in sorted({1, 2, *(total * k // 8 for k in range(1, 8)), total - 1}):
+            ref, ref_nodes, _ = self._build(variant, policy, keep_trace)
+            ref_message = self._leg(ref, "obj", cut, monkeypatch)
+            sim, nodes, _ = self._build(variant, policy, keep_trace)
+            assert self._leg(sim, first, cut, monkeypatch) == ref_message
+            assert ref_message is not None and "in flight" in ref_message
+            assert _snapshot(sim, nodes) == _snapshot(ref, ref_nodes), cut
+            assert self._leg(sim, second, budget, monkeypatch) is None
+            assert _snapshot(sim, nodes) == final, cut
+
+    @pytest.mark.parametrize("engine", ["c", "py"])
+    def test_all_three_slot_forms_occur_mid_run(
+        self, engine, arena_forms, monkeypatch
+    ):
+        if engine == "c" and self.c_module is None:
+            pytest.skip("compiled loop unavailable")
+        ref, _nodes, budget = self._build("generic", "random", False)
+        self._leg(ref, "obj", budget, monkeypatch)
+        mixed = 0
+        for cut in range(8, ref.steps, 8):
+            ref, _nodes, _ = self._build("generic", "random", False)
+            ref_message = self._leg(ref, "obj", cut, monkeypatch)
+            sim, _nodes, _ = self._build("generic", "random", False)
+            message = self._leg(sim, engine, cut, monkeypatch)
+            if {type(None), tuple, deque} <= set(arena_forms[-1]):
+                # The limit text counts one per tuple slot, len() per deque.
+                assert message == ref_message
+                assert f"{ref.in_flight()} messages still in flight" in message
+                mixed += 1
+        assert mixed >= 3
+
+    def test_adopted_base_channels_are_nonempty_deques(
+        self, arena_forms, monkeypatch
+    ):
+        sim, _nodes, budget = self._build("generic", "random", False)
+        total = _object_outcome("generic", seed=7, fast=False)["steps"]
+        self._leg(sim, "obj", total // 2, monkeypatch)
+        adopted = list(sim._channels.values())
+        assert sum(1 for q in adopted if q) >= 2
+        self._leg(sim, "c", budget, monkeypatch)
+        # Base slots stay the simulator's own deques; channels first used
+        # by the array leg start as None/tuple slots and are deques (new
+        # ones) on the simulator afterwards.
+        assert arena_forms[-1][: len(adopted)] == [deque] * len(adopted)
+        assert all(a is b for a, b in zip(sim._channels.values(), adopted))
+        assert len(sim._channels) > len(adopted)
+
+    def test_slots_at_quiescence_hold_nothing(self, monkeypatch):
+        captured = []
+        run_loop = ArrayCore.run_loop
+
+        def spy(core, *args):
+            captured.append(core)
+            return run_loop(core, *args)
+
+        monkeypatch.setattr(ArrayCore, "run_loop", spy)
+        for seed in (None, 3):
+            run_graph(_graph(256), "generic", seed=seed)
+            slots = captured[-1].chanq
+            assert slots
+            assert all(s is None or (type(s) is deque and not s) for s in slots)
+            assert any(s is None for s in slots)
+
+
+class TestChannelHandOffOwnership:
+    """The C loop's ``chan_pop`` hands the list's reference of a tuple
+    slot to its caller and ``emit`` replaces slots in place: a reference
+    dropped or kept once per message shows as blocks that grow per run."""
+
+    N = 2000
+    #: interpreter noise between two identical runs (caches, free lists)
+    #: measures below a hundred blocks; one object leaked per message
+    #: would be four runs of ~28,000.
+    SLACK = 512
+
+    def _blocks_after(self, run, runs):
+        gc.collect()
+        for _ in range(runs):
+            run()
+        gc.collect()
+        return sys.getallocatedblocks()
+
+    @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
+    @pytest.mark.parametrize("limited", [False, True], ids=["drained", "limit"])
+    def test_repeated_runs_allocate_nothing_lasting(self, seed, limited):
+        graph = _graph(self.N)
+        full = run_graph(graph, "generic", seed=seed)
+
+        def run():
+            if not limited:
+                assert run_graph(graph, "generic", seed=seed).steps == full.steps
+                return
+            with pytest.raises(StepLimitExceeded):
+                run_graph(graph, "generic", seed=seed, max_steps=full.steps // 2)
+
+        after_two = self._blocks_after(run, 2)
+        after_six = self._blocks_after(run, 4)
+        assert abs(after_six - after_two) < self.SLACK
