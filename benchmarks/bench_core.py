@@ -1,21 +1,24 @@
-"""BENCH: single-core throughput of the simulator hot path.
+"""BENCH: single-core throughput, array core vs object loop.
 
-Times the compiled fast loop (:mod:`repro.sim.fastcore`, the default) and
-the legacy object path on identical workloads, interleaved in the same
-process, and appends the results to ``BENCH_core.json`` at the repository
-root.  Two parts:
+Times the array core (:mod:`repro.core.arraystate`, what ``fast=True``
+-- the default -- offers every run to) and the object loop
+(``fast=False``, ``Simulator.run_for``) on identical workloads,
+interleaved in the same process, and appends the results to
+``BENCH_core.json`` at the repository root (whose ``fast_ms`` /
+``legacy_ms`` keys are those two engines).  Four parts:
 
 * ``test_core_fast_vs_legacy`` (always runs; CI's perf-smoke job) -- the
   n=128 sparse-random comparison workload plus an n=4096 smoke point.
   Each run also cross-checks steps and message totals between the two
-  paths, so the benchmark doubles as a coarse differential test (the fine
-  one -- traces, per-type counters -- is ``tests/test_fastcore_equivalence``).
+  engines, so the benchmark doubles as a coarse differential test (the
+  fine one -- traces, per-type counters -- is the engine-equivalence
+  suite under ``tests/``).
 
   The regression gate is **ratio-based**: absolute wall-clock is not
-  comparable across machines, but the fast/legacy speedup measured within
-  one process is.  The measured speedup must stay above
+  comparable across machines, but the array-core/object-loop speedup
+  measured within one process is.  The measured speedup must stay above
   ``REGRESSION_FLOOR`` times the committed baseline's speedup (a >25%
-  relative regression of the fast path fails the bench).
+  relative regression of the array core fails the bench).
 
 * ``test_core_scaling_series`` (opt-in: ``BENCH_CORE_FULL=1``) -- the
   scaling series up to n = 200,000 for the Generic and Ad-hoc engines
@@ -144,7 +147,7 @@ def _load_bench():
 
 def test_core_fast_vs_legacy(benchmark, record_table):
     def run():
-        # Warm-up: imports, allocator steady state, fastcore channel interning.
+        # Warm-up: imports, allocator steady state, the C loop's first load.
         _run_workload(N_COMPARE, COMPARE_SEEDS, fast=True)
         return {
             "compare": _best_of(N_COMPARE, COMPARE_SEEDS, COMPARE_REPEATS),

@@ -1,11 +1,10 @@
 """Array-backed protocol core: the Figure-2 state machine on dense ints.
 
-PR 6's compiled run loop (:mod:`repro.sim.fastcore`, DESIGN.md SS12) moved
-the bottleneck out of the simulator and into the protocol itself: at
-n >= 10^5 the remaining cost is dict-of-sets cluster state on
-:class:`~repro.core.node.DiscoveryNode`, frozen-dataclass message
-construction, and attribute-heavy handler dispatch.  This module removes
-all three by running the *same* state machine over columnar state:
+At n >= 10^5 the cost of the object loop (``Simulator.run_for`` over
+:class:`~repro.core.node.DiscoveryNode`, DESIGN.md SS15) is dict-of-sets
+cluster state, frozen-dataclass message construction, token objects and
+attribute-heavy handler dispatch.  This module removes all four by running
+the *same* state machine over columnar state:
 
 * **Id interning** (:class:`IdSpace`): node ids become dense ints
   ``0..n-1`` in simulator insertion order.  Two total orders are
@@ -29,23 +28,26 @@ all three by running the *same* state machine over columnar state:
   itself while exactly one message is in flight, and a deque only once a
   second message queues behind the first (or when the channel was adopted
   from a live simulator); once a deque, always a deque.
-* **Int-only scheduler pool**: channel ids stay the non-negative ints of
-  the fastcore seam, and *wake tokens* are encoded as ``-1 - node_int`` --
-  the whole pool is ints, so the pop loop dispatches on a sign check
-  instead of ``type(token)``.
+* **Int-only scheduler pool**: a pending delivery is its interned channel
+  id (a non-negative int) and a *wake token* is ``-1 - node_int`` -- the
+  whole pool is ints, so the pop loop dispatches on a sign check instead
+  of ``type(token)``.
 
 Engagement and deopt
 --------------------
-:func:`maybe_run_array` is called by :func:`repro.sim.fastcore.run_fast`
-*after* ``eligible(sim)`` already held.  It additionally requires: every
-node is exactly a :class:`DiscoveryNode` (no transport wrappers, no
-recovery state, no instance-patched handlers), the pool holds only wake
-and deliver tokens, all in-flight messages are stock message types, and
-the pending pool is large enough to amortize conversion
-(``4 * len(pool) >= n`` -- dynamic ad-hoc touch-ups with a handful of
-pending events stay on the object fast loop).  Any violation returns
-``None`` and the caller falls through; *nothing is mutated until every
-check has passed*.
+:func:`maybe_run_array` is the one array-or-object gate, offered every
+:meth:`Simulator.run`.  It requires: ``fast=True`` on an exact
+:class:`Simulator` with nothing that needs per-message hooks (no fault
+interceptor, recorder, send observer, non-FIFO channel discipline,
+non-stock scheduler or instance-wrapped method); a pending pool large
+enough to amortize conversion (``4 * len(pool) >= n`` -- dynamic ad-hoc
+touch-ups with a handful of pending events stay on the object loop); and
+state the columns can hold: every node exactly a :class:`DiscoveryNode`
+(no transport wrappers, no recovery state, no patched handlers),
+strictly ordered ids, only wake and deliver tokens, only stock message
+types.  The first check that fails leaves its :data:`DECLINE_REASONS`
+name on ``sim._last_decline`` and returns ``None``; *nothing is mutated
+until every check has passed*.
 
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
@@ -57,8 +59,8 @@ their identity and ``sim._in_flight`` is exact.  Traces are
 emitted live with original ids (and dataclass payloads for digests), and
 stats fold through :meth:`MessageStats.record_indexed` preserving the
 first-send key order the per-message path would have produced.  The
-differential suite (``tests/test_fastcore_equivalence.py`` and
-``tests/test_arraystate.py``) pins all of this bit-for-bit.
+differential suites (``tests/test_arraystate.py`` and the
+engine-equivalence module beside it) pin all of this bit-for-bit.
 
 :func:`run_graph` is the million-node driver: it builds the columns
 straight from a :class:`KnowledgeGraph` -- no ``DiscoveryNode`` objects at
@@ -120,23 +122,25 @@ from repro.core.node import (
     behavior_is_pristine,
 )
 from repro.sim.events import DeliverToken, WakeToken
-from repro.sim.network import SimulationError, StepLimitExceeded
+from repro.sim.network import (
+    _WRAPPABLE,
+    SimulationError,
+    Simulator,
+    StepLimitExceeded,
+)
+from repro.sim.scheduler import _FIFO, _LIFO, _RANDOM, stock_pool
 from repro.sim.trace import MessageStats, TraceEvent
 
 __all__ = [
     "IdSpace",
     "ArrayCore",
     "ScaleResult",
+    "DECLINE_REASONS",
     "maybe_run_array",
     "run_graph",
     "rank_sorted",
     "k_smallest",
 ]
-
-# Pool-layout modes; must match repro.sim.fastcore's _FIFO/_LIFO/_RANDOM
-# (fastcore passes them through and cannot be imported here -- it imports
-# this module).
-_FIFO, _LIFO, _RANDOM = 0, 1, 2
 
 # Dense status codes (indexes into STATUS_NAMES; the tuple order in
 # core.node is frozen precisely so these stay valid).
@@ -223,18 +227,41 @@ _FRESH_CONTAINERS = itemgetter(
 
 #: Do not convert tiny workloads: a post-quiescence touch-up (one probe,
 #: one add_link notification) is a handful of steps, while conversion and
-#: materialization are O(n + channels).  The object fast loop handles
-#: those; initial discovery runs (pool ~ n wake tokens) always engage.
+#: materialization are O(n + channels).  The object loop handles those;
+#: initial discovery runs (pool ~ n wake tokens) always engage.
 _MIN_POOL_FACTOR = 4
+
+#: Why :func:`maybe_run_array` left a run to the object loop, in the order
+#: the gate checks (the first failing check names the run).
+DECLINE_REASONS = (
+    "fast-off",  # Simulator(fast=False): the caller asked for the reference
+    "simulator-subclass",  # may override anything the core replaces
+    "faults",  # an interceptor must see every transport decision
+    "recorder",  # obs events are emitted per message
+    "send-observer",  # fires per transmit
+    "channel-discipline",  # non-FIFO channels draw from the channel RNG
+    "scheduler",  # not exactly a stock scheduler: owns its selection state
+    "wrapped-simulator",  # an instance attribute shadows a _WRAPPABLE method
+    "small-pool",  # conversion would cost more than the run (or n == 0)
+    "patched-node-class",  # DiscoveryNode behaviour replaced on the class
+    "node-type",  # a node that is not exactly a DiscoveryNode
+    "wrapped-node",  # an instance attribute shadows a node handler
+    "node-state",  # recovery/reentrancy state, undrained inbox, odd fields
+    "id-order",  # ids without unique reprs and a strict total order
+    "unknown-id",  # state or a payload names an id outside the system
+    "message-type",  # an in-flight message that is not a stock dataclass
+    "token-type",  # the pool holds a timer or lifecycle token
+)
 
 
 class _Ineligible(Exception):
-    """Internal: this simulator state cannot take the array path."""
+    """Internal: this state cannot take the array path.  ``reason`` is the
+    :data:`DECLINE_REASONS` name, the message says what was found."""
 
+    def __init__(self, reason: str, detail: str) -> None:
+        super().__init__(detail)
+        self.reason = reason
 
-#: The function behind ``Random._randbelow`` -- used to recognize a stock
-#: RNG whose draw loop the run loop may inline over C-level getrandbits.
-_RANDBELOW = _Random._randbelow
 
 #: step-limit ceiling handed to the C loop; ``stop`` can be
 #: ``steps + maxsize`` which overflows a C long, and no run gets
@@ -300,7 +327,7 @@ class IdSpace:
         n = len(ids)
         reprs = [repr(x) for x in ids]
         if len(set(reprs)) != n:
-            raise _Ineligible("node id reprs are not unique")
+            raise _Ineligible("id-order", "node id reprs are not unique")
         by_repr = sorted(range(n), key=reprs.__getitem__)
         repr_rank = [0] * n
         for rank, i in enumerate(by_repr):
@@ -308,13 +335,17 @@ class IdSpace:
         try:
             by_nat = sorted(range(n), key=ids.__getitem__)
         except TypeError as exc:
-            raise _Ineligible(f"node ids are not mutually orderable: {exc}")
+            raise _Ineligible(
+                "id-order", f"node ids are not mutually orderable: {exc}"
+            )
         for a, b in zip(by_nat, by_nat[1:]):
             # Strictness: stable sort gives equal-comparing distinct ids
             # adjacent ranks, which would invent an order the object
             # path's tuple comparison does not have.
             if not ids[a] < ids[b]:
-                raise _Ineligible("node ids are not strictly totally ordered")
+                raise _Ineligible(
+                    "id-order", "node ids are not strictly totally ordered"
+                )
         nat_rank = [0] * n
         for rank, i in enumerate(by_nat):
             nat_rank[i] = rank
@@ -337,7 +368,9 @@ def _to_wire(message, idx) -> tuple:
     """
     tag = _TAG_OF.get(type(message))
     if tag is None:
-        raise _Ineligible(f"uninternable message type {type(message).__name__}")
+        raise _Ineligible(
+            "message-type", f"uninternable message type {type(message).__name__}"
+        )
     try:
         if tag == T_SEARCH:
             return (
@@ -385,7 +418,9 @@ def _to_wire(message, idx) -> tuple:
             idx[message.initiator],
         )
     except KeyError as exc:
-        raise _Ineligible(f"message payload references unknown id {exc}")
+        raise _Ineligible(
+            "unknown-id", f"message payload references unknown id {exc}"
+        )
 
 
 def _to_message(msg: tuple, ids):
@@ -568,11 +603,12 @@ class ArrayCore:
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
-    def run_loop(self, pool, mode, randbelow, limit, trace_events, quiescent, limit_msg):
+    def run_loop(self, pool, mode, rng, limit, trace_events, quiescent, limit_msg):
         """Run the state machine until the pool drains (or ``limit``).
 
         ``pool`` holds only ints: channel ids ``>= 0`` (deliveries) and
-        ``-1 - node_int`` (wake-ups).  ``quiescent``/``limit_msg`` are
+        ``-1 - node_int`` (wake-ups); ``rng`` is the scheduler's
+        ``random.Random`` in random mode.  ``quiescent``/``limit_msg`` are
         callables so the simulator-backed and graph-backed drivers can
         plug their own formulas.  Returns executed step count; updates
         ``self.steps_out`` on every exit for the materializer.
@@ -622,24 +658,6 @@ class ArrayCore:
         pool_append = pool.append
         is_leader = IS_LEADER
         status_names = STATUS_NAMES
-        # Wire tags and status codes compared in the delivery chain, as
-        # locals (module globals cost a dict probe per load in the loop).
-        t_search = T_SEARCH
-        t_release = T_RELEASE
-        t_more_done = T_MORE_DONE
-        t_query = T_QUERY
-        t_query_reply = T_QUERY_REPLY
-        t_conquer = T_CONQUER
-        t_probe = T_PROBE
-        s_explore = _EXPLORE
-        s_wait = _WAIT
-        s_conquered = _CONQUERED
-        s_conqueror = _CONQUEROR
-        s_passive = _PASSIVE
-        s_inactive = _INACTIVE
-        s_terminated = _TERMINATED
-        md_true = WIRE_MORE_DONE_TRUE
-        md_false = WIRE_MORE_DONE_FALSE
 
         # -- transport ---------------------------------------------------
         def emit(src, dst, tag, msg):
@@ -1142,16 +1160,16 @@ class ArrayCore:
         stop = start_steps + limit
         fifo = mode == _FIFO
         lifo = mode == _LIFO
-        getrandbits = None
+        getrandbits = randbelow = None
         if mode == _RANDOM:
-            # Random._randbelow is a Python-level frame per draw; its body
-            # is three lines over the C-level getrandbits, so inline it --
-            # drawing the *identical* value sequence -- when the RNG is
-            # exactly the stdlib Random (bound-method introspection; any
-            # other callable keeps being called as-is).
-            self_rng = getattr(randbelow, "__self__", None)
-            if type(self_rng) is _Random and randbelow.__func__ is _RANDBELOW:
-                getrandbits = self_rng.getrandbits
+            # The pop draws ``rng.randrange(size)``, i.e. ``_randbelow``:
+            # three lines over the C-level getrandbits, inlined -- the
+            # *identical* value sequence -- when the RNG is exactly the
+            # stdlib Random; any other is called as-is (mirror only).
+            if type(rng) is _Random:
+                getrandbits = rng.getrandbits
+            else:
+                randbelow = rng.randrange
         # -- C loop engagement (DESIGN.md SS15) --------------------------
         # The compiled module runs the identical state machine over the
         # same columns; Python keeps the trace path, the probe and error
@@ -1255,115 +1273,20 @@ class ArrayCore:
                                 _to_message(msg, ids),
                             )
                         )
-                    # -- on_message, inlined ---------------------------
-                    # Tag chain in workload frequency order.  Only search
-                    # and probe can be deferred (``return False``); every
-                    # other handler unconditionally consumes or raises, so
-                    # the deferral bookkeeping drops off their path.
-                    # Tag chain in workload frequency order, with the
-                    # happy path of each hot handler inlined; the closure
-                    # handlers (also used by ``pump``) stay the single
-                    # source of every error path, so each inline branch
-                    # falls back to them whenever a precondition fails.
-                    tag = msg[0]
+                    # -- on_message ------------------------------------
+                    # Each handler is stated once (the closures above);
+                    # ``False`` means "defer" (search and probe only).
                     if deferred[dst] or inbox[dst]:
                         ib = inbox[dst]
                         if ib is None:
                             ib = inbox[dst] = deque()
                         ib.append((src, msg))
                         pump(dst)
-                    elif tag == t_search:
-                        st = status[dst]
-                        if st == s_inactive:
-                            # h_search, inactive routing arm.
-                            if msg[3] == dst and msg[1] not in local[dst]:
-                                local[dst].add(msg[1])
-                                msg = (t_search, msg[1], msg[2], msg[3], True)
-                            prev = previous[dst]
-                            if prev is None:
-                                prev = previous[dst] = deque()
-                            prev.append((msg, src))
-                            if len(prev) == 1:
-                                emit(dst, nxt[dst], t_search, msg)
-                        elif st == s_wait or st == s_passive:
-                            leader_on_search(dst, src, msg)
-                        elif st == s_explore or st == s_conquered or st == s_conqueror:
-                            df = deferred[dst]
-                            if df is None:
-                                df = deferred[dst] = []
-                            df.append((src, msg))
-                        else:
-                            h_search(dst, src, msg)
-                    elif tag == t_release:
-                        if msg[3] == dst:
-                            consume_own_release(dst, msg)
-                        elif status[dst] != s_inactive or not previous[dst]:
-                            h_release(dst, src, msg)
-                        else:
-                            # h_release, routing arm.
-                            prev = previous[dst]
-                            came_from = prev.popleft()[1]
-                            if msg[4] >= phase[dst]:
-                                nxt[dst] = msg[1]
-                                phase[dst] = msg[4]
-                            emit(dst, came_from, t_release, msg)
-                            if prev:
-                                emit(dst, nxt[dst], t_search, prev[0][0])
-                    elif tag == t_conquer:
-                        if status[dst] != s_inactive:
-                            h_conquer(dst, src, msg)
-                        else:
-                            if msg[2] >= phase[dst]:
-                                nxt[dst] = msg[1]
-                                phase[dst] = msg[2]
-                            emit(
-                                dst,
-                                src,
-                                t_more_done,
-                                md_true if local[dst] else md_false,
-                            )
-                    elif tag == t_more_done:
-                        st = status[dst]
-                        if st == s_terminated:
-                            pass
-                        elif st != s_conqueror or aw_info[dst] or src not in unaware[dst]:
-                            h_more_done(dst, src, msg)
-                        else:
-                            ua = unaware[dst]
-                            ua.discard(src)
-                            if msg[1]:
-                                add_more(dst, src)
-                            else:
-                                done[dst].add(src)
-                            if not ua:
-                                explore(dst)
-                    elif tag == t_query:
-                        if status[dst] != s_inactive:
-                            h_query(dst, src, msg)
-                        else:
-                            taken, done_flag = take_local(dst, msg[1])
-                            emitx(
-                                dst,
-                                src,
-                                t_query_reply,
-                                (t_query_reply, taken, done_flag),
-                                len(taken),
-                            )
-                    elif tag == t_query_reply:
-                        if status[dst] != s_explore or aw_query[dst] != src:
-                            h_query_reply(dst, src, msg)
-                        else:
-                            aw_query[dst] = -1
-                            ingest_reply(dst, src, msg[1], msg[2])
-                            explore(dst)
-                    elif tag == t_probe:
-                        if not h_probe(dst, src, msg):
-                            df = deferred[dst]
-                            if df is None:
-                                df = deferred[dst] = []
-                            df.append((src, msg))
-                    else:
-                        dispatch[tag](dst, src, msg)
+                    elif not dispatch[msg[0]](dst, src, msg):
+                        df = deferred[dst]
+                        if df is None:
+                            df = deferred[dst] = []
+                        df.append((src, msg))
                 else:
                     node = -1 - token
                     if awake[node]:
@@ -1397,7 +1320,7 @@ class ArrayCore:
 
 
 # ----------------------------------------------------------------------
-# Simulator-backed engagement (fastcore seam)
+# Simulator-backed engagement
 # ----------------------------------------------------------------------
 def _intern_space(sim, n: int) -> IdSpace:
     """Per-simulator cached :class:`IdSpace` (nodes are append-only, so a
@@ -1406,7 +1329,9 @@ def _intern_space(sim, n: int) -> IdSpace:
     if space is not None and space.n == n:
         return space
     if getattr(sim, "_array_space_bad_n", -1) == n:
-        raise _Ineligible("cached: id space ineligible at this node count")
+        raise _Ineligible(
+            "id-order", "cached: id space ineligible at this node count"
+        )
     try:
         space = IdSpace(sim.nodes)
     except _Ineligible:
@@ -1460,10 +1385,12 @@ def _build_from_sim(sim, pool):
     try:
         for i, node in enumerate(nodes_map.values()):
             if type(node) is not DiscoveryNode:
-                raise _Ineligible("non-stock node type")
+                raise _Ineligible("node-type", "non-stock node type")
             d = node.__dict__
             if not shadow_free(d):
-                raise _Ineligible("node instance shadows a wrapped method")
+                raise _Ineligible(
+                    "wrapped-node", "node instance shadows a wrapped method"
+                )
             # Fresh-node fast path: the dominant workload converts a
             # just-built simulator (every node asleep with only its
             # ``local`` successors populated), where the full conversion
@@ -1490,12 +1417,14 @@ def _build_from_sim(sim, pool):
                     greedy_col[i] = 1
                 continue
             if node._restarted or node._rejoining or node._processing:
-                raise _Ineligible("node carries recovery or reentrancy state")
+                raise _Ineligible(
+                    "node-state", "node carries recovery or reentrancy state"
+                )
             if node._inbox:
-                raise _Ineligible("node inbox not drained")
+                raise _Ineligible("node-state", "node inbox not drained")
             code = status_codes.get(node.status)
             if code is None:
-                raise _Ineligible(f"unknown status {node.status!r}")
+                raise _Ineligible("node-state", f"unknown status {node.status!r}")
             core.status[i] = code
             core.awake[i] = 1 if node.awake else 0
             core.nxt[i] = idx[node.next]
@@ -1563,11 +1492,11 @@ def _build_from_sim(sim, pool):
             elif tcls is DeliverToken:
                 append(out[idx[token.src]][idx[token.dst]])
             else:
-                raise _Ineligible(f"pool holds a {tcls.__name__}")
+                raise _Ineligible("token-type", f"pool holds a {tcls.__name__}")
     except KeyError as exc:
-        raise _Ineligible(f"state references unknown id {exc}")
+        raise _Ineligible("unknown-id", f"state references unknown id {exc}")
     except TypeError as exc:
-        raise _Ineligible(f"uninternable state: {exc}")
+        raise _Ineligible("node-state", f"uninternable state: {exc}")
 
     core.base_channels = len(chanq)
     return core, new_pool, chan_pending
@@ -1703,24 +1632,49 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
     sim.stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
 
 
-def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
-    """Try to run ``sim`` on the array core; ``None`` means "not engaged".
+def maybe_run_array(sim, max_steps) -> Optional[int]:
+    """Run ``sim`` on the array core, or say why not.
 
-    Called from :func:`repro.sim.fastcore.run_fast` once ``eligible(sim)``
-    holds.  Validates, converts, runs and materializes; on any eligibility
-    miss the simulator is untouched and the caller's object loop proceeds.
+    The single array-or-object gate, offered every :meth:`Simulator.run`.
+    Returns the executed step count with ``sim._last_decline`` ``None``;
+    or returns ``None`` with the simulator untouched and the
+    :data:`DECLINE_REASONS` name of the first failed check on
+    ``sim._last_decline``, and the caller's object loop proceeds.
     """
     n = len(sim.nodes)
-    if n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
-        return None
-    if not behavior_is_pristine():
+    mode, pool = stock_pool(sim.scheduler)
+    reason = None
+    if not sim.fast:
+        reason = "fast-off"
+    elif type(sim) is not Simulator:
+        reason = "simulator-subclass"
+    elif sim.faults is not None:
+        reason = "faults"
+    elif sim.obs is not None:
+        reason = "recorder"
+    elif sim._send_observers:
+        reason = "send-observer"
+    elif sim.channel_discipline != "fifo":
+        reason = "channel-discipline"
+    elif mode is None:
+        reason = "scheduler"
+    elif not _WRAPPABLE.isdisjoint(vars(sim)):
+        reason = "wrapped-simulator"
+    elif n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
+        reason = "small-pool"
+    elif not behavior_is_pristine():
         # A class-level monkeypatch (the finding-regression tests replace
         # DiscoveryNode methods to reproduce bugs) must keep taking
         # effect; the inlined state machine cannot honour it.
-        return None
-    try:
-        core, new_pool, chan_pending = _build_from_sim(sim, pool)
-    except _Ineligible:
+        reason = "patched-node-class"
+    else:
+        try:
+            core, new_pool, chan_pending = _build_from_sim(sim, pool)
+        except _Ineligible as exc:
+            reason = exc.reason
+    sim._last_decline = reason
+    if reason is not None:
+        sim._last_run_path = "legacy"
         return None
 
     # -- commit point: from here on every exit materializes --------------
@@ -1734,6 +1688,7 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         pool[:] = new_pool
     sim._last_run_path = "array"
 
+    rng = sim.scheduler._rng if mode == _RANDOM else None
     trace = sim.trace
     trace_events = trace.events if trace is not None else None
     limit = maxsize if max_steps is None else max_steps
@@ -1752,12 +1707,13 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         )
 
     try:
-        executed = core.run_loop(
-            pool, mode, randbelow, limit, trace_events, quiescent, limit_msg
+        return core.run_loop(
+            pool, mode, rng, limit, trace_events, quiescent, limit_msg
         )
     finally:
         _materialize_to_sim(core, sim, pool, mode)
-    return executed
+        if sim.steps != core.steps:
+            sim.protocol_stamp += 1
 
 
 # ----------------------------------------------------------------------
@@ -1918,6 +1874,8 @@ def run_graph(
 
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     ids = list(graph.nodes)
     n = len(ids)
     if n == 0:
@@ -1950,14 +1908,11 @@ def run_graph(
     if seed is None:
         mode = _FIFO
         pool = deque(wake_tokens)
-        randbelow = None
+        rng = None
     else:
         mode = _RANDOM
         pool = wake_tokens
-        rng = _Random(seed)
-        # Same internal draw the stock RandomScheduler (and fastcore's
-        # inlined pop) uses, so seeded runs replay identically.
-        randbelow = getattr(rng, "_randbelow", None) or rng.randrange
+        rng = _Random(seed)  # what RandomScheduler(seed) draws from
 
     limit = max_steps if max_steps is not None else default_step_budget(graph)
 
@@ -1970,7 +1925,7 @@ def run_graph(
             f"{_arena_in_flight(core.chanq)} messages still in flight"
         )
 
-    executed = core.run_loop(pool, mode, randbelow, limit, None, quiescent, limit_msg)
+    executed = core.run_loop(pool, mode, rng, limit, None, quiescent, limit_msg)
 
     stats = MessageStats()
     stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)

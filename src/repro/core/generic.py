@@ -55,8 +55,8 @@ def run_generic(
         Ablation: disable Section 4.1's query balancing (see
         :class:`~repro.core.node.DiscoveryNode`).
     fast:
-        Allow the compiled run loop (:mod:`repro.sim.fastcore`); results
-        are bit-identical, ``fast=False`` forces the object path.
+        Allow the array core (:mod:`repro.core.arraystate`); results
+        are bit-identical, ``fast=False`` forces the object loop.
     """
     sim, nodes = build_simulation(
         graph,

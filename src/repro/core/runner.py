@@ -104,10 +104,10 @@ def build_simulation(
     emits the typed observability events; the default ``None`` keeps the
     simulator on its near-zero-overhead disabled path.
 
-    ``fast`` (default on) lets the simulator use the compiled run loop of
-    :mod:`repro.sim.fastcore` whenever the configuration qualifies; results
-    are bit-identical either way, so ``fast=False`` exists for the
-    benchmarks and the differential-equivalence suite.
+    ``fast`` (default on) lets the simulator offer its runs to the array
+    core (:mod:`repro.core.arraystate`), which takes them whenever the
+    configuration qualifies; results are bit-identical either way, so
+    ``fast=False`` exists for the benchmarks and the differential suites.
     """
     if scheduler is None:
         scheduler = RandomScheduler(seed) if seed is not None else GlobalFifoScheduler()

@@ -7,8 +7,7 @@ execution departs from that model:
 * **message loss** -- each sent message is independently dropped with
   probability ``loss``;
 * **duplication** -- each sent message is independently delivered twice
-  with probability ``duplicate`` (finding F7's fault, previously the
-  ad-hoc ``Simulator.duplicate_probability`` knob);
+  with probability ``duplicate`` (finding F7's fault);
 * **crash-stop nodes** -- a :class:`CrashSpec` silences a node from a given
   virtual time on: no wake-up, no deliveries, no timers, and (since its
   handlers never run) no sends.  Crash-stop is the classic benign failure

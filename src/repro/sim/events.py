@@ -8,9 +8,9 @@ lower-bound experiments are just scheduling policies.
 
 All token classes are ``slots=True`` dataclasses: one token exists per
 pending step, so at n=10^5 scale the per-instance ``__dict__`` of a plain
-dataclass is pure allocator churn.  (The compiled fast path of
-:mod:`repro.sim.fastcore` goes further and does not materialize delivery
-tokens at all -- it pushes interned channel indices instead.)
+dataclass is pure allocator churn.  (The array core,
+:mod:`repro.core.arraystate`, goes further and does not materialize tokens
+at all -- its pool holds interned channel and node ints instead.)
 """
 
 from __future__ import annotations

@@ -24,16 +24,13 @@ evaluation procedure.
 from __future__ import annotations
 
 import random as _random
-import warnings
 from collections import deque
 from sys import maxsize
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.obs.events import Recorder, RunEvent
-from repro.sim import fastcore
 from repro.sim.events import DeliverToken, LifecycleToken, TimerToken, Token, WakeToken
-from repro.sim.fastcore import _FIFO, _RANDOM, _STOCK_MODES, _WRAPPABLE
-from repro.sim.scheduler import GlobalFifoScheduler, Scheduler
+from repro.sim.scheduler import _FIFO, _RANDOM, GlobalFifoScheduler, Scheduler, stock_pool
 from repro.sim.trace import ExecutionTrace, MessageStats, TraceEvent
 
 __all__ = [
@@ -59,6 +56,21 @@ DELIVER, DROP, DEFER = "deliver", "drop", "defer"
 #: including the ``None`` of every ordinary handler -- moves
 #: :attr:`Simulator.protocol_stamp`.
 TRANSPORT_ONLY = object()
+
+#: Methods ``run_for`` inlines and the array core replaces.  If any of them
+#: has been shadowed by an *instance* attribute -- the obs Profiler wraps
+#: ``step``/``_execute_*`` that way, and tests monkeypatch ``transmit`` --
+#: every call must go through the attribute so the wrapper sees it.
+_WRAPPABLE = frozenset(
+    {
+        "step",
+        "transmit",
+        "_execute_wake",
+        "_execute_deliver",
+        "_execute_timer",
+        "_execute_lifecycle",
+    }
+)
 
 
 class ChannelInterceptor:
@@ -203,28 +215,18 @@ class Simulator:
         A :class:`ChannelInterceptor` (typically a
         :class:`repro.faults.FaultInjector`) consulted at every transport
         decision; ``None`` is the paper's reliable exactly-once model.
-    duplicate_probability:
-        Deprecated back-compat shim: ``duplicate_probability=p`` builds a
-        single-fault :class:`repro.faults.FaultInjector` (seeded with
-        ``channel_seed``, matching the historical RNG stream) behind the
-        scenes and emits a :class:`DeprecationWarning`.  New code should
-        pass ``faults=`` directly; the two are mutually exclusive.  The
-        policy lives entirely on the fault layer -- the simulator no
-        longer mirrors the value as an attribute.
     obs:
         A :class:`~repro.obs.events.Recorder` receiving the typed run
         events (send/deliver/drop/wake/timer/state-transition/
         phase-change/fault-action); ``None`` (the default) disables
         observability at the cost of one predicate check per emit site.
     fast:
-        Allow the compiled fast path (:mod:`repro.sim.fastcore`) to run
-        :meth:`run` when the configuration permits it.  The fast path is
-        *selected automatically*: it engages only when no fault
-        interceptor, recorder, send observer, custom scheduler or
-        non-FIFO channel discipline requires the object path, and it is
-        differentially tested to produce bit-identical traces, stats and
-        step counts.  ``fast=False`` forces the legacy object path (used
-        by benchmarks and the equivalence suite).
+        Allow :meth:`run` to be offered to the array core
+        (:func:`repro.core.arraystate.maybe_run_array`).  The gate there
+        engages only when nothing requires node objects or per-message
+        hooks, and is differentially tested to produce bit-identical
+        traces, stats and step counts.  ``fast=False`` forces the object
+        loop (the reference of the benchmarks and the equivalence suite).
     """
 
     def __init__(
@@ -235,7 +237,6 @@ class Simulator:
         keep_trace: bool = False,
         channel_discipline: str = "fifo",
         channel_seed: int = 0,
-        duplicate_probability: float = 0.0,
         faults: Optional[ChannelInterceptor] = None,
         obs: Optional[Recorder] = None,
         fast: bool = True,
@@ -247,16 +248,6 @@ class Simulator:
                 f"channel_discipline must be 'fifo' or 'random', "
                 f"got {channel_discipline!r}"
             )
-        if not 0.0 <= duplicate_probability <= 1.0:
-            raise ValueError(
-                f"duplicate_probability must be in [0, 1], "
-                f"got {duplicate_probability}"
-            )
-        if duplicate_probability > 0.0 and faults is not None:
-            raise ValueError(
-                "pass either faults= or the legacy duplicate_probability=, "
-                "not both (fold duplication into the FaultPlan instead)"
-            )
         # Explicit None check: schedulers define __len__, so an empty one is
         # falsy and ``scheduler or default`` would silently discard it.
         self.scheduler: Scheduler = (
@@ -266,8 +257,8 @@ class Simulator:
         self.nodes: Dict[Hashable, SimNode] = {}
         self._channels: Dict[Tuple[Hashable, Hashable], Deque[Any]] = {}
         #: sent-but-undelivered messages over all channels, kept current by
-        #: ``transmit``/``_pop_channel_message``; the fast and array loops
-        #: bypass both and fold their net change in once per exit.
+        #: ``transmit``/``_pop_channel_message``; the array core bypasses
+        #: both and re-establishes it on every exit.
         self._in_flight = 0
         self.stats = MessageStats()
         self.steps = 0
@@ -292,30 +283,12 @@ class Simulator:
         #: the Recorder seam; ``None`` keeps every emit site at one check.
         self.obs = obs
         self.fast = fast
-        #: interned channel registry built lazily by the fast path:
-        #: ``(chan_queues, chan_meta, out_by_src)`` -- see fastcore.
-        self._fast_channels = None
-        #: which engine executed the most recent :meth:`run`:
-        #: ``"array"`` (repro.core.arraystate), ``"fast"`` (the fastcore
-        #: object loop), ``"legacy"``, or ``None`` before any run.
+        #: which engine executed the most recent :meth:`run` -- ``"array"``
+        #: (repro.core.arraystate) or ``"legacy"`` (:meth:`run_for`), ``None``
+        #: before any run -- and, when the array core declined it, the
+        #: ``arraystate.DECLINE_REASONS`` name of the first check that failed.
         self._last_run_path: Optional[str] = None
-        if duplicate_probability > 0.0:
-            # The legacy knob became a fault policy in the interceptor
-            # seam (finding F7); the shim keeps old call sites running but
-            # the simulator deliberately does NOT mirror the value as an
-            # attribute -- policy state lives on the fault layer only.
-            warnings.warn(
-                "Simulator(duplicate_probability=...) is deprecated; pass "
-                "faults=FaultInjector(FaultPlan(duplicate=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Imported here: repro.faults imports this module at load time.
-            from repro.faults.plan import FaultInjector, FaultPlan
-
-            faults = FaultInjector(
-                FaultPlan(duplicate=duplicate_probability), seed=channel_seed
-            )
+        self._last_decline: Optional[str] = None
         self.faults = faults
 
     # ------------------------------------------------------------------
@@ -499,25 +472,25 @@ class Simulator:
         Raises :class:`StepLimitExceeded` if quiescence needs more than
         ``max_steps`` steps -- the guard that turns a protocol livelock into
         a test failure instead of a hang.  At most ``max_steps`` steps
-        execute before the limit trips (the historical behaviour allowed one
-        extra step).
+        execute before the limit trips (a budget of zero has always bought
+        one step; a negative one is a :class:`ValueError`).
 
-        When :attr:`fast` is set and the configuration qualifies (no
-        faults, no recorder, no send observers, FIFO channels, a stock
-        scheduler), the loop is delegated to :func:`repro.sim.fastcore.run_fast`,
-        which executes the same steps with identical observable results.
+        The run is first offered to the array core, whose gate
+        (:func:`repro.core.arraystate.maybe_run_array`) holds every
+        eligibility condition and leaves the reason on ``_last_decline``
+        when it says no; a declined run is :meth:`run_for` plus the limit
+        check, with identical observable results.
         """
-        if self.fast and type(self) is Simulator and fastcore.eligible(self):
-            before = self.steps
-            try:
-                return fastcore.run_fast(self, max_steps)
-            finally:
-                if self.steps != before:
-                    self.protocol_stamp += 1
-        self._last_run_path = "legacy"
+        if max_steps is not None and max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+        # Imported here: repro.core.arraystate imports this module.
+        from repro.core.arraystate import maybe_run_array
+
+        executed = maybe_run_array(self, max_steps)
+        if executed is not None:
+            return executed
         if max_steps is None:
             return self.run_for(maxsize)
-        # ``max(1, ...)``: a budget of zero has always bought one step.
         executed = self.run_for(max(1, max_steps))
         if executed >= max_steps:
             if not self.is_quiescent:
@@ -535,9 +508,9 @@ class Simulator:
         has no terminal quiescence, so exhausting the budget here is a
         normal outcome rather than a :class:`StepLimitExceeded` failure.
         Stops early (returning fewer steps) if the system quiesces; call
-        again after injecting more work.  Always takes the object path --
-        callers interleave injections with execution, which the compiled
-        loop's batched accounting cannot observe mid-flight.
+        again after injecting more work.  This is *the* object stepping
+        loop: :meth:`run` is this plus a limit check, and callers that
+        interleave injections with execution use it directly.
 
         With a stock scheduler this is :meth:`step` written out in place:
         the same pop (same RNG draw), the same ``_execute_*`` call for
@@ -546,13 +519,13 @@ class Simulator:
         ``step`` carries through four calls only to push it back.  Here
         that is one draw, one swap and ``steps += 1``.  A wrapper that
         must see every ``step``/``_execute_*`` call (an instance attribute
-        named in ``fastcore._WRAPPABLE``, a ``step`` replaced on the
-        class) or a scheduler with selection state of its own gets the
-        plain ``while self.step()`` loop instead.
+        named in ``_WRAPPABLE``, a ``step`` replaced on the class) or a
+        scheduler with selection state of its own gets the plain
+        ``while self.step()`` loop instead.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-        mode = _STOCK_MODES.get(type(self.scheduler))
+        mode, pool = stock_pool(self.scheduler)
         if (
             mode is None
             or type(self).step is not _STEP
@@ -563,13 +536,9 @@ class Simulator:
                 executed += 1
             return executed
 
-        scheduler = self.scheduler
         if mode == _RANDOM:
-            pool = scheduler._pool
-            getrandbits = scheduler._rng.getrandbits
+            getrandbits = self.scheduler._rng.getrandbits
             sized = bits = 0
-        else:
-            pool = scheduler._queue if mode == _FIFO else scheduler._stack
         steps = self.steps
         executed = 0
         try:

@@ -19,12 +19,12 @@ the order.  The stock policies are:
   have no more messages to send").
 
 The three stock policies expose their underlying pool (``_queue`` /
-``_stack`` / ``_pool`` plus ``_rng``) as a documented-internal seam: the
-compiled fast path (:mod:`repro.sim.fastcore`) appends interned channel
-indices to the pool directly and inlines the corresponding pop, so
+``_stack`` / ``_pool`` plus ``_rng``) as a documented-internal seam, read
+through :func:`stock_pool`: ``Simulator.run_for`` pops it in place, and the
+array core (:mod:`repro.core.arraystate`) swaps int tokens into it for the
+length of a run and appends interned channel ids directly, so
 ``len(scheduler)`` and quiescence detection keep working unmodified while
-the per-step method-call overhead disappears.  Any rename here must update
-``fastcore`` in the same change.
+the per-step method-call overhead disappears.
 
 ``pending()`` returns a *lazy view* (iterator) everywhere: the previous
 contract returned a fresh tuple per call, which turned a diagnostics helper
@@ -149,6 +149,27 @@ class RandomScheduler(Scheduler):
 
     def pending(self) -> Iterator[Token]:
         return iter(self._pool)
+
+
+#: Pool-layout codes of the stock schedulers: which end (or random index)
+#: of the pool the next token comes from.  The one definition; the object
+#: loop, the array core and its C loop all dispatch on these.
+_FIFO, _LIFO, _RANDOM = 0, 1, 2
+
+#: Exact-type match on purpose: a subclass may override selection.
+_STOCK_MODES = {
+    GlobalFifoScheduler: (_FIFO, "_queue"),
+    LifoScheduler: (_LIFO, "_stack"),
+    RandomScheduler: (_RANDOM, "_pool"),
+}
+
+
+def stock_pool(scheduler: Scheduler):
+    """``(mode, pool)`` of a stock scheduler -- its pool-layout code and
+    the live container behind it -- or ``(None, None)`` for a scheduler
+    with selection state of its own."""
+    mode, attr = _STOCK_MODES.get(type(scheduler), (None, None))
+    return mode, (getattr(scheduler, attr) if attr else None)
 
 
 class Adversary:

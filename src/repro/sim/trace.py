@@ -90,25 +90,6 @@ class MessageStats:
         self.messages_by_type[msg_type] = self.messages_by_type.get(msg_type, 0) + 1
         self.bits_by_type[msg_type] = self.bits_by_type.get(msg_type, 0) + bits
 
-    def record_bulk(self, counts: Dict[str, int], bits: Dict[str, int]) -> None:
-        """Fold pre-aggregated per-type counters into this stats object.
-
-        The fast path (:mod:`repro.sim.fastcore`) accounts lazily: it keeps
-        local ``{msg_type: n}`` / ``{msg_type: bits}`` dicts during the run
-        and folds them in exactly once on exit (including the exceptional
-        exits), so per-message accounting costs two dict bumps instead of a
-        method call.  Observationally identical to per-message
-        :meth:`record` at every point where callers can look -- readers of
-        ``stats`` either run between :meth:`Simulator.run` calls or sit on
-        the obs seam, which disables the fast path entirely.
-        """
-        mbt = self.messages_by_type
-        for msg_type, count in counts.items():
-            mbt[msg_type] = mbt.get(msg_type, 0) + count
-        bbt = self.bits_by_type
-        for msg_type, total in bits.items():
-            bbt[msg_type] = bbt.get(msg_type, 0) + total
-
     def record_indexed(self, msg_types, counts, bits, order) -> None:
         """Fold flat per-tag arrays from the array core into this object.
 

@@ -7,8 +7,8 @@ Four layers:
   definitions (``sorted(..., key=repr)`` et al.);
 * engagement: the array core takes over eligible runs
   (``sim._last_run_path == "array"``) and declines -- simulator untouched,
-  object fast loop proceeds -- on an empty/small pool or a monkeypatched
-  :class:`DiscoveryNode`;
+  object loop proceeds, ``sim._last_decline`` naming the failed check --
+  for every entry of ``DECLINE_REASONS``;
 * differential: :func:`run_graph` (the object-free million-node driver)
   reproduces the object path's steps, per-type stats and leader set for
   every variant under both FIFO and seeded-random scheduling;
@@ -21,9 +21,14 @@ Four layers:
   and the C hand-off of a tuple slot's reference leaks nothing.
 """
 
+import copy
+import functools
 import gc
+import subprocess
 import sys
 from collections import deque
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -38,9 +43,13 @@ from repro.core.arraystate import (
     rank_sorted,
     run_graph,
 )
+from repro.core.messages import Probe
 from repro.core.node import VARIANTS, DiscoveryNode, behavior_is_pristine
 from repro.core.runner import build_simulation, default_step_budget
-from repro.sim.network import StepLimitExceeded
+from repro.faults.plan import FaultInjector, FaultPlan
+from repro.graphs.knowledge_graph import KnowledgeGraph
+from repro.obs import Recorder
+from repro.sim.network import Simulator, StepLimitExceeded
 from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
 
 FAMILY = "sparse-random"
@@ -61,7 +70,7 @@ def _object_outcome(variant="generic", *, seed=None, fast=True, n=N):
         "messages": dict(sim.stats.messages_by_type),
         "bits": dict(sim.stats.bits_by_type),
         "leaders": sorted(x for x, node in nodes.items() if node.is_leader),
-        "path": sim._last_run_path,
+        "path": (sim._last_run_path, sim._last_decline),
     }
 
 
@@ -99,19 +108,22 @@ class TestIdSpace:
             def __lt__(self, other):
                 return id(self) < id(other)
 
-        with pytest.raises(_Ineligible, match="reprs are not unique"):
+        with pytest.raises(_Ineligible, match="reprs are not unique") as err:
             IdSpace([Blob(), Blob()])
+        assert err.value.reason == "id-order"
 
     def test_rejects_unorderable_ids(self):
-        with pytest.raises(_Ineligible, match="not mutually orderable"):
+        with pytest.raises(_Ineligible, match="not mutually orderable") as err:
             IdSpace([1, "a"])
+        assert err.value.reason == "id-order"
 
     def test_rejects_equal_comparing_distinct_ids(self):
         # repr("1") != repr("1.0") but 1 < 1.0 is False both ways: the
         # natural order is not strict, so rank comparisons would invent
         # a tiebreak the object path's tuple comparison does not have.
-        with pytest.raises(_Ineligible, match="not strictly totally ordered"):
+        with pytest.raises(_Ineligible, match="not strictly totally ordered") as err:
             IdSpace([1, 1.0])
+        assert err.value.reason == "id-order"
 
 
 class TestRankOrders:
@@ -140,12 +152,110 @@ class TestRankOrders:
 # ----------------------------------------------------------------------
 # Engagement and decline
 # ----------------------------------------------------------------------
+@functools.total_ordering
+class _Anon:
+    """Ids that are totally ordered but all print alike: the object loop
+    breaks repr ties by ``<``, the array core cannot rank them."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self):
+        return "anon"
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class _SubSimulator(Simulator):
+    pass
+
+
+class _SubFifo(GlobalFifoScheduler):
+    pass
+
+
+class _SubProbe(Probe):
+    pass
+
+
+def _declining_system(reason, fast):
+    """A 24-node system that passes every gate check before ``reason``'s
+    and fails that one (``patched-node-class`` is the caller's patch)."""
+    graph = _graph(24)
+    kwargs = {"seed": 5, "fast": fast}
+    if reason == "fast-off":
+        kwargs["fast"] = False
+    elif reason == "faults":
+        kwargs["faults"] = FaultInjector(FaultPlan(), seed=0)
+    elif reason == "recorder":
+        kwargs["obs"] = Recorder()
+    elif reason == "channel-discipline":
+        kwargs["channel_discipline"] = "random"
+    elif reason == "scheduler":
+        kwargs["scheduler"] = _SubFifo()
+    elif reason == "small-pool":
+        kwargs["auto_wake"] = False
+    elif reason == "node-type":
+        kwargs["reliable"] = True
+    elif reason == "id-order":
+        graph = KnowledgeGraph(
+            [_Anon(x) for x in graph.nodes],
+            [(_Anon(u), _Anon(v)) for u, v in graph.edges()],
+        )
+    sim, nodes = build_simulation(graph, "generic", **kwargs)
+    first, second = graph.nodes[:2]
+    if reason == "simulator-subclass":
+        sim.__class__ = _SubSimulator
+    elif reason == "send-observer":
+        sim.add_send_observer(lambda src, dst, message: None)
+    elif reason == "wrapped-simulator":
+        sim.transmit = sim.transmit
+    elif reason == "small-pool":
+        sim.schedule_wake(first)
+    elif reason == "wrapped-node":
+        nodes[first].on_message = nodes[first].on_message
+    elif reason == "node-state":
+        nodes[first]._restarted = True
+    elif reason == "unknown-id":
+        nodes[first].local.add(999)  # the object loop raises on the send
+    elif reason == "message-type":
+        sim.transmit(first, second, _SubProbe(first))
+    elif reason == "token-type":
+        sim.schedule_timer(first, 3)
+    return sim, nodes
+
+
+def _gate_view(sim, nodes):
+    """``_snapshot`` plus what only a declined offer must leave alone."""
+    rng = getattr(sim.scheduler, "_rng", None)
+    return (
+        _snapshot(sim, nodes),
+        sim.protocol_stamp,
+        rng and rng.getstate(),
+        sim._channel_rng.getstate(),
+    )
+
+
+def _run_outcome(sim):
+    try:
+        return sim.run(10_000)
+    except Exception as exc:  # compared, not swallowed: both engines or neither
+        return type(exc), str(exc)
+
+
 class TestEngagement:
     def test_array_path_engages_on_stock_run(self):
         graph = _graph(48)
         sim, nodes = build_simulation(graph, "generic")
         sim.run(default_step_budget(graph))
-        assert sim._last_run_path == "array"
+        assert (sim._last_run_path, sim._last_decline) == ("array", None)
         assert sim.is_quiescent
         assert any(node.is_leader for node in nodes.values())
 
@@ -155,17 +265,17 @@ class TestEngagement:
         sim.run(default_step_budget(graph))
         assert sim._last_run_path == "array"
         sim.run()  # nothing pending: the array core declines (pool << n)
-        assert sim._last_run_path == "fast"
+        assert (sim._last_run_path, sim._last_decline) == ("legacy", "small-pool")
 
     def test_small_pool_declines(self):
         # Waking 2 of 48 nodes leaves the pool far below the engagement
-        # threshold; the object fast loop must run the whole thing.
+        # threshold; the object loop must run the whole thing.
         graph = _graph(48)
         sim, _nodes = build_simulation(graph, "generic", auto_wake=False)
         for node_id in list(graph.nodes)[:2]:
             sim.schedule_wake(node_id)
         sim.run(default_step_budget(graph))
-        assert sim._last_run_path == "fast"
+        assert (sim._last_run_path, sim._last_decline) == ("legacy", "small-pool")
 
     def test_monkeypatched_node_class_declines(self, monkeypatch):
         # The finding-regression suites monkeypatch DiscoveryNode methods
@@ -182,11 +292,47 @@ class TestEngagement:
         monkeypatch.setattr(DiscoveryNode, "on_wake", traced)
         assert not behavior_is_pristine()
         patched = _object_outcome()
-        assert patched["path"] == "fast"
+        assert patched["path"] == ("legacy", "patched-node-class")
         assert calls  # the patch actually took effect
         patched.pop("path")
         pristine.pop("path")
         assert patched == pristine
+
+    @pytest.mark.parametrize("reason", arraystate.DECLINE_REASONS)
+    def test_declined_offer_touches_nothing(self, reason, monkeypatch):
+        if reason == "patched-node-class":
+            on_wake = DiscoveryNode.on_wake
+            monkeypatch.setattr(DiscoveryNode, "on_wake", lambda node: on_wake(node))
+        sim, nodes = _declining_system(reason, fast=True)
+        before = copy.deepcopy(_gate_view(sim, nodes))
+        assert arraystate.maybe_run_array(sim, None) is None
+        assert (sim._last_run_path, sim._last_decline) == ("legacy", reason)
+        assert _gate_view(sim, nodes) == before
+        # ... and the run it was declined for equals the reference run.
+        ref, ref_nodes = _declining_system(reason, fast=False)
+        assert _run_outcome(sim) == _run_outcome(ref)
+        assert (sim._last_decline, ref._last_decline) == (reason, "fast-off")
+        assert sim.steps > 0
+        assert _gate_view(sim, nodes) == _gate_view(ref, ref_nodes)
+
+    @pytest.mark.parametrize(
+        "reason,spoil",
+        [
+            ("node-state", lambda sim, a, b: sim.nodes[a]._inbox.append((b, Probe(b)))),
+            ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "status", "bogus")),
+            ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "local", None)),
+            ("unknown-id", lambda sim, a, b: sim.transmit(a, b, Probe(999))),
+        ],
+        ids=["inbox", "status", "uninternable", "payload"],
+    )
+    def test_remaining_ineligible_sites_name_their_reason(self, reason, spoil):
+        # The raise sites that share a name with one reached above.
+        sim, nodes = _declining_system(None, fast=True)  # eligible as built
+        spoil(sim, *list(nodes)[:2])
+        before = copy.deepcopy(_gate_view(sim, nodes))
+        assert arraystate.maybe_run_array(sim, None) is None
+        assert sim._last_decline == reason
+        assert _gate_view(sim, nodes) == before
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +348,10 @@ class TestRunGraphDifferential:
         assert scale == obj
 
     def test_matches_legacy_loop(self):
-        # Triangulation: the legacy object loop, the fast/array object
-        # path and the graph driver all agree on one seeded workload.
+        # Triangulation: the object loop, the simulator-backed array
+        # core and the graph driver all agree on one seeded workload.
         legacy = _object_outcome("generic", seed=3, fast=False)
-        assert legacy.pop("path") == "legacy"
+        assert legacy.pop("path") == ("legacy", "fast-off")
         assert _scale_outcome("generic", seed=3) == legacy
 
     def test_step_limit_raises_with_in_flight_count(self):
@@ -313,6 +459,25 @@ class TestCompiledLoop:
         self._pure_python(monkeypatch)
         assert interrupted() == compiled_msg
 
+    def test_built_package_ships_the_c_source(self, tmp_path):
+        # The loader compiles ``_arrayloop.c`` from beside ``arrayloop.py``;
+        # a built copy without it silently runs the mirror at half the rate.
+        subprocess.run(
+            [
+                sys.executable, "setup.py", "-q",
+                "egg_info", "--egg-base", str(tmp_path),  # not into src/
+                "build", "--build-lib", str(tmp_path / "lib"),
+                "--build-temp", str(tmp_path / "tmp"),
+            ],
+            cwd=Path(__file__).resolve().parents[1],
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        built = tmp_path / "lib" / "repro" / "core"
+        assert (built / "arrayloop.py").is_file()
+        assert (built / "_arrayloop.c").read_bytes() == arrayloop._SOURCE.read_bytes()
+
 
 # ----------------------------------------------------------------------
 # Lazy channel arena: None / wire tuple / deque slots across engines
@@ -348,13 +513,15 @@ def _snapshot(sim, nodes):
         "bits": list(sim.stats.bits_by_type.items()),
         "leaders": sorted(x for x, node in nodes.items() if node.is_leader),
         "nodes": {
-            x: {f: getattr(node, f) for f in _NODE_FIELDS}
+            # ``inner``: the protocol node behind a transport wrapper.
+            x: {f: getattr(getattr(node, "inner", node), f) for f in _NODE_FIELDS}
             for x, node in nodes.items()
         },
         "channels": [(key, list(q)) for key, q in channels.items()],
         "backlog": [sim.channel_backlog(*key) for key in channels],
         "in_flight": sim.in_flight(),
-        "pool": list(sim.scheduler.pending()),
+        # Timer tokens compare by identity; their fields are what matters.
+        "pool": [(type(t), astuple(t)) for t in sim.scheduler.pending()],
     }
 
 

@@ -9,17 +9,10 @@ never a silent wrong answer.  Contrast with finding F6: channel *order*
 is not load-bearing, channel *multiplicity* is.
 """
 
-import pytest
-
-# These tests deliberately drive the deprecated duplicate_probability shim
-# (its own deprecation contract is pinned in test_obs_regressions).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:Simulator.duplicate_probability.*:DeprecationWarning"
-)
-
 from repro.core.node import DiscoveryNode, ProtocolError
 from repro.core.result import collect_result
 from repro.core.runner import default_step_budget, id_bits_for
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.graphs.generators import random_weakly_connected
 from repro.sim.network import Simulator
 from repro.sim.scheduler import RandomScheduler
@@ -30,8 +23,7 @@ def run_with_duplication(graph, seed, probability):
     sim = Simulator(
         RandomScheduler(seed),
         id_bits=id_bits_for(graph.n),
-        duplicate_probability=probability,
-        channel_seed=seed,
+        faults=FaultInjector(FaultPlan(duplicate=probability), seed=seed),
     )
     nodes = {}
     for node_id in graph.nodes:
@@ -68,10 +60,6 @@ class TestDuplicationBreaksLoudly:
         result, _ = run_with_duplication(graph, seed=1, probability=0.0)
         verify_discovery(result, graph)
 
-    def test_probability_validation(self):
-        with pytest.raises(ValueError, match="duplicate_probability"):
-            Simulator(duplicate_probability=1.5)
-
     def test_duplicates_not_double_charged(self):
         """Stats count sends, not deliveries: a duplicated message is
         charged once (the sender sent once; the network misbehaved)."""
@@ -92,7 +80,7 @@ class TestDuplicationBreaksLoudly:
             def on_message(self, sender, message):
                 self.count += 1
 
-        sim = Simulator(duplicate_probability=1.0, channel_seed=0)
+        sim = Simulator(faults=FaultInjector(FaultPlan(duplicate=1.0), seed=0))
         a, b = Sink("a"), Sink("b")
         sim.add_node(a)
         sim.add_node(b)

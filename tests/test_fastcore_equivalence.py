@@ -1,31 +1,37 @@
-"""Differential equivalence of the compiled fast path vs the object path.
+"""Differential equivalence of the engines.
 
-The fast loop (:mod:`repro.sim.fastcore`) promises *bit-identical*
-executions: same trace, same per-type message/bit accounting, same step
-count, same verification outcome -- for every configuration it accepts,
-across every stock scheduler.  These tests pin that promise, plus the
-transparent-fallback contract: any configuration the fast loop cannot
-serve (fault plans, recorders, profilers, adversaries, monkeypatched
-seams) silently takes the object path and still produces identical
+One execution model, three ways to run it: the object loop
+(``Simulator.run_for`` over node objects, the reference), the array core
+on its Python mirror, and the array core on the compiled C loop.  The
+promise is *bit-identical* executions -- same trace, same per-type
+message/bit accounting, same step count, same verification outcome --
+across every stock scheduler, plus the transparent-fallback contract: any
+configuration the array core cannot serve (fault plans, recorders,
+profilers, adversaries, monkeypatched seams) is declined by its gate with
+a named reason, takes the object loop, and still produces identical
 results under ``fast=True`` and ``fast=False``.
+
+(The module keeps its historical file name; the suite's floor list pins
+the test ids in it.)
 """
 
 import pytest
 
 from repro.analysis.experiments import build_family
+from repro.core import arrayloop, arraystate
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Recorder
-from repro.sim import fastcore
 from repro.sim.events import DeliverToken
-from repro.sim.network import Simulator, StepLimitExceeded
+from repro.sim.network import StepLimitExceeded
 from repro.sim.scheduler import (
     Adversary,
     AdversarialScheduler,
     GlobalFifoScheduler,
     LifoScheduler,
     RandomScheduler,
+    stock_pool,
 )
 from repro.verification.invariants import verify_discovery
 
@@ -35,23 +41,18 @@ SCHEDULERS = {
     "random": lambda: RandomScheduler(seed=7),
 }
 
+#: engine -> (``fast=``, run the array core on its Python mirror).  A kept
+#: trace pins the array core to the mirror, so "c" runs compare everything
+#: but the trace.
+ENGINES = {"obj": (False, True), "py": (True, True), "c": (True, False)}
 
-def _execute(variant, scheduler_factory, *, n=48, seed=3, fast=True, **kwargs):
-    """One full run; returns everything an execution can be compared on."""
-    graph = build_family("sparse-random", n, seed)
-    sim, nodes = build_simulation(
-        graph,
-        variant,
-        scheduler=scheduler_factory(),
-        keep_trace=True,
-        fast=fast,
-        **kwargs,
-    )
-    sim.run(default_step_budget(graph))
+
+def _outcome(graph, sim, nodes, variant):
+    """Everything a finished execution can be compared on."""
     result = collect_result(graph, nodes, sim, variant)
     report = verify_discovery(result, graph)  # raises on violation
     return {
-        "trace": [event.as_tuple() for event in sim.trace.events],
+        "trace": sim.trace and [event.as_tuple() for event in sim.trace.events],
         "messages": dict(sim.stats.messages_by_type),
         "bits": dict(sim.stats.bits_by_type),
         "steps": sim.steps,
@@ -60,45 +61,72 @@ def _execute(variant, scheduler_factory, *, n=48, seed=3, fast=True, **kwargs):
     }
 
 
+def _execute(
+    variant, scheduler_factory, engine, monkeypatch, *, n=48, seed=3, **kwargs
+):
+    """One full run on ``engine``; ``kwargs`` go to ``build_simulation``."""
+    fast, mirror = ENGINES[engine]
+    graph = build_family("sparse-random", n, seed)
+    sim, nodes = build_simulation(
+        graph,
+        variant,
+        scheduler=scheduler_factory(),
+        keep_trace=mirror,
+        fast=fast,
+        **kwargs,
+    )
+    with monkeypatch.context() as patch:
+        if mirror:
+            patch.setattr(arrayloop, "_module", None)
+        sim.run(default_step_budget(graph))
+    return _outcome(graph, sim, nodes, variant), sim._last_decline
+
+
+def _assert_engines_agree(variant, factory, monkeypatch, **kwargs):
+    reference, declined = _execute(variant, factory, "obj", monkeypatch, **kwargs)
+    assert declined == "fast-off"
+    mirror, declined = _execute(variant, factory, "py", monkeypatch, **kwargs)
+    assert declined is None and mirror == reference
+    compiled, declined = _execute(variant, factory, "c", monkeypatch, **kwargs)
+    assert declined is None and compiled == dict(reference, trace=None)
+
+
 class TestDifferentialEquivalence:
-    """fast=True and fast=False must be indistinguishable, bit for bit."""
+    """The three engines must be indistinguishable, bit for bit."""
 
     @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
     @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
-    def test_identical_executions(self, variant, policy):
-        factory = SCHEDULERS[policy]
-        legacy = _execute(variant, factory, fast=False)
-        fast = _execute(variant, factory, fast=True)
-        assert fast == legacy
+    def test_identical_executions(self, variant, policy, monkeypatch):
+        _assert_engines_agree(variant, SCHEDULERS[policy], monkeypatch)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_schedules_across_seeds(self, seed):
-        """The random fast pop replays the legacy RNG draw sequence."""
+    def test_random_schedules_across_seeds(self, seed, monkeypatch):
+        """The array core's random pop replays the scheduler's RNG draws."""
         factory = lambda: RandomScheduler(seed=seed)  # noqa: E731
-        legacy = _execute("generic", factory, n=64, seed=seed, fast=False)
-        fast = _execute("generic", factory, n=64, seed=seed, fast=True)
-        assert fast == legacy
+        _assert_engines_agree("generic", factory, monkeypatch, n=64, seed=seed)
 
-    def test_reliable_transport_timers(self):
-        """ReliableNode schedules (and cancels) timers: the fast loop must
-        execute live TimerTokens and drop cancelled ones exactly like the
-        legacy loop."""
-        legacy = _execute(
-            "generic", GlobalFifoScheduler, fast=False, reliable=True
+    def test_reliable_transport_timers(self, monkeypatch):
+        """ReliableNode wrappers schedule (and cancel) timers: the gate
+        declines them by node type and ``fast=True`` changes nothing."""
+        legacy, _ = _execute(
+            "generic", GlobalFifoScheduler, "obj", monkeypatch, reliable=True
         )
-        fast = _execute(
-            "generic", GlobalFifoScheduler, fast=True, reliable=True
+        fast, declined = _execute(
+            "generic", GlobalFifoScheduler, "py", monkeypatch, reliable=True
         )
+        assert declined == "node-type"
         assert fast == legacy
 
     @pytest.mark.parametrize("order", ["fast_then_legacy", "legacy_then_fast"])
-    def test_interrupted_run_resumes_on_either_path(self, order):
+    def test_interrupted_run_resumes_on_either_path(self, order, monkeypatch):
         """A step-limited run leaves the scheduler in a legal object-path
-        state (int tokens materialized back to DeliverTokens), stats
-        folded; the execution can then *continue* on either path and
-        still match an uninterrupted legacy run."""
+        state (int tokens materialized back to token objects), stats
+        folded; the execution can then *continue* on either engine and
+        still match an uninterrupted object-loop run."""
         first_fast = order == "fast_then_legacy"
-        reference = _execute("generic", GlobalFifoScheduler, fast=False)
+        reference, _ = _execute("generic", GlobalFifoScheduler, "obj", monkeypatch)
+        # The resumed pool is below the engagement threshold; always engage.
+        monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
 
         graph = build_family("sparse-random", 48, 3)
         sim, nodes = build_simulation(
@@ -114,19 +142,12 @@ class TestDifferentialEquivalence:
         )
         assert sim.steps == 60
         assert sim.in_flight() > 0
+        first_path = sim._last_run_path
 
         sim.fast = not first_fast
         sim.run(default_step_budget(graph))
-        result = collect_result(graph, nodes, sim, "generic")
-        report = verify_discovery(result, graph)
-        assert {
-            "trace": [event.as_tuple() for event in sim.trace.events],
-            "messages": dict(sim.stats.messages_by_type),
-            "bits": dict(sim.stats.bits_by_type),
-            "steps": sim.steps,
-            "leaders": result.leaders,
-            "verified": (report.n_leaders, report.checks),
-        } == reference
+        assert {first_path, sim._last_run_path} == {"array", "legacy"}
+        assert _outcome(graph, sim, nodes, "generic") == reference
 
 
 class _BlockNothing(Adversary):
@@ -138,7 +159,8 @@ class _BlockNothing(Adversary):
 
 
 class TestTransparentFallback:
-    """Configurations the fast loop cannot serve fall back silently."""
+    """Configurations the array core cannot serve are declined by name
+    and run on the object loop."""
 
     def _fresh_sim(self, **kwargs):
         graph = build_family("sparse-random", 32, 1)
@@ -147,7 +169,8 @@ class TestTransparentFallback:
 
     def test_plain_sim_is_eligible(self):
         _graph, sim, _nodes = self._fresh_sim()
-        assert fastcore.eligible(sim)
+        sim.run()
+        assert (sim._last_run_path, sim._last_decline) == ("array", None)
 
     def test_fault_plan_disables_fast_path_and_matches_legacy(self):
         runs = {}
@@ -158,9 +181,8 @@ class TestTransparentFallback:
                 seed=9,
                 fast=fast,
             )
-            if fast:
-                assert not fastcore.eligible(sim)
             sim.run(default_step_budget(graph))
+            assert sim._last_decline == ("faults" if fast else "fast-off")
             result = collect_result(graph, nodes, sim, "generic")
             verify_discovery(result, graph)
             runs[fast] = (
@@ -175,9 +197,8 @@ class TestTransparentFallback:
         for fast in (False, True):
             recorder = Recorder()
             graph, sim, _nodes = self._fresh_sim(obs=recorder, fast=fast)
-            if fast:
-                assert not fastcore.eligible(sim)
             sim.run(default_step_budget(graph))
+            assert sim._last_decline == ("recorder" if fast else "fast-off")
             runs[fast] = (sim.steps, len(recorder.events))
             assert len(recorder.events) > 0
         assert runs[True] == runs[False]
@@ -186,10 +207,10 @@ class TestTransparentFallback:
         from repro.obs.profile import Profiler
 
         _graph, sim, _nodes = self._fresh_sim()
-        assert fastcore.eligible(sim)
         profiler = Profiler()
         profiler.instrument(sim)
-        assert not fastcore.eligible(sim)
+        sim.run()
+        assert sim._last_decline == "wrapped-simulator"
 
     def test_monkeypatched_transmit_disables_fast_path(self):
         _graph, sim, _nodes = self._fresh_sim()
@@ -201,45 +222,61 @@ class TestTransparentFallback:
             return original(src, dst, message)
 
         sim.transmit = spy
-        assert not fastcore.eligible(sim)
         sim.run()
-        assert seen  # the spy saw every send; the fast loop would hide them
+        assert sim._last_decline == "wrapped-simulator"
+        assert len(seen) == sim.stats.total_messages  # the spy saw every send
 
     def test_adversarial_scheduler_disables_fast_path(self):
         _graph, sim, _nodes = self._fresh_sim(
             scheduler=AdversarialScheduler(_BlockNothing())
         )
-        assert not fastcore.eligible(sim)
         sim.run()
+        assert sim._last_decline == "scheduler"
 
     def test_scheduler_subclass_disables_fast_path(self):
+        pops = []
+
         class RecordingFifo(GlobalFifoScheduler):
-            def pop(self, sim):  # pragma: no cover - selection untouched
+            def pop(self, sim):
+                pops.append(sim.steps)
                 return super().pop(sim)
 
         _graph, sim, _nodes = self._fresh_sim(scheduler=RecordingFifo())
-        assert not fastcore.eligible(sim)
+        sim.run()
+        assert sim._last_decline == "scheduler"
+        assert len(pops) > sim.steps  # every step went through the override
 
     def test_non_fifo_channels_disable_fast_path(self):
         _graph, sim, _nodes = self._fresh_sim(
             channel_discipline="random", channel_seed=2
         )
-        assert not fastcore.eligible(sim)
+        sim.run()
+        assert sim._last_decline == "channel-discipline"
 
 
 class TestSchedulerSeam:
-    """The documented-internal pool seam fastcore relies on."""
+    """The documented-internal pool seam ``run_for`` and the array core
+    rely on (``repro.sim.scheduler.stock_pool``)."""
 
     def test_stock_pools_exist(self):
-        assert hasattr(GlobalFifoScheduler(), "_queue")
-        assert hasattr(LifoScheduler(), "_stack")
-        scheduler = RandomScheduler(seed=0)
-        assert hasattr(scheduler, "_pool")
-        assert hasattr(scheduler, "_rng")
+        pools = {
+            GlobalFifoScheduler: "_queue",
+            LifoScheduler: "_stack",
+            RandomScheduler: "_pool",
+        }
+        modes = set()
+        for cls, attr in pools.items():
+            scheduler = cls()
+            mode, pool = stock_pool(scheduler)
+            assert pool is getattr(scheduler, attr)
+            modes.add(mode)
+        assert modes == {0, 1, 2}  # the codes _arrayloop.c hardcodes
+        assert hasattr(RandomScheduler(seed=0), "_rng")
+        assert stock_pool(AdversarialScheduler(_BlockNothing())) == (None, None)
 
     def test_len_counts_interned_tokens(self):
-        """Quiescence detection reads len(scheduler); int tokens pushed by
-        the fast transmit must count exactly like object tokens."""
+        """Quiescence detection reads len(scheduler); the int tokens the
+        array core keeps in the pool must count exactly like objects."""
         scheduler = GlobalFifoScheduler()
         scheduler._queue.append(3)
         scheduler.push(DeliverToken("a", "b"))

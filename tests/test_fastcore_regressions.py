@@ -1,31 +1,33 @@
-"""Regression tests for the fast-loop parity bugfix batch (ISSUE 9).
+"""The step-limit boundary and the transmit error contract, per engine.
 
-Two historical divergence surfaces between :func:`repro.sim.fastcore.run_fast`
-and the legacy :meth:`Simulator.run` loop:
+Two surfaces where an engine can drift from the reference without any
+differential run noticing:
 
-* **Step-limit boundary**: the fast loop used to re-derive the quiescence
-  predicate from its local pool binding (``len(pool) - _cancelled_timers``)
-  instead of consulting :attr:`Simulator.is_quiescent` -- the single
-  definition the legacy loop reads.  For the stock schedulers the two
-  expressions are numerically equal, but the duplication meant any
-  refinement of quiescence diverged silently.
-  ``test_fast_loop_consults_is_quiescent`` fails against the pre-fix loop;
-  the matrix tests pin (raise/no-raise, ``sim.steps``, folded stats) at
-  exactly ``max_steps`` with cancelled timers still in the pool.
+* **Step-limit boundary**: the raise/no-raise decision at exactly
+  ``max_steps`` reads :attr:`Simulator.is_quiescent` -- the single
+  definition, which discounts cancelled timers still in the pool -- on
+  the object loop and in the array core alike.  The matrix tests pin
+  (raise/no-raise, ``sim.steps``, stats, channels) across the whole range
+  of budgets including the exact boundary, and a negative budget is a
+  ``ValueError`` before any engine is chosen.
 
-* **``fast_transmit`` error paths**: the interned-channel send used to
-  create the ``out_by_src`` map entry, the channel deque *on the
-  simulator's ``_channels`` dict*, and the channel-id interning row before
-  validating the message, so a missing-``msg_type`` ``TypeError`` leaked a
-  half-created channel that legacy ``Simulator.transmit`` (validate first,
-  mutate last) never creates.  ``test_missing_msg_type_leaves_no_channel``
-  fails against the pre-fix loop; the rest pin the two raise sites and the
-  resumed-run behaviour against the legacy path.
+* **``transmit`` error paths**: a send validates first and mutates last,
+  so a missing-``msg_type`` ``TypeError`` or an unknown destination leaves
+  no half-created channel, no stats and no token behind, and the
+  surviving traffic drains normally afterwards.
+
+Custom ``SimNode`` subclasses are declined by the array core's gate
+(``node-type``), so those tests hold ``fast=True`` to the object loop's
+behaviour; the stock-node tests run the array core against it.  (The
+module keeps its historical file name; the suite's floor list pins the
+test ids in it.)
 """
 
 import pytest
 
-from repro.sim import fastcore
+from repro.analysis.experiments import build_family
+from repro.core.arraystate import run_graph
+from repro.core.runner import build_simulation
 from repro.sim.network import SimNode, Simulator, StepLimitExceeded
 from repro.sim.scheduler import (
     GlobalFifoScheduler,
@@ -108,8 +110,13 @@ def _outcome(sim, max_steps):
     )
 
 
+def _discovery(sched, fast):
+    graph = build_family("sparse-random", 24, 2)
+    return build_simulation(graph, "generic", scheduler=SCHEDULERS[sched](), fast=fast)[0]
+
+
 class TestStepLimitBoundary:
-    """Satellite 1: the raise/no-raise decision at exactly ``max_steps``."""
+    """The raise/no-raise decision at exactly ``max_steps``."""
 
     @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
     @pytest.mark.parametrize("timers,cancel", [(0, 0), (3, 3), (4, 2)])
@@ -131,6 +138,27 @@ class TestStepLimitBoundary:
                 limit,
             )
             assert fast == legacy, f"boundary divergence at max_steps={limit}"
+            assert fast[:2] == (limit < total, min(limit, total))
+
+    @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+    def test_boundary_matrix_array_core(self, sched):
+        total = _discovery(sched, fast=False).run()
+        for limit in [0, 1, 2, total - 1, total, total + 1]:
+            array, legacy = _discovery(sched, fast=True), _discovery(sched, fast=False)
+            assert _outcome(array, limit) == _outcome(legacy, limit), limit
+            assert (array._last_run_path, legacy._last_run_path) == ("array", "legacy")
+            assert array.steps == max(1, min(limit, total))  # zero buys one step
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["array", "object"])
+    def test_negative_budget_is_a_value_error(self, fast):
+        # Failing-pre-fix: run(-1) executed one step and then raised "no
+        # quiescence within -1 steps" on both engines.
+        sim = _discovery("fifo", fast)
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            sim.run(-1)
+        assert sim.steps == 0 and sim._last_run_path is None
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            run_graph(build_family("sparse-random", 24, 2), max_steps=-1)
 
     def test_exact_limit_with_cancelled_timers_no_raise(self):
         # Cancelled timers still in the pool after the limit-th step must
@@ -140,38 +168,22 @@ class TestStepLimitBoundary:
         probe.run()
         sim.run(probe.steps)  # exactly the boundary; raise would fail this
         assert sim.steps == probe.steps
-        assert sim._last_run_path in ("fast", "array")
-        assert probe._last_run_path == "legacy"
+        assert (sim._last_decline, probe._last_decline) == ("node-type", "fast-off")
 
-    def test_fast_loop_consults_is_quiescent(self):
-        # Failing-pre-fix: quiescence is one simulator-defined predicate.
-        # A subclass refining it (e.g. "external work still pending") must
-        # steer the fast loop's boundary decision exactly like the legacy
-        # loop's -- the pre-fix loop re-derived the predicate from its
-        # local pool binding and ran to completion without raising.
-        class NeverQuiescent(Simulator):
-            is_quiescent = property(lambda self: False)
-
-        def build():
-            sim = NeverQuiescent(GlobalFifoScheduler())
-            sim.add_node(Relay("a", "b", hops=4))
-            sim.add_node(Relay("b", "a", hops=4))
-            sim.schedule_wake("a")
-            sim.schedule_wake("b")
-            return sim
-
-        legacy = build()
-        legacy.run()  # drains; total steps of the workload
-        total = legacy.steps
-
-        legacy_limited = build()
-        with pytest.raises(StepLimitExceeded):
-            legacy_limited.run(total)  # run() on a subclass: legacy loop
-
-        fast_limited = build()
-        with pytest.raises(StepLimitExceeded):
-            fastcore.run_fast(fast_limited, total)
-        assert fast_limited.steps == legacy_limited.steps
+    def test_fast_loop_consults_is_quiescent(self, monkeypatch):
+        # Quiescence is one simulator-defined predicate.  Refining it
+        # (e.g. "external work still pending") must steer the array
+        # core's boundary decision exactly like the object loop's; a loop
+        # that re-derives it from its local pool binding runs to
+        # completion without raising.
+        total = _discovery("fifo", fast=False).run()
+        monkeypatch.setattr(Simulator, "is_quiescent", property(lambda self: False))
+        array, legacy = _discovery("fifo", fast=True), _discovery("fifo", fast=False)
+        for sim in (array, legacy):
+            with pytest.raises(StepLimitExceeded):
+                sim.run(total)
+        assert (array._last_run_path, legacy._last_run_path) == ("array", "legacy")
+        assert array.steps == legacy.steps == total
 
 
 class Bogus:
@@ -241,7 +253,7 @@ def _post_raise_state(sim):
 
 
 class TestTransmitErrorPaths:
-    """Satellite 2: raising sends leave identical state on both paths."""
+    """Raising sends leave nothing behind, ``fast=`` on or off."""
 
     def test_unknown_destination_parity(self):
         fast = _err_sim(True, bad_dst="ghost")
@@ -253,9 +265,9 @@ class TestTransmitErrorPaths:
         assert _post_raise_state(fast) == _post_raise_state(legacy)
 
     def test_missing_msg_type_leaves_no_channel(self):
-        # Failing-pre-fix: the fast path created the ('a','b') channel on
-        # ``sim._channels`` (and its interning row) before discovering the
-        # message has no msg_type; legacy validates first.
+        # transmit validates before it creates the channel: a send that
+        # discovers the message has no msg_type must not have registered
+        # the ('a','c') deque on ``sim._channels`` first.
         fast = _err_sim(True, bad_msg=Bogus())
         legacy = _err_sim(False, bad_msg=Bogus())
         with pytest.raises(TypeError, match="lacks a msg_type"):

@@ -1,20 +1,17 @@
 """``Simulator.in_flight()`` is a maintained count: it must equal the scan.
 
 The count is bumped in ``transmit``/``_pop_channel_message`` on the object
-loop and folded once per exit by the fast loop and the array core.  These
+loop and re-established on every exit by the array core.  These
 properties hold it to the definition it replaced -- the sum of all channel
 lengths -- between steps and after every kind of ``run`` exit, on every
 engine, under every fault verdict.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import build_family
-from repro.core import arraystate
 from repro.core.adhoc import AdhocNetwork
 from repro.core.messages import Query
 from repro.core.node import ProtocolError
@@ -22,7 +19,7 @@ from repro.core.runner import build_simulation
 from repro.faults.plan import CrashSpec, DelayBurst, FaultInjector, FaultPlan
 from repro.sim.network import StepLimitExceeded
 
-ENGINES = ("legacy", "fast", "array")
+ENGINES = ("legacy", "array")
 
 
 def scan(sim):
@@ -53,17 +50,13 @@ def run_exits(engine, variant, graph_seed, sched_seed, cut, stray):
     def run(max_steps=None, *, bounded=False):
         """One ``run`` (or ``run_for``) exit; False once a handler raised
         (that node is stuck mid-handler, so the scenario ends there)."""
-        # The array core declines tiny pools; factor 0 makes it decline
-        # always, which is how the object fast loop is selected here.
-        factor = 0 if engine == "fast" else arraystate._MIN_POOL_FACTOR
-        with mock.patch.object(arraystate, "_MIN_POOL_FACTOR", factor):
-            try:
-                if bounded:
-                    sim.run_for(max_steps)
-                else:
-                    sim.run(max_steps)
-            except (StepLimitExceeded, ProtocolError) as exc:
-                seen["errors"].add(type(exc).__name__)
+        try:
+            if bounded:
+                sim.run_for(max_steps)
+            else:
+                sim.run(max_steps)
+        except (StepLimitExceeded, ProtocolError) as exc:
+            seen["errors"].add(type(exc).__name__)
         if not bounded:
             seen["paths"].add(sim._last_run_path)
         assert_exact(sim)

@@ -4,22 +4,15 @@ Each test class pins one fix and fails against the pre-fix behaviour:
 
 1. trace fingerprints ignored message payloads (envelope-only tuples);
 2. bit accounting charged header-only messages when ``id_bits = 0``;
-3. the ``duplicate_probability`` shim mirrored fault policy onto the
-   simulator silently instead of deprecating;
-4. result-cache keys ignored protocol/simulator code changes;
-5. ``StepLimitExceeded`` escaped the chaos harness's taxonomy as
+3. result-cache keys ignored protocol/simulator code changes;
+4. ``StepLimitExceeded`` escaped the chaos harness's taxonomy as
    ``detected`` (it is the definition of ``stalled``).
 """
-
-import warnings
-
-import pytest
 
 from repro.analysis.experiments import build_family
 from repro.core.generic import run_generic
 from repro.core.runner import build_simulation, id_bits_for
 from repro.faults.harness import run_chaos_trial
-from repro.faults.plan import FaultInjector, FaultPlan
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import (
@@ -87,61 +80,6 @@ class TestBitAccountingAtTinyN:
         assert stats.total_messages > 0
         # With the clamp, id-carrying traffic exceeds the pure header sum.
         assert stats.total_bits > HEADER_BITS * stats.total_messages
-
-
-class TestDuplicateShimDeprecation:
-    def test_shim_warns_and_keeps_no_attribute(self):
-        with pytest.warns(DeprecationWarning, match="duplicate_probability"):
-            sim = Simulator(duplicate_probability=0.5, channel_seed=0)
-        # The policy lives on the fault layer only.
-        assert not hasattr(sim, "duplicate_probability")
-        assert sim.faults is not None
-
-    def test_clean_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Simulator()
-
-    @staticmethod
-    def _run_workload(sim):
-        from repro.sim.network import SimNode
-        from repro.sim.trace import bits_for_ids as _bits
-
-        class Msg:
-            def __init__(self, tag):
-                self.msg_type = tag
-
-            def bit_size(self, id_bits):
-                return _bits(1, id_bits)
-
-        class Sink(SimNode):
-            def __init__(self, node_id):
-                super().__init__(node_id)
-                self.received = []
-
-            def on_message(self, sender, message):
-                self.received.append(message.msg_type)
-
-        a, b = Sink("a"), Sink("b")
-        sim.add_node(a)
-        sim.add_node(b)
-        a.awake = b.awake = True
-        for index in range(20):
-            a.send("b", Msg(f"m{index % 3}"))
-        sim.run()
-        return b.received
-
-    def test_shim_equivalent_to_explicit_plan(self):
-        with pytest.warns(DeprecationWarning):
-            shim_sim = Simulator(duplicate_probability=0.4, channel_seed=5)
-        shim_received = self._run_workload(shim_sim)
-        explicit_sim = Simulator(
-            faults=FaultInjector(FaultPlan(duplicate=0.4), seed=5), channel_seed=5
-        )
-        explicit_received = self._run_workload(explicit_sim)
-        assert shim_received == explicit_received
-        assert shim_sim.stats.messages_by_type == explicit_sim.stats.messages_by_type
-        assert shim_sim.stats.bits_by_type == explicit_sim.stats.bits_by_type
 
 
 class TestCacheKeysTrackCode:
