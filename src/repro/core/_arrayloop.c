@@ -1,52 +1,55 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate).
  *
  * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`);
- * the build is best-effort and every failure falls back to the pure-Python
- * loop, so this file must never be required for correctness.
+ * the build is best-effort and a process without it runs everything on the
+ * object loop, so this file must never be required for correctness.
  *
  * Contract (see arraystate.ArrayCore.run_loop): run() executes steps of the
- * exact same state machine over the same columnar state, and hands any step
- * it cannot reproduce bit-for-bit back to Python *before* mutating it:
+ * exact same state machine as core/node.py, the reference, over the columnar
+ * state, and hands any step it cannot reproduce bit-for-bit back to its
+ * caller *before* mutating it:
  *
  *   run(core, pool, pool_append, mode, getrandbits, stop, cell) -> (code, aux)
  *
- *   code 0: pool drained (quiescence candidate; caller's `while pool`
- *           re-checks).
+ *   code 0: pool drained.
  *   code 1: step limit boundary: a counted step just finished with
- *           steps >= stop; Python evaluates `quiescent()` and raises
- *           StepLimitExceeded exactly like its own loop.
- *   code 2: step deopt; aux is the already-popped pool token (>= 0, a
- *           deliver).  The channel head was only *peeked* and the step was
- *           not counted; the only possible prior mutation is the
- *           wake-explore of the destination, which Python's own
- *           `if not awake[dst]` guard makes idempotent.  Python re-executes
- *           the full step body (and its error paths) on the object closures.
- *   code 3: pump resume; aux is the node whose inbox pump hit a message the
- *           C side cannot handle.  The step was counted and the message is
- *           still at the inbox head; Python's pump() continues from the
- *           current inbox/deferred state (pump is resumable by design).
+ *           steps >= stop; the driver evaluates `quiescent()` and raises
+ *           StepLimitExceeded, or calls again (a drained pool answers 0).
+ *   code 2: hand-back of a step; aux is the already-popped pool token
+ *           (>= 0, a deliver).  The channel head was only *peeked* and the
+ *           step was not counted; the only possible prior mutation is the
+ *           wake-explore of the destination, which the reference's own
+ *           `if not node.awake` guard makes idempotent.  The array core
+ *           materializes and Simulator._execute_deliver runs the full step
+ *           (and its error paths) on the node objects.
+ *   code 3: hand-back inside a pump; aux is the node whose inbox pump hit a
+ *           message the C side cannot handle.  The step was counted and the
+ *           message is still at the inbox head; after materialization
+ *           DiscoveryNode._pump continues from the current inbox/deferred
+ *           state (the pump is resumable by design).
  *
  * cell is a one-element list holding the absolute step count; it is read at
  * entry and written back on *every* exit -- including exceptions -- so the
  * caller's steps_out accounting survives a handler raise mid-run.
  *
  * Parity rules encoded here:
- *  - Only prechecked steps are executed; every ProtocolError path in the
- *    Python handlers is unreachable because can_handle() routes it to
- *    Python first (code 2/3).  The one exception is the self-send guard in
- *    emit(), which raises the same SimulationError with the same message.
+ *  - Only prechecked steps are executed; every ProtocolError path of
+ *    core/node.py is unreachable because can_handle() hands it back first
+ *    (code 2/3), and so are the probe arms.  The one exception is the
+ *    self-send guard in emit(), which raises SimNode.send's SimulationError
+ *    with the same message.
  *  - Pool, channel, counts and `order` mutations happen in the exact order
- *    the Python handlers produce them.
+ *    the reference handlers produce them.
  *  - A channel slot (core.chanq[cid]) is None, the pending wire tuple, or a
- *    deque, exactly as the Python loop leaves it: codes 2 and 3 hand over
- *    with messages pending, so either loop may meet any form the other
- *    wrote.  Only chan_push, chan_pop and the deliver arm's peek read one.
+ *    deque (a base channel adopted from the simulator is one from the
+ *    start).  Only chan_push, chan_pop and the deliver arm's peek read one;
+ *    the materializer turns every form into a deque of message objects.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
  *    live sets at materialization, so layout is unobservable.
- *  - Random mode inlines the same getrandbits rejection loop the Python
- *    loop inlines; a popped token is never "un-popped" (the draw is spent),
- *    it is handed over via code 2.
+ *  - Random mode inlines the same getrandbits rejection loop
+ *    Simulator.run_for inlines; a popped token is never "un-popped" (the
+ *    draw is spent), it is handed over via code 2.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -298,8 +301,10 @@ chan_pop(S *s, long cid)
     return PyObject_CallMethodNoArgs(slot, s_popleft);
 }
 
-/* emit(src, dst, tag, msg): msg is borrowed.  Mirrors the Python closure
- * exactly, including the self-send SimulationError. */
+/* emit(src, dst, tag, msg): msg is borrowed.  SimNode.send followed by
+ * Simulator.transmit on the arena, including the self-send SimulationError;
+ * the accounting is counts and first-send order only (bits are folded from
+ * them when the loop exits). */
 static int
 emit(S *s, long src, long dst, int tag, PyObject *msg)
 {
@@ -846,7 +851,8 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
         s->status[i] = ST_CONQUERED;
     }
     else if (s->status[i] == ST_WAIT && !s->aw_rel[i]) {
-        /* Python: `unexp[i] or peek_more(i) >= 0`, short-circuited. */
+        /* node.py: `self.unexplored or self._peek_more() is not None`,
+         * short-circuited. */
         int go = PySet_GET_SIZE(PyList_GET_ITEM(s->unexp, i)) > 0;
         if (!go) {
             long pm = peek_more(s, i);
@@ -1315,8 +1321,8 @@ exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
     }
 }
 
-/* Pure-read precheck: 1 if exec_msg reproduces the Python handler for this
- * message bit-for-bit, 0 if the step must go back to Python (raise paths,
+/* Pure-read precheck: 1 if exec_msg reproduces the reference handler for
+ * this message bit-for-bit, 0 if the step must be handed back (raise paths,
  * probes, unknown tags).  -1 on internal error. */
 static int
 can_handle(S *s, long dst, long src, PyObject *msg)
@@ -1381,7 +1387,7 @@ can_handle(S *s, long dst, long src, PyObject *msg)
 }
 
 /* ------------------------------------------------------------------ */
-/* Inbox pump (deferral replay); 0 done, 1 resume-in-Python, -1 error. */
+/* Inbox pump (deferral replay); 0 done, 1 hand back (code 3), -1 error. */
 /* ------------------------------------------------------------------ */
 static int
 c_pump(S *s, long i)
@@ -1692,7 +1698,7 @@ loop_run(PyObject *self, PyObject *args)
                 goto error;
         }
         else {
-            /* the getrandbits rejection loop the Python loop inlines */
+            /* the getrandbits rejection loop Simulator.run_for inlines */
             int k = 64 - __builtin_clzll((unsigned long long)psz);
             long index;
             for (;;) {

@@ -5,12 +5,15 @@ compiler into a content-hash-keyed cache (``~/.cache/repro-arrayloop``), so
 the repo needs no build step, no setuptools machinery, and no wheel: the
 first eligible run pays ~1s of ``cc -O2`` once per source revision and
 every later process dlopens the cached object.  Anything going wrong --
-no compiler, sandboxed filesystem, constant drift between the C file and
-the Python modules it mirrors -- degrades to ``None`` and the pure-Python
-loop in :meth:`ArrayCore.run_loop` keeps running, bit-identically.
+no compiler, an unusable cache directory, a failed build or import,
+constant drift between the C file and the Python modules it encodes --
+degrades to ``None``: the array core's gate then declines every run as
+``no-c-loop`` and the object loop (``Simulator.run_for``) runs it, the
+same results several times slower.  The failed attempt warns (once per
+process: the miss is memoized) and :func:`why_missing` keeps the cause.
 
-Set ``REPRO_PURE_PYTHON=1`` to force the fallback (the differential suite
-uses it to pin C-vs-Python equivalence).
+Set ``REPRO_PURE_PYTHON=1`` to force that fallback silently (CI runs the
+whole suite a second time under it).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -48,13 +52,21 @@ from repro.core.messages import (
 from repro.core.node import STATUS_CODES, VARIANTS
 from repro.sim.network import SimulationError
 
-__all__ = ["load"]
+__all__ = ["load", "why_missing"]
 
 _SOURCE = Path(__file__).with_name("_arrayloop.c")
 
 #: sentinel distinguishing "never tried" from "tried and unavailable"
 _UNSET = object()
 _module = _UNSET
+#: why ``_module`` is ``None``, one short line (``None`` while it is not).
+_cause: Optional[str] = None
+
+_DELIBERATE = "REPRO_PURE_PYTHON is set"
+
+
+class _Unavailable(Exception):
+    """Internal: no C loop in this process; the message is the cause."""
 
 
 def _constants_match() -> bool:
@@ -90,12 +102,12 @@ def _constants_match() -> bool:
     return tuple(VARIANTS) == ("generic", "bounded", "adhoc")
 
 
-def _build() -> Optional[Path]:
+def _build() -> Path:
     """Compile ``_arrayloop.c`` into the cache; return the .so path."""
     try:
         source = _SOURCE.read_bytes()
-    except OSError:
-        return None
+    except OSError as exc:
+        raise _Unavailable(f"cannot read {_SOURCE.name}: {exc}")
     tag = hashlib.sha256(source).hexdigest()[:16]
     cache = Path(
         os.environ.get("REPRO_ARRAYLOOP_CACHE")
@@ -107,15 +119,18 @@ def _build() -> Optional[Path]:
         return so_path
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
+        if shutil.which("cc") is None:
+            raise _Unavailable(f"no C compiler on PATH (tried {cc!r} and 'cc')")
         cc = "cc"
-        if shutil.which(cc) is None:
-            return None
     include = sysconfig.get_paths().get("include")
     if not include:
-        return None
-    tmp = so_path.with_name(f"{name}.{os.getpid()}.tmp.so")
+        raise _Unavailable("no Python include directory")
     try:
         cache.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Unavailable(f"cache directory unusable: {exc}")
+    tmp = so_path.with_name(f"{name}.{os.getpid()}.tmp.so")
+    try:
         proc = subprocess.run(
             [cc, "-O2", "-fPIC", "-shared", "-I" + include,
              str(_SOURCE), "-o", str(tmp)],
@@ -123,11 +138,14 @@ def _build() -> Optional[Path]:
             timeout=300,
         )
         if proc.returncode != 0:
-            return None
+            stderr = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise _Unavailable(
+                f"{cc} failed: {stderr[0] if stderr else proc.returncode}"
+            )
         os.replace(tmp, so_path)  # atomic: concurrent builders converge
         return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"{cc} did not run: {exc}")
     finally:
         try:
             if tmp.exists():
@@ -136,29 +154,17 @@ def _build() -> Optional[Path]:
             pass
 
 
-def load():
-    """Return the configured ``_arrayloop`` module, or ``None``.
-
-    Idempotent and memoized (including the ``None`` outcome); safe to call
-    per ``run_loop`` entry.
-    """
-    global _module
-    if _module is not _UNSET:
-        return _module
-    _module = None  # any failure below stays a cheap memoized miss
+def _import() -> object:
+    """Build, import and configure the module, or raise :class:`_Unavailable`."""
     if os.environ.get("REPRO_PURE_PYTHON"):
-        return None
+        raise _Unavailable(_DELIBERATE)
     if not _constants_match():
-        return None
+        raise _Unavailable("wire/status/variant encodings drifted from _arrayloop.c")
     so_path = _build()
-    if so_path is None:
-        return None
     try:
         spec = importlib.util.spec_from_file_location(
             "repro.core._arrayloop", so_path
         )
-        if spec is None or spec.loader is None:
-            return None
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         mod.configure(
@@ -173,7 +179,38 @@ def load():
                 "greedy_k": 1 << 62,
             }
         )
-    except Exception:
-        return None
-    _module = mod
+    except Exception as exc:  # a missing spec included
+        raise _Unavailable(f"import of {so_path.name} failed: {exc}")
     return mod
+
+
+def load():
+    """Return the configured ``_arrayloop`` module, or ``None``.
+
+    Idempotent and memoized, the ``None`` outcome included, so safe to
+    call per run -- and the one attempt that fails is the one that warns:
+    a missing C loop costs every eligible run 2.5-6x (DESIGN.md SS15)
+    (``REPRO_PURE_PYTHON`` is deliberate, and silent).
+    """
+    global _module, _cause
+    if _module is _UNSET:
+        try:
+            _module = _import()
+        except _Unavailable as exc:
+            _module = None  # stays a cheap memoized miss
+            _cause = str(exc)
+            if _cause != _DELIBERATE:
+                warnings.warn(
+                    f"C delivery loop unavailable ({_cause}); eligible runs "
+                    "take the object loop: same results, several times slower",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+    return _module
+
+
+def why_missing() -> str:
+    """One line saying why :func:`load` answers ``None`` (no recorded
+    cause: the loader succeeded and a caller -- the differential tests --
+    emptied the memo to pin the fallback)."""
+    return _cause or "unloaded by the caller"

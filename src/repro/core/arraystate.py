@@ -3,8 +3,12 @@
 At n >= 10^5 the cost of the object loop (``Simulator.run_for`` over
 :class:`~repro.core.node.DiscoveryNode`, DESIGN.md SS15) is dict-of-sets
 cluster state, frozen-dataclass message construction, token objects and
-attribute-heavy handler dispatch.  This module removes all four by running
-the *same* state machine over columnar state:
+attribute-heavy handler dispatch.  This module removes all four by holding
+the *same* state machine's state in columns and handing them to the C
+delivery loop (``_arrayloop.c``, loaded by :mod:`repro.core.arrayloop`).
+The state machine is stated twice -- ``core/node.py``, the reference, and
+the C file -- and not here: this module converts, drives the loop, and
+converts back.
 
 * **Id interning** (:class:`IdSpace`): node ids become dense ints
   ``0..n-1`` in simulator insertion order.  Two total orders are
@@ -33,21 +37,32 @@ the *same* state machine over columnar state:
   whole pool is ints, so the pop loop dispatches on a sign check instead
   of ``type(token)``.
 
-Engagement and deopt
---------------------
+Engagement, decline and hand-back
+---------------------------------
 :func:`maybe_run_array` is the one array-or-object gate, offered every
 :meth:`Simulator.run`.  It requires: ``fast=True`` on an exact
 :class:`Simulator` with nothing that needs per-message hooks (no fault
-interceptor, recorder, send observer, non-FIFO channel discipline,
-non-stock scheduler or instance-wrapped method); a pending pool large
-enough to amortize conversion (``4 * len(pool) >= n`` -- dynamic ad-hoc
-touch-ups with a handful of pending events stay on the object loop); and
-state the columns can hold: every node exactly a :class:`DiscoveryNode`
-(no transport wrappers, no recovery state, no patched handlers),
-strictly ordered ids, only wake and deliver tokens, only stock message
-types.  The first check that fails leaves its :data:`DECLINE_REASONS`
-name on ``sim._last_decline`` and returns ``None``; *nothing is mutated
-until every check has passed*.
+interceptor, recorder, kept trace, send observer, non-FIFO channel
+discipline, non-stock scheduler or instance-wrapped method); a pending
+pool large enough to amortize conversion (``4 * len(pool) >= n`` --
+dynamic ad-hoc touch-ups with a handful of pending events stay on the
+object loop); a C loop in this process; and state the columns can hold:
+every node exactly a :class:`DiscoveryNode` (no transport wrappers, no
+recovery state, no patched handlers), strictly ordered ids, only wake and
+deliver tokens, only stock message types.  The first check that fails
+leaves its :data:`DECLINE_REASONS` name on ``sim._last_decline`` and
+returns ``None``; *nothing is mutated until every check has passed*.
+
+The C loop executes only steps it can reproduce bit for bit.  A probe, a
+probe reply or a protocol-impossible message (every ``ProtocolError``
+path) stops it *before* the step mutates anything; the state is
+materialized and the reference executes exactly that step -- an error is
+raised by ``core/node.py`` itself, a probe answered from the node's
+knowledge snapshot -- and the rest of that ``run()`` call stays on the
+object loop (``sim._last_decline == "handed-back"``; the next call is
+offered again).  The probe bookkeeping (``probe_previous``,
+``probe_results``, ``_probe_outstanding``) has no column: the nodes keep
+it, untouched through an array run.
 
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
@@ -55,17 +70,18 @@ objects, channel deques and scheduler pool, so the simulator is always in
 a legal object-path state when anyone else can look at it: every arena
 slot becomes a deque *before* the mid-run channels are registered on
 ``sim._channels``, so every value there is a deque, base channels keep
-their identity and ``sim._in_flight`` is exact.  Traces are
-emitted live with original ids (and dataclass payloads for digests), and
-stats fold through :meth:`MessageStats.record_indexed` preserving the
-first-send key order the per-message path would have produced.  The
-differential suites (``tests/test_arraystate.py`` and the
-engine-equivalence module beside it) pin all of this bit-for-bit.
+their identity and ``sim._in_flight`` is exact.  Stats fold through
+:meth:`MessageStats.record_indexed` preserving the first-send key order
+the per-message path would have produced.  The differential suites
+(``tests/test_arraystate.py``, ``tests/test_handback.py`` and the
+engine-equivalence module beside them) pin all of this bit-for-bit.
 
 :func:`run_graph` is the million-node driver: it builds the columns
 straight from a :class:`KnowledgeGraph` -- no ``DiscoveryNode`` objects at
 all (10^6 of them cost ~4 GB before the first message) -- runs the same
-loop, and verifies the problem's properties in O(n + E).
+loop, and verifies the problem's properties in O(n + E).  It builds the
+objects only where that price is the accepted one: in a process without
+a C loop, and to let the reference raise on a handed-back step.
 """
 
 from __future__ import annotations
@@ -115,7 +131,6 @@ from repro.core import arrayloop as _arrayloop
 from repro.core.node import (
     DiscoveryNode,
     LEADER_STATES,
-    ProtocolError,
     STATUS_CODES,
     STATUS_NAMES,
     VARIANTS,
@@ -128,8 +143,8 @@ from repro.sim.network import (
     Simulator,
     StepLimitExceeded,
 )
-from repro.sim.scheduler import _FIFO, _LIFO, _RANDOM, stock_pool
-from repro.sim.trace import MessageStats, TraceEvent
+from repro.sim.scheduler import _FIFO, _RANDOM, stock_pool
+from repro.sim.trace import MessageStats
 
 __all__ = [
     "IdSpace",
@@ -209,18 +224,16 @@ _FRESH_SCALARS = itemgetter(
     "_awaiting_query_from",
     "_awaiting_info",
     "_expect_stale_release",
-    "_probe_outstanding",
     "_restarted",
     "_rejoining",
     "_processing",
 )
-_FRESH_STATE = ("asleep", False, 1, False, None, False, False, False, False, False, False)
+_FRESH_STATE = ("asleep", False, 1, False, None, False, False, False, False, False)
 _FRESH_CONTAINERS = itemgetter(
     "done",
     "unaware",
     "unexplored",
     "previous",
-    "probe_previous",
     "_inbox",
     "_deferred",
 )
@@ -238,12 +251,14 @@ DECLINE_REASONS = (
     "simulator-subclass",  # may override anything the core replaces
     "faults",  # an interceptor must see every transport decision
     "recorder",  # obs events are emitted per message
+    "trace",  # keep_trace: trace events are recorded per step
     "send-observer",  # fires per transmit
     "channel-discipline",  # non-FIFO channels draw from the channel RNG
-    "scheduler",  # not exactly a stock scheduler: owns its selection state
+    "scheduler",  # not exactly a stock scheduler over the stdlib RNG
     "wrapped-simulator",  # an instance attribute shadows a _WRAPPABLE method
     "small-pool",  # conversion would cost more than the run (or n == 0)
     "patched-node-class",  # DiscoveryNode behaviour replaced on the class
+    "no-c-loop",  # arrayloop.load() is None: the object loop is the fallback
     "node-type",  # a node that is not exactly a DiscoveryNode
     "wrapped-node",  # an instance attribute shadows a node handler
     "node-state",  # recovery/reentrancy state, undrained inbox, odd fields
@@ -270,7 +285,9 @@ _C_STOP_CAP = 1 << 62
 
 
 # ----------------------------------------------------------------------
-# Density-rule helpers (DESIGN.md SS15)
+# Density-rule helpers (DESIGN.md SS15).  The Python statement of the two
+# set orders ``_arrayloop.c`` cites (``collect_rank_sorted``); nothing
+# under ``src/`` calls them, ``TestRankOrders`` pins them.
 # ----------------------------------------------------------------------
 def rank_sorted(members, repr_rank, by_repr_rank) -> List[int]:
     """Members of an int-id set in deterministic repr order.
@@ -498,10 +515,6 @@ class ArrayCore:
         "aw_query",
         "aw_info",
         "expect_stale",
-        # -- ad-hoc probe machinery ------------------------------------
-        "probe_prev",
-        "presults",
-        "probe_out",
         # -- per-node configuration ------------------------------------
         "variant",
         "csize",
@@ -521,6 +534,7 @@ class ArrayCore:
         "order",
         "steps",
         "steps_out",
+        "handback",
     )
 
     def __init__(self, space: IdSpace, id_bits: int, *, fill: bool) -> None:
@@ -534,12 +548,12 @@ class ArrayCore:
         self.n = n
         self.id_bits = id_bits
         rrank = space.repr_rank
+        self.status = bytearray(n)  # all _ASLEEP
+        self.awake = bytearray(n)
+        self.phase = [1] * n
+        self.local = [None] * n
         if fill:
-            self.status = bytearray(n)  # all _ASLEEP
-            self.awake = bytearray(n)
             self.nxt = list(range(n))
-            self.phase = [1] * n
-            self.local = [None] * n
             self.done = [set() for _ in range(n)]
             self.more = [{i} for i in range(n)]
             self.unaware = [set() for _ in range(n)]
@@ -547,11 +561,7 @@ class ArrayCore:
             self.mheap = [[rrank[i]] for i in range(n)]
             self.uheap = [[] for _ in range(n)]
         else:
-            self.status = bytearray(n)
-            self.awake = bytearray(n)
             self.nxt = [0] * n
-            self.phase = [1] * n
-            self.local = [None] * n
             self.done = [None] * n
             self.more = [None] * n
             self.unaware = [None] * n
@@ -567,9 +577,6 @@ class ArrayCore:
         self.aw_query = [-1] * n
         self.aw_info = bytearray(n)
         self.expect_stale = bytearray(n)
-        self.probe_prev = [None] * n
-        self.presults = [None] * n
-        self.probe_out = bytearray(n)
         self.variant = bytearray(n)
         self.csize = [None] * n
         self.greedy = bytearray(n)
@@ -599,12 +606,18 @@ class ArrayCore:
         self.order = []
         self.steps = 0
         self.steps_out = 0
+        #: ``(code, aux)`` of the step the last ``run_loop`` stopped at
+        #: without executing it (``_arrayloop.c`` header: code 2, ``aux``
+        #: the popped deliver token, step not counted; code 3, ``aux`` the
+        #: node whose inbox pump must resume, step counted), else ``None``.
+        self.handback = None
 
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
-    def run_loop(self, pool, mode, rng, limit, trace_events, quiescent, limit_msg):
-        """Run the state machine until the pool drains (or ``limit``).
+    def run_loop(self, pool, mode, rng, limit, quiescent, limit_msg):
+        """Drive the C loop until the pool drains, ``limit`` trips or the
+        loop hands a step back (``self.handback``, see ``__init__``).
 
         ``pool`` holds only ints: channel ids ``>= 0`` (deliveries) and
         ``-1 - node_int`` (wake-ups); ``rng`` is the scheduler's
@@ -613,585 +626,13 @@ class ArrayCore:
         plug their own formulas.  Returns executed step count; updates
         ``self.steps_out`` on every exit for the materializer.
         """
-        # -- bind columns as locals (the whole point of the module) ------
-        ids = self.ids
-        rrank = self.rrank
-        by_rrank = self.by_rrank
-        nrank = self.nrank
-        status = self.status
-        awake = self.awake
-        nxt = self.nxt
-        phase = self.phase
-        local = self.local
-        done = self.done
-        more = self.more
-        unaware = self.unaware
-        unexp = self.unexp
-        mheap = self.mheap
-        uheap = self.uheap
-        previous = self.previous
-        inbox = self.inbox
-        deferred = self.deferred
-        aw_rel = self.aw_rel
-        aw_query = self.aw_query
-        aw_info = self.aw_info
-        expect_stale = self.expect_stale
-        probe_prev = self.probe_prev
-        presults = self.presults
-        probe_out = self.probe_out
-        variant = self.variant
-        csize = self.csize
-        greedy = self.greedy
-        chanq = self.chanq
-        chan_src = self.chan_src
-        chan_dst = self.chan_dst
-        out = self.out
-        new_deque = deque
-        counts = self.counts
-        bits = self.bits
-        xtra = self.xtra
-        order = self.order
-        bases = fixed_bit_bases(self.id_bits)
-        idc = self.id_bits if self.id_bits > 1 else 1
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        pool_append = pool.append
-        is_leader = IS_LEADER
-        status_names = STATUS_NAMES
-
-        # -- transport ---------------------------------------------------
-        def emit(src, dst, tag, msg):
-            if dst == src:
-                # Parity with SimNode.send's guard (protocol-impossible).
-                raise SimulationError(
-                    f"node {ids[src]!r} tried to message itself with "
-                    f"{MSG_TYPES[tag]!r}; self-interactions must be simulated "
-                    "internally (Section 4.1)"
-                )
-            d = out[src]
-            if d is None:
-                d = out[src] = {}
-            cid = d.get(dst)
-            if cid is None:
-                # Mid-run channels are bare arena slots, turned into
-                # deques and synced onto ``sim._channels`` at
-                # materialization -- nothing can observe the dict mid-run
-                # on this path.
-                cid = len(chanq)
-                chanq.append(None)
-                chan_src.append(src)
-                chan_dst.append(dst)
-                d[dst] = cid
-            c = counts[tag]
-            if not c:
-                order.append(tag)
-            counts[tag] = c + 1
-            slot = chanq[cid]
-            if slot is None:
-                chanq[cid] = msg
-            elif type(slot) is tuple:
-                chanq[cid] = new_deque((slot, msg))
-            else:
-                slot.append(msg)
-            pool_append(cid)
-
-        def emitx(src, dst, tag, msg, extra_ids):
-            # Messages that carry a variable id payload; the id count is
-            # accumulated here and folded into ``bits`` at loop exit.
-            xtra[tag] += extra_ids
-            emit(src, dst, tag, msg)
-
-        # -- deterministic choice helpers --------------------------------
-        def add_more(i, w):
-            mo = more[i]
-            if w not in mo:
-                mo.add(w)
-                heappush(mheap[i], rrank[w])
-
-        def add_unexplored(i, u):
-            ux = unexp[i]
-            if u not in ux:
-                ux.add(u)
-                heappush(uheap[i], rrank[u])
-
-        def peek_more(i):
-            heap = mheap[i]
-            mo = more[i]
-            while heap:
-                w = by_rrank[heap[0]]
-                if w in mo:
-                    return w
-                heappop(heap)
-            return -1
-
-        def pop_unexplored(i):
-            heap = uheap[i]
-            ux = unexp[i]
-            while heap:
-                u = by_rrank[heappop(heap)]
-                if u not in ux:
-                    continue
-                ux.discard(u)
-                if u == i or u in more[i] or u in done[i] or u in unaware[i]:
-                    continue
-                return u
-            return -1
-
-        # -- EXPLORE (Figure 3) ------------------------------------------
-        def take_local(i, k):
-            # _answer_query_locally without the message wrapper.
-            loc = local[i]
-            if len(loc) <= k:
-                taken = frozenset(loc)
-                loc.clear()
-                return taken, True
-            taken = frozenset(k_smallest(loc, k, rrank))
-            loc -= taken
-            return taken, False
-
-        def ingest_reply(i, source, id_set, done_flag):
-            if done_flag and source in more[i]:
-                more[i].discard(source)
-                done[i].add(source)
-            mo = more[i]
-            dn = done[i]
-            for fresh in id_set:
-                if fresh not in mo and fresh not in dn and fresh != i:
-                    add_unexplored(i, fresh)
-
-        def explore(i):
-            status[i] = _EXPLORE
-            while True:
-                if variant[i] == _BOUNDED and len(done[i]) == csize[i]:
-                    terminate_bounded(i)
-                    return
-                target = pop_unexplored(i)
-                if target >= 0:
-                    status[i] = _WAIT
-                    aw_rel[i] = 1
-                    emit(i, target, T_SEARCH, (T_SEARCH, i, phase[i], target, False))
-                    return
-                candidate = peek_more(i)
-                if candidate < 0:
-                    status[i] = _WAIT
-                    aw_rel[i] = 0
-                    return
-                k = (1 << 62) if greedy[i] else len(more[i]) + len(done[i]) + 1
-                if candidate == i:
-                    taken, done_flag = take_local(i, k)
-                    ingest_reply(i, i, taken, done_flag)
-                    continue
-                aw_query[i] = candidate
-                emit(i, candidate, T_QUERY, (T_QUERY, k))
-                return
-
-        def terminate_bounded(i):
-            status[i] = _TERMINATED
-            cq = (T_CONQUER, i, phase[i])
-            for w in rank_sorted(done[i], rrank, by_rrank):
-                if w != i:
-                    emit(i, w, T_CONQUER, cq)
-
-        # -- Section 6 late-learned ids ----------------------------------
-        def absorb_learned_id(i, other):
-            loc = local[i]
-            if other == i or other in loc:
-                return
-            if status[i] == _INACTIVE:
-                had_reported_all = not loc
-                loc.add(other)
-                if had_reported_all:
-                    emit(i, nxt[i], T_SEARCH, (T_SEARCH, i, 0, i, True))
-                return
-            loc.add(other)
-            if i in done[i]:
-                done[i].discard(i)
-                add_more(i, i)
-
-        # -- handlers (wire tag order) -----------------------------------
-        def h_query(i, sender, msg):
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: query from {ids[sender]!r} in status "
-                    f"{status_names[status[i]]}; queries only ever reach "
-                    "inactive cluster members"
-                )
-            taken, done_flag = take_local(i, msg[1])
-            emitx(i, sender, T_QUERY_REPLY, (T_QUERY_REPLY, taken, done_flag), len(taken))
-            return True
-
-        def h_query_reply(i, sender, msg):
-            if status[i] != _EXPLORE or aw_query[i] != sender:
-                raise ProtocolError(
-                    f"{ids[i]!r}: unexpected query-reply from {ids[sender]!r} "
-                    f"in status {status_names[status[i]]}"
-                )
-            aw_query[i] = -1
-            ingest_reply(i, sender, msg[1], msg[2])
-            explore(i)
-            return True
-
-        def absorb_target(i, msg):
-            # Section 4.2: the search's target learns the initiator's id.
-            if msg[3] == i and msg[1] not in local[i]:
-                local[i].add(msg[1])
-                return (T_SEARCH, msg[1], msg[2], msg[3], True)
-            return msg
-
-        def leader_on_search(i, sender, msg):
-            msg = absorb_target(i, msg)
-            initiator = msg[1]
-            mphase = msg[2]
-            if msg[4] and msg[3] in done[i]:
-                done[i].discard(msg[3])
-                add_more(i, msg[3])
-            if mphase > phase[i] or (
-                mphase == phase[i] and nrank[initiator] > nrank[i]
-            ):
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, True, initiator, phase[i]))
-                if status[i] == _WAIT and aw_rel[i]:
-                    expect_stale[i] = 1
-                status[i] = _CONQUERED
-            else:
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, False, initiator, phase[i]))
-                if (
-                    status[i] == _WAIT
-                    and not aw_rel[i]
-                    and (unexp[i] or peek_more(i) >= 0)
-                ):
-                    explore(i)
-
-        def h_search(i, sender, msg):
-            st = status[i]
-            if st == _EXPLORE or st == _CONQUERED or st == _CONQUEROR:
-                return False
-            if st == _INACTIVE:
-                msg = absorb_target(i, msg)
-                prev = previous[i]
-                if prev is None:
-                    prev = previous[i] = deque()
-                prev.append((msg, sender))
-                if len(prev) == 1:
-                    emit(i, nxt[i], T_SEARCH, msg)
-                return True
-            if st == _WAIT or st == _PASSIVE:
-                leader_on_search(i, sender, msg)
-                return True
-            if st == _TERMINATED:
-                msg = absorb_target(i, msg)
-                initiator = msg[1]
-                mphase = msg[2]
-                if mphase > phase[i] or (
-                    mphase == phase[i] and nrank[initiator] > nrank[i]
-                ):
-                    raise ProtocolError(
-                        f"{ids[i]!r}: terminated leader outranked by search "
-                        f"from {ids[initiator]!r} -- termination was unsound"
-                    )
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, False, initiator, phase[i]))
-                return True
-            raise ProtocolError(
-                f"{ids[i]!r}: search in impossible status {status_names[st]}"
-            )
-
-        def consume_own_release(i, msg):
-            leader = msg[1]
-            is_merge = msg[2]
-            if status[i] == _WAIT and aw_rel[i]:
-                aw_rel[i] = 0
-                if not is_merge:
-                    if leader == i:
-                        explore(i)
-                        return
-                    absorb_learned_id(i, leader)
-                    status[i] = _PASSIVE
-                    return
-                status[i] = _CONQUEROR
-                aw_info[i] = 1
-                emit(i, leader, T_MERGE_ACCEPT, WIRE_MERGE_ACCEPT)
-                return
-            st = status[i]
-            if st == _PASSIVE or st == _CONQUERED or st == _INACTIVE:
-                if is_merge:
-                    emit(i, leader, T_MERGE_FAIL, WIRE_MERGE_FAIL)
-                if expect_stale[i]:
-                    expect_stale[i] = 0
-                    absorb_learned_id(i, leader)
-                return
-            raise ProtocolError(
-                f"{ids[i]!r}: own release ({MERGE if is_merge else ABORT}) in "
-                f"status {status_names[st]} with awaiting_release={bool(aw_rel[i])}"
-            )
-
-        def h_release(i, sender, msg):
-            if msg[3] == i:
-                consume_own_release(i, msg)
-                return True
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: release for {ids[msg[3]]!r} in "
-                    f"status {status_names[status[i]]}; only inactive nodes "
-                    "route releases"
-                )
-            prev = previous[i]
-            if not prev:
-                raise ProtocolError(
-                    f"{ids[i]!r}: release to route but previous queue empty"
-                )
-            _search, came_from = prev.popleft()
-            if msg[4] >= phase[i]:
-                nxt[i] = msg[1]
-                phase[i] = msg[4]
-            emit(i, came_from, T_RELEASE, msg)
-            if prev:
-                emit(i, nxt[i], T_SEARCH, prev[0][0])
-            return True
-
-        def h_merge_accept(i, sender, msg):
-            if status[i] != _CONQUERED:
-                raise ProtocolError(
-                    f"{ids[i]!r}: merge-accept in status {status_names[status[i]]}"
-                )
-            nxt[i] = sender
-            extra = len(more[i]) + len(done[i]) + len(unaware[i]) + len(unexp[i])
-            emitx(
-                i,
-                sender,
-                T_INFO,
-                (
-                    T_INFO,
-                    phase[i],
-                    frozenset(more[i]),
-                    frozenset(done[i]),
-                    frozenset(unaware[i]),
-                    frozenset(unexp[i]),
-                ),
-                extra,
-            )
-            status[i] = _INACTIVE
-            return True
-
-        def h_merge_fail(i, sender, msg):
-            if status[i] != _CONQUERED:
-                raise ProtocolError(
-                    f"{ids[i]!r}: merge-fail in status {status_names[status[i]]}"
-                )
-            status[i] = _PASSIVE
-            return True
-
-        def merge_with_unaware(i, msg):
-            # Figure 6: absorb the conquered leader's state, then conquer.
-            ua = unaware[i]
-            ua |= msg[2] | msg[3] | msg[4]
-            mo = more[i]
-            dn = done[i]
-            for u in msg[5]:
-                if u not in ua and u not in mo and u not in dn and u != i:
-                    add_unexplored(i, u)
-            cluster = len(mo) + len(dn) + len(ua)
-            if phase[i] == msg[1] or cluster >= 1 << (phase[i] + 1):
-                phase[i] += 1
-            cq = (T_CONQUER, i, phase[i])
-            for w in rank_sorted(ua, rrank, by_rrank):
-                emit(i, w, T_CONQUER, cq)
-            if not ua:  # unreachable in practice: info.more holds the sender
-                explore(i)
-
-        def merge_direct(i, msg):
-            # Section 4.5: the variants merge sets without the unaware stage.
-            mo = more[i]
-            dn = done[i]
-            for w in msg[2]:
-                # done -> more move and plain add collapse: _add_more is a
-                # no-op for present members, discard for absent ones.
-                dn.discard(w)
-                add_more(i, w)
-            for w in msg[3]:
-                if w not in mo and w not in dn:
-                    dn.add(w)
-            for u in msg[5]:
-                if u not in mo and u not in dn and u != i:
-                    add_unexplored(i, u)
-            cluster = len(mo) + len(dn)
-            if phase[i] == msg[1] or cluster >= 1 << (phase[i] + 1):
-                phase[i] += 1
-            explore(i)
-
-        def h_info(i, sender, msg):
-            if status[i] != _CONQUEROR or not aw_info[i]:
-                raise ProtocolError(
-                    f"{ids[i]!r}: info in status {status_names[status[i]]}"
-                )
-            aw_info[i] = 0
-            if variant[i] == _GENERIC:
-                merge_with_unaware(i, msg)
-            else:
-                merge_direct(i, msg)
-            return True
-
-        def h_conquer(i, sender, msg):
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: conquer in status {status_names[status[i]]}; "
-                    "conquer messages only ever reach inactive nodes"
-                )
-            if msg[2] >= phase[i]:
-                nxt[i] = msg[1]
-                phase[i] = msg[2]
-            emit(
-                i,
-                sender,
-                T_MORE_DONE,
-                WIRE_MORE_DONE_TRUE if local[i] else WIRE_MORE_DONE_FALSE,
-            )
-            return True
-
-        def h_more_done(i, sender, msg):
-            st = status[i]
-            if st == _TERMINATED:
-                return True
-            if st != _CONQUEROR or aw_info[i]:
-                raise ProtocolError(
-                    f"{ids[i]!r}: more-done in status {status_names[st]}"
-                )
-            ua = unaware[i]
-            if sender not in ua:
-                raise ProtocolError(
-                    f"{ids[i]!r}: more-done from {ids[sender]!r} not in unaware"
-                )
-            ua.discard(sender)
-            if msg[1]:
-                add_more(i, sender)
-            else:
-                done[i].add(sender)
-            if not ua:
-                explore(i)
-            return True
-
-        def h_probe(i, sender, msg):
-            st = status[i]
-            if msg[1] == i and st == _INACTIVE:
-                emit(i, nxt[i], T_PROBE, msg)
-                return True
-            if is_leader[st]:
-                knowledge = frozenset(more[i] | done[i] | unaware[i] | {i})
-                emitx(
-                    i,
-                    sender,
-                    T_PROBE_REPLY,
-                    (T_PROBE_REPLY, i, knowledge, msg[1]),
-                    len(knowledge),
-                )
-                return True
-            if st == _INACTIVE:
-                pq = probe_prev[i]
-                if pq is None:
-                    pq = probe_prev[i] = deque()
-                pq.append((msg, sender))
-                if len(pq) == 1:
-                    emit(i, nxt[i], T_PROBE, msg)
-                return True
-            return False
-
-        def h_probe_reply(i, sender, msg):
-            if msg[3] == i:
-                pr = presults[i]
-                if pr is None:
-                    pr = presults[i] = []
-                # ``steps`` is the loop's counter: current here on every
-                # route in (Python delivery, C deopt token, C pump handoff).
-                pr.append((msg[1], msg[2], steps))
-                probe_out[i] = 0
-                return True
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: probe-reply to route in status "
-                    f"{status_names[status[i]]}"
-                )
-            pq = probe_prev[i]
-            if not pq:
-                raise ProtocolError(f"{ids[i]!r}: probe-reply but probe queue empty")
-            _probe, came_from = pq.popleft()
-            nxt[i] = msg[1]
-            emitx(i, came_from, T_PROBE_REPLY, msg, len(msg[2]))
-            if pq:
-                emit(i, nxt[i], T_PROBE, pq[0][0])
-            return True
-
-        dispatch = [
-            h_query,
-            h_query_reply,
-            h_search,
-            h_release,
-            h_merge_accept,
-            h_merge_fail,
-            h_info,
-            h_conquer,
-            h_more_done,
-            h_probe,
-            h_probe_reply,
-        ]
-
-        # -- inbox pump (deferral replay, Interpretation rule 1) ---------
-        def pump(i):
-            ib = inbox[i]
-            df = deferred[i]
-            while ib:
-                sender, msg = ib.popleft()
-                if not df:
-                    if not dispatch[msg[0]](i, sender, msg):
-                        if df is None:
-                            df = deferred[i] = []
-                        df.append((sender, msg))
-                    continue
-                before = (status[i], aw_rel[i], aw_query[i], aw_info[i])
-                if not dispatch[msg[0]](i, sender, msg):
-                    df.append((sender, msg))
-                    continue
-                if df and (status[i], aw_rel[i], aw_query[i], aw_info[i]) != before:
-                    ib.extendleft(reversed(df))
-                    df.clear()
-
-        # -- the loop ----------------------------------------------------
-        start_steps = self.steps
-        steps = start_steps
-        # ``executed >= limit`` becomes a single compare against the
-        # absolute step count (one counter bump per iteration, not two).
-        stop = start_steps + limit
-        fifo = mode == _FIFO
-        lifo = mode == _LIFO
-        getrandbits = randbelow = None
-        if mode == _RANDOM:
-            # The pop draws ``rng.randrange(size)``, i.e. ``_randbelow``:
-            # three lines over the C-level getrandbits, inlined -- the
-            # *identical* value sequence -- when the RNG is exactly the
-            # stdlib Random; any other is called as-is (mirror only).
-            if type(rng) is _Random:
-                getrandbits = rng.getrandbits
-            else:
-                randbelow = rng.randrange
-        # -- C loop engagement (DESIGN.md SS15) --------------------------
-        # The compiled module runs the identical state machine over the
-        # same columns; Python keeps the trace path, the probe and error
-        # arms, and the limit policy.  The tiered-deopt protocol:
-        #   code 0  pool drained              -> done
-        #   code 1  counted step hit ``stop`` -> quiescent()/raise here
-        #   code 2  head message not provably handleable; ``aux`` is the
-        #           already-popped token      -> run one Python delivery
-        #   code 3  pump hit an unhandleable inbox head; step counted
-        #                                     -> ``pump(aux)`` here
+        crun = _arrayloop.load().run
+        getrandbits = rng.getrandbits if mode == _RANDOM else None
         # ``cell`` carries the absolute step count across the boundary on
         # every exit, including handler exceptions.
-        crun = None
-        if trace_events is None and (fifo or lifo or getrandbits is not None):
-            if (type(pool) is deque) if fifo else (type(pool) is list):
-                cmod = _arrayloop.load()
-                if cmod is not None:
-                    crun = cmod.run
-        if crun is not None:
-            cell = [steps]
-            cstop = stop if stop < _C_STOP_CAP else _C_STOP_CAP
-        forced = None
+        cell = [self.steps]
+        stop = min(self.steps + limit, _C_STOP_CAP)
+        self.handback = None
         # The loop allocates only acyclic transients (tuples, flyweight
         # messages, deque cells), freed by refcounting alone -- but the
         # generational collector keeps re-scanning the n-sized column
@@ -1203,120 +644,27 @@ class ArrayCore:
             gc.disable()
         try:
             while True:
-                if forced is not None:
-                    token = forced
-                    forced = None
-                elif crun is not None:
-                    cell[0] = steps
-                    try:
-                        code, aux = crun(
-                            self, pool, pool_append, mode, getrandbits, cstop, cell
-                        )
-                    finally:
-                        steps = cell[0]
-                    if code == 0:
-                        break
-                    if code == 1:
-                        if not quiescent():
-                            raise StepLimitExceeded(limit_msg())
-                        continue
-                    if code == 3:
-                        pump(aux)
-                        if steps >= stop and not quiescent():
-                            raise StepLimitExceeded(limit_msg())
-                        continue
-                    token = aux
-                elif not pool:
-                    break
-                elif fifo:
-                    token = pool.popleft()
-                elif lifo:
-                    token = pool.pop()
-                else:
-                    size = len(pool)
-                    if getrandbits is not None:
-                        k = size.bit_length()
-                        index = getrandbits(k)
-                        while index >= size:
-                            index = getrandbits(k)
-                    else:
-                        index = randbelow(size)
-                    token = pool[index]
-                    pool[index] = pool[-1]
-                    pool.pop()
-
-                steps += 1
-                if token >= 0:
-                    msg = chanq[token]
-                    if type(msg) is tuple:
-                        chanq[token] = None
-                    else:
-                        msg = msg.popleft()
-                    dst = chan_dst[token]
-                    if not awake[dst]:
-                        # Messages wake sleeping nodes (Section 1.2).
-                        awake[dst] = 1
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake", None, ids[dst], None)
-                            )
-                        explore(dst)
-                    src = chan_src[token]
-                    if trace_events is not None:
-                        trace_events.append(
-                            TraceEvent(
-                                steps,
-                                "deliver",
-                                ids[src],
-                                ids[dst],
-                                MSG_TYPES[msg[0]],
-                                _to_message(msg, ids),
-                            )
-                        )
-                    # -- on_message ------------------------------------
-                    # Each handler is stated once (the closures above);
-                    # ``False`` means "defer" (search and probe only).
-                    if deferred[dst] or inbox[dst]:
-                        ib = inbox[dst]
-                        if ib is None:
-                            ib = inbox[dst] = deque()
-                        ib.append((src, msg))
-                        pump(dst)
-                    elif not dispatch[msg[0]](dst, src, msg):
-                        df = deferred[dst]
-                        if df is None:
-                            df = deferred[dst] = []
-                        df.append((src, msg))
-                else:
-                    node = -1 - token
-                    if awake[node]:
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake-noop", None, ids[node], None)
-                            )
-                    else:
-                        awake[node] = 1
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake", None, ids[node], None)
-                            )
-                        explore(node)
-                        if inbox[node]:  # on_wake pumps; inbox is
-                            pump(node)  # empty outside exceptional states
-
-                if steps >= stop and not quiescent():
-                    raise StepLimitExceeded(limit_msg())
+                code, aux = crun(self, pool, pool.append, mode, getrandbits, stop, cell)
+                if code == 1:  # a counted step reached ``stop``
+                    if not quiescent():
+                        raise StepLimitExceeded(limit_msg())
+                    continue
+                if code:  # 2 or 3; 0 is a drained pool
+                    self.handback = (code, aux)
+                break
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self.steps_out = steps
+            self.steps_out = cell[0]
             # Fold the deferred bit accounting: per-tag totals are fully
             # determined by send count and extra-id count, so the hot
             # path never touched ``bits``.  (Recomputed from totals, so
             # safe on any exit, including handler exceptions.)
-            for tag in order:
-                bits[tag] = counts[tag] * bases[tag] + xtra[tag] * idc
-        return steps - start_steps
+            bases = fixed_bit_bases(self.id_bits)
+            idc = max(self.id_bits, 1)
+            for tag in self.order:
+                self.bits[tag] = self.counts[tag] * bases[tag] + self.xtra[tag] * idc
+        return cell[0] - self.steps
 
 
 # ----------------------------------------------------------------------
@@ -1446,14 +794,9 @@ def _build_from_sim(sim, pool):
             core.aw_query[i] = -1 if aw_q is None else idx[aw_q]
             core.aw_info[i] = 1 if node._awaiting_info else 0
             core.expect_stale[i] = 1 if node._expect_stale_release else 0
-            core.probe_out[i] = 1 if node._probe_outstanding else 0
             if node.previous:
                 core.previous[i] = deque(
                     (_to_wire(m, idx), idx[s]) for m, s in node.previous
-                )
-            if node.probe_previous:
-                core.probe_prev[i] = deque(
-                    (_to_wire(m, idx), idx[s]) for m, s in node.probe_previous
                 )
             if node._deferred:
                 core.deferred[i] = [
@@ -1528,12 +871,9 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
     aw_query_col = core.aw_query
     aw_info_col = core.aw_info
     expect_stale_col = core.expect_stale
-    probe_out_col = core.probe_out
     previous_col = core.previous
-    probe_prev_col = core.probe_prev
     inbox_col = core.inbox
     deferred_col = core.deferred
-    presults_col = core.presults
 
     def to_message(msg):
         return _to_message(msg, ids)
@@ -1564,16 +904,11 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         d["_awaiting_query_from"] = None if aw_q < 0 else ids[aw_q]
         d["_awaiting_info"] = aw_info_col[i] != 0
         d["_expect_stale_release"] = expect_stale_col[i] != 0
-        d["_probe_outstanding"] = probe_out_col[i] != 0
         prev = previous_col[i]
         d["previous"] = (
             new_deque((to_message(m), ids[s]) for m, s in prev)
             if prev
             else new_deque()
-        )
-        pq = probe_prev_col[i]
-        d["probe_previous"] = (
-            new_deque((to_message(m), ids[s]) for m, s in pq) if pq else new_deque()
         )
         ib = inbox_col[i]
         d["_inbox"] = (
@@ -1581,10 +916,6 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         )
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []
-        for leader, id_set, step in presults_col[i] or ():
-            node.record_probe_answer(
-                ids[leader], frozenset(ids[x] for x in id_set), step
-            )
 
     # Channels: every slot becomes a deque of message objects.  Base
     # channels are converted in place (deque identity is shared with
@@ -1632,6 +963,25 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
     sim.stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
 
 
+def _run_handback(core: ArrayCore, sim) -> int:
+    """Let the reference execute the one step the C loop stopped at, on
+    the just-materialized simulator (a raise path raises from
+    ``core/node.py`` itself); returns the steps that counted."""
+    code, aux = core.handback
+    ids = core.ids
+    if code == 3:
+        # The step was counted and the unhandleable message is at the
+        # node's inbox head; the pump is resumable by design.
+        sim.nodes[ids[aux]]._pump()
+        return 0
+    # The deliver token was popped, its message only peeked.  The C loop
+    # may already have woken the destination; ``_execute_deliver``'s own
+    # ``if not node.awake`` guard makes that idempotent.
+    sim.steps += 1
+    sim._execute_deliver(DeliverToken(ids[core.chan_src[aux]], ids[core.chan_dst[aux]]))
+    return 1
+
+
 def maybe_run_array(sim, max_steps) -> Optional[int]:
     """Run ``sim`` on the array core, or say why not.
 
@@ -1640,6 +990,13 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     or returns ``None`` with the simulator untouched and the
     :data:`DECLINE_REASONS` name of the first failed check on
     ``sim._last_decline``, and the caller's object loop proceeds.
+
+    ``"handed-back"`` is the one name set *after* the array core ran: the
+    C loop met a step it does not execute (a probe, a probe reply, a
+    protocol-impossible message), the reference executed exactly that
+    step on the materialized simulator, and the count so far is returned
+    for the caller's object loop to finish the call (not re-offered
+    within it: conversion is O(n + channels) per hand-back).
     """
     n = len(sim.nodes)
     mode, pool = stock_pool(sim.scheduler)
@@ -1652,11 +1009,15 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         reason = "faults"
     elif sim.obs is not None:
         reason = "recorder"
+    elif sim.trace is not None:
+        reason = "trace"
     elif sim._send_observers:
         reason = "send-observer"
     elif sim.channel_discipline != "fifo":
         reason = "channel-discipline"
-    elif mode is None:
+    elif mode is None or (mode == _RANDOM and type(sim.scheduler._rng) is not _Random):
+        # The C loop replays ``rng.randrange`` as getrandbits draws, which
+        # is the stdlib generator's sequence and nobody else's.
         reason = "scheduler"
     elif not _WRAPPABLE.isdisjoint(vars(sim)):
         reason = "wrapped-simulator"
@@ -1665,10 +1026,12 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     elif not behavior_is_pristine():
         # A class-level monkeypatch (the finding-regression tests replace
         # DiscoveryNode methods to reproduce bugs) must keep taking
-        # effect; the inlined state machine cannot honour it.
+        # effect; the C loop cannot honour it.
         reason = "patched-node-class"
     else:
         try:
+            if _arrayloop.load() is None:
+                raise _Ineligible("no-c-loop", _arrayloop.why_missing())
             core, new_pool, chan_pending = _build_from_sim(sim, pool)
         except _Ineligible as exc:
             reason = exc.reason
@@ -1689,8 +1052,6 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     sim._last_run_path = "array"
 
     rng = sim.scheduler._rng if mode == _RANDOM else None
-    trace = sim.trace
-    trace_events = trace.events if trace is not None else None
     limit = maxsize if max_steps is None else max_steps
 
     def quiescent():
@@ -1707,13 +1068,15 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         )
 
     try:
-        return core.run_loop(
-            pool, mode, rng, limit, trace_events, quiescent, limit_msg
-        )
+        executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
     finally:
         _materialize_to_sim(core, sim, pool, mode)
         if sim.steps != core.steps:
             sim.protocol_stamp += 1
+    if core.handback is not None:
+        sim._last_decline = "handed-back"
+        executed += _run_handback(core, sim)
+    return executed
 
 
 # ----------------------------------------------------------------------
@@ -1861,16 +1224,24 @@ def run_graph(
 ) -> ScaleResult:
     """Run discovery straight off a graph with no per-node objects.
 
-    The million-node driver: builds the columnar state directly (a
-    million ``DiscoveryNode`` objects cost ~4 GB before the first
-    message; the columns cost ~100 MB), schedules one wake per node in
-    graph order, and runs the same array engine the simulator path uses.
-    ``seed`` selects the seeded random scheduler with *identical*
-    semantics to ``build_simulation(seed=...)`` -- the differential test
-    pins equal step counts, stats and leaders at small n -- and ``None``
-    is global-FIFO, also matching.
+    The million-node driver: builds the columnar state directly,
+    schedules one wake per node in graph order, and runs the same C loop
+    the simulator path uses.  ``seed`` selects the seeded random
+    scheduler with *identical* semantics to ``build_simulation(seed=...)``
+    -- the differential test pins equal step counts, stats and leaders at
+    small n -- and ``None`` is global-FIFO, also matching.
+
+    Two paths build the objects after all, at the object path's price
+    (one ``DiscoveryNode`` per node: ~4 GB at n=10^6 before the first
+    message, where the columns cost ~100 MB).  Without a C loop
+    (:func:`repro.core.arrayloop.load` is ``None``; warned once per
+    process) the run is the reference ``Simulator(fast=False)`` run, the
+    same result at any n the memory allows.  And a step the C loop hands
+    back -- nothing injects probes here, so it is a protocol-impossible
+    message -- is executed by the reference on objects built for the
+    purpose, so the error raised is ``core/node.py``'s own.
     """
-    from repro.core.runner import default_step_budget, id_bits_for
+    from repro.core.runner import build_simulation, default_step_budget, id_bits_for
 
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -1884,6 +1255,16 @@ def run_graph(
         space = IdSpace(ids)
     except _Ineligible as exc:
         raise SimulationError(f"graph ids not array-eligible: {exc}")
+    limit = max_steps if max_steps is not None else default_step_budget(graph)
+    if _arrayloop.load() is None:
+        sim, _nodes = build_simulation(
+            graph, variant, seed=seed, greedy_queries=greedy_queries, fast=False
+        )
+        sim._array_space = space  # what _build_from_sim would intern again
+        executed = sim.run(limit)
+        core, _pool, _pending = _build_from_sim(sim, ())
+        return _scale_result(core, graph, variant, executed, sim.stats, verify)
+
     idx = space.index
     core = ArrayCore(space, id_bits_for(n), fill=True)
     local = core.local
@@ -1914,8 +1295,6 @@ def run_graph(
         pool = wake_tokens
         rng = _Random(seed)  # what RandomScheduler(seed) draws from
 
-    limit = max_steps if max_steps is not None else default_step_budget(graph)
-
     def quiescent():
         return not pool
 
@@ -1925,19 +1304,30 @@ def run_graph(
             f"{_arena_in_flight(core.chanq)} messages still in flight"
         )
 
-    executed = core.run_loop(pool, mode, rng, limit, None, quiescent, limit_msg)
+    executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
+    if core.handback is not None:
+        sim, _nodes = build_simulation(
+            graph, variant, greedy_queries=greedy_queries, auto_wake=False, fast=False
+        )
+        _materialize_to_sim(core, sim, pool, mode)
+        _run_handback(core, sim)
+        raise SimulationError("the C loop handed back a step the reference executes")
 
     stats = MessageStats()
     stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
+    return _scale_result(core, graph, variant, executed, stats, verify, components)
+
+
+def _scale_result(core, graph, variant, executed, stats, verify, components=None):
+    """The verified summary of a quiescent ``core`` (both run_graph paths)."""
+    n = core.n
     leaders = [core.ids[i] for i in range(n) if IS_LEADER[core.status[i]]]
     if verify:
         n_components = _verify_scale(core, graph, variant, components)
-        verified = True
     else:
         if components is None:
-            components = _graph_components(graph, idx, n)
+            components = _graph_components(graph, core.idx, n)
         n_components = len(components)
-        verified = False
     return ScaleResult(
         variant=variant,
         n=n,
@@ -1945,5 +1335,5 @@ def run_graph(
         stats=stats,
         n_components=n_components,
         leaders=leaders,
-        verified=verified,
+        verified=verify,
     )

@@ -930,7 +930,7 @@ class DiscoveryNode(SimNode):
         self, leader: NodeId, ids: FrozenSet[NodeId], step: int
     ) -> None:
         """Log the answer to one of this node's own probes, landed at
-        simulator step ``step`` (also the array core's way in)."""
+        simulator step ``step``."""
         self.probe_results.append((leader, ids))
         if self.probe_answer_steps is None:
             self.probe_answer_steps = []
@@ -1075,11 +1075,12 @@ DiscoveryNode._HANDLERS = {
 }
 
 #: Pristine behaviour attributes captured at class-definition time.  The
-#: array-backed core (:mod:`repro.core.arraystate`) inlines the whole state
-#: machine, so it must decline to engage whenever any behaviour-bearing
-#: class attribute has been replaced after the fact -- tests and ablation
-#: harnesses monkeypatch methods like ``_absorb_learned_id`` on the class
-#: to reproduce findings, and those patches must keep taking effect.
+#: array-backed core (:mod:`repro.core.arraystate`) runs the C statement
+#: of the state machine, so it must decline to engage whenever any
+#: behaviour-bearing class attribute has been replaced after the fact --
+#: tests and ablation harnesses monkeypatch methods like
+#: ``_absorb_learned_id`` on the class to reproduce findings, and those
+#: patches must keep taking effect.
 #: Instance-level shadowing is checked separately per node.
 PRISTINE_BEHAVIOR = tuple(
     (name, value)

@@ -286,7 +286,8 @@ class Simulator:
         #: which engine executed the most recent :meth:`run` -- ``"array"``
         #: (repro.core.arraystate) or ``"legacy"`` (:meth:`run_for`), ``None``
         #: before any run -- and, when the array core declined it, the
-        #: ``arraystate.DECLINE_REASONS`` name of the first check that failed.
+        #: ``arraystate.DECLINE_REASONS`` name of the first check that failed
+        #: (``"handed-back"`` when it ran and left the rest to ``run_for``).
         self._last_run_path: Optional[str] = None
         self._last_decline: Optional[str] = None
         self.faults = faults
@@ -479,7 +480,9 @@ class Simulator:
         (:func:`repro.core.arraystate.maybe_run_array`) holds every
         eligibility condition and leaves the reason on ``_last_decline``
         when it says no; a declined run is :meth:`run_for` plus the limit
-        check, with identical observable results.
+        check, with identical observable results.  So is the rest of a
+        run the array core handed back part-way (``"handed-back"``: the
+        reference executed the step the C loop would not).
         """
         if max_steps is not None and max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")
@@ -487,11 +490,12 @@ class Simulator:
         from repro.core.arraystate import maybe_run_array
 
         executed = maybe_run_array(self, max_steps)
-        if executed is not None:
+        if self._last_decline is None:
             return executed
+        executed = executed or 0  # ``None``: declined before any step
         if max_steps is None:
-            return self.run_for(maxsize)
-        executed = self.run_for(max(1, max_steps))
+            return executed + self.run_for(maxsize)
+        executed += self.run_for(max(1, max_steps) - executed)
         if executed >= max_steps:
             if not self.is_quiescent:
                 raise StepLimitExceeded(

@@ -153,7 +153,7 @@ class RandomScheduler(Scheduler):
 
 #: Pool-layout codes of the stock schedulers: which end (or random index)
 #: of the pool the next token comes from.  The one definition; the object
-#: loop, the array core and its C loop all dispatch on these.
+#: loop and the array core's C loop both dispatch on these.
 _FIFO, _LIFO, _RANDOM = 0, 1, 2
 
 #: Exact-type match on purpose: a subclass may override selection.

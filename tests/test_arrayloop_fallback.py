@@ -1,0 +1,141 @@
+"""Fallback audit of the C loop's loader (``repro.core.arrayloop``).
+
+Every way of not getting a C loop must end in a slower *correct* run that
+says why: the gate declines as ``no-c-loop``, ``run_graph`` runs the
+reference simulation, one ``RuntimeWarning`` per process names the cause,
+and the results equal the ``fast=False`` run.  And the one way of getting
+it that involves a race -- several processes meeting an empty cache at
+once -- must leave every one of them on the C loop.
+
+Each case is a fresh interpreter with its own ``REPRO_ARRAYLOOP_CACHE``:
+the loader memoizes per process and warns once per process.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: the compiler the loader tries first (then ``cc``)
+CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
+
+#: Prints one JSON line: what the gate said, the loader's cause, the
+#: warnings raised over three offers, and the run against ``fast=False``.
+SCRIPT = """
+import json, warnings
+from repro.analysis.experiments import build_family
+from repro.core import arrayloop
+from repro.core.arraystate import run_graph
+from repro.core.runner import build_simulation, default_step_budget
+
+graph = build_family("sparse-random", 64, 1)
+
+def run(fast):
+    sim, nodes = build_simulation(graph, "generic", seed=3, fast=fast)
+    sim.run(default_step_budget(graph))
+    stats = sim.stats
+    return [sim._last_run_path, sim._last_decline], [
+        sim.steps,
+        list(stats.messages_by_type.items()),
+        list(stats.bits_by_type.items()),
+        sorted(x for x, node in nodes.items() if node.is_leader),
+    ]
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    said, outcome = run(True)
+    scale = run_graph(graph, "generic", seed=3)
+    run(True)
+_, reference = run(False)
+print(json.dumps({
+    "said": said,
+    "cause": arrayloop._cause,
+    "warnings": [str(w.message) for w in caught if w.category is RuntimeWarning],
+    "fingerprint": outcome,
+    "equal": outcome == reference,
+    "scale_equal": [
+        scale.steps,
+        list(scale.stats.messages_by_type.items()),
+        list(scale.stats.bits_by_type.items()),
+        sorted(scale.leaders),
+    ] == reference,
+}))
+"""
+
+
+def _spawn(cache, path=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_ARRAYLOOP_CACHE=str(cache))
+    env.pop("REPRO_PURE_PYTHON", None)  # these are the *involuntary* legs
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.Popen(
+        [sys.executable, "-c", SCRIPT], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+def _report(proc):
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+def _no_compiler(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    return tmp_path / "cache", empty, f"no C compiler on PATH (tried {CC!r} and 'cc')"
+
+
+def _unusable_cache(tmp_path):
+    # ``chmod`` does not stop root (which CI boxes run as); a regular file
+    # where the directory should be stops everybody.
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    return blocker / "arrayloop", None, "cache directory unusable: "
+
+
+def _failing_compiler(tmp_path):
+    fake = tmp_path / "bin"
+    fake.mkdir()
+    for name in {"cc", CC}:
+        script = fake / name
+        script.write_text("#!/bin/sh\necho 'fake: cannot compile' >&2\necho more >&2\nexit 1\n")
+        script.chmod(0o755)
+    return tmp_path / "cache", fake, " failed: fake: cannot compile"
+
+
+@pytest.mark.parametrize(
+    "broken", [_no_compiler, _unusable_cache, _failing_compiler],
+    ids=["no-compiler", "unusable-cache", "failing-compiler"],
+)
+def test_every_missing_c_loop_is_a_slower_correct_run_that_says_why(broken, tmp_path):
+    cache, path, cause = broken(tmp_path)
+    if path is not None and os.path.isabs(CC):
+        pytest.skip(f"this Python's CC is {CC}: PATH cannot hide it")
+    report = _report(_spawn(cache, path))
+    assert report["said"] == ["legacy", "no-c-loop"]
+    assert cause in report["cause"]
+    assert report["equal"] and report["scale_equal"]
+    # Three offers (gate, run_graph, gate), one warning, carrying the cause.
+    (warning,) = report["warnings"]
+    assert report["cause"] in warning and "object loop" in warning
+
+
+def test_processes_racing_the_first_compile_all_get_the_c_loop(tmp_path):
+    if shutil.which(CC) is None and shutil.which("cc") is None:
+        pytest.skip("no C compiler on this box")
+    cache = tmp_path / "cache"  # does not exist yet: all four build
+    reports = [_report(proc) for proc in [_spawn(cache) for _ in range(4)]]
+    for report in reports:
+        assert report["said"] == ["array", None] and report["cause"] is None
+        assert report["warnings"] == []
+        assert report["equal"] and report["scale_equal"]
+        assert report["fingerprint"] == reports[0]["fingerprint"]
+    # Concurrent builders converge on one object and leave no temporaries.
+    assert [p.suffix for p in cache.iterdir()] == [".so"]

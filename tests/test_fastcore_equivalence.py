@@ -1,15 +1,16 @@
 """Differential equivalence of the engines.
 
-One execution model, three ways to run it: the object loop
-(``Simulator.run_for`` over node objects, the reference), the array core
-on its Python mirror, and the array core on the compiled C loop.  The
-promise is *bit-identical* executions -- same trace, same per-type
-message/bit accounting, same step count, same verification outcome --
-across every stock scheduler, plus the transparent-fallback contract: any
+One execution model, two ways to run it: the object loop
+(``Simulator.run_for`` over node objects, the reference) and the array
+core on the compiled C loop.  The promise is *bit-identical* executions
+-- same per-type message/bit accounting, same step count, same
+verification outcome, and the same trace wherever one is kept (a traced
+run is an object-loop run: the gate declines it as ``trace``) -- across
+every stock scheduler, plus the transparent-fallback contract: any
 configuration the array core cannot serve (fault plans, recorders,
-profilers, adversaries, monkeypatched seams) is declined by its gate with
-a named reason, takes the object loop, and still produces identical
-results under ``fast=True`` and ``fast=False``.
+profilers, adversaries, monkeypatched seams, a process without a C loop)
+is declined by its gate with a named reason, takes the object loop, and
+still produces identical results under ``fast=True`` and ``fast=False``.
 
 (The module keeps its historical file name; the suite's floor list pins
 the test ids in it.)
@@ -18,7 +19,7 @@ the test ids in it.)
 import pytest
 
 from repro.analysis.experiments import build_family
-from repro.core import arrayloop, arraystate
+from repro.core import arraystate
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
 from repro.faults import FaultInjector, FaultPlan
@@ -34,6 +35,7 @@ from repro.sim.scheduler import (
     stock_pool,
 )
 from repro.verification.invariants import verify_discovery
+from tests.conftest import array_engaged, gate_says
 
 SCHEDULERS = {
     "fifo": GlobalFifoScheduler,
@@ -41,10 +43,10 @@ SCHEDULERS = {
     "random": lambda: RandomScheduler(seed=7),
 }
 
-#: engine -> (``fast=``, run the array core on its Python mirror).  A kept
-#: trace pins the array core to the mirror, so "c" runs compare everything
-#: but the trace.
-ENGINES = {"obj": (False, True), "py": (True, True), "c": (True, False)}
+#: engine -> (``fast=``, ``keep_trace=``): the reference, the traced offer
+#: the gate declines as ``trace``, and the untraced one the C loop runs --
+#: equal to the other two on everything but the trace it does not keep.
+ENGINES = {"obj": (False, True), "traced": (True, True), "c": (True, False)}
 
 
 def _outcome(graph, sim, nodes, variant):
@@ -61,61 +63,57 @@ def _outcome(graph, sim, nodes, variant):
     }
 
 
-def _execute(
-    variant, scheduler_factory, engine, monkeypatch, *, n=48, seed=3, **kwargs
-):
+def _execute(variant, scheduler_factory, engine, *, n=48, seed=3, **kwargs):
     """One full run on ``engine``; ``kwargs`` go to ``build_simulation``."""
-    fast, mirror = ENGINES[engine]
+    fast, keep_trace = ENGINES[engine]
     graph = build_family("sparse-random", n, seed)
     sim, nodes = build_simulation(
         graph,
         variant,
         scheduler=scheduler_factory(),
-        keep_trace=mirror,
+        keep_trace=keep_trace,
         fast=fast,
         **kwargs,
     )
-    with monkeypatch.context() as patch:
-        if mirror:
-            patch.setattr(arrayloop, "_module", None)
-        sim.run(default_step_budget(graph))
+    sim.run(default_step_budget(graph))
     return _outcome(graph, sim, nodes, variant), sim._last_decline
 
 
-def _assert_engines_agree(variant, factory, monkeypatch, **kwargs):
-    reference, declined = _execute(variant, factory, "obj", monkeypatch, **kwargs)
-    assert declined == "fast-off"
-    mirror, declined = _execute(variant, factory, "py", monkeypatch, **kwargs)
-    assert declined is None and mirror == reference
-    compiled, declined = _execute(variant, factory, "c", monkeypatch, **kwargs)
-    assert declined is None and compiled == dict(reference, trace=None)
+def _assert_engines_agree(variant, factory, **kwargs):
+    reference, declined = _execute(variant, factory, "obj", **kwargs)
+    assert declined == "fast-off" and reference["trace"]
+    traced, declined = _execute(variant, factory, "traced", **kwargs)
+    assert declined == "trace" and traced == reference
+    compiled, declined = _execute(variant, factory, "c", **kwargs)
+    assert declined == array_engaged()[1]
+    assert compiled == dict(reference, trace=None)
 
 
 class TestDifferentialEquivalence:
-    """The three engines must be indistinguishable, bit for bit."""
+    """The engines must be indistinguishable, bit for bit."""
 
     @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
     @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
-    def test_identical_executions(self, variant, policy, monkeypatch):
-        _assert_engines_agree(variant, SCHEDULERS[policy], monkeypatch)
+    def test_identical_executions(self, variant, policy):
+        _assert_engines_agree(variant, SCHEDULERS[policy])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_schedules_across_seeds(self, seed, monkeypatch):
+    def test_random_schedules_across_seeds(self, seed):
         """The array core's random pop replays the scheduler's RNG draws."""
         factory = lambda: RandomScheduler(seed=seed)  # noqa: E731
-        _assert_engines_agree("generic", factory, monkeypatch, n=64, seed=seed)
+        _assert_engines_agree("generic", factory, n=64, seed=seed)
 
-    def test_reliable_transport_timers(self, monkeypatch):
+    def test_reliable_transport_timers(self):
         """ReliableNode wrappers schedule (and cancel) timers: the gate
         declines them by node type and ``fast=True`` changes nothing."""
-        legacy, _ = _execute(
-            "generic", GlobalFifoScheduler, "obj", monkeypatch, reliable=True
+        legacy, _ = _execute("generic", GlobalFifoScheduler, "obj", reliable=True)
+        traced, declined = _execute(
+            "generic", GlobalFifoScheduler, "traced", reliable=True
         )
-        fast, declined = _execute(
-            "generic", GlobalFifoScheduler, "py", monkeypatch, reliable=True
-        )
-        assert declined == "node-type"
-        assert fast == legacy
+        assert declined == "trace" and traced == legacy
+        fast, declined = _execute("generic", GlobalFifoScheduler, "c", reliable=True)
+        assert declined == gate_says("node-type")
+        assert fast == dict(legacy, trace=None)
 
     @pytest.mark.parametrize("order", ["fast_then_legacy", "legacy_then_fast"])
     def test_interrupted_run_resumes_on_either_path(self, order, monkeypatch):
@@ -124,14 +122,14 @@ class TestDifferentialEquivalence:
         folded; the execution can then *continue* on either engine and
         still match an uninterrupted object-loop run."""
         first_fast = order == "fast_then_legacy"
-        reference, _ = _execute("generic", GlobalFifoScheduler, "obj", monkeypatch)
+        reference, _ = _execute("generic", GlobalFifoScheduler, "obj")
+        reference["trace"] = None  # an array leg keeps none
         # The resumed pool is below the engagement threshold; always engage.
         monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
 
         graph = build_family("sparse-random", 48, 3)
         sim, nodes = build_simulation(
-            graph, "generic", scheduler=GlobalFifoScheduler(),
-            keep_trace=True, fast=first_fast,
+            graph, "generic", scheduler=GlobalFifoScheduler(), fast=first_fast
         )
         with pytest.raises(StepLimitExceeded):
             sim.run(max_steps=60)
@@ -146,7 +144,7 @@ class TestDifferentialEquivalence:
 
         sim.fast = not first_fast
         sim.run(default_step_budget(graph))
-        assert {first_path, sim._last_run_path} == {"array", "legacy"}
+        assert {first_path, sim._last_run_path} == {array_engaged()[0], "legacy"}
         assert _outcome(graph, sim, nodes, "generic") == reference
 
 
@@ -170,7 +168,7 @@ class TestTransparentFallback:
     def test_plain_sim_is_eligible(self):
         _graph, sim, _nodes = self._fresh_sim()
         sim.run()
-        assert (sim._last_run_path, sim._last_decline) == ("array", None)
+        assert (sim._last_run_path, sim._last_decline) == array_engaged()
 
     def test_fault_plan_disables_fast_path_and_matches_legacy(self):
         runs = {}

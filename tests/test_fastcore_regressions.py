@@ -35,6 +35,7 @@ from repro.sim.scheduler import (
     RandomScheduler,
 )
 from repro.sim.trace import bits_for_ids
+from tests.conftest import array_engaged, gate_says
 
 SCHEDULERS = {
     "fifo": GlobalFifoScheduler,
@@ -146,7 +147,8 @@ class TestStepLimitBoundary:
         for limit in [0, 1, 2, total - 1, total, total + 1]:
             array, legacy = _discovery(sched, fast=True), _discovery(sched, fast=False)
             assert _outcome(array, limit) == _outcome(legacy, limit), limit
-            assert (array._last_run_path, legacy._last_run_path) == ("array", "legacy")
+            assert (array._last_run_path, array._last_decline) == array_engaged()
+            assert legacy._last_decline == "fast-off"
             assert array.steps == max(1, min(limit, total))  # zero buys one step
 
     @pytest.mark.parametrize("fast", [True, False], ids=["array", "object"])
@@ -168,7 +170,7 @@ class TestStepLimitBoundary:
         probe.run()
         sim.run(probe.steps)  # exactly the boundary; raise would fail this
         assert sim.steps == probe.steps
-        assert (sim._last_decline, probe._last_decline) == ("node-type", "fast-off")
+        assert (sim._last_decline, probe._last_decline) == (gate_says("node-type"), "fast-off")
 
     def test_fast_loop_consults_is_quiescent(self, monkeypatch):
         # Quiescence is one simulator-defined predicate.  Refining it
@@ -182,7 +184,8 @@ class TestStepLimitBoundary:
         for sim in (array, legacy):
             with pytest.raises(StepLimitExceeded):
                 sim.run(total)
-        assert (array._last_run_path, legacy._last_run_path) == ("array", "legacy")
+        assert (array._last_run_path, array._last_decline) == array_engaged()
+        assert legacy._last_decline == "fast-off"
         assert array.steps == legacy.steps == total
 
 

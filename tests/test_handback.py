@@ -1,0 +1,293 @@
+"""The C loop's hand-backs, held to the reference run.
+
+The C loop executes every step it can reproduce bit for bit and stops at
+the ones it cannot -- a probe, a probe reply, a protocol-impossible
+message -- *before* mutating anything.  The array core then materializes
+and the reference (``core/node.py`` under ``Simulator._execute_deliver`` /
+``_pump``) executes exactly that step; the rest of the ``run()`` call
+stays on the object loop with ``sim._last_decline == "handed-back"``.
+Nothing else states those arms any more, so these tests hold the seam to
+the ``fast=False`` run: probe answers and their step stamps, final state,
+stats with key order, exception type and text, the state a raise leaves
+behind, and the run after it.
+"""
+
+import copy
+from collections import deque
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.experiments import GRAPH_FAMILIES, build_family
+from repro.core import arraystate
+from repro.core.adhoc import AdhocNetwork
+from repro.core.arraystate import ArrayCore, run_graph
+from repro.core.messages import ABORT, Info, MergeAccept, Query, Release, Search
+from repro.core.node import VARIANTS, ProtocolError
+from repro.core.runner import build_simulation, default_step_budget
+from repro.sim.network import StepLimitExceeded
+from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
+from tests.conftest import array_engaged
+from tests.test_arraystate import _snapshot
+
+SCHEDULERS = {
+    "fifo": lambda seed: GlobalFifoScheduler(),
+    "lifo": lambda seed: LifoScheduler(),
+    "random": lambda seed: RandomScheduler(seed=seed),
+}
+
+
+# ----------------------------------------------------------------------
+# Protocol-impossible messages, one per non-probe raise arm.  Each picks
+# its victim from the state at the cut -- equal on both engines, so both
+# plant the same message -- or returns ``None`` when no node qualifies.
+# ----------------------------------------------------------------------
+def _first(nodes, wanted):
+    return next((x for x, node in nodes.items() if wanted(node)), None)
+
+
+def _sender(nodes, dst):
+    return next(x for x in nodes if x != dst)
+
+
+def _plant_query(nodes):
+    dst = _first(nodes, lambda node: node.status != "inactive")
+    return dst, Query(1)
+
+
+def _plant_merge_accept(nodes):
+    dst = _first(nodes, lambda node: node.status != "conquered")
+    return dst, MergeAccept()
+
+
+def _plant_info(nodes):
+    dst = _first(nodes, lambda node: not node._awaiting_info)
+    empty = frozenset()
+    return dst, Info(1, empty, empty, empty, empty)
+
+
+def _plant_release(nodes):
+    dst = _first(nodes, lambda node: node.status == "inactive" and not node.previous)
+    if dst is None:
+        return None, None
+    return dst, Release(_sender(nodes, dst), ABORT, _sender(nodes, dst), 1)
+
+
+def _plant_search(nodes):
+    dst = _first(nodes, lambda node: node.status == "terminated")
+    if dst is None:
+        return None, None
+    return dst, Search(_sender(nodes, dst), 1 << 20, dst, False)
+
+
+PLANTS = {
+    "query": _plant_query,
+    "merge-accept": _plant_merge_accept,
+    "info": _plant_info,
+    "release": _plant_release,
+    "search": _plant_search,
+}
+
+
+def _plant(plant, nodes):
+    """``(src, dst, message)`` for ``plant`` in this state, or ``None``."""
+    dst, message = PLANTS[plant](nodes) if plant else (None, None)
+    return None if dst is None else (_sender(nodes, dst), dst, message)
+
+
+# ----------------------------------------------------------------------
+# One scenario, run on either engine
+# ----------------------------------------------------------------------
+def _view(sim, nodes):
+    # ``_snapshot`` aliases the live sets and deques; the run goes on.
+    return copy.deepcopy(_snapshot(sim, nodes))
+
+
+def _run(sim, max_steps=None):
+    try:
+        return sim.run(max_steps)
+    except (StepLimitExceeded, ProtocolError) as exc:
+        return type(exc), str(exc)
+
+
+def scenario(fast, family, n, graph_seed, variant, policy, sched_seed, cut, probes, plant):
+    """Run to ``cut``, inject probes and the planted message, run on, run
+    once more; returns everything the two engines are compared on, and
+    what the engine said about the run that met the injections."""
+    graph = build_family(family, n, graph_seed)
+    scheduler = SCHEDULERS[policy](sched_seed)
+    if variant == "adhoc":
+        net = AdhocNetwork(graph, scheduler=scheduler, fast=fast)
+        sim, nodes = net.sim, net.nodes
+    else:
+        sim, nodes = build_simulation(graph, variant, scheduler=scheduler, fast=fast)
+    budget = default_step_budget(graph)
+    observed = [_run(sim, cut), _view(sim, nodes)]
+
+    handles = []
+    if variant == "adhoc":
+        order = list(graph.nodes)
+        for pick in probes:
+            node_id = order[pick % len(order)]
+            if net.can_probe(node_id):
+                handles.append(net.probe_async(node_id))
+    planted = _plant(plant, nodes)
+    if planted is not None:
+        sim.transmit(*planted)
+    pending = len(sim.scheduler)
+
+    # A resumed pool is usually below the engagement threshold; offer
+    # every non-empty one to the array core.
+    with mock.patch.object(arraystate, "_MIN_POOL_FACTOR", 1 << 30):
+        outcome = _run(sim, budget)
+        ran = (sim._last_run_path, sim._last_decline)
+        observed += [outcome, _view(sim, nodes)]
+        # The run after a hand-back (or a raise) is offered afresh.
+        again_pending = len(sim.scheduler)
+        observed += [_run(sim, budget), _view(sim, nodes)]
+        again = (sim._last_run_path, sim._last_decline)
+    observed += [
+        [(h.done, h.immediate, h.answered_at, h.answer) for h in handles],
+        {x: node.probe_answer_steps for x, node in nodes.items()},
+    ]
+    raised = isinstance(outcome, tuple) and outcome[0] is ProtocolError
+    handed_back = raised or any(not h.immediate for h in handles)
+    return observed, (pending, ran, handed_back), (again_pending, again)
+
+
+def _engine_said(pending, ran, handed_back=None):
+    """Check what the array-side engine reported for one offered run.
+    ``handed_back=None`` is the follow-up run: through the gate afresh,
+    whatever it then meets (a raise from inside a pump may have left an
+    inbox only the object loop takes)."""
+    if not pending:
+        assert ran == ("legacy", "small-pool")
+    elif array_engaged()[0] == "legacy":
+        assert ran == array_engaged()
+    elif handed_back is None:
+        assert ran[0] == "array" or ran == ("legacy", "node-state")
+    else:
+        assert ran == ("array", "handed-back" if handed_back else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(GRAPH_FAMILIES)),
+    n=st.integers(8, 48),
+    graph_seed=st.integers(0, 20),
+    variant=st.sampled_from(VARIANTS),
+    policy=st.sampled_from(sorted(SCHEDULERS)),
+    sched_seed=st.integers(0, 20),
+    cut=st.integers(1, 600),
+    probes=st.lists(st.integers(0, 47), max_size=12),
+    plant=st.sampled_from([None, *sorted(PLANTS)]),
+)
+def test_handed_back_runs_equal_the_reference(**case):
+    observed, said, said_again = scenario(True, **case)
+    reference, ref_said, _ = scenario(False, **case)
+    assert observed == reference
+    assert ref_said[1] == ("legacy", "fast-off")
+    _engine_said(*said)
+    _engine_said(*said_again)
+
+
+#: One pinned case per arm, so the property above cannot go vacuous: the
+#: expected exception text fragment, ``None`` for the probe arms.
+PINNED = {
+    "probes": ("adhoc", None, None),
+    "query": ("generic", "query", "queries only ever reach"),
+    "merge-accept": ("generic", "merge-accept", "merge-accept in status"),
+    "info": ("adhoc", "info", "info in status"),
+    "release": ("generic", "release", "previous queue empty"),
+    "search": ("bounded", "search", "termination was unsound"),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(PINNED))
+@pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+def test_each_arm_is_really_handed_back(arm, policy):
+    variant, plant, text = PINNED[arm]
+    # Bounded leaders terminate only at the very end; the others are cut
+    # mid-discovery (some nodes inactive, the pool still full).
+    case = dict(
+        family="sparse-random", n=32, graph_seed=1, variant=variant,
+        policy=policy, sched_seed=3, cut=100_000 if arm == "search" else 150,
+        probes=list(range(32)) if arm == "probes" else [], plant=plant,
+    )
+    observed, said, said_again = scenario(True, **case)
+    reference, _, _ = scenario(False, **case)
+    assert observed == reference
+    outcome = observed[2]
+    if text is None:
+        answered = [stamp for _d, immediate, stamp, _a in observed[-2] if not immediate]
+        assert len(answered) >= 8 and None not in answered
+        assert isinstance(outcome, int)
+    else:
+        assert outcome[0] is ProtocolError and text in outcome[1]
+    assert said[2]  # a hand-back was due ...
+    _engine_said(*said)  # ... and reported (or the process has no C loop)
+    _engine_said(*said_again)
+
+
+# ----------------------------------------------------------------------
+# run_graph: a hand-back there is a raise path, executed on objects built
+# for the purpose
+# ----------------------------------------------------------------------
+def _plant_wire(core, pool, src, dst, message):
+    """What ``emit`` does for one send, minus the accounting."""
+    si, di = core.idx[src], core.idx[dst]
+    out = core.out[si]
+    if out is None:
+        out = core.out[si] = {}
+    cid = out.get(di)
+    if cid is None:
+        cid = out[di] = len(core.chanq)
+        core.chanq.append(None)
+        core.chan_src.append(si)
+        core.chan_dst.append(di)
+    wire = arraystate._to_wire(message, core.idx)
+    slot = core.chanq[cid]
+    if slot is None:
+        core.chanq[cid] = wire
+    elif type(slot) is tuple:
+        core.chanq[cid] = deque((slot, wire))
+    else:
+        slot.append(wire)
+    pool.append(cid)
+
+
+@pytest.mark.parametrize("arm", sorted(set(PINNED) - {"probes"}))
+@pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
+def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
+    if array_engaged()[0] == "legacy":
+        pytest.skip("no C loop in this process: run_graph is the reference run")
+    variant, plant, text = PINNED[arm]
+    graph = build_family("sparse-random", 32, 1)
+    cut = 100_000 if arm == "search" else 150
+
+    # The reference: the object run, cut, planted, resumed.
+    sim, nodes = build_simulation(graph, variant, seed=seed, fast=False)
+    _run(sim, cut)
+    planted = _plant(plant, nodes)
+    sim.transmit(*planted)
+    with pytest.raises(ProtocolError, match=text) as reference:
+        sim.run(default_step_budget(graph))
+
+    # run_graph: the same cut and plant, inside its one run_loop call.
+    run_loop = ArrayCore.run_loop
+
+    def planting(core, pool, mode, rng, limit, quiescent, limit_msg):
+        try:
+            executed = run_loop(core, pool, mode, rng, cut, quiescent, limit_msg)
+        except StepLimitExceeded:
+            executed = cut
+        core.steps = core.steps_out
+        _plant_wire(core, pool, *planted)
+        return executed + run_loop(core, pool, mode, rng, limit, quiescent, limit_msg)
+
+    monkeypatch.setattr(ArrayCore, "run_loop", planting)
+    with pytest.raises(ProtocolError) as raised:
+        run_graph(graph, variant, seed=seed)
+    assert str(raised.value) == str(reference.value)

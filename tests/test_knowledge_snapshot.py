@@ -15,6 +15,7 @@ from repro.core.node import DiscoveryNode
 from repro.faults.plan import FaultInjector, FaultPlan, RecoverySpec
 from repro.faults.recovery import RecoveryManager, _snapshot, attach_recovery
 from repro.sim.network import StepLimitExceeded
+from tests.conftest import array_engaged
 
 
 def assert_snapshots_fresh(net):
@@ -34,7 +35,7 @@ def test_fresh_after_every_step_of_a_churn_run(seed):
     # Array -> object materialize in the middle of the initial discovery.
     with pytest.raises(StepLimitExceeded):
         net.run(max_steps=150)
-    assert sim._last_run_path == "array"
+    assert (sim._last_run_path, sim._last_decline) == array_engaged()
     assert_snapshots_fresh(net)
 
     events = list(random_churn(graph, 90, seed=seed).events)
