@@ -5,7 +5,7 @@ Times the array core (:mod:`repro.core.arraystate`, what ``fast=True``
 (``fast=False``, ``Simulator.run_for``) on identical workloads,
 interleaved in the same process, and appends the results to
 ``BENCH_core.json`` at the repository root (whose ``fast_ms`` /
-``legacy_ms`` keys are those two engines).  Four parts:
+``legacy_ms`` keys are those two engines).  Five parts:
 
 * ``test_core_fast_vs_legacy`` (always runs; CI's perf-smoke job) -- the
   n=128 sparse-random comparison workload plus an n=4096 smoke point.
@@ -19,6 +19,16 @@ interleaved in the same process, and appends the results to
   measured within one process is.  The measured speedup must stay above
   ``REGRESSION_FLOOR`` times the committed baseline's speedup (a >25%
   relative regression of the array core fails the bench).
+
+* ``test_core_direct_entry`` (always runs; CI's perf-smoke job) -- one
+  whole n=128 discovery, graph in, ``DiscoveryResult`` out, by three
+  routes interleaved per seed: ``run_generic(g, seed=s)`` (the direct
+  entry: columns straight off the graph), the same call with
+  ``fast=False`` (objects, object loop), and ``build_simulation`` +
+  ``sim.run`` + ``collect_result`` (objects around the array core: what
+  ``run_generic`` was before the direct entry).  Results are
+  cross-checked equal; the two ratios over the direct entry are gated at
+  ``REGRESSION_FLOOR`` against the committed ``direct_entry`` block.
 
 * ``test_core_scaling_series`` (opt-in: ``BENCH_CORE_FULL=1``) -- the
   scaling series up to n = 200,000 for the Generic and Ad-hoc engines
@@ -56,6 +66,8 @@ import pytest
 
 from repro.analysis.experiments import build_family
 from repro.core.arraystate import ArrayCore, run_graph
+from repro.core.generic import run_generic
+from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_core.json"
@@ -67,6 +79,8 @@ COMPARE_REPEATS = 15
 N_SMOKE = 4096
 SMOKE_SEEDS = (0,)
 SMOKE_REPEATS = 3
+DIRECT_SEEDS = range(32)
+DIRECT_REPEATS = 3
 #: Measured speedup must stay above this fraction of the committed one.
 REGRESSION_FLOOR = 0.75
 SCALING_NS = {
@@ -205,6 +219,92 @@ def test_core_fast_vs_legacy(benchmark, record_table):
     }
     entries.append(entry)
     data["entries"] = entries
+    BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _through_simulator(graph, seed):
+    """``run_generic`` as it was before the direct entry."""
+    sim, nodes = build_simulation(graph, "generic", seed=seed)
+    sim.run(default_step_budget(graph))
+    return collect_result(graph, nodes, sim, "generic")
+
+
+#: route name -> one whole discovery, graph in, DiscoveryResult out.
+DIRECT_ROUTES = {
+    "direct": lambda graph, seed: run_generic(graph, seed=seed),
+    "simulator": _through_simulator,
+    "object": lambda graph, seed: run_generic(graph, seed=seed, fast=False),
+}
+
+
+def _direct_entry_medians():
+    """Median over seeds of each route's best-of-repeats per-discovery ms,
+    the routes interleaved seed by seed and their results held equal."""
+    graphs = [(seed, build_family(FAMILY, N_COMPARE, seed)) for seed in DIRECT_SEEDS]
+    best = {route: [float("inf")] * len(graphs) for route in DIRECT_ROUTES}
+    for _ in range(1 + DIRECT_REPEATS):  # the first pass warms up and counts
+        for i, (seed, graph) in enumerate(graphs):
+            results = []
+            for route, discover in DIRECT_ROUTES.items():
+                start = time.perf_counter()
+                results.append(discover(graph, seed))
+                wall = time.perf_counter() - start
+                best[route][i] = min(best[route][i], wall)
+            assert results[0] == results[1] == results[2], f"routes differ, seed {seed}"
+    return {
+        route: round(1e3 * sorted(walls)[len(walls) // 2], 3)
+        for route, walls in best.items()
+    }
+
+
+def test_core_direct_entry(benchmark, record_table):
+    medians = benchmark.pedantic(_direct_entry_medians, rounds=1, iterations=1)
+    measured = {
+        "date": datetime.date.today().isoformat(),
+        "family": FAMILY,
+        "n": N_COMPARE,
+        "seeds": len(DIRECT_SEEDS),
+        "cpus": os.cpu_count(),
+        "direct_ms": medians["direct"],
+        "simulator_ms": medians["simulator"],
+        "object_ms": medians["object"],
+        "simulator_over_direct": round(medians["simulator"] / medians["direct"], 3),
+        "object_over_direct": round(medians["object"] / medians["direct"], 3),
+    }
+
+    data = _load_bench()
+    committed = data.get("direct_entry", {})
+    for ratio in ("simulator_over_direct", "object_over_direct"):
+        if ratio in committed:
+            floor = REGRESSION_FLOOR * committed[ratio]
+            assert measured[ratio] >= floor, (
+                f"direct entry, {ratio}: {measured[ratio]:.2f}x fell below "
+                f"{floor:.2f}x (committed {committed[ratio]:.2f}x, floor "
+                f"{REGRESSION_FLOOR:.0%})"
+            )
+
+    record_table(
+        "BENCH-core-direct-entry",
+        ["n", "seeds", "direct-ms", "simulator-ms", "object-ms",
+         "simulator/direct", "object/direct"],
+        [[
+            measured["n"], measured["seeds"], measured["direct_ms"],
+            measured["simulator_ms"], measured["object_ms"],
+            f"{measured['simulator_over_direct']:.2f}x",
+            f"{measured['object_over_direct']:.2f}x",
+        ]],
+        notes=(
+            f"One whole Generic discovery on {FAMILY} (graph in, "
+            "DiscoveryResult out), seeded RandomScheduler: median over "
+            f"seeds of the best of {DIRECT_REPEATS} interleaved repeats. "
+            "direct = run_generic (columns off the graph), simulator = "
+            "build_simulation + sim.run + collect_result (objects around "
+            "the array core), object = run_generic(fast=False). Criterion: "
+            "equal results; both ratios within "
+            f"{REGRESSION_FLOOR:.0%} of the committed block."
+        ),
+    )
+    data["direct_entry"] = measured
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 

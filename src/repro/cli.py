@@ -65,7 +65,7 @@ from repro.core.adhoc import run_adhoc
 from repro.core.bounded import run_bounded
 from repro.core.generic import run_generic
 from repro.lowerbounds.tree_adversary import run_tree_lower_bound
-from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
+from repro.sim.scheduler import LifoScheduler
 from repro.sim.timed import TimedScheduler
 from repro.verification.invariants import verify_discovery
 from repro.verification.lemmas import check_all_lemmas
@@ -511,14 +511,18 @@ def _parse_seeds(spec: str) -> List[int]:
     return [int(part) for part in spec.split(",") if part.strip()]
 
 
-def _make_scheduler(name: str, seed: int):
+def _scheduler_options(name: str, seed: int) -> dict:
+    """The ``run_*`` / ``build_simulation`` keywords for ``--scheduler``.
+
+    The two stock policies go by ``seed`` -- exactly what
+    ``build_simulation`` constructs from it, and what lets a plain run
+    take the direct entry -- the others as an instance.
+    """
+    if name == "random":
+        return {"seed": seed}
     if name == "fifo":
-        return GlobalFifoScheduler()
-    if name == "lifo":
-        return LifoScheduler()
-    if name == "timed":
-        return TimedScheduler()
-    return RandomScheduler(seed)
+        return {}
+    return {"scheduler": LifoScheduler() if name == "lifo" else TimedScheduler()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -528,8 +532,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         graph = load_graph(args.graph_file)
     else:
         graph = build_family(args.family, args.n, seed=args.seed)
-    scheduler = _make_scheduler(args.scheduler, args.seed)
-    kwargs = {"scheduler": scheduler}
+    kwargs = _scheduler_options(args.scheduler, args.seed)
+    scheduler = kwargs.get("scheduler")
     if args.channels != "fifo":
         # Route through build_simulation directly for the channel ablation.
         from repro.core.result import collect_result
@@ -538,9 +542,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sim, nodes = build_simulation(
             graph,
             args.variant,
-            scheduler=scheduler,
             channel_discipline=args.channels,
             channel_seed=args.seed,
+            **kwargs,
         )
         sim.run()
         result = collect_result(graph, nodes, sim, args.variant)

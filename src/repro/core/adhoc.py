@@ -24,7 +24,7 @@ from repro.core.result import DiscoveryResult, collect_result
 from repro.core.runner import (
     build_simulation,
     default_step_budget,
-    id_bits_for,
+    run_discovery,
     transport_tuning,
 )
 from repro.graphs.knowledge_graph import KnowledgeGraph
@@ -242,13 +242,7 @@ def run_adhoc(
     fast: bool = True,
 ) -> DiscoveryResult:
     """One-shot Ad-hoc run to quiescence (no dynamic operations)."""
-    network = AdhocNetwork(
-        graph,
-        seed=seed,
-        scheduler=scheduler,
-        keep_trace=keep_trace,
-        wake_order=wake_order,
-        fast=fast,
+    return run_discovery(
+        graph, "adhoc", seed=seed, scheduler=scheduler, wake_order=wake_order,
+        keep_trace=keep_trace, max_steps=max_steps, fast=fast,
     )
-    network.run(max_steps)
-    return network.result()

@@ -39,8 +39,8 @@ converts back.
 
 Engagement, decline and hand-back
 ---------------------------------
-:func:`maybe_run_array` is the one array-or-object gate, offered every
-:meth:`Simulator.run`.  It requires: ``fast=True`` on an exact
+:func:`maybe_run_array` is the array-or-object gate of a live simulator,
+offered every :meth:`Simulator.run`.  It requires: ``fast=True`` on an exact
 :class:`Simulator` with nothing that needs per-message hooks (no fault
 interceptor, recorder, kept trace, send observer, non-FIFO channel
 discipline, non-stock scheduler or instance-wrapped method); a pending
@@ -76,12 +76,19 @@ the per-message path would have produced.  The differential suites
 (``tests/test_arraystate.py``, ``tests/test_handback.py`` and the
 engine-equivalence module beside them) pin all of this bit-for-bit.
 
-:func:`run_graph` is the million-node driver: it builds the columns
-straight from a :class:`KnowledgeGraph` -- no ``DiscoveryNode`` objects at
-all (10^6 of them cost ~4 GB before the first message) -- runs the same
-loop, and verifies the problem's properties in O(n + E).  It builds the
-objects only where that price is the accepted one: in a process without
-a C loop, and to let the reference raise on a handed-back step.
+Two callers never build the objects: both fill the columns straight from
+a :class:`KnowledgeGraph` (:func:`_run_columns`, the one from-graph
+build).  :func:`offer_graph` is the *direct entry* of the one-shot runners
+(``run_generic`` / ``run_bounded`` / ``run_adhoc``, one body in
+:func:`repro.core.runner.run_discovery`): a plain call -- ``fast``, no kept
+trace, no scheduler of the caller's, a non-empty graph, an unpatched node
+class, a C loop, orderable ids, checked in :data:`DECLINE_REASONS` order --
+reads its ``DiscoveryResult`` off the columns; a declined one gets the
+reason back and takes the gate above.  :func:`run_graph` is the
+million-node driver (10^6 ``DiscoveryNode`` objects cost ~4 GB before the
+first message, the columns ~100 MB): an O(n + E) verification and a
+summary instead of per-node dicts.  Both build objects after all to let
+the reference raise on a handed-back step.
 """
 
 from __future__ import annotations
@@ -175,7 +182,6 @@ IS_LEADER = bytes(
     1 if STATUS_NAMES[code] in LEADER_STATES else 0 for code in range(8)
 )
 
-_GENERIC, _BOUNDED, _ADHOC = 0, 1, 2
 _VARIANT_CODES = {name: code for code, name in enumerate(VARIANTS)}
 
 #: exact message class -> wire tag (exact type on purpose: a message
@@ -699,6 +705,14 @@ def _arena_in_flight(chanq) -> int:
     return pending
 
 
+def _limit_text(budget, chanq) -> str:
+    """The object loop's ``StepLimitExceeded`` text, counted over the arena
+    and not ``sim.in_flight()``: a channel created mid-run is registered on
+    the simulator only at materialization, its messages are in flight now."""
+    pending = _arena_in_flight(chanq)
+    return f"no quiescence within {budget} steps; {pending} messages still in flight"
+
+
 def _build_from_sim(sim, pool):
     """Validate and build the columnar image of a live simulator.
 
@@ -1058,14 +1072,7 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         return sim.is_quiescent
 
     def limit_msg():
-        # Counted over the channel arena, not sim.in_flight(): channels
-        # created mid-run are registered on the simulator only at
-        # materialization, but their pending messages are in flight now
-        # (this is the count the legacy path would report).
-        return (
-            f"no quiescence within {max_steps} steps; "
-            f"{_arena_in_flight(core.chanq)} messages still in flight"
-        )
+        return _limit_text(max_steps, core.chanq)
 
     try:
         executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
@@ -1213,6 +1220,98 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
     return len(components)
 
 
+def _run_columns(
+    graph, space, variant, seed, max_steps, greedy_queries, wake_order=None
+):
+    """The one from-graph build: fresh columns over ``space``, a wake per
+    node in graph order (or the ``wake_order`` given), the C loop to
+    quiescence, the stats fold.  Raises what the object route would, in
+    its order.  Returns ``(core, executed, stats, components)``, the last
+    ``None`` unless the variant needed them.
+    """
+    from repro.core.runner import build_simulation, default_step_budget, id_bits_for
+
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    idx = space.index
+    n = space.n
+    woken = space.ids if wake_order is None else wake_order
+    try:
+        wake_tokens = [-1 - idx[x] for x in woken]
+    except KeyError as exc:  # Simulator.schedule_wake's error, not the index's
+        raise KeyError(f"unknown node {exc.args[0]!r}") from None
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    limit = max_steps if max_steps is not None else default_step_budget(graph)
+
+    core = ArrayCore(space, id_bits_for(n), fill=True)
+    local = core.local
+    for i, node_id in enumerate(space.ids):
+        successors = {idx[x] for x in graph.successors(node_id)}
+        successors.discard(i)
+        local[i] = successors
+    if greedy_queries:
+        core.greedy = bytearray(b"\x01" * n)
+    core.variant = bytearray([_VARIANT_CODES[variant]]) * n
+    components = None
+    if variant == "bounded":
+        components = _graph_components(graph, idx, n)
+        for members in components:
+            for m in members:
+                core.csize[m] = len(members)
+
+    mode, pool, rng = _FIFO, deque(wake_tokens), None
+    if seed is not None:  # what RandomScheduler(seed) draws from
+        mode, pool, rng = _RANDOM, wake_tokens, _Random(seed)
+
+    def limit_msg():
+        return _limit_text(limit, core.chanq)
+
+    executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
+    if core.handback is not None:
+        # No probes here, so a protocol-impossible message: the reference
+        # raises its own error, on objects built for the purpose.
+        sim, _nodes = build_simulation(
+            graph, variant, greedy_queries=greedy_queries, auto_wake=False, fast=False
+        )
+        _materialize_to_sim(core, sim, pool, mode)
+        _run_handback(core, sim)
+        raise SimulationError("the C loop handed back a step the reference executes")
+
+    stats = MessageStats()
+    stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
+    return core, executed, stats, components
+
+
+def offer_graph(
+    graph, variant, seed, scheduler, wake_order, keep_trace, max_steps, greedy_queries,
+    fast,
+):
+    """The direct entry: offer a one-shot discovery to the columns.
+
+    Returns ``(None, run)`` with :func:`_run_columns`'s tuple when taken,
+    else ``(reason, None)`` -- the :data:`DECLINE_REASONS` name of the
+    first failed check, in that tuple's order, nothing touched.
+    """
+    reason = (
+        (not fast and "fast-off")
+        or (keep_trace and "trace")
+        or (scheduler is not None and "scheduler")
+        or (graph.n == 0 and "small-pool")
+        or (not behavior_is_pristine() and "patched-node-class")
+        or (_arrayloop.load() is None and "no-c-loop")
+    )
+    if reason:
+        return reason, None
+    try:
+        space = IdSpace(graph.nodes)
+    except _Ineligible as exc:
+        return exc.reason, None
+    return None, _run_columns(
+        graph, space, variant, seed, max_steps, greedy_queries, wake_order
+    )
+
+
 def run_graph(
     graph,
     variant: str = "generic",
@@ -1224,97 +1323,38 @@ def run_graph(
 ) -> ScaleResult:
     """Run discovery straight off a graph with no per-node objects.
 
-    The million-node driver: builds the columnar state directly,
-    schedules one wake per node in graph order, and runs the same C loop
-    the simulator path uses.  ``seed`` selects the seeded random
-    scheduler with *identical* semantics to ``build_simulation(seed=...)``
-    -- the differential test pins equal step counts, stats and leaders at
-    small n -- and ``None`` is global-FIFO, also matching.
+    The million-node driver: :func:`_run_columns` (the build the direct
+    entry shares), an O(n + E) verification and a :class:`ScaleResult`
+    summary.  ``seed`` selects the seeded random scheduler with
+    *identical* semantics to ``build_simulation(seed=...)`` -- the
+    differential test pins equal step counts, stats and leaders at small
+    n -- and ``None`` is global-FIFO, also matching.
 
-    Two paths build the objects after all, at the object path's price
-    (one ``DiscoveryNode`` per node: ~4 GB at n=10^6 before the first
-    message, where the columns cost ~100 MB).  Without a C loop
-    (:func:`repro.core.arrayloop.load` is ``None``; warned once per
-    process) the run is the reference ``Simulator(fast=False)`` run, the
-    same result at any n the memory allows.  And a step the C loop hands
-    back -- nothing injects probes here, so it is a protocol-impossible
-    message -- is executed by the reference on objects built for the
-    purpose, so the error raised is ``core/node.py``'s own.
+    Without a C loop (:func:`repro.core.arrayloop.load` is ``None``;
+    warned once per process) the run is the reference
+    ``Simulator(fast=False)`` run at the object path's price, the same
+    result at any n the memory allows.
     """
-    from repro.core.runner import build_simulation, default_step_budget, id_bits_for
+    from repro.core.runner import build_simulation, default_step_budget
 
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    ids = list(graph.nodes)
-    n = len(ids)
-    if n == 0:
+    if graph.n == 0:
         raise ValueError("run_graph needs a non-empty graph")
     try:
-        space = IdSpace(ids)
+        space = IdSpace(graph.nodes)
     except _Ineligible as exc:
         raise SimulationError(f"graph ids not array-eligible: {exc}")
-    limit = max_steps if max_steps is not None else default_step_budget(graph)
     if _arrayloop.load() is None:
         sim, _nodes = build_simulation(
             graph, variant, seed=seed, greedy_queries=greedy_queries, fast=False
         )
         sim._array_space = space  # what _build_from_sim would intern again
-        executed = sim.run(limit)
+        budget = max_steps if max_steps is not None else default_step_budget(graph)
+        executed = sim.run(budget)
         core, _pool, _pending = _build_from_sim(sim, ())
         return _scale_result(core, graph, variant, executed, sim.stats, verify)
-
-    idx = space.index
-    core = ArrayCore(space, id_bits_for(n), fill=True)
-    local = core.local
-    for i, node_id in enumerate(ids):
-        successors = {idx[x] for x in graph.successors(node_id)}
-        successors.discard(i)
-        local[i] = successors
-    if greedy_queries:
-        core.greedy = bytearray(b"\x01" * n)
-    components = None
-    if variant == "bounded":
-        components = _graph_components(graph, idx, n)
-        for members in components:
-            size = len(members)
-            for m in members:
-                core.csize[m] = size
-        core.variant = bytearray([_BOUNDED]) * n
-    elif variant == "adhoc":
-        core.variant = bytearray([_ADHOC]) * n
-
-    wake_tokens = [-1 - i for i in range(n)]
-    if seed is None:
-        mode = _FIFO
-        pool = deque(wake_tokens)
-        rng = None
-    else:
-        mode = _RANDOM
-        pool = wake_tokens
-        rng = _Random(seed)  # what RandomScheduler(seed) draws from
-
-    def quiescent():
-        return not pool
-
-    def limit_msg():
-        return (
-            f"no quiescence within {limit} steps; "
-            f"{_arena_in_flight(core.chanq)} messages still in flight"
-        )
-
-    executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
-    if core.handback is not None:
-        sim, _nodes = build_simulation(
-            graph, variant, greedy_queries=greedy_queries, auto_wake=False, fast=False
-        )
-        _materialize_to_sim(core, sim, pool, mode)
-        _run_handback(core, sim)
-        raise SimulationError("the C loop handed back a step the reference executes")
-
-    stats = MessageStats()
-    stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
+    core, executed, stats, components = _run_columns(
+        graph, space, variant, seed, max_steps, greedy_queries
+    )
     return _scale_result(core, graph, variant, executed, stats, verify, components)
 
 

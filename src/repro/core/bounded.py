@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
-from repro.core.result import DiscoveryResult, collect_result
-from repro.core.runner import build_simulation, default_step_budget
+from repro.core.result import DiscoveryResult
+from repro.core.runner import run_discovery
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.scheduler import Scheduler
 
@@ -40,14 +40,7 @@ def run_bounded(
     component's leader is in the ``terminated`` state (explicit termination
     detection, Theorem 4).
     """
-    sim, nodes = build_simulation(
-        graph,
-        "bounded",
-        seed=seed,
-        scheduler=scheduler,
-        keep_trace=keep_trace,
-        wake_order=wake_order,
-        fast=fast,
+    return run_discovery(
+        graph, "bounded", seed=seed, scheduler=scheduler, wake_order=wake_order,
+        keep_trace=keep_trace, max_steps=max_steps, fast=fast,
     )
-    sim.run(max_steps if max_steps is not None else default_step_budget(graph))
-    return collect_result(graph, nodes, sim, "bounded")

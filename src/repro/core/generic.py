@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
-from repro.core.result import DiscoveryResult, collect_result
-from repro.core.runner import build_simulation, default_step_budget
+from repro.core.result import DiscoveryResult
+from repro.core.runner import run_discovery
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.scheduler import Scheduler
 
@@ -55,18 +55,12 @@ def run_generic(
         Ablation: disable Section 4.1's query balancing (see
         :class:`~repro.core.node.DiscoveryNode`).
     fast:
-        Allow the array core (:mod:`repro.core.arraystate`); results
+        Allow the array core (:mod:`repro.core.arraystate`), which runs a
+        plain call straight off the graph with no node objects; results
         are bit-identical, ``fast=False`` forces the object loop.
     """
-    sim, nodes = build_simulation(
-        graph,
-        "generic",
-        seed=seed,
-        scheduler=scheduler,
-        keep_trace=keep_trace,
-        wake_order=wake_order,
-        greedy_queries=greedy_queries,
+    return run_discovery(
+        graph, "generic", seed=seed, scheduler=scheduler, wake_order=wake_order,
+        keep_trace=keep_trace, max_steps=max_steps, greedy_queries=greedy_queries,
         fast=fast,
     )
-    sim.run(max_steps if max_steps is not None else default_step_budget(graph))
-    return collect_result(graph, nodes, sim, "generic")

@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set
 
-from repro.core.node import DiscoveryNode
+from repro.core.arraystate import IS_LEADER
+from repro.core.node import STATUS_NAMES, DiscoveryNode
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.network import Simulator
 from repro.sim.trace import MessageStats
 
 NodeId = Hashable
 
-__all__ = ["DiscoveryResult", "collect_result", "resolve_leader"]
+__all__ = ["DiscoveryResult", "collect_columns", "collect_result", "resolve_leader"]
 
 
 @dataclass
@@ -142,4 +143,35 @@ def collect_result(
         path_lengths=path_lengths,
         stats=sim.stats.snapshot(),
         steps=sim.steps,
+    )
+
+
+def collect_columns(graph, core, variant: str, stats, steps: int) -> DiscoveryResult:
+    """:func:`collect_result` read off a quiescent array core's columns:
+    the same fields in the same orders, the same error on a leaderless chain.
+    """
+    ids, status, nxt = core.ids, core.status, core.nxt
+    leaders = [i for i in core.by_rrank if IS_LEADER[status[i]]]
+    leader_of, path_lengths = {}, {}
+    for i, node_id in enumerate(ids):
+        current, seen = i, set()
+        while not IS_LEADER[status[current]]:
+            if current in seen:
+                raise RuntimeError(f"next-pointer cycle through {ids[current]!r}")
+            seen.add(current)
+            current = nxt[current]
+        leader_of[node_id] = ids[current]
+        path_lengths[node_id] = len(seen)
+    census = [{i}.union(core.more[i], core.done[i], core.unaware[i]) for i in leaders]
+    return DiscoveryResult(
+        variant=variant,
+        n=graph.n,
+        n_edges=graph.n_edges,
+        leaders=[ids[i] for i in leaders],
+        leader_of=leader_of,
+        knowledge={ids[i]: frozenset(ids[x] for x in c) for i, c in zip(leaders, census)},
+        statuses={x: STATUS_NAMES[code] for x, code in zip(ids, status)},
+        path_lengths=path_lengths,
+        stats=stats,
+        steps=steps,
     )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Sequence
 
+from repro.core.arraystate import offer_graph, run_graph
 from repro.core.node import DiscoveryNode
+from repro.core.result import DiscoveryResult, collect_columns, collect_result
 from repro.graphs.components import weakly_connected_components
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.obs.events import Recorder
@@ -18,6 +20,7 @@ __all__ = [
     "default_step_budget",
     "id_bits_for",
     "run_at_scale",
+    "run_discovery",
     "transport_tuning",
 ]
 
@@ -169,28 +172,41 @@ def run_at_scale(
     greedy_queries: bool = False,
     verify: bool = True,
 ):
-    """Run discovery on ``graph`` without building node objects at all.
-
-    The million-node entry point: :func:`build_simulation` allocates a
-    :class:`DiscoveryNode` (plus heaps, sets and dicts) per node, which at
-    n = 10^6 costs gigabytes before the first message.  This delegates to
-    the array-backed core (:func:`repro.core.arraystate.run_graph`), which
-    holds the whole system in columnar arrays and returns a
-    :class:`~repro.core.arraystate.ScaleResult` summary (steps, per-type
-    stats, leaders, verification verdict).
-
-    ``seed=None`` runs the global-FIFO schedule; an int seed replays the
-    exact seeded :class:`~repro.sim.scheduler.RandomScheduler` execution
-    ``build_simulation(seed=...)`` would produce -- the differential suite
-    pins equal step counts, stats and leaders at small ``n``.
+    """The million-node entry point, :func:`repro.core.arraystate.run_graph`
+    under its public name: no node objects (at n = 10^6 gigabytes before
+    the first message) and no per-node result dicts either -- the columns
+    are verified in place and summarized as a
+    :class:`~repro.core.arraystate.ScaleResult`.  :func:`run_discovery`
+    runs the same columns (same ``seed`` meaning, same execution) and
+    returns the full ``DiscoveryResult``.
     """
-    from repro.core.arraystate import run_graph
-
     return run_graph(
-        graph,
-        variant,
-        seed=seed,
-        max_steps=max_steps,
-        greedy_queries=greedy_queries,
-        verify=verify,
+        graph, variant, seed=seed, max_steps=max_steps,
+        greedy_queries=greedy_queries, verify=verify,
     )
+
+
+def run_discovery(
+    graph: KnowledgeGraph, variant: str, *, seed=None, scheduler=None, wake_order=None,
+    keep_trace=False, max_steps=None, greedy_queries=False, fast=True,
+) -> DiscoveryResult:
+    """One discovery to quiescence and its snapshot: the body of
+    ``run_generic`` / ``run_bounded`` / ``run_adhoc`` (parameters there).
+
+    Offered to the columns first (:func:`~repro.core.arraystate.offer_graph`:
+    no node objects, no simulator); a declined run is ``build_simulation``
+    + ``Simulator.run`` + ``collect_result``.  Bit-identical either way.
+    """
+    _declined, run = offer_graph(
+        graph, variant, seed, scheduler, wake_order, keep_trace, max_steps,
+        greedy_queries, fast,
+    )
+    if run is not None:
+        core, executed, stats, _components = run
+        return collect_columns(graph, core, variant, stats, executed)
+    sim, nodes = build_simulation(
+        graph, variant, seed=seed, scheduler=scheduler, keep_trace=keep_trace,
+        wake_order=wake_order, greedy_queries=greedy_queries, fast=fast,
+    )
+    sim.run(max_steps if max_steps is not None else default_step_budget(graph))
+    return collect_result(graph, nodes, sim, variant)

@@ -258,16 +258,15 @@ def _plant_wire(core, pool, src, dst, message):
     pool.append(cid)
 
 
-@pytest.mark.parametrize("arm", sorted(set(PINNED) - {"probes"}))
-@pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
-def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
-    if array_engaged()[0] == "legacy":
-        pytest.skip("no C loop in this process: run_graph is the reference run")
+def planted_raise(arm, seed, monkeypatch):
+    """One pinned raise arm against a from-graph run: returns ``(graph,
+    variant, reference)`` -- ``reference`` the ``ProtocolError`` the object
+    run raises when cut, planted and resumed -- with ``ArrayCore.run_loop``
+    patched to make the same cut and plant inside its one call."""
     variant, plant, text = PINNED[arm]
     graph = build_family("sparse-random", 32, 1)
     cut = 100_000 if arm == "search" else 150
 
-    # The reference: the object run, cut, planted, resumed.
     sim, nodes = build_simulation(graph, variant, seed=seed, fast=False)
     _run(sim, cut)
     planted = _plant(plant, nodes)
@@ -275,7 +274,6 @@ def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
     with pytest.raises(ProtocolError, match=text) as reference:
         sim.run(default_step_budget(graph))
 
-    # run_graph: the same cut and plant, inside its one run_loop call.
     run_loop = ArrayCore.run_loop
 
     def planting(core, pool, mode, rng, limit, quiescent, limit_msg):
@@ -288,6 +286,15 @@ def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
         return executed + run_loop(core, pool, mode, rng, limit, quiescent, limit_msg)
 
     monkeypatch.setattr(ArrayCore, "run_loop", planting)
+    return graph, variant, reference.value
+
+
+@pytest.mark.parametrize("arm", sorted(set(PINNED) - {"probes"}))
+@pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
+def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
+    if array_engaged()[0] == "legacy":
+        pytest.skip("no C loop in this process: run_graph is the reference run")
+    graph, variant, reference = planted_raise(arm, seed, monkeypatch)
     with pytest.raises(ProtocolError) as raised:
         run_graph(graph, variant, seed=seed)
-    assert str(raised.value) == str(reference.value)
+    assert str(raised.value) == str(reference)
