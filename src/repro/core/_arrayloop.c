@@ -4,6 +4,15 @@
  * the build is best-effort and a process without it runs everything on the
  * object loop, so this file must never be required for correctness.
  *
+ * This file numbers nothing.  Every encoding it names arrives as a -D flag
+ * that arrayloop.defines() derives from the Python tables: per row of
+ * messages.WIRE_TABLE the wire tag T_<MSG>, the wire-tuple arity N_<MSG>
+ * and each field's offset F_<MSG>_<FIELD> (N_TAGS rows); ST_<STATUS> from
+ * node.STATUS_NAMES; V_<VARIANT> from node.VARIANTS; MODE_* from
+ * sim.scheduler; RC_* from arrayloop.  A name the tables do not define does
+ * not compile, and CI greps this file for a numeric #define of one and for
+ * a message tuple addressed by a literal index.
+ *
  * Contract (see arraystate.ArrayCore.run_loop): run() executes steps of the
  * exact same state machine as core/node.py, the reference, over the columnar
  * state, and hands any step it cannot reproduce bit-for-bit back to its
@@ -11,18 +20,18 @@
  *
  *   run(core, pool, pool_append, mode, getrandbits, stop, cell) -> (code, aux)
  *
- *   code 0: pool drained.
- *   code 1: step limit boundary: a counted step just finished with
+ *   RC_DRAINED: pool drained.
+ *   RC_LIMIT: step limit boundary: a counted step just finished with
  *           steps >= stop; the driver evaluates `quiescent()` and raises
- *           StepLimitExceeded, or calls again (a drained pool answers 0).
- *   code 2: hand-back of a step; aux is the already-popped pool token
+ *           StepLimitExceeded, or calls again (a drained pool drains).
+ *   RC_DEOPT: hand-back of a step; aux is the already-popped pool token
  *           (>= 0, a deliver).  The channel head was only *peeked* and the
  *           step was not counted; the only possible prior mutation is the
  *           wake-explore of the destination, which the reference's own
  *           `if not node.awake` guard makes idempotent.  The array core
  *           materializes and Simulator._execute_deliver runs the full step
  *           (and its error paths) on the node objects.
- *   code 3: hand-back inside a pump; aux is the node whose inbox pump hit a
+ *   RC_PUMP: hand-back inside a pump; aux is the node whose inbox pump hit a
  *           message the C side cannot handle.  The step was counted and the
  *           message is still at the inbox head; after materialization
  *           DiscoveryNode._pump continues from the current inbox/deferred
@@ -35,9 +44,9 @@
  * Parity rules encoded here:
  *  - Only prechecked steps are executed; every ProtocolError path of
  *    core/node.py is unreachable because can_handle() hands it back first
- *    (code 2/3), and so are the probe arms.  The one exception is the
- *    self-send guard in emit(), which raises SimNode.send's SimulationError
- *    with the same message.
+ *    (RC_DEOPT / RC_PUMP), and so are the probe arms.  The one exception is
+ *    the self-send guard in emit(), which raises SimNode.send's
+ *    SimulationError with the same message.
  *  - Pool, channel, counts and `order` mutations happen in the exact order
  *    the reference handlers produce them.
  *  - A channel slot (core.chanq[cid]) is None, the pending wire tuple, or a
@@ -49,49 +58,15 @@
  *    live sets at materialization, so layout is unobservable.
  *  - Random mode inlines the same getrandbits rejection loop
  *    Simulator.run_for inlines; a popped token is never "un-popped" (the
- *    draw is spent), it is handed over via code 2.
+ *    draw is spent), it is handed over via RC_DEOPT.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-/* Wire tags (repro.core.messages; order asserted by the loader). */
-#define T_QUERY 0
-#define T_QUERY_REPLY 1
-#define T_SEARCH 2
-#define T_RELEASE 3
-#define T_MERGE_ACCEPT 4
-#define T_MERGE_FAIL 5
-#define T_INFO 6
-#define T_CONQUER 7
-#define T_MORE_DONE 8
-#define T_PROBE 9
-#define T_PROBE_REPLY 10
-#define N_TAGS 11
-
-/* Status codes (repro.core.node STATUS_NAMES order; loader-asserted). */
-#define ST_ASLEEP 0
-#define ST_EXPLORE 1
-#define ST_WAIT 2
-#define ST_CONQUERED 3
-#define ST_CONQUEROR 4
-#define ST_PASSIVE 5
-#define ST_INACTIVE 6
-#define ST_TERMINATED 7
-
-#define V_GENERIC 0
-#define V_BOUNDED 1
-#define V_ADHOC 2
-
-#define MODE_FIFO 0
-#define MODE_LIFO 1
-#define MODE_RANDOM 2
-
-/* run() result codes. */
-#define RC_DRAINED 0
-#define RC_LIMIT 1
-#define RC_DEOPT 2
-#define RC_PUMP 3
+#if ST_ASLEEP != 0
+#error "bytearray(n) must be the all-asleep status column (core/node.py)"
+#endif
 
 /* ------------------------------------------------------------------ */
 /* configure()-provided globals                                        */
@@ -99,10 +74,8 @@
 static PyObject *g_deque_type;    /* collections.deque */
 static PyObject *g_sim_error;     /* repro.sim.network.SimulationError */
 static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
-static PyObject *g_wire_ma;       /* WIRE_MERGE_ACCEPT singleton */
-static PyObject *g_wire_mf;       /* WIRE_MERGE_FAIL singleton */
-static PyObject *g_wire_md_t;     /* WIRE_MORE_DONE_TRUE singleton */
-static PyObject *g_wire_md_f;     /* WIRE_MORE_DONE_FALSE singleton */
+/* flyweights for the payload-free messages (built at module init) */
+static PyObject *g_wire_ma, *g_wire_mf, *g_wire_md_t, *g_wire_md_f;
 static PyObject *g_greedy_k;      /* 1 << 62 as a PyLong */
 static PyObject *g_tag_objs[N_TAGS];
 static PyObject *g_k_objs[65];    /* small ints for getrandbits(k) */
@@ -181,6 +154,63 @@ set_item_obj(PyObject *list, Py_ssize_t i, PyObject *v)
 {
     Py_INCREF(v);
     return PyList_SetItem(list, i, v);
+}
+
+/* ------------------------------------------------------------------ */
+/* Wire tuples: (tag, field, ...), one layout per messages.WIRE_TABLE   */
+/* row; a field is addressed by its F_<MSG>_<FIELD> offset only.        */
+/* ------------------------------------------------------------------ */
+#define WIRE_TAG(m) PyLong_AsLong(PyTuple_GET_ITEM((m), 0))
+/* The two pair shapes: (message, sender) in a `previous` queue, (sender,
+ * message) in an inbox or a deferred list. */
+#define PAIR_FIRST(p) PyTuple_GET_ITEM((p), 0)
+#define PAIR_SECOND(p) PyTuple_GET_ITEM((p), 1)
+
+/* New wire tuple of `arity` slots with its tag in place; the caller fills
+ * every field before anything else sees the tuple. */
+static PyObject *
+wire_new(int tag, Py_ssize_t arity)
+{
+    PyObject *m = PyTuple_New(arity);
+    if (m != NULL) {
+        Py_INCREF(g_tag_objs[tag]);
+        PyTuple_SET_ITEM(m, 0, g_tag_objs[tag]);
+    }
+    return m;
+}
+
+/* Fill field `f` of a fresh wire tuple with `o` (borrowed). */
+static inline void
+wire_set(PyObject *m, Py_ssize_t f, PyObject *o)
+{
+    Py_INCREF(o);
+    PyTuple_SET_ITEM(m, f, o);
+}
+
+/* (T_CONQUER, i, phase[i]): new ref. */
+static PyObject *
+make_conquer(S *s, long i)
+{
+    PyObject *cq = wire_new(T_CONQUER, N_CONQUER);
+    if (cq != NULL) {
+        wire_set(cq, F_CONQUER_LEADER, IOBJ(s, i));
+        wire_set(cq, F_CONQUER_PHASE, PyList_GET_ITEM(s->phase, i));
+    }
+    return cq;
+}
+
+/* (T_SEARCH, initiator, phase, target, is_new), all borrowed: new ref. */
+static PyObject *
+make_search(PyObject *initiator, PyObject *phase, PyObject *target, int is_new)
+{
+    PyObject *m = wire_new(T_SEARCH, N_SEARCH);
+    if (m != NULL) {
+        wire_set(m, F_SEARCH_INITIATOR, initiator);
+        wire_set(m, F_SEARCH_PHASE, phase);
+        wire_set(m, F_SEARCH_TARGET, target);
+        wire_set(m, F_SEARCH_NEW, is_new ? Py_True : Py_False);
+    }
+    return m;
 }
 
 /* ------------------------------------------------------------------ */
@@ -579,17 +609,9 @@ static int
 terminate_bounded(S *s, long i)
 {
     s->status[i] = ST_TERMINATED;
-    PyObject *cq = PyTuple_New(3);
+    PyObject *cq = make_conquer(s, i);
     if (cq == NULL)
         return -1;
-    Py_INCREF(g_tag_objs[T_CONQUER]);
-    PyTuple_SET_ITEM(cq, 0, g_tag_objs[T_CONQUER]);
-    PyObject *io = IOBJ(s, i);
-    Py_INCREF(io);
-    PyTuple_SET_ITEM(cq, 1, io);
-    PyObject *ph = PyList_GET_ITEM(s->phase, i);
-    Py_INCREF(ph);
-    PyTuple_SET_ITEM(cq, 2, ph);
     Py_ssize_t cnt = collect_rank_sorted(s, PyList_GET_ITEM(s->done, i));
     if (cnt < 0) {
         Py_DECREF(cq);
@@ -623,22 +645,10 @@ explore(S *s, long i)
         if (target >= 0) {
             s->status[i] = ST_WAIT;
             s->aw_rel[i] = 1;
-            PyObject *msg = PyTuple_New(5);
+            PyObject *msg = make_search(
+                IOBJ(s, i), PyList_GET_ITEM(s->phase, i), IOBJ(s, target), 0);
             if (msg == NULL)
                 return -1;
-            Py_INCREF(g_tag_objs[T_SEARCH]);
-            PyTuple_SET_ITEM(msg, 0, g_tag_objs[T_SEARCH]);
-            PyObject *io = IOBJ(s, i);
-            Py_INCREF(io);
-            PyTuple_SET_ITEM(msg, 1, io);
-            PyObject *ph = PyList_GET_ITEM(s->phase, i);
-            Py_INCREF(ph);
-            PyTuple_SET_ITEM(msg, 2, ph);
-            PyObject *to = IOBJ(s, target);
-            Py_INCREF(to);
-            PyTuple_SET_ITEM(msg, 3, to);
-            Py_INCREF(Py_False);
-            PyTuple_SET_ITEM(msg, 4, Py_False);
             int r = emit(s, i, target, T_SEARCH, msg);
             Py_DECREF(msg);
             return r;
@@ -680,14 +690,12 @@ explore(S *s, long i)
             if (ko == NULL)
                 return -1;
         }
-        PyObject *msg = PyTuple_New(2);
+        PyObject *msg = wire_new(T_QUERY, N_QUERY);
         if (msg == NULL) {
             Py_DECREF(ko);
             return -1;
         }
-        Py_INCREF(g_tag_objs[T_QUERY]);
-        PyTuple_SET_ITEM(msg, 0, g_tag_objs[T_QUERY]);
-        PyTuple_SET_ITEM(msg, 1, ko); /* steals */
+        PyTuple_SET_ITEM(msg, F_QUERY_K, ko); /* steals */
         int r = emit(s, i, cand, T_QUERY, msg);
         Py_DECREF(msg);
         return r;
@@ -714,20 +722,9 @@ absorb_learned_id(S *s, long i, long other)
         if (PySet_Add(loc, oo) < 0)
             return -1;
         if (had_reported_all) {
-            PyObject *msg = PyTuple_New(5);
+            PyObject *msg = make_search(IOBJ(s, i), g_zero, IOBJ(s, i), 1);
             if (msg == NULL)
                 return -1;
-            Py_INCREF(g_tag_objs[T_SEARCH]);
-            PyTuple_SET_ITEM(msg, 0, g_tag_objs[T_SEARCH]);
-            PyObject *io = IOBJ(s, i);
-            Py_INCREF(io);
-            PyTuple_SET_ITEM(msg, 1, io);
-            Py_INCREF(g_zero);
-            PyTuple_SET_ITEM(msg, 2, g_zero);
-            Py_INCREF(io);
-            PyTuple_SET_ITEM(msg, 3, io);
-            Py_INCREF(Py_True);
-            PyTuple_SET_ITEM(msg, 4, Py_True);
             int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, msg);
             Py_DECREF(msg);
             return r;
@@ -757,8 +754,8 @@ absorb_learned_id(S *s, long i, long other)
 static PyObject *
 absorb_target(S *s, long i, PyObject *msg)
 {
-    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == i) {
-        PyObject *init = PyTuple_GET_ITEM(msg, 1);
+    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_TARGET)) == i) {
+        PyObject *init = PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR);
         PyObject *loc = PyList_GET_ITEM(s->local, i);
         int c = PySet_Contains(loc, init);
         if (c < 0)
@@ -766,48 +763,25 @@ absorb_target(S *s, long i, PyObject *msg)
         if (!c) {
             if (PySet_Add(loc, init) < 0)
                 return NULL;
-            PyObject *m = PyTuple_New(5);
-            if (m == NULL)
-                return NULL;
-            Py_INCREF(g_tag_objs[T_SEARCH]);
-            PyTuple_SET_ITEM(m, 0, g_tag_objs[T_SEARCH]);
-            Py_INCREF(init);
-            PyTuple_SET_ITEM(m, 1, init);
-            PyObject *t2 = PyTuple_GET_ITEM(msg, 2);
-            Py_INCREF(t2);
-            PyTuple_SET_ITEM(m, 2, t2);
-            PyObject *t3 = PyTuple_GET_ITEM(msg, 3);
-            Py_INCREF(t3);
-            PyTuple_SET_ITEM(m, 3, t3);
-            Py_INCREF(Py_True);
-            PyTuple_SET_ITEM(m, 4, Py_True);
-            return m;
+            return make_search(init, PyTuple_GET_ITEM(msg, F_SEARCH_PHASE),
+                               PyTuple_GET_ITEM(msg, F_SEARCH_TARGET), 1);
         }
     }
     Py_INCREF(msg);
     return msg;
 }
 
-/* Build (T_RELEASE, i, merge_flag, initiator_obj, phase_obj): new ref. */
+/* (T_RELEASE, i, is_merge, initiator, phase[i]): new ref. */
 static PyObject *
 make_release(S *s, long i, int is_merge, PyObject *initiator)
 {
-    PyObject *rel = PyTuple_New(5);
-    if (rel == NULL)
-        return NULL;
-    Py_INCREF(g_tag_objs[T_RELEASE]);
-    PyTuple_SET_ITEM(rel, 0, g_tag_objs[T_RELEASE]);
-    PyObject *io = IOBJ(s, i);
-    Py_INCREF(io);
-    PyTuple_SET_ITEM(rel, 1, io);
-    PyObject *fo = is_merge ? Py_True : Py_False;
-    Py_INCREF(fo);
-    PyTuple_SET_ITEM(rel, 2, fo);
-    Py_INCREF(initiator);
-    PyTuple_SET_ITEM(rel, 3, initiator);
-    PyObject *ph = PyList_GET_ITEM(s->phase, i);
-    Py_INCREF(ph);
-    PyTuple_SET_ITEM(rel, 4, ph);
+    PyObject *rel = wire_new(T_RELEASE, N_RELEASE);
+    if (rel != NULL) {
+        wire_set(rel, F_RELEASE_LEADER, IOBJ(s, i));
+        wire_set(rel, F_RELEASE_ANSWER, is_merge ? Py_True : Py_False);
+        wire_set(rel, F_RELEASE_INITIATOR, initiator);
+        wire_set(rel, F_RELEASE_PHASE, PyList_GET_ITEM(s->phase, i));
+    }
     return rel;
 }
 
@@ -817,13 +791,13 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
     PyObject *m = absorb_target(s, i, msg);
     if (m == NULL)
         return -1;
-    long initiator = PyLong_AsLong(PyTuple_GET_ITEM(m, 1));
-    long mphase = PyLong_AsLong(PyTuple_GET_ITEM(m, 2));
-    int is_new = PyObject_IsTrue(PyTuple_GET_ITEM(m, 4));
+    long initiator = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
+    long mphase = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_PHASE));
+    int is_new = PyObject_IsTrue(PyTuple_GET_ITEM(m, F_SEARCH_NEW));
     if (is_new < 0)
         goto fail;
     if (is_new) {
-        long tgt = PyLong_AsLong(PyTuple_GET_ITEM(m, 3));
+        long tgt = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_TARGET));
         PyObject *dn = PyList_GET_ITEM(s->done, i);
         PyObject *to = IOBJ(s, tgt);
         int c = PySet_Contains(dn, to);
@@ -838,7 +812,8 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
     int outranks =
         mphase > ph ||
         (mphase == ph && GETL(s->nrank, initiator) > GETL(s->nrank, i));
-    PyObject *rel = make_release(s, i, outranks, PyTuple_GET_ITEM(m, 1));
+    PyObject *rel =
+        make_release(s, i, outranks, PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
     if (rel == NULL)
         goto fail;
     int r = emit(s, i, sender, T_RELEASE, rel);
@@ -873,8 +848,8 @@ fail:
 static int
 consume_own_release(S *s, long i, PyObject *msg)
 {
-    long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
-    int is_merge = PyObject_IsTrue(PyTuple_GET_ITEM(msg, 2));
+    long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_LEADER));
+    int is_merge = PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_RELEASE_ANSWER));
     if (is_merge < 0)
         return -1;
     if (s->status[i] == ST_WAIT && s->aw_rel[i]) {
@@ -950,7 +925,8 @@ exec_search(S *s, long i, long sender, PyObject *msg)
     PyObject *m = absorb_target(s, i, msg);
     if (m == NULL)
         return -1;
-    PyObject *rel = make_release(s, i, 0, PyTuple_GET_ITEM(m, 1));
+    PyObject *rel =
+        make_release(s, i, 0, PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
     Py_DECREF(m);
     if (rel == NULL)
         return -1;
@@ -962,21 +938,21 @@ exec_search(S *s, long i, long sender, PyObject *msg)
 static int
 exec_release(S *s, long i, long sender, PyObject *msg)
 {
-    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == i)
+    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_INITIATOR)) == i)
         return consume_own_release(s, i, msg) < 0 ? -1 : 1;
     /* routing arm: INACTIVE with non-empty previous (prechecked) */
     PyObject *prev = PyList_GET_ITEM(s->previous, i);
     PyObject *item = PyObject_CallMethodNoArgs(prev, s_popleft);
     if (item == NULL)
         return -1;
-    long came_from = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
+    long came_from = PyLong_AsLong(PAIR_SECOND(item));
     Py_DECREF(item); /* prev holds no other refs we need */
-    long mphase = PyLong_AsLong(PyTuple_GET_ITEM(msg, 4));
-    if (mphase >= GETL(s->phase, i)) {
-        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
+    PyObject *mphase = PyTuple_GET_ITEM(msg, F_RELEASE_PHASE);
+    if (PyLong_AsLong(mphase) >= GETL(s->phase, i)) {
+        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_LEADER));
         if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0)
             return -1;
-        if (set_item_obj(s->phase, i, PyTuple_GET_ITEM(msg, 4)) < 0)
+        if (set_item_obj(s->phase, i, mphase) < 0)
             return -1;
     }
     if (emit(s, i, came_from, T_RELEASE, msg) < 0)
@@ -985,8 +961,7 @@ exec_release(S *s, long i, long sender, PyObject *msg)
         PyObject *head = PySequence_GetItem(prev, 0);
         if (head == NULL)
             return -1;
-        int r = emit(s, i, GETL(s->nxt, i), T_SEARCH,
-                     PyTuple_GET_ITEM(head, 0));
+        int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, PAIR_FIRST(head));
         Py_DECREF(head);
         if (r < 0)
             return -1;
@@ -1005,27 +980,23 @@ exec_merge_accept(S *s, long i, long sender, PyObject *msg)
     PyObject *ux = PyList_GET_ITEM(s->unexp, i);
     long extra = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn) +
                         PySet_GET_SIZE(ua) + PySet_GET_SIZE(ux));
-    PyObject *info = PyTuple_New(6);
+    PyObject *info = wire_new(T_INFO, N_INFO);
     if (info == NULL)
         return -1;
-    Py_INCREF(g_tag_objs[T_INFO]);
-    PyTuple_SET_ITEM(info, 0, g_tag_objs[T_INFO]);
-    PyObject *ph = PyList_GET_ITEM(s->phase, i);
-    Py_INCREF(ph);
-    PyTuple_SET_ITEM(info, 1, ph);
+    wire_set(info, F_INFO_PHASE, PyList_GET_ITEM(s->phase, i));
     PyObject *f;
     if ((f = PyFrozenSet_New(mo)) == NULL)
         goto fail;
-    PyTuple_SET_ITEM(info, 2, f);
+    PyTuple_SET_ITEM(info, F_INFO_MORE, f);
     if ((f = PyFrozenSet_New(dn)) == NULL)
         goto fail;
-    PyTuple_SET_ITEM(info, 3, f);
+    PyTuple_SET_ITEM(info, F_INFO_DONE, f);
     if ((f = PyFrozenSet_New(ua)) == NULL)
         goto fail;
-    PyTuple_SET_ITEM(info, 4, f);
+    PyTuple_SET_ITEM(info, F_INFO_UNAWARE, f);
     if ((f = PyFrozenSet_New(ux)) == NULL)
         goto fail;
-    PyTuple_SET_ITEM(info, 5, f);
+    PyTuple_SET_ITEM(info, F_INFO_UNEXPLORED, f);
     if (emitx(s, i, sender, T_INFO, info, extra) < 0)
         goto fail;
     Py_DECREF(info);
@@ -1060,13 +1031,13 @@ static int
 merge_with_unaware(S *s, long i, PyObject *msg)
 {
     PyObject *ua = PyList_GET_ITEM(s->unaware, i);
-    if (set_union_into(ua, PyTuple_GET_ITEM(msg, 2)) < 0 ||
-        set_union_into(ua, PyTuple_GET_ITEM(msg, 3)) < 0 ||
-        set_union_into(ua, PyTuple_GET_ITEM(msg, 4)) < 0)
+    if (set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_MORE)) < 0 ||
+        set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_DONE)) < 0 ||
+        set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_UNAWARE)) < 0)
         return -1;
     PyObject *mo = PyList_GET_ITEM(s->more, i);
     PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, 5));
+    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
     if (it == NULL)
         return -1;
     PyObject *item;
@@ -1089,7 +1060,7 @@ merge_with_unaware(S *s, long i, PyObject *msg)
     long cluster = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn) +
                           PySet_GET_SIZE(ua));
     long ph = GETL(s->phase, i);
-    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
+    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
     if (ph == mph || cluster >= (1L << (ph + 1))) {
         PyObject *np = PyLong_FromLong(ph + 1);
         if (np == NULL)
@@ -1097,17 +1068,9 @@ merge_with_unaware(S *s, long i, PyObject *msg)
         if (PyList_SetItem(s->phase, i, np) < 0)
             return -1;
     }
-    PyObject *cq = PyTuple_New(3);
+    PyObject *cq = make_conquer(s, i);
     if (cq == NULL)
         return -1;
-    Py_INCREF(g_tag_objs[T_CONQUER]);
-    PyTuple_SET_ITEM(cq, 0, g_tag_objs[T_CONQUER]);
-    PyObject *io = IOBJ(s, i);
-    Py_INCREF(io);
-    PyTuple_SET_ITEM(cq, 1, io);
-    PyObject *phn = PyList_GET_ITEM(s->phase, i);
-    Py_INCREF(phn);
-    PyTuple_SET_ITEM(cq, 2, phn);
     Py_ssize_t cnt = collect_rank_sorted(s, ua);
     if (cnt < 0) {
         Py_DECREF(cq);
@@ -1133,7 +1096,7 @@ merge_direct(S *s, long i, PyObject *msg)
 {
     PyObject *mo = PyList_GET_ITEM(s->more, i);
     PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, 2));
+    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_MORE));
     if (it == NULL)
         return -1;
     PyObject *item;
@@ -1149,7 +1112,7 @@ merge_direct(S *s, long i, PyObject *msg)
     Py_DECREF(it);
     if (PyErr_Occurred())
         return -1;
-    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, 3));
+    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_DONE));
     if (it == NULL)
         return -1;
     while ((item = PyIter_Next(it)) != NULL) {
@@ -1167,7 +1130,7 @@ merge_direct(S *s, long i, PyObject *msg)
     Py_DECREF(it);
     if (PyErr_Occurred())
         return -1;
-    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, 5));
+    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
     if (it == NULL)
         return -1;
     while ((item = PyIter_Next(it)) != NULL) {
@@ -1191,7 +1154,7 @@ merge_direct(S *s, long i, PyObject *msg)
         return -1;
     long cluster = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn));
     long ph = GETL(s->phase, i);
-    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
+    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
     if (ph == mph || cluster >= (1L << (ph + 1))) {
         PyObject *np = PyLong_FromLong(ph + 1);
         if (np == NULL)
@@ -1214,11 +1177,12 @@ exec_info(S *s, long i, long sender, PyObject *msg)
 static int
 exec_conquer(S *s, long i, long sender, PyObject *msg)
 {
-    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 2)) >= GETL(s->phase, i)) {
-        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
+    PyObject *mphase = PyTuple_GET_ITEM(msg, F_CONQUER_PHASE);
+    if (PyLong_AsLong(mphase) >= GETL(s->phase, i)) {
+        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_CONQUER_LEADER));
         if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0)
             return -1;
-        if (set_item_obj(s->phase, i, PyTuple_GET_ITEM(msg, 2)) < 0)
+        if (set_item_obj(s->phase, i, mphase) < 0)
             return -1;
     }
     PyObject *reply =
@@ -1236,7 +1200,8 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
     PyObject *ua = PyList_GET_ITEM(s->unaware, i);
     if (PySet_Discard(ua, IOBJ(s, sender)) < 0)
         return -1;
-    int has_more = PyObject_IsTrue(PyTuple_GET_ITEM(msg, 1));
+    int has_more =
+        PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_MORE_DONE_HAS_MORE));
     if (has_more < 0)
         return -1;
     if (has_more) {
@@ -1253,7 +1218,7 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
 static int
 exec_query(S *s, long i, long sender, PyObject *msg)
 {
-    long long k = PyLong_AsLongLong(PyTuple_GET_ITEM(msg, 1));
+    long long k = PyLong_AsLongLong(PyTuple_GET_ITEM(msg, F_QUERY_K));
     if (k == -1 && PyErr_Occurred())
         return -1;
     int done_flag;
@@ -1261,17 +1226,13 @@ exec_query(S *s, long i, long sender, PyObject *msg)
     if (taken == NULL)
         return -1;
     long extra = (long)PySet_GET_SIZE(taken);
-    PyObject *reply = PyTuple_New(3);
+    PyObject *reply = wire_new(T_QUERY_REPLY, N_QUERY_REPLY);
     if (reply == NULL) {
         Py_DECREF(taken);
         return -1;
     }
-    Py_INCREF(g_tag_objs[T_QUERY_REPLY]);
-    PyTuple_SET_ITEM(reply, 0, g_tag_objs[T_QUERY_REPLY]);
-    PyTuple_SET_ITEM(reply, 1, taken); /* steals */
-    PyObject *fo = done_flag ? Py_True : Py_False;
-    Py_INCREF(fo);
-    PyTuple_SET_ITEM(reply, 2, fo);
+    PyTuple_SET_ITEM(reply, F_QUERY_REPLY_IDS, taken); /* steals */
+    wire_set(reply, F_QUERY_REPLY_DONE_FLAG, done_flag ? Py_True : Py_False);
     int r = emitx(s, i, sender, T_QUERY_REPLY, reply, extra);
     Py_DECREF(reply);
     return r < 0 ? -1 : 1;
@@ -1282,10 +1243,12 @@ exec_query_reply(S *s, long i, long sender, PyObject *msg)
 {
     if (set_item_obj(s->aw_query, i, g_neg_one) < 0)
         return -1;
-    int done_flag = PyObject_IsTrue(PyTuple_GET_ITEM(msg, 2));
+    int done_flag =
+        PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_QUERY_REPLY_DONE_FLAG));
     if (done_flag < 0)
         return -1;
-    if (ingest_reply(s, i, sender, PyTuple_GET_ITEM(msg, 1), done_flag) < 0)
+    if (ingest_reply(s, i, sender, PyTuple_GET_ITEM(msg, F_QUERY_REPLY_IDS),
+                     done_flag) < 0)
         return -1;
     return explore(s, i) < 0 ? -1 : 1;
 }
@@ -1327,7 +1290,7 @@ exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
 static int
 can_handle(S *s, long dst, long src, PyObject *msg)
 {
-    long tag = PyLong_AsLong(PyTuple_GET_ITEM(msg, 0));
+    long tag = WIRE_TAG(msg);
     int st = s->status[dst];
     switch (tag) {
     case T_QUERY:
@@ -1338,19 +1301,20 @@ can_handle(S *s, long dst, long src, PyObject *msg)
         if (st != ST_TERMINATED)
             return 1;
         /* terminated leader: handle only the not-outranked reply arm */
-        long mphase = PyLong_AsLong(PyTuple_GET_ITEM(msg, 2));
+        long mphase = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_PHASE));
         long ph = GETL(s->phase, dst);
         if (mphase > ph)
             return 0;
         if (mphase == ph) {
-            long initiator = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
+            long initiator =
+                PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR));
             if (GETL(s->nrank, initiator) > GETL(s->nrank, dst))
                 return 0;
         }
         return 1;
     }
     case T_RELEASE: {
-        if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == dst) {
+        if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_INITIATOR)) == dst) {
             if (st == ST_WAIT)
                 return s->aw_rel[dst] != 0;
             return st == ST_PASSIVE || st == ST_CONQUERED ||
@@ -1404,9 +1368,9 @@ c_pump(S *s, long i)
         PyObject *item = PySequence_GetItem(ib, 0); /* (sender, msg) */
         if (item == NULL)
             return -1;
-        long sender = PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
-        PyObject *msg = PyTuple_GET_ITEM(item, 1);
-        long tag = PyLong_AsLong(PyTuple_GET_ITEM(msg, 0));
+        long sender = PyLong_AsLong(PAIR_FIRST(item));
+        PyObject *msg = PAIR_SECOND(item);
+        long tag = WIRE_TAG(msg);
         int ch = can_handle(s, i, sender, msg);
         if (ch < 0) {
             Py_DECREF(item);
@@ -1838,7 +1802,7 @@ loop_run(PyObject *self, PyObject *args)
                     goto error;
                 }
                 Py_DECREF(msg);
-                long tag = PyLong_AsLong(PyTuple_GET_ITEM(popped, 0));
+                long tag = WIRE_TAG(popped);
                 int consumed = exec_msg(&s, dst, src, tag, popped);
                 if (consumed < 0) {
                     Py_DECREF(popped);
@@ -1913,10 +1877,6 @@ loop_configure(PyObject *self, PyObject *args)
     CFG(g_deque_type, "deque");
     CFG(g_sim_error, "simulation_error");
     CFG(g_msg_types, "msg_types");
-    CFG(g_wire_ma, "wire_merge_accept");
-    CFG(g_wire_mf, "wire_merge_fail");
-    CFG(g_wire_md_t, "wire_md_true");
-    CFG(g_wire_md_f, "wire_md_false");
     CFG(g_greedy_k, "greedy_k");
 #undef CFG
     if (!PyTuple_Check(g_msg_types) ||
@@ -1957,6 +1917,15 @@ PyInit__arrayloop(void)
     }
     g_zero = PyLong_FromLong(0);
     g_neg_one = PyLong_FromLong(-1);
+    g_wire_ma = wire_new(T_MERGE_ACCEPT, N_MERGE_ACCEPT);
+    g_wire_mf = wire_new(T_MERGE_FAIL, N_MERGE_FAIL);
+    g_wire_md_t = wire_new(T_MORE_DONE, N_MORE_DONE);
+    g_wire_md_f = wire_new(T_MORE_DONE, N_MORE_DONE);
+    if (g_wire_ma == NULL || g_wire_mf == NULL || g_wire_md_t == NULL ||
+        g_wire_md_f == NULL)
+        return NULL;
+    wire_set(g_wire_md_t, F_MORE_DONE_HAS_MORE, Py_True);
+    wire_set(g_wire_md_f, F_MORE_DONE_HAS_MORE, Py_False);
     s_append = PyUnicode_InternFromString("append");
     s_popleft = PyUnicode_InternFromString("popleft");
     s_appendleft = PyUnicode_InternFromString("appendleft");

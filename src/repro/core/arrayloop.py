@@ -4,10 +4,13 @@
 compiler into a content-hash-keyed cache (``~/.cache/repro-arrayloop``), so
 the repo needs no build step, no setuptools machinery, and no wheel: the
 first eligible run pays ~1s of ``cc -O2`` once per source revision and
-every later process dlopens the cached object.  Anything going wrong --
-no compiler, an unusable cache directory, a failed build or import,
-constant drift between the C file and the Python modules it encodes --
-degrades to ``None``: the array core's gate then declines every run as
+every later process dlopens the cached object.  The C file numbers
+nothing itself: every wire tag, field offset, status, variant, scheduler
+mode and return code it names is a ``-D`` flag from :func:`defines`, so
+the file and the Python modules cannot drift apart -- a name the tables
+do not define is a compile error.  Anything going wrong -- no compiler,
+an unusable cache directory, a failed build or import -- degrades to
+``None``: the array core's gate then declines every run as
 ``no-c-loop`` and the object loop (``Simulator.run_for``) runs it, the
 same results several times slower.  The failed attempt warns (once per
 process: the miss is memoized) and :func:`why_missing` keeps the cause.
@@ -23,7 +26,6 @@ import importlib.util
 import os
 import shutil
 import subprocess
-import sys
 import sysconfig
 import warnings
 from pathlib import Path
@@ -31,28 +33,18 @@ from typing import Optional
 
 from collections import deque
 
-from repro.core.messages import (
-    MSG_TYPES,
-    T_CONQUER,
-    T_INFO,
-    T_MERGE_ACCEPT,
-    T_MERGE_FAIL,
-    T_MORE_DONE,
-    T_PROBE,
-    T_PROBE_REPLY,
-    T_QUERY,
-    T_QUERY_REPLY,
-    T_RELEASE,
-    T_SEARCH,
-    WIRE_MERGE_ACCEPT,
-    WIRE_MERGE_FAIL,
-    WIRE_MORE_DONE_FALSE,
-    WIRE_MORE_DONE_TRUE,
-)
-from repro.core.node import STATUS_CODES, VARIANTS
+from repro.core.messages import MSG_TYPES, WIRE_TABLE
+from repro.core.node import STATUS_NAMES, VARIANTS
 from repro.sim.network import SimulationError
+from repro.sim.scheduler import _FIFO, _LIFO, _RANDOM
 
-__all__ = ["load", "why_missing"]
+__all__ = ["load", "why_missing", "defines"]
+
+#: What ``run()`` answers with its ``aux`` (the C file's header says what
+#: state each leaves behind): the pool drained; a counted step reached
+#: ``stop``; a popped deliver token handed back unexecuted; a pump handed
+#: back at a node's inbox head.
+RC_DRAINED, RC_LIMIT, RC_DEOPT, RC_PUMP = range(4)
 
 _SOURCE = Path(__file__).with_name("_arrayloop.c")
 
@@ -69,37 +61,29 @@ class _Unavailable(Exception):
     """Internal: no C loop in this process; the message is the cause."""
 
 
-def _constants_match() -> bool:
-    """The C file hardcodes the wire/status/variant encodings; refuse to
-    load it if the Python side ever drifts (fallback stays correct)."""
-    tags = (
-        (T_QUERY, 0),
-        (T_QUERY_REPLY, 1),
-        (T_SEARCH, 2),
-        (T_RELEASE, 3),
-        (T_MERGE_ACCEPT, 4),
-        (T_MERGE_FAIL, 5),
-        (T_INFO, 6),
-        (T_CONQUER, 7),
-        (T_MORE_DONE, 8),
-        (T_PROBE, 9),
-        (T_PROBE_REPLY, 10),
+def defines() -> "dict[str, int]":
+    """Every encoding ``_arrayloop.c`` names, as ``{macro: value}``.
+
+    Derived from the tables and nowhere restated: per :data:`WIRE_TABLE`
+    row the tag ``T_<MSG>``, the wire-tuple arity ``N_<MSG>`` and each
+    field's offset ``F_<MSG>_<FIELD>`` (the tag is slot 0), then ``ST_*``
+    from ``STATUS_NAMES``, ``V_*`` from ``VARIANTS``, the scheduler's
+    ``MODE_*`` and the ``RC_*`` above.
+    """
+    out = {"N_TAGS": len(WIRE_TABLE)}
+    for tag, (cls, fields) in enumerate(WIRE_TABLE):
+        msg = cls.msg_type.upper().replace("-", "_")
+        out[f"T_{msg}"] = tag
+        out[f"N_{msg}"] = 1 + len(fields)
+        for offset, (name, _kind) in enumerate(fields, 1):
+            out[f"F_{msg}_{name.upper()}"] = offset
+    out.update((f"ST_{name.upper()}", code) for code, name in enumerate(STATUS_NAMES))
+    out.update((f"V_{name.upper()}", code) for code, name in enumerate(VARIANTS))
+    out.update(MODE_FIFO=_FIFO, MODE_LIFO=_LIFO, MODE_RANDOM=_RANDOM)
+    out.update(
+        RC_DRAINED=RC_DRAINED, RC_LIMIT=RC_LIMIT, RC_DEOPT=RC_DEOPT, RC_PUMP=RC_PUMP
     )
-    if any(py != c for py, c in tags) or len(MSG_TYPES) != 11:
-        return False
-    statuses = (
-        ("asleep", 0),
-        ("explore", 1),
-        ("wait", 2),
-        ("conquered", 3),
-        ("conqueror", 4),
-        ("passive", 5),
-        ("inactive", 6),
-        ("terminated", 7),
-    )
-    if any(STATUS_CODES.get(name) != code for name, code in statuses):
-        return False
-    return tuple(VARIANTS) == ("generic", "bounded", "adhoc")
+    return out
 
 
 def _build() -> Path:
@@ -108,12 +92,16 @@ def _build() -> Path:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         raise _Unavailable(f"cannot read {_SOURCE.name}: {exc}")
-    tag = hashlib.sha256(source).hexdigest()[:16]
+    flags = [f"-D{name}={value}" for name, value in sorted(defines().items())]
+    # One object per source text, encoding set and interpreter ABI: a cache
+    # shared across machines or builds never offers one an unloadable file.
+    abi = sysconfig.get_config_var("SOABI")
+    tag = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()[:16]
     cache = Path(
         os.environ.get("REPRO_ARRAYLOOP_CACHE")
         or Path.home() / ".cache" / "repro-arrayloop"
     )
-    name = f"_arrayloop_{tag}_cp{sys.version_info[0]}{sys.version_info[1]}"
+    name = f"_arrayloop_{tag}_{abi}"
     so_path = cache / (name + ".so")
     if so_path.exists():
         return so_path
@@ -132,16 +120,18 @@ def _build() -> Path:
     tmp = so_path.with_name(f"{name}.{os.getpid()}.tmp.so")
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-I" + include,
+            [cc, "-O2", "-fPIC", "-shared", "-I" + include, *flags,
              str(_SOURCE), "-o", str(tmp)],
             capture_output=True,
             timeout=300,
         )
         if proc.returncode != 0:
             stderr = proc.stderr.decode(errors="replace").strip().splitlines()
-            raise _Unavailable(
-                f"{cc} failed: {stderr[0] if stderr else proc.returncode}"
-            )
+            # the compiler's first error (an undefined T_/F_/ST_ name says
+            # so there), else whatever it said first
+            first = stderr[0] if stderr else proc.returncode
+            said = next((line for line in stderr if "error" in line), first)
+            raise _Unavailable(f"{cc} failed: {said}")
         os.replace(tmp, so_path)  # atomic: concurrent builders converge
         return so_path
     except (OSError, subprocess.SubprocessError) as exc:
@@ -158,8 +148,6 @@ def _import() -> object:
     """Build, import and configure the module, or raise :class:`_Unavailable`."""
     if os.environ.get("REPRO_PURE_PYTHON"):
         raise _Unavailable(_DELIBERATE)
-    if not _constants_match():
-        raise _Unavailable("wire/status/variant encodings drifted from _arrayloop.c")
     so_path = _build()
     try:
         spec = importlib.util.spec_from_file_location(
@@ -172,14 +160,16 @@ def _import() -> object:
                 "deque": deque,
                 "simulation_error": SimulationError,
                 "msg_types": MSG_TYPES,
-                "wire_merge_accept": WIRE_MERGE_ACCEPT,
-                "wire_merge_fail": WIRE_MERGE_FAIL,
-                "wire_md_true": WIRE_MORE_DONE_TRUE,
-                "wire_md_false": WIRE_MORE_DONE_FALSE,
                 "greedy_k": 1 << 62,
             }
         )
     except Exception as exc:  # a missing spec included
+        # Do not leave an object this interpreter cannot load to pin every
+        # later process to the fallback: the next one rebuilds.
+        try:
+            so_path.unlink(missing_ok=True)
+        except OSError:
+            pass
         raise _Unavailable(f"import of {so_path.name} failed: {exc}")
     return mod
 

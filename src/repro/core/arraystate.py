@@ -21,10 +21,10 @@ converts back.
   bytearray indexed by node int.  The ``more``/``unexplored`` choice heaps
   hold repr-rank ints instead of ``(repr_string, id)`` tuples -- one int
   compare per sift instead of a string compare.
-* **Flyweight messages**: plain tuples ``(tag, ...)`` with the dense wire
-  tags of :mod:`repro.core.messages`; the payload-free handshakes are
-  preallocated module singletons, so the hot path allocates at most one
-  small tuple per send and zero for handshakes.
+* **Flyweight messages**: plain tuples ``(tag, field, ...)`` laid out by
+  ``messages.WIRE_TABLE``; the payload-free handshakes are singletons the
+  C loop preallocates, so the hot path allocates at most one small tuple
+  per send and zero for handshakes.
 * **Lazy channel arena**: the protocol's traffic is almost all one-shot
   (one ``conquer`` out, one ``more/done`` back), so a channel's whole life
   is about two messages and only a few percent ever hold two at once.
@@ -102,44 +102,14 @@ from random import Random as _Random
 from sys import maxsize
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.messages import (
-    ABORT,
-    MERGE,
-    MSG_TYPES,
-    Conquer,
-    Info,
-    MergeAccept,
-    MergeFail,
-    MoreDone,
-    Probe,
-    ProbeReply,
-    Query,
-    QueryReply,
-    Release,
-    Search,
-    T_CONQUER,
-    T_INFO,
-    T_MERGE_ACCEPT,
-    T_MERGE_FAIL,
-    T_MORE_DONE,
-    T_PROBE,
-    T_PROBE_REPLY,
-    T_QUERY,
-    T_QUERY_REPLY,
-    T_RELEASE,
-    T_SEARCH,
-    WIRE_MERGE_ACCEPT,
-    WIRE_MERGE_FAIL,
-    WIRE_MORE_DONE_FALSE,
-    WIRE_MORE_DONE_TRUE,
-    fixed_bit_bases,
-)
+from repro.core.messages import ABORT, MERGE, MSG_TYPES, WIRE_TABLE, fixed_bit_bases
 from repro.core import arrayloop as _arrayloop
 from repro.core.node import (
     DiscoveryNode,
     LEADER_STATES,
     STATUS_CODES,
     STATUS_NAMES,
+    TRANSIENT_STATES,
     VARIANTS,
     behavior_is_pristine,
 )
@@ -164,41 +134,10 @@ __all__ = [
     "k_smallest",
 ]
 
-# Dense status codes (indexes into STATUS_NAMES; the tuple order in
-# core.node is frozen precisely so these stay valid).
-(
-    _ASLEEP,
-    _EXPLORE,
-    _WAIT,
-    _CONQUERED,
-    _CONQUEROR,
-    _PASSIVE,
-    _INACTIVE,
-    _TERMINATED,
-) = range(8)
-
 #: status code -> is this a leader state (paper definition; byte lookup).
-IS_LEADER = bytes(
-    1 if STATUS_NAMES[code] in LEADER_STATES else 0 for code in range(8)
-)
+IS_LEADER = bytes(name in LEADER_STATES for name in STATUS_NAMES)
 
 _VARIANT_CODES = {name: code for code, name in enumerate(VARIANTS)}
-
-#: exact message class -> wire tag (exact type on purpose: a message
-#: subclass may change bit_size or semantics, so it deopts).
-_TAG_OF = {
-    Query: T_QUERY,
-    QueryReply: T_QUERY_REPLY,
-    Search: T_SEARCH,
-    Release: T_RELEASE,
-    MergeAccept: T_MERGE_ACCEPT,
-    MergeFail: T_MERGE_FAIL,
-    Info: T_INFO,
-    Conquer: T_CONQUER,
-    MoreDone: T_MORE_DONE,
-    Probe: T_PROBE,
-    ProbeReply: T_PROBE_REPLY,
-}
 
 #: DiscoveryNode behaviour attributes that, when shadowed by an *instance*
 #: attribute (profilers and tests patch nodes that way), force the object
@@ -383,62 +322,46 @@ class IdSpace:
 # ----------------------------------------------------------------------
 # Wire <-> object message conversion
 # ----------------------------------------------------------------------
+# One codec for every row of ``messages.WIRE_TABLE``: a wire tuple is
+# ``(tag, field, ...)`` in the row's field order, each field converted by
+# its kind.  These run only when a live simulator with messages in flight
+# crosses the seam; the C loop builds and reads the same tuples by the
+# offsets ``arrayloop.defines`` derives from the same rows.
+_ENCODE = {
+    "id": lambda value, idx: idx[value],
+    "int": lambda value, idx: value,
+    "flag": lambda value, idx: value,
+    "verdict": lambda value, idx: value == MERGE,
+    "id-set": lambda value, idx: frozenset(idx[x] for x in value),
+}
+_DECODE = {
+    "id": lambda value, ids: ids[value],
+    "int": lambda value, ids: value,
+    "flag": lambda value, ids: value,
+    "verdict": lambda value, ids: MERGE if value else ABORT,
+    "id-set": lambda value, ids: frozenset(ids[x] for x in value),
+}
+#: exact message class -> (wire tag, fields) (exact type on purpose: a
+#: message subclass may change bit_size or semantics, so it deopts).
+_ROW_OF = {cls: (tag, fields) for tag, (cls, fields) in enumerate(WIRE_TABLE)}
+
+
 def _to_wire(message, idx) -> tuple:
     """Convert a stock message object to its int-id wire tuple.
 
     Raises :class:`_Ineligible` for unknown (or subclassed) message types
     and for payload ids outside the interned space.
     """
-    tag = _TAG_OF.get(type(message))
-    if tag is None:
+    row = _ROW_OF.get(type(message))
+    if row is None:
         raise _Ineligible(
             "message-type", f"uninternable message type {type(message).__name__}"
         )
+    tag, fields = row
     try:
-        if tag == T_SEARCH:
-            return (
-                tag,
-                idx[message.initiator],
-                message.phase,
-                idx[message.target],
-                message.new,
-            )
-        if tag == T_RELEASE:
-            return (
-                tag,
-                idx[message.leader],
-                message.answer == MERGE,
-                idx[message.initiator],
-                message.phase,
-            )
-        if tag == T_QUERY:
-            return (tag, message.k)
-        if tag == T_QUERY_REPLY:
-            return (tag, frozenset(idx[x] for x in message.ids), message.done_flag)
-        if tag == T_INFO:
-            return (
-                tag,
-                message.phase,
-                frozenset(idx[x] for x in message.more),
-                frozenset(idx[x] for x in message.done),
-                frozenset(idx[x] for x in message.unaware),
-                frozenset(idx[x] for x in message.unexplored),
-            )
-        if tag == T_CONQUER:
-            return (tag, idx[message.leader], message.phase)
-        if tag == T_MORE_DONE:
-            return WIRE_MORE_DONE_TRUE if message.has_more else WIRE_MORE_DONE_FALSE
-        if tag == T_MERGE_ACCEPT:
-            return WIRE_MERGE_ACCEPT
-        if tag == T_MERGE_FAIL:
-            return WIRE_MERGE_FAIL
-        if tag == T_PROBE:
-            return (tag, idx[message.initiator])
         return (
             tag,
-            idx[message.leader],
-            frozenset(idx[x] for x in message.ids),
-            idx[message.initiator],
+            *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields],
         )
     except KeyError as exc:
         raise _Ineligible(
@@ -448,34 +371,10 @@ def _to_wire(message, idx) -> tuple:
 
 def _to_message(msg: tuple, ids):
     """Materialize a wire tuple back into the equivalent stock dataclass."""
-    tag = msg[0]
-    if tag == T_SEARCH:
-        return Search(ids[msg[1]], msg[2], ids[msg[3]], msg[4])
-    if tag == T_RELEASE:
-        return Release(ids[msg[1]], MERGE if msg[2] else ABORT, ids[msg[3]], msg[4])
-    if tag == T_QUERY:
-        return Query(msg[1])
-    if tag == T_QUERY_REPLY:
-        return QueryReply(frozenset(ids[x] for x in msg[1]), msg[2])
-    if tag == T_INFO:
-        return Info(
-            msg[1],
-            frozenset(ids[x] for x in msg[2]),
-            frozenset(ids[x] for x in msg[3]),
-            frozenset(ids[x] for x in msg[4]),
-            frozenset(ids[x] for x in msg[5]),
-        )
-    if tag == T_CONQUER:
-        return Conquer(ids[msg[1]], msg[2])
-    if tag == T_MORE_DONE:
-        return MoreDone(msg[1])
-    if tag == T_MERGE_ACCEPT:
-        return MergeAccept()
-    if tag == T_MERGE_FAIL:
-        return MergeFail()
-    if tag == T_PROBE:
-        return Probe(ids[msg[1]])
-    return ProbeReply(ids[msg[1]], frozenset(ids[x] for x in msg[2]), ids[msg[3]])
+    cls, fields = WIRE_TABLE[msg[0]]
+    return cls(
+        *[_DECODE[kind](value, ids) for (_name, kind), value in zip(fields, msg[1:])]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +453,7 @@ class ArrayCore:
         self.n = n
         self.id_bits = id_bits
         rrank = space.repr_rank
-        self.status = bytearray(n)  # all _ASLEEP
+        self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
         self.local = [None] * n
@@ -613,9 +512,10 @@ class ArrayCore:
         self.steps = 0
         self.steps_out = 0
         #: ``(code, aux)`` of the step the last ``run_loop`` stopped at
-        #: without executing it (``_arrayloop.c`` header: code 2, ``aux``
-        #: the popped deliver token, step not counted; code 3, ``aux`` the
-        #: node whose inbox pump must resume, step counted), else ``None``.
+        #: without executing it (``_arrayloop.c`` header: ``RC_DEOPT``,
+        #: ``aux`` the popped deliver token, step not counted; ``RC_PUMP``,
+        #: ``aux`` the node whose inbox pump must resume, step counted),
+        #: else ``None``.
         self.handback = None
 
     # ------------------------------------------------------------------
@@ -651,11 +551,11 @@ class ArrayCore:
         try:
             while True:
                 code, aux = crun(self, pool, pool.append, mode, getrandbits, stop, cell)
-                if code == 1:  # a counted step reached ``stop``
+                if code == _arrayloop.RC_LIMIT:  # a counted step reached ``stop``
                     if not quiescent():
                         raise StepLimitExceeded(limit_msg())
                     continue
-                if code:  # 2 or 3; 0 is a drained pool
+                if code != _arrayloop.RC_DRAINED:  # RC_DEOPT or RC_PUMP
                     self.handback = (code, aux)
                 break
         finally:
@@ -983,7 +883,7 @@ def _run_handback(core: ArrayCore, sim) -> int:
     ``core/node.py`` itself); returns the steps that counted."""
     code, aux = core.handback
     ids = core.ids
-    if code == 3:
+    if code == _arrayloop.RC_PUMP:
         # The step was counted and the unhandleable message is at the
         # node's inbox head; the pump is resumable by design.
         sim.nodes[ids[aux]]._pump()
@@ -1152,7 +1052,7 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
 
     for i in range(n):
         name = STATUS_NAMES[status[i]]
-        if name in ("passive", "conquered", "asleep", "explore"):
+        if name in TRANSIENT_STATES:
             raise SimulationError(
                 f"node {core.ids[i]!r} stuck in transient state {name!r} "
                 "at quiescence"
@@ -1177,7 +1077,7 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
             raise SimulationError(
                 f"component of {core.ids[members[0]]!r} has no leader"
             )
-        if variant == "bounded" and status[leader] != _TERMINATED:
+        if variant == "bounded" and status[leader] != STATUS_CODES["terminated"]:
             raise SimulationError(
                 f"bounded leader {core.ids[leader]!r} did not terminate"
             )

@@ -54,7 +54,7 @@ __all__ = [
     "MERGE",
     "ABORT",
     "MSG_TYPES",
-    "WIRE_TYPES",
+    "WIRE_TABLE",
     "fixed_bit_bases",
 ]
 
@@ -251,77 +251,60 @@ class ProbeReply:
 
 
 # ----------------------------------------------------------------------
-# Wire-tag registry for the array-backed core (repro.core.arraystate)
+# The wire table
 # ----------------------------------------------------------------------
-# The array core replaces per-send frozen-dataclass allocation with plain
-# tuples ``(tag, field, field, ...)`` whose first element is a dense int
-# tag.  The registry below is the single source of truth tying tags,
-# classes and msg_type strings together; the tag order is frozen (stats
-# folding and the fixed-bit table index by it).
-
-#: Dataclass per wire tag, in tag order.
-WIRE_TYPES = (
-    Query,
-    QueryReply,
-    Search,
-    Release,
-    MergeAccept,
-    MergeFail,
-    Info,
-    Conquer,
-    MoreDone,
-    Probe,
-    ProbeReply,
+# One row per message type, in wire-tag order: the class and its fields in
+# order, each with the *kind* that says how the array core encodes it and
+# what it costs in bits.  This is the only statement of tag numbers, field
+# order and fixed bit sizes; the rest is derived -- ``MSG_TYPES`` and
+# ``fixed_bit_bases`` below, the array core's wire tuples ``(tag, field,
+# ...)`` and their codec (``arraystate._to_wire`` / ``_to_message``), the C
+# loop's ``T_*`` / ``N_*`` / ``F_*`` names (``arrayloop.defines``) and the
+# Messages table of ``docs/STATE_MACHINE.md`` (a test compares them).  Each
+# class's own ``bit_size`` stays as the reference the table is tested
+# against.
+#
+#   kind      holds                bits                 on the wire
+#   id        a node id            id_bits              its dense int
+#   int       a phase or counter   id_bits              as is
+#   flag      a boolean            1                    as is
+#   verdict   MERGE or ABORT       1                    True for MERGE
+#   id-set    a frozenset of ids   id_bits per member   frozenset of ints
+WIRE_TABLE = (
+    (Query, (("k", "int"),)),
+    (QueryReply, (("ids", "id-set"), ("done_flag", "flag"))),
+    (Search, (("initiator", "id"), ("phase", "int"), ("target", "id"),
+              ("new", "flag"))),
+    (Release, (("leader", "id"), ("answer", "verdict"), ("initiator", "id"),
+               ("phase", "int"))),
+    (MergeAccept, ()),
+    (MergeFail, ()),
+    (Info, (("phase", "int"), ("more", "id-set"), ("done", "id-set"),
+            ("unaware", "id-set"), ("unexplored", "id-set"))),
+    (Conquer, (("leader", "id"), ("phase", "int"))),
+    (MoreDone, (("has_more", "flag"),)),
+    (Probe, (("initiator", "id"),)),
+    (ProbeReply, (("leader", "id"), ("ids", "id-set"), ("initiator", "id"))),
 )
 
 #: ``msg_type`` string per wire tag, in tag order.
-MSG_TYPES = tuple(cls.msg_type for cls in WIRE_TYPES)
+MSG_TYPES = tuple(cls.msg_type for cls, _fields in WIRE_TABLE)
 
-(
-    T_QUERY,
-    T_QUERY_REPLY,
-    T_SEARCH,
-    T_RELEASE,
-    T_MERGE_ACCEPT,
-    T_MERGE_FAIL,
-    T_INFO,
-    T_CONQUER,
-    T_MORE_DONE,
-    T_PROBE,
-    T_PROBE_REPLY,
-) = range(len(WIRE_TYPES))
+
+#: per tag: how many fields cost ``id_bits`` each, how many cost one bit
+_FIXED_COSTS = tuple(
+    (
+        sum(kind in ("id", "int") for _name, kind in fields),
+        sum(kind in ("flag", "verdict") for _name, kind in fields),
+    )
+    for _cls, fields in WIRE_TABLE
+)
 
 
 def fixed_bit_bases(id_bits: int) -> "tuple[int, ...]":
-    """Per-tag fixed bit cost, mirroring each class's ``bit_size``.
-
-    The variable-size types (query-reply, info, probe-reply) additionally
-    pay ``len(ids) * max(1, id_bits)`` per carried id; everything else is
-    covered entirely by its base.  Kept next to the registry so a new
-    message type cannot add a ``bit_size`` without the array core noticing
-    (the equivalence suite compares folded bit totals exactly).
+    """Per-tag fixed bit cost: the header, ``max(1, id_bits)`` per id and
+    int field, one bit per flag and verdict.  An id-set field additionally
+    pays ``max(1, id_bits)`` per member -- the array core's ``xtra`` ids.
     """
     b = id_bits if id_bits > 1 else 1
-    h = HEADER_BITS
-    return (
-        h + b,  # query: k counter
-        h + 1,  # query-reply: done_flag (+ len(ids) * b variable)
-        h + 3 * b + 1,  # search: initiator, phase, target, new flag
-        h + 3 * b + 1,  # release: leader, initiator, phase, answer flag
-        h,  # merge-accept
-        h,  # merge-fail
-        h + b,  # info: phase (+ total set sizes * b variable)
-        h + 2 * b,  # conquer: leader, phase
-        h + 1,  # more-done: has_more flag
-        h + b,  # probe: initiator
-        h + 2 * b,  # probe-reply: leader, initiator (+ len(ids) * b variable)
-    )
-
-
-#: Preallocated flyweight wire tuples for the payload-free messages -- the
-#: array-core analogue of the shared ``_MERGE_ACCEPT``/``_MERGE_FAIL``
-#: dataclass singletons in :mod:`repro.core.node`.
-WIRE_MERGE_ACCEPT = (T_MERGE_ACCEPT,)
-WIRE_MERGE_FAIL = (T_MERGE_FAIL,)
-WIRE_MORE_DONE_TRUE = (T_MORE_DONE, True)
-WIRE_MORE_DONE_FALSE = (T_MORE_DONE, False)
+    return tuple(HEADER_BITS + units * b + bits for units, bits in _FIXED_COSTS)

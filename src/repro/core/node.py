@@ -62,6 +62,7 @@ __all__ = [
     "ProtocolError",
     "VARIANTS",
     "LEADER_STATES",
+    "TRANSIENT_STATES",
     "STATUS_NAMES",
     "STATUS_CODES",
     "behavior_is_pristine",
@@ -69,11 +70,11 @@ __all__ = [
 
 VARIANTS = ("generic", "bounded", "adhoc")
 
-#: Status strings in dense-code order.  The array-backed core
-#: (:mod:`repro.core.arraystate`) stores node status as a byte indexing
-#: this tuple; :data:`STATUS_CODES` is the inverse used when interning a
-#: live object-path node.  Order is frozen -- the codes are part of the
-#: array core's materialization contract.
+#: Status strings in dense-code order: the one statement of the codes.
+#: The array-backed core (:mod:`repro.core.arraystate`) stores node status
+#: as a byte indexing this tuple, :data:`STATUS_CODES` is the inverse, and
+#: the C loop gets its ``ST_*`` names from it (``arrayloop.defines``), as
+#: its ``V_*`` names from :data:`VARIANTS`.
 STATUS_NAMES = (
     "asleep",
     "explore",
@@ -85,11 +86,18 @@ STATUS_NAMES = (
     "terminated",
 )
 STATUS_CODES = {name: code for code, name in enumerate(STATUS_NAMES)}
+# The one code that is not free to move: ``bytearray(n)`` *is* the
+# all-asleep status column, in the array core and in the C loop.
+assert STATUS_CODES["asleep"] == 0
 
 #: Paper definition: "we call a node leader if its state is not conquered
 #: or inactive or passive".  ``terminated`` is the Bounded variant's final
 #: leader state (Theorem 4).
 LEADER_STATES = frozenset({"explore", "wait", "conqueror", "terminated"})
+
+#: States no node may rest in at quiescence: a sleeper nobody woke, an
+#: exploration still in hand, a merge or an abort half done.
+TRANSIENT_STATES = frozenset({"asleep", "explore", "conquered", "passive"})
 
 #: Phase value reserved for Section 6 new-link notification searches; real
 #: leaders start at phase 1, so a phase-0 search loses every comparison and

@@ -608,7 +608,10 @@ class Simulator:
     # ------------------------------------------------------------------
     def _execute_wake(self, token: WakeToken) -> None:
         if self.faults is not None and not self.faults.wake_allowed(self, token.node):
-            self._record(TraceEvent(self.steps, "wake-noop", None, token.node, None))
+            if self.trace is not None:
+                self.trace.append(
+                    TraceEvent(self.steps, "wake-noop", None, token.node, None)
+                )
             if self.obs is not None:
                 self.obs.emit(
                     RunEvent(
@@ -621,11 +624,15 @@ class Simulator:
             return
         node = self.nodes[token.node]
         if node.awake:
-            self._record(TraceEvent(self.steps, "wake-noop", None, token.node, None))
+            if self.trace is not None:
+                self.trace.append(
+                    TraceEvent(self.steps, "wake-noop", None, token.node, None)
+                )
             return
         node.awake = True
         self.protocol_stamp += 1
-        self._record(TraceEvent(self.steps, "wake", None, token.node, None))
+        if self.trace is not None:
+            self.trace.append(TraceEvent(self.steps, "wake", None, token.node, None))
         before = self._observed_state(node) if self.obs is not None else None
         if self.obs is not None:
             self.obs.emit(RunEvent(self.steps, "wake", node=token.node))
@@ -663,7 +670,10 @@ class Simulator:
             return
         node = self.nodes[token.node]
         self.protocol_stamp += 1
-        self._record(TraceEvent(self.steps, token.action, None, token.node, None))
+        if self.trace is not None:
+            self.trace.append(
+                TraceEvent(self.steps, token.action, None, token.node, None)
+            )
         if self.obs is not None:
             self.obs.emit(RunEvent(self.steps, token.action, node=token.node))
         if token.action == "crash":
@@ -725,20 +735,24 @@ class Simulator:
             # Messages wake sleeping nodes (Section 1.2): initialize first.
             node.awake = True
             self.protocol_stamp += 1
-            self._record(TraceEvent(self.steps, "wake", None, token.dst, None))
+            if self.trace is not None:
+                self.trace.append(
+                    TraceEvent(self.steps, "wake", None, token.dst, None)
+                )
             if self.obs is not None:
                 self.obs.emit(RunEvent(self.steps, "wake", node=token.dst))
             node.on_wake()
-        self._record(
-            TraceEvent(
-                self.steps,
-                "deliver",
-                token.src,
-                token.dst,
-                getattr(message, "msg_type", None),
-                detail=message,
+        if self.trace is not None:
+            self.trace.append(
+                TraceEvent(
+                    self.steps,
+                    "deliver",
+                    token.src,
+                    token.dst,
+                    getattr(message, "msg_type", None),
+                    detail=message,
+                )
             )
-        )
         if self.obs is not None:
             self.obs.emit(
                 RunEvent(
@@ -763,10 +777,6 @@ class Simulator:
         message = channel[index]
         del channel[index]
         return message
-
-    def _record(self, event: TraceEvent) -> None:
-        if self.trace is not None:
-            self.trace.append(event)
 
     # ------------------------------------------------------------------
     # Observability (only reached with a recorder attached)

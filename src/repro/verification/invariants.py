@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Set
 
+from repro.core.node import TRANSIENT_STATES
 from repro.core.result import DiscoveryResult
 from repro.graphs.components import weakly_connected_components
 from repro.graphs.knowledge_graph import KnowledgeGraph
@@ -124,8 +125,7 @@ def verify_discovery(
     transient = {
         node: status
         for node, status in result.statuses.items()
-        if status in ("passive", "conquered", "asleep")
-        or (status == "explore")
+        if status in TRANSIENT_STATES
     }
     if transient:
         raise InvariantViolation(

@@ -5,7 +5,11 @@ says why: the gate declines as ``no-c-loop``, ``run_graph`` runs the
 reference simulation, one ``RuntimeWarning`` per process names the cause,
 and the results equal the ``fast=False`` run.  And the one way of getting
 it that involves a race -- several processes meeting an empty cache at
-once -- must leave every one of them on the C loop.
+once -- must leave every one of them on the C loop.  A cached object the
+interpreter cannot load is dropped, not kept to pin every later process to
+the fallback.  And the loader is where the C file gets every number it
+uses: a copy of the package with two rows of the wire table swapped builds
+a *different* object and both engines still agree.
 
 Each case is a fresh interpreter with its own ``REPRO_ARRAYLOOP_CACHE``:
 the loader memoizes per process and warns once per process.
@@ -21,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 #: the compiler the loader tries first (then ``cc``)
 CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
 
@@ -69,13 +74,17 @@ print(json.dumps({
 """
 
 
-def _spawn(cache, path=None):
-    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_ARRAYLOOP_CACHE=str(cache))
+def _env(cache, path=None, src=SRC):
+    env = dict(os.environ, PYTHONPATH=str(src), REPRO_ARRAYLOOP_CACHE=str(cache))
     env.pop("REPRO_PURE_PYTHON", None)  # these are the *involuntary* legs
     if path is not None:
         env["PATH"] = str(path)
+    return env
+
+
+def _spawn(cache, path=None, src=SRC):
     return subprocess.Popen(
-        [sys.executable, "-c", SCRIPT], env=env, text=True,
+        [sys.executable, "-c", SCRIPT], env=_env(cache, path, src), text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
@@ -127,9 +136,14 @@ def test_every_missing_c_loop_is_a_slower_correct_run_that_says_why(broken, tmp_
     assert report["cause"] in warning and "object loop" in warning
 
 
+needs_cc = pytest.mark.skipif(
+    shutil.which(CC) is None and shutil.which("cc") is None,
+    reason="no C compiler on this box",
+)
+
+
+@needs_cc
 def test_processes_racing_the_first_compile_all_get_the_c_loop(tmp_path):
-    if shutil.which(CC) is None and shutil.which("cc") is None:
-        pytest.skip("no C compiler on this box")
     cache = tmp_path / "cache"  # does not exist yet: all four build
     reports = [_report(proc) for proc in [_spawn(cache) for _ in range(4)]]
     for report in reports:
@@ -139,3 +153,55 @@ def test_processes_racing_the_first_compile_all_get_the_c_loop(tmp_path):
         assert report["fingerprint"] == reports[0]["fingerprint"]
     # Concurrent builders converge on one object and leave no temporaries.
     assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+@needs_cc
+def test_an_unloadable_cached_object_is_dropped_and_rebuilt(tmp_path):
+    cache = tmp_path / "cache"
+    assert _report(_spawn(cache))["said"] == ["array", None]
+    (built,) = cache.iterdir()
+    built.write_bytes(b"not an object this interpreter can load")
+    poisoned = _report(_spawn(cache))
+    assert poisoned["said"] == ["legacy", "no-c-loop"]
+    assert f"import of {built.name} failed" in poisoned["cause"]
+    assert poisoned["equal"] and poisoned["scale_equal"]
+    assert list(cache.iterdir()) == []
+    assert _report(_spawn(cache))["said"] == ["array", None]
+    assert [p.name for p in cache.iterdir()] == [built.name]
+
+
+@needs_cc
+def test_swapped_table_rows_renumber_both_engines(tmp_path):
+    """Neither the C file nor any Python module keeps a private copy of the
+    wire table: with two rows (two wire tags) swapped in a copy of the
+    package, the loader builds another object, the C loop engages, and the
+    array core still equals the reference bit for bit."""
+    swapped = tmp_path / "src"
+    shutil.copytree(
+        SRC / "repro", swapped / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    table = swapped / "repro" / "core" / "messages.py"
+    conquer = '    (Conquer, (("leader", "id"), ("phase", "int"))),\n'
+    more_done = '    (MoreDone, (("has_more", "flag"),)),\n'
+    text = table.read_text()
+    assert conquer + more_done in text
+    table.write_text(text.replace(conquer + more_done, more_done + conquer))
+
+    stock = _report(_spawn(tmp_path / "stock"))
+    report = _report(_spawn(tmp_path / "cache", src=swapped))
+    assert report["said"] == ["array", None] and report["warnings"] == []
+    assert report["equal"] and report["scale_equal"]
+    assert report["fingerprint"] == stock["fingerprint"]
+    (stock_so,) = (tmp_path / "stock").iterdir()
+    (swapped_so,) = (tmp_path / "cache").iterdir()
+    assert stock_so.name != swapped_so.name
+
+    differential = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_arraystate.py", "tests/test_handback.py", "-k",
+         "TestEveryStepCut or TestRunGraphDifferential or TestStepLimitAndResume"
+         " or TestChannelSlotForms or test_handback"],
+        cwd=ROOT, env=_env(tmp_path / "cache", src=swapped), text=True,
+        capture_output=True, timeout=600,
+    )
+    assert differential.returncode == 0, differential.stdout + differential.stderr

@@ -1,10 +1,21 @@
-"""Unit tests for protocol message types and their bit accounting."""
+"""Unit tests for protocol message types, their bit accounting and the
+wire table every encoding is derived from."""
+
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import arrayloop
+from repro.core.arraystate import IdSpace, _to_message, _to_wire
 from repro.core.messages import (
     ABORT,
     MERGE,
+    MSG_TYPES,
+    WIRE_TABLE,
     Conquer,
     Info,
     MergeAccept,
@@ -16,8 +27,12 @@ from repro.core.messages import (
     QueryReply,
     Release,
     Search,
+    fixed_bit_bases,
 )
 from repro.sim.trace import HEADER_BITS
+from tests.test_direct_entry import ID_TYPES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 B = 16  # id_bits used throughout
@@ -83,3 +98,85 @@ class TestSemantics:
         msg = Search(1, 1, 2, False)
         with pytest.raises(Exception):
             msg.new = True
+
+
+#: One id space per id shape of ``tests/test_direct_entry.py``.
+SPACES = {
+    name: IdSpace([make(i) for i in range(12)]) for name, make in ID_TYPES.items()
+}
+
+
+def instances(row, ids):
+    """Strategy for instances of one table row's class over ``ids``."""
+    cls, fields = row
+    one = st.sampled_from(ids)
+    by_kind = {
+        "id": one,
+        "int": st.integers(0, 1 << 40),
+        "flag": st.booleans(),
+        "verdict": st.sampled_from([MERGE, ABORT]),
+        "id-set": st.frozensets(one),
+    }
+    return st.builds(cls, *[by_kind[kind] for _name, kind in fields])
+
+
+@pytest.mark.parametrize("tag", range(len(WIRE_TABLE)), ids=MSG_TYPES)
+class TestWireTable:
+    """``WIRE_TABLE`` is the only statement of a message's encoding: the
+    class, the codec, the bit table, the C names and the doc all agree
+    with it, row by row."""
+
+    def test_fields_are_the_dataclass_fields_in_order(self, tag):
+        cls, fields = WIRE_TABLE[tag]
+        assert [f.name for f in dataclasses.fields(cls)] == [name for name, _ in fields]
+        assert MSG_TYPES[tag] == cls.msg_type
+
+    @pytest.mark.parametrize("id_type", sorted(ID_TYPES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_codec_round_trips_and_bits_follow_the_kinds(self, tag, id_type, data):
+        space = SPACES[id_type]
+        message = data.draw(instances(WIRE_TABLE[tag], space.ids))
+        wire = _to_wire(message, space.index)
+        assert wire[0] == tag and len(wire) == 1 + len(WIRE_TABLE[tag][1])
+        assert _to_message(wire, space.ids) == message
+        extra_ids = sum(
+            len(getattr(message, name))
+            for name, kind in WIRE_TABLE[tag][1]
+            if kind == "id-set"
+        )
+        for b in range(21):
+            assert message.bit_size(b) == fixed_bit_bases(b)[tag] + extra_ids * max(b, 1)
+
+    def test_the_doc_table_is_this_row(self, tag):
+        text = (ROOT / "docs" / "STATE_MACHINE.md").read_text()
+        rows = re.findall(
+            r"^\| (\d+) \| `([a-z-]+)` \| (.+?) \| (.+?) \| (.+?) \|$", text, re.M
+        )
+        assert [int(row[0]) for row in rows] == list(range(len(WIRE_TABLE)))
+        _, msg_type, fields, fixed, variable = rows[tag]
+        cls, expected = WIRE_TABLE[tag]
+        assert msg_type == cls.msg_type
+        assert tuple(re.findall(r"`(\w+)` \(([a-z-]+)\)", fields)) == expected
+        assert tuple(re.findall(r"`(\w+)`", variable)) == tuple(
+            name for name, kind in expected if kind == "id-set"
+        )
+        for b in (1, 7, 16):
+            terms = {"h": HEADER_BITS, "b": b}
+            cost = sum(
+                int(n or 1) * terms.get(unit, 1)
+                for n, unit in re.findall(r"(\d*)([hb]?)(?: \+ |$)", fixed)
+                if n or unit
+            )
+            assert cost == fixed_bit_bases(b)[tag]
+
+
+def test_the_loader_defines_every_encoding_the_c_file_names():
+    source = (ROOT / "src" / "repro" / "core" / "_arrayloop.c").read_text()
+    named = set(re.findall(r"\b(?:T|ST|V|MODE|RC|N|F)_[A-Z][A-Z_]*\b", source))
+    defined = arrayloop.defines()
+    assert named and named <= set(defined), sorted(named - set(defined))
+    # ... and the file numbers none of them itself (the CI lint, in-suite).
+    assert not re.search(r"#define (?:T|ST|V|MODE|RC|N|F)_[A-Z_]+ +[0-9]", source)
+    assert not re.search(r"PyTuple_(?:GET|SET)_ITEM\([a-z_]+, *[1-9]\)", source)
+    assert not re.search(r"PyTuple_New\([0-9]", source)
