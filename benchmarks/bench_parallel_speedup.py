@@ -33,9 +33,7 @@ BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_parallel.json"
 
 EXPERIMENT = "near-linear"
 KWARGS = {"ns": (64, 128, 256)}
-# 12 seeds at 4 workers x 2 batches/worker -> 8 round-robin batches, so
-# the sweep exercises the batched submission path (the fix for the 0.83x
-# entry) rather than degenerating to one future per job.
+# 12 seeds at 4 workers: one future per job, three per worker.
 SEEDS = range(12)
 WORKERS = 4
 #: Measured speedup must stay above this fraction of the committed

@@ -42,7 +42,7 @@ def aggregate_tables(tables: Sequence[Table]) -> Table:
     n_rows = len(tables[0][1])
     for other_headers, other_rows in tables[1:]:
         if other_headers != headers:
-            raise ValueError(f"header mismatch: {headers} vs {other_headers}")
+            raise ValueError(f"headers differ: {headers} vs {other_headers}")
         if len(other_rows) != n_rows:
             raise ValueError("row-count mismatch between tables")
 

@@ -13,10 +13,10 @@ results **idempotently** keyed by the job's content digest, so
 * transient failures (timeouts, broken pools) retry with exponential
   backoff up to a cap, while deterministic failures (the same exception
   digest twice) are marked failed-permanent instead of retrying forever,
-* the aggregate report folds cells **incrementally** with exact
-  (order-independent) arithmetic, so an interrupted-and-resumed campaign
-  prints a table bitwise identical to an uninterrupted one at any worker
-  count.
+* the aggregate report is ``aggregate_tables`` over the done cells in
+  cell-id order (ids are fixed at ``init``), so an interrupted-and-resumed
+  campaign prints a table bitwise identical to an uninterrupted one at
+  any worker count.
 
 See DESIGN.md section 16.  CLI::
 

@@ -13,7 +13,7 @@ import sys
 from typing import Any, Dict, List, Sequence
 
 from repro.analysis.tables import render_table
-from repro.parallel.jobs import Job, experiment_name
+from repro.parallel.jobs import Job, experiment_name, parse_seeds
 
 from .report import fold_done_cells, report_tables
 from .runner import CampaignRunner
@@ -36,9 +36,10 @@ def add_campaign_parser(sub) -> None:
             "lease-claiming workers.  A killed or crashed run resumes "
             "with zero done cells recomputed; transient failures retry "
             "with exponential backoff; deterministic failures are marked "
-            "failed-permanent and reported.  The aggregate report folds "
-            "done cells incrementally and is bitwise identical however "
-            "often the campaign was interrupted."
+            "failed-permanent and reported.  The aggregate report "
+            "aggregates the done cells in cell-id order (ids are fixed at "
+            "init), so it is bitwise identical however often, and in "
+            "whatever order, the campaign was interrupted."
         ),
     )
     campaign_sub = campaign_p.add_subparsers(dest="campaign_command", required=True)
@@ -194,19 +195,6 @@ def parse_grid(specs: Sequence[str]) -> List[Dict[str, Any]]:
     return combos
 
 
-def _parse_seeds(spec: str) -> List[int]:
-    # Same grammar as the sweep command; re-implemented here to avoid a
-    # circular import with repro.cli.
-    spec = spec.strip()
-    if ":" in spec:
-        lo_text, _, hi_text = spec.partition(":")
-        lo, hi = int(lo_text or 0), int(hi_text)
-        if hi <= lo:
-            raise ValueError(f"empty seed range {spec!r}")
-        return list(range(lo, hi))
-    return [int(part) for part in spec.split(",") if part.strip()]
-
-
 # ----------------------------------------------------------------------
 # command handlers
 # ----------------------------------------------------------------------
@@ -228,7 +216,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_init(args: argparse.Namespace) -> int:
     try:
         experiment = experiment_name(args.exp)
-        seeds = _parse_seeds(args.seeds)
+        seeds = parse_seeds(args.seeds)
         combos = parse_grid(args.grid)
     except ValueError as exc:
         print(f"campaign init: {exc}", file=sys.stderr)

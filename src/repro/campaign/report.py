@@ -1,28 +1,28 @@
-"""Incremental, order-independent aggregation of done cells.
+"""Campaign aggregation: ``aggregate_tables`` over done cells in id order.
 
-A campaign's aggregate report is the same ``mean [min, max]`` shape as
-:func:`repro.analysis.sweep.aggregate_tables`, but it cannot be computed
-the same way: cells finish (and fold) in whatever order crashes, resumes,
-and worker races produce, and the acceptance criterion demands a report
-**bitwise identical** to an uninterrupted run.  Plain float accumulation
-is order-dependent, so the fold keeps each numeric accumulator as an
-exact :class:`fractions.Fraction` (every float is a dyadic rational, so
-the running total is exact and therefore independent of fold order); the
-final ``float(total / count)`` is correctly rounded, min/max/count are
-trivially order-free, and the rendered table depends only on the *set* of
-done cells.
+A campaign's report is the ``mean [min, max]`` table a ``sweep`` prints,
+one per ``(experiment, kwargs)`` group -- the seed axis aggregates away.
+Cells finish in whatever order crashes, resumes and worker races
+produce, and a float mean summed in that order would depend on it.  The
+report never sums in completion order: it is
+:func:`~repro.analysis.sweep.aggregate_tables` over each group's
+aggregated cells in **cell-id order**, and ids are fixed at ``init``.  So
+the rendered tables depend only on *which* cells were folded, never on
+when they finished, and an interrupted-and-resumed campaign prints the
+same bytes as an uninterrupted one.
 
-Cells are grouped by ``(experiment, kwargs)`` -- the seed axis aggregates
-away, exactly like a ``sweep`` over seeds -- and each fold marks its
-cells ``aggregated`` in the same transaction that updates the
-accumulators, so a crash mid-report never double-folds a cell.
+:func:`fold_done_cells` admits newly done cells into the report: it
+checks them against their group with that same ``aggregate_tables``
+call and marks them ``aggregated`` in one transaction, so a crash
+mid-fold admits all of them or none.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Dict, List, Tuple
+
+from repro.analysis.sweep import aggregate_tables
 
 from .store import DONE, CampaignError, CampaignStore
 
@@ -31,188 +31,76 @@ Table = Tuple[List[str], List[List[Any]]]
 __all__ = ["fold_done_cells", "report_tables"]
 
 
-def _is_numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _group_key(experiment: str, kwargs: Dict[str, Any]) -> str:
     return json.dumps(
         {"experiment": experiment, "kwargs": kwargs}, sort_keys=True, default=repr
     )
 
 
-def fold_done_cells(store: CampaignStore, batch: int = 256) -> int:
-    """Fold every done-but-unaggregated cell into the report accumulators.
-
-    Returns the number of cells folded.  Each batch commits atomically
-    (accumulator updates + ``aggregated`` flags together), so the fold is
-    resumable at cell granularity.
-    """
-    folded = 0
-    conn = store._conn
-    while True:
-        rows = conn.execute(
-            "SELECT id, key, experiment, kwargs, result FROM cells "
-            "WHERE status = ? AND aggregated = 0 ORDER BY id LIMIT ?",
-            (DONE, batch),
-        ).fetchall()
-        if not rows:
-            return folded
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for row in rows:
-                _fold_one(conn, row)
-                conn.execute(
-                    "UPDATE cells SET aggregated = 1 WHERE id = ?", (row["id"],)
-                )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        folded += len(rows)
+def _done_groups(store: CampaignStore, folded_only: bool = False) -> Dict[str, list]:
+    """Done cells (folded ones only if ``folded_only``) by group key, in id order."""
+    groups: Dict[str, list] = {}
+    for row in store._conn.execute(
+        "SELECT id, experiment, kwargs, result, aggregated FROM cells "
+        "WHERE status = ? AND aggregated >= ? ORDER BY id",
+        (DONE, int(folded_only)),
+    ):
+        key = _group_key(row["experiment"], json.loads(row["kwargs"]))
+        groups.setdefault(key, []).append(row)
+    return groups
 
 
-def _fold_one(conn, row) -> None:
+def _table(row) -> Table:
     result = json.loads(row["result"])
-    headers = list(result["headers"])
-    table_rows = result["rows"]
-    group = _group_key(row["experiment"], json.loads(row["kwargs"]))
+    return result["headers"], result["rows"]
 
-    existing = conn.execute(
-        "SELECT headers, n_rows FROM agg_groups WHERE group_key = ?", (group,)
-    ).fetchone()
-    if existing is None:
-        conn.execute(
-            "INSERT INTO agg_groups (group_key, headers, n_rows, n_cells) "
-            "VALUES (?, ?, ?, 1)",
-            (group, json.dumps(headers), len(table_rows)),
+
+def fold_done_cells(store: CampaignStore) -> int:
+    """Admit every done-but-unaggregated cell into the report.
+
+    Each group with new cells must still aggregate (same headers, same
+    row count, same identity cells), else :class:`CampaignError` and
+    nothing is marked.  Returns the number of cells folded.
+    """
+    conn = store._conn
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        folded: List[int] = []
+        for key, rows in _done_groups(store).items():
+            fresh = [row["id"] for row in rows if not row["aggregated"]]
+            if not fresh:
+                continue
+            try:
+                aggregate_tables([_table(row) for row in rows])
+            except (ValueError, TypeError) as exc:
+                raise CampaignError(
+                    f"cell id(s) {fresh} do not aggregate with their group "
+                    f"{key}: {exc}"
+                ) from exc
+            folded += fresh
+        conn.executemany(
+            "UPDATE cells SET aggregated = 1 WHERE id = ?", [(i,) for i in folded]
         )
-    else:
-        if json.loads(existing["headers"]) != headers:
-            raise CampaignError(
-                f"cell {row['key']} headers {headers} do not match its "
-                f"group's {existing['headers']}"
-            )
-        if existing["n_rows"] != len(table_rows):
-            raise CampaignError(
-                f"cell {row['key']} has {len(table_rows)} rows, its group "
-                f"has {existing['n_rows']}"
-            )
-        conn.execute(
-            "UPDATE agg_groups SET n_cells = n_cells + 1 WHERE group_key = ?",
-            (group,),
-        )
-
-    for row_index, table_row in enumerate(table_rows):
-        for col_index, cell in enumerate(table_row):
-            _fold_cell(conn, group, row_index, col_index, cell, row["key"])
-
-
-def _fold_cell(conn, group: str, row_index: int, col_index: int, value: Any, cell_key: str) -> None:
-    numeric = _is_numeric(value)
-    acc = conn.execute(
-        "SELECT * FROM agg_cells WHERE group_key = ? AND row_index = ? "
-        "AND col_index = ?",
-        (group, row_index, col_index),
-    ).fetchone()
-    if acc is None:
-        if numeric:
-            frac = Fraction(value)
-            conn.execute(
-                "INSERT INTO agg_cells (group_key, row_index, col_index, kind, "
-                "count, total_num, total_den, lo, hi) "
-                "VALUES (?, ?, ?, 'num', 1, ?, ?, ?, ?)",
-                (
-                    group,
-                    row_index,
-                    col_index,
-                    str(frac.numerator),
-                    str(frac.denominator),
-                    float(value),
-                    float(value),
-                ),
-            )
-        else:
-            conn.execute(
-                "INSERT INTO agg_cells (group_key, row_index, col_index, kind, "
-                "count, ident) VALUES (?, ?, ?, 'ident', 1, ?)",
-                (group, row_index, col_index, json.dumps(value)),
-            )
-        return
-    if acc["kind"] == "num":
-        if not numeric:
-            raise CampaignError(
-                f"cell {cell_key} row {row_index} col {col_index}: "
-                f"non-numeric {value!r} in a numeric column"
-            )
-        total = Fraction(int(acc["total_num"]), int(acc["total_den"])) + Fraction(value)
-        conn.execute(
-            "UPDATE agg_cells SET count = count + 1, total_num = ?, "
-            "total_den = ?, lo = MIN(lo, ?), hi = MAX(hi, ?) "
-            "WHERE group_key = ? AND row_index = ? AND col_index = ?",
-            (
-                str(total.numerator),
-                str(total.denominator),
-                float(value),
-                float(value),
-                group,
-                row_index,
-                col_index,
-            ),
-        )
-    else:
-        # Identity column: every cell of the group must agree, exactly as
-        # aggregate_tables() demands for non-numeric cells.
-        if numeric or json.loads(acc["ident"]) != value:
-            raise CampaignError(
-                f"cell {cell_key} row {row_index} col {col_index}: identity "
-                f"cell {value!r} differs from the group's "
-                f"{json.loads(acc['ident'])!r}"
-            )
-        conn.execute(
-            "UPDATE agg_cells SET count = count + 1 "
-            "WHERE group_key = ? AND row_index = ? AND col_index = ?",
-            (group, row_index, col_index),
-        )
-
-
-def _render_numeric(count: int, total: Fraction, lo: float, hi: float) -> Any:
-    """The aggregate_tables() cell format, from exact accumulators."""
-    if lo == hi:
-        return lo if lo != int(lo) else int(lo)
-    mean = float(total / count)
-    return f"{mean:.4g} [{lo:.4g}, {hi:.4g}]"
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+    return len(folded)
 
 
 def report_tables(store: CampaignStore) -> List[Tuple[Dict[str, Any], int, Table]]:
     """The aggregate tables, one per (experiment, kwargs) group.
 
     Returns ``(group descriptor, cells folded, (headers, rows))`` triples
-    in deterministic group-key order.  Call :func:`fold_done_cells` first
-    to pull newly-done cells in; this function only renders accumulators.
+    in group-key order.  Call :func:`fold_done_cells` first to pull
+    newly-done cells in; this function reads only folded ones.
     """
-    conn = store._conn
-    out: List[Tuple[Dict[str, Any], int, Table]] = []
-    for group_row in conn.execute(
-        "SELECT * FROM agg_groups ORDER BY group_key"
-    ).fetchall():
-        group = group_row["group_key"]
-        headers = json.loads(group_row["headers"])
-        rows: List[List[Any]] = [[] for _ in range(group_row["n_rows"])]
-        for acc in conn.execute(
-            "SELECT * FROM agg_cells WHERE group_key = ? "
-            "ORDER BY row_index, col_index",
-            (group,),
-        ).fetchall():
-            if acc["kind"] == "num":
-                cell = _render_numeric(
-                    acc["count"],
-                    Fraction(int(acc["total_num"]), int(acc["total_den"])),
-                    acc["lo"],
-                    acc["hi"],
-                )
-            else:
-                cell = json.loads(acc["ident"])
-            rows[acc["row_index"]].append(cell)
-        out.append((json.loads(group), group_row["n_cells"], (headers, rows)))
-    return out
+    groups = _done_groups(store, folded_only=True)
+    return [
+        (
+            json.loads(key),
+            len(groups[key]),
+            aggregate_tables([_table(row) for row in groups[key]]),
+        )
+        for key in sorted(groups)
+    ]

@@ -3,7 +3,7 @@
 The runner is a thin deterministic shell around the existing
 :class:`~repro.parallel.ParallelExecutor`: each round it renews its
 leases, claims the next id-ordered chunk of runnable cells, fans the
-reconstructed jobs out over the batched pool, and commits each outcome
+reconstructed jobs out over the pool, and commits each outcome
 through the store's classification machinery.  Crash safety lives in the
 store; the runner adds
 
@@ -70,10 +70,10 @@ class CampaignRunReport:
 class CampaignRunner:
     """One worker process draining a campaign store.
 
-    ``workers``/``batches_per_worker``/``timeout`` configure the inner
+    ``workers``/``timeout`` configure the inner
     :class:`ParallelExecutor` exactly as for ``sweep``.  ``chunk`` caps
-    how many cells one claim round leases (default: one full pool round,
-    ``workers * batches_per_worker``) -- small chunks keep leases short
+    how many cells one claim round leases (default ``2 * workers``, two
+    jobs per worker per round) -- small chunks keep leases short
     and takeover granular, large chunks amortize claim transactions.
     ``max_cells`` stops the runner after that many computed cells (a
     deterministic, signal-free way to interrupt a campaign mid-flight;
@@ -86,7 +86,6 @@ class CampaignRunner:
         store: CampaignStore,
         *,
         workers: int = 1,
-        batches_per_worker: int = 2,
         timeout: Optional[float] = None,
         chunk: Optional[int] = None,
         max_cells: Optional[int] = None,
@@ -99,9 +98,8 @@ class CampaignRunner:
     ):
         self.store = store
         self.workers = workers
-        self.batches_per_worker = batches_per_worker
         self.timeout = timeout
-        self.chunk = chunk if chunk is not None else workers * batches_per_worker
+        self.chunk = chunk if chunk is not None else 2 * workers
         self.max_cells = max_cells
         self.worker_id = worker_id or default_worker_id()
         self.handle_signals = handle_signals
@@ -138,11 +136,7 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def run(self) -> CampaignRunReport:
         report = CampaignRunReport()
-        executor = ParallelExecutor(
-            workers=self.workers,
-            timeout=self.timeout,
-            batches_per_worker=self.batches_per_worker,
-        )
+        executor = ParallelExecutor(workers=self.workers, timeout=self.timeout)
         previous = self._install_signals()
         try:
             while not self._stop.is_set():

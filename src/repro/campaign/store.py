@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the table layout changes shape; a mismatching store
-#: refuses to open rather than guessing.
-CAMPAIGN_SCHEMA_VERSION = 1
+#: refuses to open rather than guessing.  Version 2 dropped the report's
+#: accumulator tables: the report is computed from the ``cells`` rows.
+CAMPAIGN_SCHEMA_VERSION = 2
 
 #: Cell states.  ``done`` and ``failed`` are terminal; ``failed`` means
 #: failed-*permanent* -- transient failures go back to ``pending``.
@@ -91,25 +92,6 @@ CREATE TABLE cells (
     aggregated      INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX cells_status ON cells (status, next_attempt_at);
-CREATE TABLE agg_groups (
-    group_key TEXT PRIMARY KEY,
-    headers   TEXT NOT NULL,
-    n_rows    INTEGER NOT NULL,
-    n_cells   INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE agg_cells (
-    group_key TEXT NOT NULL,
-    row_index INTEGER NOT NULL,
-    col_index INTEGER NOT NULL,
-    kind      TEXT NOT NULL,
-    count     INTEGER NOT NULL DEFAULT 0,
-    total_num TEXT,
-    total_den TEXT,
-    lo        REAL,
-    hi        REAL,
-    ident     TEXT,
-    PRIMARY KEY (group_key, row_index, col_index)
-);
 """
 
 

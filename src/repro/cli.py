@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     GRAPH_FAMILIES,
@@ -65,6 +65,7 @@ from repro.core.adhoc import run_adhoc
 from repro.core.bounded import run_bounded
 from repro.core.generic import run_generic
 from repro.lowerbounds.tree_adversary import run_tree_lower_bound
+from repro.parallel.jobs import parse_seeds
 from repro.sim.scheduler import LifoScheduler
 from repro.sim.timed import TimedScheduler
 from repro.verification.invariants import verify_discovery
@@ -499,18 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_seeds(spec: str) -> List[int]:
-    """``'a:b'`` (half-open, like range) or ``'s1,s2,...'`` or one seed."""
-    spec = spec.strip()
-    if ":" in spec:
-        lo_text, _, hi_text = spec.partition(":")
-        lo, hi = int(lo_text or 0), int(hi_text)
-        if hi <= lo:
-            raise ValueError(f"empty seed range {spec!r}")
-        return list(range(lo, hi))
-    return [int(part) for part in spec.split(",") if part.strip()]
-
-
 def _scheduler_options(name: str, seed: int) -> dict:
     """The ``run_*`` / ``build_simulation`` keywords for ``--scheduler``.
 
@@ -664,7 +653,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     try:
-        seeds = _parse_seeds(args.seeds)
+        seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         print(f"bad --seeds: {exc}", file=sys.stderr)
         return 2
@@ -767,7 +756,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
 
     try:
-        seeds = _parse_seeds(args.seeds)
+        seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         print(f"bad --seeds: {exc}", file=sys.stderr)
         return 2

@@ -1,40 +1,31 @@
-"""Sharded multi-process execution of experiment jobs.
+"""Multi-process execution of experiment jobs.
 
 :class:`ParallelExecutor` fans :class:`~repro.parallel.jobs.Job` specs out
-over a ``concurrent.futures.ProcessPoolExecutor`` (forked workers), with
+over a ``concurrent.futures.ProcessPoolExecutor`` (forked workers), one
+future per job, with
 
 * a **serial fallback** for ``workers=1`` and for platforms without
   ``fork`` -- the exact same code path minus the pool, so behaviour never
   depends on the backend;
 * **crash isolation**: worker-side exceptions are caught and returned as
-  failed :class:`JobResult`\\ s, and a broken pool (a worker killed by a
-  segfault or the OOM killer) degrades to in-process execution of the
-  remaining jobs instead of aborting the sweep;
-* **partial-batch recovery**: workers spool each finished job result to a
-  per-batch file as they go, so when a pool breaks (or a batch times out)
-  the jobs that already succeeded are *recovered from the spool* and only
-  the genuinely unfinished tail of the batch is re-executed -- a batch is
-  never thrown away because its last job crashed the worker;
-* a **per-job timeout** that marks the job failed and reclaims the worker
-  rather than hanging the sweep on one diverging simulation;
+  failed :class:`JobResult`\\ s.  A worker death (segfault, OOM kill,
+  ``os._exit``) breaks the pool; every job that already finished keeps
+  its result (the pool reads pending results before it declares itself
+  broken), and every job without one runs again in its own fresh
+  one-worker pool, so a job that kills its worker every time ends
+  ``failed`` with a ``BrokenProcessPool`` error instead of taking the
+  sweep down with it;
+* a **per-job timeout** that marks exactly that job ``timeout`` and
+  kills its worker once the round's other results are in, rather than
+  hanging the sweep on one diverging simulation;
 * **per-job retry with backoff**: ``retries=N`` re-runs failed and
   timed-out jobs up to N extra rounds, sleeping ``backoff * 2**round``
   between rounds; every result carries its ``attempts`` count so sweeps
   report what the retries cost.  The default ``retries=0`` is the exact
   historical fail-fast behaviour;
-* **job batching**: when a sweep has many more jobs than workers, jobs
-  are grouped into at most ``workers * batches_per_worker`` round-robin
-  batches and each *batch* is one pool submission, so the per-future
-  overhead (pickling, IPC wakeups, result marshalling) is paid once per
-  batch instead of once per tiny job -- the fix for the negative speedup
-  the first ``BENCH_parallel.json`` entry recorded.  Sweeps with at most
-  ``workers * batches_per_worker`` jobs get singleton batches, i.e. the
-  exact pre-batching behaviour (including per-job timeouts);
-* **determinism**: jobs are submitted in deterministic shard-interleaved
-  order (:func:`~repro.parallel.jobs.shard_seeds`) and results are
-  collected back into submission order, so the aggregated tables are
-  bitwise identical for any worker count, any batch shape and any
-  completion order;
+* **determinism**: jobs are submitted in job order and results are
+  collected back into that order, so the aggregated tables are bitwise
+  identical for any worker count and any completion order;
 * transparent **result caching** when a
   :class:`~repro.parallel.cache.ResultCache` is attached.
 """
@@ -42,10 +33,6 @@ over a ``concurrent.futures.ProcessPoolExecutor`` (forked workers), with
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import shutil
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -56,7 +43,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.registry import ExperimentRecord
 
 from .cache import ResultCache
-from .jobs import Job, experiment_name, resolve_experiment, shard_seeds, sweep_jobs
+from .jobs import Job, experiment_name, resolve_experiment, sweep_jobs
 from .progress import NullProgress
 
 Table = Tuple[List[str], List[List[Any]]]
@@ -171,42 +158,6 @@ def _safe_execute(job: Job) -> JobResult:
     )
 
 
-def _safe_execute_batch(batch: List[Job], spool_path: Optional[str] = None) -> List[JobResult]:
-    """Run a batch of jobs in one worker invocation, preserving order.
-
-    Crash isolation stays per-job (each job goes through
-    :func:`_safe_execute`), only the *submission* is batched.  Each
-    finished result is appended to ``spool_path`` before the next job
-    starts, so if a later job kills the worker outright the parent can
-    recover the completed prefix instead of re-running it.
-    """
-    results = []
-    for job in batch:
-        result = _safe_execute(job)
-        results.append(result)
-        if spool_path is not None:
-            with open(spool_path, "ab") as fh:
-                pickle.dump(result, fh)
-                fh.flush()
-    return results
-
-
-def _read_spool(spool_path: str) -> List[JobResult]:
-    """Recover the completed prefix of a batch from its spool file.
-
-    A missing file means the worker died before its first job finished; a
-    torn trailing record (killed mid-write) terminates the prefix.
-    """
-    results: List[JobResult] = []
-    try:
-        with open(spool_path, "rb") as fh:
-            while True:
-                results.append(pickle.load(fh))
-    except (OSError, EOFError, pickle.UnpicklingError, AttributeError):
-        pass
-    return results
-
-
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -217,15 +168,8 @@ class ParallelExecutor:
 
     ``workers=1`` (the default) runs serially in-process; higher counts
     fork a pool.  ``timeout`` bounds the wait for each job's result in
-    seconds; batched submissions get a pooled budget of
-    ``timeout * len(batch)``, so the average per-job bound is unchanged
-    (one pathological job can borrow budget from its batch mates, which is
-    the price of amortizing pool overhead -- sweeps small enough for
-    singleton batches keep the exact per-job bound).
-    ``batches_per_worker`` controls the batching granularity: pending jobs
-    are split into at most ``workers * batches_per_worker`` round-robin
-    batches (more batches = finer load balancing, fewer batches = less
-    per-future overhead).  ``retries``/``backoff`` give every failed or
+    seconds (pool runs only; the serial path has no way to interrupt a
+    job).  ``retries``/``backoff`` give every failed or
     timed-out job up to ``retries`` extra executions with exponential
     inter-round backoff (default 0: fail fast, the historical contract).
     ``executed`` counts jobs actually run (cache hits excluded) over the
@@ -234,7 +178,6 @@ class ParallelExecutor:
 
     workers: int = 1
     timeout: Optional[float] = None
-    batches_per_worker: int = 2
     cache: Optional[ResultCache] = None
     progress: Any = field(default_factory=NullProgress)
     retries: int = 0
@@ -244,10 +187,6 @@ class ParallelExecutor:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batches_per_worker < 1:
-            raise ValueError(
-                f"batches_per_worker must be >= 1, got {self.batches_per_worker}"
-            )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.backoff < 0:
@@ -316,108 +255,58 @@ class ParallelExecutor:
             yield index, _safe_execute(jobs[index])
 
     def _run_pool(
-        self, jobs: Sequence[Job], pending: Sequence[int]
+        self, jobs: Sequence[Job], pending: Sequence[int], isolated: bool = False
     ) -> Iterator[Tuple[int, JobResult]]:
-        # Deterministic round-robin batching: batch i takes every
-        # n_batches-th pending job, so long jobs spread across the pool
-        # and the partition is a pure function of (pending, workers,
-        # batches_per_worker).  One future per *batch* keeps the pool's
-        # per-future overhead off the per-job cost; with few jobs the
-        # batches degenerate to singletons and this is exactly the old
-        # one-future-per-job submission.
-        n_batches = min(len(pending), self.workers * self.batches_per_worker)
-        batches = shard_seeds(pending, n_batches)
-        spool_dir = tempfile.mkdtemp(prefix="repro-sweep-spool-")
-        spools = [
-            os.path.join(spool_dir, f"batch-{batch_index}.pkl")
-            for batch_index in range(len(batches))
-        ]
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=multiprocessing.get_context("fork")
-        )
-        timed_out = False
-        try:
-            futures = [
-                pool.submit(
-                    _safe_execute_batch,
-                    [jobs[index] for index in batch],
-                    spool,
-                )
-                for batch, spool in zip(batches, spools)
-            ]
-            broken = False
-            for batch, future, spool in zip(batches, futures, spools):
-                if broken:
-                    # Pool died earlier.  This batch's future either
-                    # finished before the break (use its results), or is
-                    # dead -- recover its spooled prefix and finish the
-                    # rest in-process.
-                    try:
-                        batch_results = future.result(timeout=0)
-                    except Exception:
-                        yield from self._recover_batch(jobs, batch, spool)
-                        continue
-                    for index, result in zip(batch, batch_results):
-                        yield index, result
-                    continue
-                budget = None if self.timeout is None else self.timeout * len(batch)
-                try:
-                    batch_results = future.result(timeout=budget)
-                except FuturesTimeoutError:
-                    timed_out = True
-                    future.cancel()
-                    # Jobs that finished before the budget ran out are in
-                    # the spool; only the unfinished tail is charged the
-                    # timeout.
-                    recovered = _read_spool(spool)
-                    for offset, index in enumerate(batch):
-                        if offset < len(recovered):
-                            yield index, recovered[offset]
-                            continue
-                        yield index, JobResult(
-                            job=jobs[index],
-                            status=TIMEOUT,
-                            wall=self.timeout,
-                            error=(
-                                f"batch of {len(batch)} job(s) produced no "
-                                f"result after {budget:g}s"
-                            ),
-                        )
-                    continue
-                except BrokenProcessPool:
-                    broken = True
-                    yield from self._recover_batch(jobs, batch, spool)
-                    continue
-                for index, result in zip(batch, batch_results):
-                    yield index, result
-        finally:
-            if timed_out:
-                # Don't block on workers still grinding the timed-out job.
-                pool.shutdown(wait=False, cancel_futures=True)
-                try:
-                    for process in list(getattr(pool, "_processes", {}).values()):
-                        process.terminate()
-                except Exception:
-                    pass
-            else:
-                pool.shutdown(wait=True)
-            shutil.rmtree(spool_dir, ignore_errors=True)
+        """One future per job, collected in job order.
 
-    def _recover_batch(
-        self, jobs: Sequence[Job], batch: Sequence[int], spool: str
-    ) -> Iterator[Tuple[int, JobResult]]:
-        """Salvage a broken batch: spooled prefix as-is, rest in-process.
-
-        The worker appended each result to the spool *before* starting the
-        next job, so the spool is exactly the batch's completed prefix and
-        re-execution resumes from the first unfinished job.
+        A worker death breaks the pool; each job that has no result by
+        then runs again ``isolated``: alone in a one-worker pool of its
+        own, where a break can only be that job's doing and makes it
+        ``failed``.
         """
-        recovered = _read_spool(spool)
-        for offset, index in enumerate(batch):
-            if offset < len(recovered):
-                yield index, recovered[offset]
-            else:
-                yield index, _safe_execute(jobs[index])
+        pool = ProcessPoolExecutor(
+            max_workers=1 if isolated else self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        start = time.perf_counter()
+        orphans: List[int] = []
+        stuck = False
+        try:
+            futures = [pool.submit(_safe_execute, jobs[index]) for index in pending]
+            for index, future in zip(pending, futures):
+                try:
+                    result = future.result(timeout=self.timeout)
+                except FuturesTimeoutError:
+                    stuck = True
+                    future.cancel()
+                    result = JobResult(
+                        job=jobs[index],
+                        status=TIMEOUT,
+                        wall=self.timeout,
+                        error=f"no result after {self.timeout:g}s",
+                    )
+                except BrokenProcessPool as exc:
+                    if not isolated:
+                        orphans.append(index)
+                        continue
+                    result = JobResult(
+                        job=jobs[index],
+                        status=FAILED,
+                        wall=time.perf_counter() - start,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                yield index, result
+        finally:
+            if stuck or orphans:
+                # SIGKILL what is left: a timed-out job never returns, and
+                # the SIGTERM a broken pool sends does not stop a forked
+                # worker that inherited the parent's Python SIGTERM handler
+                # (the campaign runner installs one).
+                for process in list(pool._processes.values()):
+                    process.kill()
+            pool.shutdown(wait=True)
+        for index in orphans:
+            yield from self._run_pool(jobs, [index], isolated=True)
 
     # ------------------------------------------------------------------
     # conveniences

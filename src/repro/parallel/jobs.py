@@ -28,6 +28,7 @@ __all__ = [
     "Job",
     "experiment_name",
     "protocol_code_digest",
+    "parse_seeds",
     "resolve_experiment",
     "sweep_jobs",
     "shard_seeds",
@@ -52,7 +53,8 @@ def _digest_of_roots(roots: Tuple[str, ...]) -> str:
     hasher = hashlib.sha256()
     for root in roots:
         root_path = pathlib.Path(root)
-        for path in sorted(root_path.rglob("*.py")):
+        sources = [*root_path.rglob("*.py"), *root_path.rglob("*.c")]
+        for path in sorted(sources):
             hasher.update(path.name.encode())
             hasher.update(b"\0")
             hasher.update(path.read_bytes())
@@ -64,8 +66,9 @@ def protocol_code_digest() -> str:
     """Digest of the protocol + simulator source trees.
 
     Folded into :meth:`Job.spec` so cached experiment results are keyed by
-    the *code that produced them*, not just the parameters: touch any file
-    under ``repro/core`` or ``repro/sim`` and every cache entry misses.
+    the *code that produced them*, not just the parameters: touch any
+    ``.py`` or ``.c`` file under ``repro/core`` or ``repro/sim`` (the C
+    loop included) and every cache entry misses.
     Memoized per process (a sweep computes thousands of keys); tests that
     rewrite source trees call ``_digest_of_roots.cache_clear()``.
     """
@@ -187,16 +190,24 @@ def sweep_jobs(
     return [Job.create(name, kwargs, seed) for seed in seeds]
 
 
+def parse_seeds(spec: str) -> List[int]:
+    """``'a:b'`` (half-open, like range) or ``'s1,s2,...'`` or one seed."""
+    spec = spec.strip()
+    if ":" in spec:
+        lo_text, _, hi_text = spec.partition(":")
+        lo, hi = int(lo_text or 0), int(hi_text)
+        if hi <= lo:
+            raise ValueError(f"empty seed range {spec!r}")
+        return list(range(lo, hi))
+    return [int(part) for part in spec.split(",") if part.strip()]
+
+
 def shard_seeds(seeds: Sequence[int], n_shards: int) -> List[List[int]]:
     """Deterministic round-robin partition of ``seeds`` into ``n_shards``.
 
     Shard ``i`` receives ``seeds[i::n_shards]``; empty shards are dropped.
     The partition depends only on the input order and the shard count, so
     schedulers that interleave submission across shards stay reproducible.
-    This is also the executor's job-batching partition: each shard of
-    pending job indices becomes one pool submission, which keeps batch
-    composition -- and therefore timeout accounting and fallback order --
-    a pure function of the sweep spec.
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")

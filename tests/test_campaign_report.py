@@ -1,12 +1,18 @@
-"""Tests for incremental campaign aggregation (repro.campaign.report).
+"""Tests for campaign aggregation (repro.campaign.report).
 
 The headline property: the rendered report depends only on the *set* of
-done cells -- any fold order, any interruption pattern, any batch size
-produces bitwise-identical tables, and those tables match
-``aggregate_tables`` exactly.
+folded cells -- any completion order, any interruption pattern, any fold
+points produce bitwise-identical tables, and those tables are
+``aggregate_tables`` over the cells in id order.
 """
 
+import sqlite3
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sweep import aggregate_tables
 from repro.campaign import CampaignStore, fold_done_cells, report_tables
@@ -14,6 +20,11 @@ from repro.campaign.store import CampaignError
 from repro.parallel import Job, ParallelExecutor, sweep_jobs
 
 TOY = "tests.test_parallel:exp_toy"
+
+#: One float per cell whose naive sum depends on the order it is taken
+#: in: 1e16 swallows a 1.0 added after it but not two added before it
+#: (the mean renders 0.325 in this order, 0.5 reversed, 0.45 exactly).
+ORDER_SENSITIVE = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3, 1.0]
 
 
 def make_store(tmp_path, jobs, name="campaign.db"):
@@ -52,19 +63,37 @@ class TestFold:
         assert n_cells == 5
         assert descriptor == {"experiment": TOY, "kwargs": {"scale": 3}}
 
-    def test_fold_order_does_not_change_the_report(self, tmp_path):
-        jobs = sweep_jobs(TOY, range(6), {"scale": 7})
-        results = run_jobs(jobs)
-        forward = make_store(tmp_path, jobs, "fwd.db")
-        complete_cells(forward, results)
-        fold_done_cells(forward)
-
-        backward = make_store(tmp_path, jobs, "bwd.db")
-        complete_cells(backward, list(reversed(results)))
-        # fold in several incremental passes, interleaved with completions
-        fold_done_cells(backward, batch=2)
-        fold_done_cells(backward)
-        assert report_tables(forward) == report_tables(backward)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.permutations(range(len(ORDER_SENSITIVE))),
+        fold_after=st.sets(st.integers(0, len(ORDER_SENSITIVE))),
+    )
+    def test_fold_order_does_not_change_the_report(self, order, fold_after):
+        """Any completion order, with a fold after any prefix of it,
+        renders the tables ``aggregate_tables`` gives in seed order --
+        although the column's naive float sum depends on the order."""
+        jobs = [Job.create(TOY, {"scale": 1}, seed=s) for s in range(len(order))]
+        tables = [
+            (["case", "x"], [["toy", value], ["const", 2.5]])
+            for value in ORDER_SENSITIVE
+        ]
+        assert aggregate_tables(tables) != aggregate_tables(tables[::-1])
+        with tempfile.TemporaryDirectory() as tmp:
+            store = make_store(Path(tmp), jobs)
+            for done, seed in enumerate(order):
+                if done in fold_after:
+                    fold_done_cells(store)
+                store.claim("w", 1)
+                headers, rows = tables[seed]
+                store.complete(
+                    jobs[seed].key(),
+                    {"headers": headers, "rows": rows, "messages": None},
+                )
+            fold_done_cells(store)
+            ((_, n_cells, table),) = report_tables(store)
+            store.close()
+        assert n_cells == len(order)
+        assert table == aggregate_tables(tables)
 
     def test_fold_is_incremental_and_never_double_folds(self, tmp_path):
         jobs = sweep_jobs(TOY, range(4), {"scale": 2})
@@ -119,3 +148,27 @@ class TestFold:
         )
         with pytest.raises(CampaignError, match="headers"):
             fold_done_cells(store)
+
+    def test_schema_v1_store_refused(self, tmp_path):
+        """Version 1 kept the report in accumulator tables this code no
+        longer reads or writes; such a store is refused, not guessed at."""
+        path = tmp_path / "v1.db"
+        make_store(tmp_path, [Job.create(TOY, {}, seed=0)], "v1.db").close()
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(CampaignError, match="schema version 1"):
+            CampaignStore.open(path)
+
+    def test_non_numeric_cell_in_numeric_column_rejected(self, tmp_path):
+        jobs = [Job.create(TOY, {"scale": 2}, seed=s) for s in range(2)]
+        store = make_store(tmp_path, jobs)
+        store.claim("w", 2)
+        for job, value in zip(jobs, (1.5, None)):
+            store.complete(
+                job.key(), {"headers": ["x"], "rows": [[value]], "messages": None}
+            )
+        with pytest.raises(CampaignError, match="do not aggregate"):
+            fold_done_cells(store)
+        assert report_tables(store) == []  # nothing was marked

@@ -110,6 +110,19 @@ class TestFailureHandling:
         assert cell.attempts == 2
         assert report.failed_permanent == 1
 
+    def test_cell_that_always_kills_its_worker_fails_alone(self, tmp_path):
+        """The killed worker's pool break is transient: the cell retries
+        to the cap and goes failed; the runner and the other cells live."""
+        jobs = sweep_jobs("tests.test_parallel:exp_always_killer", range(4))
+        store = make_store(tmp_path, jobs, max_attempts=2)
+        report = CampaignRunner(store, workers=2, handle_signals=False).run()
+        cell = store.cell(jobs[0].key())
+        assert cell.status == "failed"
+        assert cell.attempts == 2
+        assert cell.error.startswith("BrokenProcessPool: ")
+        assert store.counts() == {"pending": 0, "claimed": 0, "done": 3, "failed": 1}
+        assert report.failed_permanent == 1
+
 
 class TestWaiting:
     def test_waits_out_anothers_lease_then_takes_over(self, tmp_path):

@@ -121,6 +121,20 @@ class TestCacheKeysTrackCode:
         _digest_of_roots.cache_clear()
         assert cache.get(job) is None  # same params, new code => miss
 
+    def test_c_source_is_part_of_the_digest(self, tmp_path):
+        # The C loop is the engine every eligible discovery runs on, so
+        # editing it must change every job key, like editing a .py file.
+        root = tmp_path / "core"
+        root.mkdir()
+        (root / "node.py").write_text("STATE = 1\n")
+        source = root / "_loop.c"
+        source.write_text("int state = 1;\n")
+        _digest_of_roots.cache_clear()
+        before = _digest_of_roots((str(root),))
+        source.write_text("int state = 2;\n")
+        _digest_of_roots.cache_clear()
+        assert _digest_of_roots((str(root),)) != before
+
     def test_digest_cleanup(self):
         # The monkeypatched tests above poisoned the memo; restore it so
         # later tests (and other files) see the real source digest.

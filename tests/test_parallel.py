@@ -56,12 +56,20 @@ def exp_counted(counter_dir="", seed=0):
 
 def exp_killer(marker="", seed=0):
     """SIGKILLs its own worker process -- but only once per marker file,
-    so the in-parent recovery re-run completes normally."""
+    so a later execution of the same job completes normally."""
     path = pathlib.Path(marker)
     if not path.exists():
         path.touch()
         os.kill(os.getpid(), 9)
     return ["case", "messages"], [["survived", seed]]
+
+
+def exp_always_killer(poisoned=0, seed=0):
+    """Kills whatever process runs seed ``poisoned``, every time (exit
+    code 13); every other seed returns a table."""
+    if seed == poisoned:
+        os._exit(13)
+    return ["case", "messages"], [["spared", seed]]
 
 
 def exp_flaky_once(flag_dir="", seed=0):
@@ -80,6 +88,7 @@ FLAKY = f"{__name__}:exp_flaky"
 SLEEPY = f"{__name__}:exp_sleepy"
 COUNTED = f"{__name__}:exp_counted"
 KILLER = f"{__name__}:exp_killer"
+ALWAYS_KILLER = f"{__name__}:exp_always_killer"
 FLAKY_ONCE = f"{__name__}:exp_flaky_once"
 
 
@@ -384,51 +393,59 @@ class TestRetries:
 
 class TestBrokenPoolRecovery:
     def test_completed_prefix_of_broken_batch_not_recomputed(self, tmp_path):
-        """Regression: a worker crash used to re-run its *whole* batch
-        serially, recomputing jobs that had already finished.  The spool
-        makes recovery resume from the first unfinished job."""
+        """A job that finished before a worker died keeps its result: the
+        pool reads pending results before it declares itself broken, so
+        only the jobs without one run again."""
         counter = tmp_path / "counts"
-        # workers=2, batches_per_worker=1, 3 jobs -> round-robin batches
-        # [[job0, job2], [job1]]: job0 completes, then job2 kills the pool.
+        # Two workers: job0 and job1 start first.  job1 sleeps, so job0's
+        # worker is the one that picks up job2 -- after sending job0's
+        # result -- and dies; job1 dies with the pool and runs again.
         jobs = [
             Job.create(COUNTED, {"counter_dir": str(counter)}, seed=0),
-            Job.create(TOY, {"scale": 2}, seed=1),
+            Job.create(SLEEPY, {"duration": 0.5}, seed=1),
             Job.create(KILLER, {"marker": str(tmp_path / "marker")}, seed=2),
         ]
-        executor = ParallelExecutor(workers=2, batches_per_worker=1)
+        executor = ParallelExecutor(workers=2)
         results = executor.run(jobs)
         assert [r.status for r in results] == ["done", "done", "done"]
-        # job0's result came from the spool: executed exactly once.
+        # job0's result survived the worker death: executed exactly once.
         assert len(list(counter.iterdir())) == 1
-        # job2 was re-run in-process after killing its worker.
+        # job2 ran again in a fresh child after killing its worker.
         assert results[2].rows == [["survived", 2]]
 
     def test_batch_after_break_recovers_or_reuses(self, tmp_path):
-        """Batches queued behind the poisoned one still produce correct
-        results (finished futures are reused, dead ones recovered)."""
+        """Jobs queued behind the poisoned one still produce correct
+        results (finished futures are reused, dead ones run again)."""
         jobs = [Job.create(KILLER, {"marker": str(tmp_path / "marker")}, seed=0)]
         jobs += sweep_jobs(TOY, range(1, 6), {"scale": 3})
-        executor = ParallelExecutor(workers=2, batches_per_worker=1)
+        executor = ParallelExecutor(workers=2)
         results = executor.run(jobs)
         assert [r.status for r in results] == ["done"] * 6
         assert [r.table[1][0][2] for r in results[1:]] == [6, 9, 12, 15, 18]
 
     def test_timeout_salvages_finished_batch_mates(self, tmp_path):
-        """A batch timeout only charges the jobs that did not finish."""
+        """A timeout only charges the job that did not finish."""
         counter = tmp_path / "counts"
-        # batches [[job0, job2], [job1]]: job0 finishes fast and spools,
-        # job2 sleeps past the pooled budget.
         jobs = [
             Job.create(COUNTED, {"counter_dir": str(counter)}, seed=0),
             Job.create(TOY, {"scale": 2}, seed=1),
             Job.create(SLEEPY, {"duration": 30.0}, seed=2),
         ]
-        executor = ParallelExecutor(workers=2, batches_per_worker=1, timeout=0.4)
+        executor = ParallelExecutor(workers=2, timeout=0.4)
         start = time.perf_counter()
         results = executor.run(jobs)
         assert time.perf_counter() - start < 10
         assert [r.status for r in results] == ["done", "done", "timeout"]
         assert len(list(counter.iterdir())) == 1
+
+    def test_job_that_always_kills_its_worker_fails_alone(self):
+        """A job that kills every process it runs in used to be re-run
+        inside the parent, which it then killed too.  Now it breaks only
+        its own one-worker child and ends failed; the sweep goes on."""
+        results = ParallelExecutor(workers=2).run(sweep_jobs(ALWAYS_KILLER, range(4)))
+        assert [r.status for r in results] == ["failed", "done", "done", "done"]
+        assert results[0].error.startswith("BrokenProcessPool: ")
+        assert [r.rows for r in results[1:]] == [[["spared", s]] for s in (1, 2, 3)]
 
 
 class TestCacheDegradation:
