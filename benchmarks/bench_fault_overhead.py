@@ -1,26 +1,25 @@
 """BENCH: the price of reliability -- retransmission overhead vs loss rate.
 
-Runs the Generic algorithm under the ack/retransmit transport while the
+Runs the Generic algorithm under the selective-repeat transport while the
 fault layer drops an increasing fraction of messages, and records what the
 recovery costs: overhead messages/bits (``rt-retrans`` + ``rt-ack`` +
 ``rt-nack``) as a share of total traffic, retransmission counts, and the
-step-count price.  Both transport generations run -- ``sr`` (selective
-repeat, the default) and ``gbn`` (the v1 go-back-N path) -- so the curve
-doubles as the differential cost story.  Safety is asserted on every run
-(zero stepwise violations, properties on all survivors).  The v2 transport
-additionally carries two **perf-floor assertions** so a regression in the
-piggyback/delayed-ack machinery or the adaptive timers fails the bench
-instead of silently bending the curve:
+step-count price.  Each run appends its rows to ``BENCH_faults.json``
+``entries``; the ``"gbn"`` rows there are the go-back-N transport that
+preceded selective repeat, kept as history.  Safety is asserted on every
+run (zero stepwise violations, properties on all survivors).  Two
+**perf-floor assertions** make a regression in the piggyback/delayed-ack
+machinery or the adaptive timers fail the bench instead of silently
+bending the curve:
 
-* clean-channel overhead share: ``sr`` must stay under
-  ``SR_MAX_CLEAN_SHARE`` at loss=0.  The achieved level is ~0.30 against
-  gbn's 0.54.  A tighter 0.15 target is structurally unreachable on this
+* clean-channel overhead share: must stay under ``SR_MAX_CLEAN_SHARE`` at
+  loss=0.  The achieved level is ~0.30 against go-back-N's 0.54.  A tighter 0.15 target is structurally unreachable on this
   workload: the discovery run sends a median of two payloads per directed
   pair, every conversation tail still owes one standalone cumulative ack
   after reverse traffic stops, and those ~80 unavoidable tail acks alone
   are ~0.17 of total traffic at n=32 (the share *rises* with n as
   conversations get shorter);
-* loss=0.2 latency: ``sr`` must finish in under half the committed gbn
+* loss=0.2 latency: must finish in under half the committed go-back-N
   baseline's virtual-time steps (13914 -> floor at 6957) -- the payoff of
   NACK repair + adaptive RTOs over fixed-timer go-back-N.
 
@@ -59,11 +58,10 @@ LOSS_RATES = (0.0, 0.05, 0.10, 0.20, 0.30)
 N = 32
 FAMILY = "sparse-random"
 SEEDS = range(4)
-TRANSPORTS = ("sr", "gbn")
 
-#: Perf floors for the v2 transport (see module docstring).
+#: Perf floors (see module docstring).
 SR_MAX_CLEAN_SHARE = 0.35
-SR_MAX_LOSS20_STEPS = 6957  # half the committed gbn baseline (13914)
+SR_MAX_LOSS20_STEPS = 6957  # half the committed go-back-N baseline (13914)
 
 
 def _load_bench():
@@ -77,40 +75,29 @@ def _load_bench():
 
 def test_fault_overhead(benchmark, record_table):
     def run():
-        curve = []
-        for transport in TRANSPORTS:
-            for loss in LOSS_RATES:
-                trials = [
+        return [
+            (
+                loss,
+                [
                     run_chaos_trial(
-                        FaultPlan(loss=loss),
-                        "generic",
-                        family=FAMILY,
-                        n=N,
-                        seed=seed,
-                        reliable=True,
-                        transport=transport,
+                        FaultPlan(loss=loss), "generic", family=FAMILY, n=N, seed=seed
                     )
                     for seed in SEEDS
-                ]
-                curve.append((transport, loss, trials))
-        return curve
+                ],
+            )
+            for loss in LOSS_RATES
+        ]
 
     curve = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
     entries = []
-    for transport, loss, trials in curve:
+    for loss, trials in curve:
         # The hard criterion: reliability must actually deliver -- every
         # seed quiesces with clean safety and full properties.
         for trial in trials:
-            assert trial.safety_ok, (transport, loss, trial.seed, trial.detail)
-            assert trial.outcome == "ok", (
-                transport,
-                loss,
-                trial.seed,
-                trial.outcome,
-                trial.detail,
-            )
+            assert trial.safety_ok, (loss, trial.seed, trial.detail)
+            assert trial.outcome == "ok", (loss, trial.seed, trial.outcome, trial.detail)
         mean = lambda xs: statistics.fmean(xs)  # noqa: E731
         overhead_msgs = mean([t.overhead_messages for t in trials])
         total_msgs = mean([t.total_messages for t in trials])
@@ -118,19 +105,18 @@ def test_fault_overhead(benchmark, record_table):
         total_bits = mean([t.total_bits for t in trials])
         retrans = mean([t.retransmissions for t in trials])
         steps = mean([t.steps for t in trials])
-        if transport == "sr" and loss == 0.0:
+        if loss == 0.0:
             assert overhead_msgs / total_msgs < SR_MAX_CLEAN_SHARE, (
-                f"sr clean-channel overhead share {overhead_msgs / total_msgs:.3f} "
+                f"clean-channel overhead share {overhead_msgs / total_msgs:.3f} "
                 f"regressed past {SR_MAX_CLEAN_SHARE}"
             )
-        if transport == "sr" and loss == 0.20:
+        if loss == 0.20:
             assert steps < SR_MAX_LOSS20_STEPS, (
-                f"sr loss=0.2 mean steps {steps:.1f} regressed past "
-                f"{SR_MAX_LOSS20_STEPS} (half the gbn baseline)"
+                f"loss=0.2 mean steps {steps:.1f} regressed past "
+                f"{SR_MAX_LOSS20_STEPS} (half the go-back-N baseline)"
             )
         rows.append(
             [
-                transport,
                 f"{loss:.0%}",
                 round(total_msgs, 1),
                 round(overhead_msgs, 1),
@@ -146,7 +132,7 @@ def test_fault_overhead(benchmark, record_table):
                 "n": N,
                 "family": FAMILY,
                 "seeds": len(list(SEEDS)),
-                "transport": transport,
+                "transport": "sr",
                 "loss": loss,
                 "messages": round(total_msgs, 1),
                 "overhead_messages": round(overhead_msgs, 1),
@@ -160,7 +146,6 @@ def test_fault_overhead(benchmark, record_table):
     record_table(
         "BENCH-fault-overhead",
         [
-            "transport",
             "loss",
             "messages",
             "overhead msgs",
@@ -172,9 +157,9 @@ def test_fault_overhead(benchmark, record_table):
         rows,
         notes=(
             f"Generic + reliable transport, {FAMILY} n={N}, "
-            f"{len(list(SEEDS))} seeds per loss rate, both transports. "
+            f"{len(list(SEEDS))} seeds per loss rate, selective repeat. "
             "Criterion: every run quiesces with clean safety and full "
-            "properties; sr additionally asserts the clean-channel share "
+            "properties, under the clean-channel share "
             f"floor (<{SR_MAX_CLEAN_SHARE}) and the loss=0.2 latency floor "
             f"(<{SR_MAX_LOSS20_STEPS} steps)."
         ),

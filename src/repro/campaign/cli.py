@@ -254,6 +254,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"bad --workers: must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    if args.chunk is not None and args.chunk < 1:
+        print(f"bad --chunk: must be >= 1, got {args.chunk}", file=sys.stderr)
+        return 2
     store = CampaignStore.open(args.db)
     try:
         try:

@@ -100,6 +100,10 @@ class CampaignRunner:
         self.workers = workers
         self.timeout = timeout
         self.chunk = chunk if chunk is not None else 2 * workers
+        if self.chunk < 1:
+            # A claim of zero cells never drains anything: the loop would
+            # wait forever on cells it can never lease.
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         self.max_cells = max_cells
         self.worker_id = worker_id or default_worker_id()
         self.handle_signals = handle_signals

@@ -231,6 +231,12 @@ class CampaignStore:
             raise CampaignError("duplicate cells in campaign grid")
         if max_attempts < 1:
             raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
+        if backoff < 0:
+            raise CampaignError(f"backoff must be >= 0, got {backoff}")
+        if lease <= 0:
+            # A zero lease expires at the claim that takes it: the next
+            # worker's claim would take the same cell again.
+            raise CampaignError(f"lease must be > 0, got {lease}")
         store = cls(path, clock=clock, _create=True)
         conn = store._conn
         # executescript() commits any open transaction, so the schema goes

@@ -305,14 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(measures how the algorithms themselves degrade)",
     )
     chaos_p.add_argument(
-        "--transport",
-        choices=("sr", "gbn"),
-        default="sr",
-        help="reliable transport generation: 'sr' selective repeat with "
-        "piggybacked/delayed acks and adaptive RTO (default), 'gbn' the "
-        "v1 go-back-N path (kept for differential runs)",
-    )
-    chaos_p.add_argument(
         "--recovery",
         action="store_true",
         help="run the crash-recovery scenario set (durable checkpoints, "
@@ -479,13 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed for the fault injector's RNG (default: 0)",
-    )
-    serve_p.add_argument(
-        "--transport",
-        choices=("sr", "gbn"),
-        default="sr",
-        help="reliable-transport generation when faults are on "
-        "(default: sr, the selective-repeat v2 path)",
     )
     serve_p.add_argument(
         "--obs-out",
@@ -812,7 +797,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "n": args.n,
         "family": args.family,
         "reliable": not args.raw,
-        "transport": args.transport,
         "budget_factor": args.budget_factor,
     }
     # No result cache: chaos runs are the thing under test, and stale
@@ -837,9 +821,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"aggregation failed: {exc}", file=sys.stderr)
         return 1
 
-    transport = (
-        "raw (no recovery)" if args.raw else f"reliable transport ({args.transport})"
-    )
+    transport = "raw (no recovery)" if args.raw else "reliable transport (sr)"
     print(
         f"=== chaos: {len(scenarios)} scenarios x {len(variants)} variants "
         f"x {len(seeds)} seeds, n={args.n} {args.family}, {transport} ==="
@@ -893,7 +875,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             args.n,
             seeds[0],
             reliable=not args.raw,
-            transport=args.transport,
             budget_factor=args.budget_factor,
             recorder=recorder,
         )
@@ -1108,11 +1089,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     plan = None
     if args.faults is not None:
         plan = _parse_faults(args.faults, graph, args.fault_seed)
-        print(f"steady-state faults: {plan.describe()} (transport={args.transport})")
+        print(f"steady-state faults: {plan.describe()} (transport=sr)")
 
-    net = AdhocNetwork(
-        graph, seed=args.seed, reliable=plan is not None, transport=args.transport
-    )
+    net = AdhocNetwork(graph, seed=args.seed, reliable=plan is not None)
     driver = ServiceDriver(
         net,
         workload,

@@ -88,7 +88,9 @@ class AdhocNetwork:
     Wraps the simulator, the protocol nodes, and the (growing) knowledge
     graph.  All mutating operations leave messages pending; call
     :meth:`run` (or use the convenience methods that do it for you) to
-    drive the system back to quiescence.
+    drive the system back to quiescence.  ``faults`` and ``reliable`` are
+    :func:`~repro.core.runner.build_simulation`'s: ``reliable=True`` wraps
+    every node, late joiners included, in the selective-repeat transport.
     """
 
     def __init__(
@@ -103,18 +105,12 @@ class AdhocNetwork:
         fast: bool = True,
         faults: Optional[ChannelInterceptor] = None,
         reliable: bool = False,
-        transport: str = "sr",
     ) -> None:
         self.graph = graph.copy()
         self.reliable = reliable
-        self.transport = transport
         # Late joiners (add_node) must ride the same transport as the
         # initial population, with the same workload-scaled tuning.
-        self._transport_kwargs = (
-            dict(transport=transport, **transport_tuning(self.graph.n))
-            if reliable
-            else None
-        )
+        self._tuning = transport_tuning(self.graph.n) if reliable else None
         self.sim, self.nodes = build_simulation(
             self.graph,
             "adhoc",
@@ -126,7 +122,6 @@ class AdhocNetwork:
             fast=fast,
             faults=faults,
             reliable=reliable,
-            transport=transport,
         )
 
     # ------------------------------------------------------------------
@@ -209,10 +204,10 @@ class AdhocNetwork:
             self.graph.add_edge(node_id, other)
         node = DiscoveryNode(node_id, frozenset(known), variant="adhoc")
         self.nodes[node_id] = node
-        if self._transport_kwargs is not None:
+        if self._tuning is not None:
             from repro.faults.reliable import ReliableNode
 
-            self.sim.add_node(ReliableNode(node, **self._transport_kwargs))
+            self.sim.add_node(ReliableNode(node, **self._tuning))
         else:
             self.sim.add_node(node)
         self.sim.schedule_wake(node_id)

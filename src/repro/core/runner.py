@@ -39,10 +39,9 @@ def transport_tuning(n: int, base_timeout: Optional[int] = None) -> Dict[str, in
     the opening wave's queueing delay approaches ``base_timeout``, while
     the end-game (serial repair chains on the critical path) runs on a
     drained network where every RTO step is pure waiting.  So the adaptive
-    (sr) transport gets a floor well under ``base_timeout`` -- letting
-    drained-phase repairs go fast -- and a ceiling under ``2x`` -- bounding
-    how much a backoff ladder can stall the critical path under sustained
-    loss.  Class defaults on :class:`~repro.faults.reliable.ReliableNode`
+    RTO gets a floor well under ``base_timeout`` -- letting drained-phase
+    repairs go fast -- and a ceiling under ``2x`` -- bounding how much a
+    backoff ladder can stall the critical path under sustained loss.  Class defaults on :class:`~repro.faults.reliable.ReliableNode`
     stay conservative for small hand-built simulations; these values are
     tuned for the n-node discovery workload (``BENCH_faults.json``).
     """
@@ -81,7 +80,6 @@ def build_simulation(
     reliable: bool = False,
     base_timeout: Optional[int] = None,
     max_retries: int = 6,
-    transport: str = "sr",
     obs: Optional[Recorder] = None,
     fast: bool = True,
 ) -> "tuple[Simulator, Dict[NodeId, DiscoveryNode]]":
@@ -95,13 +93,12 @@ def build_simulation(
 
     ``faults`` attaches a :class:`~repro.sim.network.ChannelInterceptor`
     (typically a :class:`~repro.faults.FaultInjector`).  ``reliable=True``
-    wraps every protocol node in the ack/retransmit transport
-    (:class:`~repro.faults.ReliableNode`) so the discovery algorithms keep
-    their exactly-once FIFO model over a faulty network; the returned
-    ``nodes`` dict always maps to the *inner* protocol nodes, which is what
-    verification and monitoring expect (``sim.nodes`` holds the wrappers).
-    ``transport`` selects the transport generation (``"sr"`` selective
-    repeat, ``"gbn"`` go-back-N); it only matters with ``reliable=True``.
+    wraps every protocol node in the selective-repeat transport
+    (:class:`~repro.faults.ReliableNode`, tuned by :func:`transport_tuning`)
+    so the discovery algorithms keep their exactly-once FIFO model over a
+    faulty network; the returned ``nodes`` dict always maps to the *inner*
+    protocol nodes, which is what verification and monitoring expect
+    (``sim.nodes`` holds the wrappers).
 
     ``obs`` attaches a :class:`~repro.obs.events.Recorder` so the run
     emits the typed observability events; the default ``None`` keeps the
@@ -147,14 +144,7 @@ def build_simulation(
         )
         nodes[node_id] = node
         if reliable:
-            sim.add_node(
-                ReliableNode(
-                    node,
-                    max_retries=max_retries,
-                    transport=transport,
-                    **tuning,
-                )
-            )
+            sim.add_node(ReliableNode(node, max_retries=max_retries, **tuning))
         else:
             sim.add_node(node)
     if auto_wake:

@@ -45,7 +45,6 @@ from repro.faults.reliable import (
     RT_ACK,
     RT_NACK,
     RT_RETRANS,
-    TRANSPORTS,
     Ack,
     Data,
     Nack,
@@ -76,7 +75,6 @@ __all__ = [
     "RT_ACK",
     "RT_NACK",
     "OVERHEAD_TYPES",
-    "TRANSPORTS",
     "retransmission_overhead",
     "transport_totals",
     "Checkpoint",

@@ -74,7 +74,7 @@ class ChaosTrial:
     n: int
     seed: int
     reliable: bool
-    transport: str
+    transport: str  # "sr", or "raw" when ``reliable`` is off
     plan: FaultPlan
     outcome: str
     quiesced: bool
@@ -113,7 +113,6 @@ def run_chaos_trial(
     seed: int = 0,
     *,
     reliable: bool = True,
-    transport: str = "sr",
     monitor_every: int = 1,
     budget_factor: int = 8,
     base_timeout: Optional[int] = None,
@@ -125,9 +124,9 @@ def run_chaos_trial(
 
     ``scenario`` is a name from :data:`~repro.faults.FAULT_SCENARIOS` or a
     literal :class:`FaultPlan` (property-style tests throw arbitrary plans
-    at the protocols this way).  ``transport`` selects the reliable
-    transport generation (``"sr"`` selective repeat with piggybacked acks,
-    ``"gbn"`` the v1 go-back-N path kept for differential runs).
+    at the protocols this way).  ``reliable`` wraps every node in the
+    selective-repeat transport; the trial's ``transport`` field reads
+    ``"sr"``, or ``"raw"`` for a bare run.
 
     Never raises on degradation: stalls, loud protocol errors and property
     misses come back as outcomes.  In particular a
@@ -161,7 +160,6 @@ def run_chaos_trial(
         reliable=reliable,
         base_timeout=base_timeout,
         max_retries=max_retries,
-        transport=transport,
         obs=recorder,
     )
     if plan.recoveries and not reliable:
@@ -240,7 +238,7 @@ def run_chaos_trial(
         n=graph.n,
         seed=seed,
         reliable=reliable,
-        transport=transport if reliable else "raw",
+        transport="sr" if reliable else "raw",
         plan=plan,
         outcome=outcome,
         quiesced=quiesced,
@@ -295,7 +293,6 @@ def exp_chaos(
     seed: int = 0,
     *,
     reliable: bool = True,
-    transport: str = "sr",
     monitor_every: int = 1,
     budget_factor: int = 8,
 ) -> Table:
@@ -316,7 +313,6 @@ def exp_chaos(
                 n,
                 seed,
                 reliable=reliable,
-                transport=transport,
                 monitor_every=monitor_every,
                 budget_factor=budget_factor,
             )

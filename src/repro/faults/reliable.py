@@ -5,17 +5,15 @@ exactly-once FIFO channels.  :class:`ReliableNode` restores that model over
 a faulty network, so every protocol built on :class:`~repro.sim.network.SimNode`
 (the Generic/Bounded/Ad-hoc :class:`~repro.core.node.DiscoveryNode`, the
 asynchronous baselines) runs **unchanged** under message loss, duplication
-and reordering.  Two transport generations live behind the one seam,
-selected by ``transport=``:
-
-``transport="sr"`` (default) -- the v2 selective-repeat transport:
+and reordering.  The transport is selective repeat:
 
 * the sender stamps each payload with a **per-destination sequence number**
   and keeps it buffered until cumulatively acknowledged;
 * acks are **piggybacked and delayed**: when protocol traffic flows back
   the cumulative ack rides on the next data frame for one extra id worth
   of bits; an idle receiver confirms via a **delayed-ack timer**
-  (``ack_delay`` virtual steps) instead of acking every frame;
+  (``ack_delay = max(2, base_timeout // 8)`` virtual steps) instead of
+  acking every frame;
 * losses are repaired by **selective repeat with a NACK fast path**: the
   receiver parks out-of-order arrivals and, on detecting a sequence gap,
   immediately names the missing seqs in an explicit :class:`Nack`; the
@@ -28,13 +26,10 @@ selected by ``transport=``:
   (retransmitted frames never produce RTT samples) and exponential backoff
   on repeated timeouts.
 
-``transport="gbn"`` -- the v1 go-back-N transport, kept verbatim for
-differential testing: ack-per-frame, full-window retransmission on every
-timeout, fixed ``base_timeout`` with exponential backoff.
-
-In both modes an unacked channel gives up after ``max_retries`` fruitless
-timeout rounds and records the payloads as undeliverable (the peer is
-presumed crashed -- retrying forever would forfeit quiescence).
+An unacked channel gives up once it has spent more than ``max_retries``
+timeout rounds *and* ``base_timeout * (2**(max_retries + 1) - 1)`` steps
+without ack progress, and records the payloads as undeliverable (the peer
+is presumed crashed -- retrying forever would forfeit quiescence).
 
 Overhead accounting (the quantity ``BENCH_faults.json`` tracks): the first
 copy of a payload is charged under the payload's own message type (plus
@@ -91,7 +86,6 @@ __all__ = [
     "RT_ACK",
     "RT_NACK",
     "OVERHEAD_TYPES",
-    "TRANSPORTS",
     "retransmission_overhead",
     "transport_totals",
 ]
@@ -101,9 +95,6 @@ RT_RETRANS = "rt-retrans"
 RT_ACK = "rt-ack"
 RT_NACK = "rt-nack"
 OVERHEAD_TYPES = (RT_RETRANS, RT_ACK, RT_NACK)
-
-#: The selectable transport generations.
-TRANSPORTS = ("sr", "gbn")
 
 #: Tag prefix distinguishing a receiver-side delayed-ack timer (tagged
 #: ``(_ACK_TAG, peer)``) from the per-destination retransmit timers
@@ -126,8 +117,7 @@ class Data:
     Both are 0 for nodes that have never crashed, so the epoch machinery
     is invisible until a :class:`~repro.faults.plan.RecoverySpec` is in
     play.  ``ack`` is the piggybacked cumulative ack of the *reverse*
-    channel (selective-repeat mode only; ``None`` when the frame carries
-    no ack), costing one extra id worth of bits on the carrying frame.
+    channel (``None`` when the frame carries no ack), costing one extra id worth of bits on the carrying frame.
     """
 
     seq: int
@@ -230,7 +220,6 @@ class _Channel:
         self.timeout = 0  # set on first arm
         self.last_tx = 0  # step of the channel's latest (re)transmission
         self.last_progress: Optional[int] = None  # step of last ack progress
-        # -- selective-repeat extensions --
         self.sent_at: Dict[int, int] = {}  # seq -> first-transmit step (RTT samples)
         self.resent: Set[int] = set()  # retransmitted seqs (Karn's rule)
         self.srtt: Optional[float] = None  # smoothed RTT, virtual steps
@@ -250,32 +239,25 @@ class ReliableNode(SimNode):
     inner:
         The protocol node to protect.  Must not already be bound.
     base_timeout:
-        First retransmit timeout in simulator steps (and, in ``sr`` mode,
-        the RTO used until the channel's estimator has its first sample).
-        Too small merely wastes overhead (spurious retransmits are
-        deduplicated); too large slows recovery.  Scale with system size:
-        every node's handler steps share the one global step clock.
+        The RTO used until this node's estimator has its first sample
+        (doubled: the opening wave is an RTT probe), the unit of the
+        give-up horizon and of the delayed-ack wait
+        (``ack_delay = max(2, base_timeout // 8)`` steps).  Too small
+        merely wastes overhead (spurious retransmits are deduplicated); too
+        large slows recovery.  Scale with system size: every node's
+        handler steps share the one global step clock.
     max_retries:
-        Consecutive fruitless timeout rounds before a channel gives up
-        (presumed-crashed peer).  In ``gbn`` mode with exponential backoff
-        the give-up horizon is ``base_timeout * (2^(max_retries+1) - 1)``
-        steps; in ``sr`` mode the horizon is adaptive (RTO-driven) but the
-        round count is the same.
-    transport:
-        ``"sr"`` (default) for the selective-repeat v2 transport,
-        ``"gbn"`` for the v1 go-back-N path (kept for differential
-        testing).
-    ack_delay:
-        ``sr`` only -- how long (virtual steps) a receiver may sit on an
-        owed cumulative ack waiting for reverse traffic to piggyback on.
-        Default ``max(2, base_timeout // 8)``.
+        Fruitless timeout rounds before a channel may give up
+        (presumed-crashed peer); it gives up once it has also waited
+        ``base_timeout * (2^(max_retries+1) - 1)`` steps without ack
+        progress.
     min_rto / max_rto:
-        ``sr`` only -- clamp on the adaptive retransmit timeout.
-        ``min_rto`` defaults to ``max(4, 2 * ack_delay)`` (an RTO below the
-        peer's ack delay guarantees spurious retransmits); ``max_rto``
-        defaults to ``8 * base_timeout`` and also caps the exponential
-        backoff -- an uncapped backoff turns every lost retransmission
-        into thousands of steps of timer waiting.
+        Clamp on the adaptive retransmit timeout.  ``min_rto`` defaults
+        to ``max(4, 2 * ack_delay)`` (an RTO below the peer's ack delay
+        guarantees spurious retransmits); ``max_rto`` defaults to
+        ``8 * base_timeout`` and also caps the exponential backoff -- an
+        uncapped backoff turns every lost retransmission into thousands of
+        steps of timer waiting.
     """
 
     def __init__(
@@ -284,9 +266,6 @@ class ReliableNode(SimNode):
         *,
         base_timeout: int = 64,
         max_retries: int = 6,
-        backoff: float = 2.0,
-        transport: str = "sr",
-        ack_delay: Optional[int] = None,
         min_rto: Optional[int] = None,
         max_rto: Optional[int] = None,
     ) -> None:
@@ -294,14 +273,7 @@ class ReliableNode(SimNode):
             raise ValueError(f"base_timeout must be >= 1, got {base_timeout}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1.0, got {backoff}")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-        if ack_delay is None:
-            ack_delay = max(2, base_timeout // 8)
-        if ack_delay < 1:
-            raise ValueError(f"ack_delay must be >= 1, got {ack_delay}")
+        ack_delay = max(2, base_timeout // 8)
         if min_rto is None:
             min_rto = max(4, 2 * ack_delay)
         if max_rto is None:
@@ -319,15 +291,12 @@ class ReliableNode(SimNode):
         inner._sim = _Port(self)
         self.base_timeout = base_timeout
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.transport = transport
         self.ack_delay = ack_delay
         self.min_rto = min_rto
         self.max_rto = max_rto
         self._channels: Dict[NodeId, _Channel] = {}
         self._expected: Dict[NodeId, int] = {}
         self._reorder: Dict[NodeId, Dict[int, Any]] = {}
-        # -- selective-repeat receiver state --
         self._ack_owed: Set[NodeId] = set()
         self._ack_timers: Dict[NodeId, TimerToken] = {}
         self._nacked: Dict[NodeId, Set[int]] = {}
@@ -339,15 +308,9 @@ class ReliableNode(SimNode):
         # while the real ack is still queued.
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
-        # The v1 give-up horizon: how long gbn's fixed backoff ladder waits
-        # on a silent peer before declaring it crashed.  sr's time-based
-        # give-up matches it (see on_timer) so the v2 transport is never
-        # *quicker* to drop a payload than the transport it replaces.
-        horizon, timeout = 0, base_timeout
-        for _ in range(max_retries + 1):
-            horizon += timeout
-            timeout = int(timeout * backoff) or base_timeout
-        self._giveup_horizon = horizon
+        # How long a channel waits on a silent peer before declaring it
+        # crashed: max_retries + 1 timeouts doubling from base_timeout.
+        self._giveup_horizon = base_timeout * (2 ** (max_retries + 1) - 1)
         # Recent-maximum RTT window: the smoothed estimator lags behind a
         # congestion ramp (its gain is 1/8 while ack latency can grow 10x
         # within one burst), so the RTO is floored at the largest sample
@@ -396,16 +359,15 @@ class ReliableNode(SimNode):
         seq = channel.next_seq
         channel.next_seq += 1
         channel.outstanding[seq] = payload
-        if self.transport == "sr":
-            channel.sent_at[seq] = self.sim.steps
-            channel.last_tx = self.sim.steps
+        channel.sent_at[seq] = self.sim.steps
+        channel.last_tx = self.sim.steps
         self.sim.transmit(self.node_id, dst, self._frame(dst, seq, payload))
         if channel.timer is None:
             self._arm(dst, channel, reset_backoff=True)
 
     def _frame(self, dst: NodeId, seq: int, payload: Any, *, retransmit: bool = False) -> Data:
         ack = None
-        if self.transport == "sr" and dst in self._ack_owed:
+        if dst in self._ack_owed:
             # Piggyback: the owed cumulative ack rides on this frame for
             # one id worth of bits, discharging the delayed-ack timer.
             ack = self._expected.get(dst, 0) - 1
@@ -439,31 +401,27 @@ class ReliableNode(SimNode):
         channel.timer = None
         if not channel.outstanding:
             return  # acked while the timer was in flight
-        if self.transport == "sr":
-            # Re-validate the deadline against the *current* RTO estimate:
-            # the timer may have been armed before the estimator had any
-            # sample (first wave of a busy run), in which case firing now
-            # would retransmit a frame whose ack is still queued.  Waiting
-            # out the refreshed estimate is not a fruitless round.
-            rto = self._rto(channel)
-            waited = self.sim.steps - channel.last_tx
-            if waited < rto:
-                channel.timeout = rto - waited
-                channel.timer = self.sim.schedule_timer(
-                    self.node_id, channel.timeout, tag=dst
-                )
-                return
+        # Re-validate the deadline against the *current* RTO estimate: the
+        # timer may have been armed before the estimator had any sample
+        # (first wave of a busy run), in which case firing now would
+        # retransmit a frame whose ack is still queued.  Waiting out the
+        # refreshed estimate is not a fruitless round.
+        rto = self._rto(channel)
+        waited = self.sim.steps - channel.last_tx
+        if waited < rto:
+            channel.timeout = rto - waited
+            channel.timer = self.sim.schedule_timer(self.node_id, channel.timeout, tag=dst)
+            return
         channel.attempts += 1
         obs = getattr(self.sim, "obs", None)
-        if channel.attempts > self.max_retries and self.transport == "sr":
-            # Adaptive RTOs make sr's retry rounds far shorter than gbn's
-            # fixed ladder, so a bare round count would give up on a live
-            # peer an order of magnitude sooner than v1 did -- at 20% loss
-            # an unlucky streak of lost repairs then *drops* a deliverable
-            # payload.  Give-up is therefore time-based: the round budget
-            # refills until the channel has been fruitless (no ack
-            # progress since the head-of-line frame was first sent) for as
-            # long as gbn's full backoff ladder would have waited.
+        if channel.attempts > self.max_retries:
+            # Adaptive RTOs make retry rounds short, so a bare round count
+            # would give up on a live peer after a few RTTs -- at 20% loss
+            # an unlucky streak of lost repairs would then *drop* a
+            # deliverable payload.  Give-up is therefore also time-based:
+            # the round budget refills until the channel has been fruitless
+            # (no ack progress since the head-of-line frame was first sent)
+            # for the whole give-up horizon.
             head_sent = channel.sent_at.get(min(channel.outstanding), channel.last_tx)
             fruitless_since = (
                 head_sent
@@ -492,46 +450,28 @@ class ReliableNode(SimNode):
             channel.sent_at.clear()
             channel.resent.clear()
             return
-        if self.transport == "sr":
-            # Selective repeat: the timer is the backstop, and it repairs
-            # only the head-of-line frame -- anything else still missing
-            # is the NACK fast path's job (or the next timeout's, with
-            # backoff).  Karn's rule: the resent frame never samples RTT.
-            seq = min(channel.outstanding)
-            payload = channel.outstanding[seq]
-            if obs is not None:
-                obs.emit(
-                    RunEvent(
-                        self.sim.steps,
-                        "retransmit",
-                        node=self.node_id,
-                        peer=dst,
-                        msg_type=getattr(payload, "msg_type", "data"),
-                        value=channel.attempts,
-                    )
+        # The timer is the backstop, and it repairs only the head-of-line
+        # frame -- anything else still missing is the NACK fast path's job
+        # (or the next timeout's, with backoff).  Karn's rule: the resent
+        # frame never samples RTT.
+        seq = min(channel.outstanding)
+        payload = channel.outstanding[seq]
+        if obs is not None:
+            obs.emit(
+                RunEvent(
+                    self.sim.steps,
+                    "retransmit",
+                    node=self.node_id,
+                    peer=dst,
+                    msg_type=getattr(payload, "msg_type", "data"),
+                    value=channel.attempts,
                 )
-            self.sim.transmit(self.node_id, dst, self._frame(dst, seq, payload, retransmit=True))
-            self.retransmissions += 1
-            channel.resent.add(seq)
-            channel.last_tx = self.sim.steps
-            channel.timeout = min(self.max_rto, (channel.timeout * 2) or self.base_timeout)
-        else:
-            for seq in sorted(channel.outstanding):
-                payload = channel.outstanding[seq]
-                if obs is not None:
-                    obs.emit(
-                        RunEvent(
-                            self.sim.steps,
-                            "retransmit",
-                            node=self.node_id,
-                            peer=dst,
-                            msg_type=getattr(payload, "msg_type", "data"),
-                            value=channel.attempts,
-                        )
-                    )
-                self.sim.transmit(self.node_id, dst, self._frame(dst, seq, payload, retransmit=True))
-                self.retransmissions += 1
-            channel.timeout = int(channel.timeout * self.backoff) or self.base_timeout
+            )
+        self.sim.transmit(self.node_id, dst, self._frame(dst, seq, payload, retransmit=True))
+        self.retransmissions += 1
+        channel.resent.add(seq)
+        channel.last_tx = self.sim.steps
+        channel.timeout = min(self.max_rto, (channel.timeout * 2) or self.base_timeout)
         self._arm(dst, channel, reset_backoff=False)
 
     def _rto(self, channel: _Channel) -> int:
@@ -565,9 +505,7 @@ class ReliableNode(SimNode):
     def _arm(self, dst: NodeId, channel: _Channel, *, reset_backoff: bool) -> None:
         if reset_backoff:
             channel.attempts = 0
-            channel.timeout = (
-                self._rto(channel) if self.transport == "sr" else self.base_timeout
-            )
+            channel.timeout = self._rto(channel)
         channel.timer = self.sim.schedule_timer(self.node_id, channel.timeout, tag=dst)
 
     def _handle_ack(self, dst: NodeId, cum: int) -> None:
@@ -575,7 +513,7 @@ class ReliableNode(SimNode):
         if channel is None:
             return
         acked = [seq for seq in channel.outstanding if seq <= cum]
-        if self.transport == "sr" and acked:
+        if acked:
             self._sample_rtt(channel, acked)
             channel.last_progress = self.sim.steps
         for seq in acked:
@@ -670,40 +608,34 @@ class ReliableNode(SimNode):
                 self.reordered_buffered += 1
             else:
                 self.duplicates_discarded += 1
-            if self.transport == "sr":
-                # Gap detected: name every seq below the arrival that is
-                # neither parked nor already NACKed.  The NACK carries the
-                # cumulative ack, so it discharges any owed delayed ack.
-                nacked = self._nacked.setdefault(src, set())
-                gaps = [
-                    seq
-                    for seq in range(expected, data.seq)
-                    if seq not in parked and seq not in nacked
-                ]
-                if gaps:
-                    self._send_nack(src, expected - 1, gaps)
-                else:
-                    self._owe_ack(src)
+            # Gap detected: name every seq below the arrival that is neither
+            # parked nor already NACKed.  The NACK carries the cumulative
+            # ack, so it discharges any owed delayed ack.
+            nacked = self._nacked.setdefault(src, set())
+            gaps = [
+                seq
+                for seq in range(expected, data.seq)
+                if seq not in parked and seq not in nacked
+            ]
+            if gaps:
+                self._send_nack(src, expected - 1, gaps)
             else:
-                self._ack_per_frame(src)
+                self._owe_ack(src)
             return False
         if data.seq < expected:
             self.duplicates_discarded += 1
-            if self.transport == "sr":
-                # A duplicate means the sender is retransmitting -- its
-                # copy of our ack was lost or slow.  Re-ack immediately:
-                # repair confirmations must not wait out another ack_delay
-                # (a lost ack would otherwise cost rto + ack_delay per
-                # retry round and ratchet the sender toward give-up).
-                # Exception: if we acked this peer within the last
-                # ack_delay steps, that ack is plausibly still in flight
-                # and answers the retransmission -- don't pay for another.
-                if self.sim.steps - self._last_ack_step.get(src, -(1 << 30)) <= self.ack_delay // 2:
-                    self._owe_ack(src)
-                else:
-                    self._ack_now(src)
+            # A duplicate means the sender is retransmitting -- its copy of
+            # our ack was lost or slow.  Re-ack immediately: repair
+            # confirmations must not wait out another ack_delay (a lost ack
+            # would otherwise cost rto + ack_delay per retry round and
+            # ratchet the sender toward give-up).  Exception: if we acked
+            # this peer within the last ack_delay steps, that ack is
+            # plausibly still in flight and answers the retransmission --
+            # don't pay for another.
+            if self.sim.steps - self._last_ack_step.get(src, -(1 << 30)) <= self.ack_delay // 2:
+                self._owe_ack(src)
             else:
-                self._ack_per_frame(src)
+                self._ack_now(src)
             return False
         # In-order: advance the receive cursor and mark the ack debt
         # *before* running the handlers, so a protocol reply sent from
@@ -718,35 +650,18 @@ class ReliableNode(SimNode):
             batch.append(parked.pop(expected))
             expected += 1
         self._expected[src] = expected
-        if self.transport == "sr":
-            nacked = self._nacked.get(src)
-            if nacked:
-                nacked.difference_update({s for s in nacked if s < expected})
-            self._ack_owed.add(src)
+        nacked = self._nacked.get(src)
+        if nacked:
+            nacked.difference_update({s for s in nacked if s < expected})
+        self._ack_owed.add(src)
         for payload in batch:
             self._deliver(src, payload)
-        if self.transport == "sr":
-            if src in self._ack_owed:  # no reply piggybacked it
-                if data.retransmit:
-                    self._ack_now(src)  # repair confirmation: don't delay
-                else:
-                    self._arm_ack_timer(src)
-        else:
-            self._ack_per_frame(src)
+        if src in self._ack_owed:  # no reply piggybacked it
+            if data.retransmit:
+                self._ack_now(src)  # repair confirmation: don't delay
+            else:
+                self._arm_ack_timer(src)
         return True
-
-    def _ack_per_frame(self, src: NodeId) -> None:
-        # go-back-N: ack every frame; re-acking duplicates repairs a
-        # lost ack via the retransmission it provokes.
-        self.sim.transmit(
-            self.node_id,
-            src,
-            Ack(
-                self._expected.get(src, 0) - 1,
-                src_epoch=self.epoch,
-                dst_epoch=self._peer_epochs.get(src, 0),
-            ),
-        )
 
     def _owe_ack(self, src: NodeId) -> None:
         self._ack_owed.add(src)
@@ -930,12 +845,11 @@ class ReliableNode(SimNode):
                     new_seq = fresh.next_seq
                     fresh.next_seq += 1
                     fresh.outstanding[new_seq] = payload
-                    if self.transport == "sr":
-                        # First transmission on the fresh channel: any ack
-                        # is unambiguous, so it may sample RTT despite the
-                        # rt-retrans accounting.
-                        fresh.sent_at[new_seq] = self.sim.steps
-                        fresh.last_tx = self.sim.steps
+                    # First transmission on the fresh channel: any ack is
+                    # unambiguous, so it may sample RTT despite the
+                    # rt-retrans accounting.
+                    fresh.sent_at[new_seq] = self.sim.steps
+                    fresh.last_tx = self.sim.steps
                     self.sim.transmit(
                         self.node_id,
                         peer,

@@ -272,7 +272,12 @@ class ParallelExecutor:
         orphans: List[int] = []
         stuck = False
         try:
-            futures = [pool.submit(_safe_execute, jobs[index]) for index in pending]
+            futures = []
+            for index in pending:
+                try:
+                    futures.append(pool.submit(_safe_execute, jobs[index]))
+                except BrokenProcessPool:
+                    break  # a worker died before the rest were queued
             for index, future in zip(pending, futures):
                 try:
                     result = future.result(timeout=self.timeout)
@@ -296,6 +301,7 @@ class ParallelExecutor:
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 yield index, result
+            orphans.extend(pending[len(futures):])
         finally:
             if stuck or orphans:
                 # SIGKILL what is left: a timed-out job never returns, and

@@ -160,6 +160,21 @@ class TestCampaignCommands:
         assert main(["campaign", "status", "--db", db, "--assert-complete"]) == 1
         assert "assert-complete failed" in capsys.readouterr().err
 
+    def test_bad_chunk_and_lease_exit_2(self, tmp_path, capsys):
+        db = str(tmp_path / "c.db")
+        for lease in ("0", "-1"):
+            assert main(
+                [
+                    "campaign", "init", "--db", db, "--exp", TOY,
+                    "--seeds", "0:2", "--lease", lease,
+                ]
+            ) == 2
+            assert "lease must be > 0" in capsys.readouterr().err
+        main(["campaign", "init", "--db", db, "--exp", TOY, "--seeds", "0:2"])
+        capsys.readouterr()
+        assert main(["campaign", "run", "--db", db, "--chunk", "0", "--quiet"]) == 2
+        assert "bad --chunk" in capsys.readouterr().err
+
     def test_missing_db_is_a_clean_error(self, tmp_path, capsys):
         assert main(
             ["campaign", "run", "--db", str(tmp_path / "nope.db"), "--quiet"]

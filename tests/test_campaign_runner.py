@@ -52,6 +52,11 @@ class TestDrain:
         assert second.drained
         assert store.compute_stats() == {"computed": 6, "redundant": 0}
 
+    def test_zero_chunk_is_rejected_not_waited_on(self, tmp_path):
+        store = make_store(tmp_path, sweep_jobs(TOY, range(2), {"scale": 2}))
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            CampaignRunner(store, chunk=0, handle_signals=False)
+
     def test_request_stop_checkpoints(self, tmp_path):
         jobs = sweep_jobs(TOY, range(4), {"scale": 2})
         store = make_store(tmp_path, jobs)

@@ -69,6 +69,14 @@ class TestLifecycle:
         with pytest.raises(CampaignError, match="duplicate"):
             CampaignStore.create(tmp_path / "b.db", [job, job])
 
+    def test_create_refuses_a_lease_that_lets_two_workers_share_a_cell(self, tmp_path):
+        for lease in (0.0, -1.0):
+            with pytest.raises(CampaignError, match="lease must be > 0"):
+                make_store(tmp_path, lease=lease)
+        with pytest.raises(CampaignError, match="backoff must be >= 0"):
+            make_store(tmp_path, backoff=-0.5)
+        assert not (tmp_path / "campaign.db").exists()
+
     def test_open_missing_path_raises(self, tmp_path):
         with pytest.raises(CampaignError, match="campaign init"):
             CampaignStore.open(tmp_path / "nope.db")

@@ -9,6 +9,8 @@ import io
 import os
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -446,6 +448,25 @@ class TestBrokenPoolRecovery:
         assert [r.status for r in results] == ["failed", "done", "done", "done"]
         assert results[0].error.startswith("BrokenProcessPool: ")
         assert [r.rows for r in results[1:]] == [[["spared", s]] for s in (1, 2, 3)]
+
+    def test_break_while_jobs_are_still_being_queued(self, monkeypatch):
+        """A worker can die before every job is submitted, and the next
+        ``submit`` raises: the jobs not yet queued run again like any
+        other job the break left without a result."""
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking_submit(pool, fn, *args, **kwargs):
+            calls.append(pool._max_workers)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        results = ParallelExecutor(workers=2).run(sweep_jobs(TOY, range(4), {"scale": 2}))
+        assert [r.status for r in results] == ["done"] * 4
+        assert [r.rows for r in results] == [[["toy", 2, (s + 1) * 2]] for s in range(4)]
+        assert calls == [2, 2, 1, 1, 1]  # jobs 1-3 each ran in a pool of its own
 
 
 class TestCacheDegradation:

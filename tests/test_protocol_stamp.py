@@ -45,7 +45,7 @@ SCENARIOS = (
     "recover-churn",
 )
 VARIANTS = ("generic", "bounded", "adhoc")
-TRANSPORTS = ("raw", "sr", "gbn")
+TRANSPORTS = ("raw", "sr")
 SCHEDULERS = {
     "fifo": lambda seed: GlobalFifoScheduler(),
     "lifo": lambda seed: LifoScheduler(),
@@ -65,7 +65,6 @@ def build_system(scenario, variant, transport, scheduler, seed):
         keep_trace=True,
         faults=injector,
         reliable=reliable,
-        transport=transport if reliable else "sr",
     )
     if variant == "adhoc":
         net = AdhocNetwork(graph, **kwargs)
@@ -141,7 +140,7 @@ def test_unmoved_stamp_means_unchanged_protocol_state(
     walk(scenario, variant, transport, scheduler, seed)
 
 
-@pytest.mark.parametrize("transport", ["sr", "gbn"])
+@pytest.mark.parametrize("transport", ["sr"])
 def test_the_stamp_really_stands_still_on_transport_steps(transport):
     """Vacuous if the stamp moved on every step: pin a lossy run in which
     ticks, acks and retransmissions all leave it alone."""
@@ -259,7 +258,6 @@ def outcome(loop, config, kind, at, every):
 @given(
     scenario=st.sampled_from(("loss-20", "crash-2", "delay-burst", "recover-2")),
     variant=st.sampled_from(VARIANTS),
-    transport=st.sampled_from(("sr", "gbn")),
     scheduler=st.sampled_from(("fifo", "random")),
     seed=st.integers(0, 40),
     kind=st.sampled_from(sorted(CORRUPTIONS)),
@@ -267,9 +265,9 @@ def outcome(loop, config, kind, at, every):
     every=st.sampled_from((1, 3, 64)),
 )
 def test_skipping_loop_reports_what_the_full_loop_reports(
-    scenario, variant, transport, scheduler, seed, kind, at, every
+    scenario, variant, scheduler, seed, kind, at, every
 ):
-    config = (scenario, variant, transport, scheduler, seed)
+    config = (scenario, variant, "sr", scheduler, seed)
     expected = outcome(full_check_loop, config, kind, at, every)
     assert outcome(skipping_loop, config, kind, at, every) == expected
 

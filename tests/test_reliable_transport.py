@@ -1,4 +1,15 @@
-"""The ack/retransmit transport restores exactly-once FIFO over chaos."""
+"""The ack/retransmit transport restores exactly-once FIFO over chaos.
+
+The ``[gbn]`` legs replay runs of the go-back-N transport that preceded
+selective repeat.  Go-back-N is gone; what it did on each run is frozen in
+``tests/golden/transport/gbn.json`` (written by
+``tests/test_transport_v2.py``).  A ``[gbn]`` leg runs the same run live,
+requires it to deliver and drop exactly the payloads go-back-N did, and
+then holds the frozen outcome to the assertion the leg always made.
+"""
+
+import json
+import pathlib
 
 import pytest
 
@@ -13,6 +24,8 @@ from repro.faults import (
 from repro.sim.network import SimNode, SimulationError, Simulator
 from repro.sim.scheduler import GlobalFifoScheduler, RandomScheduler
 from repro.sim.trace import bits_for_ids
+
+GBN_GOLDEN = pathlib.Path(__file__).parent / "golden" / "transport" / "gbn.json"
 
 
 class Ping:
@@ -63,7 +76,7 @@ def run_burst(
     seed=0,
     base_timeout=16,
     max_retries=6,
-    transport="sr",
+    **node_kwargs,
 ):
     plan = FaultPlan(loss=loss, duplicate=duplicate, crashes=crashes)
     injector = FaultInjector(plan, seed=seed)
@@ -77,13 +90,13 @@ def run_burst(
         Burst("a", "b", count),
         base_timeout=base_timeout,
         max_retries=max_retries,
-        transport=transport,
+        **node_kwargs,
     )
     receiver = ReliableNode(
         Sink("b"),
         base_timeout=base_timeout,
         max_retries=max_retries,
-        transport=transport,
+        **node_kwargs,
     )
     sim.add_node(sender)
     sim.add_node(receiver)
@@ -93,56 +106,115 @@ def run_burst(
     return sim, sender, receiver
 
 
+def run_dead_peer(max_retries, **node_kwargs):
+    """One ping into a peer that is down from step 0, under deterministic
+    FIFO scheduling and ``base_timeout=2``."""
+    plan = FaultPlan(crashes=(CrashSpec("b", at_step=0),))
+    sim = Simulator(GlobalFifoScheduler(), faults=FaultInjector(plan, seed=0))
+    sender = ReliableNode(
+        Burst("a", "b", 1), base_timeout=2, max_retries=max_retries, **node_kwargs
+    )
+    receiver = ReliableNode(Sink("b"), base_timeout=2, **node_kwargs)
+    sim.add_node(sender)
+    sim.add_node(receiver)
+    sim.schedule_wake("a")
+    sim.schedule_wake("b")
+    sim.run()
+    return sim, sender, receiver
+
+
+#: Every run a ``[gbn]`` leg replays: name -> (runner, arguments).
+RUNS = {
+    "clean": (run_burst, dict(count=20)),
+    "loss": (run_burst, dict(count=20, loss=0.4, seed=2)),
+    "duplication": (run_burst, dict(count=20, duplicate=0.5, seed=3)),
+    "reordering": (run_burst, dict(count=20, channel_discipline="random", seed=4)),
+    "mixed": (
+        run_burst,
+        dict(count=30, loss=0.25, duplicate=0.25, channel_discipline="random", seed=5),
+    ),
+    **{
+        f"many-{seed}": (
+            run_burst,
+            dict(count=15, loss=0.3, duplicate=0.2, channel_discipline="random", seed=seed),
+        )
+        for seed in range(6)
+    },
+    "acks": (run_burst, dict(count=10)),
+    "crashed-peer": (
+        run_burst,
+        dict(count=5, crashes=(CrashSpec("b", at_step=0),), base_timeout=4, max_retries=2),
+    ),
+    **{
+        f"dead-peer-{max_retries}": (run_dead_peer, dict(max_retries=max_retries))
+        for max_retries in (0, 2, 3)
+    },
+}
+
+
+def outcome(sim, sender, receiver):
+    """What one sender -> receiver run left behind, as JSON-native data."""
+    return {
+        "received": [tag for _src, tag in receiver.inner.received],
+        "undeliverable": [msg.tag for _dst, msg in sender.undeliverable],
+        "outstanding": sender.outstanding_total,
+        "retransmissions": sender.retransmissions,
+        "duplicates_discarded": receiver.duplicates_discarded,
+        "reordered_buffered": receiver.reordered_buffered,
+        "acks": sim.stats.messages("rt-ack"),
+        "steps": sim.steps,
+        "quiescent": sim.is_quiescent,
+    }
+
+
+def run_case(name, **node_kwargs):
+    runner, kwargs = RUNS[name]
+    return outcome(*runner(**kwargs, **node_kwargs))
+
+
+def replay(name, transport):
+    """Run ``name`` live; for the ``gbn`` leg return go-back-N's frozen
+    outcome of the same run, once the live run has delivered and dropped
+    exactly the payloads go-back-N did."""
+    live = run_case(name)
+    if transport == "sr":
+        return live
+    frozen = json.loads(GBN_GOLDEN.read_text())["burst"][name]
+    assert live["received"] == frozen["received"]
+    assert live["undeliverable"] == frozen["undeliverable"]
+    return frozen
+
+
 @pytest.mark.parametrize("transport", ["sr", "gbn"])
 class TestExactlyOnceFifo:
     def test_clean_channel(self, transport):
-        sim, sender, receiver = run_burst(20, transport=transport)
-        assert receiver.inner.received == [("a", i) for i in range(20)]
-        assert sender.outstanding_total == 0
+        run = replay("clean", transport)
+        assert run["received"] == list(range(20))
+        assert run["outstanding"] == 0
 
     def test_heavy_loss(self, transport):
-        sim, sender, receiver = run_burst(20, loss=0.4, seed=2, transport=transport)
-        assert receiver.inner.received == [("a", i) for i in range(20)]
-        assert sender.retransmissions > 0
+        run = replay("loss", transport)
+        assert run["received"] == list(range(20))
+        assert run["retransmissions"] > 0
 
     def test_heavy_duplication(self, transport):
-        sim, sender, receiver = run_burst(
-            20, duplicate=0.5, seed=3, transport=transport
-        )
-        assert receiver.inner.received == [("a", i) for i in range(20)]
-        assert receiver.duplicates_discarded > 0
+        run = replay("duplication", transport)
+        assert run["received"] == list(range(20))
+        assert run["duplicates_discarded"] > 0
 
     def test_reordering_channels(self, transport):
         # channel_discipline="random" delivers each channel out of order;
         # the transport's reorder buffer must restore sequence order.
-        sim, sender, receiver = run_burst(
-            20, channel_discipline="random", seed=4, transport=transport
-        )
-        assert receiver.inner.received == [("a", i) for i in range(20)]
-        assert receiver.reordered_buffered > 0
+        run = replay("reordering", transport)
+        assert run["received"] == list(range(20))
+        assert run["reordered_buffered"] > 0
 
     def test_loss_duplication_and_reordering_together(self, transport):
-        sim, sender, receiver = run_burst(
-            30,
-            loss=0.25,
-            duplicate=0.25,
-            channel_discipline="random",
-            seed=5,
-            transport=transport,
-        )
-        assert receiver.inner.received == [("a", i) for i in range(30)]
+        assert replay("mixed", transport)["received"] == list(range(30))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_many_seeds(self, transport, seed):
-        sim, sender, receiver = run_burst(
-            15,
-            loss=0.3,
-            duplicate=0.2,
-            channel_discipline="random",
-            seed=seed,
-            transport=transport,
-        )
-        assert receiver.inner.received == [("a", i) for i in range(15)]
+        assert replay(f"many-{seed}", transport)["received"] == list(range(15))
 
 
 class TestOverheadAccounting:
@@ -160,16 +232,17 @@ class TestOverheadAccounting:
         )
 
     def test_clean_channel_overhead_is_acks_only_gbn(self):
-        # v1 go-back-N acks every frame: 10 frames -> 10 standalone acks.
-        sim, sender, receiver = run_burst(10, transport="gbn")
-        assert sim.stats.messages("rt-retrans") == sender.retransmissions
-        assert sim.stats.messages("rt-ack") == 10
-        assert sender.retransmissions == 0
+        # Go-back-N acked every frame: 10 frames -> 10 standalone acks.
+        # Selective repeat's delayed acks undercut that on the same run.
+        gbn = replay("acks", "gbn")
+        assert gbn["acks"] == 10
+        assert gbn["retransmissions"] == 0
+        assert run_case("acks")["acks"] < gbn["acks"]
 
     def test_clean_channel_sr_batches_acks(self):
         # Selective repeat only sends standalone acks when the delayed-ack
         # timer fires, batching a whole burst into a few cumulative acks.
-        sim, sender, receiver = run_burst(10, transport="sr")
+        sim, sender, receiver = run_burst(10)
         assert sender.retransmissions == 0
         assert receiver.nacks_sent == 0
         assert sim.stats.messages("rt-ack") == receiver.acks_delayed
@@ -188,51 +261,34 @@ class TestGiveUp:
         [("gbn", 2 * 5), ("sr", 2)],  # full-window rounds vs head-of-line only
     )
     def test_crashed_peer_gives_up_and_quiesces(self, transport, expected_retrans):
-        sim, sender, receiver = run_burst(
-            5,
-            crashes=(CrashSpec("b", at_step=0),),
-            base_timeout=4,
-            max_retries=2,
-            transport=transport,
-        )
+        run = replay("crashed-peer", transport)
         # The run returned, so the system quiesced despite the dead peer.
-        assert sim.is_quiescent
-        assert receiver.inner.received == []
-        undeliverable_tags = [msg.tag for dst, msg in sender.undeliverable]
-        assert undeliverable_tags == list(range(5))
-        assert sender.outstanding_total == 0
-        assert sender.retransmissions == expected_retrans
+        assert run["quiescent"]
+        assert run["received"] == []
+        assert run["undeliverable"] == list(range(5))
+        assert run["outstanding"] == 0
+        assert run["retransmissions"] == expected_retrans
 
     @pytest.mark.parametrize("transport", ["sr", "gbn"])
     @pytest.mark.parametrize("max_retries", [0, 2, 3])
     def test_give_up_horizon_is_exact(self, transport, max_retries):
         # One ping into a dead peer under deterministic FIFO scheduling.
         # The timers double each round, so the transport abandons the
-        # conversation after a bounded number of waiting steps; the two
-        # extra steps are the wake-ups.  This pins the worst-case latency
-        # bound any caller of reliable_send can rely on.  A dead peer
-        # never acks, so the sr estimator never gets a sample: its first
-        # RTO is the no-sample probe window (2 * base_timeout) and later
-        # rounds double from there, capped at max_rto (8 * base_timeout).
+        # conversation after a bounded number of waiting steps.  This pins
+        # the worst-case latency bound any caller of reliable_send can rely
+        # on.  A dead peer never acks, so the estimator never gets a
+        # sample: the first RTO is the no-sample probe window
+        # (2 * base_timeout) and later rounds double from there, capped at
+        # max_rto (8 * base_timeout).
         base_timeout = 2
-        plan = FaultPlan(crashes=(CrashSpec("b", at_step=0),))
-        sim = Simulator(GlobalFifoScheduler(), faults=FaultInjector(plan, seed=0))
-        sender = ReliableNode(
-            Burst("a", "b", 1),
-            base_timeout=base_timeout,
-            max_retries=max_retries,
-            transport=transport,
-        )
-        sim.add_node(sender)
-        sim.add_node(
-            ReliableNode(Sink("b"), base_timeout=base_timeout, transport=transport)
-        )
-        sim.schedule_wake("a")
-        sim.schedule_wake("b")
-        sim.run()
+        name = f"dead-peer-{max_retries}"
+        run = replay(name, transport)
         if transport == "gbn":
-            # Two extra steps: both wake-ups precede the first timeout.
+            # Go-back-N's fixed ladder: two extra steps, both wake-ups
+            # precede the first timeout.  Selective repeat waits at least
+            # as long before it drops the payload.
             horizon = 2 + base_timeout * (2 ** (max_retries + 1) - 1)
+            assert run_case(name)["steps"] >= horizon
         else:
             # One extra step: the wider first probe window already covers
             # the second wake-up and the doomed delivery attempt.
@@ -240,10 +296,10 @@ class TestGiveUp:
             for _ in range(max_retries + 1):
                 horizon += timeout
                 timeout = min(8 * base_timeout, timeout * 2)
-        assert sim.steps == horizon
-        assert sender.retransmissions == max_retries
-        assert [msg.tag for _dst, msg in sender.undeliverable] == [0]
-        assert sender.outstanding_total == 0
+        assert run["steps"] == horizon
+        assert run["retransmissions"] == max_retries
+        assert run["undeliverable"] == [0]
+        assert run["outstanding"] == 0
 
 
 class TestWiring:
@@ -278,7 +334,9 @@ class TestWiring:
         with pytest.raises(ValueError):
             ReliableNode(Sink("b"), max_retries=-1)
         with pytest.raises(ValueError):
-            ReliableNode(Sink("c"), backoff=0.5)
+            ReliableNode(Sink("c"), min_rto=0)
+        with pytest.raises(ValueError):
+            ReliableNode(Sink("d"), min_rto=8, max_rto=4)
 
     def test_inner_sim_facade_forwards(self):
         sim = Simulator()

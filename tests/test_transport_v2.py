@@ -1,7 +1,19 @@
-"""Transport v2 (selective repeat) properties: exactly-once FIFO under
-arbitrary seeded fault plans, differential equivalence against the v1
-go-back-N path, and the give-up / epoch-fencing interaction.
+"""Selective-repeat transport properties: exactly-once FIFO under
+arbitrary seeded fault plans, differential equivalence against the frozen
+go-back-N transport it replaced, and the give-up / epoch-fencing
+interaction.
+
+Go-back-N left the tree; its per-channel delivered sequences on the
+differential mesh, and its outcomes on the burst runs of
+``tests/test_reliable_transport.py``, are frozen in
+``tests/golden/transport/gbn.json``.  The file can only be regenerated
+from a source tree that still has go-back-N (any commit before its
+removal), from the repository root::
+
+    PYTHONPATH=<that tree>/src python -m tests.test_transport_v2
 """
+
+import json
 
 import pytest
 
@@ -9,6 +21,7 @@ from repro.faults import CrashSpec, FaultInjector, FaultPlan, ReliableNode
 from repro.sim.network import SimNode, Simulator
 from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
 from repro.sim.trace import bits_for_ids
+from tests.test_reliable_transport import GBN_GOLDEN, RUNS, run_case
 
 
 class Tagged:
@@ -55,7 +68,7 @@ def make_scheduler(name, seed):
     return RandomScheduler(seed)
 
 
-def run_mesh(plan, scheduler_name, *, seed, transport, count=8, echo=True):
+def run_mesh(plan, scheduler_name, *, seed, count=8, echo=True, **node_kwargs):
     """Three nodes, all-to-all bursts (+ echoes), under one fault plan."""
     sim = Simulator(
         make_scheduler(scheduler_name, seed),
@@ -69,9 +82,7 @@ def run_mesh(plan, scheduler_name, *, seed, transport, count=8, echo=True):
         peers = [p for p in ids if p != node_id]
         nodes[node_id] = Chatter(node_id, peers, count, echo=echo)
         sim.add_node(
-            ReliableNode(
-                nodes[node_id], base_timeout=16, max_retries=6, transport=transport
-            )
+            ReliableNode(nodes[node_id], base_timeout=16, max_retries=6, **node_kwargs)
         )
         sim.schedule_wake(node_id)
     sim.run()
@@ -92,10 +103,9 @@ def skip_unfair_lossy(scheduler_name, plan):
     A LIFO stack starves old deliveries for as long as *new* events keep
     arriving, and under loss the retransmit timers supply new events
     forever -- so a channel's traffic can make no progress for longer
-    than any finite give-up horizon, and the transport (either
-    generation) rightly concludes the peer is unreachable.  Exactly-once
-    delivery is only promised under the asynchronous model's fairness
-    assumption (every sent message is *eventually* delivered), which
+    than any finite give-up horizon, and the transport rightly concludes
+    the peer is unreachable.  Exactly-once delivery is only promised under
+    the asynchronous model's fairness assumption (every sent message is *eventually* delivered), which
     fifo/random honour and adversarial LIFO does not."""
     if scheduler_name == "lifo" and plan.loss > 0:
         pytest.skip("LIFO starvation violates eventual delivery under loss")
@@ -111,7 +121,7 @@ class TestExactlyOnceFifoProperty:
     def test_mesh_delivery(self, scheduler_name, plan_index, seed):
         plan = FAULT_PLANS[plan_index]
         skip_unfair_lossy(scheduler_name, plan)
-        sim, nodes = run_mesh(plan, scheduler_name, seed=seed, transport="sr")
+        sim, nodes = run_mesh(plan, scheduler_name, seed=seed)
         for node in nodes.values():
             for peer in node.targets:
                 forward = [tag for src, tag in node.received if src == peer and tag >= 0]
@@ -124,31 +134,35 @@ class TestExactlyOnceFifoProperty:
                 )
 
 
+def per_channel(nodes):
+    """``{node: {peer: [tag, ...]}}``: each channel's delivered sequence."""
+    return {
+        node_id: {
+            peer: [tag for src, tag in node.received if src == peer]
+            for peer in node.targets
+        }
+        for node_id, node in nodes.items()
+    }
+
+
 @pytest.mark.parametrize("scheduler_name", ["fifo", "lifo", "random"])
 @pytest.mark.parametrize("plan_index", range(len(FAULT_PLANS)))
 @pytest.mark.parametrize("seed", range(2))
 class TestDifferentialGbnVsSr:
-    """The two transport generations are protocol-indistinguishable: the
-    wrapped nodes see identical per-channel payload sequences (cost
-    differs; semantics must not)."""
+    """Selective repeat is protocol-indistinguishable from the go-back-N
+    transport it replaced: the wrapped nodes see the per-channel payload
+    sequences go-back-N delivered on the same run (cost differs; semantics
+    must not)."""
 
     def test_same_delivered_sequences(self, scheduler_name, plan_index, seed):
         plan = FAULT_PLANS[plan_index]
         skip_unfair_lossy(scheduler_name, plan)
-        _, nodes_sr = run_mesh(plan, scheduler_name, seed=seed, transport="sr")
-        _, nodes_gbn = run_mesh(plan, scheduler_name, seed=seed, transport="gbn")
-        for node_id in nodes_sr:
-            for peer in nodes_sr[node_id].targets:
-                per_channel_sr = [
-                    tag for src, tag in nodes_sr[node_id].received if src == peer
-                ]
-                per_channel_gbn = [
-                    tag for src, tag in nodes_gbn[node_id].received if src == peer
-                ]
-                # The interleaving across channels is schedule-dependent
-                # (the transports time their repairs differently), but each
-                # channel's delivered sequence is identical.
-                assert per_channel_sr == per_channel_gbn, (node_id, peer)
+        _, nodes_sr = run_mesh(plan, scheduler_name, seed=seed)
+        frozen = json.loads(GBN_GOLDEN.read_text())["mesh"]
+        # The interleaving across channels is schedule-dependent (the
+        # transports time their repairs differently), but each channel's
+        # delivered sequence is identical.
+        assert per_channel(nodes_sr) == frozen[f"{seed}-{plan_index}-{scheduler_name}"]
 
 
 class TestGiveUpVsEpochFencing:
@@ -161,9 +175,9 @@ class TestGiveUpVsEpochFencing:
             faults=FaultInjector(FaultPlan(crashes=(CrashSpec("b", at_step=0),))),
         )
         burst = Chatter("a", ["b"], 3, echo=False)
-        sender = ReliableNode(burst, base_timeout=4, max_retries=6, transport="sr")
+        sender = ReliableNode(burst, base_timeout=4, max_retries=6)
         sim.add_node(sender)
-        sim.add_node(ReliableNode(Chatter("b", ["a"], 0), transport="sr"))
+        sim.add_node(ReliableNode(Chatter("b", ["a"], 0)))
         sim.schedule_wake("a")
         # Burn most of the give-up budget against the dead incarnation.
         for _ in range(3000):
@@ -205,3 +219,20 @@ class TestGiveUpVsEpochFencing:
             if fresh.attempts >= 2:
                 break
         assert 0 < fresh.attempts <= sender.max_retries
+
+
+if __name__ == "__main__":
+    # Go-back-N was selected with ReliableNode(transport="gbn").
+    mesh = {}
+    for scheduler_name in ("fifo", "lifo", "random"):
+        for plan_index, plan in enumerate(FAULT_PLANS):
+            for seed in range(2):
+                _, nodes = run_mesh(plan, scheduler_name, seed=seed, transport="gbn")
+                mesh[f"{seed}-{plan_index}-{scheduler_name}"] = per_channel(nodes)
+    frozen = {
+        "mesh": mesh,
+        "burst": {name: run_case(name, transport="gbn") for name in RUNS},
+    }
+    GBN_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GBN_GOLDEN.write_text(json.dumps(frozen, sort_keys=True, indent=0) + "\n")
+    print(f"wrote {GBN_GOLDEN}")
