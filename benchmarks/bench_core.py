@@ -5,7 +5,7 @@ Times the array core (:mod:`repro.core.arraystate`, what ``fast=True``
 (``fast=False``, ``Simulator.run_for``) on identical workloads,
 interleaved in the same process, and appends the results to
 ``BENCH_core.json`` at the repository root (whose ``fast_ms`` /
-``legacy_ms`` keys are those two engines).  Five parts:
+``legacy_ms`` keys are those two engines).  Six parts:
 
 * ``test_core_fast_vs_legacy`` (always runs; CI's perf-smoke job) -- the
   n=128 sparse-random comparison workload plus an n=4096 smoke point.
@@ -44,6 +44,17 @@ interleaved in the same process, and appends the results to
   ``rss_per_node_kb`` must stay below ``FOOTPRINT_CEILING`` times the
   committed series' value.  A byte ratio, so comparable across runners.
 
+* ``test_graph_build`` (always runs; CI's perf-smoke job) -- the graph
+  layer alone: build a dense-random n = 20,000 and a sparse-random
+  n = 30,000 graph with the generator, rebuild the same edges through
+  ``KnowledgeGraph(nodes, edges)``, and measure the graph's size with
+  ``tracemalloc``.  Gated, replacing the ``graph_build`` block, on the
+  build/rebuild ratio (at most ``BUILD_RATIO_CEILING`` times the
+  committed one: a generator that goes back to per-edge method calls and
+  ``randrange`` shows here) and on MiB (at most ``GRAPH_MIB_CEILING``
+  times committed: a second adjacency store shows here).  Both ratios,
+  so comparable across runners.
+
 * ``test_core_million`` (opt-in: ``BENCH_CORE_MILLION=1``) -- one
   n = 10^6 discovery per engine through the object-free
   :func:`repro.core.arraystate.run_graph` driver with full invariant
@@ -61,6 +72,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -69,6 +81,7 @@ from repro.core.arraystate import ArrayCore, run_graph
 from repro.core.generic import run_generic
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
+from repro.graphs.knowledge_graph import KnowledgeGraph
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_core.json"
 
@@ -93,6 +106,13 @@ FOOTPRINT_CEILING = 1.25
 FULL = os.environ.get("BENCH_CORE_FULL", "") == "1"
 N_MILLION = 1_000_000
 MILLION = os.environ.get("BENCH_CORE_MILLION", "") == "1"
+#: (family, n) points of the graph-build gate.
+GRAPH_BUILDS = (("dense-random", 20_000), ("sparse-random", 30_000))
+GRAPH_REPEATS = 3
+#: Measured build/rebuild ratio must stay below this multiple of the committed one.
+BUILD_RATIO_CEILING = 1.25
+#: Measured graph MiB must stay below this multiple of the committed one.
+GRAPH_MIB_CEILING = 1.10
 
 
 def _run_workload(n, seeds, fast, variant="generic"):
@@ -445,6 +465,86 @@ def test_core_footprint(benchmark, record_table):
         f"exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
         f"{FOOTPRINT_CEILING}x)"
     )
+
+
+def _graph_build_point(family, n):
+    """Best-of interleaved generator build and ``KnowledgeGraph(nodes,
+    edges)`` rebuild of the same edges, plus the graph's traced size."""
+    build_best = rebuild_best = float("inf")
+    for _ in range(GRAPH_REPEATS):
+        start = time.perf_counter()
+        graph = build_family(family, n, seed=0)
+        build_best = min(build_best, time.perf_counter() - start)
+        nodes, edges = graph.nodes, list(graph.edges())
+        start = time.perf_counter()
+        rebuilt = KnowledgeGraph(nodes, edges)
+        rebuild_best = min(rebuild_best, time.perf_counter() - start)
+        assert rebuilt.n_edges == graph.n_edges
+        del graph, rebuilt, edges
+    tracemalloc.start()
+    try:
+        graph = build_family(family, n, seed=0)
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "family": family,
+        "n": n,
+        "edges": graph.n_edges,
+        "build_ms": round(build_best * 1e3, 1),
+        "rebuild_ms": round(rebuild_best * 1e3, 1),
+        "build_over_rebuild": round(build_best / rebuild_best, 3),
+        "graph_mib": round(traced / 2**20, 2),
+    }
+
+
+def test_graph_build(benchmark, record_table):
+    points = benchmark.pedantic(
+        lambda: [_graph_build_point(family, n) for family, n in GRAPH_BUILDS],
+        rounds=1,
+        iterations=1,
+    )
+    record_table(
+        "BENCH-core-graph-build",
+        ["family", "n", "edges", "build-ms", "rebuild-ms", "build/rebuild", "MiB"],
+        [
+            [p["family"], p["n"], p["edges"], p["build_ms"], p["rebuild_ms"],
+             f"{p['build_over_rebuild']:.2f}x", p["graph_mib"]]
+            for p in points
+        ],
+        notes=(
+            f"Seed 0, best of {GRAPH_REPEATS} interleaved repeats. build = "
+            "build_family, rebuild = KnowledgeGraph(nodes, edges) over the "
+            "same edge list, MiB = tracemalloc's count after one build. "
+            f"Criterion: build/rebuild within {BUILD_RATIO_CEILING}x and MiB "
+            f"within {GRAPH_MIB_CEILING}x of the committed block."
+        ),
+    )
+
+    data = _load_bench()
+    committed = {
+        (p["family"], p["n"]): p for p in data.get("graph_build", {}).get("points", [])
+    }
+    for point in points:
+        before = committed.get((point["family"], point["n"]))
+        if before is None:
+            continue
+        for key, ceiling in (
+            ("build_over_rebuild", BUILD_RATIO_CEILING),
+            ("graph_mib", GRAPH_MIB_CEILING),
+        ):
+            assert point[key] <= ceiling * before[key], (
+                f"{point['family']} n={point['n']}: {key} {point[key]} exceeds "
+                f"{ceiling * before[key]:.2f} (committed {before[key]}, "
+                f"ceiling {ceiling}x)"
+            )
+    data["graph_build"] = {
+        "date": datetime.date.today().isoformat(),
+        "cpus": os.cpu_count(),
+        "repeats": GRAPH_REPEATS,
+        "points": points,
+    }
+    BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
 @pytest.mark.skipif(

@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from random import Random as _Random
 from sys import maxsize
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.core.messages import ABORT, MERGE, MSG_TYPES, WIRE_TABLE, fixed_bit_bases
 from repro.core import arrayloop as _arrayloop
@@ -113,6 +113,7 @@ from repro.core.node import (
     VARIANTS,
     behavior_is_pristine,
 )
+from repro.graphs.components import weakly_connected_components
 from repro.sim.events import DeliverToken, WakeToken
 from repro.sim.network import (
     _WRAPPABLE,
@@ -1012,28 +1013,9 @@ class ScaleResult:
 
 
 def _graph_components(graph, idx, n: int) -> List[List[int]]:
-    """Weakly connected components over int ids (union-find, O(E a(n)))."""
-    parent = list(range(n))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u in graph.nodes:
-        ui = idx[u]
-        for v in graph.successors(u):
-            ru = find(ui)
-            rv = find(idx[v])
-            if ru != rv:
-                parent[ru] = rv
-    components: Dict[int, List[int]] = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(i)
-    return list(components.values())
+    """:func:`weakly_connected_components` as lists of the ``n`` int ids in
+    ``idx``: members ascending, components by their smallest member."""
+    return sorted(sorted([idx[x] for x in c]) for c in weakly_connected_components(graph))
 
 
 def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
@@ -1146,10 +1128,9 @@ def _run_columns(
 
     core = ArrayCore(space, id_bits_for(n), fill=True)
     local = core.local
+    succ = graph._succ  # read in place: a successor set never holds its owner
     for i, node_id in enumerate(space.ids):
-        successors = {idx[x] for x in graph.successors(node_id)}
-        successors.discard(i)
-        local[i] = successors
+        local[i] = {idx[x] for x in succ[node_id]}
     if greedy_queries:
         core.greedy = bytearray(b"\x01" * n)
     core.variant = bytearray([_VARIANT_CODES[variant]]) * n

@@ -13,6 +13,7 @@ same plan, so chaos sweep rows are replayable.
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 from typing import Callable, Dict, Hashable, List
 
@@ -49,7 +50,8 @@ def pick_crash_victims(graph: KnowledgeGraph, count: int, seed: int) -> List[Nod
     rng = Random(seed)
     candidates = list(graph.nodes)
     rng.shuffle(candidates)  # tie-break independent of generator order
-    candidates.sort(key=graph.in_degree)
+    in_degree = Counter(v for u in candidates for v in graph.successors(u))
+    candidates.sort(key=in_degree.__getitem__)  # one pass, not n in_degree scans
     return candidates[: max(0, min(count, graph.n - 1))]
 
 

@@ -3,8 +3,9 @@
 Resource Discovery is defined per *weakly connected component* (paths in the
 induced undirected graph), while the O(n) leader-election observation of
 Section 1 applies to *strongly connected* graphs.  Both component
-computations are implemented here from first principles (iterative BFS and
-Tarjan's SCC algorithm); the test suite cross-checks them against networkx.
+computations are implemented here from first principles (union-find over
+the successor sets and Tarjan's SCC algorithm); the test suite
+cross-checks them against networkx.
 """
 
 from __future__ import annotations
@@ -23,24 +24,35 @@ __all__ = [
 
 
 def weakly_connected_components(graph: KnowledgeGraph) -> List[Set[NodeId]]:
-    """Return the weakly connected components, ordered by first node seen."""
-    visited: Set[NodeId] = set()
-    components: List[Set[NodeId]] = []
-    for start in graph.nodes:
-        if start in visited:
-            continue
-        component: Set[NodeId] = set()
-        frontier = [start]
-        visited.add(start)
-        while frontier:
-            node = frontier.pop()
-            component.add(node)
-            for neighbor in graph.undirected_neighbors(node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-        components.append(component)
-    return components
+    """Return the weakly connected components, ordered by first node seen.
+
+    Union-find over the successor sets in place: each successor's root goes
+    under its knower's root, then nodes are grouped by root in node order.
+    """
+    succ = graph._succ
+    parent = {node: node for node in succ}
+    for u, known in succ.items():
+        if known:
+            root = _root(parent, u)
+            for v in known:
+                if parent[v] != root:
+                    other = _root(parent, v)
+                    if other != root:
+                        parent[other] = root
+                    parent[v] = root
+    components: Dict[NodeId, Set[NodeId]] = {}
+    for node in succ:  # node order: the dict was filled in it
+        components.setdefault(_root(parent, node), set()).add(node)
+    return list(components.values())
+
+
+def _root(parent: Dict[NodeId, NodeId], node: NodeId) -> NodeId:
+    """``node``'s root, halving the path on the way (O(log n) amortized)."""
+    up = parent[node]
+    while up != node:
+        parent[node] = node = parent[up]
+        up = parent[node]
+    return node
 
 
 def component_of(graph: KnowledgeGraph, node: NodeId) -> Set[NodeId]:
@@ -53,9 +65,7 @@ def component_of(graph: KnowledgeGraph, node: NodeId) -> Set[NodeId]:
 
 def is_weakly_connected(graph: KnowledgeGraph) -> bool:
     """Whether the whole graph is one weakly connected component."""
-    if graph.n == 0:
-        return True
-    return len(weakly_connected_components(graph)) == 1
+    return len(weakly_connected_components(graph)) <= 1
 
 
 def strongly_connected_components(graph: KnowledgeGraph) -> List[Set[NodeId]]:
@@ -112,6 +122,4 @@ def strongly_connected_components(graph: KnowledgeGraph) -> List[Set[NodeId]]:
 
 def is_strongly_connected(graph: KnowledgeGraph) -> bool:
     """Whether the whole graph is one strongly connected component."""
-    if graph.n == 0:
-        return True
-    return len(strongly_connected_components(graph)) == 1
+    return len(strongly_connected_components(graph)) <= 1

@@ -95,9 +95,7 @@ def random_arborescence(n: int, seed: int = 0) -> KnowledgeGraph:
     never strongly connected.
     """
     _require_positive(n)
-    rng = random.Random(seed)
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return KnowledgeGraph(range(n), edges)
+    return _arborescence(n, random.Random(seed))
 
 
 def erdos_renyi(
@@ -118,10 +116,7 @@ def erdos_renyi(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = random.Random(seed)
-    graph = KnowledgeGraph(range(n))
-    if ensure_weakly_connected:
-        for i in range(1, n):
-            graph.add_edge(rng.randrange(i), i)
+    graph = _arborescence(n, rng) if ensure_weakly_connected else KnowledgeGraph(range(n))
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < p:
@@ -173,11 +168,7 @@ def preferential_attachment(n: int, out_degree: int, seed: int = 0) -> Knowledge
     return graph
 
 
-def random_weakly_connected(
-    n: int,
-    extra_edges: int,
-    seed: int = 0,
-) -> KnowledgeGraph:
+def random_weakly_connected(n: int, extra_edges: int, seed: int = 0) -> KnowledgeGraph:
     """A random arborescence plus ``extra_edges`` uniform random edges.
 
     The workhorse family for property-based testing: always one weak
@@ -187,39 +178,58 @@ def random_weakly_connected(
     if extra_edges < 0:
         raise ValueError(f"extra_edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
-    graph = KnowledgeGraph(range(n))
-    for i in range(1, n):
-        graph.add_edge(rng.randrange(i), i)
-    added = 0
-    attempts = 0
-    max_possible = n * (n - 1) - (n - 1)
-    budget = min(extra_edges, max_possible)
-    while added < budget and attempts < 50 * (budget + 1):
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and graph.add_edge(u, v):
-            added += 1
+    graph = _arborescence(n, rng)
+    _add_random_edges(graph, rng, extra_edges)
     return graph
 
 
 def random_strongly_connected(n: int, extra_edges: int, seed: int = 0) -> KnowledgeGraph:
     """A directed cycle plus random chords: always strongly connected."""
-    _require_positive(n)
-    rng = random.Random(seed)
-    graph = KnowledgeGraph(range(n))
-    if n > 1:
-        for i in range(n):
-            graph.add_edge(i, (i + 1) % n)
-    added = 0
-    attempts = 0
-    while added < extra_edges and attempts < 50 * (extra_edges + 1):
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and graph.add_edge(u, v):
-            added += 1
+    graph = directed_cycle(n)
+    _add_random_edges(graph, random.Random(seed), extra_edges)
     return graph
+
+
+def _arborescence(n: int, rng: random.Random) -> KnowledgeGraph:
+    """Node ``i > 0`` under ``rng.randrange(i)``, drawn as _add_random_edges draws."""
+    graph = KnowledgeGraph(range(n))
+    succ = graph._succ
+    getrandbits = rng.getrandbits
+    for i in range(1, n):
+        bits = i.bit_length()
+        parent = getrandbits(bits)
+        while parent >= i:
+            parent = getrandbits(bits)
+        succ[parent].add(i)
+    graph._n_edges = n - 1
+    return graph
+
+
+def _add_random_edges(graph: KnowledgeGraph, rng: random.Random, extra_edges: int) -> None:
+    """Add up to ``extra_edges`` uniform random edges, no more than are missing,
+    giving up after ``50 * (budget + 1)`` drawn pairs.  ``rng.randrange(n)``
+    is written out as ``Random._randbelow`` draws it: same stream, same graphs."""
+    n = graph.n
+    succ = graph._succ
+    budget = min(extra_edges, n * (n - 1) - graph.n_edges)
+    max_attempts = 50 * (budget + 1)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    added = attempts = 0
+    while added < budget and attempts < max_attempts:
+        attempts += 1
+        u = getrandbits(bits)
+        while u >= n:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        if u != v:
+            known = succ[u]
+            if v not in known:
+                known.add(v)
+                added += 1
+    graph._n_edges += added
 
 
 def complete_graph(n: int) -> KnowledgeGraph:

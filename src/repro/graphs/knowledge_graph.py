@@ -10,6 +10,10 @@ This module holds the *initial* graph ``(V, E0)`` handed to the algorithms;
 the dynamic knowledge accumulated during a protocol run lives in the
 protocol nodes themselves (``local``/``more``/``done``/... sets), not here.
 
+Storage is successor sets only (``_succ[u]`` is ``u``'s initial
+``local``); ``predecessors``, ``in_degree`` and ``undirected_neighbors``
+scan all of them, O(n) per call.
+
 Node ids may be any hashable, totally orderable values; the algorithms
 compare ids to break ties exactly as the paper's ``(phase, id)``
 lexicographic rule requires.  Integers are the common case and what the
@@ -18,7 +22,7 @@ generators produce.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 NodeId = Hashable
 
@@ -44,15 +48,10 @@ class KnowledgeGraph:
         edges: Iterable[Tuple[NodeId, NodeId]] = (),
     ) -> None:
         self._nodes: List[NodeId] = []
-        seen: Set[NodeId] = set()
-        for node in nodes:
-            if node in seen:
-                raise ValueError(f"duplicate node id {node!r}")
-            seen.add(node)
-            self._nodes.append(node)
-        self._succ: Dict[NodeId, Set[NodeId]] = {node: set() for node in self._nodes}
-        self._pred: Dict[NodeId, Set[NodeId]] = {node: set() for node in self._nodes}
+        self._succ: Dict[NodeId, Set[NodeId]] = {}
         self._n_edges = 0
+        for node in nodes:
+            self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -65,7 +64,6 @@ class KnowledgeGraph:
             raise ValueError(f"duplicate node id {node!r}")
         self._nodes.append(node)
         self._succ[node] = set()
-        self._pred[node] = set()
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:
         """Add the knowledge edge ``u -> v``; return ``True`` if new.
@@ -80,7 +78,6 @@ class KnowledgeGraph:
         if u == v or v in self._succ[u]:
             return False
         self._succ[u].add(v)
-        self._pred[v].add(u)
         self._n_edges += 1
         return True
 
@@ -113,14 +110,16 @@ class KnowledgeGraph:
         return frozenset(self._succ[node])
 
     def predecessors(self, node: NodeId) -> FrozenSet[NodeId]:
-        """Nodes that initially know ``node``."""
-        return frozenset(self._pred[node])
+        """Nodes that initially know ``node`` (O(n): a scan)."""
+        if node not in self._succ:
+            raise KeyError(node)
+        return frozenset(u for u, known in self._succ.items() if node in known)
 
     def out_degree(self, node: NodeId) -> int:
         return len(self._succ[node])
 
     def in_degree(self, node: NodeId) -> int:
-        return len(self._pred[node])
+        return len(self.predecessors(node))
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return u in self._succ and v in self._succ[u]
@@ -143,5 +142,5 @@ class KnowledgeGraph:
         return KnowledgeGraph(self._nodes, ((v, u) for u, v in self.edges()))
 
     def undirected_neighbors(self, node: NodeId) -> Set[NodeId]:
-        """Neighbours ignoring edge direction (for weak connectivity)."""
-        return set(self._succ[node]) | set(self._pred[node])
+        """Neighbours ignoring edge direction (O(n), like ``predecessors``)."""
+        return set(self._succ[node]) | self.predecessors(node)

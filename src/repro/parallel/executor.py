@@ -162,6 +162,27 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _await(pool: ProcessPoolExecutor, future: Any, timeout: Optional[float]) -> Any:
+    """``future.result(timeout)``, except that a future the broken pool will
+    never settle raises ``BrokenProcessPool`` instead of waiting forever.
+
+    CPython's manager thread (3.11 at least) marks a pool broken without
+    the submit lock, so a job submitted while it fails the pending ones can
+    miss that sweep; once the thread has exited, nothing will settle it.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        left = 0.05 if deadline is None else min(0.05, deadline - time.monotonic())
+        try:
+            return future.result(timeout=max(0.0, left))
+        except FuturesTimeoutError:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise
+            manager = pool._executor_manager_thread
+            if pool._broken and not future.done() and not (manager and manager.is_alive()):
+                raise BrokenProcessPool(pool._broken) from None
+
+
 @dataclass
 class ParallelExecutor:
     """Deterministic fan-out of experiment jobs over a process pool.
@@ -280,7 +301,7 @@ class ParallelExecutor:
                     break  # a worker died before the rest were queued
             for index, future in zip(pending, futures):
                 try:
-                    result = future.result(timeout=self.timeout)
+                    result = _await(pool, future, self.timeout)
                 except FuturesTimeoutError:
                     stuck = True
                     future.cancel()

@@ -1,10 +1,15 @@
-"""Connectivity computations, cross-checked against networkx."""
+"""Connectivity computations, cross-checked against networkx, and the
+union-find and the derived adjacency against the breadth-first search and
+brute-force definitions they replaced."""
+
+from typing import Dict, List
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.arraystate import _graph_components
 from repro.graphs.components import (
     component_of,
     is_strongly_connected,
@@ -103,3 +108,117 @@ class TestAgainstNetworkx:
         ours = sorted(sorted(c) for c in strongly_connected_components(g))
         theirs = sorted(sorted(c) for c in nx.strongly_connected_components(nxg))
         assert ours == theirs
+
+
+# ----------------------------------------------------------------------
+# Union-find and derived adjacency against the code they replaced
+# ----------------------------------------------------------------------
+def bfs_components(nodes, edges):
+    """The breadth-first weak components the union-find replaced, over
+    brute-force undirected neighbours: sets in order of first node seen."""
+    neighbours = {node: set() for node in nodes}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    visited = set()
+    components = []
+    for start in nodes:
+        if start in visited:
+            continue
+        component = set()
+        frontier = [start]
+        visited.add(start)
+        while frontier:
+            node = frontier.pop()
+            component.add(node)
+            for neighbor in neighbours[node]:
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    frontier.append(neighbor)
+        components.append(component)
+    return components
+
+
+def int_components(graph, idx, n) -> List[List[int]]:
+    """``arraystate._graph_components`` as it was: its own union-find over
+    ``successors()``, components keyed by root in int order."""
+    parent = list(range(n))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for u in graph.nodes:
+        ui = idx[u]
+        for v in graph.successors(u):
+            ru = find(ui)
+            rv = find(idx[v])
+            if ru != rv:
+                parent[ru] = rv
+    components: Dict[int, List[int]] = {}
+    for i in range(n):
+        components.setdefault(find(i), []).append(i)
+    return list(components.values())
+
+
+ID_KINDS = {
+    "int": lambda i: 1000 * i + 7,  # sparse ints: set layouts collide
+    "str": lambda i: f"peer-{i}",
+    "tuple": lambda i: (i % 3, f"x{i}"),
+}
+
+
+@st.composite
+def built_graphs(draw):
+    """``(graph, edges)``: ids of one kind in a drawn order, some nodes and
+    edges added after construction, self-loop pairs among the inputs;
+    ``edges`` is the brute-force edge set."""
+    make = ID_KINDS[draw(st.sampled_from(sorted(ID_KINDS)))]
+    n = draw(st.integers(0, 16))
+    ids = [make(i) for i in draw(st.permutations(range(n)))]
+    pairs = (
+        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=48))
+        if n
+        else []
+    )
+    split = draw(st.integers(0, n))
+    first = [(ids[a], ids[b]) for a, b in pairs if a < split and b < split]
+    graph = KnowledgeGraph(ids[:split], first)
+    for node in ids[split:]:
+        graph.add_node(node)
+    for a, b in pairs:
+        graph.add_edge(ids[a], ids[b])
+    return graph, {(ids[a], ids[b]) for a, b in pairs if a != b}
+
+
+class TestUnionFindAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(built_graphs(), st.randoms(use_true_random=False))
+    def test_components_match_bfs_and_old_int_view(self, built, rnd):
+        graph, edges = built
+        assert set(graph.edges()) == edges
+        assert weakly_connected_components(graph) == bfs_components(graph.nodes, edges)
+        order = graph.nodes
+        rnd.shuffle(order)  # int ids need not follow node order
+        for idx in ({x: i for i, x in enumerate(graph.nodes)}, {x: i for i, x in enumerate(order)}):
+            assert _graph_components(graph, idx, graph.n) == int_components(graph, idx, graph.n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_graphs())
+    def test_derived_adjacency_matches_brute_force(self, built):
+        graph, edges = built
+        for node in graph.nodes:
+            preds = frozenset(u for u, v in edges if v == node)
+            succs = {v for u, v in edges if u == node}
+            assert graph.predecessors(node) == preds
+            assert type(graph.predecessors(node)) is frozenset
+            assert graph.in_degree(node) == len(preds)
+            neighbours = graph.undirected_neighbors(node)
+            assert neighbours == succs | preds and type(neighbours) is set
+        for query in (graph.predecessors, graph.in_degree, graph.undirected_neighbors):
+            with pytest.raises(KeyError):
+                query("not-a-node")

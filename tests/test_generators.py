@@ -1,7 +1,10 @@
 """Unit tests for the graph generators."""
 
+import random
+
 import pytest
 
+from repro.graphs import generators
 from repro.graphs.components import (
     is_strongly_connected,
     is_weakly_connected,
@@ -136,6 +139,36 @@ class TestRandomFamilies:
             c = maker(10)
             # Different seeds should (essentially always) differ.
             assert list(a.edges()) != list(c.edges())
+
+
+class TestExtraEdgeBudget:
+    """The extra-edge loop stops at the edges a graph lacks: asking for
+    more than fit must not spend 50 draws per requested edge."""
+
+    @pytest.mark.parametrize(
+        "maker,n,backbone",
+        [
+            (random_strongly_connected, 1, 0),
+            (random_strongly_connected, 2, 2),
+            (random_strongly_connected, 3, 3),
+            (random_weakly_connected, 1, 0),
+            (random_weakly_connected, 2, 1),
+            (random_weakly_connected, 3, 2),
+        ],
+    )
+    def test_draws_bounded_by_edges_left(self, monkeypatch, maker, n, backbone):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(generators.random, "Random", CountingRandom)
+        g = maker(n, 20000, seed=0)
+        left = n * (n - 1) - backbone
+        assert len(draws) <= 50 * (left + 1)
+        assert g.n_edges == n * (n - 1)  # every missing edge was drawn
 
 
 class TestDisjointUnion:

@@ -8,8 +8,9 @@ and full cache service of a repeated sweep.
 import io
 import os
 import pathlib
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -467,6 +468,32 @@ class TestBrokenPoolRecovery:
         assert [r.status for r in results] == ["done"] * 4
         assert [r.rows for r in results] == [[["toy", 2, (s + 1) * 2]] for s in range(4)]
         assert calls == [2, 2, 1, 1, 1]  # jobs 1-3 each ran in a pool of its own
+
+    def test_job_the_broken_pool_never_settles_runs_again(self, monkeypatch):
+        """CPython (3.11 at least) can drop a job submitted while the manager
+        thread fails the pending ones: its future is never settled.  Job 1's
+        future is such a one here; once the pool is broken and its manager
+        gone, the job runs again on its own instead of hanging the sweep."""
+        submit = ProcessPoolExecutor.submit
+        lost = Future()
+        calls = []
+
+        def losing_submit(pool, fn, *args, **kwargs):
+            calls.append(pool._max_workers)
+            return lost if len(calls) == 2 else submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", losing_submit)
+        # Fail instead of hanging if the lost future were waited on forever.
+        guard = threading.Timer(60, lost.set_exception, [AssertionError("waited forever")])
+        guard.daemon = True
+        guard.start()
+        try:
+            results = ParallelExecutor(workers=2).run(sweep_jobs(ALWAYS_KILLER, range(2)))
+        finally:
+            guard.cancel()
+        assert [r.status for r in results] == ["failed", "done"]
+        assert results[1].rows == [["spared", 1]]
+        assert calls == [2, 2, 1, 1]  # both jobs ran again, each in a pool of its own
 
 
 class TestCacheDegradation:
