@@ -234,6 +234,7 @@ def test_core_fast_vs_legacy(benchmark, record_table):
     entry = {
         "date": datetime.date.today().isoformat(),
         "family": FAMILY,
+        "cpus": os.cpu_count(),
         "compare": measured["compare"],
         "smoke": measured["smoke"],
     }

@@ -1,6 +1,7 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate).
  *
- * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`);
+ * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`,
+ * then REPRO_ARRAYLOOP_CFLAGS: CI builds it under ASan + UBSan that way);
  * the build is best-effort and a process without it runs everything on the
  * object loop, so this file must never be required for correctness.
  *
@@ -18,7 +19,32 @@
  * state, and hands any step it cannot reproduce bit-for-bit back to its
  * caller *before* mutating it:
  *
- *   run(core, pool, pool_append, mode, getrandbits, stop, cell) -> (code, aux)
+ *   run(core, pool, mode, rng, stop, cell) -> (code, aux)
+ *
+ * What one call owns.  Python reads none of this while a call runs, so for
+ * its length it lives in plain C arrays (PyMem_Malloc), built at entry:
+ *  - the pending-token pool: an int64 ring read from `pool` (a list or a
+ *    deque of ints); FIFO pops its head, LIFO its tail, random mode swaps
+ *    the drawn slot with the tail;
+ *  - the scheduler's MT19937: the 624 words and index of rng.getstate()
+ *    (random mode only), drawn exactly as CPython's getrandbits;
+ *  - the channels: endpoints by id and an open-addressed (src, dst) -> id
+ *    table, from core.chan_src / chan_dst; a new channel is appended to
+ *    chanq / chan_src / chan_dst and to the table;
+ *  - the rank orders rrank / by_rrank / nrank as int32 arrays;
+ *  - a min-heap of repr ranks per node for `more` and `unexplored`, built
+ *    from the live members of the sets (heap layout is unobservable).
+ * The knowledge sets, the wire tuples and the chanq slots stay Python
+ * objects, shared with the caller.
+ *
+ * What every exit writes back -- drained, RC_LIMIT, RC_DEOPT / RC_PUMP, and
+ * a raising handler alike (sync_out): the step count into `cell`, the
+ * counts, the pool order into the caller's container, and rng.setstate()
+ * with the words drawn to and gauss_next as read.  Heaps, table and ring
+ * are freed.  Entry and exit cost O(n + channels + pool) plain loads and
+ * stores plus one getstate/setstate (625 ints); a run pays them once per
+ * call, and the drivers call again only at a step limit or a hand-back.
+ * If entry fails nothing has been popped and nothing is written back.
  *
  *   RC_DRAINED: pool drained.
  *   RC_LIMIT: step limit boundary: a counted step just finished with
@@ -55,13 +81,15 @@
  *    the materializer turns every form into a deque of message objects.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
- *    live sets at materialization, so layout is unobservable.
- *  - Random mode inlines the same getrandbits rejection loop
- *    Simulator.run_for inlines; a popped token is never "un-popped" (the
- *    draw is spent), it is handed over via RC_DEOPT.
+ *    live sets at every entry and materialization, so layout is unobservable.
+ *  - Random mode runs the same getrandbits(k) rejection loop
+ *    Simulator.run_for inlines (k = the pool size's bit length); a popped
+ *    token is never "un-popped" (the draw is spent), it is handed over via
+ *    RC_DEOPT.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 
 #if ST_ASLEEP != 0
@@ -78,13 +106,53 @@ static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
 static PyObject *g_wire_ma, *g_wire_mf, *g_wire_md_t, *g_wire_md_f;
 static PyObject *g_greedy_k;      /* 1 << 62 as a PyLong */
 static PyObject *g_tag_objs[N_TAGS];
-static PyObject *g_k_objs[65];    /* small ints for getrandbits(k) */
 static PyObject *g_zero;
 static PyObject *g_neg_one;
-static PyObject *s_append, *s_popleft, *s_appendleft;
+static PyObject *s_append, *s_popleft, *s_appendleft, *s_clear, *s_extend,
+    *s_getstate, *s_setstate;
 static int g_configured = 0;
 
 #define GREEDY_K_VAL (1LL << 62)
+
+/* ------------------------------------------------------------------ */
+/* Native per-call state: built at entry, written back and freed at    */
+/* every exit (the file header says what each costs).                  */
+/* ------------------------------------------------------------------ */
+/* The scheduler's pending tokens, a power-of-two ring: a channel id >= 0
+ * is a delivery, -1 - node a wake-up.  FIFO pops the head, LIFO the tail,
+ * random swaps the drawn slot with the tail (RandomScheduler.pop). */
+typedef struct {
+    int64_t *buf;
+    Py_ssize_t cap, head, len;
+} Pool;
+
+/* A node's min-heap of repr ranks (the `more` / `unexplored` choice). */
+typedef struct {
+    int32_t *v;
+    int32_t len, cap;
+} Heap;
+
+/* Channel endpoints by id, and the open-addressed (src, dst) -> id table
+ * over them: linear probing, at most half full, a slot an id or -1. */
+typedef struct {
+    int32_t src, dst;
+} Ends;
+
+typedef struct {
+    Ends *ends;
+    Py_ssize_t n, ends_cap;
+    int32_t *slot;
+    Py_ssize_t mask;
+    int bits;
+} Chans;
+
+/* MT19937 exactly as CPython's _random keeps it: 624 words and an index. */
+#define MT_N 624
+#define MT_M 397
+typedef struct {
+    uint32_t w[MT_N];
+    int idx;
+} MT;
 
 /* ------------------------------------------------------------------ */
 /* Per-call state: every column of the ArrayCore as a direct pointer.  */
@@ -98,14 +166,21 @@ typedef struct {
     char *status, *awake, *aw_rel, *aw_info, *stale, *variant, *greedy;
     /* list-backed columns */
     PyObject *ids, *nxt, *phase, *aw_query, *csize;
-    PyObject *local, *done, *more, *unaware, *unexp, *mheap, *uheap;
+    PyObject *local, *done, *more, *unaware, *unexp;
     PyObject *previous, *inbox, *deferred;
-    PyObject *rrank, *by_rrank, *nrank;
-    PyObject *chanq, *chan_src, *chan_dst, *out, *iobj;
+    PyObject *chanq, *chan_src, *chan_dst, *iobj;
     PyObject *counts_l, *xtra_l, *order;
     long counts[N_TAGS], xtra[N_TAGS];
+    /* native for the length of the call */
+    int32_t *rrank, *by_rrank, *nrank;
+    Heap *mheap, *uheap;
+    Chans ch;
+    Pool pool;
+    MT mt;
+    int rng_version;
+    PyObject *gauss;
     /* run parameters */
-    PyObject *pool, *pool_append, *pool_popleft, *getrandbits;
+    PyObject *pool_obj, *rng;
     int mode;
     long stop;
     long steps;
@@ -214,75 +289,243 @@ make_search(PyObject *initiator, PyObject *phase, PyObject *target, int is_new)
 }
 
 /* ------------------------------------------------------------------ */
-/* Heaps: PyLists of unique rank ints, min-heap order.                 */
+/* Heaps: int32 rank arrays, min-heap order.  A rank may sit in a heap  */
+/* after its id left the set (lazy deletion, as in core/node.py).      */
 /* ------------------------------------------------------------------ */
-static int
-heap_push(PyObject *heap, long val)
+static void
+heap_sift_down(Heap *h, int32_t pos)
 {
-    PyObject *v = PyLong_FromLong(val);
-    if (v == NULL)
-        return -1;
-    if (PyList_Append(heap, v) < 0) {
-        Py_DECREF(v);
-        return -1;
-    }
-    Py_DECREF(v);
-    Py_ssize_t pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        PyObject *po = PyList_GET_ITEM(heap, parent);
-        PyObject *co = PyList_GET_ITEM(heap, pos);
-        if (PyLong_AsLong(co) < PyLong_AsLong(po)) {
-            PyList_SET_ITEM(heap, parent, co);
-            PyList_SET_ITEM(heap, pos, po);
-            pos = parent;
-        }
-        else
+    int32_t val = h->v[pos], size = h->len;
+    for (;;) {
+        int32_t child = 2 * pos + 1;
+        if (child >= size)
             break;
+        if (child + 1 < size && h->v[child + 1] < h->v[child])
+            child += 1;
+        if (h->v[child] >= val)
+            break;
+        h->v[pos] = h->v[child];
+        pos = child;
     }
+    h->v[pos] = val;
+}
+
+static int
+heap_push(Heap *h, int32_t val)
+{
+    if (h->len == h->cap) {
+        int32_t cap = h->cap ? 2 * h->cap : 4;
+        int32_t *v = PyMem_Realloc(h->v, cap * sizeof(int32_t));
+        if (v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        h->v = v;
+        h->cap = cap;
+    }
+    int32_t pos = h->len++;
+    while (pos > 0) {
+        int32_t parent = (pos - 1) >> 1;
+        if (h->v[parent] <= val)
+            break;
+        h->v[pos] = h->v[parent];
+        pos = parent;
+    }
+    h->v[pos] = val;
     return 0;
 }
 
 /* Pop the min; caller guarantees the heap is non-empty. */
-static long
-heap_pop(PyObject *heap)
+static int32_t
+heap_pop(Heap *h)
 {
-    Py_ssize_t size = PyList_GET_SIZE(heap);
-    PyObject *last = PyList_GET_ITEM(heap, size - 1);
-    Py_INCREF(last);
-    PyList_SetSlice(heap, size - 1, size, NULL);
-    size -= 1;
-    if (size == 0) {
-        long v = PyLong_AsLong(last);
-        Py_DECREF(last);
-        return v;
+    int32_t top = h->v[0];
+    if (--h->len > 0) {
+        h->v[0] = h->v[h->len];
+        heap_sift_down(h, 0);
     }
-    PyObject *root = PyList_GET_ITEM(heap, 0);
-    long rv = PyLong_AsLong(root);
-    PyList_SET_ITEM(heap, 0, last); /* steals our ref */
-    Py_DECREF(root);
-    /* sift the displaced value down */
-    Py_ssize_t pos = 0;
-    long lv = PyLong_AsLong(last);
-    for (;;) {
-        Py_ssize_t child = 2 * pos + 1;
-        if (child >= size)
-            break;
-        if (child + 1 < size &&
-            PyLong_AsLong(PyList_GET_ITEM(heap, child + 1)) <
-                PyLong_AsLong(PyList_GET_ITEM(heap, child)))
-            child += 1;
-        PyObject *co = PyList_GET_ITEM(heap, child);
-        if (PyLong_AsLong(co) < lv) {
-            PyObject *po = PyList_GET_ITEM(heap, pos);
-            PyList_SET_ITEM(heap, pos, co);
-            PyList_SET_ITEM(heap, child, po);
-            pos = child;
+    return top;
+}
+
+/* ------------------------------------------------------------------ */
+/* The pool ring                                                       */
+/* ------------------------------------------------------------------ */
+/* Room for `need` tokens; the ring is unrolled to start at slot 0. */
+static int
+pool_reserve(Pool *p, Py_ssize_t need)
+{
+    if (need <= p->cap)
+        return 0;
+    Py_ssize_t cap = p->cap ? p->cap : 1;
+    while (cap < need)
+        cap <<= 1;
+    int64_t *buf = PyMem_Malloc(cap * sizeof(int64_t));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t j = 0; j < p->len; j++)
+        buf[j] = p->buf[(p->head + j) & (p->cap - 1)];
+    PyMem_Free(p->buf);
+    p->buf = buf;
+    p->cap = cap;
+    p->head = 0;
+    return 0;
+}
+
+static inline int
+pool_push(Pool *p, int64_t token)
+{
+    if (p->len == p->cap && pool_reserve(p, p->len + 1) < 0)
+        return -1;
+    p->buf[(p->head + p->len++) & (p->cap - 1)] = token;
+    return 0;
+}
+
+/* The token at pool position `index` (0 the oldest), its slot refilled
+ * with the newest: a random draw, or len - 1 for LIFO. */
+static inline int64_t
+pool_take(Pool *p, Py_ssize_t index)
+{
+    Py_ssize_t mask = p->cap - 1;
+    int64_t *at = &p->buf[(p->head + index) & mask];
+    int64_t token = *at;
+    *at = p->buf[(p->head + p->len - 1) & mask];
+    p->len -= 1;
+    return token;
+}
+
+static inline int64_t
+pool_pop_head(Pool *p)
+{
+    int64_t token = p->buf[p->head];
+    p->head = (p->head + 1) & (p->cap - 1);
+    p->len -= 1;
+    return token;
+}
+
+/* ------------------------------------------------------------------ */
+/* The channel table                                                   */
+/* ------------------------------------------------------------------ */
+static inline Py_ssize_t
+chan_hash(const Chans *c, long src, long dst)
+{
+    uint64_t key = ((uint64_t)(uint32_t)src << 32) | (uint32_t)dst;
+    return (Py_ssize_t)((key * 0x9E3779B97F4A7C15ULL) >> (64 - c->bits));
+}
+
+static void
+chan_insert(Chans *c, int32_t cid)
+{
+    Py_ssize_t h = chan_hash(c, c->ends[cid].src, c->ends[cid].dst);
+    while (c->slot[h] >= 0)
+        h = (h + 1) & c->mask;
+    c->slot[h] = cid;
+}
+
+/* A table of 2^bits slots over the first c->n channels. */
+static int
+chan_rehash(Chans *c, int bits)
+{
+    Py_ssize_t cap = (Py_ssize_t)1 << bits;
+    int32_t *slot = PyMem_Malloc(cap * sizeof(int32_t));
+    if (slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(slot, 0xff, cap * sizeof(int32_t)); /* every slot -1 */
+    PyMem_Free(c->slot);
+    c->slot = slot;
+    c->mask = cap - 1;
+    c->bits = bits;
+    for (Py_ssize_t cid = 0; cid < c->n; cid++)
+        chan_insert(c, (int32_t)cid);
+    return 0;
+}
+
+/* Room for `need` channels: endpoints and a table at most half full. */
+static int
+chan_reserve(Chans *c, Py_ssize_t need)
+{
+    if (need > c->ends_cap) {
+        Py_ssize_t cap = c->ends_cap ? 2 * c->ends_cap : 16;
+        while (cap < need)
+            cap <<= 1;
+        Ends *ends = PyMem_Realloc(c->ends, cap * sizeof(Ends));
+        if (ends == NULL) {
+            PyErr_NoMemory();
+            return -1;
         }
-        else
-            break;
+        c->ends = ends;
+        c->ends_cap = cap;
     }
-    return rv;
+    int bits = c->bits ? c->bits : 4;
+    while (((Py_ssize_t)1 << bits) < 2 * need)
+        bits++;
+    return bits == c->bits ? 0 : chan_rehash(c, bits);
+}
+
+/* The id of channel (src, dst), or -1 if it was never opened. */
+static inline long
+chan_find(const Chans *c, long src, long dst)
+{
+    for (Py_ssize_t h = chan_hash(c, src, dst);; h = (h + 1) & c->mask) {
+        int32_t cid = c->slot[h];
+        if (cid < 0 || (c->ends[cid].src == src && c->ends[cid].dst == dst))
+            return cid;
+    }
+}
+
+static int
+chan_add(Chans *c, long src, long dst)
+{
+    if (chan_reserve(c, c->n + 1) < 0)
+        return -1;
+    c->ends[c->n].src = (int32_t)src;
+    c->ends[c->n].dst = (int32_t)dst;
+    chan_insert(c, (int32_t)c->n++);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Scheduler draws: CPython's MT19937 and getrandbits, word for word    */
+/* ------------------------------------------------------------------ */
+static uint32_t
+mt_next(MT *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y, *w = mt->w;
+    if (mt->idx >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (w[kk] & 0x80000000U) | (w[kk + 1] & 0x7fffffffU);
+            w[kk] = w[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (w[kk] & 0x80000000U) | (w[kk + 1] & 0x7fffffffU);
+            w[kk] = w[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (w[MT_N - 1] & 0x80000000U) | (w[0] & 0x7fffffffU);
+        w[MT_N - 1] = w[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt->idx = 0;
+    }
+    y = w[mt->idx++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* getrandbits(k) for 1 <= k <= 64: 32-bit words least significant first,
+ * the last word's surplus low bits dropped. */
+static uint64_t
+mt_bits(MT *mt, int k)
+{
+    if (k <= 32)
+        return mt_next(mt) >> (32 - k);
+    uint64_t lo = mt_next(mt);
+    return ((uint64_t)(mt_next(mt) >> (64 - k)) << 32) | lo;
 }
 
 /* ------------------------------------------------------------------ */
@@ -347,34 +590,15 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
                      PyTuple_GET_ITEM(g_msg_types, tag));
         return -1;
     }
-    PyObject *d = PyList_GET_ITEM(s->out, src);
-    if (d == Py_None) {
-        d = PyDict_New();
-        if (d == NULL)
-            return -1;
-        PyList_SetItem(s->out, src, d); /* steals; list keeps d alive */
-    }
-    PyObject *key = IOBJ(s, dst);
-    PyObject *cid_obj = PyDict_GetItemWithError(d, key);
-    long cid;
-    if (cid_obj == NULL) {
-        if (PyErr_Occurred())
-            return -1;
-        cid = (long)PyList_GET_SIZE(s->chanq);
+    long cid = chan_find(&s->ch, src, dst);
+    if (cid < 0) {
+        /* a new channel: its arena slot and endpoints, then the table */
+        cid = (long)s->ch.n;
         if (PyList_Append(s->chanq, Py_None) < 0 ||
             PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
-            PyList_Append(s->chan_dst, key) < 0)
+            PyList_Append(s->chan_dst, IOBJ(s, dst)) < 0 ||
+            chan_add(&s->ch, src, dst) < 0)
             return -1;
-        PyObject *cid_new = PyLong_FromLong(cid);
-        if (cid_new == NULL)
-            return -1;
-        int r = PyDict_SetItem(d, key, cid_new);
-        Py_DECREF(cid_new);
-        if (r < 0)
-            return -1;
-    }
-    else {
-        cid = PyLong_AsLong(cid_obj);
     }
     if (s->counts[tag]++ == 0) {
         if (PyList_Append(s->order, g_tag_objs[tag]) < 0)
@@ -382,15 +606,7 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
     }
     if (chan_push(s, cid, msg) < 0)
         return -1;
-    PyObject *tok = PyLong_FromLong(cid);
-    if (tok == NULL)
-        return -1;
-    PyObject *r = PyObject_CallOneArg(s->pool_append, tok);
-    Py_DECREF(tok);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return pool_push(&s->pool, cid);
 }
 
 static int
@@ -416,7 +632,7 @@ add_more(S *s, long i, long w)
     if (!c) {
         if (PySet_Add(mo, wo) < 0)
             return -1;
-        if (heap_push(PyList_GET_ITEM(s->mheap, i), GETL(s->rrank, w)) < 0)
+        if (heap_push(&s->mheap[i], s->rrank[w]) < 0)
             return -1;
     }
     return 0;
@@ -433,7 +649,7 @@ add_unexplored(S *s, long i, long u)
     if (!c) {
         if (PySet_Add(ux, uo) < 0)
             return -1;
-        if (heap_push(PyList_GET_ITEM(s->uheap, i), GETL(s->rrank, u)) < 0)
+        if (heap_push(&s->uheap[i], s->rrank[u]) < 0)
             return -1;
     }
     return 0;
@@ -442,10 +658,10 @@ add_unexplored(S *s, long i, long u)
 static long
 peek_more(S *s, long i)
 {
-    PyObject *heap = PyList_GET_ITEM(s->mheap, i);
+    Heap *heap = &s->mheap[i];
     PyObject *mo = PyList_GET_ITEM(s->more, i);
-    while (PyList_GET_SIZE(heap) > 0) {
-        long w = GETL(s->by_rrank, PyLong_AsLong(PyList_GET_ITEM(heap, 0)));
+    while (heap->len > 0) {
+        long w = s->by_rrank[heap->v[0]];
         int c = PySet_Contains(mo, IOBJ(s, w));
         if (c < 0)
             return C_ERR;
@@ -459,10 +675,10 @@ peek_more(S *s, long i)
 static long
 pop_unexplored(S *s, long i)
 {
-    PyObject *heap = PyList_GET_ITEM(s->uheap, i);
+    Heap *heap = &s->uheap[i];
     PyObject *ux = PyList_GET_ITEM(s->unexp, i);
-    while (PyList_GET_SIZE(heap) > 0) {
-        long u = GETL(s->by_rrank, heap_pop(heap));
+    while (heap->len > 0) {
+        long u = s->by_rrank[heap_pop(heap)];
         PyObject *uo = IOBJ(s, u);
         int c = PySet_Contains(ux, uo);
         if (c < 0)
@@ -516,7 +732,7 @@ collect_rank_sorted(S *s, PyObject *set_obj)
             return -1;
         }
         buf[k].id = v;
-        buf[k].rank = GETL(s->rrank, v);
+        buf[k].rank = s->rrank[v];
         k++;
     }
     Py_DECREF(it);
@@ -811,7 +1027,7 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
     long ph = GETL(s->phase, i);
     int outranks =
         mphase > ph ||
-        (mphase == ph && GETL(s->nrank, initiator) > GETL(s->nrank, i));
+        (mphase == ph && s->nrank[initiator] > s->nrank[i]);
     PyObject *rel =
         make_release(s, i, outranks, PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
     if (rel == NULL)
@@ -1308,7 +1524,7 @@ can_handle(S *s, long dst, long src, PyObject *msg)
         if (mphase == ph) {
             long initiator =
                 PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR));
-            if (GETL(s->nrank, initiator) > GETL(s->nrank, dst))
+            if (s->nrank[initiator] > s->nrank[dst])
                 return 0;
         }
         return 1;
@@ -1467,25 +1683,29 @@ free_s(S *s)
     Py_XDECREF(s->more);
     Py_XDECREF(s->unaware);
     Py_XDECREF(s->unexp);
-    Py_XDECREF(s->mheap);
-    Py_XDECREF(s->uheap);
     Py_XDECREF(s->previous);
     Py_XDECREF(s->inbox);
     Py_XDECREF(s->deferred);
-    Py_XDECREF(s->rrank);
-    Py_XDECREF(s->by_rrank);
-    Py_XDECREF(s->nrank);
     Py_XDECREF(s->chanq);
     Py_XDECREF(s->chan_src);
     Py_XDECREF(s->chan_dst);
-    Py_XDECREF(s->out);
     Py_XDECREF(s->iobj);
     Py_XDECREF(s->counts_l);
     Py_XDECREF(s->xtra_l);
     Py_XDECREF(s->order);
-    Py_XDECREF(s->pool_popleft);
-    if (s->scratch != NULL)
-        PyMem_Free(s->scratch);
+    Py_XDECREF(s->gauss);
+    PyMem_Free(s->rrank);
+    PyMem_Free(s->by_rrank);
+    PyMem_Free(s->nrank);
+    if (s->mheap != NULL) {
+        for (Py_ssize_t i = 0; i < 2 * s->n; i++)
+            PyMem_Free(s->mheap[i].v);
+        PyMem_Free(s->mheap);
+    }
+    PyMem_Free(s->ch.ends);
+    PyMem_Free(s->ch.slot);
+    PyMem_Free(s->pool.buf);
+    PyMem_Free(s->scratch);
 }
 
 static int
@@ -1532,18 +1752,12 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(more, "more");
     FETCH_LIST(unaware, "unaware");
     FETCH_LIST(unexp, "unexp");
-    FETCH_LIST(mheap, "mheap");
-    FETCH_LIST(uheap, "uheap");
     FETCH_LIST(previous, "previous");
     FETCH_LIST(inbox, "inbox");
     FETCH_LIST(deferred, "deferred");
-    FETCH_LIST(rrank, "rrank");
-    FETCH_LIST(by_rrank, "by_rrank");
-    FETCH_LIST(nrank, "nrank");
     FETCH_LIST(chanq, "chanq");
     FETCH_LIST(chan_src, "chan_src");
     FETCH_LIST(chan_dst, "chan_dst");
-    FETCH_LIST(out, "out");
     FETCH_LIST(iobj, "iobj");
     FETCH_LIST(counts_l, "counts");
     FETCH_LIST(xtra_l, "xtra");
@@ -1563,7 +1777,258 @@ fill_s(S *s, PyObject *core)
     return PyErr_Occurred() ? -1 : 0;
 }
 
-/* Write steps/counts/xtra back out; preserves any pending exception. */
+/* The ints of list core.<name>, n of them, each in [0, n). */
+static int32_t *
+load_ints(S *s, const char *name)
+{
+    PyObject *list = PyObject_GetAttrString(s->core, name);
+    if (list == NULL)
+        return NULL;
+    int32_t *a = NULL;
+    if (!PyList_Check(list) || PyList_GET_SIZE(list) != s->n) {
+        PyErr_Format(PyExc_TypeError, "arrayloop: core.%s is not a list of %zd",
+                     name, s->n);
+        goto done;
+    }
+    a = PyMem_Malloc((s->n + 1) * sizeof(int32_t));
+    if (a == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < s->n; j++) {
+        long v = GETL(list, j);
+        if (v < 0 || v >= s->n) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "arrayloop: core.%s[%zd] = %ld",
+                             name, j, v);
+            PyMem_Free(a);
+            a = NULL;
+            goto done;
+        }
+        a[j] = (int32_t)v;
+    }
+done:
+    Py_DECREF(list);
+    return a;
+}
+
+/* A heap over the repr ranks of a column set's live members. */
+static int
+heap_build(S *s, Heap *h, PyObject *members)
+{
+    if (!PySet_Check(members)) {
+        PyErr_SetString(PyExc_TypeError, "arrayloop: a heap column is not a set");
+        return -1;
+    }
+    Py_ssize_t m = PySet_GET_SIZE(members);
+    if (m == 0)
+        return 0;
+    if ((h->v = PyMem_Malloc(m * sizeof(int32_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    h->cap = (int32_t)m;
+    PyObject *it = PyObject_GetIter(members);
+    if (it == NULL)
+        return -1;
+    PyObject *item;
+    while ((item = PyIter_Next(it)) != NULL) {
+        long w = PyLong_AsLong(item);
+        Py_DECREF(item);
+        if (w < 0 || w >= s->n || h->len == h->cap) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: heap member");
+            break;
+        }
+        h->v[h->len++] = s->rrank[w];
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred())
+        return -1;
+    for (int32_t pos = h->len / 2 - 1; pos >= 0; pos--)
+        heap_sift_down(h, pos);
+    return 0;
+}
+
+/* Channels 0..len(chanq)-1: endpoints from chan_src/chan_dst, the table. */
+static int
+chans_load(S *s)
+{
+    Py_ssize_t n = PyList_GET_SIZE(s->chanq);
+    if (PyList_GET_SIZE(s->chan_src) != n || PyList_GET_SIZE(s->chan_dst) != n ||
+        n >= INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: channel arena arity");
+        return -1;
+    }
+    if (chan_reserve(&s->ch, n) < 0)
+        return -1;
+    for (Py_ssize_t cid = 0; cid < n; cid++) {
+        long src = GETL(s->chan_src, cid), dst = GETL(s->chan_dst, cid);
+        if (src < 0 || src >= s->n || dst < 0 || dst >= s->n) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: channel endpoint");
+            return -1;
+        }
+        s->ch.ends[cid].src = (int32_t)src;
+        s->ch.ends[cid].dst = (int32_t)dst;
+        chan_insert(&s->ch, (int32_t)cid);
+        s->ch.n = cid + 1;
+    }
+    return 0;
+}
+
+/* The caller's pool container (a list or a deque of int tokens). */
+static int
+pool_load(S *s)
+{
+    PyObject *seq = PySequence_Fast(s->pool_obj, "arrayloop: pool is not iterable");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    int rc = pool_reserve(&s->pool, n);
+    for (Py_ssize_t j = 0; rc == 0 && j < n; j++) {
+        long long token = PyLong_AsLongLong(items[j]);
+        if (token == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (token >= s->ch.n || token < -(long long)s->n) {
+            PyErr_Format(PyExc_ValueError, "arrayloop: pool token %lld", token);
+            rc = -1;
+        }
+        else
+            s->pool.buf[s->pool.len++] = token;
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* rng.getstate(): (version, 624 words + index, gauss_next). */
+static int
+mt_load(S *s)
+{
+    PyObject *state = PyObject_CallMethodNoArgs(s->rng, s_getstate);
+    if (state == NULL)
+        return -1;
+    PyObject *words, *gauss;
+    int rc = -1;
+    if (!PyArg_ParseTuple(state, "iO!O;arrayloop: rng.getstate()",
+                          &s->rng_version, &PyTuple_Type, &words, &gauss))
+        goto done;
+    if (PyTuple_GET_SIZE(words) != MT_N + 1) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: rng state size");
+        goto done;
+    }
+    for (int j = 0; j < MT_N; j++) {
+        unsigned long w = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, j));
+        if (w == (unsigned long)-1 && PyErr_Occurred())
+            goto done;
+        s->mt.w[j] = (uint32_t)w;
+    }
+    long idx = PyLong_AsLong(PyTuple_GET_ITEM(words, MT_N));
+    if (idx < 0 || idx > MT_N) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "arrayloop: rng state index");
+        goto done;
+    }
+    s->mt.idx = (int)idx;
+    Py_INCREF(gauss);
+    s->gauss = gauss;
+    rc = 0;
+done:
+    Py_DECREF(state);
+    return rc;
+}
+
+/* rng.setstate() with the words drawn to; gauss_next goes back as read. */
+static int
+mt_store(S *s)
+{
+    PyObject *words = PyTuple_New(MT_N + 1);
+    if (words == NULL)
+        return -1;
+    for (int j = 0; j <= MT_N; j++) {
+        PyObject *w = j < MT_N ? PyLong_FromUnsignedLong(s->mt.w[j])
+                               : PyLong_FromLong(s->mt.idx);
+        if (w == NULL) {
+            Py_DECREF(words);
+            return -1;
+        }
+        PyTuple_SET_ITEM(words, j, w);
+    }
+    PyObject *state = Py_BuildValue("(iNO)", s->rng_version, words, s->gauss);
+    if (state == NULL)
+        return -1;
+    PyObject *r = PyObject_CallMethodOneArg(s->rng, s_setstate, state);
+    Py_DECREF(state);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* The pool order back into the caller's container. */
+static int
+pool_store(S *s)
+{
+    Pool *p = &s->pool;
+    PyObject *tokens = PyList_New(p->len);
+    if (tokens == NULL)
+        return -1;
+    for (Py_ssize_t j = 0; j < p->len; j++) {
+        PyObject *t = PyLong_FromLongLong(p->buf[(p->head + j) & (p->cap - 1)]);
+        if (t == NULL) {
+            Py_DECREF(tokens);
+            return -1;
+        }
+        PyList_SET_ITEM(tokens, j, t);
+    }
+    int rc;
+    if (PyList_Check(s->pool_obj))
+        rc = PyList_SetSlice(s->pool_obj, 0, PY_SSIZE_T_MAX, tokens);
+    else {
+        PyObject *r = PyObject_CallMethodNoArgs(s->pool_obj, s_clear);
+        Py_XDECREF(r);
+        if (r != NULL)
+            r = PyObject_CallMethodOneArg(s->pool_obj, s_extend, tokens);
+        Py_XDECREF(r);
+        rc = r == NULL ? -1 : 0;
+    }
+    Py_DECREF(tokens);
+    return rc;
+}
+
+/* Everything native, from the columns, the pool and the rng. */
+static int
+load_native(S *s)
+{
+    if (s->n >= INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: too many nodes");
+        return -1;
+    }
+    if ((s->rrank = load_ints(s, "rrank")) == NULL ||
+        (s->by_rrank = load_ints(s, "by_rrank")) == NULL ||
+        (s->nrank = load_ints(s, "nrank")) == NULL)
+        return -1;
+    if (PyList_GET_SIZE(s->more) != s->n || PyList_GET_SIZE(s->unexp) != s->n) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: set column arity");
+        return -1;
+    }
+    s->mheap = PyMem_Calloc(2 * s->n + 1, sizeof(Heap));
+    if (s->mheap == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->uheap = s->mheap + s->n;
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        if (heap_build(s, &s->mheap[i], PyList_GET_ITEM(s->more, i)) < 0 ||
+            heap_build(s, &s->uheap[i], PyList_GET_ITEM(s->unexp, i)) < 0)
+            return -1;
+    }
+    if (chans_load(s) < 0 || pool_load(s) < 0)
+        return -1;
+    return s->mode == MODE_RANDOM ? mt_load(s) : 0;
+}
+
+/* Write the step count, counts/xtra, the pool order and the rng state
+ * back out; preserves any pending exception. */
 static void
 sync_out(S *s, PyObject *cell)
 {
@@ -1580,20 +2045,23 @@ sync_out(S *s, PyObject *cell)
         if (x != NULL)
             PyList_SetItem(s->xtra_l, t, x);
     }
-    PyErr_Restore(et, ev, tb);
+    if (!PyErr_Occurred() && pool_store(s) == 0 && s->mode == MODE_RANDOM)
+        mt_store(s);
+    if (et != NULL)
+        PyErr_Restore(et, ev, tb); /* a write-back error gives way to it */
 }
 
 /* ------------------------------------------------------------------ */
-/* run(core, pool, pool_append, mode, getrandbits, stop, cell)         */
+/* run(core, pool, mode, rng, stop, cell)                              */
 /* ------------------------------------------------------------------ */
 static PyObject *
 loop_run(PyObject *self, PyObject *args)
 {
-    PyObject *core, *pool, *pool_append, *getrandbits, *cell;
+    PyObject *core, *pool, *rng, *cell;
     int mode;
     long stop;
-    if (!PyArg_ParseTuple(args, "OOOiOlO!", &core, &pool, &pool_append,
-                          &mode, &getrandbits, &stop, &PyList_Type, &cell))
+    if (!PyArg_ParseTuple(args, "OOiOlO!", &core, &pool, &mode, &rng, &stop,
+                          &PyList_Type, &cell))
         return NULL;
     if (!g_configured) {
         PyErr_SetString(PyExc_RuntimeError, "arrayloop: not configured");
@@ -1602,29 +2070,15 @@ loop_run(PyObject *self, PyObject *args)
     S s;
     memset(&s, 0, sizeof(S));
     s.core = core;
-    s.pool = pool;
-    s.pool_append = pool_append;
-    s.getrandbits = getrandbits;
+    s.pool_obj = pool;
+    s.rng = rng;
     s.mode = mode;
     s.stop = stop;
-    if (fill_s(&s, core) < 0) {
-        free_s(&s);
-        return NULL;
-    }
-    if (mode == MODE_FIFO) {
-        s.pool_popleft = PyObject_GetAttr(pool, s_popleft);
-        if (s.pool_popleft == NULL) {
-            free_s(&s);
-            return NULL;
-        }
-    }
-    else if (!PyList_Check(pool)) {
-        PyErr_SetString(PyExc_TypeError, "arrayloop: non-FIFO pool not a list");
-        free_s(&s);
-        return NULL;
-    }
     long steps = GETL(cell, 0);
-    if (steps == -1 && PyErr_Occurred()) {
+    /* Nothing is written back unless everything loaded: the caller's
+     * containers are only read until the first pop. */
+    if ((steps == -1 && PyErr_Occurred()) || fill_s(&s, core) < 0 ||
+        load_native(&s) < 0) {
         free_s(&s);
         return NULL;
     }
@@ -1632,61 +2086,24 @@ loop_run(PyObject *self, PyObject *args)
     long aux = -1;
 
     for (;;) {
-        Py_ssize_t psz;
-        if (s.mode == MODE_FIFO) {
-            psz = PyObject_Size(s.pool);
-            if (psz < 0)
-                goto error;
-        }
-        else
-            psz = PyList_GET_SIZE(s.pool);
+        Py_ssize_t psz = s.pool.len;
         if (psz == 0) {
             code = RC_DRAINED;
             break;
         }
         long token;
-        if (s.mode == MODE_FIFO) {
-            PyObject *t = PyObject_CallNoArgs(s.pool_popleft);
-            if (t == NULL)
-                goto error;
-            token = PyLong_AsLong(t);
-            Py_DECREF(t);
-            if (token == -1 && PyErr_Occurred())
-                goto error;
-        }
-        else if (s.mode == MODE_LIFO) {
-            token = GETL(s.pool, psz - 1);
-            if (token == -1 && PyErr_Occurred())
-                goto error;
-            if (PyList_SetSlice(s.pool, psz - 1, psz, NULL) < 0)
-                goto error;
-        }
+        if (s.mode == MODE_FIFO)
+            token = (long)pool_pop_head(&s.pool);
+        else if (s.mode == MODE_LIFO)
+            token = (long)pool_take(&s.pool, psz - 1);
         else {
             /* the getrandbits rejection loop Simulator.run_for inlines */
             int k = 64 - __builtin_clzll((unsigned long long)psz);
-            long index;
-            for (;;) {
-                PyObject *r = PyObject_CallOneArg(s.getrandbits, g_k_objs[k]);
-                if (r == NULL)
-                    goto error;
-                index = PyLong_AsLong(r);
-                Py_DECREF(r);
-                if (index == -1 && PyErr_Occurred())
-                    goto error;
-                if (index < psz)
-                    break;
-            }
-            token = GETL(s.pool, index);
-            if (token == -1 && PyErr_Occurred())
-                goto error;
-            if (index != psz - 1) {
-                PyObject *last = PyList_GET_ITEM(s.pool, psz - 1);
-                Py_INCREF(last);
-                if (PyList_SetItem(s.pool, index, last) < 0)
-                    goto error;
-            }
-            if (PyList_SetSlice(s.pool, psz - 1, psz, NULL) < 0)
-                goto error;
+            uint64_t index;
+            do
+                index = mt_bits(&s.mt, k);
+            while (index >= (uint64_t)psz);
+            token = (long)pool_take(&s.pool, (Py_ssize_t)index);
         }
 
         if (token < 0) {
@@ -1726,8 +2143,8 @@ loop_run(PyObject *self, PyObject *args)
                 if (msg == NULL)
                     goto error;
             }
-            long dst = GETL(s.chan_dst, token);
-            long src = GETL(s.chan_src, token);
+            long dst = s.ch.ends[token].dst;
+            long src = s.ch.ends[token].src;
             steps += 1;
             s.steps = steps;
             if (!s.awake[dst]) {
@@ -1840,18 +2257,13 @@ loop_run(PyObject *self, PyObject *args)
     }
 
 done:
+error: /* a raising handler left its exception set: it survives sync_out */
     s.steps = steps;
     sync_out(&s, cell);
     free_s(&s);
     if (PyErr_Occurred())
         return NULL;
     return Py_BuildValue("il", code, aux);
-
-error:
-    s.steps = steps;
-    sync_out(&s, cell);
-    free_s(&s);
-    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1910,11 +2322,6 @@ PyInit__arrayloop(void)
         if (g_tag_objs[t] == NULL)
             return NULL;
     }
-    for (int k = 0; k < 65; k++) {
-        g_k_objs[k] = PyLong_FromLong(k);
-        if (g_k_objs[k] == NULL)
-            return NULL;
-    }
     g_zero = PyLong_FromLong(0);
     g_neg_one = PyLong_FromLong(-1);
     g_wire_ma = wire_new(T_MERGE_ACCEPT, N_MERGE_ACCEPT);
@@ -1929,8 +2336,13 @@ PyInit__arrayloop(void)
     s_append = PyUnicode_InternFromString("append");
     s_popleft = PyUnicode_InternFromString("popleft");
     s_appendleft = PyUnicode_InternFromString("appendleft");
+    s_clear = PyUnicode_InternFromString("clear");
+    s_extend = PyUnicode_InternFromString("extend");
+    s_getstate = PyUnicode_InternFromString("getstate");
+    s_setstate = PyUnicode_InternFromString("setstate");
     if (g_zero == NULL || g_neg_one == NULL || s_append == NULL ||
-        s_popleft == NULL || s_appendleft == NULL)
+        s_popleft == NULL || s_appendleft == NULL || s_clear == NULL ||
+        s_extend == NULL || s_getstate == NULL || s_setstate == NULL)
         return NULL;
     return PyModule_Create(&loop_module);
 }

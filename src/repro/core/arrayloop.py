@@ -16,7 +16,10 @@ same results several times slower.  The failed attempt warns (once per
 process: the miss is memoized) and :func:`why_missing` keeps the cause.
 
 Set ``REPRO_PURE_PYTHON=1`` to force that fallback silently (CI runs the
-whole suite a second time under it).
+whole suite a second time under it).  ``REPRO_ARRAYLOOP_CFLAGS`` is
+appended to the ``cc`` line and hashed into the object's name, so a
+sanitizer build (CI's ``-O1 -g -fsanitize=address,undefined``) lives
+beside the plain one in the same cache.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import shlex
 import shutil
 import subprocess
 import sysconfig
@@ -86,23 +90,35 @@ def defines() -> "dict[str, int]":
     return out
 
 
-def _build() -> Path:
-    """Compile ``_arrayloop.c`` into the cache; return the .so path."""
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError as exc:
-        raise _Unavailable(f"cannot read {_SOURCE.name}: {exc}")
+def _flags() -> "list[str]":
+    """What the ``cc`` line adds after ``-O2``: the :func:`defines`, then
+    ``REPRO_ARRAYLOOP_CFLAGS`` split like a shell would (build-only, e.g.
+    a sanitizer build; a later ``-O`` wins over the default)."""
     flags = [f"-D{name}={value}" for name, value in sorted(defines().items())]
-    # One object per source text, encoding set and interpreter ABI: a cache
-    # shared across machines or builds never offers one an unloadable file.
+    return flags + shlex.split(os.environ.get("REPRO_ARRAYLOOP_CFLAGS", ""))
+
+
+def _so_path(source: bytes, flags: "list[str]") -> Path:
+    """The cached object for ``source`` built with ``flags``: one per
+    source text, flag set and interpreter ABI, so a cache shared across
+    machines or builds never offers one an unloadable file."""
     abi = sysconfig.get_config_var("SOABI")
     tag = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()[:16]
     cache = Path(
         os.environ.get("REPRO_ARRAYLOOP_CACHE")
         or Path.home() / ".cache" / "repro-arrayloop"
     )
-    name = f"_arrayloop_{tag}_{abi}"
-    so_path = cache / (name + ".so")
+    return cache / f"_arrayloop_{tag}_{abi}.so"
+
+
+def _build() -> Path:
+    """Compile ``_arrayloop.c`` into the cache; return the .so path."""
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as exc:
+        raise _Unavailable(f"cannot read {_SOURCE.name}: {exc}")
+    flags = _flags()
+    so_path = _so_path(source, flags)
     if so_path.exists():
         return so_path
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -114,10 +130,10 @@ def _build() -> Path:
     if not include:
         raise _Unavailable("no Python include directory")
     try:
-        cache.mkdir(parents=True, exist_ok=True)
+        so_path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _Unavailable(f"cache directory unusable: {exc}")
-    tmp = so_path.with_name(f"{name}.{os.getpid()}.tmp.so")
+    tmp = so_path.with_name(f"{so_path.stem}.{os.getpid()}.tmp.so")
     try:
         proc = subprocess.run(
             [cc, "-O2", "-fPIC", "-shared", "-I" + include, *flags,

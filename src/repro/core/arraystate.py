@@ -19,8 +19,9 @@ converts back.
   object path keeps running them).
 * **Columnar node state**: every Figure-2 field becomes a flat list or
   bytearray indexed by node int.  The ``more``/``unexplored`` choice heaps
-  hold repr-rank ints instead of ``(repr_string, id)`` tuples -- one int
-  compare per sift instead of a string compare.
+  have no column: the C loop builds them as repr-rank int arrays from the
+  live sets at entry (the object path's ``(repr_string, id)`` heaps pop
+  in the same order) and frees them at exit.
 * **Flyweight messages**: plain tuples ``(tag, field, ...)`` laid out by
   ``messages.WIRE_TABLE``; the payload-free handshakes are singletons the
   C loop preallocates, so the hot path allocates at most one small tuple
@@ -35,7 +36,10 @@ converts back.
 * **Int-only scheduler pool**: a pending delivery is its interned channel
   id (a non-negative int) and a *wake token* is ``-1 - node_int`` -- the
   whole pool is ints, so the pop loop dispatches on a sign check instead
-  of ``type(token)``.
+  of ``type(token)``.  For the length of one C call the pool, the
+  scheduler's Mersenne Twister and the ``(src, dst) -> cid`` table are
+  native arrays; the pool order and ``rng.setstate()`` are written back
+  on every exit.
 
 Engagement, decline and hand-back
 ---------------------------------
@@ -96,6 +100,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from random import Random as _Random
@@ -228,6 +233,21 @@ class _Ineligible(Exception):
 #: ``steps + maxsize`` which overflows a C long, and no run gets
 #: anywhere near 2^62 steps.
 _C_STOP_CAP = 1 << 62
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic collector off for the block (if it was on): the columns
+    and the loop's transients are acyclic, freed by refcounting alone, yet
+    the collector would keep re-scanning the n-sized arena -- ~25% of the
+    loop at n=10^6, three quarters of a dense n=20,000 fill."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -411,8 +431,6 @@ class ArrayCore:
         "more",
         "unaware",
         "unexp",
-        "mheap",
-        "uheap",
         "previous",
         # -- event-driven bookkeeping ----------------------------------
         "inbox",
@@ -429,7 +447,6 @@ class ArrayCore:
         "chanq",
         "chan_src",
         "chan_dst",
-        "out",
         "base_channels",
         # -- canonical int objects (C loop) ----------------------------
         "iobj",
@@ -453,7 +470,6 @@ class ArrayCore:
         self.nrank = space.nat_rank
         self.n = n
         self.id_bits = id_bits
-        rrank = space.repr_rank
         self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
@@ -464,16 +480,12 @@ class ArrayCore:
             self.more = [{i} for i in range(n)]
             self.unaware = [set() for _ in range(n)]
             self.unexp = [set() for _ in range(n)]
-            self.mheap = [[rrank[i]] for i in range(n)]
-            self.uheap = [[] for _ in range(n)]
         else:
             self.nxt = [0] * n
             self.done = [None] * n
             self.more = [None] * n
             self.unaware = [None] * n
             self.unexp = [None] * n
-            self.mheap = [None] * n
-            self.uheap = [None] * n
         # Lazy per-node containers: ``None`` until first use keeps the
         # common case (never routed a search, never probed) allocation-free.
         self.previous = [None] * n
@@ -493,7 +505,6 @@ class ArrayCore:
         self.chanq = []
         self.chan_src = []
         self.chan_dst = []
-        self.out = [None] * n
         #: channel count at build time; channels past this index were
         #: created mid-run and must be registered on the simulator's
         #: ``_channels`` dict at materialization (the graph driver has no
@@ -526,42 +537,33 @@ class ArrayCore:
         """Drive the C loop until the pool drains, ``limit`` trips or the
         loop hands a step back (``self.handback``, see ``__init__``).
 
-        ``pool`` holds only ints: channel ids ``>= 0`` (deliveries) and
-        ``-1 - node_int`` (wake-ups); ``rng`` is the scheduler's
-        ``random.Random`` in random mode.  ``quiescent``/``limit_msg`` are
+        ``pool`` (a list or a deque) holds only ints: channel ids ``>= 0``
+        (deliveries) and ``-1 - node_int`` (wake-ups); ``rng`` is the
+        scheduler's ``random.Random`` in random mode, else ``None``.  The
+        C loop reads both at entry and writes the pool order and the rng
+        state back on every exit.  ``quiescent``/``limit_msg`` are
         callables so the simulator-backed and graph-backed drivers can
         plug their own formulas.  Returns executed step count; updates
         ``self.steps_out`` on every exit for the materializer.
         """
         crun = _arrayloop.load().run
-        getrandbits = rng.getrandbits if mode == _RANDOM else None
         # ``cell`` carries the absolute step count across the boundary on
         # every exit, including handler exceptions.
         cell = [self.steps]
         stop = min(self.steps + limit, _C_STOP_CAP)
         self.handback = None
-        # The loop allocates only acyclic transients (tuples, flyweight
-        # messages, deque cells), freed by refcounting alone -- but the
-        # generational collector keeps re-scanning the n-sized column
-        # arena looking for cycles that can't exist.  Pausing collection
-        # for the duration is results-invariant and worth ~25% wall-clock
-        # at n=10^6.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while True:
-                code, aux = crun(self, pool, pool.append, mode, getrandbits, stop, cell)
-                if code == _arrayloop.RC_LIMIT:  # a counted step reached ``stop``
-                    if not quiescent():
-                        raise StepLimitExceeded(limit_msg())
-                    continue
-                if code != _arrayloop.RC_DRAINED:  # RC_DEOPT or RC_PUMP
-                    self.handback = (code, aux)
-                break
+            with _collector_paused():
+                while True:
+                    code, aux = crun(self, pool, mode, rng, stop, cell)
+                    if code == _arrayloop.RC_LIMIT:  # a counted step reached ``stop``
+                        if not quiescent():
+                            raise StepLimitExceeded(limit_msg())
+                        continue
+                    if code != _arrayloop.RC_DRAINED:  # RC_DEOPT or RC_PUMP
+                        self.handback = (code, aux)
+                    break
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self.steps_out = cell[0]
             # Fold the deferred bit accounting: per-tag totals are fully
             # determined by send count and extra-id count, so the hot
@@ -627,7 +629,6 @@ def _build_from_sim(sim, pool):
     n = len(nodes_map)
     space = _intern_space(sim, n)
     idx = space.index
-    rrank = space.repr_rank
     core = ArrayCore(space, sim.id_bits, fill=False)
     core.steps = sim.steps
 
@@ -639,8 +640,6 @@ def _build_from_sim(sim, pool):
     more_col = core.more
     unaware_col = core.unaware
     unexp_col = core.unexp
-    mheap_col = core.mheap
-    uheap_col = core.uheap
     variant_col = core.variant
     csize_col = core.csize
     greedy_col = core.greedy
@@ -672,8 +671,6 @@ def _build_from_sim(sim, pool):
                 more_col[i] = {i}
                 unaware_col[i] = set()
                 unexp_col[i] = set()
-                mheap_col[i] = [rrank[i]]
-                uheap_col[i] = []
                 variant_col[i] = variant_codes[d["variant"]]
                 csize_col[i] = d["component_size"]
                 if d["greedy_queries"]:
@@ -694,16 +691,12 @@ def _build_from_sim(sim, pool):
             core.phase[i] = node.phase
             core.local[i] = {idx[x] for x in node.local}
             core.done[i] = {idx[x] for x in node.done}
-            more = {idx[x] for x in node.more}
-            core.more[i] = more
+            core.more[i] = {idx[x] for x in node.more}
             core.unaware[i] = {idx[x] for x in node.unaware}
-            unexplored = {idx[x] for x in node.unexplored}
-            core.unexp[i] = unexplored
-            # A sorted list is a valid heap; rebuilding from the *live*
-            # members drops stale heap entries, which the object path
-            # skips lazily on pop anyway -- same pop sequence either way.
-            core.mheap[i] = sorted(rrank[w] for w in more)
-            core.uheap[i] = sorted(rrank[u] for u in unexplored)
+            # The node's heaps are not read: the C loop builds its own
+            # from the *live* members, dropping the stale entries the
+            # object path skips lazily on pop -- same pop sequence.
+            core.unexp[i] = {idx[x] for x in node.unexplored}
             core.aw_rel[i] = 1 if node._awaiting_release else 0
             aw_q = node._awaiting_query_from
             core.aw_query[i] = -1 if aw_q is None else idx[aw_q]
@@ -725,18 +718,13 @@ def _build_from_sim(sim, pool):
         chanq = core.chanq
         chan_src = core.chan_src
         chan_dst = core.chan_dst
-        out = core.out
         chan_pending = []
+        cid_of = {}
         for (src, dst), queue in sim._channels.items():
-            si = idx[src]
-            di = idx[dst]
-            d = out[si]
-            if d is None:
-                d = out[si] = {}
-            d[di] = len(chanq)
+            cid_of[src, dst] = len(chanq)
             chanq.append(queue)
-            chan_src.append(si)
-            chan_dst.append(di)
+            chan_src.append(idx[src])
+            chan_dst.append(idx[dst])
             if queue:
                 chan_pending.append((queue, [_to_wire(m, idx) for m in queue]))
 
@@ -748,7 +736,7 @@ def _build_from_sim(sim, pool):
             if tcls is WakeToken:
                 append(-1 - idx[token.node])
             elif tcls is DeliverToken:
-                append(out[idx[token.src]][idx[token.dst]])
+                append(cid_of[token.src, token.dst])
             else:
                 raise _Ineligible("token-type", f"pool holds a {tcls.__name__}")
     except KeyError as exc:
@@ -915,6 +903,7 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     """
     n = len(sim.nodes)
     mode, pool = stock_pool(sim.scheduler)
+    rng = sim.scheduler._rng if mode == _RANDOM else None
     reason = None
     if not sim.fast:
         reason = "fast-off"
@@ -930,9 +919,11 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         reason = "send-observer"
     elif sim.channel_discipline != "fifo":
         reason = "channel-discipline"
-    elif mode is None or (mode == _RANDOM and type(sim.scheduler._rng) is not _Random):
-        # The C loop replays ``rng.randrange`` as getrandbits draws, which
-        # is the stdlib generator's sequence and nobody else's.
+    elif mode is None or rng is not None and (
+        type(rng) is not _Random or "getrandbits" in vars(rng)
+    ):
+        # The C loop runs the stdlib MT19937 on ``getstate()``'s words and
+        # calls nobody's ``getrandbits``: no other generator, no spy.
         reason = "scheduler"
     elif not _WRAPPABLE.isdisjoint(vars(sim)):
         reason = "wrapped-simulator"
@@ -965,8 +956,6 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     else:
         pool[:] = new_pool
     sim._last_run_path = "array"
-
-    rng = sim.scheduler._rng if mode == _RANDOM else None
     limit = maxsize if max_steps is None else max_steps
 
     def quiescent():
@@ -1119,36 +1108,36 @@ def _run_columns(
     n = space.n
     woken = space.ids if wake_order is None else wake_order
     try:
-        wake_tokens = [-1 - idx[x] for x in woken]
+        pool = [-1 - idx[x] for x in woken]  # a list in every mode
     except KeyError as exc:  # Simulator.schedule_wake's error, not the index's
         raise KeyError(f"unknown node {exc.args[0]!r}") from None
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     limit = max_steps if max_steps is not None else default_step_budget(graph)
-
-    core = ArrayCore(space, id_bits_for(n), fill=True)
-    local = core.local
-    succ = graph._succ  # read in place: a successor set never holds its owner
-    for i, node_id in enumerate(space.ids):
-        local[i] = {idx[x] for x in succ[node_id]}
-    if greedy_queries:
-        core.greedy = bytearray(b"\x01" * n)
-    core.variant = bytearray([_VARIANT_CODES[variant]]) * n
-    components = None
-    if variant == "bounded":
-        components = _graph_components(graph, idx, n)
-        for members in components:
-            for m in members:
-                core.csize[m] = len(members)
-
-    mode, pool, rng = _FIFO, deque(wake_tokens), None
-    if seed is not None:  # what RandomScheduler(seed) draws from
-        mode, pool, rng = _RANDOM, wake_tokens, _Random(seed)
+    # what RandomScheduler(seed) draws from
+    mode, rng = (_FIFO, None) if seed is None else (_RANDOM, _Random(seed))
 
     def limit_msg():
         return _limit_text(limit, core.chanq)
 
-    executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
+    # One collector pause over the fill and the loop (run_loop's own pause
+    # is then a no-op): the fill is n-sized and acyclic too.
+    with _collector_paused():
+        core = ArrayCore(space, id_bits_for(n), fill=True)
+        local = core.local
+        succ = graph._succ  # read in place: a successor set never holds its owner
+        for i, node_id in enumerate(space.ids):
+            local[i] = {idx[x] for x in succ[node_id]}
+        if greedy_queries:
+            core.greedy = bytearray(b"\x01" * n)
+        core.variant = bytearray([_VARIANT_CODES[variant]]) * n
+        components = None
+        if variant == "bounded":
+            components = _graph_components(graph, idx, n)
+            for members in components:
+                for m in members:
+                    core.csize[m] = len(members)
+        executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
     if core.handback is not None:
         # No probes here, so a protocol-impossible message: the reference
         # raises its own error, on objects built for the purpose.

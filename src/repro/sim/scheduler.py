@@ -22,9 +22,11 @@ The three stock policies expose their underlying pool (``_queue`` /
 ``_stack`` / ``_pool`` plus ``_rng``) as a documented-internal seam, read
 through :func:`stock_pool`: ``Simulator.run_for`` pops it in place, and the
 array core (:mod:`repro.core.arraystate`) swaps int tokens into it for the
-length of a run and appends interned channel ids directly, so
-``len(scheduler)`` and quiescence detection keep working unmodified while
-the per-step method-call overhead disappears.
+length of a run.  Its C loop copies those into a native ring at entry and
+runs ``_rng`` as the MT19937 of ``_rng.getstate()``; every exit writes the
+pool order back into the container and calls ``_rng.setstate()``, so
+``len(scheduler)``, quiescence detection and the generator's stream are
+as the object loop leaves them, without a method call per step.
 
 ``pending()`` returns a *lazy view* (iterator) everywhere: the previous
 contract returned a fresh tuple per call, which turned a diagnostics helper

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import arrayloop
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 #: the compiler the loader tries first (then ``cc``)
@@ -134,6 +136,23 @@ def test_every_missing_c_loop_is_a_slower_correct_run_that_says_why(broken, tmp_
     # Three offers (gate, run_graph, gate), one warning, carrying the cause.
     (warning,) = report["warnings"]
     assert report["cause"] in warning and "object loop" in warning
+
+
+def test_build_flags_name_their_own_object(monkeypatch):
+    """``REPRO_ARRAYLOOP_CFLAGS`` goes on the ``cc`` line after the -D set
+    and into the object's name: a sanitizer build and the plain one share a
+    cache without ever loading each other."""
+    source = arrayloop._SOURCE.read_bytes()
+    monkeypatch.delenv("REPRO_ARRAYLOOP_CFLAGS", raising=False)
+    plain = arrayloop._flags()
+    asan = "-O1 -g -fsanitize=address,undefined -fno-omit-frame-pointer"
+    monkeypatch.setenv("REPRO_ARRAYLOOP_CFLAGS", asan)
+    sanitized = arrayloop._flags()
+    assert sanitized == plain + asan.split()
+    assert arrayloop._so_path(source, sanitized) != arrayloop._so_path(source, plain)
+    assert arrayloop._so_path(source, sanitized).parent == arrayloop._so_path(
+        source, plain
+    ).parent
 
 
 needs_cc = pytest.mark.skipif(

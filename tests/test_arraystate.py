@@ -341,8 +341,15 @@ class TestEngagement:
             ("unknown-id", lambda sim, a, b: sim.transmit(a, b, Probe(999))),
             # The C loop replays the stdlib generator's draws and nobody else's.
             ("scheduler", lambda sim, a, b: setattr(sim.scheduler, "_rng", _SubRandom(5))),
+            # ... and calls no getrandbits, so a spy on one would miss them.
+            (
+                "scheduler",
+                lambda sim, a, b: setattr(
+                    sim.scheduler._rng, "getrandbits", sim.scheduler._rng.getrandbits
+                ),
+            ),
         ],
-        ids=["inbox", "status", "uninternable", "payload", "rng"],
+        ids=["inbox", "status", "uninternable", "payload", "rng", "rng-getrandbits"],
     )
     def test_remaining_ineligible_sites_name_their_reason(self, reason, spoil):
         # The raise sites that share a name with one reached above.

@@ -101,8 +101,10 @@ def _plant(plant, nodes):
 # One scenario, run on either engine
 # ----------------------------------------------------------------------
 def _view(sim, nodes):
-    # ``_snapshot`` aliases the live sets and deques; the run goes on.
-    return copy.deepcopy(_snapshot(sim, nodes))
+    # ``_snapshot`` aliases the live sets and deques; the run goes on.  The
+    # scheduler's rng state is what the C loop hands back with the pool.
+    rng = getattr(sim.scheduler, "_rng", None)
+    return copy.deepcopy(_snapshot(sim, nodes)), rng and rng.getstate()
 
 
 def _run(sim, max_steps=None):
@@ -238,12 +240,10 @@ def test_each_arm_is_really_handed_back(arm, policy):
 def _plant_wire(core, pool, src, dst, message):
     """What ``emit`` does for one send, minus the accounting."""
     si, di = core.idx[src], core.idx[dst]
-    out = core.out[si]
-    if out is None:
-        out = core.out[si] = {}
-    cid = out.get(di)
+    ends = list(zip(core.chan_src, core.chan_dst))
+    cid = ends.index((si, di)) if (si, di) in ends else None
     if cid is None:
-        cid = out[di] = len(core.chanq)
+        cid = len(core.chanq)
         core.chanq.append(None)
         core.chan_src.append(si)
         core.chan_dst.append(di)
