@@ -4,13 +4,15 @@ Each function runs the workload, returns ``(headers, rows)`` ready for
 :func:`repro.analysis.tables.render_table`, and asserts nothing itself --
 the tests and EXPERIMENTS.md assert the shape criteria; the benchmarks
 print the tables.  Keeping the runners here lets unit tests, benchmarks
-and examples share one implementation.
+and examples share one implementation.  :data:`EXPERIMENT_TABLE` at the
+end names each one and states its sizes; the CLI's ``experiments``,
+``report``, ``sweep`` and ``campaign`` read it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baselines import (
     run_flooding,
@@ -52,6 +54,7 @@ Rows = List[List[Any]]
 Table = Tuple[List[str], Rows]
 
 __all__ = [
+    "EXPERIMENT_TABLE",
     "GRAPH_FAMILIES",
     "SWEEPABLE_EXPERIMENTS",
     "QUICK_SWEEP_KWARGS",
@@ -648,45 +651,80 @@ def exp_service_slo(
 
 
 # ----------------------------------------------------------------------
-# Sweep registry: the seed-taking runners, addressable by name
+# The experiment table: every experiment, its names and its sizes, once
 # ----------------------------------------------------------------------
-#: Experiments that accept a ``seed`` kwarg, keyed by the short names the
-#: job system (`repro.parallel`) and ``python -m repro sweep`` use.  Every
-#: value is a module-level function so job specs stay picklable.
+class ExperimentRow(NamedTuple):
+    """One experiment as every reader sees it."""
+
+    exp_id: Optional[str]  # ``experiments`` / ``report`` id; None: sweep-only
+    name: Optional[str]  # job registry name; None: the runner takes no seed
+    runner: Callable[..., Table]  # module-level, so job specs stay picklable
+    title: Optional[str]  # the report's section title
+    full: Dict[str, Any]  # kwargs at full size
+    quick: Dict[str, Any]  # kwargs at ``--quick`` size
+
+
+#: In report order.
+EXPERIMENT_TABLE: Tuple[ExperimentRow, ...] = (
+    ExperimentRow("EXP-1", None, exp_tree_lower_bound,
+                  "Theorem 1 lower bound: adversarial executions on T(i)",
+                  {"heights": (3, 4, 5, 6, 7, 8, 9, 10)}, {"heights": (3, 5, 7)}),
+    ExperimentRow("EXP-2", "unionfind-reduction", exp_unionfind_reduction,
+                  "Theorem 2 / Lemma 3.1: the Union-Find reduction",
+                  {"ns": (16, 32, 64, 128, 256)}, {"ns": (16, 32)}),
+    ExperimentRow("EXP-3", "generic-scaling", exp_generic_scaling,
+                  "Theorem 5: Generic message scaling (O(n log n))",
+                  {"ns": (64, 128, 256, 512, 1024)}, {"ns": (32, 64)}),
+    ExperimentRow("EXP-4", "near-linear", exp_near_linear_scaling,
+                  "Theorem 6: Bounded/Ad-hoc near-linear scaling (O(n alpha))",
+                  {"ns": (64, 128, 256, 512, 1024)}, {"ns": (32, 64)}),
+    ExperimentRow("EXP-5", "bit-complexity", exp_bit_complexity,
+                  "Theorem 7: bit complexity",
+                  {"ns": (64, 128, 256, 512)}, {"ns": (32, 64)}),
+    ExperimentRow("EXP-6-9", "message-lemmas", exp_message_lemmas,
+                  "Lemmas 5.5-5.8 + Theorem 7: per-message-type bounds",
+                  {"ns": (64, 256, 1024)}, {"ns": (32,)}),
+    ExperimentRow("EXP-10", "dynamic-additions", exp_dynamic_additions,
+                  "Theorem 8: dynamic node and link additions",
+                  {"n_initial": 256, "n_new": 128, "links_new": 128},
+                  {"n_initial": 32, "n_new": 8, "links_new": 8}),
+    ExperimentRow("EXP-11", "baseline-comparison", exp_baseline_comparison,
+                  "Section 1.1: baseline comparison",
+                  {"n": 512}, {"n": 64}),
+    ExperimentRow("EXP-12", "adhoc-probes", exp_adhoc_probes,
+                  "Section 4.5.2: probe amortization",
+                  {"n": 512, "probes": 2048}, {"n": 64, "probes": 64}),
+    ExperimentRow("EXP-13", "strongly-connected", exp_strongly_connected,
+                  "Section 1: strongly connected => O(n) messages",
+                  {"ns": (64, 128, 256, 512, 1024)}, {"ns": (32, 64)}),
+    ExperimentRow("EXP-14", "sequential-unionfind", exp_sequential_unionfind,
+                  "Union-Find substrate cost curves",
+                  {"ns": (256, 1024, 4096, 16384)}, {"ns": (64, 256)}),
+    ExperimentRow("EXP-15", "time-complexity", exp_time_complexity,
+                  "Section 7: time complexity (O(T + n) vs polylog rounds)",
+                  {"ns": (64, 128, 256, 512)}, {"ns": (32, 64)}),
+    ExperimentRow("EXP-17", "hbl-algorithms", exp_hbl_algorithms,
+                  "Harchol-Balter/Leighton/Lewin [2]: internal comparison",
+                  {"ns": (32, 64, 128, 256)}, {"ns": (16, 32)}),
+    ExperimentRow("EXP-18", "kp-bit-improvement", exp_kp_bit_improvement,
+                  "The bit-complexity improvement over Kutten-Peleg [3]",
+                  {"ns": (128, 256, 512, 1024, 2048)}, {"ns": (64, 128)}),
+    ExperimentRow("EXP-19", "service-slo", exp_service_slo,
+                  "Theorem 8 as a service: latency SLOs under open-loop load",
+                  {"n": 128, "rate": 8.0, "duration": 4000},
+                  {"n": 24, "rate": 6.0, "duration": 800}),
+    ExperimentRow(None, "chaos", exp_chaos, None,
+                  {}, {"scenarios": ("baseline", "loss-10", "crash-2"), "n": 24}),
+)
+
+#: The seed-taking runners by the names the job system (`repro.parallel`),
+#: ``sweep --exp`` and ``campaign init --exp`` use.  A plain dict: tests
+#: register extra jobs in it.
 SWEEPABLE_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
-    "generic-scaling": exp_generic_scaling,
-    "near-linear": exp_near_linear_scaling,
-    "bit-complexity": exp_bit_complexity,
-    "message-lemmas": exp_message_lemmas,
-    "unionfind-reduction": exp_unionfind_reduction,
-    "dynamic-additions": exp_dynamic_additions,
-    "baseline-comparison": exp_baseline_comparison,
-    "adhoc-probes": exp_adhoc_probes,
-    "strongly-connected": exp_strongly_connected,
-    "sequential-unionfind": exp_sequential_unionfind,
-    "time-complexity": exp_time_complexity,
-    "hbl-algorithms": exp_hbl_algorithms,
-    "kp-bit-improvement": exp_kp_bit_improvement,
-    "chaos": exp_chaos,
-    "service-slo": exp_service_slo,
+    row.name: row.runner for row in EXPERIMENT_TABLE if row.name
 }
 
-#: Reduced-size kwargs per sweepable experiment (the ``--quick`` sizes of
-#: the CLI, mirroring the quick lambdas of ``repro.cli.EXPERIMENTS``).
+#: The ``--quick`` kwargs of ``sweep`` and ``campaign init`` per registry name.
 QUICK_SWEEP_KWARGS: Dict[str, Dict[str, Any]] = {
-    "generic-scaling": {"ns": (32, 64)},
-    "near-linear": {"ns": (32, 64)},
-    "bit-complexity": {"ns": (32, 64)},
-    "message-lemmas": {"ns": (32,)},
-    "unionfind-reduction": {"ns": (16, 32)},
-    "dynamic-additions": {"n_initial": 32, "n_new": 8, "links_new": 8},
-    "baseline-comparison": {"n": 64},
-    "adhoc-probes": {"n": 64, "probes": 64},
-    "strongly-connected": {"ns": (32, 64)},
-    "sequential-unionfind": {"ns": (64, 256)},
-    "time-complexity": {"ns": (32, 64)},
-    "hbl-algorithms": {"ns": (16, 32)},
-    "kp-bit-improvement": {"ns": (64, 128)},
-    "chaos": {"scenarios": ("baseline", "loss-10", "crash-2"), "n": 24},
-    "service-slo": {"n": 24, "rate": 6.0, "duration": 800},
+    row.name: row.quick for row in EXPERIMENT_TABLE if row.name
 }

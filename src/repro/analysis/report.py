@@ -1,8 +1,9 @@
 """One-shot report generation: every experiment table in one document.
 
-``build_report()`` runs every registered experiment (at full or quick
-sizes) and renders a single markdown document mirroring EXPERIMENTS.md's
-structure, with fresh numbers.  Exposed on the CLI as
+``build_report()`` runs every experiment of
+:data:`~repro.analysis.experiments.EXPERIMENT_TABLE` that has an EXP id (at
+full or quick sizes) and renders a single markdown document mirroring
+EXPERIMENTS.md's structure, with fresh numbers.  Exposed on the CLI as
 ``python -m repro report [--quick] [--out FILE]``.
 """
 
@@ -10,43 +11,28 @@ from __future__ import annotations
 
 import datetime
 import platform
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
+from repro.analysis.experiments import EXPERIMENT_TABLE
 from repro.analysis.tables import render_table
 
 __all__ = ["REPORT_SECTIONS", "build_report"]
 
-#: section title -> (description, full runner, quick runner); populated
-#: lazily to avoid import cycles with repro.cli.
-REPORT_SECTIONS: "List[Tuple[str, str]]" = [
-    ("EXP-1", "Theorem 1 lower bound: adversarial executions on T(i)"),
-    ("EXP-2", "Theorem 2 / Lemma 3.1: the Union-Find reduction"),
-    ("EXP-3", "Theorem 5: Generic message scaling (O(n log n))"),
-    ("EXP-4", "Theorem 6: Bounded/Ad-hoc near-linear scaling (O(n alpha))"),
-    ("EXP-5", "Theorem 7: bit complexity"),
-    ("EXP-6-9", "Lemmas 5.5-5.8 + Theorem 7: per-message-type bounds"),
-    ("EXP-10", "Theorem 8: dynamic node and link additions"),
-    ("EXP-11", "Section 1.1: baseline comparison"),
-    ("EXP-12", "Section 4.5.2: probe amortization"),
-    ("EXP-13", "Section 1: strongly connected => O(n) messages"),
-    ("EXP-14", "Union-Find substrate cost curves"),
-    ("EXP-15", "Section 7: time complexity (O(T + n) vs polylog rounds)"),
-    ("EXP-17", "Harchol-Balter/Leighton/Lewin [2]: internal comparison"),
-    ("EXP-18", "The bit-complexity improvement over Kutten-Peleg [3]"),
-    ("EXP-19", "Theorem 8 as a service: latency SLOs under open-loop load"),
-]
+_SECTION_ROWS = [row for row in EXPERIMENT_TABLE if row.exp_id]
+
+#: ``(exp_id, title)`` per section, in report order.
+REPORT_SECTIONS = [(row.exp_id, row.title) for row in _SECTION_ROWS]
 
 
 def build_report(*, quick: bool = False, only: Optional[List[str]] = None) -> str:
     """Run the experiments and return the markdown report."""
-    from repro.cli import EXPERIMENTS  # late import: cli imports analysis
-
-    names = [name for name, _ in REPORT_SECTIONS]
+    rows = _SECTION_ROWS
     if only:
+        names = [name for name, _title in REPORT_SECTIONS]
         unknown = [name for name in only if name not in names]
         if unknown:
             raise ValueError(f"unknown section(s): {unknown}; choose from {names}")
-        names = [name for name in names if name in only]
+        rows = [row for row in rows if row.exp_id in only]
 
     lines = [
         "# Experiment report — Asynchronous Resource Discovery (PODC 2003)",
@@ -60,16 +46,14 @@ def build_report(*, quick: bool = False, only: Optional[List[str]] = None) -> st
         "the reproduction findings, lives in EXPERIMENTS.md; this document",
         "is the regenerated raw data.",
     ]
-    descriptions = dict(REPORT_SECTIONS)
-    for name in names:
-        full, quick_runner = EXPERIMENTS[name]
-        headers, rows = (quick_runner if quick else full)()
+    for row in rows:
+        headers, table = row.runner(**(row.quick if quick else row.full))
         lines += [
             "",
-            f"## {name} — {descriptions[name]}",
+            f"## {row.exp_id} — {row.title}",
             "",
             "```",
-            render_table(headers, rows),
+            render_table(headers, table),
             "```",
         ]
     return "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 Argument plumbing for the campaign subsystem; the store/runner/report
 modules hold all the logic.  Registered from :mod:`repro.cli` so the
-top-level parser stays the single entry point.
+top-level parser stays the single entry point, and declares the options
+it shares with ``sweep`` / ``chaos`` through that module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 import sys
 from typing import Any, Dict, List, Sequence
 
+from repro.analysis.experiments import QUICK_SWEEP_KWARGS
 from repro.analysis.tables import render_table
+from repro.cli import add_shared_options, check_pool_options
 from repro.parallel.jobs import Job, experiment_name, parse_seeds
 
 from .report import fold_done_cells, report_tables
@@ -55,9 +58,7 @@ def add_campaign_parser(sub) -> None:
         help="experiment to run per cell: a SWEEPABLE_EXPERIMENTS name or "
         "an importable module:qualname path",
     )
-    init_p.add_argument(
-        "--seeds", default="0:8", help="half-open range 'a:b' or comma list"
-    )
+    add_shared_options(init_p, seeds="0:8")
     init_p.add_argument(
         "--grid",
         action="append",
@@ -100,10 +101,7 @@ def add_campaign_parser(sub) -> None:
     ):
         run_p = campaign_sub.add_parser(verb, help=help_text)
         add_db(run_p)
-        run_p.add_argument("--workers", type=int, default=1)
-        run_p.add_argument(
-            "--timeout", type=float, default=None, help="per-job timeout seconds"
-        )
+        add_shared_options(run_p, workers=1, timeout=None)
         run_p.add_argument(
             "--chunk",
             type=int,
@@ -224,11 +222,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
     if not seeds:
         print("campaign init: no seeds given", file=sys.stderr)
         return 2
-    base: Dict[str, Any] = {}
-    if args.quick:
-        from repro.analysis.experiments import QUICK_SWEEP_KWARGS
-
-        base = dict(QUICK_SWEEP_KWARGS.get(experiment, {}))
+    base = QUICK_SWEEP_KWARGS.get(experiment, {}) if args.quick else {}
     jobs = [
         Job.create(experiment, {**base, **combo}, seed)
         for combo in combos
@@ -251,9 +245,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"bad --workers: must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
+    check_pool_options(args)
     if args.chunk is not None and args.chunk < 1:
         print(f"bad --chunk: must be >= 1, got {args.chunk}", file=sys.stderr)
         return 2

@@ -36,29 +36,17 @@ benchmarks use, so numbers match ``benchmarks/results/``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
+    EXPERIMENT_TABLE,
     GRAPH_FAMILIES,
     QUICK_SWEEP_KWARGS,
     SWEEPABLE_EXPERIMENTS,
     build_family,
-    exp_adhoc_probes,
     exp_baseline_comparison,
-    exp_bit_complexity,
-    exp_dynamic_additions,
-    exp_generic_scaling,
-    exp_hbl_algorithms,
-    exp_kp_bit_improvement,
-    exp_message_lemmas,
-    exp_near_linear_scaling,
-    exp_sequential_unionfind,
-    exp_service_slo,
-    exp_strongly_connected,
-    exp_time_complexity,
-    exp_tree_lower_bound,
-    exp_unionfind_reduction,
 )
 from repro.analysis.tables import render_table
 from repro.core.adhoc import run_adhoc
@@ -73,71 +61,53 @@ from repro.verification.lemmas import check_all_lemmas
 
 __all__ = ["main"]
 
-#: name -> (runner at full size, runner at quick size)
+#: EXP id -> (runner at full size, runner at quick size), from the table
 EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "EXP-1": (
-        lambda: exp_tree_lower_bound(heights=(3, 4, 5, 6, 7, 8, 9, 10)),
-        lambda: exp_tree_lower_bound(heights=(3, 5, 7)),
-    ),
-    "EXP-2": (
-        lambda: exp_unionfind_reduction(ns=(16, 32, 64, 128, 256)),
-        lambda: exp_unionfind_reduction(ns=(16, 32)),
-    ),
-    "EXP-3": (
-        lambda: exp_generic_scaling(ns=(64, 128, 256, 512, 1024)),
-        lambda: exp_generic_scaling(ns=(32, 64)),
-    ),
-    "EXP-4": (
-        lambda: exp_near_linear_scaling(ns=(64, 128, 256, 512, 1024)),
-        lambda: exp_near_linear_scaling(ns=(32, 64)),
-    ),
-    "EXP-5": (
-        lambda: exp_bit_complexity(ns=(64, 128, 256, 512)),
-        lambda: exp_bit_complexity(ns=(32, 64)),
-    ),
-    "EXP-6-9": (
-        lambda: exp_message_lemmas(ns=(64, 256, 1024)),
-        lambda: exp_message_lemmas(ns=(32,)),
-    ),
-    "EXP-10": (
-        lambda: exp_dynamic_additions(n_initial=256, n_new=128, links_new=128),
-        lambda: exp_dynamic_additions(n_initial=32, n_new=8, links_new=8),
-    ),
-    "EXP-11": (
-        lambda: exp_baseline_comparison(n=512),
-        lambda: exp_baseline_comparison(n=64),
-    ),
-    "EXP-12": (
-        lambda: exp_adhoc_probes(n=512, probes=2048),
-        lambda: exp_adhoc_probes(n=64, probes=64),
-    ),
-    "EXP-13": (
-        lambda: exp_strongly_connected(ns=(64, 128, 256, 512, 1024)),
-        lambda: exp_strongly_connected(ns=(32, 64)),
-    ),
-    "EXP-14": (
-        lambda: exp_sequential_unionfind(ns=(256, 1024, 4096, 16384)),
-        lambda: exp_sequential_unionfind(ns=(64, 256)),
-    ),
-    "EXP-15": (
-        lambda: exp_time_complexity(ns=(64, 128, 256, 512)),
-        lambda: exp_time_complexity(ns=(32, 64)),
-    ),
-    "EXP-17": (
-        lambda: exp_hbl_algorithms(ns=(32, 64, 128, 256)),
-        lambda: exp_hbl_algorithms(ns=(16, 32)),
-    ),
-    "EXP-18": (
-        lambda: exp_kp_bit_improvement(ns=(128, 256, 512, 1024, 2048)),
-        lambda: exp_kp_bit_improvement(ns=(64, 128)),
-    ),
-    "EXP-19": (
-        lambda: exp_service_slo(n=128, rate=8.0, duration=4000),
-        lambda: exp_service_slo(n=24, rate=6.0, duration=800),
-    ),
+    row.exp_id: (
+        functools.partial(row.runner, **row.full),
+        functools.partial(row.runner, **row.quick),
+    )
+    for row in EXPERIMENT_TABLE
+    if row.exp_id
 }
 
 _RUNNERS = {"generic": run_generic, "bounded": run_bounded, "adhoc": run_adhoc}
+
+#: Options several verbs take, by ``dest``.  A verb declares the ones it
+#: takes with :func:`add_shared_options`, giving each its own default.
+_SHARED_OPTIONS: Dict[str, dict] = {
+    "variant": {"choices": sorted(_RUNNERS), "help": "discovery variant"},
+    "family": {"choices": sorted(GRAPH_FAMILIES), "help": "graph family"},
+    "n": {"type": int, "help": "number of nodes"},
+    "seed": {"type": int, "help": "graph and run seed"},
+    "seeds": {
+        "help": "half-open range 'a:b' or comma list '0,3,7' (default: %(default)s)"
+    },
+    "workers": {"type": int, "help": "process-pool size; 1 = serial in-process"},
+    "timeout": {"type": float, "help": "per-job timeout in seconds (pool runs only)"},
+    "no_progress": {"action": "store_true", "help": "suppress per-job stderr lines"},
+}
+
+
+def add_shared_options(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the named :data:`_SHARED_OPTIONS` with these defaults, in
+    the order named."""
+    for dest, default in defaults.items():
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, default=default, **_SHARED_OPTIONS[dest])
+
+
+class UsageError(Exception):
+    """An argument value no verb can run with: ``main`` prints the message
+    and exits 2."""
+
+
+def check_pool_options(args: argparse.Namespace) -> None:
+    """``--workers`` / ``--timeout`` within :class:`ParallelExecutor`'s bounds."""
+    if args.workers < 1:
+        raise UsageError(f"bad --workers: must be >= 1, got {args.workers}")
+    if args.timeout is not None and args.timeout <= 0:
+        raise UsageError(f"bad --timeout: must be > 0, got {args.timeout:g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,15 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one discovery algorithm")
-    run_p.add_argument("--variant", choices=sorted(_RUNNERS), default="generic")
-    run_p.add_argument("--family", choices=sorted(GRAPH_FAMILIES), default="sparse-random")
-    run_p.add_argument("--n", type=int, default=128)
+    add_shared_options(run_p, variant="generic", family="sparse-random", n=128)
     run_p.add_argument(
         "--graph-file",
         help="load the graph from an edge-list/.json file instead of "
         "generating one (overrides --family/--n)",
     )
-    run_p.add_argument("--seed", type=int, default=0)
+    add_shared_options(run_p, seed=0)
     run_p.add_argument(
         "--scheduler",
         choices=("fifo", "lifo", "random", "timed"),
@@ -188,8 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--quick", action="store_true", help="reduced sizes")
 
     cmp_p = sub.add_parser("compare", help="baseline comparison table")
-    cmp_p.add_argument("--n", type=int, default=256)
-    cmp_p.add_argument("--seed", type=int, default=3)
+    add_shared_options(cmp_p, n=256, seed=3)
 
     lb_p = sub.add_parser("lower-bound", help="Theorem 1 adversary on T(height)")
     lb_p.add_argument("--height", type=int, default=8)
@@ -199,10 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_p = sub.add_parser(
         "profile", help="phase / depth / traffic profile of one execution"
     )
-    prof_p.add_argument("--variant", choices=sorted(_RUNNERS), default="generic")
-    prof_p.add_argument("--family", choices=sorted(GRAPH_FAMILIES), default="dense-random")
-    prof_p.add_argument("--n", type=int, default=256)
-    prof_p.add_argument("--seed", type=int, default=0)
+    add_shared_options(
+        prof_p, variant="generic", family="dense-random", n=256, seed=0
+    )
 
     rep_p = sub.add_parser("report", help="regenerate the full experiment report")
     rep_p.add_argument("--out", help="write to this file instead of stdout")
@@ -218,23 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SWEEPABLE_EXPERIMENTS),
         help="experiment to sweep (a seed-taking runner)",
     )
-    sweep_p.add_argument(
-        "--seeds",
-        default="0:8",
-        help="half-open range 'a:b' or comma list '0,3,7' (default: 0:8)",
-    )
-    sweep_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size; 1 = serial in-process (default)",
-    )
-    sweep_p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job timeout in seconds (parallel mode only)",
-    )
+    add_shared_options(sweep_p, seeds="0:8", workers=1, timeout=None)
     sweep_p.add_argument("--quick", action="store_true", help="reduced sizes")
     sweep_p.add_argument(
         "--no-cache", action="store_true", help="always re-execute, never store"
@@ -244,9 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result cache directory (default: benchmarks/results/cache)",
     )
-    sweep_p.add_argument(
-        "--no-progress", action="store_true", help="suppress per-job stderr lines"
-    )
+    add_shared_options(sweep_p, no_progress=False)
     sweep_p.add_argument(
         "--retries",
         type=int,
@@ -260,6 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="base delay in seconds before each retry round, doubled per "
         "round (default: 0)",
+    )
+    sweep_p.add_argument(
+        "--obs-out",
+        default=None,
+        help="write a job-lifecycle JSONL timeline (one 'job' event per "
+        "sweep job: status + wall time) to this path",
     )
 
     chaos_p = sub.add_parser(
@@ -285,18 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="generic",
         help="comma list of discovery variants (default: generic)",
     )
-    chaos_p.add_argument("--n", type=int, default=32)
-    chaos_p.add_argument(
-        "--family", choices=sorted(GRAPH_FAMILIES), default="sparse-random"
-    )
-    chaos_p.add_argument(
-        "--seeds", default="0:4", help="half-open range 'a:b' or comma list"
-    )
-    chaos_p.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = serial)"
-    )
-    chaos_p.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (parallel mode)"
+    add_shared_options(
+        chaos_p, n=32, family="sparse-random", seeds="0:4", workers=1, timeout=None
     )
     chaos_p.add_argument(
         "--raw",
@@ -322,20 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the aggregated table as JSON to this path",
     )
-    chaos_p.add_argument(
-        "--no-progress", action="store_true", help="suppress per-job stderr lines"
-    )
+    add_shared_options(chaos_p, no_progress=False)
     chaos_p.add_argument(
         "--obs-out",
         default=None,
         help="re-run the first (scenario, variant, seed) cell with the "
         "observability recorder attached and write its JSONL timeline here",
-    )
-    sweep_p.add_argument(
-        "--obs-out",
-        default=None,
-        help="write a job-lifecycle JSONL timeline (one 'job' event per "
-        "sweep job: status + wall time) to this path",
     )
 
     trace_p = sub.add_parser(
@@ -353,12 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
 
     rec_p = trace_sub.add_parser("record", help="run once and write a timeline")
-    rec_p.add_argument("--variant", choices=sorted(_RUNNERS), default="generic")
-    rec_p.add_argument(
-        "--family", choices=sorted(GRAPH_FAMILIES), default="sparse-random"
+    add_shared_options(
+        rec_p, variant="generic", family="sparse-random", n=64, seed=0
     )
-    rec_p.add_argument("--n", type=int, default=64)
-    rec_p.add_argument("--seed", type=int, default=0)
     rec_p.add_argument("--out", required=True, help="timeline JSONL path")
     rec_p.add_argument(
         "--scenario",
@@ -420,11 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="length of the arrival window in virtual steps",
     )
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument(
-        "--family", choices=sorted(GRAPH_FAMILIES), default="sparse-random"
-    )
-    serve_p.add_argument("--n", type=int, default=64, help="initial network size")
+    add_shared_options(serve_p, seed=0, family="sparse-random", n=64)
     serve_p.add_argument(
         "--mix",
         default=None,
@@ -554,12 +483,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     names = args.names or sorted(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
-        print(
+        raise UsageError(
             f"unknown experiment(s): {', '.join(unknown)}; "
-            f"choose from {', '.join(sorted(EXPERIMENTS))}",
-            file=sys.stderr,
+            f"choose from {', '.join(sorted(EXPERIMENTS))}"
         )
-        return 2
     for name in names:
         full, quick = EXPERIMENTS[name]
         headers, rows = (quick if args.quick else full)()
@@ -614,8 +541,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         text = build_report(quick=args.quick, only=args.names or None)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc))
     if args.out:
         import pathlib
 
@@ -626,42 +552,59 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opts):
+    """One ``experiment`` job per ``--seeds`` seed through the executor
+    (``--workers`` / ``--timeout`` / ``--no-progress``, plus ``opts``).
+
+    Returns ``(seeds, results, table)``: ``table`` is the across-seed
+    aggregate, or ``None`` once the failed jobs (or the aggregation error)
+    went to stderr.
+    """
     from repro.analysis.sweep import aggregate_tables
     from repro.parallel import (
-        DEFAULT_CACHE_DIR,
         JobFailure,
         ParallelExecutor,
         ProgressReporter,
-        ResultCache,
         sweep_jobs,
     )
 
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
-        print(f"bad --seeds: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad --seeds: {exc}")
     if not seeds:
-        print("bad --seeds: no seeds given", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print(f"bad --workers: must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-
-    kwargs = QUICK_SWEEP_KWARGS.get(args.exp, {}) if args.quick else {}
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+        raise UsageError("bad --seeds: no seeds given")
+    check_pool_options(args)
     executor = ParallelExecutor(
         workers=args.workers,
         timeout=args.timeout,
-        cache=cache,
         progress=ProgressReporter(enabled=not args.no_progress),
-        retries=args.retries,
-        backoff=args.backoff,
+        **opts,
     )
-    results = executor.run(sweep_jobs(args.exp, seeds, kwargs))
+    results = executor.run(sweep_jobs(experiment, seeds, kwargs))
+    failures = [r for r in results if not r.ok]
+    for failure in failures:
+        print(
+            f"FAILED {failure.job.label()}: {failure.status} ({failure.error})",
+            file=sys.stderr,
+        )
+    table = None
+    if not failures:
+        try:
+            table = aggregate_tables([r.table for r in results])
+        except (ValueError, JobFailure) as exc:
+            print(f"aggregation failed: {exc}", file=sys.stderr)
+    return seeds, results, table
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.parallel import DEFAULT_CACHE_DIR, ResultCache
+
+    kwargs = QUICK_SWEEP_KWARGS.get(args.exp, {}) if args.quick else {}
+    cache = None if args.no_cache else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    seeds, results, table = _pooled_table(
+        args, args.exp, kwargs, cache=cache, retries=args.retries, backoff=args.backoff
+    )
     if args.obs_out:
         _write_job_timeline(args.obs_out, args.exp, results)
     retried = [r for r in results if r.attempts > 1]
@@ -671,21 +614,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"(max {max(r.attempts for r in retried)})",
             file=sys.stderr,
         )
-    failures = [r for r in results if not r.ok]
-    if failures:
-        for failure in failures:
-            print(
-                f"FAILED {failure.job.label()}: {failure.status} ({failure.error})",
-                file=sys.stderr,
-            )
-        return 1
-    try:
-        headers, rows = aggregate_tables([r.table for r in results])
-    except (ValueError, JobFailure) as exc:
-        print(f"aggregation failed: {exc}", file=sys.stderr)
+    if table is None:
         return 1
     print(f"=== {args.exp} x {len(seeds)} seeds ===")
-    print(render_table(headers, rows))
+    print(render_table(*table))
     return 0
 
 
@@ -730,31 +662,14 @@ def _write_job_timeline(path: str, experiment: str, results) -> None:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.sweep import aggregate_tables
     from repro.faults.harness import CHAOS_HEADERS
     from repro.faults.scenarios import FAULT_SCENARIOS, RECOVERY_SCENARIOS
-    from repro.parallel import (
-        JobFailure,
-        ParallelExecutor,
-        ProgressReporter,
-        sweep_jobs,
-    )
 
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        print(f"bad --seeds: {exc}", file=sys.stderr)
-        return 2
-    if not seeds:
-        print("bad --seeds: no seeds given", file=sys.stderr)
-        return 2
     if args.recovery and args.raw:
-        print(
+        raise UsageError(
             "--recovery and --raw are incompatible: crash-recovery needs "
-            "the reliable transport (epoch fencing lives in ReliableNode)",
-            file=sys.stderr,
+            "the reliable transport (epoch fencing lives in ReliableNode)"
         )
-        return 2
     if args.scenarios.strip() == "all":
         if args.recovery:
             scenarios = tuple(RECOVERY_SCENARIOS)
@@ -770,26 +685,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
         unknown = [s for s in scenarios if s not in FAULT_SCENARIOS]
         if unknown:
-            print(
+            raise UsageError(
                 f"unknown scenarios {unknown}; choose from "
-                f"{', '.join(sorted(FAULT_SCENARIOS))}",
-                file=sys.stderr,
+                f"{', '.join(sorted(FAULT_SCENARIOS))}"
             )
-            return 2
-        if args.raw:
-            needs_transport = [s for s in scenarios if s in RECOVERY_SCENARIOS]
-            if needs_transport:
-                print(
-                    f"scenarios {needs_transport} are crash-recovery "
-                    "scenarios and cannot run with --raw",
-                    file=sys.stderr,
-                )
-                return 2
+        needs_transport = [s for s in scenarios if s in RECOVERY_SCENARIOS]
+        if args.raw and needs_transport:
+            raise UsageError(
+                f"scenarios {needs_transport} are crash-recovery "
+                "scenarios and cannot run with --raw"
+            )
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    bad = [v for v in variants if v not in _RUNNERS]
-    if not variants or bad:
-        print(f"bad --variants {args.variants!r}", file=sys.stderr)
-        return 2
+    if not variants or any(v not in _RUNNERS for v in variants):
+        raise UsageError(f"bad --variants {args.variants!r}")
 
     kwargs = {
         "scenarios": scenarios,
@@ -801,25 +709,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     }
     # No result cache: chaos runs are the thing under test, and stale
     # verdicts after a protocol change would defeat the point.
-    executor = ParallelExecutor(
-        workers=args.workers,
-        timeout=args.timeout,
-        progress=ProgressReporter(enabled=not args.no_progress),
-    )
-    results = executor.run(sweep_jobs("chaos", seeds, kwargs))
-    failures = [r for r in results if not r.ok]
-    if failures:
-        for failure in failures:
-            print(
-                f"FAILED {failure.job.label()}: {failure.status} ({failure.error})",
-                file=sys.stderr,
-            )
+    seeds, _results, table = _pooled_table(args, "chaos", kwargs)
+    if table is None:
         return 1
-    try:
-        headers, rows = aggregate_tables([r.table for r in results])
-    except (ValueError, JobFailure) as exc:
-        print(f"aggregation failed: {exc}", file=sys.stderr)
-        return 1
+    headers, rows = table
 
     transport = "raw (no recovery)" if args.raw else "reliable transport (sr)"
     print(
@@ -1158,7 +1051,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "serve-sim": _cmd_serve_sim,
         "campaign": _cmd_campaign,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1200,32 +1200,35 @@ def run_graph(
     differential test pins equal step counts, stats and leaders at small
     n -- and ``None`` is global-FIFO, also matching.
 
-    Without a C loop (:func:`repro.core.arrayloop.load` is ``None``;
-    warned once per process) the run is the reference
-    ``Simulator(fast=False)`` run at the object path's price, the same
-    result at any n the memory allows.
+    Whatever :func:`offer_graph` declines -- no C loop
+    (:func:`repro.core.arrayloop.load` is ``None``; warned once per
+    process) or a ``DiscoveryNode`` patched on the class -- is the
+    reference ``Simulator(fast=False)`` run at the object path's price,
+    the same result at any n the memory allows.  Ids the columns cannot
+    hold raise :class:`SimulationError`.
     """
     from repro.core.runner import build_simulation, default_step_budget
 
     if graph.n == 0:
         raise ValueError("run_graph needs a non-empty graph")
+    _reason, run = offer_graph(
+        graph, variant, seed, None, None, False, max_steps, greedy_queries, True
+    )
+    if run is not None:
+        core, executed, stats, components = run
+        return _scale_result(core, graph, variant, executed, stats, verify, components)
     try:
         space = IdSpace(graph.nodes)
     except _Ineligible as exc:
         raise SimulationError(f"graph ids not array-eligible: {exc}")
-    if _arrayloop.load() is None:
-        sim, _nodes = build_simulation(
-            graph, variant, seed=seed, greedy_queries=greedy_queries, fast=False
-        )
-        sim._array_space = space  # what _build_from_sim would intern again
-        budget = max_steps if max_steps is not None else default_step_budget(graph)
-        executed = sim.run(budget)
-        core, _pool, _pending = _build_from_sim(sim, ())
-        return _scale_result(core, graph, variant, executed, sim.stats, verify)
-    core, executed, stats, components = _run_columns(
-        graph, space, variant, seed, max_steps, greedy_queries
+    sim, _nodes = build_simulation(
+        graph, variant, seed=seed, greedy_queries=greedy_queries, fast=False
     )
-    return _scale_result(core, graph, variant, executed, stats, verify, components)
+    sim._array_space = space  # what _build_from_sim would intern again
+    budget = max_steps if max_steps is not None else default_step_budget(graph)
+    executed = sim.run(budget)
+    core, _pool, _pending = _build_from_sim(sim, ())
+    return _scale_result(core, graph, variant, executed, sim.stats, verify)
 
 
 def _scale_result(core, graph, variant, executed, stats, verify, components=None):

@@ -208,6 +208,8 @@ class ParallelExecutor:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.backoff < 0:

@@ -380,6 +380,22 @@ class TestRunGraphDifferential:
         assert legacy.pop("path") == ("legacy", "fast-off")
         assert _scale_outcome("generic", seed=3) == legacy
 
+    def test_patched_node_class_takes_the_reference(self, monkeypatch):
+        # run_graph declines what offer_graph declines: a spy set on the
+        # class sees every wake-up, and the result is the fast=False one.
+        reference = _object_outcome("generic", seed=3, fast=False, n=64)
+        assert reference.pop("path") == ("legacy", "fast-off")
+        calls = []
+        on_wake = DiscoveryNode.on_wake
+
+        def spy(node):
+            calls.append(node.node_id)
+            return on_wake(node)
+
+        monkeypatch.setattr(DiscoveryNode, "on_wake", spy)
+        assert _scale_outcome("generic", seed=3, n=64) == reference
+        assert sorted(calls) == sorted(_graph(64).nodes)
+
     def test_step_limit_raises_with_in_flight_count(self):
         graph = _graph()
         full = run_graph(graph, "generic")

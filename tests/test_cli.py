@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 
+TOY = "tests.test_parallel:exp_toy"
+
 
 class TestRun:
     def test_run_default(self, capsys):
@@ -189,6 +191,39 @@ class TestSweep:
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "retries: 2 job(s) took multiple attempts (max 2)" in err
+
+
+class TestPoolOptions:
+    """``sweep``, ``chaos`` and ``campaign run`` share ``--workers`` and
+    ``--timeout``: a value the executor cannot run with exits 2, before
+    any job runs."""
+
+    ARGV = {
+        "sweep": [
+            "sweep", "--exp", "strongly-connected", "--quick", "--seeds", "0:2",
+            "--no-cache", "--no-progress",
+        ],
+        "chaos": ["chaos", "--scenarios", "baseline", "--n", "8", "--no-progress"],
+        "campaign-run": ["campaign", "run", "--quiet"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(ARGV))
+    @pytest.mark.parametrize(
+        "bad",
+        [("--workers", "0"), ("--timeout", "0"), ("--timeout", "-1")],
+        ids=["workers-0", "timeout-0", "timeout-negative"],
+    )
+    def test_bad_value_exits_2(self, verb, bad, capsys, tmp_path):
+        argv = list(self.ARGV[verb])
+        if verb == "campaign-run":
+            db = str(tmp_path / "c.db")
+            main(["campaign", "init", "--db", db, "--exp", TOY])
+            argv += ["--db", db]
+        capsys.readouterr()
+        assert main(argv + list(bad)) == 2
+        captured = capsys.readouterr()
+        assert f"bad {bad[0]}: must be" in captured.err
+        assert captured.out == ""
 
 
 class TestServeSim:

@@ -227,6 +227,12 @@ class TestSerialExecution:
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
 
+    @pytest.mark.parametrize("timeout", [0, -1.5])
+    def test_invalid_timeout(self, timeout):
+        # A timeout <= 0 would end every pooled job ``timeout`` unrun.
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            ParallelExecutor(workers=2, timeout=timeout)
+
 
 class TestParallelExecution:
     def test_worker_count_invariance_and_cache_service(self, tmp_path):

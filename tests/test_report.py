@@ -1,9 +1,48 @@
-"""Tests for the report generator and its CLI command."""
+"""Tests for the report generator, the experiment table it reads, and its
+CLI command."""
+
+import inspect
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENT_TABLE, exp_chaos
 from repro.analysis.report import REPORT_SECTIONS, build_report
 from repro.cli import main
+from repro.parallel.jobs import resolve_experiment
+
+
+def _signature(runner):
+    if runner is exp_chaos:  # the registry's lazy wrapper of the harness runner
+        from repro.faults import harness
+
+        runner = harness.exp_chaos
+    return inspect.signature(runner)
+
+
+class TestExperimentTable:
+    """Full sizes never run in tier-1: their kwargs are bound, not run."""
+
+    @pytest.mark.parametrize(
+        "row", EXPERIMENT_TABLE, ids=lambda row: row.exp_id or row.name
+    )
+    def test_kwargs_bind_to_the_runner(self, row):
+        signature = _signature(row.runner)
+        # a sweep or campaign job adds the seed; a row without a name has none
+        seed = {"seed": 0} if row.name else {}
+        assert bool(row.name) == ("seed" in signature.parameters)
+        for kwargs in (row.full, row.quick):
+            signature.bind(**kwargs, **seed)
+
+    def test_registry_names_resolve_to_their_rows_runner(self):
+        named = [row for row in EXPERIMENT_TABLE if row.name]
+        assert len({row.name for row in named}) == len(named)
+        for row in named:
+            assert resolve_experiment(row.name) is row.runner
+
+    def test_every_exp_id_has_a_title(self):
+        ids = [row.exp_id for row in EXPERIMENT_TABLE if row.exp_id]
+        assert len(set(ids)) == len(ids)
+        assert all(title for _id, title in REPORT_SECTIONS)
 
 
 class TestBuildReport:
