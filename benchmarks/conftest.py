@@ -8,14 +8,12 @@ EXPERIMENTS.md can be refreshed from the artifacts.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.analysis.registry import save_record
 from repro.analysis.tables import render_table
-from repro.parallel import ParallelExecutor, ProgressReporter
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -36,17 +34,3 @@ def record_table():
 
     return _record
 
-
-@pytest.fixture
-def experiment_executor():
-    """Opt-in worker pool for seed-sweeping benchmarks.
-
-    ``REPRO_BENCH_WORKERS=8 pytest benchmarks/ ...`` fans the sweeps out
-    over 8 forked workers; unset (or 1) keeps the historical serial
-    behaviour.  Sweep results are identical either way -- the executor
-    collects in submission order (see repro.parallel).
-    """
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1") or "1")
-    return ParallelExecutor(
-        workers=workers, progress=ProgressReporter(enabled=workers > 1)
-    )

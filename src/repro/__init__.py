@@ -58,7 +58,7 @@ from repro.sim import (
     Simulator,
     TimedScheduler,
 )
-from repro.parallel import Job, ParallelExecutor, ResultCache, sweep_jobs
+from repro.parallel import Job, ParallelExecutor, sweep_jobs
 from repro.unionfind import DisjointSet, QuickFind, ackermann, alpha
 from repro.verification import (
     InvariantViolation,
@@ -127,6 +127,5 @@ __all__ = [
     # parallel execution
     "Job",
     "ParallelExecutor",
-    "ResultCache",
     "sweep_jobs",
 ]

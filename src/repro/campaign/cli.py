@@ -15,8 +15,8 @@ from typing import Any, Dict, List, Sequence
 
 from repro.analysis.experiments import QUICK_SWEEP_KWARGS
 from repro.analysis.tables import render_table
-from repro.cli import add_shared_options, check_pool_options
-from repro.parallel.jobs import Job, experiment_name, parse_seeds
+from repro.cli import add_shared_options, check_pool_options, parse_seed_option
+from repro.parallel.jobs import Job, experiment_name
 
 from .report import fold_done_cells, report_tables
 from .runner import CampaignRunner
@@ -75,18 +75,7 @@ def add_campaign_parser(sub) -> None:
         help="start from the experiment's QUICK_SWEEP_KWARGS (grid axes "
         "override individual keys)",
     )
-    init_p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=5,
-        help="per-cell attempt cap before failed-permanent (default: 5)",
-    )
-    init_p.add_argument(
-        "--backoff",
-        type=float,
-        default=1.0,
-        help="base retry backoff in seconds, doubled per attempt (default: 1)",
-    )
+    add_shared_options(init_p, max_attempts=5, backoff=1.0)
     init_p.add_argument(
         "--lease",
         type=float,
@@ -212,15 +201,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
+    seeds = parse_seed_option(args.seeds)
     try:
         experiment = experiment_name(args.exp)
-        seeds = parse_seeds(args.seeds)
         combos = parse_grid(args.grid)
     except ValueError as exc:
         print(f"campaign init: {exc}", file=sys.stderr)
-        return 2
-    if not seeds:
-        print("campaign init: no seeds given", file=sys.stderr)
         return 2
     base = QUICK_SWEEP_KWARGS.get(experiment, {}) if args.quick else {}
     jobs = [
@@ -246,9 +232,10 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     check_pool_options(args)
-    if args.chunk is not None and args.chunk < 1:
-        print(f"bad --chunk: must be >= 1, got {args.chunk}", file=sys.stderr)
-        return 2
+    for flag, value in (("--chunk", args.chunk), ("--max-cells", args.max_cells)):
+        if value is not None and value < 1:
+            print(f"bad {flag}: must be >= 1, got {value}", file=sys.stderr)
+            return 2
     store = CampaignStore.open(args.db)
     try:
         try:

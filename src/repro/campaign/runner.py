@@ -17,25 +17,36 @@ store; the runner adds
 * **waiting** -- when nothing is claimable but unfinished cells remain
   (another worker's live leases, or backoff horizons), the runner sleeps
   until the store's next wakeup time instead of spinning.
+
+:func:`run_sweep` is a seed sweep as a one-shot campaign: one store per
+(experiment, kwargs, protocol code), which is also the sweep's result
+cache, drained in one pool round.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
 import signal
 import socket
+import sqlite3
+import sys
+import tempfile
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.parallel import ParallelExecutor
+from repro.analysis.sweep import aggregate_tables
+from repro.parallel import Job, NullProgress, ParallelExecutor, sweep_jobs
 from repro.parallel.executor import TIMEOUT, JobResult
 
-from .store import CampaignStore
+from .store import DONE, CampaignCell, CampaignError, CampaignStore
 
-__all__ = ["CampaignRunner", "CampaignRunReport"]
+Table = Tuple[List[str], List[List[Any]]]
+
+__all__ = ["CampaignRunner", "CampaignRunReport", "SweepRun", "run_sweep"]
 
 
 def default_worker_id() -> str:
@@ -75,10 +86,10 @@ class CampaignRunner:
     how many cells one claim round leases (default ``2 * workers``, two
     jobs per worker per round) -- small chunks keep leases short
     and takeover granular, large chunks amortize claim transactions.
-    ``max_cells`` stops the runner after that many computed cells (a
-    deterministic, signal-free way to interrupt a campaign mid-flight;
-    leases are released exactly as for a signal).  ``sleep``/``clock``
-    are injectable for tests.
+    ``max_cells`` (>= 1) stops the runner after that many computed cells
+    (a deterministic, signal-free way to interrupt a campaign mid-flight;
+    leases are released exactly as for a signal).  ``progress`` goes to
+    the executor.  ``sleep``/``clock`` are injectable for tests.
     """
 
     def __init__(
@@ -95,6 +106,7 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.time,
         max_wait: float = 0.5,
+        progress: Any = None,
     ):
         self.store = store
         self.workers = workers
@@ -104,6 +116,9 @@ class CampaignRunner:
             # A claim of zero cells never drains anything: the loop would
             # wait forever on cells it can never lease.
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if max_cells is not None and max_cells < 1:
+            # Nothing would run, and the run would still report success.
+            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self.max_cells = max_cells
         self.worker_id = worker_id or default_worker_id()
         self.handle_signals = handle_signals
@@ -111,6 +126,7 @@ class CampaignRunner:
         self.sleep = sleep
         self.clock = clock
         self.max_wait = max_wait
+        self.progress = progress or NullProgress()
         self._stop = threading.Event()
 
     # ------------------------------------------------------------------
@@ -140,7 +156,9 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def run(self) -> CampaignRunReport:
         report = CampaignRunReport()
-        executor = ParallelExecutor(workers=self.workers, timeout=self.timeout)
+        executor = ParallelExecutor(
+            workers=self.workers, timeout=self.timeout, progress=self.progress
+        )
         previous = self._install_signals()
         try:
             while not self._stop.is_set():
@@ -216,3 +234,129 @@ def _result_payload(result: JobResult) -> Dict[str, Any]:
         "rows": [list(row) for row in result.rows or []],
         "messages": result.messages,
     }
+
+
+@dataclass
+class SweepRun:
+    """One :func:`run_sweep`, per job in job order."""
+
+    #: ``done``, ``cached`` (the store already held it) or ``failed``
+    results: List[JobResult]
+    #: executions this run, retries included; 0 for a cached result
+    attempts: List[int]
+
+    @property
+    def table(self) -> Table:
+        """The across-seed aggregate; :class:`JobFailure` if a job failed."""
+        return aggregate_tables([result.table for result in self.results])
+
+
+class _OneSweep(NullProgress):
+    """Progress for the whole sweep: the caller's one ``begin`` / ``end``
+    around every runner round, jobs numbered 1..total whichever round
+    ran them."""
+
+    def __init__(self, progress: Any, total: int):
+        self.progress, self.total, self.done = progress, total, 0
+
+    def report(self, result: JobResult, done: int = 0, total: int = 0) -> None:
+        self.done = min(self.done + 1, self.total)
+        self.progress.report(result, self.done, self.total)
+
+
+def run_sweep(
+    experiment: Any,
+    seeds: Sequence[int],
+    kwargs: Optional[Dict[str, Any]] = None,
+    *,
+    cache_dir: Union[str, pathlib.Path, None] = None,
+    workers: int = 1,
+    timeout: Optional[float] = None,
+    max_attempts: int = 1,
+    backoff: float = 0.0,
+    progress: Any = None,
+) -> SweepRun:
+    """One ``experiment`` job per seed, run as a one-shot campaign.
+
+    The store is ``<cache_dir>/<seedless job key>.db``: one per
+    (experiment, kwargs, protocol code), so a code edit misses.  Its done
+    cells are the cache: a repeated sweep computes nothing, a wider one
+    only the new seeds.  Without ``cache_dir``, or when it cannot be
+    written (one warning), the store is temporary.  A failed job retries
+    under the store's policy (``max_attempts``, ``backoff``); the default
+    fails fast.
+    """
+    jobs = sweep_jobs(experiment, seeds, kwargs)
+    policy = {"max_attempts": max_attempts, "backoff": backoff}
+    progress = progress or NullProgress()
+    with tempfile.TemporaryDirectory() as scratch:
+        store = None
+        if cache_dir is not None:
+            path = pathlib.Path(cache_dir) / f"{Job.create(experiment, kwargs).key()}.db"
+            try:
+                store = _cache_store(path, jobs, policy)
+            except (OSError, sqlite3.Error) as exc:
+                print(
+                    f"warning: result cache disabled: cannot write {cache_dir} "
+                    f"({exc}); continuing without caching",
+                    file=sys.stderr,
+                )
+        cached = store is not None
+        if store is None:
+            store = CampaignStore.create(pathlib.Path(scratch) / "s.db", jobs, **policy)
+        try:
+            held = {cell.key: cell for cell in store.cells(DONE)}
+            hits = [job.key() in held for job in jobs]
+            counter = _OneSweep(progress, len(jobs))
+            progress.begin(len(jobs))
+            for job, hit in zip(jobs, hits):
+                if hit:
+                    counter.report(_cell_result(job, held[job.key()], "cached"))
+            report = CampaignRunner(
+                store,
+                workers=workers,
+                timeout=timeout,
+                chunk=len(jobs),
+                handle_signals=False,
+                progress=counter,
+            ).run()
+            cells = {cell.key: cell for cell in store.cells()}
+        finally:
+            store.close()
+    results, attempts = [], []
+    for job, hit in zip(jobs, hits):
+        cell = cells[job.key()]
+        results.append(_cell_result(job, cell, "cached" if hit else cell.status))
+        attempts.append(0 if hit else cell.attempts + (cell.status == DONE))
+    summary = f"cache: {sum(hits)} hits, {len(jobs) - sum(hits)} misses, "
+    progress.end(f"{summary}{report.stored} stores" if cached else "")
+    return SweepRun(results=results, attempts=attempts)
+
+
+def _cache_store(
+    path: pathlib.Path, jobs: List[Job], policy: Dict[str, Any]
+) -> CampaignStore:
+    """The sweep's store at ``path``, opened and admitted, or created."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.exists():
+        try:
+            store = CampaignStore.open(path)
+        except CampaignError:
+            path.unlink()  # torn, foreign or older-schema file: a miss
+        else:
+            store.admit(jobs, **policy)
+            return store
+    return CampaignStore.create(path, jobs, **policy)
+
+
+def _cell_result(job: Job, cell: CampaignCell, status: str) -> JobResult:
+    result = cell.result or {}
+    return JobResult(
+        job=job,
+        status=status,
+        headers=result.get("headers"),
+        rows=result.get("rows"),
+        wall=cell.wall,
+        error=cell.error,
+        messages=result.get("messages"),
+    )

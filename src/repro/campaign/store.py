@@ -115,6 +115,21 @@ def _canonical_kwargs(kwargs: Dict[str, Any]) -> str:
     return json.dumps(kwargs, sort_keys=True, default=repr)
 
 
+def _check_policy(max_attempts: int, backoff: float) -> None:
+    if max_attempts < 1:
+        raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
+    if backoff < 0:
+        raise CampaignError(f"backoff must be >= 0, got {backoff}")
+
+
+def _cell_rows(keys: Sequence[str], jobs: Sequence[Job]) -> List[tuple]:
+    """``cells`` insert parameters, one tuple per job."""
+    return [
+        (key, job.experiment, _canonical_kwargs(job.kwargs_dict()), job.seed)
+        for key, job in zip(keys, jobs)
+    ]
+
+
 @dataclass
 class CampaignCell:
     """One row of the ``cells`` table, as Python data."""
@@ -229,10 +244,7 @@ class CampaignStore:
         keys = [job.key() for job in jobs]
         if len(set(keys)) != len(keys):
             raise CampaignError("duplicate cells in campaign grid")
-        if max_attempts < 1:
-            raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
-        if backoff < 0:
-            raise CampaignError(f"backoff must be >= 0, got {backoff}")
+        _check_policy(max_attempts, backoff)
         if lease <= 0:
             # A zero lease expires at the claim that takes it: the next
             # worker's claim would take the same cell again.
@@ -257,16 +269,46 @@ class CampaignStore:
             )
             conn.executemany(
                 "INSERT INTO cells (key, experiment, kwargs, seed) VALUES (?, ?, ?, ?)",
-                [
-                    (key, job.experiment, _canonical_kwargs(job.kwargs_dict()), job.seed)
-                    for key, job in zip(keys, jobs)
-                ],
+                _cell_rows(keys, jobs),
             )
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
             raise
         return store
+
+    def admit(self, jobs: Sequence[Job], *, max_attempts: int, backoff: float) -> None:
+        """Make ``jobs`` this store's next run, as a sweep's result cache.
+
+        Done cells stay (they are the cache).  Every other cell is dropped
+        -- a failure is never cached, and a killed sweep's leases must not
+        hold up this one -- and each job without a done cell gets a fresh
+        pending one.  The retry policy becomes this run's.  Campaigns
+        freeze their grid and policy at :meth:`create` and never call this.
+        """
+        _check_policy(max_attempts, backoff)
+        keys = [job.key() for job in jobs]
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            conn.execute("DELETE FROM cells WHERE status != ?", (DONE,))
+            conn.executemany(
+                "INSERT OR IGNORE INTO cells (key, experiment, kwargs, seed) "
+                "VALUES (?, ?, ?, ?)",
+                _cell_rows(keys, jobs),
+            )
+            conn.executemany(
+                "UPDATE meta SET value = ? WHERE key = ?",
+                [
+                    (str(max_attempts), "max_attempts"),
+                    (repr(float(backoff)), "backoff"),
+                    (str(self.total_cells()), "cells"),
+                ],
+            )
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
 
     @classmethod
     def open(

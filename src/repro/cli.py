@@ -9,8 +9,9 @@ Commands
 ``compare``       the Section 1.1 baseline comparison table
 ``lower-bound``   the Theorem 1 adversary on T(height)
 ``families``      list the available graph families
-``sweep``         multi-seed sweep of one experiment through the
-                  ``repro.parallel`` engine (worker pool + result cache)
+``sweep``         multi-seed sweep of one experiment, run as a one-shot
+                  campaign: worker pool, and a campaign store per
+                  (experiment, sizes, code) that keeps every result
 ``chaos``         fault-injection sweep: scenarios x variants under the
                   stepwise safety monitor, with a degradation report
                   (exit 1 if any safety invariant broke)
@@ -38,7 +39,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     EXPERIMENT_TABLE,
@@ -49,6 +50,7 @@ from repro.analysis.experiments import (
     exp_baseline_comparison,
 )
 from repro.analysis.tables import render_table
+from repro.campaign.store import CampaignError
 from repro.core.adhoc import run_adhoc
 from repro.core.bounded import run_bounded
 from repro.core.generic import run_generic
@@ -86,6 +88,16 @@ _SHARED_OPTIONS: Dict[str, dict] = {
     "workers": {"type": int, "help": "process-pool size; 1 = serial in-process"},
     "timeout": {"type": float, "help": "per-job timeout in seconds (pool runs only)"},
     "no_progress": {"action": "store_true", "help": "suppress per-job stderr lines"},
+    "max_attempts": {
+        "type": int,
+        "help": "executions per job before it fails; the same error twice "
+        "fails it at once (default: %(default)s)",
+    },
+    "backoff": {
+        "type": float,
+        "help": "base retry delay in seconds, doubled per attempt "
+        "(default: %(default)s)",
+    },
 }
 
 
@@ -108,6 +120,17 @@ def check_pool_options(args: argparse.Namespace) -> None:
         raise UsageError(f"bad --workers: must be >= 1, got {args.workers}")
     if args.timeout is not None and args.timeout <= 0:
         raise UsageError(f"bad --timeout: must be > 0, got {args.timeout:g}")
+
+
+def parse_seed_option(text: str) -> List[int]:
+    """``--seeds`` as a non-empty list of distinct seeds."""
+    try:
+        seeds = parse_seeds(text)
+    except ValueError as exc:
+        raise UsageError(f"bad --seeds: {exc}")
+    if not seeds:
+        raise UsageError("bad --seeds: no seeds given")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,28 +210,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_shared_options(sweep_p, seeds="0:8", workers=1, timeout=None)
     sweep_p.add_argument("--quick", action="store_true", help="reduced sizes")
     sweep_p.add_argument(
-        "--no-cache", action="store_true", help="always re-execute, never store"
+        "--no-cache",
+        action="store_true",
+        help="run against a temporary store: re-execute, keep nothing",
     )
     sweep_p.add_argument(
         "--cache-dir",
-        default=None,
-        help="result cache directory (default: benchmarks/results/cache)",
+        default="benchmarks/results/cache",
+        help="directory of the sweep stores, one per experiment, sizes and "
+        "code (default: %(default)s)",
     )
-    add_shared_options(sweep_p, no_progress=False)
-    sweep_p.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-run failed/timed-out jobs up to this many extra attempts "
-        "(default: 0, i.e. fail fast)",
-    )
-    sweep_p.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        help="base delay in seconds before each retry round, doubled per "
-        "round (default: 0)",
-    )
+    add_shared_options(sweep_p, no_progress=False, max_attempts=1, backoff=0.0)
     sweep_p.add_argument(
         "--obs-out",
         default=None,
@@ -553,36 +565,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opts):
-    """One ``experiment`` job per ``--seeds`` seed through the executor
-    (``--workers`` / ``--timeout`` / ``--no-progress``, plus ``opts``).
+    """One ``experiment`` job per ``--seeds`` seed, run as a one-shot
+    campaign (``--workers`` / ``--timeout`` / ``--no-progress``, plus the
+    :func:`~repro.campaign.runner.run_sweep` keywords ``opts``).
 
-    Returns ``(seeds, results, table)``: ``table`` is the across-seed
+    Returns ``(seeds, run, table)``: ``table`` is the across-seed
     aggregate, or ``None`` once the failed jobs (or the aggregation error)
     went to stderr.
     """
-    from repro.analysis.sweep import aggregate_tables
-    from repro.parallel import (
-        JobFailure,
-        ParallelExecutor,
-        ProgressReporter,
-        sweep_jobs,
-    )
+    from repro.campaign.runner import run_sweep
+    from repro.parallel import JobFailure, ProgressReporter
 
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        raise UsageError(f"bad --seeds: {exc}")
-    if not seeds:
-        raise UsageError("bad --seeds: no seeds given")
+    seeds = parse_seed_option(args.seeds)
     check_pool_options(args)
-    executor = ParallelExecutor(
+    run = run_sweep(
+        experiment,
+        seeds,
+        kwargs,
         workers=args.workers,
         timeout=args.timeout,
         progress=ProgressReporter(enabled=not args.no_progress),
         **opts,
     )
-    results = executor.run(sweep_jobs(experiment, seeds, kwargs))
-    failures = [r for r in results if not r.ok]
+    failures = [r for r in run.results if not r.ok]
     for failure in failures:
         print(
             f"FAILED {failure.job.label()}: {failure.status} ({failure.error})",
@@ -591,27 +596,29 @@ def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opt
     table = None
     if not failures:
         try:
-            table = aggregate_tables([r.table for r in results])
+            table = run.table
         except (ValueError, JobFailure) as exc:
             print(f"aggregation failed: {exc}", file=sys.stderr)
-    return seeds, results, table
+    return seeds, run, table
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.parallel import DEFAULT_CACHE_DIR, ResultCache
-
     kwargs = QUICK_SWEEP_KWARGS.get(args.exp, {}) if args.quick else {}
-    cache = None if args.no_cache else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    seeds, results, table = _pooled_table(
-        args, args.exp, kwargs, cache=cache, retries=args.retries, backoff=args.backoff
+    seeds, run, table = _pooled_table(
+        args,
+        args.exp,
+        kwargs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        max_attempts=args.max_attempts,
+        backoff=args.backoff,
     )
     if args.obs_out:
-        _write_job_timeline(args.obs_out, args.exp, results)
-    retried = [r for r in results if r.attempts > 1]
+        _write_job_timeline(args.obs_out, args.exp, run)
+    retried = [attempts for attempts in run.attempts if attempts > 1]
     if retried:
         print(
             f"retries: {len(retried)} job(s) took multiple attempts "
-            f"(max {max(r.attempts for r in retried)})",
+            f"(max {max(retried)})",
             file=sys.stderr,
         )
     if table is None:
@@ -621,7 +628,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_job_timeline(path: str, experiment: str, results) -> None:
+def _write_job_timeline(path: str, experiment: str, run) -> None:
     """Persist a sweep's job lifecycle as an observability timeline.
 
     One ``job`` event per sweep job, in submission order: ``node`` holds
@@ -643,16 +650,16 @@ def _write_job_timeline(path: str, experiment: str, results) -> None:
                 for key, value in {
                     "status": result.status,
                     "wall_s": round(result.wall, 6) if result.wall is not None else None,
-                    "attempts": result.attempts if result.attempts > 1 else None,
+                    "attempts": attempts if attempts > 1 else None,
                     "error": result.error,
                 }.items()
                 if value is not None
             },
         )
-        for index, result in enumerate(results)
+        for index, (result, attempts) in enumerate(zip(run.results, run.attempts))
     ]
     timeline = Timeline(
-        meta={"command": "sweep", "experiment": experiment, "jobs": len(results)},
+        meta={"command": "sweep", "experiment": experiment, "jobs": len(events)},
         events=events,
     )
     write_timeline(path, timeline)
@@ -707,9 +714,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "reliable": not args.raw,
         "budget_factor": args.budget_factor,
     }
-    # No result cache: chaos runs are the thing under test, and stale
+    # A temporary store: chaos runs are the thing under test, and stale
     # verdicts after a protocol change would defeat the point.
-    seeds, _results, table = _pooled_table(args, "chaos", kwargs)
+    seeds, _run, table = _pooled_table(args, "chaos", kwargs)
     if table is None:
         return 1
     headers, rows = table
@@ -1053,7 +1060,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, CampaignError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Sharded multi-process experiment execution with result caching.
+"""Sharded multi-process experiment execution.
 
 The scaling experiments are embarrassingly parallel across seeds and
 configurations; this package turns them into :class:`~repro.parallel.jobs.Job`
@@ -7,17 +7,17 @@ bitwise identical to a serial run.  See DESIGN.md section 8.
 
 Typical use::
 
-    from repro.parallel import ParallelExecutor, ResultCache
+    from repro.parallel import ParallelExecutor
 
-    executor = ParallelExecutor(workers=8, cache=ResultCache())
+    executor = ParallelExecutor(workers=8)
     headers, rows = executor.sweep("near-linear", seeds=range(16))
 
-or, through the CLI::
+or, through the CLI, as a one-shot campaign whose store keeps every
+result (:func:`repro.campaign.runner.run_sweep`)::
 
     python -m repro sweep --exp near-linear --seeds 0:16 --workers 8
 """
 
-from .cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
 from .executor import JobFailure, JobResult, ParallelExecutor
 from .jobs import (
     CACHE_SCHEMA_VERSION,
@@ -31,15 +31,12 @@ from .progress import NullProgress, ProgressReporter
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CacheStats",
-    "DEFAULT_CACHE_DIR",
     "Job",
     "JobFailure",
     "JobResult",
     "NullProgress",
     "ParallelExecutor",
     "ProgressReporter",
-    "ResultCache",
     "experiment_name",
     "resolve_experiment",
     "shard_seeds",

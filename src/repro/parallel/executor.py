@@ -18,16 +18,12 @@ future per job, with
 * a **per-job timeout** that marks exactly that job ``timeout`` and
   kills its worker once the round's other results are in, rather than
   hanging the sweep on one diverging simulation;
-* **per-job retry with backoff**: ``retries=N`` re-runs failed and
-  timed-out jobs up to N extra rounds, sleeping ``backoff * 2**round``
-  between rounds; every result carries its ``attempts`` count so sweeps
-  report what the retries cost.  The default ``retries=0`` is the exact
-  historical fail-fast behaviour;
 * **determinism**: jobs are submitted in job order and results are
   collected back into that order, so the aggregated tables are bitwise
-  identical for any worker count and any completion order;
-* transparent **result caching** when a
-  :class:`~repro.parallel.cache.ResultCache` is attached.
+  identical for any worker count and any completion order.
+
+Stored results and retries are the campaign store's
+(:func:`repro.campaign.runner.run_sweep`): a sweep is a one-shot campaign.
 """
 
 from __future__ import annotations
@@ -40,9 +36,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.registry import ExperimentRecord
-
-from .cache import ResultCache
 from .jobs import Job, experiment_name, resolve_experiment, sweep_jobs
 from .progress import NullProgress
 
@@ -51,7 +44,7 @@ Table = Tuple[List[str], List[List[Any]]]
 __all__ = ["JobResult", "JobFailure", "ParallelExecutor"]
 
 #: JobResult.status values.
-DONE, FAILED, TIMEOUT, CACHED = "done", "failed", "timeout", "cached"
+DONE, FAILED, TIMEOUT = "done", "failed", "timeout"
 
 
 class JobFailure(RuntimeError):
@@ -62,8 +55,8 @@ class JobFailure(RuntimeError):
 class JobResult:
     """Outcome of one job: a table, or an error string.
 
-    ``attempts`` counts executions of this job including retries; cache
-    hits keep 1 (the original computation is the attempt that counts).
+    ``status`` is ``done``, ``failed`` or ``timeout``; a sweep reports a
+    result its store already held as ``cached``.
     """
 
     job: Job
@@ -73,44 +66,16 @@ class JobResult:
     wall: Optional[float] = None
     error: Optional[str] = None
     messages: Optional[int] = None
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
-        return self.status in (DONE, CACHED)
+        return self.status not in (FAILED, TIMEOUT)
 
     @property
     def table(self) -> Table:
         if not self.ok:
             raise JobFailure(f"{self.job.label()}: {self.status} ({self.error})")
         return list(self.headers or []), [list(row) for row in self.rows or []]
-
-    def to_record(self) -> ExperimentRecord:
-        headers, rows = self.table
-        metadata = {
-            "job": self.job.spec(),
-            "wall_s": self.wall,
-            "messages": self.messages,
-        }
-        if self.attempts > 1:
-            metadata["attempts"] = self.attempts
-        return ExperimentRecord(
-            name=self.job.label(),
-            headers=headers,
-            rows=rows,
-            metadata=metadata,
-        )
-
-    @classmethod
-    def from_record(cls, job: Job, record: ExperimentRecord) -> "JobResult":
-        return cls(
-            job=job,
-            status=CACHED,
-            headers=record.headers,
-            rows=record.rows,
-            wall=record.metadata.get("wall_s"),
-            messages=record.metadata.get("messages"),
-        )
 
 
 def _extract_messages(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> Optional[int]:
@@ -190,30 +155,20 @@ class ParallelExecutor:
     ``workers=1`` (the default) runs serially in-process; higher counts
     fork a pool.  ``timeout`` bounds the wait for each job's result in
     seconds (pool runs only; the serial path has no way to interrupt a
-    job).  ``retries``/``backoff`` give every failed or
-    timed-out job up to ``retries`` extra executions with exponential
-    inter-round backoff (default 0: fail fast, the historical contract).
-    ``executed`` counts jobs actually run (cache hits excluded) over the
-    executor's lifetime, *including* retry executions.
+    job).  Every job runs once: a failure is a result, not a retry.
+    ``executed`` counts jobs run over the executor's lifetime.
     """
 
     workers: int = 1
     timeout: Optional[float] = None
-    cache: Optional[ResultCache] = None
     progress: Any = field(default_factory=NullProgress)
-    retries: int = 0
-    backoff: float = 0.0
-    executed: int = 0
+    executed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
 
     # ------------------------------------------------------------------
     # core
@@ -223,53 +178,15 @@ class ParallelExecutor:
         jobs = list(jobs)
         results: List[Optional[JobResult]] = [None] * len(jobs)
         self.progress.begin(len(jobs))
-        done = 0
-
-        pending: List[int] = []
-        for index, job in enumerate(jobs):
-            record = self.cache.get(job) if self.cache is not None else None
-            if record is not None:
-                results[index] = JobResult.from_record(job, record)
-                done += 1
-                self.progress.report(results[index], done, len(jobs))
-            else:
-                pending.append(index)
-
-        if pending:
+        if jobs:
             parallel = self.workers > 1 and _fork_available()
             runner = self._run_pool if parallel else self._run_serial
-            for index, result in runner(jobs, pending):
+            for done, (index, result) in enumerate(runner(jobs, range(len(jobs))), 1):
                 results[index] = result
-                self._account(result)
-                done += 1
+                self.executed += 1
                 self.progress.report(result, done, len(jobs))
-
-            for retry_round in range(1, self.retries + 1):
-                retry = [
-                    index
-                    for index in pending
-                    if results[index] is not None and not results[index].ok
-                ]
-                if not retry:
-                    break
-                if self.backoff > 0:
-                    time.sleep(self.backoff * (2 ** (retry_round - 1)))
-                for index, result in runner(jobs, retry):
-                    result.attempts = results[index].attempts + 1
-                    results[index] = result
-                    self._account(result)
-                    # done is already len(jobs); re-report so the retry
-                    # outcome shows up in the progress stream.
-                    self.progress.report(result, done, len(jobs))
-
-        summary = self.cache.stats.summary() if self.cache is not None else ""
-        self.progress.end(summary)
+        self.progress.end()
         return [result for result in results if result is not None]
-
-    def _account(self, result: JobResult) -> None:
-        self.executed += 1
-        if result.status == DONE and self.cache is not None:
-            self.cache.put(result.job, result.to_record())
 
     def _run_serial(
         self, jobs: Sequence[Job], pending: Sequence[int]

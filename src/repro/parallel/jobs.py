@@ -4,8 +4,9 @@ A :class:`Job` names an experiment (either a key of
 :data:`repro.analysis.experiments.SWEEPABLE_EXPERIMENTS` or an importable
 ``module:qualname`` path), a frozen kwargs tuple, and an optional seed.
 Because the spec is pure data, jobs cross process boundaries cheaply and
-hash to a stable content address -- the cache key of
-:mod:`repro.parallel.cache`.
+hash to a stable content address -- the cell key of a campaign store
+(:mod:`repro.campaign.store`), which is also where a sweep keeps its
+results.
 
 Determinism contract: jobs are *identified* by their spec, never by the
 worker that ran them or the order they finished in, so an executor that
@@ -191,7 +192,10 @@ def sweep_jobs(
 
 
 def parse_seeds(spec: str) -> List[int]:
-    """``'a:b'`` (half-open, like range) or ``'s1,s2,...'`` or one seed."""
+    """``'a:b'`` (half-open, like range) or ``'s1,s2,...'`` or one seed.
+
+    A seed given twice is an error: it would be one cell, counted twice.
+    """
     spec = spec.strip()
     if ":" in spec:
         lo_text, _, hi_text = spec.partition(":")
@@ -199,7 +203,11 @@ def parse_seeds(spec: str) -> List[int]:
         if hi <= lo:
             raise ValueError(f"empty seed range {spec!r}")
         return list(range(lo, hi))
-    return [int(part) for part in spec.split(",") if part.strip()]
+    seeds = [int(part) for part in spec.split(",") if part.strip()]
+    for index, seed in enumerate(seeds):
+        if seed in seeds[:index]:
+            raise ValueError(f"duplicate seed {seed}")
+    return seeds
 
 
 def shard_seeds(seeds: Sequence[int], n_shards: int) -> List[List[int]]:

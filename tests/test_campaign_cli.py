@@ -174,6 +174,13 @@ class TestCampaignCommands:
         capsys.readouterr()
         assert main(["campaign", "run", "--db", db, "--chunk", "0", "--quiet"]) == 2
         assert "bad --chunk" in capsys.readouterr().err
+        for cells in ("0", "-5"):
+            assert main(
+                ["campaign", "run", "--db", db, "--max-cells", cells, "--quiet"]
+            ) == 2
+            captured = capsys.readouterr()
+            assert f"bad --max-cells: must be >= 1, got {cells}" in captured.err
+            assert captured.out == ""
 
     def test_missing_db_is_a_clean_error(self, tmp_path, capsys):
         assert main(

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.analysis.experiments import QUICK_SWEEP_KWARGS, SWEEPABLE_EXPERIMENTS
+from repro.analysis.sweep import aggregate_tables
+from repro.analysis.tables import render_table
 from repro.campaign import CampaignRunner, CampaignStore
+from repro.campaign.runner import run_sweep
 from repro.parallel import Job, sweep_jobs
 
 TOY = "tests.test_parallel:exp_toy"
@@ -56,6 +60,13 @@ class TestDrain:
         store = make_store(tmp_path, sweep_jobs(TOY, range(2), {"scale": 2}))
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             CampaignRunner(store, chunk=0, handle_signals=False)
+
+    @pytest.mark.parametrize("max_cells", [0, -5])
+    def test_max_cells_below_one_is_rejected(self, tmp_path, max_cells):
+        """It used to compute nothing and still report success."""
+        store = make_store(tmp_path, sweep_jobs(TOY, range(2), {"scale": 2}))
+        with pytest.raises(ValueError, match="max_cells must be >= 1"):
+            CampaignRunner(store, max_cells=max_cells, handle_signals=False)
 
     def test_request_stop_checkpoints(self, tmp_path):
         jobs = sweep_jobs(TOY, range(4), {"scale": 2})
@@ -180,3 +191,40 @@ class TestSignals:
         thread.start()
         thread.join(timeout=60)
         assert failures == []
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEPABLE_EXPERIMENTS))
+    def test_store_round_trip_keeps_every_sweepable_table(self, name):
+        """A sweep's tables go through the store's JSON and back: the
+        rendered aggregate must be the one the tables themselves give."""
+        kwargs = QUICK_SWEEP_KWARGS.get(name, {})
+        direct = aggregate_tables(
+            [SWEEPABLE_EXPERIMENTS[name](**kwargs, seed=seed) for seed in (0, 1)]
+        )
+        run = run_sweep(name, [0, 1], kwargs)
+        assert [result.status for result in run.results] == ["done", "done"]
+        assert render_table(*run.table) == render_table(*direct)
+
+    def test_one_pool_round_and_one_progress_stream(self, tmp_path):
+        """Cached jobs report first, then the round; numbering runs 1..n
+        across retries, with one begin and one end."""
+        import io
+
+        from repro.parallel import ProgressReporter
+
+        kwargs = {"flag_dir": str(tmp_path / "f")}
+        cache = tmp_path / "cache"
+        run_sweep(FLAKY_ONCE, [0], kwargs, cache_dir=cache, max_attempts=2)
+        stream = io.StringIO()
+        run_sweep(
+            FLAKY_ONCE, [0, 1], kwargs, cache_dir=cache, max_attempts=2,
+            progress=ProgressReporter(stream=stream),
+        )
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "queued 2 job(s)"
+        assert [line.split()[:2] for line in lines[1:-1]] == [
+            ["[1/2]", "cached"], ["[2/2]", "failed"], ["[2/2]", "done"],
+        ]
+        assert lines[-1].startswith("sweep finished in ")
+        assert lines[-1].endswith("(cache: 1 hits, 1 misses, 1 stores)")

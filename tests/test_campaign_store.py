@@ -77,6 +77,25 @@ class TestLifecycle:
             make_store(tmp_path, backoff=-0.5)
         assert not (tmp_path / "campaign.db").exists()
 
+    def test_admit_keeps_done_cells_and_starts_the_rest_over(self, tmp_path):
+        """A sweep's store: done cells are its cache, anything else (a
+        failure, a killed sweep's lease) starts over under the new policy."""
+        store, _ = make_store(tmp_path, n=4)
+        jobs = make_jobs(4)
+        store.complete(jobs[0].key(), payload(0))
+        store.claim("w", 3)
+        store.fail(jobs[1].key(), "RuntimeError: x")  # pending again, attempts=1
+        store.fail(jobs[2].key(), "RuntimeError: x", transient=True)
+        store.admit(make_jobs(6)[1:], max_attempts=2, backoff=0.0)
+        assert store.counts() == {"pending": 5, "claimed": 0, "done": 1, "failed": 0}
+        assert store.total_cells() == 6
+        assert all(
+            (cell.attempts, cell.lease_owner) == (0, None)
+            for cell in store.cells(PENDING)
+        )
+        assert (store.max_attempts, store.backoff) == (2, 0.0)
+        assert store.cell(jobs[0].key()).result == payload(0)
+
     def test_open_missing_path_raises(self, tmp_path):
         with pytest.raises(CampaignError, match="campaign init"):
             CampaignStore.open(tmp_path / "nope.db")

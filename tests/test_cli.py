@@ -126,9 +126,12 @@ class TestSweep:
         assert "2 stores" in first.err
         assert main(argv) == 0
         second = capsys.readouterr()
-        assert "2 hits" in second.err
+        assert "2 hits, 0 misses, 0 stores" in second.err
         assert "cached" in second.err
         assert first.out == second.out
+        # a widened sweep computes only the new seeds
+        assert main(argv + ["--seeds", "0:4"]) == 0
+        assert "2 hits, 2 misses, 2 stores" in capsys.readouterr().err
 
     def test_sweep_comma_seed_list(self, capsys, tmp_path):
         assert (
@@ -147,6 +150,25 @@ class TestSweep:
         assert "bad --seeds" in capsys.readouterr().err
         assert main(["sweep", "--exp", "near-linear", "--seeds", ","]) == 2
         assert "no seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--exp", "strongly-connected", "--quick", "--no-cache"],
+            ["chaos", "--scenarios", "baseline", "--n", "8"],
+            ["campaign", "init", "--db", "c.db", "--exp", TOY],
+        ],
+        ids=["sweep", "chaos", "campaign-init"],
+    )
+    def test_duplicate_seed_rejected(self, argv, capsys, tmp_path, monkeypatch):
+        """A seed given twice would be aggregated twice (sweep) or refused
+        late as a duplicate cell (campaign): every verb exits 2 up front."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seeds", "0,3,0"]) == 2
+        captured = capsys.readouterr()
+        assert "bad --seeds: duplicate seed 0" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "c.db").exists()
 
     def test_sweep_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -173,7 +195,8 @@ class TestSweep:
         assert "cache disabled" in captured.err
 
     def test_sweep_retries_recover_and_report(self, capsys, tmp_path, monkeypatch):
-        """--retries re-runs failed jobs and the summary mentions it."""
+        """--max-attempts re-runs failed jobs and the summary mentions it;
+        the default (one attempt) fails fast."""
         import functools
 
         from repro.analysis.experiments import SWEEPABLE_EXPERIMENTS
@@ -186,9 +209,16 @@ class TestSweep:
         )
         argv = [
             "sweep", "--exp", "flaky-once", "--seeds", "0:2", "--no-cache",
-            "--no-progress", "--retries", "1",
+            "--no-progress",
         ]
-        assert main(argv) == 0
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "FAILED flaky-once seed=0: failed (RuntimeError: transient" in captured.err
+        assert "retries:" not in captured.err
+        assert captured.out == ""
+        for flag in tmp_path.iterdir():
+            flag.unlink()
+        assert main(argv + ["--max-attempts", "2"]) == 0
         err = capsys.readouterr().err
         assert "retries: 2 job(s) took multiple attempts (max 2)" in err
 

@@ -4,7 +4,7 @@ Each test class pins one fix and fails against the pre-fix behaviour:
 
 1. trace fingerprints ignored message payloads (envelope-only tuples);
 2. bit accounting charged header-only messages when ``id_bits = 0``;
-3. result-cache keys ignored protocol/simulator code changes;
+3. sweep store keys ignored protocol/simulator code changes;
 4. ``StepLimitExceeded`` escaped the chaos harness's taxonomy as
    ``detected`` (it is the definition of ``stalled``).
 """
@@ -14,7 +14,6 @@ from repro.core.generic import run_generic
 from repro.core.runner import build_simulation, id_bits_for
 from repro.faults.harness import run_chaos_trial
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import (
     CACHE_SCHEMA_VERSION,
     Job,
@@ -104,7 +103,7 @@ class TestCacheKeysTrackCode:
         assert job.key() != key_before
 
     def test_code_change_invalidates_cached_record(self, tmp_path, monkeypatch):
-        from repro.analysis.registry import ExperimentRecord
+        from repro.campaign.runner import run_sweep
         from repro.parallel import jobs
 
         root = tmp_path / "core"
@@ -113,13 +112,14 @@ class TestCacheKeysTrackCode:
         source.write_text("STATE = 1\n")
         monkeypatch.setattr(jobs, "_default_code_roots", lambda: (root,))
         _digest_of_roots.cache_clear()
-        cache = ResultCache(tmp_path / "cache")
-        job = Job.create("generic-scaling", {}, seed=0)
-        cache.put(job, ExperimentRecord("x", ["a"], [[1]], {"job": job.spec()}))
-        assert cache.get(job) is not None
+        toy, cache = "tests.test_parallel:exp_toy", tmp_path / "cache"
+        run_sweep(toy, [0], cache_dir=cache)
+        assert run_sweep(toy, [0], cache_dir=cache).attempts == [0]
         source.write_text("STATE = 2\n")
         _digest_of_roots.cache_clear()
-        assert cache.get(job) is None  # same params, new code => miss
+        # same params, new code => a new store, and a miss
+        assert run_sweep(toy, [0], cache_dir=cache).attempts == [1]
+        assert len(list(cache.glob("*.db"))) == 2
 
     def test_c_source_is_part_of_the_digest(self, tmp_path):
         # The C loop is the engine every eligible discovery runs on, so

@@ -2,7 +2,8 @@
 
 The acceptance-grade properties live here: worker-count invariance of the
 aggregated tables (checked with ``compare_records`` at zero tolerance)
-and full cache service of a repeated sweep.
+and full cache service of a repeated sweep.  The cache and the retries
+are a sweep's campaign store (:func:`repro.campaign.runner.run_sweep`).
 """
 
 import io
@@ -16,13 +17,14 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.analysis.registry import ExperimentRecord, compare_records
-from repro.analysis.sweep import aggregate_tables, sweep_seeds
+from repro.analysis.sweep import sweep_seeds
+from repro.campaign import CampaignError, CampaignStore
+from repro.campaign.runner import run_sweep
 from repro.parallel import (
     Job,
     JobFailure,
     ParallelExecutor,
     ProgressReporter,
-    ResultCache,
     experiment_name,
     resolve_experiment,
     shard_seeds,
@@ -140,6 +142,15 @@ class TestJobSpec:
         assert all(job.experiment == TOY for job in jobs)
 
 
+class TestParseSeeds:
+    def test_a_repeated_seed_is_rejected(self):
+        from repro.parallel.jobs import parse_seeds
+
+        assert parse_seeds("4,1,7") == [4, 1, 7]
+        with pytest.raises(ValueError, match="duplicate seed 0"):
+            parse_seeds("0,3,0")
+
+
 class TestSharding:
     def test_round_robin_partition(self):
         assert shard_seeds(range(7), 3) == [[0, 3, 6], [1, 4], [2, 5]]
@@ -161,42 +172,40 @@ class TestSharding:
             shard_seeds(range(4), 0)
 
 
+def statuses(run):
+    return [result.status for result in run.results]
+
+
 class TestCache:
+    """A sweep's cache is its campaign store in ``cache_dir``."""
+
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = Job.create(TOY, {"scale": 2}, seed=1)
-        assert cache.get(job) is None
-        record = ExperimentRecord(
-            job.label(), ["a"], [[1]], metadata={"job": job.spec()}
-        )
-        cache.put(job, record)
-        loaded = cache.get(job)
-        assert loaded is not None
-        assert loaded.rows == [[1]]
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
+        first = run_sweep(TOY, [1], {"scale": 2}, cache_dir=tmp_path)
+        assert statuses(first) == ["done"]
+        again = run_sweep(TOY, [1], {"scale": 2}, cache_dir=tmp_path)
+        assert statuses(again) == ["cached"]
+        assert again.attempts == [0]
+        assert again.results[0].rows == first.results[0].rows == [["toy", 2, 4]]
 
     def test_spec_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = Job.create(TOY, {"scale": 2}, seed=1)
-        record = ExperimentRecord(job.label(), ["a"], [[1]], metadata={"job": {}})
-        cache.put(job, record)
-        assert cache.get(job) is None
+        run_sweep(TOY, [1], {"scale": 2}, cache_dir=tmp_path)
+        other = run_sweep(TOY, [1], {"scale": 3}, cache_dir=tmp_path)
+        assert statuses(other) == ["done"]
+        assert len(list(tmp_path.glob("*.db"))) == 2  # one store per kwargs
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = Job.create(TOY, {}, seed=0)
-        cache.path_for(job).parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for(job).write_text("{not json")
-        assert cache.get(job) is None
+        (tmp_path / f"{Job.create(TOY, {}).key()}.db").write_text("{not json")
+        run = run_sweep(TOY, [0], cache_dir=tmp_path)
+        assert statuses(run) == ["done"]
+        assert statuses(run_sweep(TOY, [0], cache_dir=tmp_path)) == ["cached"]
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = Job.create(TOY, {}, seed=0)
-        cache.put(job, ExperimentRecord("x", ["a"], [[1]], {"job": job.spec()}))
-        assert cache.clear() == 1
-        assert cache.get(job) is None
+    def test_failure_is_never_cached(self, tmp_path):
+        kwargs = {"flag_dir": str(tmp_path / "flags")}
+        cache = tmp_path / "cache"
+        assert statuses(run_sweep(FLAKY_ONCE, [0], kwargs, cache_dir=cache)) == ["failed"]
+        run = run_sweep(FLAKY_ONCE, [0], kwargs, cache_dir=cache)
+        assert statuses(run) == ["done"]
+        assert run.attempts == [1]
 
 
 class TestSerialExecution:
@@ -241,25 +250,24 @@ class TestParallelExecution:
         kwargs = {"ns": (16, 32)}
         records = {}
         for workers in (1, 2, 4):
-            cache = ResultCache(tmp_path / f"w{workers}")
-            executor = ParallelExecutor(workers=workers, cache=cache)
-            headers, rows = executor.sweep(
-                "strongly-connected", range(4), **kwargs
+            run = run_sweep(
+                "strongly-connected", range(4), kwargs,
+                cache_dir=tmp_path / f"w{workers}", workers=workers,
             )
-            records[workers] = ExperimentRecord("sweep", headers, rows)
-            assert executor.executed == 4
-            assert cache.stats.stores == 4
+            records[workers] = ExperimentRecord("sweep", *run.table)
+            assert run.attempts == [1] * 4
+            assert statuses(run) == ["done"] * 4
         assert compare_records(records[1], records[2], rel_tolerance=0) == []
         assert compare_records(records[1], records[4], rel_tolerance=0) == []
 
         # Second run of the same sweep: zero executions, all cache hits,
         # identical output -- even at a different worker count.
-        cache = ResultCache(tmp_path / "w2")
-        executor = ParallelExecutor(workers=4, cache=cache)
-        headers, rows = executor.sweep("strongly-connected", range(4), **kwargs)
-        assert executor.executed == 0
-        assert cache.stats.hits == 4
-        rerun = ExperimentRecord("sweep", headers, rows)
+        run = run_sweep(
+            "strongly-connected", range(4), kwargs, cache_dir=tmp_path / "w2", workers=4
+        )
+        assert run.attempts == [0] * 4
+        assert statuses(run) == ["cached"] * 4
+        rerun = ExperimentRecord("sweep", *run.table)
         assert compare_records(records[2], rerun, rel_tolerance=0) == []
 
     def test_parallel_crash_isolation(self):
@@ -281,12 +289,10 @@ class TestParallelExecution:
 
     def test_partial_cache_reuse(self, tmp_path):
         """A wider sweep reuses the overlapping prefix of a narrower one."""
-        cache = ResultCache(tmp_path)
-        ParallelExecutor(workers=1, cache=cache).run(sweep_jobs(TOY, range(2)))
-        executor = ParallelExecutor(workers=1, cache=cache)
-        results = executor.run(sweep_jobs(TOY, range(4)))
-        assert executor.executed == 2
-        assert [r.status for r in results] == ["cached", "cached", "done", "done"]
+        run_sweep(TOY, range(2), cache_dir=tmp_path)
+        run = run_sweep(TOY, range(4), cache_dir=tmp_path)
+        assert run.attempts == [0, 0, 1, 1]
+        assert statuses(run) == ["cached", "cached", "done", "done"]
 
 
 class TestSweepIntegration:
@@ -327,77 +333,73 @@ class TestSweepIntegration:
 
 
 class TestRetries:
+    """One retry policy, the campaign store's: ``max_attempts`` executions
+    per job with ``backoff`` between them, and the same error twice fails
+    the job at once."""
+
     def test_no_retries_by_default(self, tmp_path):
-        executor = ParallelExecutor(workers=1)
-        results = executor.run(
-            sweep_jobs(FLAKY_ONCE, range(3), {"flag_dir": str(tmp_path)})
-        )
-        assert [r.status for r in results] == ["failed"] * 3
-        assert all(r.attempts == 1 for r in results)
+        run = run_sweep(FLAKY_ONCE, range(3), {"flag_dir": str(tmp_path)})
+        assert statuses(run) == ["failed"] * 3
+        assert run.attempts == [1] * 3
 
     def test_retry_recovers_transient_failures(self, tmp_path):
-        executor = ParallelExecutor(workers=1, retries=1)
-        results = executor.run(
-            sweep_jobs(FLAKY_ONCE, range(3), {"flag_dir": str(tmp_path)})
+        run = run_sweep(
+            FLAKY_ONCE, range(3), {"flag_dir": str(tmp_path)}, max_attempts=2
         )
-        assert [r.status for r in results] == ["done"] * 3
-        assert [r.attempts for r in results] == [2, 2, 2]
+        assert statuses(run) == ["done"] * 3
         # every attempt counts as an execution
-        assert executor.executed == 6
+        assert run.attempts == [2, 2, 2]
 
     def test_retry_recovers_in_parallel_mode(self, tmp_path):
-        executor = ParallelExecutor(workers=2, retries=1)
-        results = executor.run(
-            sweep_jobs(FLAKY_ONCE, range(4), {"flag_dir": str(tmp_path)})
+        run = run_sweep(
+            FLAKY_ONCE, range(4), {"flag_dir": str(tmp_path)},
+            workers=2, max_attempts=2,
         )
-        assert [r.status for r in results] == ["done"] * 4
-        assert all(r.attempts == 2 for r in results)
+        assert statuses(run) == ["done"] * 4
+        assert run.attempts == [2] * 4
 
     def test_only_failed_jobs_are_retried(self, tmp_path):
-        executor = ParallelExecutor(workers=1, retries=1)
-        jobs = [
-            Job.create(TOY, {"scale": 2}, seed=0),
-            Job.create(FLAKY_ONCE, {"flag_dir": str(tmp_path)}, seed=1),
-        ]
-        results = executor.run(jobs)
-        assert [r.status for r in results] == ["done", "done"]
-        assert [r.attempts for r in results] == [1, 2]
-        assert executor.executed == 3
+        (tmp_path / "seed0").touch()  # seed 0 succeeds at once, seed 1 once fails
+        run = run_sweep(
+            FLAKY_ONCE, range(2), {"flag_dir": str(tmp_path)}, max_attempts=2
+        )
+        assert statuses(run) == ["done", "done"]
+        assert run.attempts == [1, 2]
 
     def test_retry_gives_up_after_budget(self):
-        executor = ParallelExecutor(workers=1, retries=2)
-        (result,) = executor.run([Job.create(FLAKY, {}, seed=1)])
-        assert result.status == "failed"
-        assert result.attempts == 3
-        assert executor.executed == 3
+        # The same error twice proves it reproduces: no third attempt.
+        run = run_sweep(FLAKY, [1], max_attempts=3)
+        assert statuses(run) == ["failed"]
+        assert run.attempts == [2]
+        assert "boom" in run.results[0].error
 
     def test_retried_success_is_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        executor = ParallelExecutor(workers=1, retries=1, cache=cache)
-        executor.run(
-            sweep_jobs(FLAKY_ONCE, range(2), {"flag_dir": str(tmp_path / "flags")})
-        )
-        assert cache.stats.stores == 2
+        kwargs = {"flag_dir": str(tmp_path / "flags")}
+        cache = tmp_path / "cache"
+        run = run_sweep(FLAKY_ONCE, range(2), kwargs, cache_dir=cache, max_attempts=2)
+        assert statuses(run) == ["done", "done"]
         # A repeat sweep is served fully from cache, no re-execution.
-        executor2 = ParallelExecutor(workers=1, retries=1, cache=cache)
-        results = executor2.run(
-            sweep_jobs(FLAKY_ONCE, range(2), {"flag_dir": str(tmp_path / "flags")})
-        )
-        assert [r.status for r in results] == ["cached", "cached"]
-        assert executor2.executed == 0
+        again = run_sweep(FLAKY_ONCE, range(2), kwargs, cache_dir=cache, max_attempts=2)
+        assert statuses(again) == ["cached", "cached"]
+        assert again.attempts == [0, 0]
 
     def test_attempts_recorded_in_metadata(self, tmp_path):
-        executor = ParallelExecutor(workers=1, retries=1)
-        (result,) = executor.run(
-            [Job.create(FLAKY_ONCE, {"flag_dir": str(tmp_path)}, seed=0)]
+        kwargs = {"flag_dir": str(tmp_path / "flags")}
+        run = run_sweep(
+            FLAKY_ONCE, [0], kwargs, cache_dir=tmp_path / "cache", max_attempts=2
         )
-        assert result.to_record().metadata["attempts"] == 2
+        assert run.attempts == [2]
+        (path,) = (tmp_path / "cache").glob("*.db")
+        store = CampaignStore.open(path)
+        cell = store.cell(Job.create(FLAKY_ONCE, kwargs, 0).key())
+        assert (cell.status, cell.attempts, cell.compute_count) == ("done", 1, 2)
+        store.close()
 
     def test_invalid_retry_params(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(retries=-1)
-        with pytest.raises(ValueError):
-            ParallelExecutor(backoff=-0.5)
+        with pytest.raises(CampaignError):
+            run_sweep(TOY, [0], max_attempts=0)
+        with pytest.raises(CampaignError):
+            run_sweep(TOY, [0], backoff=-0.5)
 
 
 class TestBrokenPoolRecovery:
@@ -506,25 +508,21 @@ class TestCacheDegradation:
     def test_unwritable_cache_directory_disables_cache(self, tmp_path, capsys):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("a file where the cache directory should go")
-        cache = ResultCache(blocker)
-        job = Job.create(TOY, {"scale": 2}, seed=0)
-        record = ExperimentRecord(job.label(), ["a"], [[1]], {"job": job.spec()})
-        assert cache.put(job, record) is None
-        assert cache.disabled
-        assert cache.stats.stores == 0
-        err = capsys.readouterr().err
-        assert "cache disabled" in err
-        # Only one warning, and subsequent gets are silent misses.
-        cache.put(job, record)
-        assert cache.get(job) is None
-        assert capsys.readouterr().err == ""
+        stream = io.StringIO()
+        run = run_sweep(
+            TOY, range(3), cache_dir=blocker, progress=ProgressReporter(stream=stream)
+        )
+        assert statuses(run) == ["done"] * 3
+        assert capsys.readouterr().err.count("cache disabled") == 1
+        assert "cache:" not in stream.getvalue()  # no cache, no cache summary
+        assert blocker.read_text().startswith("a file")
 
     def test_sweep_survives_unwritable_cache(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
-        executor = ParallelExecutor(workers=1, cache=ResultCache(blocker))
-        results = executor.run(sweep_jobs(TOY, range(3), {"scale": 2}))
-        assert [r.status for r in results] == ["done"] * 3
+        run = run_sweep(TOY, range(3), {"scale": 2}, cache_dir=blocker)
+        assert statuses(run) == ["done"] * 3
+        assert run.table[1] == [["toy", 2, "4 [2, 6]"]]
 
 
 class TestProgress:
