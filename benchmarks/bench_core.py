@@ -33,16 +33,20 @@ interleaved in the same process, and appends the results to
 * ``test_core_scaling_series`` (opt-in: ``BENCH_CORE_FULL=1``) -- the
   scaling series up to n = 200,000 for the Generic and Ad-hoc engines
   through the object-free :func:`repro.core.arraystate.run_graph` driver,
+  plus one dense-random n = 20,000 Ad-hoc point (the set-heavy shape),
   one fresh process per point, replacing the ``scaling`` block of
   ``BENCH_core.json``.  Each row carries the delivery loop's own
   ``steps_per_s``, the channel count and ``rss_per_node_kb`` (RSS growth
   across the ``run_graph`` call over n).  Takes ~2 minutes and ~1 GB RSS
   at the top size, hence opt-in.
 
-* ``test_core_footprint`` (always runs; CI's perf-smoke job) -- the
-  n = 30,000 Generic point of that series alone, gated on bytes per node:
+* ``test_core_footprint`` (always runs; CI's perf-smoke job) -- two
+  points of that series, each gated on bytes per node:
   ``rss_per_node_kb`` must stay below ``FOOTPRINT_CEILING`` times the
-  committed series' value.  A byte ratio, so comparable across runners.
+  committed series' value.  The sparse n = 30,000 Generic point is the
+  footprint the knowledge slabs were sized on; the dense n = 20,000
+  Ad-hoc point keeps a layout tuned only for sparse Generic from
+  passing.  A byte ratio, so comparable across runners.
 
 * ``test_graph_build`` (always runs; CI's perf-smoke job) -- the graph
   layer alone: build a dense-random n = 20,000 and a sparse-random
@@ -96,11 +100,14 @@ DIRECT_SEEDS = range(32)
 DIRECT_REPEATS = 3
 #: Measured speedup must stay above this fraction of the committed one.
 REGRESSION_FLOOR = 0.75
-SCALING_NS = {
-    "generic": (128, 1024, 4096, 10_000, 30_000, 100_000, 200_000),
-    "adhoc": (1024, 10_000, 30_000, 100_000, 200_000),
-}
-N_FOOTPRINT = 30_000
+#: (engine, family, sizes) of the scaling series
+SCALING_POINTS = (
+    ("generic", FAMILY, (128, 1024, 4096, 10_000, 30_000, 100_000, 200_000)),
+    ("adhoc", FAMILY, (1024, 10_000, 30_000, 100_000, 200_000)),
+    ("adhoc", "dense-random", (20_000,)),
+)
+#: (engine, family, n) points of the footprint gate
+FOOTPRINT_POINTS = (("generic", FAMILY, 30_000), ("adhoc", "dense-random", 20_000))
 #: Measured KiB per node must stay below this multiple of the committed one.
 FOOTPRINT_CEILING = 1.25
 FULL = os.environ.get("BENCH_CORE_FULL", "") == "1"
@@ -334,7 +341,7 @@ def _rss_kb():
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
 
 
-def _scale_point(variant, n):
+def _scale_point(variant, n, family=FAMILY):
     """One verified ``run_graph`` discovery, measured in this process.
 
     The delivery loop is timed by itself (``ArrayCore.run_loop`` wrapped
@@ -342,7 +349,7 @@ def _scale_point(variant, n):
     where the loop returns: every column and channel is still alive there,
     and the graph was built before the baseline was taken.
     """
-    graph = build_family(FAMILY, n, seed=0)
+    graph = build_family(family, n, seed=0)
     seen = {}
     run_loop = ArrayCore.run_loop
 
@@ -366,6 +373,7 @@ def _scale_point(variant, n):
     assert result.verified
     return {
         "engine": variant,
+        "family": family,
         "n": n,
         "cpus": os.cpu_count(),
         "run_s": round(wall, 3),
@@ -378,11 +386,11 @@ def _scale_point(variant, n):
     }
 
 
-def _scale_point_fresh(variant, n):
+def _scale_point_fresh(variant, n, family=FAMILY):
     """``_scale_point`` in a new interpreter: RSS growth read in a process
     that ran a larger point before measures the allocator's leftovers."""
     proc = subprocess.run(
-        [sys.executable, __file__, variant, str(n)],
+        [sys.executable, __file__, variant, str(n), family],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True,
         text=True,
@@ -393,13 +401,13 @@ def _scale_point_fresh(variant, n):
 
 def _scaling_row(p):
     return [
-        p["engine"], p["n"], p["run_s"], p["loop_s"], p["steps"], p["messages"],
-        p["channels"], p["steps_per_s"], p["rss_per_node_kb"],
+        p["engine"], p["family"], p["n"], p["run_s"], p["loop_s"], p["steps"],
+        p["messages"], p["channels"], p["steps_per_s"], p["rss_per_node_kb"],
     ]
 
 
 _SCALING_HEADERS = [
-    "engine", "n", "run-s", "loop-s", "steps", "messages", "channels",
+    "engine", "family", "n", "run-s", "loop-s", "steps", "messages", "channels",
     "loop-steps/s", "rss-KiB/node",
 ]
 
@@ -408,8 +416,8 @@ _SCALING_HEADERS = [
 def test_core_scaling_series(benchmark, record_table):
     def run():
         return [
-            _scale_point_fresh(variant, n)
-            for variant, sizes in SCALING_NS.items()
+            _scale_point_fresh(variant, n, family)
+            for variant, family, sizes in SCALING_POINTS
             for n in sizes
         ]
 
@@ -420,7 +428,8 @@ def test_core_scaling_series(benchmark, record_table):
         _SCALING_HEADERS,
         [_scaling_row(p) for p in series],
         notes=(
-            f"run_graph on {FAMILY}, seed 0 (graph and scheduler), one "
+            f"run_graph on {FAMILY} (and one dense-random Ad-hoc point), "
+            "seed 0 (graph and scheduler), one "
             "verified run per size, each in a fresh process. run-s is the "
             "whole call (column build + loop + O(n+E) verification), "
             "loop-s the delivery loop alone, rss-KiB/node the RSS growth "
@@ -440,32 +449,36 @@ def test_core_scaling_series(benchmark, record_table):
 
 
 def test_core_footprint(benchmark, record_table):
-    point = benchmark.pedantic(
-        lambda: _scale_point_fresh("generic", N_FOOTPRINT), rounds=1, iterations=1
+    points = benchmark.pedantic(
+        lambda: [_scale_point_fresh(v, n, family) for v, family, n in FOOTPRINT_POINTS],
+        rounds=1,
+        iterations=1,
     )
     record_table(
         "BENCH-core-footprint",
         _SCALING_HEADERS,
-        [_scaling_row(point)],
+        [_scaling_row(point) for point in points],
         notes=(
-            f"The n={N_FOOTPRINT} Generic point of BENCH-core-scaling. "
+            "The sparse Generic and dense Ad-hoc points of BENCH-core-scaling. "
             f"Criterion: rss-KiB/node within {FOOTPRINT_CEILING}x of the "
-            "committed series' value."
+            "committed series' value, each."
         ),
     )
-    committed = [
-        p["rss_per_node_kb"]
-        for p in _load_bench().get("scaling", {}).get("series", [])
-        if (p["engine"], p["n"]) == ("generic", N_FOOTPRINT)
-        and "rss_per_node_kb" in p
-    ]
-    assert committed, f"BENCH_core.json has no generic n={N_FOOTPRINT} footprint row"
-    ceiling = FOOTPRINT_CEILING * committed[0]
-    assert point["rss_per_node_kb"] <= ceiling, (
-        f"run_graph n={N_FOOTPRINT}: {point['rss_per_node_kb']} KiB/node "
-        f"exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
-        f"{FOOTPRINT_CEILING}x)"
-    )
+    series = _load_bench().get("scaling", {}).get("series", [])
+    for (variant, family, n), point in zip(FOOTPRINT_POINTS, points):
+        committed = [
+            p["rss_per_node_kb"]
+            for p in series
+            if (p["engine"], p["family"], p["n"]) == (variant, family, n)
+            and "rss_per_node_kb" in p
+        ]
+        assert committed, f"BENCH_core.json has no {variant} {family} n={n} row"
+        ceiling = FOOTPRINT_CEILING * committed[0]
+        assert point["rss_per_node_kb"] <= ceiling, (
+            f"run_graph {variant} {family} n={n}: {point['rss_per_node_kb']} "
+            f"KiB/node exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
+            f"{FOOTPRINT_CEILING}x)"
+        )
 
 
 def _graph_build_point(family, n):
@@ -608,4 +621,4 @@ def test_core_million(benchmark, record_table):
 
 
 if __name__ == "__main__":
-    print(json.dumps(_scale_point(sys.argv[1], int(sys.argv[2]))))
+    print(json.dumps(_scale_point(sys.argv[1], int(sys.argv[2]), *sys.argv[3:])))

@@ -32,19 +32,28 @@
  *    table, from core.chan_src / chan_dst; a new channel is appended to
  *    chanq / chan_src / chan_dst and to the table;
  *  - the rank orders rrank / by_rrank / nrank as int32 arrays;
+ *  - the knowledge: per node one open-addressed int32 table (Know) keyed
+ *    by id with a class bitmask, built from the five IdSlab columns
+ *    core.local / more / done / unaware / unexp (node-major int32 slabs:
+ *    members plus n + 1 offsets).  One probe answers the chained
+ *    more / done / unaware tests, one scan fills the four `info` payloads;
  *  - a min-heap of repr ranks per node for `more` and `unexplored`, built
- *    from the live members of the sets (heap layout is unobservable).
- * The knowledge sets, the wire tuples and the chanq slots stay Python
- * objects, shared with the caller.
+ *    from the slabs' members (heap layout is unobservable).
+ * The wire tuples (id-set payloads: frozensets of iobj ints), the chanq
+ * slots and the previous / inbox / deferred containers stay Python
+ * objects, shared with the caller; a container that drains goes back to
+ * None, which every reader treats as empty.
  *
  * What every exit writes back -- drained, RC_LIMIT, RC_DEOPT / RC_PUMP, and
  * a raising handler alike (sync_out): the step count into `cell`, the
- * counts, the pool order into the caller's container, and rng.setstate()
- * with the words drawn to and gauss_next as read.  Heaps, table and ring
- * are freed.  Entry and exit cost O(n + channels + pool) plain loads and
- * stores plus one getstate/setstate (625 ints); a run pays them once per
- * call, and the drivers call again only at a step limit or a hand-back.
- * If entry fails nothing has been popped and nothing is written back.
+ * counts, the knowledge tables into fresh array('i') slabs, the pool order
+ * into the caller's container, and rng.setstate() with the words drawn to
+ * and gauss_next as read.  Tables, heaps, channel table and ring are
+ * freed.  Entry and exit cost O(n + knowledge + channels + pool) plain
+ * loads and stores plus one getstate/setstate (625 ints); a run pays them
+ * once per call, and the drivers call again only at a step limit or a
+ * hand-back.  If entry fails nothing has been popped and nothing is
+ * written back.
  *
  *   RC_DRAINED: pool drained.
  *   RC_LIMIT: step limit boundary: a counted step just finished with
@@ -81,7 +90,8 @@
  *    the materializer turns every form into a deque of message objects.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
- *    live sets at every entry and materialization, so layout is unobservable.
+ *    live members at every entry and materialization, so layout is
+ *    unobservable.  So is the order of a slab's members within a node.
  *  - Random mode runs the same getrandbits(k) rejection loop
  *    Simulator.run_for inlines (k = the pool size's bit length); a popped
  *    token is never "un-popped" (the draw is spent), it is handed over via
@@ -100,6 +110,7 @@
 /* configure()-provided globals                                        */
 /* ------------------------------------------------------------------ */
 static PyObject *g_deque_type;    /* collections.deque */
+static PyObject *g_array_type;    /* array.array */
 static PyObject *g_sim_error;     /* repro.sim.network.SimulationError */
 static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
 /* flyweights for the payload-free messages (built at module init) */
@@ -109,7 +120,7 @@ static PyObject *g_tag_objs[N_TAGS];
 static PyObject *g_zero;
 static PyObject *g_neg_one;
 static PyObject *s_append, *s_popleft, *s_appendleft, *s_clear, *s_extend,
-    *s_getstate, *s_setstate;
+    *s_getstate, *s_setstate, *s_int32;
 static int g_configured = 0;
 
 #define GREEDY_K_VAL (1LL << 62)
@@ -146,6 +157,32 @@ typedef struct {
     int bits;
 } Chans;
 
+/* A node's knowledge: its five sets as one open-addressed table keyed by
+ * id, each entry carrying a class bitmask (linear probing, at most 3/4
+ * full, a slot 0 or (id + 1) << K_SHIFT | classes).  An entry whose last
+ * class goes stays as a class-less placeholder until the table next grows;
+ * one probe answers every membership question the handlers chain. */
+#define K_LOCAL 1u
+#define K_MORE 2u
+#define K_DONE 4u
+#define K_UNAWARE 8u
+#define K_UNEXP 16u
+#define K_CLASSES 5
+#define K_SHIFT 5
+#define K_ALL ((1u << K_CLASSES) - 1)
+/* the slab column of each class, in bit order */
+static const char *const k_column[K_CLASSES] = {"local", "more", "done",
+                                                 "unaware", "unexp"};
+/* the count index of a single-class mask */
+#define KIX(cls) __builtin_ctz(cls)
+
+typedef struct {
+    uint32_t *slot; /* NULL until the first member */
+    int32_t used;   /* occupied slots, class-less placeholders included */
+    int32_t bits;
+    int32_t cnt[K_CLASSES];
+} Know;
+
 /* MT19937 exactly as CPython's _random keeps it: 624 words and an index. */
 #define MT_N 624
 #define MT_M 397
@@ -166,13 +203,14 @@ typedef struct {
     char *status, *awake, *aw_rel, *aw_info, *stale, *variant, *greedy;
     /* list-backed columns */
     PyObject *ids, *nxt, *phase, *aw_query, *csize;
-    PyObject *local, *done, *more, *unaware, *unexp;
     PyObject *previous, *inbox, *deferred;
     PyObject *chanq, *chan_src, *chan_dst, *iobj;
     PyObject *counts_l, *xtra_l, *order;
+    PyObject *slabs[K_CLASSES]; /* the IdSlab of each class, by bit */
     long counts[N_TAGS], xtra[N_TAGS];
     /* native for the length of the call */
     int32_t *rrank, *by_rrank, *nrank;
+    Know *know;
     Heap *mheap, *uheap;
     Chans ch;
     Pool pool;
@@ -184,9 +222,11 @@ typedef struct {
     int mode;
     long stop;
     long steps;
-    /* scratch for rank sorts */
+    /* scratch for rank sorts and for the ids of a wire id-set */
     struct rpair *scratch;
     Py_ssize_t scratch_cap;
+    int32_t *idbuf;
+    Py_ssize_t idbuf_cap;
 } S;
 
 struct rpair {
@@ -205,7 +245,7 @@ cmp_rpair(const void *a, const void *b)
 static struct rpair *
 get_scratch(S *s, Py_ssize_t need)
 {
-    if (need > s->scratch_cap) {
+    if (need > s->scratch_cap || s->scratch == NULL) {
         Py_ssize_t cap = need < 64 ? 64 : need;
         struct rpair *p = PyMem_Realloc(s->scratch, cap * sizeof(struct rpair));
         if (p == NULL) {
@@ -216,6 +256,32 @@ get_scratch(S *s, Py_ssize_t need)
         s->scratch_cap = cap;
     }
     return s->scratch;
+}
+
+/* getattr / setattr by an interned name.  CPython's type attribute cache
+ * keeps a reference to the last name each of its slots looked up, so a
+ * fresh string per call (PyObject_GetAttrString) would stay allocated
+ * there after the call. */
+static PyObject *
+attr_get(PyObject *o, const char *name)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    if (key == NULL)
+        return NULL;
+    PyObject *v = PyObject_GetAttr(o, key);
+    Py_DECREF(key);
+    return v;
+}
+
+static int
+attr_set(PyObject *o, const char *name, PyObject *v)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    if (key == NULL)
+        return -1;
+    int r = PyObject_SetAttr(o, key, v);
+    Py_DECREF(key);
+    return r;
 }
 
 /* Canonical int object for a node/channel index in [0, n). */
@@ -346,6 +412,147 @@ heap_pop(Heap *h)
     }
     return top;
 }
+
+/* ------------------------------------------------------------------ */
+/* Knowledge tables (see Know)                                         */
+/* ------------------------------------------------------------------ */
+static inline uint32_t
+know_hash(uint32_t key, int32_t bits)
+{
+    return (key * 0x9E3779B1u) >> (32 - bits);
+}
+
+/* The entry of id, or NULL if the table has none. */
+static inline uint32_t *
+know_find(const Know *k, long id)
+{
+    if (k->slot == NULL)
+        return NULL;
+    uint32_t key = (uint32_t)id + 1, mask = (1u << k->bits) - 1;
+    for (uint32_t h = know_hash(key, k->bits);; h = (h + 1) & mask) {
+        if (k->slot[h] == 0)
+            return NULL;
+        if (k->slot[h] >> K_SHIFT == key)
+            return &k->slot[h];
+    }
+}
+
+/* Slots in the table (0 before the first member). */
+static inline uint32_t
+know_cap(const Know *k)
+{
+    return k->slot == NULL ? 0 : 1u << k->bits;
+}
+
+/* The classes id belongs to (0: none). */
+static inline uint32_t
+know_has(const Know *k, long id)
+{
+    uint32_t *e = know_find(k, id);
+    return e == NULL ? 0 : *e & K_ALL;
+}
+
+/* A table of 2^bits slots holding the entries with a class. */
+static int
+know_rehash(Know *k, int32_t bits)
+{
+    uint32_t *slot = PyMem_Calloc((size_t)1 << bits, sizeof(uint32_t));
+    if (slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    uint32_t mask = (1u << bits) - 1;
+    int32_t used = 0;
+    for (uint32_t j = 0; j < know_cap(k); j++) {
+        uint32_t e = k->slot[j];
+        if (e & K_ALL) {
+            uint32_t h = know_hash(e >> K_SHIFT, bits);
+            while (slot[h] != 0)
+                h = (h + 1) & mask;
+            slot[h] = e;
+            used++;
+        }
+    }
+    PyMem_Free(k->slot);
+    k->slot = slot;
+    k->bits = bits;
+    k->used = used;
+    return 0;
+}
+
+/* The smallest table (2^bits, bits >= 2) holding `need` entries at most
+ * half full. */
+static int32_t
+know_bits_for(Py_ssize_t need)
+{
+    int32_t bits = 2;
+    while (((Py_ssize_t)1 << bits) < 2 * need)
+        bits++;
+    return bits;
+}
+
+/* The entry of id, inserted class-less if absent; NULL on error.  May grow
+ * the table: an entry pointer taken before does not survive the call. */
+static uint32_t *
+know_slot(Know *k, long id)
+{
+    uint32_t *e = know_find(k, id);
+    if (e != NULL)
+        return e;
+    if (4 * ((Py_ssize_t)k->used + 1) > 3 * (Py_ssize_t)know_cap(k) &&
+        know_rehash(k, know_bits_for((Py_ssize_t)k->used + 1)) < 0)
+        return NULL;
+    uint32_t key = (uint32_t)id + 1, mask = (1u << k->bits) - 1;
+    uint32_t h = know_hash(key, k->bits);
+    while (k->slot[h] != 0)
+        h = (h + 1) & mask;
+    k->slot[h] = key << K_SHIFT;
+    k->used++;
+    return &k->slot[h];
+}
+
+static inline void
+know_mark(Know *k, uint32_t *e, uint32_t cls)
+{
+    if (!(*e & cls)) {
+        *e |= cls;
+        k->cnt[KIX(cls)]++;
+    }
+}
+
+static inline void
+know_unmark(Know *k, uint32_t *e, uint32_t cls)
+{
+    if (*e & cls) {
+        *e &= ~cls;
+        k->cnt[KIX(cls)]--;
+    }
+}
+
+/* Add id to class cls: 1 if it joined, 0 if it was there, -1 on error. */
+static int
+know_add(Know *k, long id, uint32_t cls)
+{
+    uint32_t *e = know_slot(k, id);
+    if (e == NULL)
+        return -1;
+    if (*e & cls)
+        return 0;
+    know_mark(k, e, cls);
+    return 1;
+}
+
+/* Remove id from class cls (a no-op if it is not a member). */
+static void
+know_drop(Know *k, long id, uint32_t cls)
+{
+    uint32_t *e = know_find(k, id);
+    if (e != NULL)
+        know_unmark(k, e, cls);
+}
+
+/* The id of an occupied entry. */
+#define KNOW_ID(e) ((long)((e) >> K_SHIFT) - 1)
 
 /* ------------------------------------------------------------------ */
 /* The pool ring                                                       */
@@ -619,53 +826,27 @@ emitx(S *s, long src, long dst, int tag, PyObject *msg, long extra_ids)
 /* ------------------------------------------------------------------ */
 /* Deterministic-choice helpers                                        */
 /* ------------------------------------------------------------------ */
-#define C_ERR (-2) /* error sentinel for long-returning helpers */
-
 static int
 add_more(S *s, long i, long w)
 {
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
-    PyObject *wo = IOBJ(s, w);
-    int c = PySet_Contains(mo, wo);
-    if (c < 0)
-        return -1;
-    if (!c) {
-        if (PySet_Add(mo, wo) < 0)
-            return -1;
-        if (heap_push(&s->mheap[i], s->rrank[w]) < 0)
-            return -1;
-    }
-    return 0;
+    int r = know_add(&s->know[i], w, K_MORE);
+    return r <= 0 ? r : heap_push(&s->mheap[i], s->rrank[w]);
 }
 
 static int
 add_unexplored(S *s, long i, long u)
 {
-    PyObject *ux = PyList_GET_ITEM(s->unexp, i);
-    PyObject *uo = IOBJ(s, u);
-    int c = PySet_Contains(ux, uo);
-    if (c < 0)
-        return -1;
-    if (!c) {
-        if (PySet_Add(ux, uo) < 0)
-            return -1;
-        if (heap_push(&s->uheap[i], s->rrank[u]) < 0)
-            return -1;
-    }
-    return 0;
+    int r = know_add(&s->know[i], u, K_UNEXP);
+    return r <= 0 ? r : heap_push(&s->uheap[i], s->rrank[u]);
 }
 
 static long
 peek_more(S *s, long i)
 {
     Heap *heap = &s->mheap[i];
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
     while (heap->len > 0) {
         long w = s->by_rrank[heap->v[0]];
-        int c = PySet_Contains(mo, IOBJ(s, w));
-        if (c < 0)
-            return C_ERR;
-        if (c)
+        if (know_has(&s->know[i], w) & K_MORE)
             return w;
         heap_pop(heap);
     }
@@ -676,50 +857,63 @@ static long
 pop_unexplored(S *s, long i)
 {
     Heap *heap = &s->uheap[i];
-    PyObject *ux = PyList_GET_ITEM(s->unexp, i);
+    Know *k = &s->know[i];
     while (heap->len > 0) {
         long u = s->by_rrank[heap_pop(heap)];
-        PyObject *uo = IOBJ(s, u);
-        int c = PySet_Contains(ux, uo);
-        if (c < 0)
-            return C_ERR;
-        if (!c)
+        uint32_t *e = know_find(k, u);
+        if (e == NULL || !(*e & K_UNEXP))
             continue;
-        if (PySet_Discard(ux, uo) < 0)
-            return C_ERR;
-        if (u == i)
-            continue;
-        c = PySet_Contains(PyList_GET_ITEM(s->more, i), uo);
-        if (c < 0)
-            return C_ERR;
-        if (c)
-            continue;
-        c = PySet_Contains(PyList_GET_ITEM(s->done, i), uo);
-        if (c < 0)
-            return C_ERR;
-        if (c)
-            continue;
-        c = PySet_Contains(PyList_GET_ITEM(s->unaware, i), uo);
-        if (c < 0)
-            return C_ERR;
-        if (c)
+        know_unmark(k, e, K_UNEXP);
+        if (u == i || *e & (K_MORE | K_DONE | K_UNAWARE))
             continue;
         return u;
     }
     return -1;
 }
 
-/* Collect a set of node ints into the rank-sorted scratch; returns the
+/* Node i's members of class cls into the rank-sorted scratch; returns the
  * member count or -1.  Equivalent to arraystate.rank_sorted (ranks are
  * unique, so qsort and the density-rule variants agree exactly). */
 static Py_ssize_t
-collect_rank_sorted(S *s, PyObject *set_obj)
+collect_rank_sorted(S *s, long i, uint32_t cls)
 {
-    Py_ssize_t m = PySet_GET_SIZE(set_obj);
-    struct rpair *buf = get_scratch(s, m);
+    Know *k = &s->know[i];
+    struct rpair *buf = get_scratch(s, k->cnt[KIX(cls)]);
     if (buf == NULL)
         return -1;
-    PyObject *it = PyObject_GetIter(set_obj);
+    Py_ssize_t m = 0;
+    for (uint32_t j = 0; j < know_cap(k); j++) {
+        if (k->slot[j] & cls) {
+            long v = KNOW_ID(k->slot[j]);
+            buf[m].id = v;
+            buf[m].rank = s->rrank[v];
+            m++;
+        }
+    }
+    qsort(buf, m, sizeof(struct rpair), cmp_rpair);
+    return m;
+}
+
+/* The members of wire id-set `set` (a frozenset of node ints) into
+ * s->idbuf; returns their count or -1. */
+static Py_ssize_t
+read_ids(S *s, PyObject *set)
+{
+    if (!PyAnySet_Check(set)) {
+        PyErr_SetString(PyExc_TypeError, "arrayloop: an id-set is not a set");
+        return -1;
+    }
+    Py_ssize_t m = PySet_GET_SIZE(set);
+    if (m > s->idbuf_cap) {
+        int32_t *p = PyMem_Realloc(s->idbuf, m * sizeof(int32_t));
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        s->idbuf = p;
+        s->idbuf_cap = m;
+    }
+    PyObject *it = PyObject_GetIter(set);
     if (it == NULL)
         return -1;
     Py_ssize_t k = 0;
@@ -727,19 +921,15 @@ collect_rank_sorted(S *s, PyObject *set_obj)
     while ((item = PyIter_Next(it)) != NULL) {
         long v = PyLong_AsLong(item);
         Py_DECREF(item);
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(it);
-            return -1;
+        if (v < 0 || v >= s->n || k == m) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: payload id");
+            break;
         }
-        buf[k].id = v;
-        buf[k].rank = s->rrank[v];
-        k++;
+        s->idbuf[k++] = (int32_t)v;
     }
     Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    qsort(buf, k, sizeof(struct rpair), cmp_rpair);
-    return k;
+    return PyErr_Occurred() ? -1 : k;
 }
 
 /* ------------------------------------------------------------------ */
@@ -750,73 +940,58 @@ collect_rank_sorted(S *s, PyObject *set_obj)
 static PyObject *
 take_local(S *s, long i, long long k, int *done_flag)
 {
-    PyObject *loc = PyList_GET_ITEM(s->local, i);
-    Py_ssize_t m = PySet_GET_SIZE(loc);
-    if ((long long)m <= k) {
-        PyObject *taken = PyFrozenSet_New(loc);
-        if (taken == NULL)
-            return NULL;
-        if (PySet_Clear(loc) < 0) {
-            Py_DECREF(taken);
-            return NULL;
+    Know *kn = &s->know[i];
+    PyObject *taken = PyFrozenSet_New(NULL);
+    if (taken == NULL)
+        return NULL;
+    if ((long long)kn->cnt[KIX(K_LOCAL)] <= k) {
+        for (uint32_t j = 0; j < know_cap(kn); j++) {
+            if (kn->slot[j] & K_LOCAL) {
+                know_unmark(kn, &kn->slot[j], K_LOCAL);
+                if (PySet_Add(taken, IOBJ(s, KNOW_ID(kn->slot[j]))) < 0)
+                    goto fail;
+            }
         }
         *done_flag = 1;
         return taken;
     }
     /* k < m: the k rank-smallest members (k_smallest equivalence). */
-    Py_ssize_t cnt = collect_rank_sorted(s, loc);
-    if (cnt < 0)
-        return NULL;
-    PyObject *taken = PyFrozenSet_New(NULL);
-    if (taken == NULL)
-        return NULL;
+    if (collect_rank_sorted(s, i, K_LOCAL) < 0)
+        goto fail;
     for (Py_ssize_t j = 0; j < (Py_ssize_t)k; j++) {
-        PyObject *vo = IOBJ(s, s->scratch[j].id);
-        if (PySet_Add(taken, vo) < 0 || PySet_Discard(loc, vo) < 0) {
-            Py_DECREF(taken);
-            return NULL;
-        }
+        long v = s->scratch[j].id;
+        know_drop(kn, v, K_LOCAL);
+        if (PySet_Add(taken, IOBJ(s, v)) < 0)
+            goto fail;
     }
     *done_flag = 0;
     return taken;
+fail:
+    Py_DECREF(taken);
+    return NULL;
 }
 
 static int
 ingest_reply(S *s, long i, long source, PyObject *id_set, int done_flag)
 {
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
-    PyObject *dn = PyList_GET_ITEM(s->done, i);
+    Know *k = &s->know[i];
     if (done_flag) {
-        PyObject *so = IOBJ(s, source);
-        int c = PySet_Contains(mo, so);
-        if (c < 0)
-            return -1;
-        if (c) {
-            if (PySet_Discard(mo, so) < 0 || PySet_Add(dn, so) < 0)
-                return -1;
+        uint32_t *e = know_find(k, source);
+        if (e != NULL && *e & K_MORE) {
+            know_unmark(k, e, K_MORE);
+            know_mark(k, e, K_DONE);
         }
     }
-    PyObject *it = PyObject_GetIter(id_set);
-    if (it == NULL)
+    Py_ssize_t m = read_ids(s, id_set);
+    if (m < 0)
         return -1;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long fresh = PyLong_AsLong(item);
-        int c1 = PySet_Contains(mo, item);
-        int c2 = c1 == 0 ? PySet_Contains(dn, item) : 1;
-        Py_DECREF(item);
-        if (c1 < 0 || c2 < 0)
-            goto fail;
-        if (c1 == 0 && c2 == 0 && fresh != i) {
-            if (add_unexplored(s, i, fresh) < 0)
-                goto fail;
-        }
+    for (Py_ssize_t j = 0; j < m; j++) {
+        long fresh = s->idbuf[j];
+        if (!(know_has(k, fresh) & (K_MORE | K_DONE)) && fresh != i &&
+            add_unexplored(s, i, fresh) < 0)
+            return -1;
     }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : 0;
-fail:
-    Py_DECREF(it);
-    return -1;
+    return 0;
 }
 
 static int explore(S *s, long i);
@@ -828,7 +1003,7 @@ terminate_bounded(S *s, long i)
     PyObject *cq = make_conquer(s, i);
     if (cq == NULL)
         return -1;
-    Py_ssize_t cnt = collect_rank_sorted(s, PyList_GET_ITEM(s->done, i));
+    Py_ssize_t cnt = collect_rank_sorted(s, i, K_DONE);
     if (cnt < 0) {
         Py_DECREF(cq);
         return -1;
@@ -849,15 +1024,13 @@ terminate_bounded(S *s, long i)
 static int
 explore(S *s, long i)
 {
+    Know *kn = &s->know[i];
     s->status[i] = ST_EXPLORE;
     for (;;) {
         if (s->variant[i] == V_BOUNDED &&
-            PySet_GET_SIZE(PyList_GET_ITEM(s->done, i)) ==
-                GETL(s->csize, i))
+            kn->cnt[KIX(K_DONE)] == GETL(s->csize, i))
             return terminate_bounded(s, i);
         long target = pop_unexplored(s, i);
-        if (target == C_ERR)
-            return -1;
         if (target >= 0) {
             s->status[i] = ST_WAIT;
             s->aw_rel[i] = 1;
@@ -870,8 +1043,6 @@ explore(S *s, long i)
             return r;
         }
         long cand = peek_more(s, i);
-        if (cand == C_ERR)
-            return -1;
         if (cand < 0) {
             s->status[i] = ST_WAIT;
             s->aw_rel[i] = 0;
@@ -881,8 +1052,7 @@ explore(S *s, long i)
         if (s->greedy[i])
             k = GREEDY_K_VAL;
         else
-            k = (long long)PySet_GET_SIZE(PyList_GET_ITEM(s->more, i)) +
-                PySet_GET_SIZE(PyList_GET_ITEM(s->done, i)) + 1;
+            k = (long long)kn->cnt[KIX(K_MORE)] + kn->cnt[KIX(K_DONE)] + 1;
         if (cand == i) {
             int done_flag;
             PyObject *taken = take_local(s, i, k, &done_flag);
@@ -926,17 +1096,13 @@ absorb_learned_id(S *s, long i, long other)
 {
     if (other == i)
         return 0;
-    PyObject *loc = PyList_GET_ITEM(s->local, i);
-    PyObject *oo = IOBJ(s, other);
-    int c = PySet_Contains(loc, oo);
-    if (c < 0)
-        return -1;
-    if (c)
+    Know *k = &s->know[i];
+    if (know_has(k, other) & K_LOCAL)
         return 0;
+    int had_reported_all = k->cnt[KIX(K_LOCAL)] == 0;
+    if (know_add(k, other, K_LOCAL) < 0)
+        return -1;
     if (s->status[i] == ST_INACTIVE) {
-        int had_reported_all = PySet_GET_SIZE(loc) == 0;
-        if (PySet_Add(loc, oo) < 0)
-            return -1;
         if (had_reported_all) {
             PyObject *msg = make_search(IOBJ(s, i), g_zero, IOBJ(s, i), 1);
             if (msg == NULL)
@@ -947,16 +1113,9 @@ absorb_learned_id(S *s, long i, long other)
         }
         return 0;
     }
-    if (PySet_Add(loc, oo) < 0)
-        return -1;
-    PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *io = IOBJ(s, i);
-    c = PySet_Contains(dn, io);
-    if (c < 0)
-        return -1;
-    if (c) {
-        if (PySet_Discard(dn, io) < 0)
-            return -1;
+    uint32_t *e = know_find(k, i);
+    if (e != NULL && *e & K_DONE) {
+        know_unmark(k, e, K_DONE);
         if (add_more(s, i, i) < 0)
             return -1;
     }
@@ -972,16 +1131,12 @@ absorb_target(S *s, long i, PyObject *msg)
 {
     if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_TARGET)) == i) {
         PyObject *init = PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR);
-        PyObject *loc = PyList_GET_ITEM(s->local, i);
-        int c = PySet_Contains(loc, init);
-        if (c < 0)
+        int r = know_add(&s->know[i], PyLong_AsLong(init), K_LOCAL);
+        if (r < 0)
             return NULL;
-        if (!c) {
-            if (PySet_Add(loc, init) < 0)
-                return NULL;
+        if (r)
             return make_search(init, PyTuple_GET_ITEM(msg, F_SEARCH_PHASE),
                                PyTuple_GET_ITEM(msg, F_SEARCH_TARGET), 1);
-        }
     }
     Py_INCREF(msg);
     return msg;
@@ -1014,13 +1169,10 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
         goto fail;
     if (is_new) {
         long tgt = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_TARGET));
-        PyObject *dn = PyList_GET_ITEM(s->done, i);
-        PyObject *to = IOBJ(s, tgt);
-        int c = PySet_Contains(dn, to);
-        if (c < 0)
-            goto fail;
-        if (c) {
-            if (PySet_Discard(dn, to) < 0 || add_more(s, i, tgt) < 0)
+        uint32_t *e = know_find(&s->know[i], tgt);
+        if (e != NULL && *e & K_DONE) {
+            know_unmark(&s->know[i], e, K_DONE);
+            if (add_more(s, i, tgt) < 0)
                 goto fail;
         }
     }
@@ -1044,13 +1196,7 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
     else if (s->status[i] == ST_WAIT && !s->aw_rel[i]) {
         /* node.py: `self.unexplored or self._peek_more() is not None`,
          * short-circuited. */
-        int go = PySet_GET_SIZE(PyList_GET_ITEM(s->unexp, i)) > 0;
-        if (!go) {
-            long pm = peek_more(s, i);
-            if (pm == C_ERR)
-                goto fail;
-            go = pm >= 0;
-        }
+        int go = s->know[i].cnt[KIX(K_UNEXP)] > 0 || peek_more(s, i) >= 0;
         if (go && explore(s, i) < 0)
             goto fail;
     }
@@ -1173,16 +1319,14 @@ exec_release(S *s, long i, long sender, PyObject *msg)
     }
     if (emit(s, i, came_from, T_RELEASE, msg) < 0)
         return -1;
-    if (PyObject_Size(prev) > 0) {
-        PyObject *head = PySequence_GetItem(prev, 0);
-        if (head == NULL)
-            return -1;
-        int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, PAIR_FIRST(head));
-        Py_DECREF(head);
-        if (r < 0)
-            return -1;
-    }
-    return 1;
+    if (PyObject_Size(prev) == 0) /* drained: the slot goes back to None */
+        return set_item_obj(s->previous, i, Py_None) < 0 ? -1 : 1;
+    PyObject *head = PySequence_GetItem(prev, 0);
+    if (head == NULL)
+        return -1;
+    int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, PAIR_FIRST(head));
+    Py_DECREF(head);
+    return r < 0 ? -1 : 1;
 }
 
 static int
@@ -1190,29 +1334,30 @@ exec_merge_accept(S *s, long i, long sender, PyObject *msg)
 {
     if (set_item_obj(s->nxt, i, IOBJ(s, sender)) < 0)
         return -1;
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
-    PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *ua = PyList_GET_ITEM(s->unaware, i);
-    PyObject *ux = PyList_GET_ITEM(s->unexp, i);
-    long extra = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn) +
-                        PySet_GET_SIZE(ua) + PySet_GET_SIZE(ux));
+    Know *k = &s->know[i];
+    long extra = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)] +
+                 k->cnt[KIX(K_UNAWARE)] + k->cnt[KIX(K_UNEXP)];
     PyObject *info = wire_new(T_INFO, N_INFO);
     if (info == NULL)
         return -1;
     wire_set(info, F_INFO_PHASE, PyList_GET_ITEM(s->phase, i));
-    PyObject *f;
-    if ((f = PyFrozenSet_New(mo)) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(info, F_INFO_MORE, f);
-    if ((f = PyFrozenSet_New(dn)) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(info, F_INFO_DONE, f);
-    if ((f = PyFrozenSet_New(ua)) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(info, F_INFO_UNAWARE, f);
-    if ((f = PyFrozenSet_New(ux)) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(info, F_INFO_UNEXPLORED, f);
+    /* the four payload sets, filled by one scan of the table */
+    static const uint32_t cls[4] = {K_MORE, K_DONE, K_UNAWARE, K_UNEXP};
+    static const Py_ssize_t field[4] = {F_INFO_MORE, F_INFO_DONE,
+                                        F_INFO_UNAWARE, F_INFO_UNEXPLORED};
+    PyObject *f[4];
+    for (int c = 0; c < 4; c++) {
+        if ((f[c] = PyFrozenSet_New(NULL)) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(info, field[c], f[c]);
+    }
+    for (uint32_t j = 0; j < know_cap(k); j++) {
+        uint32_t e = k->slot[j];
+        for (int c = 0; c < 4; c++) {
+            if (e & cls[c] && PySet_Add(f[c], IOBJ(s, KNOW_ID(e))) < 0)
+                goto fail;
+        }
+    }
     if (emitx(s, i, sender, T_INFO, info, extra) < 0)
         goto fail;
     Py_DECREF(info);
@@ -1223,58 +1368,45 @@ fail:
     return -1;
 }
 
-/* Union every member of `src_set` into set `dst_set`. */
-static int
-set_union_into(PyObject *dst_set, PyObject *src_set)
-{
-    PyObject *it = PyObject_GetIter(src_set);
-    if (it == NULL)
-        return -1;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        int r = PySet_Add(dst_set, item);
-        Py_DECREF(item);
-        if (r < 0) {
-            Py_DECREF(it);
-            return -1;
-        }
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : 0;
-}
-
 static int
 merge_with_unaware(S *s, long i, PyObject *msg)
 {
-    PyObject *ua = PyList_GET_ITEM(s->unaware, i);
-    if (set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_MORE)) < 0 ||
-        set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_DONE)) < 0 ||
-        set_union_into(ua, PyTuple_GET_ITEM(msg, F_INFO_UNAWARE)) < 0)
-        return -1;
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
-    PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
-    if (it == NULL)
-        return -1;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long u = PyLong_AsLong(item);
-        int c1 = PySet_Contains(ua, item);
-        int c2 = c1 == 0 ? PySet_Contains(mo, item) : 1;
-        int c3 = c2 == 0 ? PySet_Contains(dn, item) : 1;
-        Py_DECREF(item);
-        if (c1 < 0 || c2 < 0 || c3 < 0)
-            goto fail;
-        if (c1 == 0 && c2 == 0 && c3 == 0 && u != i) {
-            if (add_unexplored(s, i, u) < 0)
-                goto fail;
+    Know *k = &s->know[i];
+    static const Py_ssize_t joined[3] = {F_INFO_MORE, F_INFO_DONE,
+                                         F_INFO_UNAWARE};
+    /* Unaware is empty here in every state the protocol reaches (explore,
+     * the only way on to a merge, runs once it drains): its members are
+     * then the ids that join now, gathered into the scratch as they join,
+     * so the broadcast below never scans a table that grows to n. */
+    Py_ssize_t fresh = 0, cnt;
+    int gather = k->cnt[KIX(K_UNAWARE)] == 0;
+    for (int c = 0; c < 3; c++) {
+        PyObject *ids = PyTuple_GET_ITEM(msg, joined[c]);
+        Py_ssize_t m = read_ids(s, ids);
+        if (m < 0 || (gather && get_scratch(s, fresh + m) == NULL))
+            return -1;
+        for (Py_ssize_t j = 0; j < m; j++) {
+            long v = s->idbuf[j];
+            int r = know_add(k, v, K_UNAWARE);
+            if (r < 0)
+                return -1;
+            if (r && gather) {
+                s->scratch[fresh].id = v;
+                s->scratch[fresh++].rank = s->rrank[v];
+            }
         }
     }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
+    Py_ssize_t m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
+    if (m < 0)
         return -1;
-    long cluster = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn) +
-                          PySet_GET_SIZE(ua));
+    for (Py_ssize_t j = 0; j < m; j++) {
+        long u = s->idbuf[j];
+        if (!(know_has(k, u) & (K_UNAWARE | K_MORE | K_DONE)) && u != i &&
+            add_unexplored(s, i, u) < 0)
+            return -1;
+    }
+    long cluster = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)] +
+                   k->cnt[KIX(K_UNAWARE)];
     long ph = GETL(s->phase, i);
     long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
     if (ph == mph || cluster >= (1L << (ph + 1))) {
@@ -1284,14 +1416,15 @@ merge_with_unaware(S *s, long i, PyObject *msg)
         if (PyList_SetItem(s->phase, i, np) < 0)
             return -1;
     }
+    if (gather) {
+        qsort(s->scratch, fresh, sizeof(struct rpair), cmp_rpair);
+        cnt = fresh;
+    }
+    else if ((cnt = collect_rank_sorted(s, i, K_UNAWARE)) < 0)
+        return -1;
     PyObject *cq = make_conquer(s, i);
     if (cq == NULL)
         return -1;
-    Py_ssize_t cnt = collect_rank_sorted(s, ua);
-    if (cnt < 0) {
-        Py_DECREF(cq);
-        return -1;
-    }
     for (Py_ssize_t j = 0; j < cnt; j++) {
         if (emit(s, i, s->scratch[j].id, T_CONQUER, cq) < 0) {
             Py_DECREF(cq);
@@ -1299,76 +1432,39 @@ merge_with_unaware(S *s, long i, PyObject *msg)
         }
     }
     Py_DECREF(cq);
-    if (PySet_GET_SIZE(ua) == 0)
+    if (k->cnt[KIX(K_UNAWARE)] == 0)
         return explore(s, i);
     return 0;
-fail:
-    Py_DECREF(it);
-    return -1;
 }
 
 static int
 merge_direct(S *s, long i, PyObject *msg)
 {
-    PyObject *mo = PyList_GET_ITEM(s->more, i);
-    PyObject *dn = PyList_GET_ITEM(s->done, i);
-    PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_MORE));
-    if (it == NULL)
+    Know *k = &s->know[i];
+    Py_ssize_t m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_MORE));
+    if (m < 0)
         return -1;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long w = PyLong_AsLong(item);
-        int r = PySet_Discard(dn, item);
-        Py_DECREF(item);
-        if (r < 0 || add_more(s, i, w) < 0) {
-            Py_DECREF(it);
+    for (Py_ssize_t j = 0; j < m; j++) {
+        know_drop(k, s->idbuf[j], K_DONE);
+        if (add_more(s, i, s->idbuf[j]) < 0)
             return -1;
-        }
     }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
+    if ((m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_DONE))) < 0)
         return -1;
-    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_DONE));
-    if (it == NULL)
-        return -1;
-    while ((item = PyIter_Next(it)) != NULL) {
-        int c1 = PySet_Contains(mo, item);
-        int c2 = c1 == 0 ? PySet_Contains(dn, item) : 1;
-        int r = 0;
-        if (c1 == 0 && c2 == 0)
-            r = PySet_Add(dn, item);
-        Py_DECREF(item);
-        if (c1 < 0 || c2 < 0 || r < 0) {
-            Py_DECREF(it);
+    for (Py_ssize_t j = 0; j < m; j++) {
+        if (!(know_has(k, s->idbuf[j]) & (K_MORE | K_DONE)) &&
+            know_add(k, s->idbuf[j], K_DONE) < 0)
             return -1;
-        }
     }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
+    if ((m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED))) < 0)
         return -1;
-    it = PyObject_GetIter(PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
-    if (it == NULL)
-        return -1;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long u = PyLong_AsLong(item);
-        int c1 = PySet_Contains(mo, item);
-        int c2 = c1 == 0 ? PySet_Contains(dn, item) : 1;
-        Py_DECREF(item);
-        if (c1 < 0 || c2 < 0) {
-            Py_DECREF(it);
+    for (Py_ssize_t j = 0; j < m; j++) {
+        long u = s->idbuf[j];
+        if (!(know_has(k, u) & (K_MORE | K_DONE)) && u != i &&
+            add_unexplored(s, i, u) < 0)
             return -1;
-        }
-        if (c1 == 0 && c2 == 0 && u != i) {
-            if (add_unexplored(s, i, u) < 0) {
-                Py_DECREF(it);
-                return -1;
-            }
-        }
     }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    long cluster = (long)(PySet_GET_SIZE(mo) + PySet_GET_SIZE(dn));
+    long cluster = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)];
     long ph = GETL(s->phase, i);
     long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
     if (ph == mph || cluster >= (1L << (ph + 1))) {
@@ -1402,8 +1498,7 @@ exec_conquer(S *s, long i, long sender, PyObject *msg)
             return -1;
     }
     PyObject *reply =
-        PySet_GET_SIZE(PyList_GET_ITEM(s->local, i)) > 0 ? g_wire_md_t
-                                                         : g_wire_md_f;
+        s->know[i].cnt[KIX(K_LOCAL)] > 0 ? g_wire_md_t : g_wire_md_f;
     return emit(s, i, sender, T_MORE_DONE, reply) < 0 ? -1 : 1;
 }
 
@@ -1413,9 +1508,8 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
     if (s->status[i] == ST_TERMINATED)
         return 1;
     /* CONQUEROR, not awaiting info, sender in unaware (prechecked) */
-    PyObject *ua = PyList_GET_ITEM(s->unaware, i);
-    if (PySet_Discard(ua, IOBJ(s, sender)) < 0)
-        return -1;
+    Know *k = &s->know[i];
+    know_drop(k, sender, K_UNAWARE);
     int has_more =
         PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_MORE_DONE_HAS_MORE));
     if (has_more < 0)
@@ -1424,9 +1518,9 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
         if (add_more(s, i, sender) < 0)
             return -1;
     }
-    else if (PySet_Add(PyList_GET_ITEM(s->done, i), IOBJ(s, sender)) < 0)
+    else if (know_add(k, sender, K_DONE) < 0)
         return -1;
-    if (PySet_GET_SIZE(ua) == 0)
+    if (k->cnt[KIX(K_UNAWARE)] == 0)
         return explore(s, i) < 0 ? -1 : 1;
     return 1;
 }
@@ -1558,8 +1652,7 @@ can_handle(S *s, long dst, long src, PyObject *msg)
             return 1;
         if (st != ST_CONQUEROR || s->aw_info[dst])
             return 0;
-        return PySet_Contains(PyList_GET_ITEM(s->unaware, dst),
-                              IOBJ(s, src));
+        return (know_has(&s->know[dst], src) & K_UNAWARE) != 0;
     }
     default:
         return 0; /* probes, unknown tags */
@@ -1579,8 +1672,8 @@ c_pump(S *s, long i)
         Py_ssize_t ilen = PyObject_Size(ib);
         if (ilen < 0)
             return -1;
-        if (ilen == 0)
-            return 0;
+        if (ilen == 0) /* drained: the slot goes back to None */
+            return set_item_obj(s->inbox, i, Py_None);
         PyObject *item = PySequence_GetItem(ib, 0); /* (sender, msg) */
         if (item == NULL)
             return -1;
@@ -1654,7 +1747,7 @@ c_pump(S *s, long i)
                     return -1;
                 Py_DECREF(r);
             }
-            if (PyList_SetSlice(df, 0, PyList_GET_SIZE(df), NULL) < 0)
+            if (set_item_obj(s->deferred, i, Py_None) < 0)
                 return -1;
         }
     }
@@ -1678,11 +1771,6 @@ free_s(S *s)
     Py_XDECREF(s->phase);
     Py_XDECREF(s->aw_query);
     Py_XDECREF(s->csize);
-    Py_XDECREF(s->local);
-    Py_XDECREF(s->done);
-    Py_XDECREF(s->more);
-    Py_XDECREF(s->unaware);
-    Py_XDECREF(s->unexp);
     Py_XDECREF(s->previous);
     Py_XDECREF(s->inbox);
     Py_XDECREF(s->deferred);
@@ -1694,9 +1782,16 @@ free_s(S *s)
     Py_XDECREF(s->xtra_l);
     Py_XDECREF(s->order);
     Py_XDECREF(s->gauss);
+    for (int c = 0; c < K_CLASSES; c++)
+        Py_XDECREF(s->slabs[c]);
     PyMem_Free(s->rrank);
     PyMem_Free(s->by_rrank);
     PyMem_Free(s->nrank);
+    if (s->know != NULL) {
+        for (Py_ssize_t i = 0; i < s->n; i++)
+            PyMem_Free(s->know[i].slot);
+        PyMem_Free(s->know);
+    }
     if (s->mheap != NULL) {
         for (Py_ssize_t i = 0; i < 2 * s->n; i++)
             PyMem_Free(s->mheap[i].v);
@@ -1706,6 +1801,7 @@ free_s(S *s)
     PyMem_Free(s->ch.slot);
     PyMem_Free(s->pool.buf);
     PyMem_Free(s->scratch);
+    PyMem_Free(s->idbuf);
 }
 
 static int
@@ -1713,7 +1809,7 @@ fill_s(S *s, PyObject *core)
 {
 #define FETCH_LIST(field, name)                                           \
     do {                                                                  \
-        s->field = PyObject_GetAttrString(core, name);                    \
+        s->field = attr_get(core, name);                                  \
         if (s->field == NULL)                                             \
             return -1;                                                    \
         if (!PyList_Check(s->field)) {                                    \
@@ -1724,7 +1820,7 @@ fill_s(S *s, PyObject *core)
     } while (0)
 #define FETCH_BYTES(field, name)                                          \
     do {                                                                  \
-        s->field##_o = PyObject_GetAttrString(core, name);                \
+        s->field##_o = attr_get(core, name);                              \
         if (s->field##_o == NULL)                                         \
             return -1;                                                    \
         if (!PyByteArray_Check(s->field##_o)) {                           \
@@ -1747,11 +1843,6 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(phase, "phase");
     FETCH_LIST(aw_query, "aw_query");
     FETCH_LIST(csize, "csize");
-    FETCH_LIST(local, "local");
-    FETCH_LIST(done, "done");
-    FETCH_LIST(more, "more");
-    FETCH_LIST(unaware, "unaware");
-    FETCH_LIST(unexp, "unexp");
     FETCH_LIST(previous, "previous");
     FETCH_LIST(inbox, "inbox");
     FETCH_LIST(deferred, "deferred");
@@ -1764,6 +1855,10 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(order, "order");
 #undef FETCH_LIST
 #undef FETCH_BYTES
+    for (int c = 0; c < K_CLASSES; c++) {
+        if ((s->slabs[c] = attr_get(core, k_column[c])) == NULL)
+            return -1;
+    }
     s->n = PyList_GET_SIZE(s->iobj);
     if (PyList_GET_SIZE(s->counts_l) != N_TAGS ||
         PyList_GET_SIZE(s->xtra_l) != N_TAGS) {
@@ -1781,7 +1876,7 @@ fill_s(S *s, PyObject *core)
 static int32_t *
 load_ints(S *s, const char *name)
 {
-    PyObject *list = PyObject_GetAttrString(s->core, name);
+    PyObject *list = attr_get(s->core, name);
     if (list == NULL)
         return NULL;
     int32_t *a = NULL;
@@ -1812,42 +1907,178 @@ done:
     return a;
 }
 
-/* A heap over the repr ranks of a column set's live members. */
+/* A heap over the repr ranks of m members. */
 static int
-heap_build(S *s, Heap *h, PyObject *members)
+heap_build(S *s, Heap *h, const int32_t *members, int32_t m)
 {
-    if (!PySet_Check(members)) {
-        PyErr_SetString(PyExc_TypeError, "arrayloop: a heap column is not a set");
-        return -1;
-    }
-    Py_ssize_t m = PySet_GET_SIZE(members);
     if (m == 0)
         return 0;
     if ((h->v = PyMem_Malloc(m * sizeof(int32_t))) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    h->cap = (int32_t)m;
-    PyObject *it = PyObject_GetIter(members);
-    if (it == NULL)
-        return -1;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long w = PyLong_AsLong(item);
-        Py_DECREF(item);
-        if (w < 0 || w >= s->n || h->len == h->cap) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "arrayloop: heap member");
-            break;
-        }
-        h->v[h->len++] = s->rrank[w];
-    }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
+    h->cap = h->len = m;
+    for (int32_t j = 0; j < m; j++)
+        h->v[j] = s->rrank[members[j]];
     for (int32_t pos = h->len / 2 - 1; pos >= 0; pos--)
         heap_sift_down(h, pos);
     return 0;
+}
+
+/* One slab's two int32 arrays (IdSlab.off, IdSlab.mem) as buffers, checked
+ * to be n + 1 non-decreasing offsets from 0 over members in [0, n).  The
+ * caller releases both views, filled or not. */
+static int
+slab_view(S *s, int c, Py_buffer *off, Py_buffer *mem)
+{
+    PyObject *o = attr_get(s->slabs[c], "off");
+    PyObject *m = o == NULL ? NULL : attr_get(s->slabs[c], "mem");
+    int rc = -1;
+    if (m == NULL || PyObject_GetBuffer(o, off, PyBUF_FORMAT) < 0)
+        goto done;
+    if (PyObject_GetBuffer(m, mem, PyBUF_FORMAT) < 0)
+        goto done;
+    const int32_t *ov = off->buf, *mv = mem->buf;
+    Py_ssize_t len = mem->len / 4;
+    if (strcmp(off->format, "i") != 0 || strcmp(mem->format, "i") != 0 ||
+        off->itemsize != 4 || mem->itemsize != 4 ||
+        off->len != 4 * (s->n + 1) || ov[0] != 0 || ov[s->n] != len) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: core.%s is not an int32 slab", k_column[c]);
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        if (ov[i + 1] < ov[i]) {
+            PyErr_Format(PyExc_ValueError, "arrayloop: core.%s offsets",
+                         k_column[c]);
+            goto done;
+        }
+    }
+    for (Py_ssize_t j = 0; j < len; j++) {
+        if (mv[j] < 0 || mv[j] >= s->n) {
+            PyErr_Format(PyExc_ValueError, "arrayloop: core.%s member %d",
+                         k_column[c], mv[j]);
+            goto done;
+        }
+    }
+    rc = 0;
+done:
+    Py_XDECREF(o);
+    Py_XDECREF(m);
+    return rc;
+}
+
+/* The knowledge tables and the more / unexplored heaps, from the slabs. */
+static int
+know_load(S *s)
+{
+    Py_buffer off[K_CLASSES], mem[K_CLASSES];
+    memset(off, 0, sizeof(off));
+    memset(mem, 0, sizeof(mem));
+    int rc = -1;
+    for (int c = 0; c < K_CLASSES; c++) {
+        if (slab_view(s, c, &off[c], &mem[c]) < 0)
+            goto done;
+    }
+    s->know = PyMem_Calloc(s->n + 1, sizeof(Know));
+    s->mheap = PyMem_Calloc(2 * s->n + 1, sizeof(Heap));
+    if (s->know == NULL || s->mheap == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    s->uheap = s->mheap + s->n;
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        Know *k = &s->know[i];
+        Py_ssize_t need = 0;
+        for (int c = 0; c < K_CLASSES; c++) {
+            const int32_t *ov = off[c].buf;
+            need += ov[i + 1] - ov[i];
+        }
+        if (need > 0 && know_rehash(k, know_bits_for(need)) < 0)
+            goto done;
+        for (int c = 0; c < K_CLASSES; c++) {
+            const int32_t *ov = off[c].buf, *mv = mem[c].buf;
+            for (int32_t j = ov[i]; j < ov[i + 1]; j++) {
+                if (know_add(k, mv[j], 1u << c) < 0)
+                    goto done;
+            }
+        }
+        const int32_t *mo = off[KIX(K_MORE)].buf, *uo = off[KIX(K_UNEXP)].buf;
+        const int32_t *mm = mem[KIX(K_MORE)].buf, *um = mem[KIX(K_UNEXP)].buf;
+        if (heap_build(s, &s->mheap[i], mm + mo[i], mo[i + 1] - mo[i]) < 0 ||
+            heap_build(s, &s->uheap[i], um + uo[i], uo[i + 1] - uo[i]) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    for (int c = 0; c < K_CLASSES; c++) {
+        if (off[c].obj != NULL)
+            PyBuffer_Release(&off[c]);
+        if (mem[c].obj != NULL)
+            PyBuffer_Release(&mem[c]);
+    }
+    return rc;
+}
+
+/* The tables back into the slabs: per class a fresh array('i') of members,
+ * node-major, and one of n + 1 offsets. */
+static int
+know_store(S *s)
+{
+    Py_ssize_t total[K_CLASSES] = {0};
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        for (int c = 0; c < K_CLASSES; c++)
+            total[c] += s->know[i].cnt[c];
+    }
+    PyObject *ob[K_CLASSES] = {NULL}, *mb[K_CLASSES] = {NULL};
+    int32_t *ov[K_CLASSES], *mv[K_CLASSES];
+    int32_t at[K_CLASSES] = {0};
+    int rc = -1;
+    for (int c = 0; c < K_CLASSES; c++) {
+        if (total[c] > INT32_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "arrayloop: slab size");
+            goto done;
+        }
+        ob[c] = PyBytes_FromStringAndSize(NULL, 4 * (s->n + 1));
+        mb[c] = PyBytes_FromStringAndSize(NULL, 4 * total[c]);
+        if (ob[c] == NULL || mb[c] == NULL)
+            goto done;
+        ov[c] = (int32_t *)PyBytes_AS_STRING(ob[c]);
+        mv[c] = (int32_t *)PyBytes_AS_STRING(mb[c]);
+    }
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        Know *k = &s->know[i];
+        for (int c = 0; c < K_CLASSES; c++)
+            ov[c][i] = at[c];
+        for (uint32_t j = 0; j < know_cap(k); j++) {
+            uint32_t e = k->slot[j];
+            for (int c = 0; c < K_CLASSES; c++) {
+                if (e & 1u << c)
+                    mv[c][at[c]++] = (int32_t)KNOW_ID(e);
+            }
+        }
+    }
+    for (int c = 0; c < K_CLASSES; c++) {
+        ov[c][s->n] = at[c];
+        PyObject *o = PyObject_CallFunctionObjArgs(g_array_type, s_int32,
+                                                   ob[c], NULL);
+        PyObject *m = o == NULL ? NULL
+                                : PyObject_CallFunctionObjArgs(
+                                      g_array_type, s_int32, mb[c], NULL);
+        int bad = m == NULL || attr_set(s->slabs[c], "off", o) < 0 ||
+                  attr_set(s->slabs[c], "mem", m) < 0;
+        Py_XDECREF(o);
+        Py_XDECREF(m);
+        if (bad)
+            goto done;
+    }
+    rc = 0;
+done:
+    for (int c = 0; c < K_CLASSES; c++) {
+        Py_XDECREF(ob[c]);
+        Py_XDECREF(mb[c]);
+    }
+    return rc;
 }
 
 /* Channels 0..len(chanq)-1: endpoints from chan_src/chan_dst, the table. */
@@ -1999,7 +2230,7 @@ pool_store(S *s)
 static int
 load_native(S *s)
 {
-    if (s->n >= INT32_MAX) {
+    if (s->n >= (1L << (32 - K_SHIFT)) - 1) { /* an entry holds id + 1 */
         PyErr_SetString(PyExc_ValueError, "arrayloop: too many nodes");
         return -1;
     }
@@ -2007,28 +2238,13 @@ load_native(S *s)
         (s->by_rrank = load_ints(s, "by_rrank")) == NULL ||
         (s->nrank = load_ints(s, "nrank")) == NULL)
         return -1;
-    if (PyList_GET_SIZE(s->more) != s->n || PyList_GET_SIZE(s->unexp) != s->n) {
-        PyErr_SetString(PyExc_ValueError, "arrayloop: set column arity");
-        return -1;
-    }
-    s->mheap = PyMem_Calloc(2 * s->n + 1, sizeof(Heap));
-    if (s->mheap == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    s->uheap = s->mheap + s->n;
-    for (Py_ssize_t i = 0; i < s->n; i++) {
-        if (heap_build(s, &s->mheap[i], PyList_GET_ITEM(s->more, i)) < 0 ||
-            heap_build(s, &s->uheap[i], PyList_GET_ITEM(s->unexp, i)) < 0)
-            return -1;
-    }
-    if (chans_load(s) < 0 || pool_load(s) < 0)
+    if (know_load(s) < 0 || chans_load(s) < 0 || pool_load(s) < 0)
         return -1;
     return s->mode == MODE_RANDOM ? mt_load(s) : 0;
 }
 
-/* Write the step count, counts/xtra, the pool order and the rng state
- * back out; preserves any pending exception. */
+/* Write the step count, counts/xtra, the knowledge slabs, the pool order
+ * and the rng state back out; preserves any pending exception. */
 static void
 sync_out(S *s, PyObject *cell)
 {
@@ -2045,7 +2261,8 @@ sync_out(S *s, PyObject *cell)
         if (x != NULL)
             PyList_SetItem(s->xtra_l, t, x);
     }
-    if (!PyErr_Occurred() && pool_store(s) == 0 && s->mode == MODE_RANDOM)
+    if (!PyErr_Occurred() && know_store(s) == 0 && pool_store(s) == 0 &&
+        s->mode == MODE_RANDOM)
         mt_store(s);
     if (et != NULL)
         PyErr_Restore(et, ev, tb); /* a write-back error gives way to it */
@@ -2287,6 +2504,7 @@ loop_configure(PyObject *self, PyObject *args)
         Py_XSETREF(var, v);                                               \
     } while (0)
     CFG(g_deque_type, "deque");
+    CFG(g_array_type, "array");
     CFG(g_sim_error, "simulation_error");
     CFG(g_msg_types, "msg_types");
     CFG(g_greedy_k, "greedy_k");
@@ -2340,9 +2558,11 @@ PyInit__arrayloop(void)
     s_extend = PyUnicode_InternFromString("extend");
     s_getstate = PyUnicode_InternFromString("getstate");
     s_setstate = PyUnicode_InternFromString("setstate");
+    s_int32 = PyUnicode_InternFromString("i"); /* array('i') */
     if (g_zero == NULL || g_neg_one == NULL || s_append == NULL ||
         s_popleft == NULL || s_appendleft == NULL || s_clear == NULL ||
-        s_extend == NULL || s_getstate == NULL || s_setstate == NULL)
+        s_extend == NULL || s_getstate == NULL || s_setstate == NULL ||
+        s_int32 == NULL)
         return NULL;
     return PyModule_Create(&loop_module);
 }

@@ -32,6 +32,7 @@ import shutil
 import subprocess
 import sysconfig
 import warnings
+from array import array
 from pathlib import Path
 from typing import Optional
 
@@ -174,6 +175,7 @@ def _import() -> object:
         mod.configure(
             {
                 "deque": deque,
+                "array": array,
                 "simulation_error": SimulationError,
                 "msg_types": MSG_TYPES,
                 "greedy_k": 1 << 62,

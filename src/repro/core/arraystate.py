@@ -17,11 +17,17 @@ converts back.
   ``(phase, id)`` conquest comparisons use.  Ids whose reprs collide or
   that are not strictly totally ordered make the system ineligible (the
   object path keeps running them).
-* **Columnar node state**: every Figure-2 field becomes a flat list or
-  bytearray indexed by node int.  The ``more``/``unexplored`` choice heaps
-  have no column: the C loop builds them as repr-rank int arrays from the
-  live sets at entry (the object path's ``(repr_string, id)`` heaps pop
-  in the same order) and frees them at exit.
+* **Columnar node state**: every Figure-2 scalar becomes a flat list or
+  bytearray indexed by node int, and each of the five knowledge sets
+  (``local``/``more``/``done``/``unaware``/``unexp``) one :class:`IdSlab`:
+  a node-major ``array('i')`` of members plus ``n + 1`` offsets, with no
+  per-node Python object (a fresh ``more`` is ``range(n)``, a fresh
+  ``done`` all-zero lengths).  For one call the C loop turns the slabs
+  into one open-addressed int32 table per node, keyed by id with a class
+  bitmask, and writes them back on every exit.  The ``more``/``unexplored``
+  choice heaps have no column: the C loop builds them as repr-rank int
+  arrays from the slabs at entry (the object path's ``(repr_string, id)``
+  heaps pop in the same order) and frees them at exit.
 * **Flyweight messages**: plain tuples ``(tag, field, ...)`` laid out by
   ``messages.WIRE_TABLE``; the payload-free handshakes are singletons the
   C loop preallocates, so the hot path allocates at most one small tuple
@@ -99,6 +105,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -131,6 +138,7 @@ from repro.sim.trace import MessageStats
 
 __all__ = [
     "IdSpace",
+    "IdSlab",
     "ArrayCore",
     "ScaleResult",
     "DECLINE_REASONS",
@@ -341,6 +349,48 @@ class IdSpace:
 
 
 # ----------------------------------------------------------------------
+# Knowledge columns
+# ----------------------------------------------------------------------
+class IdSlab:
+    """One knowledge set per node as a node-major int32 slab: node ``i``'s
+    member ints are ``mem[off[i]:off[i + 1]]`` (``off`` holds ``n + 1``
+    offsets from 0), both ``array('i')``.
+
+    Python builds a slab whole (:meth:`of`, :meth:`fresh`) and reads one
+    node at a time (``slab[i]``); the C loop reads both arrays at entry and
+    replaces them on every exit.  Nothing else writes one.
+    """
+
+    __slots__ = ("off", "mem")
+
+    def __init__(self, off: array, mem: array) -> None:
+        self.off = off
+        self.mem = mem
+
+    @classmethod
+    def of(cls, rows) -> "IdSlab":
+        """The slab of ``rows``, one iterable of member ints per node."""
+        off, mem = array("i", [0]), array("i")
+        extend, push = mem.extend, off.append
+        for row in rows:
+            extend(row)
+            push(len(mem))
+        return cls(off, mem)
+
+    @classmethod
+    def fresh(cls, n: int, *, own: bool) -> "IdSlab":
+        """``n`` fresh sets: ``{i}`` for node ``i`` if ``own`` (``more``),
+        else empty."""
+        if own:
+            return cls(array("i", range(n + 1)), array("i", range(n)))
+        return cls(array("i", bytes(4 * (n + 1))), array("i"))
+
+    def __getitem__(self, i: int) -> array:
+        off = self.off
+        return self.mem[off[i] : off[i + 1]]
+
+
+# ----------------------------------------------------------------------
 # Wire <-> object message conversion
 # ----------------------------------------------------------------------
 # One codec for every row of ``messages.WIRE_TABLE``: a wire tuple is
@@ -409,7 +459,8 @@ class ArrayCore:
     every node to the fresh ``DiscoveryNode.__init__`` state (asleep,
     ``more = {self}``) except ``local``, the one column whose fresh value
     is the builder's input; ``fill=False`` leaves placeholder columns for
-    a builder that assigns every slot.
+    a builder that assigns every slot.  The five knowledge columns are
+    :class:`IdSlab` objects the builder assigns whole.
     """
 
     __slots__ = (
@@ -421,7 +472,7 @@ class ArrayCore:
         "nrank",
         "n",
         "id_bits",
-        # -- Figure 2 columns ------------------------------------------
+        # -- Figure 2 columns (the five sets: IdSlab) --------------------
         "status",
         "awake",
         "nxt",
@@ -473,21 +524,20 @@ class ArrayCore:
         self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
-        self.local = [None] * n
+        #: the five knowledge sets, one :class:`IdSlab` each
+        self.local = None
         if fill:
             self.nxt = list(range(n))
-            self.done = [set() for _ in range(n)]
-            self.more = [{i} for i in range(n)]
-            self.unaware = [set() for _ in range(n)]
-            self.unexp = [set() for _ in range(n)]
+            self.more = IdSlab.fresh(n, own=True)
+            self.done = IdSlab.fresh(n, own=False)
+            self.unaware = IdSlab.fresh(n, own=False)
+            self.unexp = IdSlab.fresh(n, own=False)
         else:
             self.nxt = [0] * n
-            self.done = [None] * n
-            self.more = [None] * n
-            self.unaware = [None] * n
-            self.unexp = [None] * n
+            self.done = self.more = self.unaware = self.unexp = None
         # Lazy per-node containers: ``None`` until first use keeps the
-        # common case (never routed a search, never probed) allocation-free.
+        # common case (never routed a search, never probed) allocation-free,
+        # and the C loop puts a drained one back to ``None``.
         self.previous = [None] * n
         self.inbox = [None] * n
         self.deferred = [None] * n
@@ -634,12 +684,11 @@ def _build_from_sim(sim, pool):
 
     status_codes = STATUS_CODES
     variant_codes = _VARIANT_CODES
-    local_col = core.local
+    # one row of member ints per node and set, slabbed once all are read
+    local_rows, done_rows, more_rows, unaware_rows, unexp_rows = rows = (
+        [], [], [], [], []
+    )
     nxt_col = core.nxt
-    done_col = core.done
-    more_col = core.more
-    unaware_col = core.unaware
-    unexp_col = core.unexp
     variant_col = core.variant
     csize_col = core.csize
     greedy_col = core.greedy
@@ -665,12 +714,12 @@ def _build_from_sim(sim, pool):
                 and node.node_id in d["more"]
                 and d["next"] == node.node_id
             ):
-                local_col[i] = {idx[x] for x in d["local"]}
+                local_rows.append([idx[x] for x in d["local"]])
                 nxt_col[i] = i
-                done_col[i] = set()
-                more_col[i] = {i}
-                unaware_col[i] = set()
-                unexp_col[i] = set()
+                done_rows.append(())
+                more_rows.append((i,))
+                unaware_rows.append(())
+                unexp_rows.append(())
                 variant_col[i] = variant_codes[d["variant"]]
                 csize_col[i] = d["component_size"]
                 if d["greedy_queries"]:
@@ -689,14 +738,14 @@ def _build_from_sim(sim, pool):
             core.awake[i] = 1 if node.awake else 0
             core.nxt[i] = idx[node.next]
             core.phase[i] = node.phase
-            core.local[i] = {idx[x] for x in node.local}
-            core.done[i] = {idx[x] for x in node.done}
-            core.more[i] = {idx[x] for x in node.more}
-            core.unaware[i] = {idx[x] for x in node.unaware}
+            local_rows.append([idx[x] for x in node.local])
+            done_rows.append([idx[x] for x in node.done])
+            more_rows.append([idx[x] for x in node.more])
+            unaware_rows.append([idx[x] for x in node.unaware])
             # The node's heaps are not read: the C loop builds its own
             # from the *live* members, dropping the stale entries the
             # object path skips lazily on pop -- same pop sequence.
-            core.unexp[i] = {idx[x] for x in node.unexplored}
+            unexp_rows.append([idx[x] for x in node.unexplored])
             core.aw_rel[i] = 1 if node._awaiting_release else 0
             aw_q = node._awaiting_query_from
             core.aw_query[i] = -1 if aw_q is None else idx[aw_q]
@@ -744,6 +793,7 @@ def _build_from_sim(sim, pool):
     except TypeError as exc:
         raise _Ineligible("node-state", f"uninternable state: {exc}")
 
+    core.local, core.done, core.more, core.unaware, core.unexp = map(IdSlab.of, rows)
     core.base_channels = len(chanq)
     return core, new_pool, chan_pending
 
@@ -1052,8 +1102,9 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
             raise SimulationError(
                 f"bounded leader {core.ids[leader]!r} did not terminate"
             )
-        knowledge = core.more[leader] | core.done[leader] | core.unaware[leader]
-        knowledge.add(leader)
+        knowledge = {leader}.union(
+            core.more[leader], core.done[leader], core.unaware[leader]
+        )
         if knowledge != set(members):
             raise SimulationError(
                 f"leader {core.ids[leader]!r}: knowledge != component "
@@ -1124,10 +1175,8 @@ def _run_columns(
     # is then a no-op): the fill is n-sized and acyclic too.
     with _collector_paused():
         core = ArrayCore(space, id_bits_for(n), fill=True)
-        local = core.local
         succ = graph._succ  # read in place: a successor set never holds its owner
-        for i, node_id in enumerate(space.ids):
-            local[i] = {idx[x] for x in succ[node_id]}
+        core.local = IdSlab.of(map(idx.__getitem__, succ[x]) for x in space.ids)
         if greedy_queries:
             core.greedy = bytearray(b"\x01" * n)
         core.variant = bytearray([_VARIANT_CODES[variant]]) * n

@@ -39,14 +39,17 @@ __all__ = [
 #: stale on-disk cache can never be mistaken for a fresh result.
 #: Version 2 added the ``code`` digest to :meth:`Job.spec`: before that,
 #: editing the protocol or simulator source silently replayed stale cached
-#: tables computed by the *old* code.
-CACHE_SCHEMA_VERSION = 2
+#: tables computed by the *old* code.  Version 3 widened the digest from
+#: ``core/`` and ``sim/`` to the whole package, hashed by relative path:
+#: the runners, graph generators and baselines every cell runs had been
+#: outside it, so editing them replayed the old tables too.
+CACHE_SCHEMA_VERSION = 3
 
 
 def _default_code_roots() -> Tuple[pathlib.Path, ...]:
-    """Directories whose source participates in every job's identity."""
-    package = pathlib.Path(__file__).resolve().parent.parent
-    return (package / "core", package / "sim")
+    """Directories whose source participates in every job's identity: the
+    whole ``repro`` package."""
+    return (pathlib.Path(__file__).resolve().parent.parent,)
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,7 +59,7 @@ def _digest_of_roots(roots: Tuple[str, ...]) -> str:
         root_path = pathlib.Path(root)
         sources = [*root_path.rglob("*.py"), *root_path.rglob("*.c")]
         for path in sorted(sources):
-            hasher.update(path.name.encode())
+            hasher.update(path.relative_to(root_path).as_posix().encode())
             hasher.update(b"\0")
             hasher.update(path.read_bytes())
             hasher.update(b"\0")
@@ -64,12 +67,14 @@ def _digest_of_roots(roots: Tuple[str, ...]) -> str:
 
 
 def protocol_code_digest() -> str:
-    """Digest of the protocol + simulator source trees.
+    """Digest of the ``repro`` package source.
 
     Folded into :meth:`Job.spec` so cached experiment results are keyed by
-    the *code that produced them*, not just the parameters: touch any
-    ``.py`` or ``.c`` file under ``repro/core`` or ``repro/sim`` (the C
-    loop included) and every cache entry misses.
+    the *code that produced them*, not just the parameters: touch, add or
+    move any ``.py`` or ``.c`` file under ``repro/`` (the C loop, the
+    experiment runners, the graph generators and the baselines included)
+    and every cache entry misses.  Each file is hashed under its path
+    relative to the package, so moving one between subpackages counts.
     Memoized per process (a sweep computes thousands of keys); tests that
     rewrite source trees call ``_digest_of_roots.cache_clear()``.
     """

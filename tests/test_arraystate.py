@@ -1,6 +1,6 @@
 """Tests for the array-backed protocol core (``repro.core.arraystate``).
 
-Six layers:
+Seven layers:
 
 * unit tests of the interning/order primitives (:class:`IdSpace`,
   :func:`rank_sorted`, :func:`k_smallest`) against their object-path
@@ -23,17 +23,20 @@ Six layers:
 * the lazy channel arena: a slot is ``None``, the pending wire tuple or a
   deque, and every engine reads every form -- runs interrupted mid-flight
   and resumed on a different engine equal the uninterrupted object run,
-  and the C hand-off of a tuple slot's reference leaks nothing.
+  and the C hand-off of a tuple slot's reference leaks nothing;
+* the knowledge slabs: after every C exit the five knowledge sets are
+  int32 slabs and a drained ``previous``/``inbox``/``deferred`` is
+  ``None``.
 """
 
 import copy
 import functools
+from array import array
 import gc
 import random
 import subprocess
 import sys
 from collections import deque
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,7 @@ from repro.core import arrayloop, arraystate
 from repro.core.adhoc import AdhocNetwork
 from repro.core.arraystate import (
     ArrayCore,
+    IdSlab,
     IdSpace,
     _Ineligible,
     k_smallest,
@@ -575,7 +579,12 @@ def _snapshot(sim, nodes):
         "backlog": [sim.channel_backlog(*key) for key in channels],
         "in_flight": sim.in_flight(),
         # Timer tokens compare by identity; their fields are what matters.
-        "pool": [(type(t), astuple(t)) for t in sim.scheduler.pending()],
+        # Every token is a slotted dataclass of ids, ints, strs and bools,
+        # so its slots are ``astuple`` without the deep copy.
+        "pool": [
+            (type(t), tuple(getattr(t, f) for f in t.__slots__))
+            for t in sim.scheduler.pending()
+        ],
     }
 
 
@@ -707,6 +716,87 @@ class TestChannelSlotForms:
             assert any(s is None for s in slots)
 
 
+class TestKnowledgeSlabs:
+    """Between C calls the five knowledge sets are int32 slabs -- no
+    per-node Python object -- and a ``previous``/``inbox``/``deferred``
+    container the loop drained is back to ``None``."""
+
+    @pytest.mark.parametrize("limited", [False, True], ids=["drained", "limit"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_exit_leaves_slabs(self, variant, limited, monkeypatch):
+        if arrayloop.load() is None:
+            pytest.skip("no C loop in this process")
+        cores = []
+        run_loop = ArrayCore.run_loop
+
+        def spy(core, *args):
+            try:
+                return run_loop(core, *args)
+            finally:
+                cores.append(core)
+
+        monkeypatch.setattr(ArrayCore, "run_loop", spy)
+        graph = _graph(256)
+        steps = run_graph(graph, variant, seed=3).steps
+        if limited:
+            with pytest.raises(StepLimitExceeded):
+                run_graph(graph, variant, seed=3, max_steps=steps // 2)
+        core = cores[-1]
+        for name in ("local", "more", "done", "unaware", "unexp"):
+            slab = getattr(core, name)
+            assert type(slab) is IdSlab, name
+            assert slab.off.typecode == slab.mem.typecode == "i"
+            assert len(slab.off) == core.n + 1 and slab.off[-1] == len(slab.mem)
+            assert all(0 <= x < core.n for x in slab.mem)
+        containers = [c for name in ("previous", "inbox", "deferred")
+                      for c in getattr(core, name) if c is not None]
+        assert all(containers)
+        if not limited:
+            assert not containers
+
+
+def every_cut(graph, variant, policy):
+    """``run(max_steps=k)`` on the C loop for every k up to quiescence,
+    each against the object loop cut at k: limit text, full per-node
+    state, stats key order, channels, pool and rng state.  Returns the
+    number of cuts."""
+    if arrayloop.load() is None:
+        pytest.skip("no C loop in this process")
+
+    def build(fast):
+        return build_simulation(
+            graph, variant, scheduler=SCHEDULERS[policy](), fast=fast
+        )
+
+    def view(sim, nodes):
+        rng = getattr(sim.scheduler, "_rng", None)
+        return _snapshot(sim, nodes), rng and rng.getstate()
+
+    # The reference advances one step per cut (``run(k)`` is ``run_for``
+    # plus the limit check); each cut's array run starts afresh, so it
+    # is one uninterrupted C run of k steps.
+    ref, ref_nodes = build(fast=False)
+    k = 0
+    while not ref.is_quiescent:
+        k += 1
+        ref.run_for(1)
+        sim, nodes = build(fast=True)
+        try:
+            sim.run(k)
+            message = None
+        except StepLimitExceeded as exc:
+            message = str(exc)
+        assert (sim._last_run_path, sim._last_decline) == ("array", None)
+        assert message == (
+            None
+            if ref.is_quiescent
+            else f"no quiescence within {k} steps; "
+            f"{ref.in_flight()} messages still in flight"
+        ), k
+        assert view(sim, nodes) == view(ref, ref_nodes), k
+    return k
+
+
 class TestEveryStepCut:
     """``run(max_steps=k)`` for every k: state equality after each
     delivery (the C loop keeps no trace to compare)."""
@@ -714,79 +804,46 @@ class TestEveryStepCut:
     @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_cut_equals_the_object_run(self, variant, policy):
-        if arrayloop.load() is None:
-            pytest.skip("no C loop in this process")
-
-        def build(fast):
-            return build_simulation(
-                _graph(12), variant, scheduler=SCHEDULERS[policy](), fast=fast
-            )
-
-        def view(sim, nodes):
-            rng = getattr(sim.scheduler, "_rng", None)
-            return _snapshot(sim, nodes), rng and rng.getstate()
-
-        # The reference advances one step per cut (``run(k)`` is ``run_for``
-        # plus the limit check); each cut's array run starts afresh, so it
-        # is one uninterrupted C run of k steps.
-        ref, ref_nodes = build(fast=False)
-        k = 0
-        while not ref.is_quiescent:
-            k += 1
-            ref.run_for(1)
-            sim, nodes = build(fast=True)
-            try:
-                sim.run(k)
-                message = None
-            except StepLimitExceeded as exc:
-                message = str(exc)
-            assert (sim._last_run_path, sim._last_decline) == ("array", None)
-            assert message == (
-                None
-                if ref.is_quiescent
-                else f"no quiescence within {k} steps; "
-                f"{ref.in_flight()} messages still in flight"
-            ), k
-            assert view(sim, nodes) == view(ref, ref_nodes), k
-        assert k > 8 * 12  # a real run, cut everywhere
+        assert every_cut(_graph(12), variant, policy) > 8 * 12  # cut everywhere
 
 
 class TestChannelHandOffOwnership:
     """The C loop's ``chan_pop`` hands the list's reference of a tuple
-    slot to its caller and ``emit`` replaces slots in place: a reference
-    dropped or kept once per message shows as blocks that grow per run."""
+    slot to its caller, ``emit`` replaces slots in place, and the
+    ``info`` and ``query-reply`` payloads are built from the native
+    knowledge tables: a reference dropped or kept once per message shows
+    as blocks that grow per run.  Zero growth between the 2nd and the 6th
+    run is the bar: the readings land in a preallocated array, so not
+    even their own ints stay allocated, and the loop looks attributes up
+    by interned name (the type attribute cache keeps the last name of
+    each slot alive)."""
 
     N = 2000
-    #: interpreter noise between two identical runs (caches, free lists)
-    #: measures below a hundred blocks; one object leaked per message
-    #: would be four runs of ~28,000.
-    SLACK = 512
 
     @pytest.fixture(autouse=True)
     def _needs_c_loop(self):
         if arrayloop.load() is None:
             pytest.skip("no C loop in this process: nothing hands a reference off")
 
-    def _blocks_after(self, run, runs):
-        gc.collect()
-        for _ in range(runs):
-            run()
-        gc.collect()
-        return sys.getallocatedblocks()
-
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
     @pytest.mark.parametrize("limited", [False, True], ids=["drained", "limit"])
-    def test_repeated_runs_allocate_nothing_lasting(self, seed, limited):
+    def test_repeated_runs_allocate_nothing_lasting(self, seed, limited, variant):
         graph = _graph(self.N)
-        full = run_graph(graph, "generic", seed=seed)
+        full = run_graph(graph, variant, seed=seed)
 
         def run():
             if not limited:
-                assert run_graph(graph, "generic", seed=seed).steps == full.steps
+                assert run_graph(graph, variant, seed=seed).steps == full.steps
                 return
             with pytest.raises(StepLimitExceeded):
-                run_graph(graph, "generic", seed=seed, max_steps=full.steps // 2)
+                run_graph(graph, variant, seed=seed, max_steps=full.steps // 2)
 
-        after_two = self._blocks_after(run, 2)
-        after_six = self._blocks_after(run, 4)
-        assert abs(after_six - after_two) < self.SLACK
+        blocks = array("q", [0, 0])
+        for reading, runs in enumerate((2, 4)):
+            gc.collect()
+            for _ in range(runs):
+                run()
+            gc.collect()
+            blocks[reading] = sys.getallocatedblocks()
+        assert blocks[1] == blocks[0]

@@ -1,0 +1,34 @@
+"""Every-step cuts where the C loop's knowledge tables grow.
+
+For one call ``_arrayloop.c`` holds a node's five knowledge sets in one
+open-addressed table: sized at entry from the ``IdSlab`` columns, doubled
+as ids join, written back into the slabs on every exit.  On a star whose
+leaves know only the centre, and on the complete digraph, the winner's
+table grows from a handful of slots to every id of the n = 48 system.
+``run(max_steps=k)`` for every k up to quiescence must leave exactly the
+object loop's per-node state, stats (key order included), channels, pool
+and rng state -- ``tests/test_arraystate.py``'s ``every_cut``, there on a
+sparse n = 12 graph.
+"""
+
+import pytest
+
+from repro.core.node import VARIANTS
+from repro.graphs.knowledge_graph import KnowledgeGraph
+from tests.test_arraystate import SCHEDULERS, every_cut
+
+N = 48
+
+GRAPHS = {
+    "star": lambda: KnowledgeGraph(range(N), [(leaf, 0) for leaf in range(1, N)]),
+    "complete": lambda: KnowledgeGraph(
+        range(N), [(u, v) for u in range(N) for v in range(N) if u != v]
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", sorted(GRAPHS))
+def test_every_cut_equals_the_object_run(shape, variant, policy):
+    assert every_cut(GRAPHS[shape](), variant, policy) > 10 * N  # cut everywhere

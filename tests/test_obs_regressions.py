@@ -4,10 +4,14 @@ Each test class pins one fix and fails against the pre-fix behaviour:
 
 1. trace fingerprints ignored message payloads (envelope-only tuples);
 2. bit accounting charged header-only messages when ``id_bits = 0``;
-3. sweep store keys ignored protocol/simulator code changes;
+3. sweep store keys ignored protocol/simulator code changes, and then
+   every change outside ``core/`` and ``sim/``;
 4. ``StepLimitExceeded`` escaped the chaos harness's taxonomy as
    ``detected`` (it is the definition of ``stalled``).
 """
+
+import shutil
+from pathlib import Path
 
 from repro.analysis.experiments import build_family
 from repro.core.generic import run_generic
@@ -134,6 +138,38 @@ class TestCacheKeysTrackCode:
         source.write_text("int state = 2;\n")
         _digest_of_roots.cache_clear()
         assert _digest_of_roots((str(root),)) != before
+
+    def test_modules_outside_core_and_sim_change_keys(self, tmp_path, monkeypatch):
+        # Every sweepable runner lives in analysis/ and builds its graphs
+        # with graphs/, and the baselines sit beside them: an edit to any
+        # of them, or a module moved between subpackages, must miss the
+        # cache like an edit to core/ does.
+        from repro.parallel import jobs
+
+        package = Path(jobs.__file__).resolve().parent.parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(jobs, "__file__", str(copy / "parallel" / "jobs.py"))
+        job = Job.create("generic-scaling", {}, seed=0)
+        keys = []
+        for edited in (
+            None,
+            "baselines/flooding.py",
+            "analysis/experiments.py",
+            "graphs/generators.py",
+        ):
+            if edited is not None:
+                source = copy / edited
+                source.write_text(source.read_text() + "\n# edited\n")
+            _digest_of_roots.cache_clear()
+            keys.append(job.key())
+        (copy / "graphs" / "flooding.py").write_bytes(
+            (copy / "baselines" / "flooding.py").read_bytes()
+        )
+        (copy / "baselines" / "flooding.py").unlink()
+        _digest_of_roots.cache_clear()
+        keys.append(job.key())
+        assert len(set(keys)) == len(keys)
 
     def test_digest_cleanup(self):
         # The monkeypatched tests above poisoned the memo; restore it so
