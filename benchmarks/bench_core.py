@@ -360,7 +360,7 @@ def _scale_point(variant, n, family=FAMILY):
         finally:
             seen["loop_s"] = time.perf_counter() - start
             seen["rss_kb"] = _rss_kb()
-            seen["channels"] = len(core.chanq)
+            seen["channels"] = len(core.chan_src)
 
     ArrayCore.run_loop = timed_loop
     try:

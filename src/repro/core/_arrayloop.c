@@ -8,11 +8,12 @@
  * This file numbers nothing.  Every encoding it names arrives as a -D flag
  * that arrayloop.defines() derives from the Python tables: per row of
  * messages.WIRE_TABLE the wire tag T_<MSG>, the wire-tuple arity N_<MSG>
- * and each field's offset F_<MSG>_<FIELD> (N_TAGS rows); ST_<STATUS> from
- * node.STATUS_NAMES; V_<VARIANT> from node.VARIANTS; MODE_* from
- * sim.scheduler; RC_* from arrayloop.  A name the tables do not define does
- * not compile, and CI greps this file for a numeric #define of one and for
- * a message tuple addressed by a literal index.
+ * and each field's offset F_<MSG>_<FIELD> (N_TAGS rows, the widest N_MAX);
+ * ST_<STATUS> from node.STATUS_NAMES; V_<VARIANT> from node.VARIANTS;
+ * MODE_* from sim.scheduler; RC_* from arrayloop.  A name the tables do not
+ * define does not compile, and CI greps this file for a numeric #define of
+ * one and for a record field (FLD) or a wire tuple addressed by a literal
+ * index.
  *
  * Contract (see arraystate.ArrayCore.run_loop): run() executes steps of the
  * exact same state machine as core/node.py, the reference, over the columnar
@@ -28,9 +29,20 @@
  *    the drawn slot with the tail;
  *  - the scheduler's MT19937: the 624 words and index of rng.getstate()
  *    (random mode only), drawn exactly as CPython's getrandbits;
- *  - the channels: endpoints by id and an open-addressed (src, dst) -> id
- *    table, from core.chan_src / chan_dst; a new channel is appended to
- *    chanq / chan_src / chan_dst and to the table;
+ *  - the channels: endpoints by id, an open-addressed (src, dst) -> id
+ *    table and per channel a FIFO of message records, from core.chan_src /
+ *    chan_dst (array('i')) and core.chanq (channel id -> its pending wire
+ *    tuples, only for channels that hold any); a new channel is one more
+ *    native entry;
+ *  - the messages (Msgs): one fixed-width record per message in flight --
+ *    the tag and the row's fields at their F_<MSG>_<FIELD> offsets, an
+ *    id-set field holding its member count -- and one payload arena of
+ *    int32 spans, a record's id-set members back to back in field order.
+ *    A consumed record goes on a free list and its span is reclaimed by
+ *    compaction, so both grow with the peak in flight, not with the
+ *    messages sent;
+ *  - previous / inbox / deferred: per node a FIFO over the same records
+ *    (a record waits in at most one FIFO);
  *  - the rank orders rrank / by_rrank / nrank as int32 arrays;
  *  - the knowledge: per node one open-addressed int32 table (Know) keyed
  *    by id with a class bitmask, built from the five IdSlab columns
@@ -39,21 +51,24 @@
  *    more / done / unaware tests, one scan fills the four `info` payloads;
  *  - a min-heap of repr ranks per node for `more` and `unexplored`, built
  *    from the slabs' members (heap layout is unobservable).
- * The wire tuples (id-set payloads: frozensets of iobj ints), the chanq
- * slots and the previous / inbox / deferred containers stay Python
- * objects, shared with the caller; a container that drains goes back to
- * None, which every reader treats as empty.
+ * Wire tuples and frozensets exist only across the seam.  One codec, driven
+ * by the field kinds configure() reads off messages.WIRE_TABLE (the rows
+ * arraystate._to_wire / _to_message use), decodes whatever the caller
+ * hands in at entry (msgs_load) and encodes whatever is still pending at
+ * every exit (msgs_store): between calls a previous entry is a
+ * (wire, sender) pair, an inbox or deferred entry a (sender, wire) pair,
+ * and a per-node column slot is None or a list of them.
  *
  * What every exit writes back -- drained, RC_LIMIT, RC_DEOPT / RC_PUMP, and
  * a raising handler alike (sync_out): the step count into `cell`, the
- * counts, the knowledge tables into fresh array('i') slabs, the pool order
- * into the caller's container, and rng.setstate() with the words drawn to
- * and gauss_next as read.  Tables, heaps, channel table and ring are
- * freed.  Entry and exit cost O(n + knowledge + channels + pool) plain
- * loads and stores plus one getstate/setstate (625 ints); a run pays them
- * once per call, and the drivers call again only at a step limit or a
- * hand-back.  If entry fails nothing has been popped and nothing is
- * written back.
+ * counts, the knowledge tables into fresh array('i') slabs, the pending
+ * messages and the channel endpoints (msgs_store), the pool order into the
+ * caller's container, and rng.setstate() with the words drawn to and
+ * gauss_next as read.  Everything native is freed.  Entry and exit cost
+ * O(n + knowledge + channels + pool + pending) plain loads and stores plus
+ * one getstate/setstate (625 ints); a run pays them once per call, and the
+ * drivers call again only at a step limit or a hand-back.  If entry fails
+ * nothing has been popped and nothing is written back.
  *
  *   RC_DRAINED: pool drained.
  *   RC_LIMIT: step limit boundary: a counted step just finished with
@@ -84,10 +99,10 @@
  *    SimulationError with the same message.
  *  - Pool, channel, counts and `order` mutations happen in the exact order
  *    the reference handlers produce them.
- *  - A channel slot (core.chanq[cid]) is None, the pending wire tuple, or a
- *    deque (a base channel adopted from the simulator is one from the
- *    start).  Only chan_push, chan_pop and the deliver arm's peek read one;
- *    the materializer turns every form into a deque of message objects.
+ *  - Every send builds its own record: a broadcast one per recipient, and
+ *    the search exec_search parks in `previous` and forwards is copied,
+ *    not shared.  Between entry and exit no Python object is allocated
+ *    per message.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
  *    live members at every entry and materialization, so layout is
@@ -109,19 +124,20 @@
 /* ------------------------------------------------------------------ */
 /* configure()-provided globals                                        */
 /* ------------------------------------------------------------------ */
-static PyObject *g_deque_type;    /* collections.deque */
 static PyObject *g_array_type;    /* array.array */
 static PyObject *g_sim_error;     /* repro.sim.network.SimulationError */
 static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
-/* flyweights for the payload-free messages (built at module init) */
-static PyObject *g_wire_ma, *g_wire_mf, *g_wire_md_t, *g_wire_md_f;
-static PyObject *g_greedy_k;      /* 1 << 62 as a PyLong */
 static PyObject *g_tag_objs[N_TAGS];
-static PyObject *g_zero;
-static PyObject *g_neg_one;
-static PyObject *s_append, *s_popleft, *s_appendleft, *s_clear, *s_extend,
-    *s_getstate, *s_setstate, *s_int32;
+static PyObject *s_clear, *s_extend, *s_getstate, *s_setstate, *s_int32;
 static int g_configured = 0;
+
+/* The codec's field kinds (messages.WIRE_TABLE), per tag and offset. */
+enum { KD_ID, KD_INT, KD_FLAG, KD_VERDICT, KD_IDSET, KD_KINDS };
+static const char *const kd_name[KD_KINDS] = {"id", "int", "flag", "verdict",
+                                              "id-set"};
+static unsigned char g_kind[N_TAGS][N_MAX];
+static int g_arity[N_TAGS];
+static int g_has_ids[N_TAGS]; /* the row has an id-set field */
 
 #define GREEDY_K_VAL (1LL << 62)
 
@@ -143,10 +159,39 @@ typedef struct {
     int32_t len, cap;
 } Heap;
 
-/* Channel endpoints by id, and the open-addressed (src, dst) -> id table
- * over them: linear probing, at most half full, a slot an id or -1. */
+/* A FIFO of message records, linked through Rec.next (-1: none). */
+typedef struct {
+    int32_t head, tail;
+} Fifo;
+
+/* A message: the wire tuple's slots as int64s (slot 0 the tag, a field at
+ * its F_<MSG>_<FIELD> offset, an id-set field its member count), who sent
+ * it, the next record of the FIFO it waits in, and the offset of its id-set
+ * members in the payload arena (-1: the row has none). */
+typedef struct {
+    int64_t f[N_MAX];
+    int32_t from, next, span;
+} Rec;
+
+/* Field fld of record r; a literal fld is a lint failure (CI). */
+#define FLD(s, r, fld) ((s)->msg.rec[(r)].f[(fld)])
+#define TAG(s, r) ((int)(s)->msg.rec[(r)].f[0])
+
+/* The record arena (free list through next) and the payload arena: a span
+ * is [member count, owning record or -1 once freed, members...]. */
+typedef struct {
+    Rec *rec;
+    int32_t cap, used, free;
+    int32_t *pay;
+    Py_ssize_t pay_cap, pay_used, pay_dead;
+} Msgs;
+
+/* Channel endpoints by id with their FIFOs, and the open-addressed
+ * (src, dst) -> id table over them: linear probing, at most half full, a
+ * slot an id or -1. */
 typedef struct {
     int32_t src, dst;
+    Fifo q;
 } Ends;
 
 typedef struct {
@@ -203,8 +248,8 @@ typedef struct {
     char *status, *awake, *aw_rel, *aw_info, *stale, *variant, *greedy;
     /* list-backed columns */
     PyObject *ids, *nxt, *phase, *aw_query, *csize;
-    PyObject *previous, *inbox, *deferred;
-    PyObject *chanq, *chan_src, *chan_dst, *iobj;
+    PyObject *previous, *inbox, *deferred; /* written back at exit */
+    PyObject *iobj;
     PyObject *counts_l, *xtra_l, *order;
     PyObject *slabs[K_CLASSES]; /* the IdSlab of each class, by bit */
     long counts[N_TAGS], xtra[N_TAGS];
@@ -213,6 +258,8 @@ typedef struct {
     Know *know;
     Heap *mheap, *uheap;
     Chans ch;
+    Msgs msg;
+    Fifo *prev, *inbq, *defq; /* per node: previous / inbox / deferred */
     Pool pool;
     MT mt;
     int rng_version;
@@ -222,7 +269,7 @@ typedef struct {
     int mode;
     long stop;
     long steps;
-    /* scratch for rank sorts and for the ids of a wire id-set */
+    /* scratch for rank sorts and for the ids a query takes */
     struct rpair *scratch;
     Py_ssize_t scratch_cap;
     int32_t *idbuf;
@@ -297,61 +344,199 @@ set_item_obj(PyObject *list, Py_ssize_t i, PyObject *v)
     return PyList_SetItem(list, i, v);
 }
 
-/* ------------------------------------------------------------------ */
-/* Wire tuples: (tag, field, ...), one layout per messages.WIRE_TABLE   */
-/* row; a field is addressed by its F_<MSG>_<FIELD> offset only.        */
-/* ------------------------------------------------------------------ */
-#define WIRE_TAG(m) PyLong_AsLong(PyTuple_GET_ITEM((m), 0))
-/* The two pair shapes: (message, sender) in a `previous` queue, (sender,
- * message) in an inbox or a deferred list. */
-#define PAIR_FIRST(p) PyTuple_GET_ITEM((p), 0)
-#define PAIR_SECOND(p) PyTuple_GET_ITEM((p), 1)
-
-/* New wire tuple of `arity` slots with its tag in place; the caller fills
- * every field before anything else sees the tuple. */
-static PyObject *
-wire_new(int tag, Py_ssize_t arity)
+/* Store v into a list slot (a phase: small, so a cached int object). */
+static int
+set_item_long(PyObject *list, Py_ssize_t i, long long v)
 {
-    PyObject *m = PyTuple_New(arity);
-    if (m != NULL) {
-        Py_INCREF(g_tag_objs[tag]);
-        PyTuple_SET_ITEM(m, 0, g_tag_objs[tag]);
-    }
-    return m;
+    PyObject *o = PyLong_FromLongLong(v);
+    return o == NULL ? -1 : PyList_SetItem(list, i, o);
 }
 
-/* Fill field `f` of a fresh wire tuple with `o` (borrowed). */
+/* ------------------------------------------------------------------ */
+/* Message records and id-set spans (see Rec and Msgs)                 */
+/* ------------------------------------------------------------------ */
+/* A fresh record of `tag`, every field 0, in no FIFO; -1 on error.  May
+ * grow the arena: a Rec pointer taken before does not survive the call. */
+static int32_t
+rec_new(S *s, int tag)
+{
+    Msgs *a = &s->msg;
+    int32_t r = a->free;
+    if (r >= 0)
+        a->free = a->rec[r].next;
+    else {
+        if (a->used == a->cap) {
+            if (a->cap > INT32_MAX / 2) {
+                PyErr_SetString(PyExc_OverflowError, "arrayloop: records");
+                return -1;
+            }
+            int32_t cap = a->cap ? 2 * a->cap : 256;
+            Rec *rec = PyMem_Realloc(a->rec, cap * sizeof(Rec));
+            if (rec == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            a->rec = rec;
+            a->cap = cap;
+        }
+        r = a->used++;
+    }
+    Rec *x = &a->rec[r];
+    memset(x->f, 0, sizeof(x->f));
+    x->f[0] = tag;
+    x->from = x->next = x->span = -1;
+    return r;
+}
+
+/* Record r and its span back to the arenas. */
+static void
+rec_free(S *s, int32_t r)
+{
+    Msgs *a = &s->msg;
+    Rec *x = &a->rec[r];
+    if (x->span >= 0) {
+        a->pay[x->span - 1] = -1;
+        a->pay_dead += a->pay[x->span - 2] + 2;
+    }
+    x->next = a->free;
+    a->free = r;
+}
+
+/* A copy of record r, which has no id-set field; -1 on error. */
+static int32_t
+rec_copy(S *s, int32_t r)
+{
+    int32_t c = rec_new(s, TAG(s, r));
+    if (c >= 0)
+        memcpy(s->msg.rec[c].f, s->msg.rec[r].f, sizeof(s->msg.rec[c].f));
+    return c;
+}
+
+/* Slide the live spans down over the freed ones. */
+static void
+span_compact(Msgs *a)
+{
+    Py_ssize_t q = 0;
+    for (Py_ssize_t p = 0; p < a->pay_used;) {
+        int32_t len = a->pay[p], owner = a->pay[p + 1];
+        if (owner >= 0) {
+            memmove(a->pay + q, a->pay + p, (len + 2) * sizeof(int32_t));
+            a->rec[owner].span = (int32_t)(q + 2);
+            q += len + 2;
+        }
+        p += len + 2;
+    }
+    a->pay_used = q;
+    a->pay_dead = 0;
+}
+
+/* A span of m members for record r (filled by the caller before the next
+ * span_new: compaction moves spans, so a member pointer does not survive
+ * it); -1 on error. */
+static int
+span_new(S *s, int32_t r, Py_ssize_t m)
+{
+    Msgs *a = &s->msg;
+    Py_ssize_t need = m + 2;
+    if (a->pay_used + need > a->pay_cap) {
+        if (2 * a->pay_dead >= a->pay_used)
+            span_compact(a);
+        if (a->pay_used + need > a->pay_cap) {
+            Py_ssize_t cap = a->pay_cap ? 2 * a->pay_cap : 1024;
+            while (cap < a->pay_used + need)
+                cap *= 2;
+            int32_t *pay = cap > INT32_MAX
+                               ? NULL
+                               : PyMem_Realloc(a->pay, cap * sizeof(int32_t));
+            if (pay == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            a->pay = pay;
+            a->pay_cap = cap;
+        }
+    }
+    a->pay[a->pay_used] = (int32_t)m;
+    a->pay[a->pay_used + 1] = r;
+    a->rec[r].span = (int32_t)(a->pay_used + 2);
+    a->pay_used += need;
+    return 0;
+}
+
+/* The members of id-set field fld of record r, FLD(s, r, fld) of them:
+ * the row's id-set fields lie back to back in field order. */
+static int32_t *
+ids_of(S *s, int32_t r, int fld)
+{
+    const Rec *x = &s->msg.rec[r];
+    int64_t at = x->span;
+    for (int j = 1; j < fld; j++) {
+        if (g_kind[x->f[0]][j] == KD_IDSET)
+            at += x->f[j];
+    }
+    return s->msg.pay + at;
+}
+
 static inline void
-wire_set(PyObject *m, Py_ssize_t f, PyObject *o)
+fifo_push(S *s, Fifo *q, int32_t r)
 {
-    Py_INCREF(o);
-    PyTuple_SET_ITEM(m, f, o);
+    s->msg.rec[r].next = -1;
+    if (q->tail < 0)
+        q->head = r;
+    else
+        s->msg.rec[q->tail].next = r;
+    q->tail = r;
 }
 
-/* (T_CONQUER, i, phase[i]): new ref. */
-static PyObject *
-make_conquer(S *s, long i)
+/* Pop the head of a non-empty FIFO. */
+static inline int32_t
+fifo_pop(S *s, Fifo *q)
 {
-    PyObject *cq = wire_new(T_CONQUER, N_CONQUER);
-    if (cq != NULL) {
-        wire_set(cq, F_CONQUER_LEADER, IOBJ(s, i));
-        wire_set(cq, F_CONQUER_PHASE, PyList_GET_ITEM(s->phase, i));
-    }
-    return cq;
+    int32_t r = q->head;
+    q->head = s->msg.rec[r].next;
+    if (q->head < 0)
+        q->tail = -1;
+    return r;
 }
 
-/* (T_SEARCH, initiator, phase, target, is_new), all borrowed: new ref. */
-static PyObject *
-make_search(PyObject *initiator, PyObject *phase, PyObject *target, int is_new)
+/* (T_CONQUER, i, phase[i]); -1 on error. */
+static int32_t
+new_conquer(S *s, long i)
 {
-    PyObject *m = wire_new(T_SEARCH, N_SEARCH);
-    if (m != NULL) {
-        wire_set(m, F_SEARCH_INITIATOR, initiator);
-        wire_set(m, F_SEARCH_PHASE, phase);
-        wire_set(m, F_SEARCH_TARGET, target);
-        wire_set(m, F_SEARCH_NEW, is_new ? Py_True : Py_False);
+    int32_t r = rec_new(s, T_CONQUER);
+    if (r >= 0) {
+        FLD(s, r, F_CONQUER_LEADER) = i;
+        FLD(s, r, F_CONQUER_PHASE) = GETL(s->phase, i);
     }
-    return m;
+    return r;
+}
+
+/* (T_SEARCH, initiator, phase, target, is_new); -1 on error. */
+static int32_t
+new_search(S *s, long initiator, long long phase, long target, int is_new)
+{
+    int32_t r = rec_new(s, T_SEARCH);
+    if (r >= 0) {
+        FLD(s, r, F_SEARCH_INITIATOR) = initiator;
+        FLD(s, r, F_SEARCH_PHASE) = phase;
+        FLD(s, r, F_SEARCH_TARGET) = target;
+        FLD(s, r, F_SEARCH_NEW) = is_new;
+    }
+    return r;
+}
+
+/* (T_RELEASE, i, is_merge, initiator, phase[i]); -1 on error. */
+static int32_t
+new_release(S *s, long i, int is_merge, long initiator)
+{
+    int32_t r = rec_new(s, T_RELEASE);
+    if (r >= 0) {
+        FLD(s, r, F_RELEASE_LEADER) = i;
+        FLD(s, r, F_RELEASE_ANSWER) = is_merge;
+        FLD(s, r, F_RELEASE_INITIATOR) = initiator;
+        FLD(s, r, F_RELEASE_PHASE) = GETL(s->phase, i);
+    }
+    return r;
 }
 
 /* ------------------------------------------------------------------ */
@@ -690,6 +875,7 @@ chan_add(Chans *c, long src, long dst)
         return -1;
     c->ends[c->n].src = (int32_t)src;
     c->ends[c->n].dst = (int32_t)dst;
+    c->ends[c->n].q.head = c->ends[c->n].q.tail = -1;
     chan_insert(c, (int32_t)c->n++);
     return 0;
 }
@@ -738,56 +924,14 @@ mt_bits(MT *mt, int k)
 /* ------------------------------------------------------------------ */
 /* Transport                                                           */
 /* ------------------------------------------------------------------ */
-/* Channel arena (ArrayCore.chanq): a slot is None (idle), the pending wire
- * tuple itself (exactly one message), or a deque (two or more pending at
- * once, or adopted from a live simulator).  A deque slot stays a deque. */
-
-/* Enqueue msg (borrowed) on channel cid. */
+/* emit(src, dst, r): record r, in no FIFO, goes to channel (src, dst).
+ * SimNode.send followed by Simulator.transmit, including the self-send
+ * SimulationError; the accounting is counts and first-send order only (bits
+ * are folded from them when the loop exits). */
 static int
-chan_push(S *s, long cid, PyObject *msg)
+emit(S *s, long src, long dst, int32_t r)
 {
-    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
-    if (slot == Py_None)
-        return set_item_obj(s->chanq, cid, msg);
-    if (!PyTuple_CheckExact(slot)) {
-        PyObject *r = PyObject_CallMethodOneArg(slot, s_append, msg);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
-    /* a second message while the first is still pending */
-    PyObject *pair = PyTuple_Pack(2, slot, msg);
-    if (pair == NULL)
-        return -1;
-    PyObject *q = PyObject_CallOneArg(g_deque_type, pair);
-    Py_DECREF(pair);
-    if (q == NULL)
-        return -1;
-    return PyList_SetItem(s->chanq, cid, q); /* steals q, drops the tuple */
-}
-
-/* Pop the head of channel cid: new reference.  For a tuple slot the list's
- * reference becomes the caller's and the slot goes idle. */
-static PyObject *
-chan_pop(S *s, long cid)
-{
-    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
-    if (PyTuple_CheckExact(slot)) {
-        Py_INCREF(Py_None);
-        PyList_SET_ITEM(s->chanq, cid, Py_None);
-        return slot;
-    }
-    return PyObject_CallMethodNoArgs(slot, s_popleft);
-}
-
-/* emit(src, dst, tag, msg): msg is borrowed.  SimNode.send followed by
- * Simulator.transmit on the arena, including the self-send SimulationError;
- * the accounting is counts and first-send order only (bits are folded from
- * them when the loop exits). */
-static int
-emit(S *s, long src, long dst, int tag, PyObject *msg)
-{
+    int tag = TAG(s, r);
     if (dst == src) {
         PyErr_Format(g_sim_error,
                      "node %R tried to message itself with %R; "
@@ -799,28 +943,32 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
     }
     long cid = chan_find(&s->ch, src, dst);
     if (cid < 0) {
-        /* a new channel: its arena slot and endpoints, then the table */
         cid = (long)s->ch.n;
-        if (PyList_Append(s->chanq, Py_None) < 0 ||
-            PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
-            PyList_Append(s->chan_dst, IOBJ(s, dst)) < 0 ||
-            chan_add(&s->ch, src, dst) < 0)
+        if (chan_add(&s->ch, src, dst) < 0)
             return -1;
     }
     if (s->counts[tag]++ == 0) {
         if (PyList_Append(s->order, g_tag_objs[tag]) < 0)
             return -1;
     }
-    if (chan_push(s, cid, msg) < 0)
-        return -1;
+    s->msg.rec[r].from = (int32_t)src;
+    fifo_push(s, &s->ch.ends[cid].q, r);
     return pool_push(&s->pool, cid);
 }
 
 static int
-emitx(S *s, long src, long dst, int tag, PyObject *msg, long extra_ids)
+emitx(S *s, long src, long dst, int32_t r, long extra_ids)
 {
-    s->xtra[tag] += extra_ids;
-    return emit(s, src, dst, tag, msg);
+    s->xtra[TAG(s, r)] += extra_ids;
+    return emit(s, src, dst, r);
+}
+
+/* A fresh record of a field-less row, sent; -1 on error. */
+static int
+emit_new(S *s, long src, long dst, int tag)
+{
+    int32_t r = rec_new(s, tag);
+    return r < 0 ? -1 : emit(s, src, dst, r);
 }
 
 /* ------------------------------------------------------------------ */
@@ -894,16 +1042,10 @@ collect_rank_sorted(S *s, long i, uint32_t cls)
     return m;
 }
 
-/* The members of wire id-set `set` (a frozenset of node ints) into
- * s->idbuf; returns their count or -1. */
-static Py_ssize_t
-read_ids(S *s, PyObject *set)
+/* Room for m ids in s->idbuf. */
+static int
+idbuf_reserve(S *s, Py_ssize_t m)
 {
-    if (!PyAnySet_Check(set)) {
-        PyErr_SetString(PyExc_TypeError, "arrayloop: an id-set is not a set");
-        return -1;
-    }
-    Py_ssize_t m = PySet_GET_SIZE(set);
     if (m > s->idbuf_cap) {
         int32_t *p = PyMem_Realloc(s->idbuf, m * sizeof(int32_t));
         if (p == NULL) {
@@ -913,66 +1055,48 @@ read_ids(S *s, PyObject *set)
         s->idbuf = p;
         s->idbuf_cap = m;
     }
-    PyObject *it = PyObject_GetIter(set);
-    if (it == NULL)
-        return -1;
-    Py_ssize_t k = 0;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        long v = PyLong_AsLong(item);
-        Py_DECREF(item);
-        if (v < 0 || v >= s->n || k == m) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "arrayloop: payload id");
-            break;
-        }
-        s->idbuf[k++] = (int32_t)v;
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : k;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* EXPLORE (Figure 3)                                                  */
 /* ------------------------------------------------------------------ */
-/* take_local: returns a new frozenset ref; *done_flag set to 1 when the
- * whole local set was taken. */
-static PyObject *
+/* take_local: up to k of node i's local ids, the rank-smallest, leave
+ * `local` for s->idbuf; returns their count (-1 on error), *done_flag 1
+ * when the whole local set was taken. */
+static Py_ssize_t
 take_local(S *s, long i, long long k, int *done_flag)
 {
     Know *kn = &s->know[i];
-    PyObject *taken = PyFrozenSet_New(NULL);
-    if (taken == NULL)
-        return NULL;
+    Py_ssize_t m = 0;
     if ((long long)kn->cnt[KIX(K_LOCAL)] <= k) {
+        if (idbuf_reserve(s, kn->cnt[KIX(K_LOCAL)]) < 0)
+            return -1;
         for (uint32_t j = 0; j < know_cap(kn); j++) {
             if (kn->slot[j] & K_LOCAL) {
                 know_unmark(kn, &kn->slot[j], K_LOCAL);
-                if (PySet_Add(taken, IOBJ(s, KNOW_ID(kn->slot[j]))) < 0)
-                    goto fail;
+                s->idbuf[m++] = (int32_t)KNOW_ID(kn->slot[j]);
             }
         }
         *done_flag = 1;
-        return taken;
+        return m;
     }
     /* k < m: the k rank-smallest members (k_smallest equivalence). */
-    if (collect_rank_sorted(s, i, K_LOCAL) < 0)
-        goto fail;
-    for (Py_ssize_t j = 0; j < (Py_ssize_t)k; j++) {
-        long v = s->scratch[j].id;
+    if (collect_rank_sorted(s, i, K_LOCAL) < 0 ||
+        idbuf_reserve(s, (Py_ssize_t)k) < 0)
+        return -1;
+    for (; m < (Py_ssize_t)k; m++) {
+        long v = s->scratch[m].id;
         know_drop(kn, v, K_LOCAL);
-        if (PySet_Add(taken, IOBJ(s, v)) < 0)
-            goto fail;
+        s->idbuf[m] = (int32_t)v;
     }
     *done_flag = 0;
-    return taken;
-fail:
-    Py_DECREF(taken);
-    return NULL;
+    return m;
 }
 
 static int
-ingest_reply(S *s, long i, long source, PyObject *id_set, int done_flag)
+ingest_reply(S *s, long i, long source, const int32_t *ids, Py_ssize_t m,
+             int done_flag)
 {
     Know *k = &s->know[i];
     if (done_flag) {
@@ -982,11 +1106,8 @@ ingest_reply(S *s, long i, long source, PyObject *id_set, int done_flag)
             know_mark(k, e, K_DONE);
         }
     }
-    Py_ssize_t m = read_ids(s, id_set);
-    if (m < 0)
-        return -1;
     for (Py_ssize_t j = 0; j < m; j++) {
-        long fresh = s->idbuf[j];
+        long fresh = ids[j];
         if (!(know_has(k, fresh) & (K_MORE | K_DONE)) && fresh != i &&
             add_unexplored(s, i, fresh) < 0)
             return -1;
@@ -1000,24 +1121,17 @@ static int
 terminate_bounded(S *s, long i)
 {
     s->status[i] = ST_TERMINATED;
-    PyObject *cq = make_conquer(s, i);
-    if (cq == NULL)
-        return -1;
     Py_ssize_t cnt = collect_rank_sorted(s, i, K_DONE);
-    if (cnt < 0) {
-        Py_DECREF(cq);
+    if (cnt < 0)
         return -1;
-    }
     for (Py_ssize_t j = 0; j < cnt; j++) {
         long w = s->scratch[j].id;
         if (w != i) {
-            if (emit(s, i, w, T_CONQUER, cq) < 0) {
-                Py_DECREF(cq);
+            int32_t cq = new_conquer(s, i);
+            if (cq < 0 || emit(s, i, w, cq) < 0)
                 return -1;
-            }
         }
     }
-    Py_DECREF(cq);
     return 0;
 }
 
@@ -1034,13 +1148,8 @@ explore(S *s, long i)
         if (target >= 0) {
             s->status[i] = ST_WAIT;
             s->aw_rel[i] = 1;
-            PyObject *msg = make_search(
-                IOBJ(s, i), PyList_GET_ITEM(s->phase, i), IOBJ(s, target), 0);
-            if (msg == NULL)
-                return -1;
-            int r = emit(s, i, target, T_SEARCH, msg);
-            Py_DECREF(msg);
-            return r;
+            int32_t r = new_search(s, i, GETL(s->phase, i), target, 0);
+            return r < 0 ? -1 : emit(s, i, target, r);
         }
         long cand = peek_more(s, i);
         if (cand < 0) {
@@ -1055,36 +1164,18 @@ explore(S *s, long i)
             k = (long long)kn->cnt[KIX(K_MORE)] + kn->cnt[KIX(K_DONE)] + 1;
         if (cand == i) {
             int done_flag;
-            PyObject *taken = take_local(s, i, k, &done_flag);
-            if (taken == NULL)
-                return -1;
-            int r = ingest_reply(s, i, i, taken, done_flag);
-            Py_DECREF(taken);
-            if (r < 0)
+            Py_ssize_t m = take_local(s, i, k, &done_flag);
+            if (m < 0 || ingest_reply(s, i, i, s->idbuf, m, done_flag) < 0)
                 return -1;
             continue;
         }
         if (set_item_obj(s->aw_query, i, IOBJ(s, cand)) < 0)
             return -1;
-        PyObject *ko;
-        if (s->greedy[i]) {
-            ko = g_greedy_k;
-            Py_INCREF(ko);
-        }
-        else {
-            ko = PyLong_FromLongLong(k);
-            if (ko == NULL)
-                return -1;
-        }
-        PyObject *msg = wire_new(T_QUERY, N_QUERY);
-        if (msg == NULL) {
-            Py_DECREF(ko);
+        int32_t r = rec_new(s, T_QUERY);
+        if (r < 0)
             return -1;
-        }
-        PyTuple_SET_ITEM(msg, F_QUERY_K, ko); /* steals */
-        int r = emit(s, i, cand, T_QUERY, msg);
-        Py_DECREF(msg);
-        return r;
+        FLD(s, r, F_QUERY_K) = k;
+        return emit(s, i, cand, r);
     }
 }
 
@@ -1104,12 +1195,8 @@ absorb_learned_id(S *s, long i, long other)
         return -1;
     if (s->status[i] == ST_INACTIVE) {
         if (had_reported_all) {
-            PyObject *msg = make_search(IOBJ(s, i), g_zero, IOBJ(s, i), 1);
-            if (msg == NULL)
-                return -1;
-            int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, msg);
-            Py_DECREF(msg);
-            return r;
+            int32_t r = new_search(s, i, 0, i, 1);
+            return r < 0 ? -1 : emit(s, i, GETL(s->nxt, i), r);
         }
         return 0;
     }
@@ -1123,71 +1210,48 @@ absorb_learned_id(S *s, long i, long other)
 }
 
 /* ------------------------------------------------------------------ */
-/* Handlers                                                            */
+/* Handlers: record r was delivered to node i by sender.  Each returns  */
+/* 1 consumed (the caller frees r), 2 consumed and r kept (parked or    */
+/* forwarded), 0 defer, -1 error.                                       */
 /* ------------------------------------------------------------------ */
-/* Section 4.2 target absorption; returns a NEW ref (msg or a rewrite). */
-static PyObject *
-absorb_target(S *s, long i, PyObject *msg)
+/* Section 4.2 target absorption, in place: the search the reference
+ * rebuilds with new=True is r's own. */
+static int
+absorb_target(S *s, long i, int32_t r)
 {
-    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_TARGET)) == i) {
-        PyObject *init = PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR);
-        int r = know_add(&s->know[i], PyLong_AsLong(init), K_LOCAL);
-        if (r < 0)
-            return NULL;
-        if (r)
-            return make_search(init, PyTuple_GET_ITEM(msg, F_SEARCH_PHASE),
-                               PyTuple_GET_ITEM(msg, F_SEARCH_TARGET), 1);
+    if (FLD(s, r, F_SEARCH_TARGET) == i) {
+        int a = know_add(&s->know[i], (long)FLD(s, r, F_SEARCH_INITIATOR),
+                         K_LOCAL);
+        if (a < 0)
+            return -1;
+        if (a)
+            FLD(s, r, F_SEARCH_NEW) = 1;
     }
-    Py_INCREF(msg);
-    return msg;
-}
-
-/* (T_RELEASE, i, is_merge, initiator, phase[i]): new ref. */
-static PyObject *
-make_release(S *s, long i, int is_merge, PyObject *initiator)
-{
-    PyObject *rel = wire_new(T_RELEASE, N_RELEASE);
-    if (rel != NULL) {
-        wire_set(rel, F_RELEASE_LEADER, IOBJ(s, i));
-        wire_set(rel, F_RELEASE_ANSWER, is_merge ? Py_True : Py_False);
-        wire_set(rel, F_RELEASE_INITIATOR, initiator);
-        wire_set(rel, F_RELEASE_PHASE, PyList_GET_ITEM(s->phase, i));
-    }
-    return rel;
+    return 0;
 }
 
 static int
-leader_on_search(S *s, long i, long sender, PyObject *msg)
+leader_on_search(S *s, long i, long sender, int32_t r)
 {
-    PyObject *m = absorb_target(s, i, msg);
-    if (m == NULL)
+    if (absorb_target(s, i, r) < 0)
         return -1;
-    long initiator = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
-    long mphase = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_PHASE));
-    int is_new = PyObject_IsTrue(PyTuple_GET_ITEM(m, F_SEARCH_NEW));
-    if (is_new < 0)
-        goto fail;
-    if (is_new) {
-        long tgt = PyLong_AsLong(PyTuple_GET_ITEM(m, F_SEARCH_TARGET));
-        uint32_t *e = know_find(&s->know[i], tgt);
+    long initiator = (long)FLD(s, r, F_SEARCH_INITIATOR);
+    long long mphase = FLD(s, r, F_SEARCH_PHASE);
+    if (FLD(s, r, F_SEARCH_NEW)) {
+        uint32_t *e = know_find(&s->know[i], (long)FLD(s, r, F_SEARCH_TARGET));
         if (e != NULL && *e & K_DONE) {
             know_unmark(&s->know[i], e, K_DONE);
-            if (add_more(s, i, tgt) < 0)
-                goto fail;
+            if (add_more(s, i, (long)FLD(s, r, F_SEARCH_TARGET)) < 0)
+                return -1;
         }
     }
     long ph = GETL(s->phase, i);
     int outranks =
         mphase > ph ||
         (mphase == ph && s->nrank[initiator] > s->nrank[i]);
-    PyObject *rel =
-        make_release(s, i, outranks, PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
-    if (rel == NULL)
-        goto fail;
-    int r = emit(s, i, sender, T_RELEASE, rel);
-    Py_DECREF(rel);
-    if (r < 0)
-        goto fail;
+    int32_t rel = new_release(s, i, outranks, initiator);
+    if (rel < 0 || emit(s, i, sender, rel) < 0)
+        return -1;
     if (outranks) {
         if (s->status[i] == ST_WAIT && s->aw_rel[i])
             s->stale[i] = 1;
@@ -1198,22 +1262,16 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
          * short-circuited. */
         int go = s->know[i].cnt[KIX(K_UNEXP)] > 0 || peek_more(s, i) >= 0;
         if (go && explore(s, i) < 0)
-            goto fail;
+            return -1;
     }
-    Py_DECREF(m);
     return 0;
-fail:
-    Py_DECREF(m);
-    return -1;
 }
 
 static int
-consume_own_release(S *s, long i, PyObject *msg)
+consume_own_release(S *s, long i, int32_t r)
 {
-    long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_LEADER));
-    int is_merge = PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_RELEASE_ANSWER));
-    if (is_merge < 0)
-        return -1;
+    long leader = (long)FLD(s, r, F_RELEASE_LEADER);
+    int is_merge = FLD(s, r, F_RELEASE_ANSWER) != 0;
     if (s->status[i] == ST_WAIT && s->aw_rel[i]) {
         s->aw_rel[i] = 0;
         if (!is_merge) {
@@ -1226,11 +1284,11 @@ consume_own_release(S *s, long i, PyObject *msg)
         }
         s->status[i] = ST_CONQUEROR;
         s->aw_info[i] = 1;
-        return emit(s, i, leader, T_MERGE_ACCEPT, g_wire_ma);
+        return emit_new(s, i, leader, T_MERGE_ACCEPT);
     }
     /* precheck guarantees PASSIVE/CONQUERED/INACTIVE here */
     if (is_merge) {
-        if (emit(s, i, leader, T_MERGE_FAIL, g_wire_mf) < 0)
+        if (emit_new(s, i, leader, T_MERGE_FAIL) < 0)
             return -1;
     }
     if (s->stale[i]) {
@@ -1242,138 +1300,111 @@ consume_own_release(S *s, long i, PyObject *msg)
 }
 
 static int
-exec_search(S *s, long i, long sender, PyObject *msg)
+exec_search(S *s, long i, long sender, int32_t r)
 {
     int st = s->status[i];
     if (st == ST_EXPLORE || st == ST_CONQUERED || st == ST_CONQUEROR)
         return 0; /* defer */
     if (st == ST_INACTIVE) {
-        PyObject *m = absorb_target(s, i, msg);
-        if (m == NULL)
+        /* parked in previous (r.from is the sender); a copy goes on */
+        if (absorb_target(s, i, r) < 0)
             return -1;
-        PyObject *prev = PyList_GET_ITEM(s->previous, i);
-        if (prev == Py_None) {
-            prev = PyObject_CallNoArgs(g_deque_type);
-            if (prev == NULL) {
-                Py_DECREF(m);
+        int first = s->prev[i].head < 0;
+        fifo_push(s, &s->prev[i], r);
+        if (first) {
+            int32_t c = rec_copy(s, r);
+            if (c < 0 || emit(s, i, GETL(s->nxt, i), c) < 0)
                 return -1;
-            }
-            PyList_SetItem(s->previous, i, prev); /* steals */
         }
-        PyObject *pair = PyTuple_Pack(2, m, IOBJ(s, sender));
-        if (pair == NULL) {
-            Py_DECREF(m);
-            return -1;
-        }
-        PyObject *r = PyObject_CallMethodOneArg(prev, s_append, pair);
-        Py_DECREF(pair);
-        if (r == NULL) {
-            Py_DECREF(m);
-            return -1;
-        }
-        Py_DECREF(r);
-        if (PyObject_Size(prev) == 1) {
-            if (emit(s, i, GETL(s->nxt, i), T_SEARCH, m) < 0) {
-                Py_DECREF(m);
-                return -1;
-            }
-        }
-        Py_DECREF(m);
-        return 1;
+        return 2;
     }
     if (st == ST_WAIT || st == ST_PASSIVE)
-        return leader_on_search(s, i, sender, msg) < 0 ? -1 : 1;
+        return leader_on_search(s, i, sender, r) < 0 ? -1 : 1;
     /* ST_TERMINATED, not outranked (prechecked) */
-    PyObject *m = absorb_target(s, i, msg);
-    if (m == NULL)
+    if (absorb_target(s, i, r) < 0)
         return -1;
-    PyObject *rel =
-        make_release(s, i, 0, PyTuple_GET_ITEM(m, F_SEARCH_INITIATOR));
-    Py_DECREF(m);
-    if (rel == NULL)
-        return -1;
-    int r = emit(s, i, sender, T_RELEASE, rel);
-    Py_DECREF(rel);
-    return r < 0 ? -1 : 1;
+    int32_t rel = new_release(s, i, 0, (long)FLD(s, r, F_SEARCH_INITIATOR));
+    return rel < 0 || emit(s, i, sender, rel) < 0 ? -1 : 1;
 }
 
 static int
-exec_release(S *s, long i, long sender, PyObject *msg)
+exec_release(S *s, long i, long sender, int32_t r)
 {
-    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_INITIATOR)) == i)
-        return consume_own_release(s, i, msg) < 0 ? -1 : 1;
+    if (FLD(s, r, F_RELEASE_INITIATOR) == i)
+        return consume_own_release(s, i, r) < 0 ? -1 : 1;
     /* routing arm: INACTIVE with non-empty previous (prechecked) */
-    PyObject *prev = PyList_GET_ITEM(s->previous, i);
-    PyObject *item = PyObject_CallMethodNoArgs(prev, s_popleft);
-    if (item == NULL)
-        return -1;
-    long came_from = PyLong_AsLong(PAIR_SECOND(item));
-    Py_DECREF(item); /* prev holds no other refs we need */
-    PyObject *mphase = PyTuple_GET_ITEM(msg, F_RELEASE_PHASE);
-    if (PyLong_AsLong(mphase) >= GETL(s->phase, i)) {
-        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_LEADER));
-        if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0)
-            return -1;
-        if (set_item_obj(s->phase, i, mphase) < 0)
+    int32_t parked = fifo_pop(s, &s->prev[i]);
+    long came_from = s->msg.rec[parked].from;
+    rec_free(s, parked);
+    long long mphase = FLD(s, r, F_RELEASE_PHASE);
+    if (mphase >= GETL(s->phase, i)) {
+        long leader = (long)FLD(s, r, F_RELEASE_LEADER);
+        if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0 ||
+            set_item_long(s->phase, i, mphase) < 0)
             return -1;
     }
-    if (emit(s, i, came_from, T_RELEASE, msg) < 0)
+    if (emit(s, i, came_from, r) < 0) /* r itself goes back */
         return -1;
-    if (PyObject_Size(prev) == 0) /* drained: the slot goes back to None */
-        return set_item_obj(s->previous, i, Py_None) < 0 ? -1 : 1;
-    PyObject *head = PySequence_GetItem(prev, 0);
-    if (head == NULL)
-        return -1;
-    int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, PAIR_FIRST(head));
-    Py_DECREF(head);
-    return r < 0 ? -1 : 1;
+    if (s->prev[i].head >= 0) {
+        int32_t c = rec_copy(s, s->prev[i].head);
+        if (c < 0 || emit(s, i, GETL(s->nxt, i), c) < 0)
+            return -1;
+    }
+    return 2;
 }
 
 static int
-exec_merge_accept(S *s, long i, long sender, PyObject *msg)
+exec_merge_accept(S *s, long i, long sender, int32_t r)
 {
     if (set_item_obj(s->nxt, i, IOBJ(s, sender)) < 0)
         return -1;
     Know *k = &s->know[i];
-    long extra = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)] +
-                 k->cnt[KIX(K_UNAWARE)] + k->cnt[KIX(K_UNEXP)];
-    PyObject *info = wire_new(T_INFO, N_INFO);
-    if (info == NULL)
-        return -1;
-    wire_set(info, F_INFO_PHASE, PyList_GET_ITEM(s->phase, i));
-    /* the four payload sets, filled by one scan of the table */
     static const uint32_t cls[4] = {K_MORE, K_DONE, K_UNAWARE, K_UNEXP};
-    static const Py_ssize_t field[4] = {F_INFO_MORE, F_INFO_DONE,
-                                        F_INFO_UNAWARE, F_INFO_UNEXPLORED};
-    PyObject *f[4];
+    static const int field[4] = {F_INFO_MORE, F_INFO_DONE, F_INFO_UNAWARE,
+                                 F_INFO_UNEXPLORED};
+    int32_t info = rec_new(s, T_INFO);
+    if (info < 0)
+        return -1;
+    FLD(s, info, F_INFO_PHASE) = GETL(s->phase, i);
+    long extra = 0;
     for (int c = 0; c < 4; c++) {
-        if ((f[c] = PyFrozenSet_New(NULL)) == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(info, field[c], f[c]);
+        FLD(s, info, field[c]) = k->cnt[KIX(cls[c])];
+        extra += k->cnt[KIX(cls[c])];
     }
+    if (span_new(s, info, extra) < 0)
+        return -1;
+    /* the four payload sets, filled by one scan of the table */
+    int32_t *at[4];
+    for (int c = 0; c < 4; c++)
+        at[c] = ids_of(s, info, field[c]);
     for (uint32_t j = 0; j < know_cap(k); j++) {
         uint32_t e = k->slot[j];
         for (int c = 0; c < 4; c++) {
-            if (e & cls[c] && PySet_Add(f[c], IOBJ(s, KNOW_ID(e))) < 0)
-                goto fail;
+            if (e & cls[c])
+                *at[c]++ = (int32_t)KNOW_ID(e);
         }
     }
-    if (emitx(s, i, sender, T_INFO, info, extra) < 0)
-        goto fail;
-    Py_DECREF(info);
+    if (emitx(s, i, sender, info, extra) < 0)
+        return -1;
     s->status[i] = ST_INACTIVE;
     return 1;
-fail:
-    Py_DECREF(info);
-    return -1;
+}
+
+/* Phase update after a merge (Figures 5, 6). */
+static int
+merge_phase(S *s, long i, int32_t r, long cluster)
+{
+    long ph = GETL(s->phase, i);
+    if (ph == FLD(s, r, F_INFO_PHASE) || cluster >= (1L << (ph + 1)))
+        return set_item_long(s->phase, i, ph + 1);
+    return 0;
 }
 
 static int
-merge_with_unaware(S *s, long i, PyObject *msg)
+merge_with_unaware(S *s, long i, int32_t r)
 {
     Know *k = &s->know[i];
-    static const Py_ssize_t joined[3] = {F_INFO_MORE, F_INFO_DONE,
-                                         F_INFO_UNAWARE};
+    static const int joined[3] = {F_INFO_MORE, F_INFO_DONE, F_INFO_UNAWARE};
     /* Unaware is empty here in every state the protocol reaches (explore,
      * the only way on to a merge, runs once it drains): its members are
      * then the ids that join now, gathered into the scratch as they join,
@@ -1381,140 +1412,112 @@ merge_with_unaware(S *s, long i, PyObject *msg)
     Py_ssize_t fresh = 0, cnt;
     int gather = k->cnt[KIX(K_UNAWARE)] == 0;
     for (int c = 0; c < 3; c++) {
-        PyObject *ids = PyTuple_GET_ITEM(msg, joined[c]);
-        Py_ssize_t m = read_ids(s, ids);
-        if (m < 0 || (gather && get_scratch(s, fresh + m) == NULL))
+        const int32_t *ids = ids_of(s, r, joined[c]);
+        Py_ssize_t m = (Py_ssize_t)FLD(s, r, joined[c]);
+        if (gather && get_scratch(s, fresh + m) == NULL)
             return -1;
         for (Py_ssize_t j = 0; j < m; j++) {
-            long v = s->idbuf[j];
-            int r = know_add(k, v, K_UNAWARE);
-            if (r < 0)
+            long v = ids[j];
+            int a = know_add(k, v, K_UNAWARE);
+            if (a < 0)
                 return -1;
-            if (r && gather) {
+            if (a && gather) {
                 s->scratch[fresh].id = v;
                 s->scratch[fresh++].rank = s->rrank[v];
             }
         }
     }
-    Py_ssize_t m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED));
-    if (m < 0)
-        return -1;
-    for (Py_ssize_t j = 0; j < m; j++) {
-        long u = s->idbuf[j];
+    const int32_t *unexp = ids_of(s, r, F_INFO_UNEXPLORED);
+    for (Py_ssize_t j = 0; j < (Py_ssize_t)FLD(s, r, F_INFO_UNEXPLORED); j++) {
+        long u = unexp[j];
         if (!(know_has(k, u) & (K_UNAWARE | K_MORE | K_DONE)) && u != i &&
             add_unexplored(s, i, u) < 0)
             return -1;
     }
     long cluster = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)] +
                    k->cnt[KIX(K_UNAWARE)];
-    long ph = GETL(s->phase, i);
-    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
-    if (ph == mph || cluster >= (1L << (ph + 1))) {
-        PyObject *np = PyLong_FromLong(ph + 1);
-        if (np == NULL)
-            return -1;
-        if (PyList_SetItem(s->phase, i, np) < 0)
-            return -1;
-    }
+    if (merge_phase(s, i, r, cluster) < 0)
+        return -1;
     if (gather) {
         qsort(s->scratch, fresh, sizeof(struct rpair), cmp_rpair);
         cnt = fresh;
     }
     else if ((cnt = collect_rank_sorted(s, i, K_UNAWARE)) < 0)
         return -1;
-    PyObject *cq = make_conquer(s, i);
-    if (cq == NULL)
-        return -1;
     for (Py_ssize_t j = 0; j < cnt; j++) {
-        if (emit(s, i, s->scratch[j].id, T_CONQUER, cq) < 0) {
-            Py_DECREF(cq);
+        int32_t cq = new_conquer(s, i);
+        if (cq < 0 || emit(s, i, s->scratch[j].id, cq) < 0)
             return -1;
-        }
     }
-    Py_DECREF(cq);
     if (k->cnt[KIX(K_UNAWARE)] == 0)
         return explore(s, i);
     return 0;
 }
 
 static int
-merge_direct(S *s, long i, PyObject *msg)
+merge_direct(S *s, long i, int32_t r)
 {
     Know *k = &s->know[i];
-    Py_ssize_t m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_MORE));
-    if (m < 0)
-        return -1;
-    for (Py_ssize_t j = 0; j < m; j++) {
-        know_drop(k, s->idbuf[j], K_DONE);
-        if (add_more(s, i, s->idbuf[j]) < 0)
+    const int32_t *ids = ids_of(s, r, F_INFO_MORE);
+    for (Py_ssize_t j = 0; j < (Py_ssize_t)FLD(s, r, F_INFO_MORE); j++) {
+        know_drop(k, ids[j], K_DONE);
+        if (add_more(s, i, ids[j]) < 0)
             return -1;
     }
-    if ((m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_DONE))) < 0)
-        return -1;
-    for (Py_ssize_t j = 0; j < m; j++) {
-        if (!(know_has(k, s->idbuf[j]) & (K_MORE | K_DONE)) &&
-            know_add(k, s->idbuf[j], K_DONE) < 0)
+    ids = ids_of(s, r, F_INFO_DONE);
+    for (Py_ssize_t j = 0; j < (Py_ssize_t)FLD(s, r, F_INFO_DONE); j++) {
+        if (!(know_has(k, ids[j]) & (K_MORE | K_DONE)) &&
+            know_add(k, ids[j], K_DONE) < 0)
             return -1;
     }
-    if ((m = read_ids(s, PyTuple_GET_ITEM(msg, F_INFO_UNEXPLORED))) < 0)
-        return -1;
-    for (Py_ssize_t j = 0; j < m; j++) {
-        long u = s->idbuf[j];
+    ids = ids_of(s, r, F_INFO_UNEXPLORED);
+    for (Py_ssize_t j = 0; j < (Py_ssize_t)FLD(s, r, F_INFO_UNEXPLORED); j++) {
+        long u = ids[j];
         if (!(know_has(k, u) & (K_MORE | K_DONE)) && u != i &&
             add_unexplored(s, i, u) < 0)
             return -1;
     }
     long cluster = (long)k->cnt[KIX(K_MORE)] + k->cnt[KIX(K_DONE)];
-    long ph = GETL(s->phase, i);
-    long mph = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_INFO_PHASE));
-    if (ph == mph || cluster >= (1L << (ph + 1))) {
-        PyObject *np = PyLong_FromLong(ph + 1);
-        if (np == NULL)
-            return -1;
-        if (PyList_SetItem(s->phase, i, np) < 0)
-            return -1;
-    }
+    if (merge_phase(s, i, r, cluster) < 0)
+        return -1;
     return explore(s, i);
 }
 
 static int
-exec_info(S *s, long i, long sender, PyObject *msg)
+exec_info(S *s, long i, long sender, int32_t r)
 {
     s->aw_info[i] = 0;
     if (s->variant[i] == V_GENERIC)
-        return merge_with_unaware(s, i, msg) < 0 ? -1 : 1;
-    return merge_direct(s, i, msg) < 0 ? -1 : 1;
+        return merge_with_unaware(s, i, r) < 0 ? -1 : 1;
+    return merge_direct(s, i, r) < 0 ? -1 : 1;
 }
 
 static int
-exec_conquer(S *s, long i, long sender, PyObject *msg)
+exec_conquer(S *s, long i, long sender, int32_t r)
 {
-    PyObject *mphase = PyTuple_GET_ITEM(msg, F_CONQUER_PHASE);
-    if (PyLong_AsLong(mphase) >= GETL(s->phase, i)) {
-        long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_CONQUER_LEADER));
-        if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0)
-            return -1;
-        if (set_item_obj(s->phase, i, mphase) < 0)
+    long long mphase = FLD(s, r, F_CONQUER_PHASE);
+    if (mphase >= GETL(s->phase, i)) {
+        long leader = (long)FLD(s, r, F_CONQUER_LEADER);
+        if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0 ||
+            set_item_long(s->phase, i, mphase) < 0)
             return -1;
     }
-    PyObject *reply =
-        s->know[i].cnt[KIX(K_LOCAL)] > 0 ? g_wire_md_t : g_wire_md_f;
-    return emit(s, i, sender, T_MORE_DONE, reply) < 0 ? -1 : 1;
+    int32_t reply = rec_new(s, T_MORE_DONE);
+    if (reply < 0)
+        return -1;
+    FLD(s, reply, F_MORE_DONE_HAS_MORE) = s->know[i].cnt[KIX(K_LOCAL)] > 0;
+    return emit(s, i, sender, reply) < 0 ? -1 : 1;
 }
 
 static int
-exec_more_done(S *s, long i, long sender, PyObject *msg)
+exec_more_done(S *s, long i, long sender, int32_t r)
 {
     if (s->status[i] == ST_TERMINATED)
         return 1;
     /* CONQUEROR, not awaiting info, sender in unaware (prechecked) */
     Know *k = &s->know[i];
     know_drop(k, sender, K_UNAWARE);
-    int has_more =
-        PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_MORE_DONE_HAS_MORE));
-    if (has_more < 0)
-        return -1;
-    if (has_more) {
+    if (FLD(s, r, F_MORE_DONE_HAS_MORE)) {
         if (add_more(s, i, sender) < 0)
             return -1;
     }
@@ -1526,67 +1529,59 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
 }
 
 static int
-exec_query(S *s, long i, long sender, PyObject *msg)
+exec_query(S *s, long i, long sender, int32_t r)
 {
-    long long k = PyLong_AsLongLong(PyTuple_GET_ITEM(msg, F_QUERY_K));
-    if (k == -1 && PyErr_Occurred())
-        return -1;
     int done_flag;
-    PyObject *taken = take_local(s, i, k, &done_flag);
-    if (taken == NULL)
+    Py_ssize_t m = take_local(s, i, FLD(s, r, F_QUERY_K), &done_flag);
+    if (m < 0)
         return -1;
-    long extra = (long)PySet_GET_SIZE(taken);
-    PyObject *reply = wire_new(T_QUERY_REPLY, N_QUERY_REPLY);
-    if (reply == NULL) {
-        Py_DECREF(taken);
+    int32_t reply = rec_new(s, T_QUERY_REPLY);
+    if (reply < 0 || span_new(s, reply, m) < 0)
         return -1;
-    }
-    PyTuple_SET_ITEM(reply, F_QUERY_REPLY_IDS, taken); /* steals */
-    wire_set(reply, F_QUERY_REPLY_DONE_FLAG, done_flag ? Py_True : Py_False);
-    int r = emitx(s, i, sender, T_QUERY_REPLY, reply, extra);
-    Py_DECREF(reply);
-    return r < 0 ? -1 : 1;
+    FLD(s, reply, F_QUERY_REPLY_IDS) = m;
+    FLD(s, reply, F_QUERY_REPLY_DONE_FLAG) = done_flag;
+    if (m > 0)
+        memcpy(ids_of(s, reply, F_QUERY_REPLY_IDS), s->idbuf,
+               m * sizeof(int32_t));
+    return emitx(s, i, sender, reply, (long)m) < 0 ? -1 : 1;
 }
 
 static int
-exec_query_reply(S *s, long i, long sender, PyObject *msg)
+exec_query_reply(S *s, long i, long sender, int32_t r)
 {
-    if (set_item_obj(s->aw_query, i, g_neg_one) < 0)
+    if (set_item_long(s->aw_query, i, -1) < 0)
         return -1;
-    int done_flag =
-        PyObject_IsTrue(PyTuple_GET_ITEM(msg, F_QUERY_REPLY_DONE_FLAG));
-    if (done_flag < 0)
-        return -1;
-    if (ingest_reply(s, i, sender, PyTuple_GET_ITEM(msg, F_QUERY_REPLY_IDS),
-                     done_flag) < 0)
+    if (ingest_reply(s, i, sender, ids_of(s, r, F_QUERY_REPLY_IDS),
+                     (Py_ssize_t)FLD(s, r, F_QUERY_REPLY_IDS),
+                     FLD(s, r, F_QUERY_REPLY_DONE_FLAG) != 0) < 0)
         return -1;
     return explore(s, i) < 0 ? -1 : 1;
 }
 
-/* Dispatch an executable message; 1 consumed, 0 defer, -1 error. */
+/* Dispatch an executable record (see the handlers' return codes). */
 static int
-exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
+exec_msg(S *s, long i, long sender, int32_t r)
 {
-    switch (tag) {
+    switch (TAG(s, r)) {
     case T_SEARCH:
-        return exec_search(s, i, sender, msg);
+        return exec_search(s, i, sender, r);
     case T_RELEASE:
-        return exec_release(s, i, sender, msg);
+        return exec_release(s, i, sender, r);
     case T_CONQUER:
-        return exec_conquer(s, i, sender, msg);
+        return exec_conquer(s, i, sender, r);
     case T_MORE_DONE:
-        return exec_more_done(s, i, sender, msg);
+        return exec_more_done(s, i, sender, r);
     case T_QUERY:
-        return exec_query(s, i, sender, msg);
+        return exec_query(s, i, sender, r);
     case T_QUERY_REPLY:
-        return exec_query_reply(s, i, sender, msg);
+        return exec_query_reply(s, i, sender, r);
     case T_MERGE_ACCEPT:
-        return exec_merge_accept(s, i, sender, msg);
+        return exec_merge_accept(s, i, sender, r);
     case T_MERGE_FAIL:
         s->status[i] = ST_PASSIVE;
         return 1;
     case T_INFO:
-        return exec_info(s, i, sender, msg);
+        return exec_info(s, i, sender, r);
     default:
         PyErr_SetString(PyExc_RuntimeError,
                         "arrayloop: exec_msg on unhandleable tag");
@@ -1595,14 +1590,13 @@ exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
 }
 
 /* Pure-read precheck: 1 if exec_msg reproduces the reference handler for
- * this message bit-for-bit, 0 if the step must be handed back (raise paths,
- * probes, unknown tags).  -1 on internal error. */
+ * this record bit-for-bit, 0 if the step must be handed back (raise paths,
+ * probes, unknown tags). */
 static int
-can_handle(S *s, long dst, long src, PyObject *msg)
+can_handle(S *s, long dst, long src, int32_t r)
 {
-    long tag = WIRE_TAG(msg);
     int st = s->status[dst];
-    switch (tag) {
+    switch (TAG(s, r)) {
     case T_QUERY:
         return st == ST_INACTIVE;
     case T_QUERY_REPLY:
@@ -1611,34 +1605,23 @@ can_handle(S *s, long dst, long src, PyObject *msg)
         if (st != ST_TERMINATED)
             return 1;
         /* terminated leader: handle only the not-outranked reply arm */
-        long mphase = PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_PHASE));
+        long long mphase = FLD(s, r, F_SEARCH_PHASE);
         long ph = GETL(s->phase, dst);
         if (mphase > ph)
             return 0;
-        if (mphase == ph) {
-            long initiator =
-                PyLong_AsLong(PyTuple_GET_ITEM(msg, F_SEARCH_INITIATOR));
-            if (s->nrank[initiator] > s->nrank[dst])
-                return 0;
-        }
+        if (mphase == ph &&
+            s->nrank[FLD(s, r, F_SEARCH_INITIATOR)] > s->nrank[dst])
+            return 0;
         return 1;
     }
     case T_RELEASE: {
-        if (PyLong_AsLong(PyTuple_GET_ITEM(msg, F_RELEASE_INITIATOR)) == dst) {
+        if (FLD(s, r, F_RELEASE_INITIATOR) == dst) {
             if (st == ST_WAIT)
                 return s->aw_rel[dst] != 0;
             return st == ST_PASSIVE || st == ST_CONQUERED ||
                    st == ST_INACTIVE;
         }
-        if (st != ST_INACTIVE)
-            return 0;
-        PyObject *prev = PyList_GET_ITEM(s->previous, dst);
-        if (prev == Py_None)
-            return 0;
-        Py_ssize_t sz = PyObject_Size(prev);
-        if (sz < 0)
-            return -1;
-        return sz > 0;
+        return st == ST_INACTIVE && s->prev[dst].head >= 0;
     }
     case T_MERGE_ACCEPT:
     case T_MERGE_FAIL:
@@ -1659,98 +1642,49 @@ can_handle(S *s, long dst, long src, PyObject *msg)
     }
 }
 
+/* Execute record r (in no FIFO) at node i: a deferred one joins i's
+ * deferred FIFO, a consumed one is freed.  Returns exec_msg's code. */
+static int
+deliver(S *s, long i, int32_t r)
+{
+    int rc = exec_msg(s, i, s->msg.rec[r].from, r);
+    if (rc == 0)
+        fifo_push(s, &s->defq[i], r);
+    else if (rc == 1)
+        rec_free(s, r);
+    return rc;
+}
+
 /* ------------------------------------------------------------------ */
-/* Inbox pump (deferral replay); 0 done, 1 hand back (code 3), -1 error. */
+/* Inbox pump (deferral replay); 0 done, 1 hand back (RC_PUMP), -1 error */
 /* ------------------------------------------------------------------ */
 static int
 c_pump(S *s, long i)
 {
-    PyObject *ib = PyList_GET_ITEM(s->inbox, i);
-    if (ib == Py_None)
-        return 0;
-    for (;;) {
-        Py_ssize_t ilen = PyObject_Size(ib);
-        if (ilen < 0)
-            return -1;
-        if (ilen == 0) /* drained: the slot goes back to None */
-            return set_item_obj(s->inbox, i, Py_None);
-        PyObject *item = PySequence_GetItem(ib, 0); /* (sender, msg) */
-        if (item == NULL)
-            return -1;
-        long sender = PyLong_AsLong(PAIR_FIRST(item));
-        PyObject *msg = PAIR_SECOND(item);
-        long tag = WIRE_TAG(msg);
-        int ch = can_handle(s, i, sender, msg);
-        if (ch < 0) {
-            Py_DECREF(item);
-            return -1;
-        }
-        if (!ch) {
-            Py_DECREF(item);
+    Fifo *ib = &s->inbq[i], *df = &s->defq[i];
+    while (ib->head >= 0) {
+        int32_t r = ib->head;
+        if (!can_handle(s, i, s->msg.rec[r].from, r))
             return 1;
-        }
-        PyObject *popped = PyObject_CallMethodNoArgs(ib, s_popleft);
-        if (popped == NULL) {
-            Py_DECREF(item);
-            return -1;
-        }
-        Py_DECREF(popped);
-        PyObject *df = PyList_GET_ITEM(s->deferred, i);
-        int df_active = df != Py_None && PyList_GET_SIZE(df) > 0;
-        if (!df_active) {
-            int consumed = exec_msg(s, i, sender, tag, msg);
-            if (consumed < 0) {
-                Py_DECREF(item);
-                return -1;
-            }
-            if (!consumed) {
-                if (df == Py_None) {
-                    df = PyList_New(0);
-                    if (df == NULL) {
-                        Py_DECREF(item);
-                        return -1;
-                    }
-                    PyList_SetItem(s->deferred, i, df); /* steals */
-                }
-                if (PyList_Append(df, item) < 0) {
-                    Py_DECREF(item);
-                    return -1;
-                }
-            }
-            Py_DECREF(item);
-            continue;
-        }
-        int b_st = s->status[i], b_rel = s->aw_rel[i],
-            b_info = s->aw_info[i];
+        fifo_pop(s, ib);
+        int df_active = df->head >= 0;
+        int b_st = s->status[i], b_rel = s->aw_rel[i], b_info = s->aw_info[i];
         long b_q = GETL(s->aw_query, i);
-        int consumed = exec_msg(s, i, sender, tag, msg);
-        if (consumed < 0) {
-            Py_DECREF(item);
+        int rc = deliver(s, i, r);
+        if (rc < 0)
             return -1;
-        }
-        if (!consumed) {
-            int r = PyList_Append(df, item);
-            Py_DECREF(item);
-            if (r < 0)
-                return -1;
-            continue;
-        }
-        Py_DECREF(item);
-        if (PyList_GET_SIZE(df) > 0 &&
+        if (rc > 0 && df_active &&
             (s->status[i] != b_st || s->aw_rel[i] != b_rel ||
              s->aw_info[i] != b_info || GETL(s->aw_query, i) != b_q)) {
-            /* ib.extendleft(reversed(df)) */
-            for (Py_ssize_t j = PyList_GET_SIZE(df) - 1; j >= 0; j--) {
-                PyObject *r = PyObject_CallMethodOneArg(
-                    ib, s_appendleft, PyList_GET_ITEM(df, j));
-                if (r == NULL)
-                    return -1;
-                Py_DECREF(r);
-            }
-            if (set_item_obj(s->deferred, i, Py_None) < 0)
-                return -1;
+            /* consumed with a state change: ib.extendleft(reversed(df)) */
+            s->msg.rec[df->tail].next = ib->head;
+            if (ib->tail < 0)
+                ib->tail = df->tail;
+            ib->head = df->head;
+            df->head = df->tail = -1;
         }
     }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1774,9 +1708,6 @@ free_s(S *s)
     Py_XDECREF(s->previous);
     Py_XDECREF(s->inbox);
     Py_XDECREF(s->deferred);
-    Py_XDECREF(s->chanq);
-    Py_XDECREF(s->chan_src);
-    Py_XDECREF(s->chan_dst);
     Py_XDECREF(s->iobj);
     Py_XDECREF(s->counts_l);
     Py_XDECREF(s->xtra_l);
@@ -1799,6 +1730,9 @@ free_s(S *s)
     }
     PyMem_Free(s->ch.ends);
     PyMem_Free(s->ch.slot);
+    PyMem_Free(s->msg.rec);
+    PyMem_Free(s->msg.pay);
+    PyMem_Free(s->prev);
     PyMem_Free(s->pool.buf);
     PyMem_Free(s->scratch);
     PyMem_Free(s->idbuf);
@@ -1846,9 +1780,6 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(previous, "previous");
     FETCH_LIST(inbox, "inbox");
     FETCH_LIST(deferred, "deferred");
-    FETCH_LIST(chanq, "chanq");
-    FETCH_LIST(chan_src, "chan_src");
-    FETCH_LIST(chan_dst, "chan_dst");
     FETCH_LIST(iobj, "iobj");
     FETCH_LIST(counts_l, "counts");
     FETCH_LIST(xtra_l, "xtra");
@@ -1861,8 +1792,11 @@ fill_s(S *s, PyObject *core)
     }
     s->n = PyList_GET_SIZE(s->iobj);
     if (PyList_GET_SIZE(s->counts_l) != N_TAGS ||
-        PyList_GET_SIZE(s->xtra_l) != N_TAGS) {
-        PyErr_SetString(PyExc_ValueError, "arrayloop: counts/xtra arity");
+        PyList_GET_SIZE(s->xtra_l) != N_TAGS ||
+        PyList_GET_SIZE(s->previous) != s->n ||
+        PyList_GET_SIZE(s->inbox) != s->n ||
+        PyList_GET_SIZE(s->deferred) != s->n) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: column arity");
         return -1;
     }
     for (int t = 0; t < N_TAGS; t++) {
@@ -1925,6 +1859,20 @@ heap_build(S *s, Heap *h, const int32_t *members, int32_t m)
     return 0;
 }
 
+/* o's buffer, checked to be int32s (array('i')); what names it. */
+static int
+int32_view(PyObject *o, Py_buffer *b, const char *what)
+{
+    if (o == NULL || PyObject_GetBuffer(o, b, PyBUF_FORMAT) < 0)
+        return -1;
+    if (strcmp(b->format, "i") != 0 || b->itemsize != 4) {
+        PyErr_Format(PyExc_ValueError, "arrayloop: core.%s is not int32",
+                     what);
+        return -1;
+    }
+    return 0;
+}
+
 /* One slab's two int32 arrays (IdSlab.off, IdSlab.mem) as buffers, checked
  * to be n + 1 non-decreasing offsets from 0 over members in [0, n).  The
  * caller releases both views, filled or not. */
@@ -1934,15 +1882,12 @@ slab_view(S *s, int c, Py_buffer *off, Py_buffer *mem)
     PyObject *o = attr_get(s->slabs[c], "off");
     PyObject *m = o == NULL ? NULL : attr_get(s->slabs[c], "mem");
     int rc = -1;
-    if (m == NULL || PyObject_GetBuffer(o, off, PyBUF_FORMAT) < 0)
-        goto done;
-    if (PyObject_GetBuffer(m, mem, PyBUF_FORMAT) < 0)
+    if (m == NULL || int32_view(o, off, k_column[c]) < 0 ||
+        int32_view(m, mem, k_column[c]) < 0)
         goto done;
     const int32_t *ov = off->buf, *mv = mem->buf;
     Py_ssize_t len = mem->len / 4;
-    if (strcmp(off->format, "i") != 0 || strcmp(mem->format, "i") != 0 ||
-        off->itemsize != 4 || mem->itemsize != 4 ||
-        off->len != 4 * (s->n + 1) || ov[0] != 0 || ov[s->n] != len) {
+    if (off->len != 4 * (s->n + 1) || ov[0] != 0 || ov[s->n] != len) {
         PyErr_Format(PyExc_ValueError,
                      "arrayloop: core.%s is not an int32 slab", k_column[c]);
         goto done;
@@ -2081,31 +2026,332 @@ done:
     return rc;
 }
 
-/* Channels 0..len(chanq)-1: endpoints from chan_src/chan_dst, the table. */
+/* The channels: endpoints from core.chan_src / chan_dst, the table, every
+ * FIFO empty. */
 static int
 chans_load(S *s)
 {
-    Py_ssize_t n = PyList_GET_SIZE(s->chanq);
-    if (PyList_GET_SIZE(s->chan_src) != n || PyList_GET_SIZE(s->chan_dst) != n ||
-        n >= INT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "arrayloop: channel arena arity");
-        return -1;
+    PyObject *so = attr_get(s->core, "chan_src");
+    PyObject *dobj = so == NULL ? NULL : attr_get(s->core, "chan_dst");
+    Py_buffer sb, db;
+    memset(&sb, 0, sizeof(sb));
+    memset(&db, 0, sizeof(db));
+    int rc = -1;
+    if (int32_view(so, &sb, "chan_src") < 0 ||
+        int32_view(dobj, &db, "chan_dst") < 0)
+        goto done;
+    Py_ssize_t n = sb.len / 4;
+    if (db.len != sb.len || n >= INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: channel arity");
+        goto done;
     }
     if (chan_reserve(&s->ch, n) < 0)
-        return -1;
+        goto done;
+    const int32_t *src = sb.buf, *dst = db.buf;
     for (Py_ssize_t cid = 0; cid < n; cid++) {
-        long src = GETL(s->chan_src, cid), dst = GETL(s->chan_dst, cid);
-        if (src < 0 || src >= s->n || dst < 0 || dst >= s->n) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "arrayloop: channel endpoint");
-            return -1;
+        if (src[cid] < 0 || src[cid] >= s->n || dst[cid] < 0 ||
+            dst[cid] >= s->n) {
+            PyErr_SetString(PyExc_ValueError, "arrayloop: channel endpoint");
+            goto done;
         }
-        s->ch.ends[cid].src = (int32_t)src;
-        s->ch.ends[cid].dst = (int32_t)dst;
+        s->ch.ends[cid].src = src[cid];
+        s->ch.ends[cid].dst = dst[cid];
+        s->ch.ends[cid].q.head = s->ch.ends[cid].q.tail = -1;
         chan_insert(&s->ch, (int32_t)cid);
         s->ch.n = cid + 1;
     }
-    return 0;
+    rc = 0;
+done:
+    if (sb.obj != NULL)
+        PyBuffer_Release(&sb);
+    if (db.obj != NULL)
+        PyBuffer_Release(&db);
+    Py_XDECREF(so);
+    Py_XDECREF(dobj);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* The codec: wire tuples <-> records, by the kinds of WIRE_TABLE       */
+/* ------------------------------------------------------------------ */
+/* A fresh record (from -1, in no FIFO) holding wire tuple w; -1 on error. */
+static int32_t
+wire_decode(S *s, PyObject *w)
+{
+    long tag = -1;
+    if (PyTuple_Check(w) && PyTuple_GET_SIZE(w) > 0)
+        tag = PyLong_AsLong(PyTuple_GET_ITEM(w, 0));
+    if (tag < 0 || tag >= N_TAGS || PyTuple_GET_SIZE(w) != g_arity[tag]) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "arrayloop: not a wire tuple");
+        return -1;
+    }
+    int32_t r = rec_new(s, (int)tag);
+    if (r < 0)
+        return -1;
+    Py_ssize_t total = 0;
+    for (int j = 1; j < g_arity[tag]; j++) {
+        PyObject *o = PyTuple_GET_ITEM(w, j);
+        if (g_kind[tag][j] != KD_IDSET)
+            continue;
+        if (!PyAnySet_Check(o)) {
+            PyErr_SetString(PyExc_TypeError, "arrayloop: an id-set is not a set");
+            goto fail;
+        }
+        total += PySet_GET_SIZE(o);
+    }
+    if (g_has_ids[tag] && span_new(s, r, total) < 0)
+        goto fail;
+    int32_t *at = g_has_ids[tag] ? s->msg.pay + s->msg.rec[r].span : NULL;
+    for (int j = 1; j < g_arity[tag]; j++) {
+        PyObject *o = PyTuple_GET_ITEM(w, j), *it, *item;
+        long long v;
+        switch (g_kind[tag][j]) {
+        case KD_ID:
+            v = PyLong_AsLongLong(o);
+            if ((v < 0 || v >= s->n) && !PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: payload id");
+            break;
+        case KD_INT:
+            v = PyLong_AsLongLong(o);
+            break;
+        case KD_IDSET:
+            v = 0;
+            if ((it = PyObject_GetIter(o)) == NULL)
+                goto fail;
+            while ((item = PyIter_Next(it)) != NULL) {
+                long x = PyLong_AsLong(item);
+                Py_DECREF(item);
+                if (x < 0 || x >= s->n || v == PySet_GET_SIZE(o)) {
+                    if (!PyErr_Occurred())
+                        PyErr_SetString(PyExc_ValueError,
+                                        "arrayloop: payload id");
+                    break;
+                }
+                at[v++] = (int32_t)x;
+            }
+            Py_DECREF(it);
+            at += v;
+            break;
+        default: /* flag, verdict */
+            v = PyObject_IsTrue(o);
+        }
+        if (PyErr_Occurred())
+            goto fail;
+        FLD(s, r, j) = v;
+    }
+    return r;
+fail:
+    rec_free(s, r);
+    return -1;
+}
+
+/* Record r as its wire tuple: new reference. */
+static PyObject *
+wire_encode(S *s, int32_t r)
+{
+    int tag = TAG(s, r);
+    PyObject *w = PyTuple_New(g_arity[tag]);
+    if (w == NULL)
+        return NULL;
+    Py_INCREF(g_tag_objs[tag]);
+    PyTuple_SET_ITEM(w, 0, g_tag_objs[tag]);
+    const int32_t *at = g_has_ids[tag] ? s->msg.pay + s->msg.rec[r].span : NULL;
+    for (int j = 1; j < g_arity[tag]; j++) {
+        long long v = FLD(s, r, j);
+        PyObject *o;
+        switch (g_kind[tag][j]) {
+        case KD_ID:
+            o = IOBJ(s, v);
+            Py_INCREF(o);
+            break;
+        case KD_INT:
+            o = PyLong_FromLongLong(v);
+            break;
+        case KD_IDSET:
+            o = PyFrozenSet_New(NULL);
+            for (; o != NULL && v > 0; v--) {
+                if (PySet_Add(o, IOBJ(s, *at++)) < 0)
+                    Py_CLEAR(o);
+            }
+            break;
+        default: /* flag, verdict */
+            o = PyBool_FromLong((long)v);
+        }
+        if (o == NULL) {
+            Py_DECREF(w);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(w, j, o);
+    }
+    return w;
+}
+
+/* The shapes a FIFO has between calls: a channel's bare wire tuples, a
+ * previous queue's (wire, sender) pairs, an inbox or deferred list's
+ * (sender, wire) pairs. */
+enum { Q_BARE, Q_WIRE_FIRST, Q_SENDER_FIRST };
+#define PAIR_FIRST(p) PyTuple_GET_ITEM((p), 0)
+#define PAIR_SECOND(p) PyTuple_GET_ITEM((p), 1)
+
+/* Decode sequence seq onto FIFO q; a bare wire's sender is `from`. */
+static int
+queue_load(S *s, PyObject *seq, Fifo *q, int shape, long from)
+{
+    PyObject *fast = PySequence_Fast(seq, "arrayloop: a queue is not a sequence");
+    if (fast == NULL)
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t j = 0; rc == 0 && j < PySequence_Fast_GET_SIZE(fast); j++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(fast, j), *w = item;
+        if (shape != Q_BARE) {
+            if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
+                PyErr_SetString(PyExc_ValueError, "arrayloop: not a pair");
+                rc = -1;
+                break;
+            }
+            int wf = shape == Q_WIRE_FIRST;
+            w = wf ? PAIR_FIRST(item) : PAIR_SECOND(item);
+            from = PyLong_AsLong(wf ? PAIR_SECOND(item) : PAIR_FIRST(item));
+            if ((from < 0 || from >= s->n) && !PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: sender");
+            if (PyErr_Occurred()) {
+                rc = -1;
+                break;
+            }
+        }
+        int32_t r = wire_decode(s, w);
+        if (r < 0)
+            rc = -1;
+        else {
+            s->msg.rec[r].from = (int32_t)from;
+            fifo_push(s, q, r);
+        }
+    }
+    Py_DECREF(fast);
+    return rc;
+}
+
+/* FIFO q encoded in `shape`: a new list. */
+static PyObject *
+queue_store(S *s, const Fifo *q, int shape)
+{
+    PyObject *list = PyList_New(0);
+    for (int32_t r = q->head; list != NULL && r >= 0; r = s->msg.rec[r].next) {
+        PyObject *w = wire_encode(s, r), *item = w;
+        PyObject *from = IOBJ(s, s->msg.rec[r].from);
+        if (w != NULL && shape == Q_WIRE_FIRST)
+            item = Py_BuildValue("(NO)", w, from);
+        else if (w != NULL && shape == Q_SENDER_FIRST)
+            item = Py_BuildValue("(ON)", from, w);
+        if (item == NULL || PyList_Append(list, item) < 0)
+            Py_CLEAR(list);
+        Py_XDECREF(item);
+    }
+    return list;
+}
+
+/* What the caller hands in: the channel FIFOs from core.chanq (channel id
+ * -> pending wire tuples), the per-node ones from previous / inbox /
+ * deferred (None or a sequence of pairs per node). */
+static int
+msgs_load(S *s)
+{
+    if ((s->prev = PyMem_Malloc(3 * (s->n + 1) * sizeof(Fifo))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(s->prev, 0xff, 3 * (s->n + 1) * sizeof(Fifo)); /* every FIFO empty */
+    s->inbq = s->prev + s->n;
+    s->defq = s->inbq + s->n;
+    PyObject *chanq = attr_get(s->core, "chanq"), *key, *seq;
+    if (chanq == NULL)
+        return -1;
+    int rc = PyDict_Check(chanq) ? 0 : -1;
+    if (rc < 0)
+        PyErr_SetString(PyExc_TypeError, "arrayloop: core.chanq is not a dict");
+    for (Py_ssize_t pos = 0; rc == 0 && PyDict_Next(chanq, &pos, &key, &seq);) {
+        long cid = PyLong_AsLong(key);
+        if (cid < 0 || cid >= s->ch.n) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arrayloop: chanq key");
+            rc = -1;
+        }
+        else
+            rc = queue_load(s, seq, &s->ch.ends[cid].q, Q_BARE,
+                            s->ch.ends[cid].src);
+    }
+    Py_DECREF(chanq);
+    PyObject *cols[3] = {s->previous, s->inbox, s->deferred};
+    Fifo *fifos[3] = {s->prev, s->inbq, s->defq};
+    for (int c = 0; rc == 0 && c < 3; c++) {
+        for (Py_ssize_t i = 0; rc == 0 && i < s->n; i++) {
+            PyObject *slot = PyList_GET_ITEM(cols[c], i);
+            if (slot != Py_None)
+                rc = queue_load(s, slot, &fifos[c][i],
+                                c == 0 ? Q_WIRE_FIRST : Q_SENDER_FIRST, -1);
+        }
+    }
+    return rc;
+}
+
+/* A fresh array('i') of the channels' sources, or destinations. */
+static PyObject *
+ends_array(const Chans *c, int dst)
+{
+    PyObject *b = PyBytes_FromStringAndSize(NULL, 4 * c->n);
+    if (b == NULL)
+        return NULL;
+    int32_t *out = (int32_t *)PyBytes_AS_STRING(b);
+    for (Py_ssize_t j = 0; j < c->n; j++)
+        out[j] = dst ? c->ends[j].dst : c->ends[j].src;
+    PyObject *a = PyObject_CallFunctionObjArgs(g_array_type, s_int32, b, NULL);
+    Py_DECREF(b);
+    return a;
+}
+
+/* Every pending message back into the caller's forms (see msgs_load): a
+ * fresh core.chanq of the channels that hold any, fresh chan_src /
+ * chan_dst, and each previous / inbox / deferred slot None or a list. */
+static int
+msgs_store(S *s)
+{
+    PyObject *chanq = PyDict_New();
+    int rc = chanq == NULL ? -1 : 0;
+    for (Py_ssize_t cid = 0; rc == 0 && cid < s->ch.n; cid++) {
+        if (s->ch.ends[cid].q.head < 0)
+            continue;
+        PyObject *key = PyLong_FromSsize_t(cid);
+        PyObject *list = queue_store(s, &s->ch.ends[cid].q, Q_BARE);
+        if (key == NULL || list == NULL || PyDict_SetItem(chanq, key, list) < 0)
+            rc = -1;
+        Py_XDECREF(key);
+        Py_XDECREF(list);
+    }
+    PyObject *src = rc < 0 ? NULL : ends_array(&s->ch, 0);
+    PyObject *dst = src == NULL ? NULL : ends_array(&s->ch, 1);
+    if (dst == NULL || attr_set(s->core, "chanq", chanq) < 0 ||
+        attr_set(s->core, "chan_src", src) < 0 ||
+        attr_set(s->core, "chan_dst", dst) < 0)
+        rc = -1;
+    Py_XDECREF(chanq);
+    Py_XDECREF(src);
+    Py_XDECREF(dst);
+    PyObject *cols[3] = {s->previous, s->inbox, s->deferred};
+    Fifo *fifos[3] = {s->prev, s->inbq, s->defq};
+    for (int c = 0; rc == 0 && c < 3; c++) {
+        for (Py_ssize_t i = 0; rc == 0 && i < s->n; i++) {
+            if (fifos[c][i].head < 0) {
+                if (PyList_GET_ITEM(cols[c], i) != Py_None)
+                    rc = set_item_obj(cols[c], i, Py_None);
+                continue;
+            }
+            PyObject *list = queue_store(
+                s, &fifos[c][i], c == 0 ? Q_WIRE_FIRST : Q_SENDER_FIRST);
+            rc = list == NULL ? -1 : PyList_SetItem(cols[c], i, list);
+        }
+    }
+    return rc;
 }
 
 /* The caller's pool container (a list or a deque of int tokens). */
@@ -2238,13 +2484,15 @@ load_native(S *s)
         (s->by_rrank = load_ints(s, "by_rrank")) == NULL ||
         (s->nrank = load_ints(s, "nrank")) == NULL)
         return -1;
-    if (know_load(s) < 0 || chans_load(s) < 0 || pool_load(s) < 0)
+    if (know_load(s) < 0 || chans_load(s) < 0 || msgs_load(s) < 0 ||
+        pool_load(s) < 0)
         return -1;
     return s->mode == MODE_RANDOM ? mt_load(s) : 0;
 }
 
-/* Write the step count, counts/xtra, the knowledge slabs, the pool order
- * and the rng state back out; preserves any pending exception. */
+/* Write the step count, counts/xtra, the knowledge slabs, the pending
+ * messages, the pool order and the rng state back out; preserves any
+ * pending exception. */
 static void
 sync_out(S *s, PyObject *cell)
 {
@@ -2261,8 +2509,8 @@ sync_out(S *s, PyObject *cell)
         if (x != NULL)
             PyList_SetItem(s->xtra_l, t, x);
     }
-    if (!PyErr_Occurred() && know_store(s) == 0 && pool_store(s) == 0 &&
-        s->mode == MODE_RANDOM)
+    if (!PyErr_Occurred() && know_store(s) == 0 && msgs_store(s) == 0 &&
+        pool_store(s) == 0 && s->mode == MODE_RANDOM)
         mt_store(s);
     if (et != NULL)
         PyErr_Restore(et, ev, tb); /* a write-back error gives way to it */
@@ -2286,6 +2534,7 @@ loop_run(PyObject *self, PyObject *args)
     }
     S s;
     memset(&s, 0, sizeof(S));
+    s.msg.free = -1; /* no record freed yet */
     s.core = core;
     s.pool_obj = pool;
     s.rng = rng;
@@ -2332,33 +2581,25 @@ loop_run(PyObject *self, PyObject *args)
                 s.awake[node] = 1;
                 if (explore(&s, node) < 0)
                     goto error;
-                PyObject *ib = PyList_GET_ITEM(s.inbox, node);
-                if (ib != Py_None) {
-                    Py_ssize_t isz = PyObject_Size(ib);
-                    if (isz < 0)
+                if (s.inbq[node].head >= 0) {
+                    int pr = c_pump(&s, node);
+                    if (pr < 0)
                         goto error;
-                    if (isz > 0) {
-                        int pr = c_pump(&s, node);
-                        if (pr < 0)
-                            goto error;
-                        if (pr == 1) {
-                            code = RC_PUMP;
-                            aux = node;
-                            goto done;
-                        }
+                    if (pr == 1) {
+                        code = RC_PUMP;
+                        aux = node;
+                        goto done;
                     }
                 }
             }
         }
         else {
             /* deliver token: peek, wake, precheck, then commit */
-            PyObject *msg = PyList_GET_ITEM(s.chanq, token);
-            if (PyTuple_CheckExact(msg))
-                Py_INCREF(msg);
-            else {
-                msg = PySequence_GetItem(msg, 0);
-                if (msg == NULL)
-                    goto error;
+            int32_t r = s.ch.ends[token].q.head;
+            if (r < 0) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "arrayloop: a delivery on an empty channel");
+                goto error;
             }
             long dst = s.ch.ends[token].dst;
             long src = s.ch.ends[token].src;
@@ -2366,47 +2607,13 @@ loop_run(PyObject *self, PyObject *args)
             s.steps = steps;
             if (!s.awake[dst]) {
                 s.awake[dst] = 1;
-                if (explore(&s, dst) < 0) {
-                    Py_DECREF(msg);
+                if (explore(&s, dst) < 0)
                     goto error;
-                }
             }
-            PyObject *dfv = PyList_GET_ITEM(s.deferred, dst);
-            PyObject *ibv = PyList_GET_ITEM(s.inbox, dst);
-            int busy = dfv != Py_None && PyList_GET_SIZE(dfv) > 0;
-            if (!busy && ibv != Py_None) {
-                Py_ssize_t isz = PyObject_Size(ibv);
-                if (isz < 0) {
-                    Py_DECREF(msg);
-                    goto error;
-                }
-                busy = isz > 0;
-            }
-            if (busy) {
-                PyObject *popped = chan_pop(&s, token);
-                if (popped == NULL) {
-                    Py_DECREF(msg);
-                    goto error;
-                }
-                Py_DECREF(msg);
-                PyObject *ib = ibv;
-                if (ib == Py_None) {
-                    ib = PyObject_CallNoArgs(g_deque_type);
-                    if (ib == NULL) {
-                        Py_DECREF(popped);
-                        goto error;
-                    }
-                    PyList_SetItem(s.inbox, dst, ib); /* steals */
-                }
-                PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), popped);
-                Py_DECREF(popped);
-                if (pair == NULL)
-                    goto error;
-                PyObject *r = PyObject_CallMethodOneArg(ib, s_append, pair);
-                Py_DECREF(pair);
-                if (r == NULL)
-                    goto error;
-                Py_DECREF(r);
+            if (s.defq[dst].head >= 0 || s.inbq[dst].head >= 0) {
+                /* busy: the message queues behind the inbox, which pumps */
+                fifo_pop(&s, &s.ch.ends[token].q);
+                fifo_push(&s, &s.inbq[dst], r);
                 int pr = c_pump(&s, dst);
                 if (pr < 0)
                     goto error;
@@ -2417,54 +2624,16 @@ loop_run(PyObject *self, PyObject *args)
                 }
             }
             else {
-                int ch = can_handle(&s, dst, src, msg);
-                if (ch < 0) {
-                    Py_DECREF(msg);
-                    goto error;
-                }
-                if (!ch) {
-                    Py_DECREF(msg);
+                if (!can_handle(&s, dst, src, r)) {
                     steps -= 1;
                     s.steps = steps;
                     code = RC_DEOPT;
                     aux = token;
                     goto done;
                 }
-                PyObject *popped = chan_pop(&s, token);
-                if (popped == NULL) {
-                    Py_DECREF(msg);
+                fifo_pop(&s, &s.ch.ends[token].q);
+                if (deliver(&s, dst, r) < 0)
                     goto error;
-                }
-                Py_DECREF(msg);
-                long tag = WIRE_TAG(popped);
-                int consumed = exec_msg(&s, dst, src, tag, popped);
-                if (consumed < 0) {
-                    Py_DECREF(popped);
-                    goto error;
-                }
-                if (!consumed) {
-                    PyObject *df = PyList_GET_ITEM(s.deferred, dst);
-                    if (df == Py_None) {
-                        df = PyList_New(0);
-                        if (df == NULL) {
-                            Py_DECREF(popped);
-                            goto error;
-                        }
-                        PyList_SetItem(s.deferred, dst, df); /* steals */
-                    }
-                    PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), popped);
-                    if (pair == NULL) {
-                        Py_DECREF(popped);
-                        goto error;
-                    }
-                    int r = PyList_Append(df, pair);
-                    Py_DECREF(pair);
-                    if (r < 0) {
-                        Py_DECREF(popped);
-                        goto error;
-                    }
-                }
-                Py_DECREF(popped);
             }
         }
         if (steps >= s.stop) {
@@ -2503,16 +2672,35 @@ loop_configure(PyObject *self, PyObject *args)
         Py_INCREF(v);                                                     \
         Py_XSETREF(var, v);                                               \
     } while (0)
-    CFG(g_deque_type, "deque");
+    PyObject *kinds = NULL;
     CFG(g_array_type, "array");
     CFG(g_sim_error, "simulation_error");
     CFG(g_msg_types, "msg_types");
-    CFG(g_greedy_k, "greedy_k");
+    CFG(kinds, "kinds");
 #undef CFG
-    if (!PyTuple_Check(g_msg_types) ||
-        PyTuple_GET_SIZE(g_msg_types) != N_TAGS) {
-        PyErr_SetString(PyExc_ValueError,
-                        "arrayloop configure: msg_types arity mismatch");
+    int ok = PyTuple_Check(g_msg_types) &&
+             PyTuple_GET_SIZE(g_msg_types) == N_TAGS && PyTuple_Check(kinds) &&
+             PyTuple_GET_SIZE(kinds) == N_TAGS;
+    for (int t = 0; ok && t < N_TAGS; t++) {
+        PyObject *row = PyTuple_GET_ITEM(kinds, t);
+        ok = PyTuple_Check(row) && PyTuple_GET_SIZE(row) < N_MAX;
+        g_arity[t] = ok ? 1 + (int)PyTuple_GET_SIZE(row) : 0;
+        g_has_ids[t] = 0;
+        for (int j = 1; ok && j < g_arity[t]; j++) {
+            const char *name = PyUnicode_AsUTF8(PyTuple_GET_ITEM(row, j - 1));
+            int kd = 0;
+            while (name != NULL && kd < KD_KINDS && strcmp(name, kd_name[kd]))
+                kd++;
+            ok = kd < KD_KINDS;
+            g_kind[t][j] = (unsigned char)kd;
+            g_has_ids[t] |= kd == KD_IDSET;
+        }
+    }
+    Py_DECREF(kinds);
+    if (!ok) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError,
+                            "arrayloop configure: msg_types / kinds mismatch");
         return NULL;
     }
     g_configured = 1;
@@ -2540,29 +2728,13 @@ PyInit__arrayloop(void)
         if (g_tag_objs[t] == NULL)
             return NULL;
     }
-    g_zero = PyLong_FromLong(0);
-    g_neg_one = PyLong_FromLong(-1);
-    g_wire_ma = wire_new(T_MERGE_ACCEPT, N_MERGE_ACCEPT);
-    g_wire_mf = wire_new(T_MERGE_FAIL, N_MERGE_FAIL);
-    g_wire_md_t = wire_new(T_MORE_DONE, N_MORE_DONE);
-    g_wire_md_f = wire_new(T_MORE_DONE, N_MORE_DONE);
-    if (g_wire_ma == NULL || g_wire_mf == NULL || g_wire_md_t == NULL ||
-        g_wire_md_f == NULL)
-        return NULL;
-    wire_set(g_wire_md_t, F_MORE_DONE_HAS_MORE, Py_True);
-    wire_set(g_wire_md_f, F_MORE_DONE_HAS_MORE, Py_False);
-    s_append = PyUnicode_InternFromString("append");
-    s_popleft = PyUnicode_InternFromString("popleft");
-    s_appendleft = PyUnicode_InternFromString("appendleft");
     s_clear = PyUnicode_InternFromString("clear");
     s_extend = PyUnicode_InternFromString("extend");
     s_getstate = PyUnicode_InternFromString("getstate");
     s_setstate = PyUnicode_InternFromString("setstate");
     s_int32 = PyUnicode_InternFromString("i"); /* array('i') */
-    if (g_zero == NULL || g_neg_one == NULL || s_append == NULL ||
-        s_popleft == NULL || s_appendleft == NULL || s_clear == NULL ||
-        s_extend == NULL || s_getstate == NULL || s_setstate == NULL ||
-        s_int32 == NULL)
+    if (s_clear == NULL || s_extend == NULL || s_getstate == NULL ||
+        s_setstate == NULL || s_int32 == NULL)
         return NULL;
     return PyModule_Create(&loop_module);
 }

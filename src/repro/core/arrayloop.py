@@ -36,8 +36,6 @@ from array import array
 from pathlib import Path
 from typing import Optional
 
-from collections import deque
-
 from repro.core.messages import MSG_TYPES, WIRE_TABLE
 from repro.core.node import STATUS_NAMES, VARIANTS
 from repro.sim.network import SimulationError
@@ -71,11 +69,15 @@ def defines() -> "dict[str, int]":
 
     Derived from the tables and nowhere restated: per :data:`WIRE_TABLE`
     row the tag ``T_<MSG>``, the wire-tuple arity ``N_<MSG>`` and each
-    field's offset ``F_<MSG>_<FIELD>`` (the tag is slot 0), then ``ST_*``
+    field's offset ``F_<MSG>_<FIELD>`` (the tag is slot 0), the widest
+    arity ``N_MAX`` (a native message record's width), then ``ST_*``
     from ``STATUS_NAMES``, ``V_*`` from ``VARIANTS``, the scheduler's
     ``MODE_*`` and the ``RC_*`` above.
     """
-    out = {"N_TAGS": len(WIRE_TABLE)}
+    out = {
+        "N_TAGS": len(WIRE_TABLE),
+        "N_MAX": 1 + max(len(fields) for _cls, fields in WIRE_TABLE),
+    }
     for tag, (cls, fields) in enumerate(WIRE_TABLE):
         msg = cls.msg_type.upper().replace("-", "_")
         out[f"T_{msg}"] = tag
@@ -174,11 +176,13 @@ def _import() -> object:
         spec.loader.exec_module(mod)
         mod.configure(
             {
-                "deque": deque,
                 "array": array,
                 "simulation_error": SimulationError,
                 "msg_types": MSG_TYPES,
-                "greedy_k": 1 << 62,
+                # the codec's field kinds per tag, in field order
+                "kinds": tuple(
+                    tuple(kind for _name, kind in fields) for _cls, fields in WIRE_TABLE
+                ),
             }
         )
     except Exception as exc:  # a missing spec included

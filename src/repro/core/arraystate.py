@@ -28,17 +28,16 @@ converts back.
   choice heaps have no column: the C loop builds them as repr-rank int
   arrays from the slabs at entry (the object path's ``(repr_string, id)``
   heaps pop in the same order) and frees them at exit.
-* **Flyweight messages**: plain tuples ``(tag, field, ...)`` laid out by
-  ``messages.WIRE_TABLE``; the payload-free handshakes are singletons the
-  C loop preallocates, so the hot path allocates at most one small tuple
-  per send and zero for handshakes.
-* **Lazy channel arena**: the protocol's traffic is almost all one-shot
-  (one ``conquer`` out, one ``more/done`` back), so a channel's whole life
-  is about two messages and only a few percent ever hold two at once.
-  ``chanq[cid]`` is therefore ``None`` while idle, the pending wire tuple
-  itself while exactly one message is in flight, and a deque only once a
-  second message queues behind the first (or when the channel was adopted
-  from a live simulator); once a deque, always a deque.
+* **Native messages**: for one C call a message is a fixed-width record
+  (the tag and its row's fields at the ``messages.WIRE_TABLE`` offsets)
+  and an id-set field an int32 span in a payload arena; a channel and a
+  node's ``previous``/``inbox``/``deferred`` are FIFOs of records, and
+  consumed records and spans are reused.  Between calls the pending ones
+  are wire tuples ``(tag, field, ...)`` (an id-set a frozenset of ints):
+  ``chanq`` maps a channel id to its pending wires, only for channels
+  that hold any, and ``chan_src``/``chan_dst`` are ``array('i')``.  The
+  C codec decodes them at entry and encodes them at every exit, driven by
+  the same table as :func:`_to_wire` / :func:`_to_message`.
 * **Int-only scheduler pool**: a pending delivery is its interned channel
   id (a non-negative int) and a *wake token* is ``-1 - node_int`` -- the
   whole pool is ints, so the pop loop dispatches on a sign check instead
@@ -77,10 +76,11 @@ it, untouched through an array run.
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
 objects, channel deques and scheduler pool, so the simulator is always in
-a legal object-path state when anyone else can look at it: every arena
-slot becomes a deque *before* the mid-run channels are registered on
-``sim._channels``, so every value there is a deque, base channels keep
-their identity and ``sim._in_flight`` is exact.  Stats fold through
+a legal object-path state when anyone else can look at it: the mid-run
+channels are registered on ``sim._channels`` as deques in creation order
+and every pending message goes back onto its channel, so every value
+there is a deque, base channels keep their identity and
+``sim._in_flight`` is exact.  Stats fold through
 :meth:`MessageStats.record_indexed` preserving the first-send key order
 the per-message path would have produced.  The differential suites
 (``tests/test_arraystate.py``, ``tests/test_handback.py`` and the
@@ -535,9 +535,8 @@ class ArrayCore:
         else:
             self.nxt = [0] * n
             self.done = self.more = self.unaware = self.unexp = None
-        # Lazy per-node containers: ``None`` until first use keeps the
-        # common case (never routed a search, never probed) allocation-free,
-        # and the C loop puts a drained one back to ``None``.
+        # Per node ``None`` or a list of pending pairs: ``(wire, sender)``
+        # in ``previous``, ``(sender, wire)`` in ``inbox``/``deferred``.
         self.previous = [None] * n
         self.inbox = [None] * n
         self.deferred = [None] * n
@@ -548,13 +547,11 @@ class ArrayCore:
         self.variant = bytearray(n)
         self.csize = [None] * n
         self.greedy = bytearray(n)
-        #: one slot per channel: ``None`` (idle), the pending wire tuple
-        #: itself (exactly one message), or a deque (two or more pending
-        #: at once, or adopted from a live simulator).  A slot that became
-        #: a deque stays one.
-        self.chanq = []
-        self.chan_src = []
-        self.chan_dst = []
+        #: channel id -> its pending wire tuples, for the channels that
+        #: hold any; the endpoints of every channel by id
+        self.chanq = {}
+        self.chan_src = array("i")
+        self.chan_dst = array("i")
         #: channel count at build time; channels past this index were
         #: created mid-run and must be registered on the simulator's
         #: ``_channels`` dict at materialization (the graph driver has no
@@ -649,13 +646,8 @@ def _intern_space(sim, n: int) -> IdSpace:
 
 
 def _arena_in_flight(chanq) -> int:
-    """Messages pending in a channel arena (see ``ArrayCore.chanq``): a
-    tuple slot is one message, a deque slot its length, ``None`` zero."""
-    pending = 0
-    for slot in chanq:
-        if slot is not None:
-            pending += 1 if type(slot) is tuple else len(slot)
-    return pending
+    """Messages pending on the channels (see ``ArrayCore.chanq``)."""
+    return sum(map(len, chanq.values()))
 
 
 def _limit_text(budget, chanq) -> str:
@@ -672,8 +664,8 @@ def _build_from_sim(sim, pool):
     Pure read phase: raises :class:`_Ineligible` without having mutated
     the simulator, its nodes, channels or pool in any way.  Returns
     ``(core, new_pool, chan_pending)`` where ``new_pool`` is the int token
-    list (in pool order) and ``chan_pending`` the per-channel wire
-    contents to swap in at commit time.
+    list (in pool order) and ``chan_pending`` the simulator deques whose
+    messages ``core.chanq`` now holds, to empty at commit time.
     """
     nodes_map = sim.nodes
     n = len(nodes_map)
@@ -752,9 +744,7 @@ def _build_from_sim(sim, pool):
             core.aw_info[i] = 1 if node._awaiting_info else 0
             core.expect_stale[i] = 1 if node._expect_stale_release else 0
             if node.previous:
-                core.previous[i] = deque(
-                    (_to_wire(m, idx), idx[s]) for m, s in node.previous
-                )
+                core.previous[i] = [(_to_wire(m, idx), idx[s]) for m, s in node.previous]
             if node._deferred:
                 core.deferred[i] = [
                     (idx[s], _to_wire(m, idx)) for s, m in node._deferred
@@ -763,19 +753,19 @@ def _build_from_sim(sim, pool):
             core.csize[i] = node.component_size
             core.greedy[i] = 1 if node.greedy_queries else 0
 
-        # -- channels: intern every existing pair, reusing its deque -----
+        # -- channels: intern every existing pair -------------------------
         chanq = core.chanq
         chan_src = core.chan_src
         chan_dst = core.chan_dst
         chan_pending = []
         cid_of = {}
         for (src, dst), queue in sim._channels.items():
-            cid_of[src, dst] = len(chanq)
-            chanq.append(queue)
+            cid = cid_of[src, dst] = len(chan_src)
             chan_src.append(idx[src])
             chan_dst.append(idx[dst])
             if queue:
-                chan_pending.append((queue, [_to_wire(m, idx) for m in queue]))
+                chanq[cid] = [_to_wire(m, idx) for m in queue]
+                chan_pending.append(queue)
 
         # -- pool: wake and deliver tokens only --------------------------
         new_pool = []
@@ -794,7 +784,7 @@ def _build_from_sim(sim, pool):
         raise _Ineligible("node-state", f"uninternable state: {exc}")
 
     core.local, core.done, core.more, core.unaware, core.unexp = map(IdSlab.of, rows)
-    core.base_channels = len(chanq)
+    core.base_channels = len(chan_src)
     return core, new_pool, chan_pending
 
 
@@ -858,11 +848,7 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         d["_awaiting_info"] = aw_info_col[i] != 0
         d["_expect_stale_release"] = expect_stale_col[i] != 0
         prev = previous_col[i]
-        d["previous"] = (
-            new_deque((to_message(m), ids[s]) for m, s in prev)
-            if prev
-            else new_deque()
-        )
+        d["previous"] = new_deque((to_message(m), ids[s]) for m, s in prev or ())
         ib = inbox_col[i]
         d["_inbox"] = (
             new_deque((ids[s], to_message(m)) for s, m in ib) if ib else new_deque()
@@ -870,33 +856,19 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []
 
-    # Channels: every slot becomes a deque of message objects.  Base
-    # channels are converted in place (deque identity is shared with
-    # sim._channels and the PR6 interning registry); channels created
-    # mid-run exist only in the core's arena, still in any slot form, and
-    # are registered on the simulator in creation order (matching the
-    # insertion order the per-send path would have produced) once they
-    # are deques.  The arena holds every channel of the simulator, so it
-    # also re-establishes the O(1) in-flight count.
+    # Channels.  A base channel keeps the simulator's deque (emptied at
+    # commit); the channels created mid-run are registered in creation
+    # order (the insertion order the per-send path would have produced);
+    # then every channel the arena says holds messages gets them back.
     chanq = core.chanq
     sim._in_flight = _arena_in_flight(chanq)
     channels = sim._channels
-    base_channels = core.base_channels
     src_col = core.chan_src
     dst_col = core.chan_dst
-    for cid, slot in enumerate(chanq):
-        if slot is None:
-            queue = new_deque()
-        elif type(slot) is tuple:
-            queue = new_deque((to_message(slot),))
-        else:
-            queue = slot
-            if queue:
-                materialized = [to_message(m) for m in queue]
-                queue.clear()
-                queue.extend(materialized)
-        if cid >= base_channels:
-            channels[(ids[src_col[cid]], ids[dst_col[cid]])] = queue
+    for cid in range(core.base_channels, len(src_col)):
+        channels[(ids[src_col[cid]], ids[dst_col[cid]])] = new_deque()
+    for cid, wires in chanq.items():
+        channels[(ids[src_col[cid]], ids[dst_col[cid]])].extend(map(to_message, wires))
 
     # Pool: ints -> tokens, preserving order.
     if pool:
@@ -997,9 +969,8 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         return None
 
     # -- commit point: from here on every exit materializes --------------
-    for queue, wires in chan_pending:
+    for queue in chan_pending:
         queue.clear()
-        queue.extend(wires)
     if mode == _FIFO:
         pool.clear()
         pool.extend(new_pool)

@@ -19,11 +19,13 @@ Seven layers:
   boundary;
 * every-step cut: ``run(max_steps=k)`` on the C loop equals the object
   loop's for *every* k up to quiescence, on full per-node state, stats,
-  channels, pool and limit text -- state equality after each delivery;
-* the lazy channel arena: a slot is ``None``, the pending wire tuple or a
-  deque, and every engine reads every form -- runs interrupted mid-flight
-  and resumed on a different engine equal the uninterrupted object run,
-  and the C hand-off of a tuple slot's reference leaks nothing;
+  channels, pool and limit text -- state equality after each delivery --
+  with the message codec decoding and re-encoding every exit in between;
+* the message seam: between C calls pending messages are wire tuples
+  (``chanq`` maps a channel to its pending ones), and every engine reads
+  every form -- runs interrupted mid-flight and resumed on a different
+  engine equal the uninterrupted object run, the exit encoder and the
+  entry decoder each meet every form, and neither leaks;
 * the knowledge slabs: after every C exit the five knowledge sets are
   int32 slabs and a drained ``previous``/``inbox``/``deferred`` is
   ``None``.
@@ -36,8 +38,10 @@ import gc
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
+from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -53,14 +57,19 @@ from repro.core.arraystate import (
     rank_sorted,
     run_graph,
 )
-from repro.core.messages import Probe
+from repro.core.messages import MSG_TYPES, Probe
 from repro.core.node import VARIANTS, DiscoveryNode, behavior_is_pristine
 from repro.core.runner import build_simulation, default_step_budget
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.obs import Recorder
 from repro.sim.network import Simulator, StepLimitExceeded
-from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
+from repro.sim.scheduler import (
+    _FIFO,
+    GlobalFifoScheduler,
+    LifoScheduler,
+    RandomScheduler,
+)
 from tests.conftest import array_engaged, gate_says
 
 FAMILY = "sparse-random"
@@ -557,6 +566,7 @@ _NODE_FIELDS = (
     "_deferred", "_awaiting_release", "_awaiting_query_from",
     "_awaiting_info", "_expect_stale_release", "_probe_outstanding",
 )
+_node_fields = attrgetter(*_NODE_FIELDS)
 
 
 def _snapshot(sim, nodes):
@@ -572,7 +582,7 @@ def _snapshot(sim, nodes):
         "leaders": sorted(x for x, node in nodes.items() if node.is_leader),
         "nodes": {
             # ``inner``: the protocol node behind a transport wrapper.
-            x: {f: getattr(getattr(node, "inner", node), f) for f in _NODE_FIELDS}
+            x: dict(zip(_NODE_FIELDS, _node_fields(getattr(node, "inner", node))))
             for x, node in nodes.items()
         },
         "channels": [(key, list(q)) for key, q in channels.items()],
@@ -588,6 +598,32 @@ def _snapshot(sim, nodes):
     }
 
 
+#: The message forms a step-limit exit can leave live, as :func:`live_forms`
+#: names them.  An inbox is live only at an ``RC_PUMP`` exit (a pump that
+#: does not hand back drains it), which ``test_handback`` pins.
+EXIT_FORMS = frozenset({"channel>=2", "previous", "deferred", "info", "query-reply"})
+#: What a live simulator can hand the entry decoder: the same (the gate
+#: declines a node whose inbox is not drained).
+ADOPTED_FORMS = EXIT_FORMS
+
+
+def live_forms(core):
+    """The message forms live on ``core`` between C calls: a channel with
+    two or more pending, a non-empty ``previous``/``inbox``/``deferred``
+    slot, and an ``info`` or ``query-reply`` wire anywhere."""
+    chanq = core.chanq
+    wires = [w for ws in chanq.values() for w in ws]
+    live = {"channel>=2": any(len(ws) >= 2 for ws in chanq.values())}
+    for name, at in (("previous", 0), ("inbox", 1), ("deferred", 1)):
+        queues = [q for q in getattr(core, name) if q is not None]
+        live[name] = bool(queues)
+        wires += [pair[at] for q in queues for pair in q]
+    tags = {MSG_TYPES[w[0]] for w in wires}
+    live["info"] = "info" in tags
+    live["query-reply"] = "query-reply" in tags
+    return {form for form, on in live.items() if on}
+
+
 class TestChannelSlotForms:
     @pytest.fixture(autouse=True)
     def _always_engage(self, monkeypatch):
@@ -600,16 +636,30 @@ class TestChannelSlotForms:
 
     @pytest.fixture
     def arena_forms(self, monkeypatch):
-        """Slot types of the arena at each array-run exit, before the
-        materializer turns every slot into a deque."""
+        """Pending count of every channel at each array-run exit, before
+        the materializer hands the messages back to the simulator."""
         seen = []
         materialize = arraystate._materialize_to_sim
 
         def spy(core, sim, pool, mode):
-            seen.append([type(slot) for slot in core.chanq])
+            chanq = core.chanq
+            seen.append([len(chanq.get(cid, ())) for cid in range(len(core.chan_src))])
             materialize(core, sim, pool, mode)
 
         monkeypatch.setattr(arraystate, "_materialize_to_sim", spy)
+        return seen
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """What each C run was handed: ``(live_forms, chanq)`` at entry."""
+        seen = []
+        run_loop = ArrayCore.run_loop
+
+        def spy(core, *args):
+            seen.append((live_forms(core), {c: list(w) for c, w in core.chanq.items()}))
+            return run_loop(core, *args)
+
+        monkeypatch.setattr(ArrayCore, "run_loop", spy)
         return seen
 
     def _leg(self, sim, engine, max_steps, monkeypatch):
@@ -664,10 +714,32 @@ class TestChannelSlotForms:
         if self.c_module is None:
             pytest.skip("no C loop in this process: no run builds an arena")
 
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+    def test_adoption_hands_the_decoder_every_form(
+        self, policy, needs_arena, entries, monkeypatch
+    ):
+        """Object-loop cuts every third step, each resumed on the C loop,
+        in all three variants: every resumed run ends where the object
+        run does, and the entry decoder met every form a live simulator
+        can hand over."""
+        for variant in VARIANTS:
+            ref, ref_nodes, budget = self._build(variant, policy)
+            self._leg(ref, "obj", budget, monkeypatch)
+            final = _snapshot(ref, ref_nodes)
+            for cut in range(3, ref.steps, 3):
+                sim, nodes, _ = self._build(variant, policy)
+                self._leg(sim, "obj", cut, monkeypatch)
+                self._leg(sim, "c", budget, monkeypatch)
+                assert _snapshot(sim, nodes) == final, cut
+        handed = Counter(f for forms, _chanq in entries for f in forms)
+        assert all(handed[f] > 0 for f in ADOPTED_FORMS), handed
+
     @pytest.mark.parametrize("engine", ["c"])  # the id the floor list pins
     def test_all_three_slot_forms_occur_mid_run(
         self, engine, needs_arena, arena_forms, monkeypatch
     ):
+        """Exits where idle channels, channels holding one message and
+        channels holding several coexist, each counted in the limit text."""
         ref, _nodes, budget = self._build("generic", "random")
         self._leg(ref, "obj", budget, monkeypatch)
         mixed = 0
@@ -676,26 +748,29 @@ class TestChannelSlotForms:
             ref_message = self._leg(ref, "obj", cut, monkeypatch)
             sim, _nodes, _ = self._build("generic", "random")
             message = self._leg(sim, engine, cut, monkeypatch)
-            if {type(None), tuple, deque} <= set(arena_forms[-1]):
-                # The limit text counts one per tuple slot, len() per deque.
+            pending = arena_forms[-1]
+            if {0, 1} <= set(pending) and max(pending) >= 2:
                 assert message == ref_message
                 assert f"{ref.in_flight()} messages still in flight" in message
                 mixed += 1
         assert mixed >= 3
 
     def test_adopted_base_channels_are_nonempty_deques(
-        self, needs_arena, arena_forms, monkeypatch
+        self, needs_arena, entries, monkeypatch
     ):
         sim, _nodes, budget = self._build("generic", "random")
         total = _object_outcome("generic", seed=7, fast=False)["steps"]
         self._leg(sim, "obj", total // 2, monkeypatch)
         adopted = list(sim._channels.values())
-        assert sum(1 for q in adopted if q) >= 2
+        pending = {cid: list(q) for cid, q in enumerate(adopted) if q}
+        assert len(pending) >= 2
         self._leg(sim, "c", budget, monkeypatch)
-        # Base slots stay the simulator's own deques; channels first used
-        # by the array leg start as None/tuple slots and are deques (new
-        # ones) on the simulator afterwards.
-        assert arena_forms[-1][: len(adopted)] == [deque] * len(adopted)
+        # The entry decoder was handed exactly the adopted messages, as
+        # wires by channel id; the simulator's own deques stay its
+        # channels, and channels first used by the array leg join them.
+        _forms, chanq = entries[0]
+        to_message = functools.partial(arraystate._to_message, ids=list(sim.nodes))
+        assert {cid: list(map(to_message, w)) for cid, w in chanq.items()} == pending
         assert all(a is b for a, b in zip(sim._channels.values(), adopted))
         assert len(sim._channels) > len(adopted)
 
@@ -710,10 +785,13 @@ class TestChannelSlotForms:
         monkeypatch.setattr(ArrayCore, "run_loop", spy)
         for seed in (None, 3):
             run_graph(_graph(256), "generic", seed=seed)
-            slots = captured[-1].chanq
-            assert slots
-            assert all(s is None or (type(s) is deque and not s) for s in slots)
-            assert any(s is None for s in slots)
+            core = captured[-1]
+            assert core.chanq == {}
+            assert core.chan_src.typecode == core.chan_dst.typecode == "i"
+            assert len(core.chan_src) == len(core.chan_dst) > 0
+            assert not live_forms(core)
+            for name in ("previous", "inbox", "deferred"):
+                assert all(q is None for q in getattr(core, name)), name
 
 
 class TestKnowledgeSlabs:
@@ -758,10 +836,25 @@ class TestKnowledgeSlabs:
 def every_cut(graph, variant, policy):
     """``run(max_steps=k)`` on the C loop for every k up to quiescence,
     each against the object loop cut at k: limit text, full per-node
-    state, stats key order, channels, pool and rng state.  Returns the
-    number of cuts."""
+    state, stats key order, channels, pool and rng state.  Each exit is
+    decoded and encoded once more by a C call with an empty pool before
+    the materializer reads it, so the state equality holds the codec's
+    round trip too.  Returns the number of cuts and how many exits left
+    each of :func:`live_forms`'s forms live."""
     if arrayloop.load() is None:
         pytest.skip("no C loop in this process")
+    forms = Counter()
+    run_loop = ArrayCore.run_loop
+
+    def round_trip(core, *args):
+        try:
+            return run_loop(core, *args)
+        finally:
+            forms.update(live_forms(core))
+            cell = [core.steps_out]
+            assert arrayloop.load().run(core, [], _FIFO, None, cell[0], cell) == (
+                arrayloop.RC_DRAINED, -1
+            )
 
     def build(fast):
         return build_simulation(
@@ -782,7 +875,8 @@ def every_cut(graph, variant, policy):
         ref.run_for(1)
         sim, nodes = build(fast=True)
         try:
-            sim.run(k)
+            with mock.patch.object(ArrayCore, "run_loop", round_trip):
+                sim.run(k)
             message = None
         except StepLimitExceeded as exc:
             message = str(exc)
@@ -794,7 +888,7 @@ def every_cut(graph, variant, policy):
             f"{ref.in_flight()} messages still in flight"
         ), k
         assert view(sim, nodes) == view(ref, ref_nodes), k
-    return k
+    return k, forms
 
 
 class TestEveryStepCut:
@@ -804,19 +898,23 @@ class TestEveryStepCut:
     @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_cut_equals_the_object_run(self, variant, policy):
-        assert every_cut(_graph(12), variant, policy) > 8 * 12  # cut everywhere
+        cuts, forms = every_cut(_graph(12), variant, policy)
+        assert cuts > 8 * 12  # cut everywhere
+        # the exit encoder and the round trip met every form
+        assert all(forms[f] > 0 for f in EXIT_FORMS), forms
 
 
 class TestChannelHandOffOwnership:
-    """The C loop's ``chan_pop`` hands the list's reference of a tuple
-    slot to its caller, ``emit`` replaces slots in place, and the
-    ``info`` and ``query-reply`` payloads are built from the native
-    knowledge tables: a reference dropped or kept once per message shows
-    as blocks that grow per run.  Zero growth between the 2nd and the 6th
-    run is the bar: the readings land in a preallocated array, so not
-    even their own ints stay allocated, and the loop looks attributes up
-    by interned name (the type attribute cache keeps the last name of
-    each slot alive)."""
+    """Between entry and exit the C loop allocates no Python object per
+    message; its codec builds the wire tuples and frozensets a caller
+    hands in or gets back.  A reference the codec drops or keeps once per
+    message shows as blocks that grow per run -- on runs built fresh from
+    a graph (encoded at a limit) and on runs ``adopted`` from a
+    ``fast=False`` simulator cut with messages in flight (decoded at
+    entry).  Zero growth between the 2nd and the 6th run is the bar: the
+    readings land in a preallocated array, so not even their own ints
+    stay allocated, and the loop looks attributes up by interned name
+    (the type attribute cache keeps the last name of each slot alive)."""
 
     N = 2000
 
@@ -827,17 +925,29 @@ class TestChannelHandOffOwnership:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
-    @pytest.mark.parametrize("limited", [False, True], ids=["drained", "limit"])
-    def test_repeated_runs_allocate_nothing_lasting(self, seed, limited, variant):
+    @pytest.mark.parametrize("limited", ["drained", "limit", "adopted"])
+    def test_repeated_runs_allocate_nothing_lasting(
+        self, seed, limited, variant, monkeypatch
+    ):
+        # a resumed pool may sit below the engagement threshold
+        monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
         graph = _graph(self.N)
         full = run_graph(graph, variant, seed=seed)
 
         def run():
-            if not limited:
+            if limited == "drained":
                 assert run_graph(graph, variant, seed=seed).steps == full.steps
-                return
-            with pytest.raises(StepLimitExceeded):
-                run_graph(graph, variant, seed=seed, max_steps=full.steps // 2)
+            elif limited == "limit":
+                with pytest.raises(StepLimitExceeded):
+                    run_graph(graph, variant, seed=seed, max_steps=full.steps // 2)
+            else:
+                sim, _nodes = build_simulation(graph, variant, seed=seed, fast=False)
+                with pytest.raises(StepLimitExceeded):
+                    sim.run(full.steps // 2)
+                assert sim.in_flight() > 0
+                sim.fast = True
+                sim.run()
+                assert sim._last_run_path == "array" and sim.steps == full.steps
 
         blocks = array("q", [0, 0])
         for reading, runs in enumerate((2, 4)):

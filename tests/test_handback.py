@@ -13,7 +13,6 @@ behind, and the run after it.
 """
 
 import copy
-from collections import deque
 from unittest import mock
 
 import pytest
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import GRAPH_FAMILIES, build_family
-from repro.core import arraystate
+from repro.core import arrayloop, arraystate
 from repro.core.adhoc import AdhocNetwork
 from repro.core.arraystate import ArrayCore, run_graph
 from repro.core.messages import ABORT, Info, MergeAccept, Query, Release, Search
@@ -68,6 +67,13 @@ def _plant_info(nodes):
     return dst, Info(1, empty, empty, empty, empty)
 
 
+def _plant_busy_info(nodes):
+    # queues behind the victim's deferred messages: the pump meets it
+    dst = _first(nodes, lambda node: node._deferred and not node._awaiting_info)
+    empty = frozenset()
+    return dst, (None if dst is None else Info(1, empty, empty, empty, empty))
+
+
 def _plant_release(nodes):
     dst = _first(nodes, lambda node: node.status == "inactive" and not node.previous)
     if dst is None:
@@ -86,6 +92,7 @@ PLANTS = {
     "query": _plant_query,
     "merge-accept": _plant_merge_accept,
     "info": _plant_info,
+    "busy-info": _plant_busy_info,
     "release": _plant_release,
     "search": _plant_search,
 }
@@ -233,6 +240,39 @@ def test_each_arm_is_really_handed_back(arm, policy):
     _engine_said(*said_again)
 
 
+def test_pump_hands_back_with_the_inbox_live(monkeypatch):
+    """A protocol-impossible message that reaches a node with deferred
+    messages queues in its inbox, and the pump hands it back there
+    (``RC_PUMP``): the one exit that leaves an inbox live, so the exit
+    encoder writes that form too, and the reference's ``_pump`` resumes
+    from it and raises."""
+    exits = []
+    run_loop = ArrayCore.run_loop
+
+    def spy(core, *args):
+        try:
+            return run_loop(core, *args)
+        finally:
+            exits.append((core.handback, [q for q in core.inbox if q is not None]))
+
+    monkeypatch.setattr(ArrayCore, "run_loop", spy)
+    case = dict(
+        family="community", n=32, graph_seed=1, variant="generic", policy="fifo",
+        sched_seed=3, cut=100, probes=[], plant="busy-info",
+    )
+    observed, said, _ = scenario(True, **case)
+    reference, _, _ = scenario(False, **case)
+    assert observed == reference
+    assert observed[2][0] is ProtocolError and "info in status" in observed[2][1]
+    _engine_said(*said)
+    if array_engaged()[0] == "array":
+        pumped = [
+            inbox for handback, inbox in exits
+            if handback and handback[0] == arrayloop.RC_PUMP
+        ]
+        assert pumped and all(len(inbox) == 1 for inbox in pumped)
+
+
 # ----------------------------------------------------------------------
 # run_graph: a hand-back there is a raise path, executed on objects built
 # for the purpose
@@ -243,18 +283,10 @@ def _plant_wire(core, pool, src, dst, message):
     ends = list(zip(core.chan_src, core.chan_dst))
     cid = ends.index((si, di)) if (si, di) in ends else None
     if cid is None:
-        cid = len(core.chanq)
-        core.chanq.append(None)
+        cid = len(core.chan_src)
         core.chan_src.append(si)
         core.chan_dst.append(di)
-    wire = arraystate._to_wire(message, core.idx)
-    slot = core.chanq[cid]
-    if slot is None:
-        core.chanq[cid] = wire
-    elif type(slot) is tuple:
-        core.chanq[cid] = deque((slot, wire))
-    else:
-        slot.append(wire)
+    core.chanq.setdefault(cid, []).append(arraystate._to_wire(message, core.idx))
     pool.append(cid)
 
 
