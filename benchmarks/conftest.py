@@ -1,9 +1,10 @@
 """Shared plumbing for the benchmark suite.
 
-Every benchmark regenerates one of the experiment tables of DESIGN.md
-section 5 (EXP-1 .. EXP-14 plus ablations), asserts its shape criterion,
-and records the rendered table under ``benchmarks/results/`` so
-EXPERIMENTS.md can be refreshed from the artifacts.
+``bench_tables.py`` regenerates the paper tables (every
+``EXPERIMENT_TABLE`` row with a shape criterion) and the perf scripts
+their own tables; each records the rendered table under
+``benchmarks/results/`` with :func:`record_table`, and EXPERIMENTS.md
+quotes those files.
 """
 
 from __future__ import annotations

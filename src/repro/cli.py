@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -120,6 +121,23 @@ def check_pool_options(args: argparse.Namespace) -> None:
         raise UsageError(f"bad --workers: must be >= 1, got {args.workers}")
     if args.timeout is not None and args.timeout <= 0:
         raise UsageError(f"bad --timeout: must be > 0, got {args.timeout:g}")
+
+
+def check_output_path(option: str, path: Optional[str]) -> None:
+    """``path`` (when given) can be written; checked before a verb runs
+    anything, so a bad path does not cost the whole run."""
+    if not path:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"error: cannot write {option} {path}: {reason}")
 
 
 def parse_seed_option(text: str) -> List[int]:
@@ -550,6 +568,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import build_report
 
+    check_output_path("--out", args.out)
     try:
         text = build_report(quick=args.quick, only=args.names or None)
     except ValueError as exc:
@@ -603,6 +622,7 @@ def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opt
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    check_output_path("--obs-out", args.obs_out)
     kwargs = QUICK_SWEEP_KWARGS.get(args.exp, {}) if args.quick else {}
     seeds, run, table = _pooled_table(
         args,
@@ -705,6 +725,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     if not variants or any(v not in _RUNNERS for v in variants):
         raise UsageError(f"bad --variants {args.variants!r}")
+    check_output_path("--bench-out", args.bench_out)
+    check_output_path("--obs-out", args.obs_out)
 
     kwargs = {
         "scenarios": scenarios,

@@ -90,8 +90,8 @@ class TestGraphFamilies:
 
 class TestExperimentRunners:
     """Each runner must produce a well-formed table on tiny parameters.
-    The heavier shape assertions live in the benchmarks; here we pin the
-    schema and basic sanity so EXPERIMENTS.md stays regenerable."""
+    The shape criteria are the ``EXPERIMENT_TABLE`` rows' (checked in
+    ``tests/test_report.py``); here we pin the schema and basic sanity."""
 
     def test_generic_scaling(self):
         headers, rows = exp_generic_scaling(ns=(16, 32), families=("star",))

@@ -256,6 +256,31 @@ class TestPoolOptions:
         assert captured.out == ""
 
 
+class TestOutputPaths:
+    """An unwritable output path exits 2 before any work runs."""
+
+    ARGV = {
+        "report": ["report", "--quick", "EXP-13", "--out"],
+        "sweep": [
+            "sweep", "--exp", "strongly-connected", "--quick", "--seeds", "0:1",
+            "--no-cache", "--no-progress", "--obs-out",
+        ],
+        "chaos": [
+            "chaos", "--scenarios", "baseline", "--n", "8", "--seeds", "0:1",
+            "--no-progress", "--bench-out",
+        ],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(ARGV))
+    def test_missing_directory_exits_2_first(self, verb, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        assert main(self.ARGV[verb] + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write --")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestServeSim:
     ARGS = [
         "serve-sim", "--rate", "8", "--duration", "1500",

@@ -2,13 +2,20 @@
 CLI command."""
 
 import inspect
+import pathlib
+import re
 
 import pytest
 
 from repro.analysis.experiments import EXPERIMENT_TABLE, exp_chaos
+from repro.analysis.registry import load_record
 from repro.analysis.report import REPORT_SECTIONS, build_report
 from repro.cli import main
 from repro.parallel.jobs import resolve_experiment
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
+CHECKED = [row for row in EXPERIMENT_TABLE if row.criterion]
 
 
 def _signature(runner):
@@ -20,7 +27,8 @@ def _signature(runner):
 
 
 class TestExperimentTable:
-    """Full sizes never run in tier-1: their kwargs are bound, not run."""
+    """Full sizes never run in tier-1: their kwargs are bound, not run, and
+    each criterion is checked against the committed full-size record."""
 
     @pytest.mark.parametrize(
         "row", EXPERIMENT_TABLE, ids=lambda row: row.exp_id or row.name
@@ -31,7 +39,28 @@ class TestExperimentTable:
         seed = {"seed": 0} if row.name else {}
         assert bool(row.name) == ("seed" in signature.parameters)
         for kwargs in (row.full, row.quick):
-            signature.bind(**kwargs, **seed)
+            signature.bind(**{**seed, **kwargs})
+
+    @pytest.mark.parametrize("row", CHECKED, ids=lambda row: row.exp_id)
+    def test_criterion_holds(self, row):
+        row.criterion(*row.runner(**row.quick))
+        record = load_record(RESULTS, row.record)
+        row.criterion(record.headers, record.rows)
+        assert record.metadata["notes"] == row.notes
+
+    def test_only_the_service_and_chaos_rows_lack_a_criterion(self):
+        unchecked = [row.exp_id or row.name for row in EXPERIMENT_TABLE if not row.criterion]
+        assert unchecked == ["EXP-19", "chaos"]
+
+    def test_experiments_md_tables_match_their_results(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        blocks = re.findall(
+            r"<!-- table: (\S+) -->\n```\n(.*?)\n```\n<!-- /table -->", text, re.S
+        )
+        assert len(blocks) == 2
+        for stem, block in blocks:
+            rendered = (RESULTS / f"{stem}.txt").read_text().split("\n\n")[0]
+            assert block == rendered, stem
 
     def test_registry_names_resolve_to_their_rows_runner(self):
         named = [row for row in EXPERIMENT_TABLE if row.name]
@@ -60,7 +89,7 @@ class TestBuildReport:
     def test_sections_cover_all_cli_experiments(self):
         from repro.cli import EXPERIMENTS
 
-        # EXP-16 lives only in the scale bench; everything else is here.
+        # Every row with an EXP id is a report section and a CLI experiment.
         names = {name for name, _ in REPORT_SECTIONS}
         assert names == set(EXPERIMENTS)
 
