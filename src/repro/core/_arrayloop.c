@@ -1020,8 +1020,8 @@ pop_unexplored(S *s, long i)
 }
 
 /* Node i's members of class cls into the rank-sorted scratch; returns the
- * member count or -1.  Equivalent to arraystate.rank_sorted (ranks are
- * unique, so qsort and the density-rule variants agree exactly). */
+ * member count or -1.  The object path's sorted(members, key=repr): repr
+ * ranks are unique, so a sort by rank is that order exactly. */
 static Py_ssize_t
 collect_rank_sorted(S *s, long i, uint32_t cls)
 {
@@ -1081,7 +1081,7 @@ take_local(S *s, long i, long long k, int *done_flag)
         *done_flag = 1;
         return m;
     }
-    /* k < m: the k rank-smallest members (k_smallest equivalence). */
+    /* k < m: the k rank-smallest members, sorted(local, key=repr)[:k]. */
     if (collect_rank_sorted(s, i, K_LOCAL) < 0 ||
         idbuf_reserve(s, (Py_ssize_t)k) < 0)
         return -1;

@@ -49,16 +49,17 @@ converts back.
 Engagement, decline and hand-back
 ---------------------------------
 :func:`maybe_run_array` is the array-or-object gate of a live simulator,
-offered every :meth:`Simulator.run`.  It requires: ``fast=True`` on an exact
-:class:`Simulator` with nothing that needs per-message hooks (no fault
-interceptor, recorder, kept trace, send observer, non-FIFO channel
-discipline, non-stock scheduler or instance-wrapped method); a pending
-pool large enough to amortize conversion (``4 * len(pool) >= n`` --
-dynamic ad-hoc touch-ups with a handful of pending events stay on the
-object loop); a C loop in this process; and state the columns can hold:
-every node exactly a :class:`DiscoveryNode` (no transport wrappers, no
-recovery state, no patched handlers), strictly ordered ids, only wake and
-deliver tokens, only stock message types.  The first check that fails
+offered every :meth:`Simulator.run`.  It requires: ``fast=True`` with
+nothing that needs per-message hooks (no fault interceptor, recorder,
+kept trace, non-FIFO channel discipline or non-stock scheduler); a
+pending pool large enough to amortize conversion (``4 * len(pool) >= n``
+-- dynamic ad-hoc touch-ups with a handful of pending events stay on the
+object loop); nothing patched (an exact :class:`Simulator`, no
+instance-wrapped simulator or node method, a pristine
+:class:`DiscoveryNode` class); a C loop in this process; and state the
+columns can hold: strictly ordered ids, every node exactly a
+:class:`DiscoveryNode` (no transport wrappers, no recovery state), only
+stock message types, only wake and deliver tokens.  The first check that fails
 leaves its :data:`DECLINE_REASONS` name on ``sim._last_decline`` and
 returns ``None``; *nothing is mutated until every check has passed*.
 
@@ -144,8 +145,6 @@ __all__ = [
     "DECLINE_REASONS",
     "maybe_run_array",
     "run_graph",
-    "rank_sorted",
-    "k_smallest",
 ]
 
 #: status code -> is this a leader state (paper definition; byte lookup).
@@ -204,25 +203,24 @@ _FRESH_CONTAINERS = itemgetter(
 _MIN_POOL_FACTOR = 4
 
 #: Why :func:`maybe_run_array` left a run to the object loop, in the order
-#: the gate checks (the first failing check names the run).
+#: the gate checks (the first failing check names the run).  From
+#: ``id-order`` on the checks read the state: every id is interned first,
+#: then each node in turn is checked for ``node-type``, ``node-state`` and
+#: the ``message-type`` of its queued messages, so the first failing node
+#: names the run; the channels' messages and the pool's tokens come last.
 DECLINE_REASONS = (
     "fast-off",  # Simulator(fast=False): the caller asked for the reference
-    "simulator-subclass",  # may override anything the core replaces
     "faults",  # an interceptor must see every transport decision
     "recorder",  # obs events are emitted per message
     "trace",  # keep_trace: trace events are recorded per step
-    "send-observer",  # fires per transmit
     "channel-discipline",  # non-FIFO channels draw from the channel RNG
     "scheduler",  # not exactly a stock scheduler over the stdlib RNG
-    "wrapped-simulator",  # an instance attribute shadows a _WRAPPABLE method
     "small-pool",  # conversion would cost more than the run (or n == 0)
-    "patched-node-class",  # DiscoveryNode behaviour replaced on the class
+    "patched",  # a subclass, shadowed method or class patch the C loop skips
     "no-c-loop",  # arrayloop.load() is None: the object loop is the fallback
-    "node-type",  # a node that is not exactly a DiscoveryNode
-    "wrapped-node",  # an instance attribute shadows a node handler
-    "node-state",  # recovery/reentrancy state, undrained inbox, odd fields
     "id-order",  # ids without unique reprs and a strict total order
-    "unknown-id",  # state or a payload names an id outside the system
+    "node-type",  # a node that is not exactly a DiscoveryNode
+    "node-state",  # recovery/reentrancy state, odd fields, an unknown id
     "message-type",  # an in-flight message that is not a stock dataclass
     "token-type",  # the pool holds a timer or lifecycle token
 )
@@ -256,42 +254,6 @@ def _collector_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-# ----------------------------------------------------------------------
-# Density-rule helpers (DESIGN.md SS15).  The Python statement of the two
-# set orders ``_arrayloop.c`` cites (``collect_rank_sorted``); nothing
-# under ``src/`` calls them, ``TestRankOrders`` pins them.
-# ----------------------------------------------------------------------
-def rank_sorted(members, repr_rank, by_repr_rank) -> List[int]:
-    """Members of an int-id set in deterministic repr order.
-
-    The object path computes ``sorted(s, key=repr)``.  Here the repr order
-    is precomputed, so the density rule picks between two equivalents:
-    dense sets (>= 1/8 of the universe) enumerate the global rank order
-    against a bytearray membership mark -- O(n) with tiny constants, no
-    comparison sort -- while sparse sets sort by rank, O(m log m) int
-    compares.  Both return exactly ``sorted(members, key=repr_of_id)``.
-    """
-    n = len(by_repr_rank)
-    if len(members) * 8 >= n:
-        mark = bytearray(n)
-        for w in members:
-            mark[w] = 1
-        return [w for w in by_repr_rank if mark[w]]
-    return sorted(members, key=repr_rank.__getitem__)
-
-
-def k_smallest(members, k: int, repr_rank) -> List[int]:
-    """First ``k`` members in repr order (Figure 5 query answering).
-
-    Equivalent to ``sorted(members, key=rank)[:k]``; for small ``k``
-    relative to the set, ``heapq.nsmallest`` does it in O(m log k)
-    (nsmallest is documented to return its result sorted).
-    """
-    if k * 8 < len(members):
-        return heapq.nsmallest(k, members, key=repr_rank.__getitem__)
-    return sorted(members, key=repr_rank.__getitem__)[:k]
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +383,7 @@ def _to_wire(message, idx) -> tuple:
     """Convert a stock message object to its int-id wire tuple.
 
     Raises :class:`_Ineligible` for unknown (or subclassed) message types
-    and for payload ids outside the interned space.
+    and ``KeyError`` for payload ids outside the interned space.
     """
     row = _ROW_OF.get(type(message))
     if row is None:
@@ -429,15 +391,7 @@ def _to_wire(message, idx) -> tuple:
             "message-type", f"uninternable message type {type(message).__name__}"
         )
     tag, fields = row
-    try:
-        return (
-            tag,
-            *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields],
-        )
-    except KeyError as exc:
-        raise _Ineligible(
-            "unknown-id", f"message payload references unknown id {exc}"
-        )
+    return (tag, *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields])
 
 
 def _to_message(msg: tuple, ids):
@@ -684,16 +638,11 @@ def _build_from_sim(sim, pool):
     variant_col = core.variant
     csize_col = core.csize
     greedy_col = core.greedy
-    shadow_free = _NODE_WRAPPABLE.isdisjoint
     try:
         for i, node in enumerate(nodes_map.values()):
             if type(node) is not DiscoveryNode:
                 raise _Ineligible("node-type", "non-stock node type")
             d = node.__dict__
-            if not shadow_free(d):
-                raise _Ineligible(
-                    "wrapped-node", "node instance shadows a wrapped method"
-                )
             # Fresh-node fast path: the dominant workload converts a
             # just-built simulator (every node asleep with only its
             # ``local`` successors populated), where the full conversion
@@ -778,10 +727,9 @@ def _build_from_sim(sim, pool):
                 append(cid_of[token.src, token.dst])
             else:
                 raise _Ineligible("token-type", f"pool holds a {tcls.__name__}")
-    except KeyError as exc:
-        raise _Ineligible("unknown-id", f"state references unknown id {exc}")
-    except TypeError as exc:
-        raise _Ineligible("node-state", f"uninternable state: {exc}")
+    except (KeyError, TypeError) as exc:
+        # KeyError: state or a payload names an id outside the system
+        raise _Ineligible("node-state", f"uninternable state: {exc!r}")
 
     core.local, core.done, core.more, core.unaware, core.unexp = map(IdSlab.of, rows)
     core.base_channels = len(chan_src)
@@ -929,16 +877,12 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     reason = None
     if not sim.fast:
         reason = "fast-off"
-    elif type(sim) is not Simulator:
-        reason = "simulator-subclass"
     elif sim.faults is not None:
         reason = "faults"
     elif sim.obs is not None:
         reason = "recorder"
     elif sim.trace is not None:
         reason = "trace"
-    elif sim._send_observers:
-        reason = "send-observer"
     elif sim.channel_discipline != "fifo":
         reason = "channel-discipline"
     elif mode is None or rng is not None and (
@@ -947,15 +891,19 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         # The C loop runs the stdlib MT19937 on ``getstate()``'s words and
         # calls nobody's ``getrandbits``: no other generator, no spy.
         reason = "scheduler"
-    elif not _WRAPPABLE.isdisjoint(vars(sim)):
-        reason = "wrapped-simulator"
     elif n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
         reason = "small-pool"
-    elif not behavior_is_pristine():
-        # A class-level monkeypatch (the finding-regression tests replace
-        # DiscoveryNode methods to reproduce bugs) must keep taking
-        # effect; the C loop cannot honour it.
-        reason = "patched-node-class"
+    elif (
+        type(sim) is not Simulator
+        or not _WRAPPABLE.isdisjoint(vars(sim))
+        or not behavior_is_pristine()
+        or not all(map(_NODE_WRAPPABLE.isdisjoint, map(vars, sim.nodes.values())))
+    ):
+        # Whatever replaces what the C loop inlines -- a subclass, a
+        # wrapper on the simulator or a node instance (the obs Profiler,
+        # spies), DiscoveryNode methods replaced on the class (the
+        # finding-regression tests) -- must keep seeing every call.
+        reason = "patched"
     else:
         try:
             if _arrayloop.load() is None:
@@ -1188,7 +1136,7 @@ def offer_graph(
         or (keep_trace and "trace")
         or (scheduler is not None and "scheduler")
         or (graph.n == 0 and "small-pool")
-        or (not behavior_is_pristine() and "patched-node-class")
+        or (not behavior_is_pristine() and "patched")
         or (_arrayloop.load() is None and "no-c-loop")
     )
     if reason:

@@ -24,7 +24,6 @@ from .jobs import (
     Job,
     experiment_name,
     resolve_experiment,
-    shard_seeds,
     sweep_jobs,
 )
 from .progress import NullProgress, ProgressReporter
@@ -39,6 +38,5 @@ __all__ = [
     "ProgressReporter",
     "experiment_name",
     "resolve_experiment",
-    "shard_seeds",
     "sweep_jobs",
 ]

@@ -1,4 +1,4 @@
-"""Picklable job specs and deterministic seed sharding.
+"""Picklable job specs and seed lists.
 
 A :class:`Job` names an experiment (either a key of
 :data:`repro.analysis.experiments.SWEEPABLE_EXPERIMENTS` or an importable
@@ -32,7 +32,6 @@ __all__ = [
     "parse_seeds",
     "resolve_experiment",
     "sweep_jobs",
-    "shard_seeds",
 ]
 
 #: Bumped whenever the record layout or the job spec changes shape, so a
@@ -213,17 +212,3 @@ def parse_seeds(spec: str) -> List[int]:
         if seed in seeds[:index]:
             raise ValueError(f"duplicate seed {seed}")
     return seeds
-
-
-def shard_seeds(seeds: Sequence[int], n_shards: int) -> List[List[int]]:
-    """Deterministic round-robin partition of ``seeds`` into ``n_shards``.
-
-    Shard ``i`` receives ``seeds[i::n_shards]``; empty shards are dropped.
-    The partition depends only on the input order and the shard count, so
-    schedulers that interleave submission across shards stay reproducible.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    seeds = list(seeds)
-    shards = [seeds[i::n_shards] for i in range(n_shards)]
-    return [shard for shard in shards if shard]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random as _random
 from collections import deque
 from sys import maxsize
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Hashable, Optional, Tuple
 
 from repro.obs.events import Recorder, RunEvent
 from repro.sim.events import DeliverToken, LifecycleToken, TimerToken, Token, WakeToken
@@ -273,7 +273,6 @@ class Simulator:
         #: that compares stamps must not carry one across an exception.
         self.protocol_stamp = 0
         self.trace: Optional[ExecutionTrace] = ExecutionTrace() if keep_trace else None
-        self._send_observers: List[Callable[[Hashable, Hashable, Any], None]] = []
         #: "fifo" is the paper's model (Section 1.2); "random" is the ABL-3
         #: ablation -- each delivery takes a uniformly random pending
         #: message from the channel instead of the oldest.
@@ -307,10 +306,6 @@ class Simulator:
             raise KeyError(f"unknown node {node_id!r}")
         self.scheduler.push(WakeToken(node_id))
 
-    def add_send_observer(self, observer: Callable[[Hashable, Hashable, Any], None]) -> None:
-        """Register a callback invoked on every transmit (testing hook)."""
-        self._send_observers.append(observer)
-
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
@@ -319,8 +314,7 @@ class Simulator:
 
         With a fault interceptor attached, the network may enqueue zero
         copies (loss, partition) or several (duplication); the sender is
-        charged exactly once regardless, and send observers fire once per
-        ``transmit`` call -- they observe *sends*, not deliveries.
+        charged exactly once regardless.
         """
         if dst not in self.nodes:
             raise KeyError(f"message to unknown node {dst!r} from {src!r}")
@@ -364,8 +358,6 @@ class Simulator:
                         value=f"duplicate x{copies}",
                     )
                 )
-        for observer in self._send_observers:
-            observer(src, dst, message)
 
     def in_flight(self) -> int:
         """Number of sent-but-undelivered messages (O(1): a maintained

@@ -45,7 +45,7 @@ def array_engaged():
 def gate_says(reason):
     """The ``sim._last_decline`` of a system built to fail the gate's
     ``reason`` check: a process without a C loop says ``no-c-loop``
-    before it gets to the checks that look at the nodes."""
+    before it gets to the checks that convert the state (``id-order`` on)."""
     order = arraystate.DECLINE_REASONS
     if arrayloop.load() is None and order.index(reason) > order.index("no-c-loop"):
         return "no-c-loop"

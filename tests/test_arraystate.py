@@ -2,14 +2,14 @@
 
 Seven layers:
 
-* unit tests of the interning/order primitives (:class:`IdSpace`,
-  :func:`rank_sorted`, :func:`k_smallest`) against their object-path
-  definitions (``sorted(..., key=repr)`` et al.);
+* unit tests of the interning primitive (:class:`IdSpace`) against its
+  object-path definitions (``sorted(..., key=repr)`` et al.);
 * engagement: the array core takes over eligible runs
   (``sim._last_run_path == "array"`` whenever this process has a C loop)
   and declines -- simulator untouched, object loop proceeds,
   ``sim._last_decline`` naming the failed check -- for every entry of
-  ``DECLINE_REASONS``;
+  ``DECLINE_REASONS``, which lists the checks in the gate's order and
+  names the rows of DESIGN.md's decline table;
 * differential: :func:`run_graph` (the object-free million-node driver)
   reproduces the object path's steps, per-type stats and leader set for
   every variant under both FIFO and seeded-random scheduling;
@@ -36,6 +36,7 @@ import functools
 from array import array
 import gc
 import random
+import re
 import subprocess
 import sys
 from collections import Counter, deque
@@ -53,8 +54,6 @@ from repro.core.arraystate import (
     IdSlab,
     IdSpace,
     _Ineligible,
-    k_smallest,
-    rank_sorted,
     run_graph,
 )
 from repro.core.messages import MSG_TYPES, Probe
@@ -146,29 +145,6 @@ class TestIdSpace:
         assert err.value.reason == "id-order"
 
 
-class TestRankOrders:
-    def _space(self):
-        return IdSpace(list(range(64)))
-
-    @pytest.mark.parametrize(
-        "members",
-        [set(), {3}, {3, 17, 40, 9}, set(range(0, 64, 2)), set(range(64))],
-        ids=["empty", "one", "sparse", "dense", "full"],
-    )
-    def test_rank_sorted_equals_sorted_by_repr(self, members):
-        space = self._space()
-        got = rank_sorted(members, space.repr_rank, space.by_repr_rank)
-        assert got == sorted(members, key=lambda i: repr(space.ids[i]))
-
-    @pytest.mark.parametrize("k", [0, 1, 3, 32, 64, 100])
-    def test_k_smallest_equals_sorted_prefix(self, k):
-        space = self._space()
-        members = set(range(0, 64, 3))
-        got = k_smallest(members, k, space.repr_rank)
-        want = sorted(members, key=lambda i: repr(space.ids[i]))[:k]
-        assert got == want
-
-
 # ----------------------------------------------------------------------
 # Engagement and decline
 # ----------------------------------------------------------------------
@@ -209,52 +185,64 @@ class _SubRandom(random.Random):
     pass
 
 
-def _declining_system(reason, fast):
-    """A 24-node system that passes every gate check before ``reason``'s
-    and fails that one (``patched-node-class`` and ``no-c-loop`` are the
-    caller's patches)."""
+#: gate name -> the triggers :func:`_declining_system` builds for it:
+#: ``patched`` has one per kind of monkeypatch, ``node-state`` one more for
+#: state naming an id outside the system.
+TRIGGERS = {reason: (reason,) for reason in arraystate.DECLINE_REASONS}
+TRIGGERS["patched"] = (
+    "simulator-subclass",
+    "wrapped-simulator",
+    "patched-node-class",
+    "wrapped-node",
+)
+TRIGGERS["node-state"] = ("node-state", "unknown-id")
+GATE_CASES = [(reason, t) for reason, triggers in TRIGGERS.items() for t in triggers]
+
+
+def _declining_system(*triggers, fast):
+    """A 24-node system that passes every gate check before the failing
+    ones and fails each of ``triggers`` (``patched-node-class`` and
+    ``no-c-loop`` are the caller's patches)."""
     graph = _graph(24)
     kwargs = {"seed": 5, "fast": fast}
-    if reason == "fast-off":
+    if "fast-off" in triggers:
         kwargs["fast"] = False
-    elif reason == "faults":
+    if "faults" in triggers:
         kwargs["faults"] = FaultInjector(FaultPlan(), seed=0)
-    elif reason == "recorder":
+    if "recorder" in triggers:
         kwargs["obs"] = Recorder()
-    elif reason == "trace":
+    if "trace" in triggers:
         kwargs["keep_trace"] = True
-    elif reason == "channel-discipline":
+    if "channel-discipline" in triggers:
         kwargs["channel_discipline"] = "random"
-    elif reason == "scheduler":
+    if "scheduler" in triggers:
         kwargs["scheduler"] = _SubFifo()
-    elif reason == "small-pool":
+    if "small-pool" in triggers:
         kwargs["auto_wake"] = False
-    elif reason == "node-type":
+    if "node-type" in triggers:
         kwargs["reliable"] = True
-    elif reason == "id-order":
+    if "id-order" in triggers:
         graph = KnowledgeGraph(
             [_Anon(x) for x in graph.nodes],
             [(_Anon(u), _Anon(v)) for u, v in graph.edges()],
         )
     sim, nodes = build_simulation(graph, "generic", **kwargs)
     first, second = graph.nodes[:2]
-    if reason == "simulator-subclass":
+    if "simulator-subclass" in triggers:
         sim.__class__ = _SubSimulator
-    elif reason == "send-observer":
-        sim.add_send_observer(lambda src, dst, message: None)
-    elif reason == "wrapped-simulator":
+    if "wrapped-simulator" in triggers:
         sim.transmit = sim.transmit
-    elif reason == "small-pool":
+    if "small-pool" in triggers:
         sim.schedule_wake(first)
-    elif reason == "wrapped-node":
+    if "wrapped-node" in triggers:
         nodes[first].on_message = nodes[first].on_message
-    elif reason == "node-state":
+    if "node-state" in triggers:
         nodes[first]._restarted = True
-    elif reason == "unknown-id":
+    if "unknown-id" in triggers:
         nodes[first].local.add(999)  # the object loop raises on the send
-    elif reason == "message-type":
+    if "message-type" in triggers:
         sim.transmit(first, second, _SubProbe(first))
-    elif reason == "token-type":
+    if "token-type" in triggers:
         sim.schedule_timer(first, 3)
     return sim, nodes
 
@@ -319,27 +307,29 @@ class TestEngagement:
         monkeypatch.setattr(DiscoveryNode, "on_wake", traced)
         assert not behavior_is_pristine()
         patched = _object_outcome()
-        assert patched["path"] == ("legacy", "patched-node-class")
+        assert patched["path"] == ("legacy", "patched")
         assert calls  # the patch actually took effect
         patched.pop("path")
         pristine.pop("path")
         assert patched == pristine
 
-    @pytest.mark.parametrize("reason", arraystate.DECLINE_REASONS)
-    def test_declined_offer_touches_nothing(self, reason, monkeypatch):
-        if reason == "patched-node-class":
+    @pytest.mark.parametrize(
+        "reason,trigger", GATE_CASES, ids=[trigger for _, trigger in GATE_CASES]
+    )
+    def test_declined_offer_touches_nothing(self, reason, trigger, monkeypatch):
+        if trigger == "patched-node-class":
             on_wake = DiscoveryNode.on_wake
             monkeypatch.setattr(DiscoveryNode, "on_wake", lambda node: on_wake(node))
-        elif reason == "no-c-loop":
+        elif trigger == "no-c-loop":
             monkeypatch.setattr(arrayloop, "_module", None)
         named = gate_says(reason)
-        sim, nodes = _declining_system(reason, fast=True)
+        sim, nodes = _declining_system(trigger, fast=True)
         before = copy.deepcopy(_gate_view(sim, nodes))
         assert arraystate.maybe_run_array(sim, None) is None
         assert (sim._last_run_path, sim._last_decline) == ("legacy", named)
         assert _gate_view(sim, nodes) == before
         # ... and the run it was declined for equals the reference run.
-        ref, ref_nodes = _declining_system(reason, fast=False)
+        ref, ref_nodes = _declining_system(trigger, fast=False)
         assert _run_outcome(sim) == _run_outcome(ref)
         assert (sim._last_decline, ref._last_decline) == (named, "fast-off")
         assert sim.steps > 0
@@ -351,7 +341,7 @@ class TestEngagement:
             ("node-state", lambda sim, a, b: sim.nodes[a]._inbox.append((b, Probe(b)))),
             ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "status", "bogus")),
             ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "local", None)),
-            ("unknown-id", lambda sim, a, b: sim.transmit(a, b, Probe(999))),
+            ("node-state", lambda sim, a, b: sim.transmit(a, b, Probe(999))),
             # The C loop replays the stdlib generator's draws and nobody else's.
             ("scheduler", lambda sim, a, b: setattr(sim.scheduler, "_rng", _SubRandom(5))),
             # ... and calls no getrandbits, so a spy on one would miss them.
@@ -366,12 +356,35 @@ class TestEngagement:
     )
     def test_remaining_ineligible_sites_name_their_reason(self, reason, spoil):
         # The raise sites that share a name with one reached above.
-        sim, nodes = _declining_system(None, fast=True)  # eligible as built
+        sim, nodes = _declining_system(fast=True)  # eligible as built
         spoil(sim, *list(nodes)[:2])
         before = copy.deepcopy(_gate_view(sim, nodes))
         assert arraystate.maybe_run_array(sim, None) is None
         assert sim._last_decline == gate_says(reason)
         assert _gate_view(sim, nodes) == before
+
+    def test_two_failures_name_the_check_listed_first(self):
+        # Wrapper nodes whose ids share one repr fail two checks; the one
+        # the tuple lists first names the run.
+        sim, nodes = _declining_system("node-type", "id-order", fast=True)
+        before = copy.deepcopy(_gate_view(sim, nodes))
+        assert arraystate.maybe_run_array(sim, None) is None
+        order = arraystate.DECLINE_REASONS
+        assert sim._last_decline == gate_says(min("node-type", "id-order", key=order.index))
+        assert _gate_view(sim, nodes) == before
+
+
+def test_design_decline_table_is_the_tuple():
+    text = (Path(__file__).resolve().parents[1] / "DESIGN.md").read_text()
+    table = re.search(
+        r"^\| `DECLINE_REASONS` \|.*\n\|---\|---\|\n((?:\|.*\n)+)", text, re.M
+    )
+    names = re.findall(r"^\| `([^`]+)` \|", table.group(1), re.M)
+    assert tuple(names) == arraystate.DECLINE_REASONS
+    # ``patched`` is reached once per kind of monkeypatch it stands for
+    assert TRIGGERS["patched"] == (
+        "simulator-subclass", "wrapped-simulator", "patched-node-class", "wrapped-node",
+    )
 
 
 # ----------------------------------------------------------------------

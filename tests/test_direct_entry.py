@@ -266,7 +266,7 @@ _PEERS = [_SameRepr(i) for i in range(6)]
 #: A keyword given as a callable is called once per run (schedulers hold
 #: state).  ``patched-node-class`` replaces each method the finding
 #: tests F2/F3 replace, by a wrapper that only delegates: the C loop could
-#: not honour it, so the gate goes by identity.
+#: not honour it, so the gate goes by identity and says ``patched``.
 DECLINES = {
     "fast-off": (None, _PLAIN, {"fast": False}),
     "trace": (None, _PLAIN, {"keep_trace": True}),
@@ -313,8 +313,8 @@ def test_each_decline_names_itself_and_touches_nothing(case, variant, monkeypatc
 
 def test_decline_names_are_the_gates_own():
     assert {_gate_name(case) for case in DECLINES} == {
-        "fast-off", "trace", "scheduler", "small-pool", "patched-node-class",
-        "no-c-loop", "id-order",
+        "fast-off", "trace", "scheduler", "small-pool", "patched", "no-c-loop",
+        "id-order",
     }
 
 

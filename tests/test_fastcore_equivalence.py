@@ -208,7 +208,7 @@ class TestTransparentFallback:
         profiler = Profiler()
         profiler.instrument(sim)
         sim.run()
-        assert sim._last_decline == "wrapped-simulator"
+        assert sim._last_decline == "patched"
 
     def test_monkeypatched_transmit_disables_fast_path(self):
         _graph, sim, _nodes = self._fresh_sim()
@@ -221,7 +221,7 @@ class TestTransparentFallback:
 
         sim.transmit = spy
         sim.run()
-        assert sim._last_decline == "wrapped-simulator"
+        assert sim._last_decline == "patched"
         assert len(seen) == sim.stats.total_messages  # the spy saw every send
 
     def test_adversarial_scheduler_disables_fast_path(self):

@@ -27,7 +27,6 @@ from repro.parallel import (
     ProgressReporter,
     experiment_name,
     resolve_experiment,
-    shard_seeds,
     sweep_jobs,
 )
 
@@ -149,27 +148,6 @@ class TestParseSeeds:
         assert parse_seeds("4,1,7") == [4, 1, 7]
         with pytest.raises(ValueError, match="duplicate seed 0"):
             parse_seeds("0,3,0")
-
-
-class TestSharding:
-    def test_round_robin_partition(self):
-        assert shard_seeds(range(7), 3) == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_partition_is_exact_cover(self):
-        seeds = list(range(23))
-        shards = shard_seeds(seeds, 4)
-        flat = sorted(seed for shard in shards for seed in shard)
-        assert flat == seeds
-
-    def test_more_shards_than_seeds_drops_empties(self):
-        assert shard_seeds([7, 9], 5) == [[7], [9]]
-
-    def test_deterministic(self):
-        assert shard_seeds(range(100), 8) == shard_seeds(range(100), 8)
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            shard_seeds(range(4), 0)
 
 
 def statuses(run):

@@ -234,14 +234,6 @@ class TestTraceAndObservers:
         assert kinds == ["wake", "wake", "deliver"]
         assert sim.trace.fingerprint() == sim.trace.fingerprint()
 
-    def test_send_observer(self):
-        sim, a, b = make_pair()
-        seen = []
-        sim.add_send_observer(lambda src, dst, msg: seen.append((src, dst)))
-        a.awake = True
-        a.send("b", Ping())
-        assert seen == [("a", "b")]
-
     def test_in_flight_and_backlog(self):
         sim, a, b = make_pair()
         a.awake = b.awake = True
