@@ -27,6 +27,16 @@ taken inside one process:
   (it triples during the window) but not with the *history*; the parent
   of the change that introduced this series measured 1.84.  Must stay
   below ``GROWTH_SLACK`` times the committed value.
+
+and one memory number, measured on an extra, untimed run:
+
+* ``retained_kib_per_node`` -- the heap (``tracemalloc``'s current
+  bytes) still held once ``ServiceDriver.run()`` returns, network, report
+  and every probe answer included, per node of the final network.  What a
+  long-running service keeps must follow the network, not the answers it
+  gave: when each census answer was its own frozenset this was 58.4
+  KiB/node, 11.4 since answers are census views.  Must stay below
+  ``RETAINED_SLACK`` times the committed value.
 """
 
 import datetime
@@ -35,6 +45,7 @@ import os
 import pathlib
 import resource
 import time
+import tracemalloc
 
 from repro.analysis.experiments import build_family
 from repro.core.adhoc import AdhocNetwork
@@ -59,6 +70,9 @@ STEADY_REPEATS = 3
 REGRESSION_FLOOR = 0.75
 #: Measured growth must stay below this multiple of the committed one.
 GROWTH_SLACK = 1.25
+#: Measured retained heap per node must stay below this multiple of the
+#: committed one.
+RETAINED_SLACK = 1.25
 
 
 def _load_bench():
@@ -175,6 +189,29 @@ def _object_loop_steps_per_s(graph, seed):
     return steps / (time.perf_counter() - start)
 
 
+def _steady_service(graph):
+    """The ``steady`` shape's driver, ready to run."""
+    seed = STEADY["seed"]
+    workload = build_workload(
+        STEADY["kind"], graph, rate=STEADY["rate"], duration=STEADY["duration"], seed=seed
+    )
+    return ServiceDriver(AdhocNetwork(graph, seed=seed), workload)
+
+
+def _retained_kib_per_node(graph):
+    """Heap held once a service run returns, per node of the final network
+    (an extra run under ``tracemalloc``, untimed)."""
+    tracemalloc.start()
+    try:
+        driver = _steady_service(graph)
+        report = driver.run()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not report.budget_exhausted
+    return round(held / 1024 / len(driver.net.nodes), 2)
+
+
 def _steady_run(graph):
     """One service run; returns ``(report, wall, first, last)`` with the
     host microseconds per step of the first and last quarter of its steps.
@@ -183,12 +220,8 @@ def _steady_run(graph):
     notes ``(steps so far, now)`` on entry, so the gap between two
     entries covers the simulator stretch *and* the driver work after it.
     """
-    seed = STEADY["seed"]
-    workload = build_workload(
-        STEADY["kind"], graph, rate=STEADY["rate"], duration=STEADY["duration"], seed=seed
-    )
-    net = AdhocNetwork(graph, seed=seed)
-    sim = net.sim
+    driver = _steady_service(graph)
+    sim = driver.net.sim
     marks = []
     run_for = sim.run_for
 
@@ -198,7 +231,7 @@ def _steady_run(graph):
 
     sim.run_for = timed_run_for
     start = time.perf_counter()
-    report = ServiceDriver(net, workload).run()
+    report = driver.run()
     wall = time.perf_counter() - start
     marks.append((sim.steps, time.perf_counter()))
 
@@ -250,6 +283,7 @@ def test_service_steady_series(benchmark, record_table):
         "growth": round(best["last"] / best["first"], 3),
         "object_loop_steps_per_s": int(best["object"]),
         "ratio": round(steps_per_s / best["object"], 4),
+        "retained_kib_per_node": _retained_kib_per_node(graph),
     }
 
     data = _load_bench()
@@ -267,10 +301,27 @@ def test_service_steady_series(benchmark, record_table):
             f"last quarter, above {ceiling:.2f}x (committed "
             f"{committed['growth']:.2f}x, slack {GROWTH_SLACK:g}x)"
         )
+        if "retained_kib_per_node" in committed:
+            ceiling = RETAINED_SLACK * committed["retained_kib_per_node"]
+            assert steady["retained_kib_per_node"] <= ceiling, (
+                f"the service retains {steady['retained_kib_per_node']:.1f} KiB per "
+                f"node after a run, above {ceiling:.1f} (committed "
+                f"{committed['retained_kib_per_node']:.1f}, slack {RETAINED_SLACK:g}x)"
+            )
 
     record_table(
         "BENCH-service-steady",
-        ["ops/s", "steps/s", "object steps/s", "ratio", "us/step q1", "us/step q4", "growth", "rss MiB"],
+        [
+            "ops/s",
+            "steps/s",
+            "object steps/s",
+            "ratio",
+            "us/step q1",
+            "us/step q4",
+            "growth",
+            "rss MiB",
+            "retained KiB/node",
+        ],
         [
             [
                 steady["ops_per_s"],
@@ -281,13 +332,15 @@ def test_service_steady_series(benchmark, record_table):
                 steady["us_per_step_last_quarter"],
                 steady["growth"],
                 steady["peak_rss_mb"],
+                steady["retained_kib_per_node"],
             ]
         ],
         notes=(
             f"Ad-hoc service on {FAMILY} n={STEADY['n']}, Poisson rate "
             f"{STEADY['rate']:g}/kstep for {STEADY['duration']} steps, best of "
             f"{STEADY_REPEATS}. Criterion: ratio >= {REGRESSION_FLOOR:.0%} of the "
-            f"committed one, growth <= {GROWTH_SLACK:g}x the committed one."
+            f"committed one, growth <= {GROWTH_SLACK:g}x and retained KiB/node <= "
+            f"{RETAINED_SLACK:g}x the committed ones."
         ),
     )
     series.append(steady)

@@ -17,7 +17,7 @@ running system.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.node import DiscoveryNode
 from repro.core.result import DiscoveryResult, collect_result
@@ -73,7 +73,7 @@ class ProbeHandle:
         return steps[self._index] if len(steps) > self._index else None
 
     @property
-    def answer(self) -> Optional[Tuple[NodeId, FrozenSet[NodeId]]]:
+    def answer(self) -> Optional[Tuple[NodeId, AbstractSet[NodeId]]]:
         """``(leader_id, ids)`` once :attr:`done`, else ``None``."""
         if self._immediate is not None:
             return self._immediate
@@ -147,7 +147,7 @@ class AdhocNetwork:
     # ------------------------------------------------------------------
     # Probes (Section 4.5.2)
     # ------------------------------------------------------------------
-    def probe(self, node_id: NodeId) -> Tuple[NodeId, FrozenSet[NodeId]]:
+    def probe(self, node_id: NodeId) -> Tuple[NodeId, AbstractSet[NodeId]]:
         """Ask ``node_id`` for its component's current id snapshot.
 
         Returns ``(leader_id, ids)``.  Runs the system to quiescence so the

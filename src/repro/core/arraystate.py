@@ -780,7 +780,7 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         more = {ids[x] for x in more_col[i]}
         d["more"] = more
         d["unaware"] = {ids[x] for x in unaware_col[i]}
-        node._knowledge = None  # a slot; the three sets above were replaced
+        node._drop_census()  # the three sets above were replaced
         unexplored = {ids[x] for x in unexp_col[i]}
         d["unexplored"] = unexplored
         # Rebuild (repr, id) heaps from live members (see _build_from_sim).

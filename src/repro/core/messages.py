@@ -33,7 +33,7 @@ Lemmas 5.9-5.10 and Theorem 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Hashable
+from typing import AbstractSet, FrozenSet, Hashable
 
 from repro.sim.trace import HEADER_BITS, bits_for_ids  # noqa: F401 (re-export)
 
@@ -237,11 +237,16 @@ class Probe:
 class ProbeReply:
     """Ad-hoc snapshot reply: the leader id and every id it has gathered.
 
-    Path-compresses ``next`` pointers on the way back, like a release.
+    ``ids`` is the leader's :attr:`~repro.core.node.DiscoveryNode.knowledge`
+    as sent: a :class:`~repro.core.node.CensusView` (a frozen prefix of the
+    leader's census log, O(1) to send), or a ``frozenset`` once the reply
+    has been through the array core's codec.  Both compare, hash and
+    pickle as the same frozen set.  Path-compresses ``next`` pointers on
+    the way back, like a release.
     """
 
     leader: NodeId
-    ids: FrozenSet[NodeId]
+    ids: AbstractSet[NodeId]
     initiator: NodeId
     msg_type = "probe-reply"
 

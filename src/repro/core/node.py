@@ -34,9 +34,22 @@ The class implements all three protocol variants (Section 4.5):
 
 from __future__ import annotations
 
+import collections.abc
 import heapq
 from collections import deque
-from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from itertools import chain, islice
+from typing import (
+    AbstractSet,
+    Any,
+    Deque,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.messages import (
     ABORT,
@@ -58,6 +71,7 @@ from repro.sim.network import SimNode, SimulationError
 NodeId = Hashable
 
 __all__ = [
+    "CensusView",
     "DiscoveryNode",
     "ProtocolError",
     "VARIANTS",
@@ -109,6 +123,52 @@ class ProtocolError(SimulationError):
     """A message arrived in a state the protocol proves impossible."""
 
 
+class CensusView(collections.abc.Set):
+    """An immutable set: the first ``length`` ids of a census log.
+
+    A leader's census only grows -- ids move between ``more``, ``done`` and
+    ``unaware`` but never leave -- so every answer it gives is a prefix of
+    one append-only log: ``ids`` in arrival order and ``at``, each id's
+    position.  A view is O(1) to make and to test membership in, and it
+    stays valid while the log grows past it.  Pickle and ``copy`` turn it
+    into a plain ``frozenset``, so no log leaves the process.
+    """
+
+    __slots__ = ("_ids", "_at", "_len")
+
+    def __init__(self, ids: List[NodeId], at: Dict[NodeId, int], length: int) -> None:
+        self._ids = ids
+        self._at = at
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, x: object) -> bool:
+        return self._at.get(x, self._len) < self._len
+
+    def __iter__(self):
+        return islice(self._ids, self._len)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (set, frozenset)):
+            return len(other) == self._len and other.issuperset(self)
+        return collections.abc.Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __reduce__(self):
+        return (frozenset, (tuple(self),))
+
+    def __repr__(self) -> str:
+        return f"CensusView({set(self)!r})"
+
+    @classmethod
+    def _from_iterable(cls, it) -> FrozenSet[NodeId]:
+        return frozenset(it)
+
+
 #: Field-less handshake messages are value objects; one shared frozen
 #: instance per type avoids an allocation on every merge handshake.
 _MERGE_ACCEPT = MergeAccept()
@@ -143,8 +203,8 @@ class DiscoveryNode(SimNode):
     #: only up to 29 attributes, which this class already has; a 30th key
     #: un-shares every node's dict (4.1 -> 5.5 KB per node, +5% peak RSS
     #: on an n=128 discovery).  Code that writes node state through
-    #: ``node.__dict__`` (the array core) must set these two by attribute.
-    __slots__ = ("_knowledge", "probe_answer_steps")
+    #: ``node.__dict__`` (the array core) must set these three by attribute.
+    __slots__ = ("_census_ids", "_census_at", "_knowledge", "probe_answer_steps")
 
     def __init__(
         self,
@@ -174,11 +234,17 @@ class DiscoveryNode(SimNode):
         self.unaware: Set[NodeId] = set()
         self.unexplored: Set[NodeId] = set()
         self.previous: Deque[Tuple[Search, NodeId]] = deque()
-        #: the census snapshot :attr:`knowledge` last built, ``None`` once
-        #: ``more``/``done``/``unaware`` changed.  Every writer of those
-        #: three sets -- the helpers below, checkpoint restore and the
-        #: array core's materialize -- must drop it.
-        self._knowledge: Optional[FrozenSet[NodeId]] = None
+        #: the census log behind :attr:`knowledge`: every id of ``more``,
+        #: ``done``, ``unaware`` and the node's own, in arrival order, and
+        #: each one's position.  ``None`` until ``knowledge`` is first read;
+        #: the add helpers below append to it.  A writer that replaces the
+        #: three sets wholesale (checkpoint restore, the array core's
+        #: materialize) calls :meth:`_drop_census` to start a new one.
+        self._census_ids: Optional[List[NodeId]] = None
+        self._census_at: Optional[Dict[NodeId, int]] = None
+        #: the view :attr:`knowledge` last returned, ``None`` once the log
+        #: grew past it.
+        self._knowledge: Optional[CensusView] = None
 
         # -- event-driven bookkeeping -------------------------------------
         self._inbox: Deque[Tuple[NodeId, Any]] = deque()
@@ -202,7 +268,7 @@ class DiscoveryNode(SimNode):
 
         # -- Ad-hoc probe machinery (Section 4.5.2) ------------------------
         self.probe_previous: Deque[Tuple[Probe, NodeId]] = deque()
-        self.probe_results: List[Tuple[NodeId, FrozenSet[NodeId]]] = []
+        self.probe_results: List[Tuple[NodeId, AbstractSet[NodeId]]] = []
         #: ``probe_answer_steps[i]`` is the simulator step at which
         #: ``probe_results[i]`` landed: latency is read off the node, never
         #: found by polling it after every step.  ``None`` until the first
@@ -233,19 +299,39 @@ class DiscoveryNode(SimNode):
         return self.status in LEADER_STATES
 
     @property
-    def knowledge(self) -> FrozenSet[NodeId]:
+    def knowledge(self) -> CensusView:
         """All ids this node has gathered as a leader (its cluster).
 
-        One immutable snapshot per census: probes answered between two
-        membership changes share the same object instead of each copying
-        the whole cluster (they are all retained in ``probe_results``).
+        An immutable :class:`CensusView` over the node's census log, O(1)
+        per call once the log exists (the first call builds it in
+        O(census)).  Probes answered between two membership changes share
+        the same object; they are all retained in ``probe_results``, and
+        none of them copies the cluster.
         """
-        snapshot = self._knowledge
-        if snapshot is None:
-            snapshot = self._knowledge = frozenset().union(
-                self.more, self.done, self.unaware, (self.node_id,)
-            )
-        return snapshot
+        view = self._knowledge
+        if view is None:
+            ids = self._census_ids
+            if ids is None:
+                ids = self._census_ids = list(
+                    dict.fromkeys(chain((self.node_id,), self.more, self.done, self.unaware))
+                )
+                self._census_at = dict(zip(ids, range(len(ids))))
+            view = self._knowledge = CensusView(ids, self._census_at, len(ids))
+        return view
+
+    def _log(self, w: NodeId) -> None:
+        """Append ``w`` to the census log (if one exists) unless it is
+        already there; only a new id outdates the cached view."""
+        at = self._census_at
+        if at is not None and w not in at:
+            at[w] = len(self._census_ids)
+            self._census_ids.append(w)
+            self._knowledge = None
+
+    def _drop_census(self) -> None:
+        """Start a new census log: ``more`` / ``done`` / ``unaware`` were
+        replaced wholesale.  Views already handed out keep the old one."""
+        self._census_ids = self._census_at = self._knowledge = None
 
     def __repr__(self) -> str:
         return (
@@ -263,7 +349,7 @@ class DiscoveryNode(SimNode):
         if w not in self.more:
             self.more.add(w)
             heapq.heappush(self._more_heap, (repr(w), w))
-            self._knowledge = None
+            self._log(w)
 
     def _add_unexplored(self, u: NodeId) -> None:
         if u not in self.unexplored:
@@ -301,29 +387,27 @@ class DiscoveryNode(SimNode):
             return u
         return None
 
-    # The two moves below shuffle a member between sets of the census;
-    # no id enters or leaves it, so the snapshot (if any) stays valid.
-    # That is what lets probes share one: every new link costs a
-    # done -> more -> done round trip at the leader and changes nothing.
+    # The two moves below shuffle a member between sets of the census; no
+    # id enters the log, so the view (if any) stays valid.  That is what
+    # lets probes share one: every new link costs a done -> more -> done
+    # round trip at the leader and changes nothing.
     def _move_done_to_more(self, w: NodeId) -> None:
-        snapshot = self._knowledge if w in self.done else None
         self.done.discard(w)
         self._add_more(w)
-        self._knowledge = snapshot
 
     def _move_more_to_done(self, w: NodeId) -> None:
-        snapshot = self._knowledge if w in self.more else None
         self.more.discard(w)
         self._add_done(w)
-        self._knowledge = snapshot
 
     def _add_done(self, w: NodeId) -> None:
         self.done.add(w)
-        self._knowledge = None
+        self._log(w)
 
     def _add_unaware(self, ids: FrozenSet[NodeId]) -> None:
         self.unaware |= ids
-        self._knowledge = None
+        if self._census_at is not None:
+            for w in ids:
+                self._log(w)
 
     # ------------------------------------------------------------------
     # Simulator entry points
@@ -864,7 +948,7 @@ class DiscoveryNode(SimNode):
             raise ProtocolError(
                 f"{self.node_id!r}: more-done from {sender!r} not in unaware"
             )
-        # unaware -> more/done: the add side drops the census snapshot.
+        # unaware -> more/done: the sender is already in the census log.
         self.unaware.discard(sender)
         if message.has_more:
             self._add_more(sender)
@@ -894,7 +978,7 @@ class DiscoveryNode(SimNode):
         """
         return self._probe_outstanding
 
-    def initiate_probe(self) -> Optional[Tuple[NodeId, FrozenSet[NodeId]]]:
+    def initiate_probe(self) -> Optional[Tuple[NodeId, AbstractSet[NodeId]]]:
         """Request the current id snapshot of this node's component.
 
         Leaders answer from their own state with zero messages; other nodes
@@ -935,7 +1019,7 @@ class DiscoveryNode(SimNode):
         return False
 
     def record_probe_answer(
-        self, leader: NodeId, ids: FrozenSet[NodeId], step: int
+        self, leader: NodeId, ids: AbstractSet[NodeId], step: int
     ) -> None:
         """Log the answer to one of this node's own probes, landed at
         simulator step ``step``."""

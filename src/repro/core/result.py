@@ -9,7 +9,7 @@ quantities every theorem of the paper bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import AbstractSet, Dict, Hashable, List, Optional, Set
 
 from repro.core.arraystate import IS_LEADER
 from repro.core.node import STATUS_NAMES, DiscoveryNode
@@ -37,7 +37,10 @@ class DiscoveryResult:
         (itself for leaders).  For generic/bounded this chain has length
         <= 1 at quiescence; for Ad-hoc it may be longer (property 3b).
     knowledge:
-        ``{leader: frozenset of ids it gathered}`` including itself.
+        ``{leader: frozen set of ids it gathered}`` including itself: a
+        ``frozenset``, or on the object path the leader's
+        :class:`~repro.core.node.CensusView`, which compares, hashes and
+        pickles as one.
     statuses:
         Final protocol state per node.
     path_lengths:
@@ -53,7 +56,7 @@ class DiscoveryResult:
     n_edges: int
     leaders: List[NodeId]
     leader_of: Dict[NodeId, NodeId]
-    knowledge: Dict[NodeId, FrozenSet[NodeId]]
+    knowledge: Dict[NodeId, AbstractSet[NodeId]]
     statuses: Dict[NodeId, str]
     path_lengths: Dict[NodeId, int]
     stats: MessageStats

@@ -228,7 +228,7 @@ class RecoveryManager:
         inner.local = set(ckpt.local)
         inner.done = set(ckpt.done)
         inner.unaware = set(ckpt.unaware)
-        inner._knowledge = None  # census replaced wholesale
+        inner._drop_census()  # census replaced wholesale
         # The choice heaps must mirror the sets exactly; rebuild them in
         # the same deterministic repr order the live path uses.
         inner.more = set()

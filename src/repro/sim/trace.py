@@ -13,6 +13,7 @@ simulator charges that at send time with ``id_bits = ceil(log2 n)``.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
@@ -49,14 +50,15 @@ def _canonical(value: Any) -> str:
     """Deterministic rendering for digests: unordered collections are
     sorted, dataclasses render field-by-field, so the result is stable
     across processes and hash-randomization seeds (plain ``repr`` of a
-    frozenset is not)."""
+    frozenset is not).  Any :class:`collections.abc.Set` renders as a
+    set, so a census view digests exactly as the frozenset it equals."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = ",".join(
             f"{f.name}={_canonical(getattr(value, f.name))}"
             for f in dataclasses.fields(value)
         )
         return f"{type(value).__name__}({fields})"
-    if isinstance(value, (set, frozenset)):
+    if isinstance(value, collections.abc.Set):
         return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
     if isinstance(value, dict):
         items = sorted(f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items())
