@@ -28,7 +28,7 @@ from repro.campaign import (
     fold_done_cells,
     report_tables,
 )
-from repro.parallel import sweep_jobs
+from repro.parallel.jobs import sweep_jobs
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_campaign.json"
 

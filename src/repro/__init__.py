@@ -58,7 +58,6 @@ from repro.sim import (
     Simulator,
     TimedScheduler,
 )
-from repro.parallel import Job, ParallelExecutor, sweep_jobs
 from repro.unionfind import DisjointSet, QuickFind, ackermann, alpha
 from repro.verification import (
     InvariantViolation,
@@ -124,8 +123,4 @@ __all__ = [
     "verify_discovery",
     "check_all_lemmas",
     "InvariantViolation",
-    # parallel execution
-    "Job",
-    "ParallelExecutor",
-    "sweep_jobs",
 ]

@@ -28,7 +28,7 @@ from repro.analysis.fitting import (
     ratio_series,
 )
 from repro.analysis.protocol_stats import ProtocolProfile, profile_execution
-from repro.analysis.sweep import aggregate_tables, sweep_seeds
+from repro.analysis.sweep import aggregate_tables
 from repro.analysis.registry import (
     ExperimentRecord,
     compare_records,
@@ -69,7 +69,6 @@ __all__ = [
     "ExperimentRecord",
     "ProtocolProfile",
     "profile_execution",
-    "sweep_seeds",
     "aggregate_tables",
     "save_record",
     "load_record",

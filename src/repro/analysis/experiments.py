@@ -1144,7 +1144,7 @@ EXPERIMENT_TABLE: Tuple[ExperimentRow, ...] = (
                   {}, {"scenarios": ("baseline", "loss-10", "crash-2"), "n": 24}),
 )
 
-#: The seed-taking runners by the names the job system (`repro.parallel`),
+#: The seed-taking runners by the names campaign cells (`repro.parallel.jobs`),
 #: ``sweep --exp`` and ``campaign init --exp`` use.  A plain dict: tests
 #: register extra jobs in it.
 SWEEPABLE_EXPERIMENTS: Dict[str, Callable[..., Table]] = {

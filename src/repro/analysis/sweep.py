@@ -2,27 +2,19 @@
 
 The experiment runners are single-seed by design (deterministic tables);
 for claims about *randomized* behaviour -- scheduler sensitivity, the
-randomized baselines -- :func:`sweep_seeds` reruns a table-producing
-function across seeds and aggregates every numeric column into
-``mean [min, max]`` cells, keyed by the non-numeric columns.
-
-Example::
-
-    headers, rows = sweep_seeds(
-        lambda seed: exp_near_linear_scaling(ns=(64, 128), seed=seed),
-        seeds=range(5),
-    )
+randomized baselines -- a seed sweep (:func:`repro.campaign.runner.run_sweep`)
+runs one table per seed and :func:`aggregate_tables` merges them: every
+numeric column becomes a ``mean [min, max]`` cell, keyed by the
+non-numeric columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 Table = Tuple[List[str], List[List[Any]]]
-#: Hook signature: (experiment, seeds) -> one table per seed, seed order.
-MapFn = Callable[[Callable[[int], Table], Sequence[int]], Sequence[Table]]
 
-__all__ = ["sweep_seeds", "aggregate_tables"]
+__all__ = ["aggregate_tables"]
 
 
 def _is_numeric(value: Any) -> bool:
@@ -71,28 +63,3 @@ def aggregate_tables(tables: Sequence[Table]) -> Table:
         merged.append(out_row)
     return headers, merged
 
-
-def sweep_seeds(
-    experiment: Callable[[int], Table],
-    seeds: Sequence[int],
-    map_fn: Optional[MapFn] = None,
-) -> Table:
-    """Run ``experiment(seed)`` for every seed and aggregate the tables.
-
-    ``map_fn`` replaces the serial per-seed loop with an alternative
-    execution strategy -- notably
-    :meth:`repro.parallel.ParallelExecutor.map_seeds`, which fans the
-    seeds out over a process pool.  It must return exactly one table per
-    seed, in seed order, so aggregation stays deterministic.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if map_fn is None:
-        tables: Sequence[Table] = [experiment(seed) for seed in seeds]
-    else:
-        tables = list(map_fn(experiment, seeds))
-        if len(tables) != len(seeds):
-            raise ValueError(
-                f"map_fn returned {len(tables)} tables for {len(seeds)} seeds"
-            )
-    return aggregate_tables(tables)

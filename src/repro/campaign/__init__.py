@@ -3,8 +3,8 @@
 A *campaign* is a persistent grid of experiment cells -- one
 :class:`~repro.parallel.jobs.Job` per (experiment, kwargs, seed)
 combination -- stored one row per cell in a WAL-mode SQLite database.
-Workers claim cells under a heartbeat **lease**, execute them through the
-existing :class:`~repro.parallel.ParallelExecutor` pool, and upsert
+Workers claim cells under a heartbeat **lease**, execute them on the
+campaign's process pool (:mod:`repro.parallel.executor`), and upsert
 results **idempotently** keyed by the job's content digest, so
 
 * a SIGKILLed run resumes with **zero** done cells recomputed,

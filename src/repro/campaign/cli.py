@@ -15,11 +15,16 @@ from typing import Any, Dict, List, Sequence
 
 from repro.analysis.experiments import QUICK_SWEEP_KWARGS
 from repro.analysis.tables import render_table
-from repro.cli import add_shared_options, check_pool_options, parse_seed_option
+from repro.cli import (
+    add_shared_options,
+    check_output_path,
+    check_pool_options,
+    parse_seeds,
+)
 from repro.parallel.jobs import Job, experiment_name
 
 from .report import fold_done_cells, report_tables
-from .runner import CampaignRunner
+from .runner import CampaignRunner, ProgressReporter
 from .store import CampaignCodeDrift, CampaignError, CampaignStore
 
 __all__ = ["add_campaign_parser", "cmd_campaign"]
@@ -201,7 +206,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
-    seeds = parse_seed_option(args.seeds)
+    seeds = parse_seeds(args.seeds)
     try:
         experiment = experiment_name(args.exp)
         combos = parse_grid(args.grid)
@@ -246,6 +251,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         log = (lambda line: None) if args.quiet else (
             lambda line: print(line, file=sys.stderr, flush=True)
         )
+        progress = None
+        if not args.quiet:
+            cells = store.unfinished()
+            progress = ProgressReporter()
+            progress.begin(cells if args.max_cells is None else min(cells, args.max_cells))
         runner = CampaignRunner(
             store,
             workers=args.workers,
@@ -253,8 +263,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             chunk=args.chunk,
             max_cells=args.max_cells,
             log=log,
+            progress=progress,
         )
         report = runner.run()
+        if progress is not None:
+            progress.end()
         counts = report.counts
         print(
             f"campaign {args.campaign_command}: computed {report.computed} "
@@ -327,6 +340,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    check_output_path("--bench-out", args.bench_out)
     store = CampaignStore.open(args.db)
     try:
         folded = fold_done_cells(store)

@@ -1,11 +1,11 @@
 """Campaign worker loop: claim -> execute -> upsert, until drained.
 
-The runner is a thin deterministic shell around the existing
-:class:`~repro.parallel.ParallelExecutor`: each round it renews its
-leases, claims the next id-ordered chunk of runnable cells, fans the
-reconstructed jobs out over the pool, and commits each outcome
-through the store's classification machinery.  Crash safety lives in the
-store; the runner adds
+The runner is a thin deterministic shell around the process pool
+(:class:`~repro.parallel.executor.ParallelExecutor`, whose only caller
+it is): each round it renews its leases, claims the next id-ordered
+chunk of runnable cells, fans the reconstructed jobs out over the pool,
+and commits each outcome through the store's classification machinery.
+Crash safety lives in the store; the runner adds
 
 * **heartbeats** -- leases are renewed before every claim round, so a
   healthy worker never loses cells, while a SIGKILLed one stops renewing
@@ -20,7 +20,9 @@ store; the runner adds
 
 :func:`run_sweep` is a seed sweep as a one-shot campaign: one store per
 (experiment, kwargs, protocol code), which is also the sweep's result
-cache, drained in one pool round.
+cache, drained in one pool round.  :class:`ProgressReporter` is the one
+progress stream of both: the pool hands it each result, and the caller
+(``run_sweep``, ``campaign run``) opens and closes it.
 """
 
 from __future__ import annotations
@@ -36,21 +38,71 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.sweep import aggregate_tables
-from repro.parallel import Job, NullProgress, ParallelExecutor, sweep_jobs
-from repro.parallel.executor import TIMEOUT, JobResult
+from repro.parallel.executor import TIMEOUT, JobResult, ParallelExecutor
+from repro.parallel.jobs import Job, sweep_jobs
 
 from .store import DONE, CampaignCell, CampaignError, CampaignStore
 
 Table = Tuple[List[str], List[List[Any]]]
 
-__all__ = ["CampaignRunner", "CampaignRunReport", "SweepRun", "run_sweep"]
+__all__ = [
+    "CampaignRunner", "CampaignRunReport", "ProgressReporter", "SweepRun", "run_sweep"
+]
 
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
+
+
+class ProgressReporter:
+    """One stderr line per job: status, label, wall-clock, message count.
+
+    Kept off stdout on purpose: the CLI prints the aggregated table there,
+    so ``python -m repro sweep ... > table.txt`` stays clean while the
+    operator still sees jobs complete live.  The caller brackets a whole
+    sweep or campaign run with one :meth:`begin` / :meth:`end`; jobs are
+    numbered 1..total whichever pool round ran them, and a retry's
+    repeat report keeps the number at ``total``.
+    """
+
+    def __init__(self, stream: Optional[IO[str]] = None):
+        self.stream = stream if stream is not None else sys.stderr
+        self.started_at = 0.0
+        self.done = self.total = 0
+
+    def _emit(self, line: str) -> None:
+        print(line, file=self.stream, flush=True)
+
+    def begin(self, total: int) -> None:
+        self.started_at = time.perf_counter()
+        self.done, self.total = 0, total
+        self._emit(f"queued {total} job(s)")
+
+    def report(self, result: JobResult) -> None:
+        self.done = min(self.done + 1, self.total)
+        width = len(str(self.total))
+        parts = [
+            f"[{self.done:>{width}}/{self.total}]",
+            f"{result.status:<7}",
+            result.job.label(),
+        ]
+        if result.wall is not None:
+            parts.append(f"{result.wall:.2f}s")
+        if result.messages is not None:
+            parts.append(f"{result.messages:,} msgs")
+        if result.error:
+            parts.append(result.error)
+        self._emit("  ".join(parts))
+
+    def end(self, summary: str = "") -> None:
+        elapsed = time.perf_counter() - self.started_at
+        line = f"sweep finished in {elapsed:.2f}s"
+        if summary:
+            line = f"{line}  ({summary})"
+        self._emit(line)
 
 
 @dataclass
@@ -81,15 +133,17 @@ class CampaignRunReport:
 class CampaignRunner:
     """One worker process draining a campaign store.
 
-    ``workers``/``timeout`` configure the inner
-    :class:`ParallelExecutor` exactly as for ``sweep``.  ``chunk`` caps
-    how many cells one claim round leases (default ``2 * workers``, two
-    jobs per worker per round) -- small chunks keep leases short
-    and takeover granular, large chunks amortize claim transactions.
+    ``workers``/``timeout`` configure the pool
+    (:class:`~repro.parallel.executor.ParallelExecutor`) exactly as for
+    ``sweep``.  ``chunk`` caps how many cells one claim round leases
+    (default ``2 * workers``, two jobs per worker per round) -- small
+    chunks keep leases short and takeover granular, large chunks amortize
+    claim transactions.
     ``max_cells`` (>= 1) stops the runner after that many computed cells
     (a deterministic, signal-free way to interrupt a campaign mid-flight;
-    leases are released exactly as for a signal).  ``progress`` goes to
-    the executor.  ``sleep``/``clock`` are injectable for tests.
+    leases are released exactly as for a signal).  ``progress``, a
+    :class:`ProgressReporter` the caller has begun, gets one line per
+    computed cell.  ``sleep``/``clock`` are injectable for tests.
     """
 
     def __init__(
@@ -106,7 +160,7 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.time,
         max_wait: float = 0.5,
-        progress: Any = None,
+        progress: Optional[ProgressReporter] = None,
     ):
         self.store = store
         self.workers = workers
@@ -126,7 +180,7 @@ class CampaignRunner:
         self.sleep = sleep
         self.clock = clock
         self.max_wait = max_wait
-        self.progress = progress or NullProgress()
+        self.progress = progress
         self._stop = threading.Event()
 
     # ------------------------------------------------------------------
@@ -157,7 +211,9 @@ class CampaignRunner:
     def run(self) -> CampaignRunReport:
         report = CampaignRunReport()
         executor = ParallelExecutor(
-            workers=self.workers, timeout=self.timeout, progress=self.progress
+            workers=self.workers,
+            timeout=self.timeout,
+            on_result=None if self.progress is None else self.progress.report,
         )
         previous = self._install_signals()
         try:
@@ -251,19 +307,6 @@ class SweepRun:
         return aggregate_tables([result.table for result in self.results])
 
 
-class _OneSweep(NullProgress):
-    """Progress for the whole sweep: the caller's one ``begin`` / ``end``
-    around every runner round, jobs numbered 1..total whichever round
-    ran them."""
-
-    def __init__(self, progress: Any, total: int):
-        self.progress, self.total, self.done = progress, total, 0
-
-    def report(self, result: JobResult, done: int = 0, total: int = 0) -> None:
-        self.done = min(self.done + 1, self.total)
-        self.progress.report(result, self.done, self.total)
-
-
 def run_sweep(
     experiment: Any,
     seeds: Sequence[int],
@@ -274,7 +317,7 @@ def run_sweep(
     timeout: Optional[float] = None,
     max_attempts: int = 1,
     backoff: float = 0.0,
-    progress: Any = None,
+    progress: Optional[ProgressReporter] = None,
 ) -> SweepRun:
     """One ``experiment`` job per seed, run as a one-shot campaign.
 
@@ -284,11 +327,11 @@ def run_sweep(
     only the new seeds.  Without ``cache_dir``, or when it cannot be
     written (one warning), the store is temporary.  A failed job retries
     under the store's policy (``max_attempts``, ``backoff``); the default
-    fails fast.
+    fails fast.  ``progress`` gets the sweep's one ``begin`` / ``end``
+    and a line per job, cached ones first.
     """
     jobs = sweep_jobs(experiment, seeds, kwargs)
     policy = {"max_attempts": max_attempts, "backoff": backoff}
-    progress = progress or NullProgress()
     with tempfile.TemporaryDirectory() as scratch:
         store = None
         if cache_dir is not None:
@@ -307,18 +350,18 @@ def run_sweep(
         try:
             held = {cell.key: cell for cell in store.cells(DONE)}
             hits = [job.key() in held for job in jobs]
-            counter = _OneSweep(progress, len(jobs))
-            progress.begin(len(jobs))
-            for job, hit in zip(jobs, hits):
-                if hit:
-                    counter.report(_cell_result(job, held[job.key()], "cached"))
+            if progress is not None:
+                progress.begin(len(jobs))
+                for job, hit in zip(jobs, hits):
+                    if hit:
+                        progress.report(_cell_result(job, held[job.key()], "cached"))
             report = CampaignRunner(
                 store,
                 workers=workers,
                 timeout=timeout,
                 chunk=len(jobs),
                 handle_signals=False,
-                progress=counter,
+                progress=progress,
             ).run()
             cells = {cell.key: cell for cell in store.cells()}
         finally:
@@ -328,8 +371,9 @@ def run_sweep(
         cell = cells[job.key()]
         results.append(_cell_result(job, cell, "cached" if hit else cell.status))
         attempts.append(0 if hit else cell.attempts + (cell.status == DONE))
-    summary = f"cache: {sum(hits)} hits, {len(jobs) - sum(hits)} misses, "
-    progress.end(f"{summary}{report.stored} stores" if cached else "")
+    if progress is not None:
+        summary = f"cache: {sum(hits)} hits, {len(jobs) - sum(hits)} misses, "
+        progress.end(f"{summary}{report.stored} stores" if cached else "")
     return SweepRun(results=results, attempts=attempts)
 
 

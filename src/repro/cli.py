@@ -56,7 +56,6 @@ from repro.core.adhoc import run_adhoc
 from repro.core.bounded import run_bounded
 from repro.core.generic import run_generic
 from repro.lowerbounds.tree_adversary import run_tree_lower_bound
-from repro.parallel.jobs import parse_seeds
 from repro.sim.scheduler import LifoScheduler
 from repro.sim.timed import TimedScheduler
 from repro.verification.invariants import verify_discovery
@@ -140,14 +139,30 @@ def check_output_path(option: str, path: Optional[str]) -> None:
     raise UsageError(f"error: cannot write {option} {path}: {reason}")
 
 
-def parse_seed_option(text: str) -> List[int]:
-    """``--seeds`` as a non-empty list of distinct seeds."""
+def parse_seeds(text: str) -> List[int]:
+    """``--seeds`` as a non-empty list of distinct seeds: ``'a:b'``
+    (half-open, like range), ``'s1,s2,...'`` or one seed.
+
+    A seed given twice is an error: it would be one cell, counted twice.
+    """
+    spec = text.strip()
     try:
-        seeds = parse_seeds(text)
+        if ":" in spec:
+            lo_text, _, hi_text = spec.partition(":")
+            lo, hi = int(lo_text or 0), int(hi_text)
+            if hi <= lo:
+                raise ValueError(f"empty seed range {spec!r}")
+            return list(range(lo, hi))
+        seeds = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --seeds: {exc}")
     if not seeds:
         raise UsageError("bad --seeds: no seeds given")
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise UsageError(f"bad --seeds: duplicate seed {seed}")
+        seen.add(seed)
     return seeds
 
 
@@ -592,10 +607,10 @@ def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opt
     aggregate, or ``None`` once the failed jobs (or the aggregation error)
     went to stderr.
     """
-    from repro.campaign.runner import run_sweep
-    from repro.parallel import JobFailure, ProgressReporter
+    from repro.campaign.runner import ProgressReporter, run_sweep
+    from repro.parallel.executor import JobFailure
 
-    seeds = parse_seed_option(args.seeds)
+    seeds = parse_seeds(args.seeds)
     check_pool_options(args)
     run = run_sweep(
         experiment,
@@ -603,7 +618,7 @@ def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opt
         kwargs,
         workers=args.workers,
         timeout=args.timeout,
-        progress=ProgressReporter(enabled=not args.no_progress),
+        progress=None if args.no_progress else ProgressReporter(),
         **opts,
     )
     failures = [r for r in run.results if not r.ok]

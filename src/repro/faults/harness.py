@@ -14,8 +14,9 @@ rest) is never acceptable under any plan: the chaos sweep's hard
 assertion, and the CI smoke job's exit code, is ``violations == 0``.
 
 The sweep entry point :func:`exp_chaos` returns a plain ``(headers, rows)``
-table so it plugs into ``SWEEPABLE_EXPERIMENTS`` and rides the sharded
-:class:`~repro.parallel.ParallelExecutor` unchanged.  Boolean verdicts are
+table so it plugs into ``SWEEPABLE_EXPERIMENTS``: ``python -m repro chaos``
+runs it as a one-shot campaign, one cell per seed
+(:func:`~repro.campaign.runner.run_sweep`).  Boolean verdicts are
 encoded as 0/1 ints on purpose: the sweep aggregator averages numeric
 columns across seeds, turning the flags into rates (e.g. ``safe = 1.0``
 means safety held on every seed).

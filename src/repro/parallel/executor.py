@@ -22,8 +22,8 @@ future per job, with
   collected back into that order, so the aggregated tables are bitwise
   identical for any worker count and any completion order.
 
-Stored results and retries are the campaign store's
-(:func:`repro.campaign.runner.run_sweep`): a sweep is a one-shot campaign.
+Its one caller is :class:`repro.campaign.runner.CampaignRunner`: stored
+results, retries and progress lines are the campaign's.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .jobs import Job, experiment_name, resolve_experiment, sweep_jobs
-from .progress import NullProgress
+from .jobs import Job, resolve_experiment
 
 Table = Tuple[List[str], List[List[Any]]]
 
@@ -48,7 +47,7 @@ DONE, FAILED, TIMEOUT = "done", "failed", "timeout"
 
 
 class JobFailure(RuntimeError):
-    """Raised by the strict APIs when any job failed or timed out."""
+    """Raised by :attr:`JobResult.table` for a job that failed or timed out."""
 
 
 @dataclass
@@ -156,13 +155,12 @@ class ParallelExecutor:
     fork a pool.  ``timeout`` bounds the wait for each job's result in
     seconds (pool runs only; the serial path has no way to interrupt a
     job).  Every job runs once: a failure is a result, not a retry.
-    ``executed`` counts jobs run over the executor's lifetime.
+    ``on_result`` sees each result as it is collected.
     """
 
     workers: int = 1
     timeout: Optional[float] = None
-    progress: Any = field(default_factory=NullProgress)
-    executed: int = field(default=0, init=False)
+    on_result: Optional[Callable[[JobResult], None]] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -170,22 +168,17 @@ class ParallelExecutor:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
-    # ------------------------------------------------------------------
-    # core
-    # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
         """Execute ``jobs``; results align index-for-index with the input."""
         jobs = list(jobs)
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        self.progress.begin(len(jobs))
         if jobs:
             parallel = self.workers > 1 and _fork_available()
             runner = self._run_pool if parallel else self._run_serial
-            for done, (index, result) in enumerate(runner(jobs, range(len(jobs))), 1):
+            for index, result in runner(jobs, range(len(jobs))):
                 results[index] = result
-                self.executed += 1
-                self.progress.report(result, done, len(jobs))
-        self.progress.end()
+                if self.on_result is not None:
+                    self.on_result(result)
         return [result for result in results if result is not None]
 
     def _run_serial(
@@ -253,26 +246,3 @@ class ParallelExecutor:
             pool.shutdown(wait=True)
         for index in orphans:
             yield from self._run_pool(jobs, [index], isolated=True)
-
-    # ------------------------------------------------------------------
-    # conveniences
-    # ------------------------------------------------------------------
-    def map_seeds(self, experiment: Any, seeds: Sequence[int], **kwargs: Any) -> List[Table]:
-        """Tables for ``experiment`` across ``seeds``, in seed order.
-
-        Signature-compatible with :func:`repro.analysis.sweep.sweep_seeds`'s
-        ``map_fn`` hook; raises :class:`JobFailure` if any job failed.
-        """
-        name = experiment_name(experiment)
-        results = self.run(sweep_jobs(name, seeds, kwargs))
-        failures = [r for r in results if not r.ok]
-        if failures:
-            detail = "; ".join(f"{r.job.label()}: {r.status} ({r.error})" for r in failures)
-            raise JobFailure(f"{len(failures)} job(s) failed: {detail}")
-        return [r.table for r in results]
-
-    def sweep(self, experiment: Any, seeds: Sequence[int], **kwargs: Any) -> Table:
-        """Run and aggregate a whole seed sweep (one call, one table)."""
-        from repro.analysis.sweep import aggregate_tables
-
-        return aggregate_tables(self.map_seeds(experiment, seeds, **kwargs))

@@ -1,4 +1,4 @@
-"""Picklable job specs and seed lists.
+"""Picklable job specs.
 
 A :class:`Job` names an experiment (either a key of
 :data:`repro.analysis.experiments.SWEEPABLE_EXPERIMENTS` or an importable
@@ -29,7 +29,6 @@ __all__ = [
     "Job",
     "experiment_name",
     "protocol_code_digest",
-    "parse_seeds",
     "resolve_experiment",
     "sweep_jobs",
 ]
@@ -193,22 +192,3 @@ def sweep_jobs(
     """One job per seed, in seed order (which is also result order)."""
     name = experiment_name(experiment)
     return [Job.create(name, kwargs, seed) for seed in seeds]
-
-
-def parse_seeds(spec: str) -> List[int]:
-    """``'a:b'`` (half-open, like range) or ``'s1,s2,...'`` or one seed.
-
-    A seed given twice is an error: it would be one cell, counted twice.
-    """
-    spec = spec.strip()
-    if ":" in spec:
-        lo_text, _, hi_text = spec.partition(":")
-        lo, hi = int(lo_text or 0), int(hi_text)
-        if hi <= lo:
-            raise ValueError(f"empty seed range {spec!r}")
-        return list(range(lo, hi))
-    seeds = [int(part) for part in spec.split(",") if part.strip()]
-    for index, seed in enumerate(seeds):
-        if seed in seeds[:index]:
-            raise ValueError(f"duplicate seed {seed}")
-    return seeds

@@ -121,6 +121,40 @@ class TestCampaignCommands:
         assert main(["campaign", "resume", "--db", db, "--quiet"]) == 0
         assert "computed 0 cell(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["run", "resume"])
+    def test_progress_is_one_line_per_cell_unless_quiet(self, verb, tmp_path, capsys):
+        """``campaign run`` / ``resume`` print ``sweep``'s progress lines, one
+        per computed cell; ``--quiet`` prints none."""
+        for quiet in (False, True):
+            db = str(tmp_path / f"c{quiet}.db")
+            main(["campaign", "init", "--db", db, "--exp", TOY, "--seeds", "0:3"])
+            capsys.readouterr()
+            argv = ["campaign", verb, "--db", db] + ["--quiet"] * quiet
+            assert main(argv) == 0
+            lines = capsys.readouterr().err.splitlines()
+            if quiet:
+                assert lines == []
+                continue
+            assert lines[0] == "queued 3 job(s)"
+            assert [line.split()[:4] for line in lines[1:-1]] == [
+                [f"[{seed + 1}/3]", "done", TOY, f"seed={seed}"] for seed in range(3)
+            ]
+            assert lines[-1].startswith("sweep finished in ")
+
+    def test_unwritable_bench_out_exits_2_before_folding(self, tmp_path, capsys):
+        db = str(tmp_path / "c.db")
+        main(["campaign", "init", "--db", db, "--exp", TOY, "--seeds", "0:3"])
+        assert main(["campaign", "run", "--db", db, "--quiet"]) == 0
+        capsys.readouterr()
+        bad = str(tmp_path / "no-such-dir" / "out.json")
+        assert main(["campaign", "report", "--db", db, "--bench-out", bad]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write --bench-out" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        # Nothing was folded: the next report folds all three cells.
+        assert main(["campaign", "report", "--db", db]) == 0
+        assert "folded 3 new cell(s)" in capsys.readouterr().out
+
     def test_max_cells_then_resume(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
         main(["campaign", "init", "--db", db, "--exp", TOY, "--seeds", "0:6"])

@@ -9,7 +9,7 @@ import threading
 import time
 
 from repro.campaign import CampaignRunner, CampaignStore
-from repro.parallel import sweep_jobs
+from repro.parallel.jobs import sweep_jobs
 
 TOY = "tests.test_parallel:exp_toy"
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.analysis.sweep import aggregate_tables
 from repro.campaign import CampaignStore, fold_done_cells, report_tables
 from repro.campaign.store import CampaignError
-from repro.parallel import Job, ParallelExecutor, sweep_jobs
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.jobs import Job, sweep_jobs
 
 TOY = "tests.test_parallel:exp_toy"
 

@@ -6,8 +6,8 @@ from repro.analysis.experiments import QUICK_SWEEP_KWARGS, SWEEPABLE_EXPERIMENTS
 from repro.analysis.sweep import aggregate_tables
 from repro.analysis.tables import render_table
 from repro.campaign import CampaignRunner, CampaignStore
-from repro.campaign.runner import run_sweep
-from repro.parallel import Job, sweep_jobs
+from repro.campaign.runner import ProgressReporter, run_sweep
+from repro.parallel.jobs import Job, sweep_jobs
 
 TOY = "tests.test_parallel:exp_toy"
 FLAKY = "tests.test_parallel:exp_flaky"
@@ -210,8 +210,6 @@ class TestRunSweep:
         """Cached jobs report first, then the round; numbering runs 1..n
         across retries, with one begin and one end."""
         import io
-
-        from repro.parallel import ProgressReporter
 
         kwargs = {"flag_dir": str(tmp_path / "f")}
         cache = tmp_path / "cache"

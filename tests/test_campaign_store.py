@@ -12,7 +12,7 @@ from repro.campaign import (
     CampaignStore,
 )
 from repro.campaign.store import CLAIMED, DONE, FAILED, PENDING
-from repro.parallel import Job
+from repro.parallel.jobs import Job
 
 TOY = "tests.test_parallel:exp_toy"
 

@@ -1,4 +1,4 @@
-"""Tests for the sharded multi-process execution engine (repro.parallel).
+"""Tests for the campaign's process pool (repro.parallel) and one-shot sweeps.
 
 The acceptance-grade properties live here: worker-count invariance of the
 aggregated tables (checked with ``compare_records`` at zero tolerance)
@@ -17,18 +17,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.analysis.registry import ExperimentRecord, compare_records
-from repro.analysis.sweep import sweep_seeds
 from repro.campaign import CampaignError, CampaignStore
-from repro.campaign.runner import run_sweep
-from repro.parallel import (
-    Job,
-    JobFailure,
-    ParallelExecutor,
-    ProgressReporter,
-    experiment_name,
-    resolve_experiment,
-    sweep_jobs,
-)
+from repro.campaign.runner import ProgressReporter, run_sweep
+from repro.parallel.executor import JobFailure, ParallelExecutor
+from repro.parallel.jobs import Job, experiment_name, resolve_experiment, sweep_jobs
 
 # ----------------------------------------------------------------------
 # module-level toy experiments (importable by name from worker processes)
@@ -143,10 +135,10 @@ class TestJobSpec:
 
 class TestParseSeeds:
     def test_a_repeated_seed_is_rejected(self):
-        from repro.parallel.jobs import parse_seeds
+        from repro.cli import UsageError, parse_seeds
 
         assert parse_seeds("4,1,7") == [4, 1, 7]
-        with pytest.raises(ValueError, match="duplicate seed 0"):
+        with pytest.raises(UsageError, match="duplicate seed 0"):
             parse_seeds("0,3,0")
 
 
@@ -194,7 +186,6 @@ class TestSerialExecution:
         assert [r.job.seed for r in results] == [3, 0, 2]
         assert [r.table[1][0][2] for r in results] == [20, 5, 15]
         assert all(r.status == "done" for r in results)
-        assert executor.executed == 3
 
     def test_crash_isolation(self):
         executor = ParallelExecutor(workers=1)
@@ -271,43 +262,6 @@ class TestParallelExecution:
         run = run_sweep(TOY, range(4), cache_dir=tmp_path)
         assert run.attempts == [0, 0, 1, 1]
         assert statuses(run) == ["cached", "cached", "done", "done"]
-
-
-class TestSweepIntegration:
-    def test_map_fn_plugs_into_sweep_seeds(self):
-        from repro.analysis.experiments import exp_strongly_connected
-
-        serial = sweep_seeds(
-            lambda seed: exp_strongly_connected(ns=(16, 32), seed=seed),
-            seeds=range(3),
-        )
-        executor = ParallelExecutor(workers=2)
-        parallel = sweep_seeds(
-            exp_strongly_connected,
-            seeds=range(3),
-            map_fn=lambda experiment, seeds: executor.map_seeds(
-                experiment, seeds, ns=(16, 32)
-            ),
-        )
-        assert serial == parallel
-
-    def test_map_fn_result_count_checked(self):
-        with pytest.raises(ValueError, match="map_fn returned"):
-            sweep_seeds(
-                exp_toy, seeds=range(3), map_fn=lambda exp, seeds: []
-            )
-
-    def test_map_seeds_raises_on_failure(self):
-        executor = ParallelExecutor(workers=1)
-        with pytest.raises(JobFailure, match="boom"):
-            executor.map_seeds(FLAKY, range(3))
-
-    def test_executor_sweep_aggregates(self):
-        executor = ParallelExecutor(workers=1)
-        headers, rows = executor.sweep(TOY, range(3), scale=2)
-        assert headers == ["case", "n", "messages"]
-        # seeds 0..2 -> messages 2, 4, 6 -> mean 4 [2, 6]
-        assert rows == [["toy", 2, "4 [2, 6]"]]
 
 
 class TestRetries:
@@ -506,20 +460,15 @@ class TestCacheDegradation:
 class TestProgress:
     def test_stream_lines(self):
         stream = io.StringIO()
-        executor = ParallelExecutor(
-            workers=1, progress=ProgressReporter(stream=stream)
-        )
-        executor.run(sweep_jobs(FLAKY, range(2)))
+        run_sweep(FLAKY, range(2), progress=ProgressReporter(stream=stream))
         out = stream.getvalue()
         assert "queued 2 job(s)" in out
         assert "done" in out
         assert "failed" in out and "boom" in out
         assert "sweep finished" in out
 
-    def test_disabled_reporter_is_silent(self):
-        stream = io.StringIO()
-        executor = ParallelExecutor(
-            workers=1, progress=ProgressReporter(stream=stream, enabled=False)
-        )
-        executor.run([Job.create(TOY, {}, seed=0)])
-        assert stream.getvalue() == ""
+    def test_disabled_reporter_is_silent(self, capsys):
+        # No reporter, no lines: a sweep without one prints nothing.
+        run = run_sweep(TOY, range(2))
+        assert statuses(run) == ["done", "done"]
+        assert capsys.readouterr() == ("", "")

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.analysis.sweep import aggregate_tables, sweep_seeds
+from repro.analysis.sweep import aggregate_tables
+from repro.campaign import CampaignError
+from repro.campaign.runner import run_sweep
 
 
 def table(values):
@@ -49,10 +51,7 @@ class TestSweep:
     def test_sweeps_real_experiment(self):
         from repro.analysis.experiments import exp_strongly_connected
 
-        headers, rows = sweep_seeds(
-            lambda seed: exp_strongly_connected(ns=(16, 32), seed=seed),
-            seeds=range(3),
-        )
+        headers, rows = run_sweep(exp_strongly_connected, range(3), {"ns": (16, 32)}).table
         # Message counts are schedule-independent here: exactly 2(n-1).
         assert rows[0][1] == 30
         assert rows[1][1] == 62
@@ -60,18 +59,15 @@ class TestSweep:
     def test_sweep_shows_randomized_spread(self):
         from repro.analysis.experiments import exp_generic_scaling
 
-        headers, rows = sweep_seeds(
-            lambda seed: exp_generic_scaling(
-                ns=(32,), families=("sparse-random",), seed=seed
-            ),
-            seeds=range(3),
-        )
+        headers, rows = run_sweep(
+            exp_generic_scaling, range(3), {"ns": (32,), "families": ("sparse-random",)}
+        ).table
         # Different seeds -> different graphs -> a spread cell somewhere.
         assert any(isinstance(cell, str) and "[" in str(cell) for cell in rows[0])
 
     def test_requires_seeds(self):
-        with pytest.raises(ValueError):
-            sweep_seeds(lambda seed: table([1, 2]), seeds=[])
+        with pytest.raises(CampaignError, match="at least one cell"):
+            run_sweep("strongly-connected", [], {"ns": (16,)})
 
 
 class TestCliProfile:
