@@ -49,7 +49,7 @@ def _run_fault_free_once():
     elapsed = 0.0
     for seed in SEEDS:
         graph = build_family(FAMILY, N, seed)
-        injector = FaultInjector(FaultPlan(), seed=seed, keep_log=False)
+        injector = FaultInjector(FaultPlan(), seed=seed)
         sim, _nodes = build_simulation(
             graph, "generic", seed=seed, faults=injector, reliable=True
         )

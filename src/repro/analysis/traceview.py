@@ -4,8 +4,9 @@ Small protocol executions are easiest to understand as an event log or an
 ASCII sequence diagram.  Both renderers work on the simulator's
 :class:`~repro.sim.trace.ExecutionTrace` (``keep_trace=True``):
 
->>> result = run_generic(graph, keep_trace=True)   # doctest: +SKIP
-... # via the simulator: sim.trace
+>>> sim, nodes = build_simulation(graph, "generic", keep_trace=True)  # doctest: +SKIP
+>>> sim.run()                                                       # doctest: +SKIP
+>>> print(format_trace(sim.trace))                                  # doctest: +SKIP
 
 The sequence diagram draws one lane per node and one row per delivery::
 

@@ -15,12 +15,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.analysis.experiments import QUICK_SWEEP_KWARGS
 from repro.analysis.tables import render_table
-from repro.cli import (
-    add_shared_options,
-    check_output_path,
-    check_pool_options,
-    parse_seeds,
-)
+from repro.cli import add_option, add_shared_options, check_output_path, parse_seeds
 from repro.parallel.jobs import Job, experiment_name
 
 from .report import fold_done_cells, report_tables
@@ -96,16 +91,12 @@ def add_campaign_parser(sub) -> None:
         run_p = campaign_sub.add_parser(verb, help=help_text)
         add_db(run_p)
         add_shared_options(run_p, workers=1, timeout=None)
-        run_p.add_argument(
-            "--chunk",
-            type=int,
-            default=None,
+        add_option(
+            run_p, "--chunk", type=int, default=None, bound=(">=", 1),
             help="cells leased per claim round (default: workers * 2)",
         )
-        run_p.add_argument(
-            "--max-cells",
-            type=int,
-            default=None,
+        add_option(
+            run_p, "--max-cells", type=int, default=None, bound=(">=", 1),
             help="stop (gracefully, releasing leases) after computing this "
             "many cells -- a deterministic mid-flight interruption",
         )
@@ -236,11 +227,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    check_pool_options(args)
-    for flag, value in (("--chunk", args.chunk), ("--max-cells", args.max_cells)):
-        if value is not None and value < 1:
-            print(f"bad {flag}: must be >= 1, got {value}", file=sys.stderr)
-            return 2
     store = CampaignStore.open(args.db)
     try:
         try:

@@ -9,6 +9,10 @@ Commands
 ``compare``       the Section 1.1 baseline comparison table
 ``lower-bound``   the Theorem 1 adversary on T(height)
 ``families``      list the available graph families
+``profile``       phase / pointer-depth / traffic-mix profile of one
+                  execution
+``report``        regenerate the full experiment report (all sections,
+                  or a named subset), optionally at quick sizes
 ``sweep``         multi-seed sweep of one experiment, run as a one-shot
                   campaign: worker pool, and a campaign store per
                   (experiment, sizes, code) that keeps every result
@@ -29,6 +33,10 @@ Commands
                   (``init`` / ``run`` / ``status`` / ``resume`` /
                   ``report``); a SIGKILLed campaign resumes with zero
                   done cells recomputed
+
+Every option's lower bound is stated where the option is declared
+(:func:`add_option`) and checked before any verb runs: a value below it
+exits 2 with one ``bad --X: must be >= k, got v`` line.
 
 Everything the CLI prints comes from the same experiment runners the
 benchmarks use, so numbers match ``benchmarks/results/``.
@@ -80,13 +88,21 @@ _RUNNERS = {"generic": run_generic, "bounded": run_bounded, "adhoc": run_adhoc}
 _SHARED_OPTIONS: Dict[str, dict] = {
     "variant": {"choices": sorted(_RUNNERS), "help": "discovery variant"},
     "family": {"choices": sorted(GRAPH_FAMILIES), "help": "graph family"},
-    "n": {"type": int, "help": "number of nodes"},
+    "n": {"type": int, "bound": (">=", 1), "help": "number of nodes"},
     "seed": {"type": int, "help": "graph and run seed"},
     "seeds": {
         "help": "half-open range 'a:b' or comma list '0,3,7' (default: %(default)s)"
     },
-    "workers": {"type": int, "help": "process-pool size; 1 = serial in-process"},
-    "timeout": {"type": float, "help": "per-job timeout in seconds (pool runs only)"},
+    "workers": {
+        "type": int,
+        "bound": (">=", 1),
+        "help": "process-pool size; 1 = serial in-process",
+    },
+    "timeout": {
+        "type": float,
+        "bound": (">", 0),
+        "help": "per-job timeout in seconds (pool runs only)",
+    },
     "no_progress": {"action": "store_true", "help": "suppress per-job stderr lines"},
     "max_attempts": {
         "type": int,
@@ -101,12 +117,22 @@ _SHARED_OPTIONS: Dict[str, dict] = {
 }
 
 
+def add_option(parser: argparse.ArgumentParser, flag: str, *, bound=None, **kwargs):
+    """``parser.add_argument(flag, **kwargs)``; ``bound`` -- ``(">=", 1)``,
+    ``(">", 0)`` -- is the option's lower bound, which :func:`check_bounds`
+    enforces before any verb runs."""
+    dest = parser.add_argument(flag, **kwargs).dest
+    if bound is not None:
+        bounds = parser.get_default("bounds") or {}
+        parser.set_defaults(bounds={**bounds, dest: bound})
+
+
 def add_shared_options(parser: argparse.ArgumentParser, **defaults) -> None:
     """Declare the named :data:`_SHARED_OPTIONS` with these defaults, in
     the order named."""
     for dest, default in defaults.items():
         flag = "--" + dest.replace("_", "-")
-        parser.add_argument(flag, default=default, **_SHARED_OPTIONS[dest])
+        add_option(parser, flag, default=default, **_SHARED_OPTIONS[dest])
 
 
 class UsageError(Exception):
@@ -114,12 +140,15 @@ class UsageError(Exception):
     and exits 2."""
 
 
-def check_pool_options(args: argparse.Namespace) -> None:
-    """``--workers`` / ``--timeout`` within :class:`ParallelExecutor`'s bounds."""
-    if args.workers < 1:
-        raise UsageError(f"bad --workers: must be >= 1, got {args.workers}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise UsageError(f"bad --timeout: must be > 0, got {args.timeout:g}")
+def check_bounds(args: argparse.Namespace) -> None:
+    """Every lower bound the parsed verb's options state (:func:`add_option`);
+    an unset option (``None``) has none to meet."""
+    for dest, (relation, limit) in getattr(args, "bounds", {}).items():
+        value = getattr(args, dest)
+        if value is None or (value > limit if relation == ">" else value >= limit):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        raise UsageError(f"bad {flag}: must be {relation} {limit:g}, got {value:g}")
 
 
 def check_output_path(option: str, path: Optional[str]) -> None:
@@ -215,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_shared_options(cmp_p, n=256, seed=3)
 
     lb_p = sub.add_parser("lower-bound", help="Theorem 1 adversary on T(height)")
-    lb_p.add_argument("--height", type=int, default=8)
+    add_option(lb_p, "--height", type=int, default=8, bound=(">=", 1))
 
     sub.add_parser("families", help="list graph families")
 
@@ -300,10 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "epoch fencing, rejoin); incompatible with --raw, which lacks the "
         "transport the recovery model fences through",
     )
-    chaos_p.add_argument(
-        "--budget-factor",
-        type=int,
-        default=8,
+    add_option(
+        chaos_p, "--budget-factor", type=int, default=8, bound=(">=", 1),
         help="step budget as a multiple of the fault-free budget (default: 8)",
     )
     chaos_p.add_argument(
@@ -344,10 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record under this fault scenario via the chaos harness "
         "(default: a clean fault-free run)",
     )
-    rec_p.add_argument(
-        "--cadence",
-        type=int,
-        default=None,
+    add_option(
+        rec_p, "--cadence", type=int, default=None, bound=(">=", 1),
         help="metrics sampling cadence in steps (clean runs only; "
         "default: 64)",
     )
@@ -386,16 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="poisson",
         help="arrival process (default: poisson)",
     )
-    serve_p.add_argument(
-        "--rate",
-        type=float,
-        default=5.0,
+    add_option(
+        serve_p, "--rate", type=float, default=5.0, bound=(">", 0),
         help="mean arrival rate in events per 1000 virtual steps",
     )
-    serve_p.add_argument(
-        "--duration",
-        type=int,
-        default=2000,
+    add_option(
+        serve_p, "--duration", type=int, default=2000, bound=(">=", 1),
         help="length of the arrival window in virtual steps",
     )
     add_shared_options(serve_p, seed=0, family="sparse-random", n=64)
@@ -412,17 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="churn-burst shape (implies --workload bursty): a LEN-step "
         "window every EVERY steps at FACTOR times the base rate",
     )
-    serve_p.add_argument(
-        "--step-budget",
-        type=int,
-        default=None,
+    add_option(
+        serve_p, "--step-budget", type=int, default=None, bound=(">=", 1),
         help="hard cap on executed steps (default: derived from the "
         "workload; exhaustion is reported, not raised)",
     )
-    serve_p.add_argument(
-        "--cadence",
-        type=int,
-        default=None,
+    add_option(
+        serve_p, "--cadence", type=int, default=None, bound=(">=", 1),
         help="metrics sampling cadence in virtual steps (default: 64)",
     )
     serve_p.add_argument(
@@ -474,16 +491,26 @@ def _scheduler_options(name: str, seed: int) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.greedy_queries and args.variant != "generic":
+        raise UsageError("--greedy-queries only applies to the generic variant")
     if args.graph_file:
         from repro.graphs.io import load_graph
 
-        graph = load_graph(args.graph_file)
+        try:
+            graph = load_graph(args.graph_file)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read {args.graph_file}: {exc}")
     else:
         graph = build_family(args.family, args.n, seed=args.seed)
     kwargs = _scheduler_options(args.scheduler, args.seed)
     scheduler = kwargs.get("scheduler")
-    if args.channels != "fifo":
-        # Route through build_simulation directly for the channel ablation.
+    if args.greedy_queries:
+        kwargs["greedy_queries"] = True
+    if args.channels == "fifo":
+        result = _RUNNERS[args.variant](graph, **kwargs)
+    else:
+        # The run_* entry points have no channel discipline: the reorder
+        # ablation builds its simulator here.
         from repro.core.result import collect_result
         from repro.core.runner import build_simulation
 
@@ -496,19 +523,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         sim.run()
         result = collect_result(graph, nodes, sim, args.variant)
-        report = verify_discovery(result, graph)
-        print(result.summary())
-        print(f"(channel discipline: {args.channels})")
-        print(f"verified: {report}")
-        return 0
-    if args.greedy_queries:
-        if args.variant != "generic":
-            print("--greedy-queries only applies to the generic variant", file=sys.stderr)
-            return 2
-        kwargs["greedy_queries"] = True
-    result = _RUNNERS[args.variant](graph, **kwargs)
     report = verify_discovery(result, graph)
     print(result.summary())
+    if args.channels != "fifo":
+        print(f"(channel discipline: {args.channels})")
     if isinstance(scheduler, TimedScheduler):
         print(f"completion time: {scheduler.now:g} (unit message latency)")
     print("\nmessages by type:")
@@ -611,7 +629,6 @@ def _pooled_table(args: argparse.Namespace, experiment: str, kwargs: dict, **opt
     from repro.parallel.executor import JobFailure
 
     seeds = parse_seeds(args.seeds)
-    check_pool_options(args)
     run = run_sweep(
         experiment,
         seeds,
@@ -851,8 +868,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         try:
             timeline = read_timeline(args.timeline)
         except (OSError, ValueError) as exc:
-            print(f"cannot read {args.timeline}: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot read {args.timeline}: {exc}")
         print(summarize_timeline(timeline))
         if not timeline.events:
             print("timeline holds no events", file=sys.stderr)
@@ -865,8 +881,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         timeline_a = read_timeline(args.timeline_a)
         timeline_b = read_timeline(args.timeline_b)
     except (OSError, ValueError) as exc:
-        print(f"cannot read timeline: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read timeline: {exc}")
     identical, report = diff_timelines(timeline_a, timeline_b)
     print(report)
     return 0 if identical else 1
@@ -895,12 +910,10 @@ def _trace_record(args: argparse.Namespace) -> int:
         from repro.faults.scenarios import FAULT_SCENARIOS
 
         if args.scenario not in FAULT_SCENARIOS:
-            print(
+            raise UsageError(
                 f"unknown scenario {args.scenario!r}; choose from "
-                f"{', '.join(sorted(FAULT_SCENARIOS))}",
-                file=sys.stderr,
+                f"{', '.join(sorted(FAULT_SCENARIOS))}"
             )
-            return 2
         if profiler is not None:
             print(
                 "--profile needs direct simulator access; ignored with "
@@ -945,23 +958,23 @@ def _parse_mix(spec: str):
 
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"--mix wants JOIN:LINK:PROBE, got {spec!r}")
+        raise UsageError(f"--mix wants JOIN:LINK:PROBE, got {spec!r}")
     try:
         mix = EventMix(*(float(part) for part in parts))
         mix.validate()
     except ValueError as exc:
-        raise SystemExit(f"bad --mix {spec!r}: {exc}")
+        raise UsageError(f"bad --mix {spec!r}: {exc}")
     return mix
 
 
 def _parse_burst(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"--burst wants EVERY:LEN:FACTOR, got {spec!r}")
+        raise UsageError(f"--burst wants EVERY:LEN:FACTOR, got {spec!r}")
     try:
         return int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError as exc:
-        raise SystemExit(f"bad --burst {spec!r}: {exc}")
+        raise UsageError(f"bad --burst {spec!r}: {exc}")
 
 
 def _parse_faults(spec: str, graph, seed: int):
@@ -971,12 +984,12 @@ def _parse_faults(spec: str, graph, seed: int):
 
     loss = duplicate = 0.0
     crashes = ()
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        try:
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            key, _, value = part.partition("=")
             if key == "loss":
                 loss = float(value)
             elif key == "dup":
@@ -989,10 +1002,10 @@ def _parse_faults(spec: str, graph, seed: int):
                     for victim in pick_crash_victims(graph, count, seed)
                 )
             else:
-                raise SystemExit(f"unknown --faults key {key!r} in {spec!r}")
-        except ValueError as exc:
-            raise SystemExit(f"bad --faults {spec!r}: {exc}")
-    return FaultPlan(loss=loss, duplicate=duplicate, crashes=crashes)
+                raise UsageError(f"unknown --faults key {key!r} in {spec!r}")
+        return FaultPlan(loss=loss, duplicate=duplicate, crashes=crashes)
+    except ValueError as exc:
+        raise UsageError(f"bad --faults {spec!r}: {exc}")
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
@@ -1008,6 +1021,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         summarize_service,
     )
 
+    # Every spec is parsed and validated before anything prints.
     kind = args.workload
     kwargs = {}
     if args.mix is not None:
@@ -1016,16 +1030,20 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         kind = "bursty"
         every, length, factor = _parse_burst(args.burst)
         kwargs.update(burst_every=every, burst_len=length, burst_factor=factor)
-
     graph = build_family(args.family, args.n, seed=args.seed)
-    workload = build_workload(
-        kind, graph, rate=args.rate, duration=args.duration, seed=args.seed, **kwargs
-    )
-    print(workload.describe())
-
+    try:  # rate, duration and mix are checked by now: the error is the burst's
+        workload = build_workload(
+            kind, graph, rate=args.rate, duration=args.duration, seed=args.seed,
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad --burst {args.burst!r}: {exc}")
     plan = None
     if args.faults is not None:
         plan = _parse_faults(args.faults, graph, args.fault_seed)
+
+    print(workload.describe())
+    if plan is not None:
         print(f"steady-state faults: {plan.describe()} (transport=sr)")
 
     net = AdhocNetwork(graph, seed=args.seed, reliable=plan is not None)
@@ -1096,6 +1114,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "campaign": _cmd_campaign,
     }[args.command]
     try:
+        check_bounds(args)
         return handler(args)
     except (UsageError, CampaignError) as exc:
         print(exc, file=sys.stderr)

@@ -232,12 +232,11 @@ def run_adhoc(
     seed: Optional[int] = None,
     scheduler: Optional[Scheduler] = None,
     wake_order: Optional[Sequence[NodeId]] = None,
-    keep_trace: bool = False,
     max_steps: Optional[int] = None,
     fast: bool = True,
 ) -> DiscoveryResult:
     """One-shot Ad-hoc run to quiescence (no dynamic operations)."""
     return run_discovery(
         graph, "adhoc", seed=seed, scheduler=scheduler, wake_order=wake_order,
-        keep_trace=keep_trace, max_steps=max_steps, fast=fast,
+        max_steps=max_steps, fast=fast,
     )

@@ -91,9 +91,9 @@ Two callers never build the objects: both fill the columns straight from
 a :class:`KnowledgeGraph` (:func:`_run_columns`, the one from-graph
 build).  :func:`offer_graph` is the *direct entry* of the one-shot runners
 (``run_generic`` / ``run_bounded`` / ``run_adhoc``, one body in
-:func:`repro.core.runner.run_discovery`): a plain call -- ``fast``, no kept
-trace, no scheduler of the caller's, a non-empty graph, an unpatched node
-class, a C loop, orderable ids, checked in :data:`DECLINE_REASONS` order --
+:func:`repro.core.runner.run_discovery`): a plain call -- ``fast``, no
+scheduler of the caller's, a non-empty graph, an unpatched node class, a C
+loop, orderable ids, checked in :data:`DECLINE_REASONS` order --
 reads its ``DiscoveryResult`` off the columns; a declined one gets the
 reason back and takes the gate above.  :func:`run_graph` is the
 million-node driver (10^6 ``DiscoveryNode`` objects cost ~4 GB before the
@@ -1122,8 +1122,7 @@ def _run_columns(
 
 
 def offer_graph(
-    graph, variant, seed, scheduler, wake_order, keep_trace, max_steps, greedy_queries,
-    fast,
+    graph, variant, seed, scheduler, wake_order, max_steps, greedy_queries, fast
 ):
     """The direct entry: offer a one-shot discovery to the columns.
 
@@ -1133,7 +1132,6 @@ def offer_graph(
     """
     reason = (
         (not fast and "fast-off")
-        or (keep_trace and "trace")
         or (scheduler is not None and "scheduler")
         or (graph.n == 0 and "small-pool")
         or (not behavior_is_pristine() and "patched")
@@ -1180,7 +1178,7 @@ def run_graph(
     if graph.n == 0:
         raise ValueError("run_graph needs a non-empty graph")
     _reason, run = offer_graph(
-        graph, variant, seed, None, None, False, max_steps, greedy_queries, True
+        graph, variant, seed, None, None, max_steps, greedy_queries, True
     )
     if run is not None:
         core, executed, stats, components = run

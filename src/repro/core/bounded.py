@@ -29,7 +29,6 @@ def run_bounded(
     seed: Optional[int] = None,
     scheduler: Optional[Scheduler] = None,
     wake_order: Optional[Sequence[Hashable]] = None,
-    keep_trace: bool = False,
     max_steps: Optional[int] = None,
     fast: bool = True,
 ) -> DiscoveryResult:
@@ -42,5 +41,5 @@ def run_bounded(
     """
     return run_discovery(
         graph, "bounded", seed=seed, scheduler=scheduler, wake_order=wake_order,
-        keep_trace=keep_trace, max_steps=max_steps, fast=fast,
+        max_steps=max_steps, fast=fast,
     )

@@ -29,7 +29,6 @@ def run_generic(
     seed: Optional[int] = None,
     scheduler: Optional[Scheduler] = None,
     wake_order: Optional[Sequence[Hashable]] = None,
-    keep_trace: bool = False,
     max_steps: Optional[int] = None,
     greedy_queries: bool = False,
     fast: bool = True,
@@ -47,8 +46,6 @@ def run_generic(
         Explicit scheduling policy, e.g. an adversarial one.
     wake_order:
         Spontaneous wake-up order (default: graph node order).
-    keep_trace:
-        Record the full execution trace on the simulator.
     max_steps:
         Step budget; defaults to a generous bound derived from the graph.
     greedy_queries:
@@ -61,6 +58,5 @@ def run_generic(
     """
     return run_discovery(
         graph, "generic", seed=seed, scheduler=scheduler, wake_order=wake_order,
-        keep_trace=keep_trace, max_steps=max_steps, greedy_queries=greedy_queries,
-        fast=fast,
+        max_steps=max_steps, greedy_queries=greedy_queries, fast=fast,
     )

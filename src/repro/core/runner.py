@@ -178,7 +178,7 @@ def run_at_scale(
 
 def run_discovery(
     graph: KnowledgeGraph, variant: str, *, seed=None, scheduler=None, wake_order=None,
-    keep_trace=False, max_steps=None, greedy_queries=False, fast=True,
+    max_steps=None, greedy_queries=False, fast=True,
 ) -> DiscoveryResult:
     """One discovery to quiescence and its snapshot: the body of
     ``run_generic`` / ``run_bounded`` / ``run_adhoc`` (parameters there).
@@ -188,15 +188,14 @@ def run_discovery(
     + ``Simulator.run`` + ``collect_result``.  Bit-identical either way.
     """
     _declined, run = offer_graph(
-        graph, variant, seed, scheduler, wake_order, keep_trace, max_steps,
-        greedy_queries, fast,
+        graph, variant, seed, scheduler, wake_order, max_steps, greedy_queries, fast
     )
     if run is not None:
         core, executed, stats, _components = run
         return collect_columns(graph, core, variant, stats, executed)
     sim, nodes = build_simulation(
-        graph, variant, seed=seed, scheduler=scheduler, keep_trace=keep_trace,
-        wake_order=wake_order, greedy_queries=greedy_queries, fast=fast,
+        graph, variant, seed=seed, scheduler=scheduler, wake_order=wake_order,
+        greedy_queries=greedy_queries, fast=fast,
     )
     sim.run(max_steps if max_steps is not None else default_step_budget(graph))
     return collect_result(graph, nodes, sim, variant)

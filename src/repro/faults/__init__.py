@@ -21,14 +21,12 @@ Four layers, importable in one place:
 from repro.faults.harness import (
     CHAOS_HEADERS,
     ChaosTrial,
-    chaos_report,
     exp_chaos,
     run_chaos_trial,
 )
 from repro.faults.plan import (
     CrashSpec,
     DelayBurst,
-    FaultEvent,
     FaultInjector,
     FaultPlan,
     PartitionSpec,
@@ -62,7 +60,6 @@ from repro.faults.scenarios import (
 __all__ = [
     "FaultPlan",
     "FaultInjector",
-    "FaultEvent",
     "CrashSpec",
     "RecoverySpec",
     "PartitionSpec",
@@ -88,6 +85,5 @@ __all__ = [
     "ChaosTrial",
     "run_chaos_trial",
     "exp_chaos",
-    "chaos_report",
     "CHAOS_HEADERS",
 ]

@@ -60,7 +60,6 @@ __all__ = [
     "ChaosTrial",
     "run_chaos_trial",
     "exp_chaos",
-    "chaos_report",
     "CHAOS_HEADERS",
 ]
 
@@ -152,7 +151,7 @@ def run_chaos_trial(
         plan, scenario = scenario, scenario.describe()
     else:
         plan = build_scenario(scenario, graph, seed)
-    injector = FaultInjector(plan, seed=seed, keep_log=False)
+    injector = FaultInjector(plan, seed=seed)
     sim, nodes = build_simulation(
         graph,
         variant,
@@ -340,36 +339,3 @@ def exp_chaos(
                 ]
             )
     return CHAOS_HEADERS, rows
-
-
-def chaos_report(trials: Sequence[ChaosTrial]) -> str:
-    """Human-readable degradation report over a batch of chaos trials."""
-    lines: List[str] = []
-    violations = [t for t in trials if t.outcome == OUTCOME_VIOLATED]
-    by_outcome: Dict[str, int] = {}
-    for trial in trials:
-        by_outcome[trial.outcome] = by_outcome.get(trial.outcome, 0) + 1
-    lines.append(
-        f"chaos: {len(trials)} trials -- "
-        + ", ".join(f"{k}={v}" for k, v in sorted(by_outcome.items()))
-    )
-    for trial in trials:
-        mark = "!!" if trial.outcome == OUTCOME_VIOLATED else "  "
-        overhead_pct = (
-            100.0 * trial.overhead_messages / trial.total_messages
-            if trial.total_messages
-            else 0.0
-        )
-        lines.append(
-            f"{mark} {trial.scenario:<15} {trial.variant:<8} n={trial.n:<5} "
-            f"seed={trial.seed:<3} -> {trial.outcome:<9} "
-            f"[{trial.plan.describe()}] steps={trial.steps} "
-            f"msgs={trial.total_messages} overhead={overhead_pct:.1f}% "
-            f"survivors={trial.survival.n_survivors}"
-            + (f"  ({trial.detail})" if trial.detail else "")
-        )
-    if violations:
-        lines.append(f"SAFETY VIOLATIONS: {len(violations)} -- this is a bug.")
-    else:
-        lines.append("safety: clean (0 violations across all trials)")
-    return "\n".join(lines)

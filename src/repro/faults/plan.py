@@ -29,9 +29,9 @@ asynchronous system has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Tuple
 
 from repro.sim.events import DeliverToken, TimerToken
 from repro.sim.network import DEFER, DELIVER, DROP, ChannelInterceptor, Simulator
@@ -44,7 +44,6 @@ __all__ = [
     "PartitionSpec",
     "DelayBurst",
     "FaultPlan",
-    "FaultEvent",
     "FaultInjector",
 ]
 
@@ -245,26 +244,14 @@ class FaultPlan:
         return "+".join(parts) if parts else "fault-free"
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One injected fault, for post-mortem inspection of a chaotic run."""
-
-    step: int
-    # "loss" | "duplicate" | "partition-drop" | "crash-drop" | "defer"
-    # | "wake-suppressed" | "timer-suppressed"
-    kind: str
-    src: Optional[NodeId]
-    dst: Optional[NodeId]
-    msg_type: Optional[str] = None
-
-
 class FaultInjector(ChannelInterceptor):
     """Executes a :class:`FaultPlan` against one simulator run.
 
     One injector drives one execution: it owns the RNG stream (seeded, so
-    the chaos is replayable), the per-kind fault counters, and the event
-    log.  Attach it via ``Simulator(faults=...)``; the simulator consults
-    it through the :class:`~repro.sim.network.ChannelInterceptor` hooks.
+    the chaos is replayable) and the per-kind fault counters.  Attach it
+    via ``Simulator(faults=...)``; the simulator consults it through the
+    :class:`~repro.sim.network.ChannelInterceptor` hooks and records each
+    fault as a ``drop`` / ``fault-action`` event on its ``Recorder``.
 
     The RNG is consulted in a fixed order (loss roll, then duplication
     roll, per transmit; one roll per deferrable delivery), so identical
@@ -272,7 +259,7 @@ class FaultInjector(ChannelInterceptor):
     schedule.
     """
 
-    def __init__(self, plan: FaultPlan, *, seed: int = 0, keep_log: bool = True) -> None:
+    def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
         self.plan = plan
         self.seed = seed
         self._rng = Random(seed)
@@ -292,7 +279,6 @@ class FaultInjector(ChannelInterceptor):
             "wake-suppressed": 0,
             "timer-suppressed": 0,
         }
-        self.log: List[FaultEvent] = [] if keep_log else _NullLog()
 
     # -- crash bookkeeping ---------------------------------------------
     def crashed(self, node: NodeId, step: int) -> bool:
@@ -312,51 +298,45 @@ class FaultInjector(ChannelInterceptor):
     # -- ChannelInterceptor hooks --------------------------------------
     def copies(self, sim: Simulator, src: NodeId, dst: NodeId, message: Any) -> int:
         step = sim.steps
-        msg_type = getattr(message, "msg_type", None)
         if self.crashed(src, step):
             # Defensive: a crashed node's handlers never run, so this only
             # triggers if a handler was mid-flight when the crash step hit.
-            self._note(step, "crash-drop", src, dst, msg_type)
+            self.counts["crash-drop"] += 1
             return 0
         for partition in self.plan.partitions:
             if partition.severs(src, dst, step):
-                self._note(step, "partition-drop", src, dst, msg_type)
+                self.counts["partition-drop"] += 1
                 return 0
         if self.plan.loss > 0.0 and self._rng.random() < self.plan.loss:
-            self._note(step, "loss", src, dst, msg_type)
+            self.counts["loss"] += 1
             return 0
         if self.plan.duplicate > 0.0 and self._rng.random() < self.plan.duplicate:
-            self._note(step, "duplicate", src, dst, msg_type)
+            self.counts["duplicate"] += 1
             return 2
         return 1
 
     def deliver_action(self, sim: Simulator, token: DeliverToken) -> str:
         step = sim.steps
-        # Delivery-time faults act on the head-of-line message of the
-        # token's channel; peek at it so the event log keeps its msg_type
-        # (the obs traffic-mix attribution depends on it).
-        head = sim.channel_peek(token.src, token.dst)
-        msg_type = getattr(head, "msg_type", None)
         if self.crashed(token.dst, step):
-            self._note(step, "crash-drop", token.src, token.dst, msg_type)
+            self.counts["crash-drop"] += 1
             return DROP
         for burst in self.plan.delays:
             if burst.active(step):
                 if burst.fraction >= 1.0 or self._rng.random() < burst.fraction:
-                    self._note(step, "defer", token.src, token.dst, msg_type)
+                    self.counts["defer"] += 1
                     return DEFER
                 break  # rolled and passed; don't re-roll for later bursts
         return DELIVER
 
     def wake_allowed(self, sim: Simulator, node: NodeId) -> bool:
         if self.crashed(node, sim.steps):
-            self._note(sim.steps, "wake-suppressed", None, node, None)
+            self.counts["wake-suppressed"] += 1
             return False
         return True
 
     def timer_allowed(self, sim: Simulator, token: TimerToken) -> bool:
         if self.crashed(token.node, sim.steps):
-            self._note(sim.steps, "timer-suppressed", None, token.node, None)
+            self.counts["timer-suppressed"] += 1
             return False
         return True
 
@@ -364,25 +344,3 @@ class FaultInjector(ChannelInterceptor):
     @property
     def total_injected(self) -> int:
         return sum(self.counts.values())
-
-    def summary(self) -> Dict[str, int]:
-        """Non-zero fault counters (stable keys for tables/JSON)."""
-        return {kind: count for kind, count in self.counts.items() if count}
-
-    def _note(
-        self,
-        step: int,
-        kind: str,
-        src: Optional[NodeId],
-        dst: Optional[NodeId],
-        msg_type: Optional[str],
-    ) -> None:
-        self.counts[kind] += 1
-        self.log.append(FaultEvent(step, kind, src, dst, msg_type))
-
-
-class _NullLog(list):
-    """A log that forgets: keeps long chaos sweeps memory-flat."""
-
-    def append(self, event: FaultEvent) -> None:  # noqa: D401 - list override
-        pass

@@ -275,7 +275,7 @@ class ServiceDriver:
             # Anchor the window-relative plan to the steps warmup actually
             # consumed, then let the injector loose on the steady state.
             injector = FaultInjector(
-                self.faults.shifted(sim.steps), seed=self.fault_seed, keep_log=False
+                self.faults.shifted(sim.steps), seed=self.fault_seed
             )
             sim.faults = injector
 

@@ -368,18 +368,6 @@ class Simulator:
         """Pending messages on one ordered channel (diagnostics)."""
         return len(self._channels.get((src, dst), ()))
 
-    def channel_peek(self, src: Hashable, dst: Hashable) -> Any:
-        """Head-of-line message on channel ``(src, dst)``, or ``None``.
-
-        What a FIFO delivery for this channel would pop next; fault layers
-        use it to attribute delivery-time drops to a message type without
-        consuming the message.  (Under the ``"random"`` channel discipline
-        the eventually-popped message may differ -- the head is still the
-        honest FIFO-order attribution.)
-        """
-        channel = self._channels.get((src, dst))
-        return channel[0] if channel else None
-
     def schedule_timer(
         self, node_id: Hashable, delay: int, tag: Hashable = None
     ) -> TimerToken:

@@ -11,7 +11,6 @@ from repro.faults import (
     CrashSpec,
     FaultInjector,
     FaultPlan,
-    chaos_report,
     exp_chaos,
     run_chaos_trial,
 )
@@ -139,17 +138,6 @@ class TestExpChaosTable:
         kwargs = dict(QUICK_SWEEP_KWARGS["chaos"])
         headers, rows = SWEEPABLE_EXPERIMENTS["chaos"](seed=1, **kwargs)
         assert headers == CHAOS_HEADERS and rows
-
-
-class TestChaosReport:
-    def test_report_mentions_every_trial_and_verdict(self):
-        trials = [
-            run_chaos_trial("baseline", n=12, seed=0, reliable=True),
-            run_chaos_trial("loss-10", n=12, seed=0, reliable=True),
-        ]
-        text = chaos_report(trials)
-        assert "baseline" in text and "loss-10" in text
-        assert "safety: clean" in text
 
 
 class TestChaosCli:

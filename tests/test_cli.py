@@ -89,6 +89,19 @@ class TestChannelsFlag:
         assert "channel discipline: random" in out
         assert "verified" in out
 
+    def test_random_channels_print_what_fifo_prints(self, capsys):
+        argv = ["run", "--n", "24", "--scheduler", "timed"]
+        assert main(argv + ["--channels", "random"]) == 0
+        out = capsys.readouterr().out
+        for block in ("completion time", "messages by type:", "complexity bounds:"):
+            assert block in out
+
+    def test_random_channels_validate_what_fifo_validates(self, capsys):
+        argv = ["run", "--variant", "adhoc", "--greedy-queries", "--channels"]
+        assert main(argv + ["random"]) == 2
+        captured = capsys.readouterr()
+        assert "only applies" in captured.err and captured.out == ""
+
 
 class TestSweep:
     def test_sweep_serial_quick(self, capsys, tmp_path):
@@ -256,6 +269,44 @@ class TestPoolOptions:
         assert captured.out == ""
 
 
+class TestBadValues:
+    """A value no verb can run with exits 2 before anything runs: one
+    stderr line, nothing on stdout, no traceback."""
+
+    OUT = "<out>"  # replaced by a writable path
+    CHAOS = ["--scenarios", "baseline", "--n", "8", "--seeds", "0:1", "--no-progress"]
+    CASES = {
+        "run-n=0": ["run", "--n", "0"],
+        "compare-n=0": ["compare", "--n", "0"],
+        "profile-n=0": ["profile", "--n", "0"],
+        "trace-record-n=0": ["trace", "record", "--n", "0", "--out", OUT],
+        "trace-record-cadence=0": ["trace", "record", "--cadence", "0", "--out", OUT],
+        "serve-sim-n=0": ["serve-sim", "--n", "0"],
+        "lower-bound-height=-1": ["lower-bound", "--height", "-1"],
+        "serve-sim-rate=-1": ["serve-sim", "--rate", "-1"],
+        "serve-sim-duration=0": ["serve-sim", "--duration", "0"],
+        "serve-sim-step-budget=0": ["serve-sim", "--step-budget", "0"],
+        "serve-sim-cadence=0": ["serve-sim", "--cadence", "0"],
+        "serve-sim-faults=loss=2": ["serve-sim", "--faults", "loss=2"],
+        "serve-sim-faults=bogus=1": ["serve-sim", "--faults", "bogus=1"],
+        "serve-sim-mix=1:2": ["serve-sim", "--mix", "1:2"],
+        "serve-sim-burst=1:2": ["serve-sim", "--burst", "1:2"],
+        "serve-sim-burst=0:1:2": ["serve-sim", "--burst", "0:1:2"],
+        "run-graph-file=missing": ["run", "--graph-file", "/nonexistent/graph.json"],
+        "chaos-budget-factor=-3": ["chaos", "--budget-factor", "-3", *CHAOS],
+        "chaos-budget-factor=0": ["chaos", "--budget-factor", "0", *CHAOS],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_one_line(self, case, capsys, tmp_path):
+        out = str(tmp_path / "t.jsonl")
+        argv = [out if arg == self.OUT else arg for arg in self.CASES[case]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 class TestOutputPaths:
     """An unwritable output path exits 2 before any work runs."""
 
@@ -323,12 +374,12 @@ class TestServeSim:
         assert "join: " not in out
 
     def test_bad_mix_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--mix", "1:2"])
+        assert main(self.ARGS + ["--mix", "1:2"]) == 2
+        assert "--mix wants" in capsys.readouterr().err
 
     def test_bad_burst_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--burst", "oops"])
+        assert main(self.ARGS + ["--burst", "oops"]) == 2
+        assert "--burst wants" in capsys.readouterr().err
 
     def test_obs_out_writes_timeline(self, tmp_path, capsys):
         out_path = tmp_path / "svc.jsonl"

@@ -75,10 +75,9 @@ def same_as_object_run(variant, graph, **kwargs):
 
 
 def offer(graph, variant="generic", *, seed=None, scheduler=None, wake_order=None,
-          keep_trace=False, max_steps=None, greedy_queries=False, fast=True):
+          max_steps=None, greedy_queries=False, fast=True):
     return arraystate.offer_graph(
-        graph, variant, seed, scheduler, wake_order, keep_trace, max_steps,
-        greedy_queries, fast,
+        graph, variant, seed, scheduler, wake_order, max_steps, greedy_queries, fast
     )
 
 
@@ -269,7 +268,6 @@ _PEERS = [_SameRepr(i) for i in range(6)]
 #: not honour it, so the gate goes by identity and says ``patched``.
 DECLINES = {
     "fast-off": (None, _PLAIN, {"fast": False}),
-    "trace": (None, _PLAIN, {"keep_trace": True}),
     "scheduler": (None, _PLAIN, {"scheduler": lambda: RandomScheduler(3)}),
     "scheduler-fifo": (None, _PLAIN, {"scheduler": GlobalFifoScheduler}),
     "small-pool": (None, KnowledgeGraph([], []), {}),
@@ -313,8 +311,7 @@ def test_each_decline_names_itself_and_touches_nothing(case, variant, monkeypatc
 
 def test_decline_names_are_the_gates_own():
     assert {_gate_name(case) for case in DECLINES} == {
-        "fast-off", "trace", "scheduler", "small-pool", "patched", "no-c-loop",
-        "id-order",
+        "fast-off", "scheduler", "small-pool", "patched", "no-c-loop", "id-order",
     }
 
 

@@ -14,6 +14,7 @@ from repro.faults import (
 )
 from repro.graphs.generators import random_weakly_connected, star
 from repro.graphs.knowledge_graph import KnowledgeGraph
+from repro.obs.events import Recorder
 from repro.sim.network import DEFER, DELIVER, DROP, SimNode, Simulator
 from repro.sim.events import DeliverToken, TimerToken
 
@@ -146,29 +147,35 @@ class TestInjector:
         sim.steps = 5
         assert injector.deliver_action(sim, DeliverToken("a", "b")) == DELIVER
 
-    def test_event_log_and_null_log(self):
-        plan = FaultPlan(crashes=(CrashSpec("a", at_step=0),))
-        logged = FaultInjector(plan, keep_log=True)
-        logged.copies(self._sim(), "a", "b", object())
-        assert len(logged.log) == 1 and logged.log[0].kind == "crash-drop"
-        silent = FaultInjector(plan, keep_log=False)
-        silent.copies(self._sim(), "a", "b", object())
-        assert len(silent.log) == 0
-        assert silent.counts["crash-drop"] == 1  # counters still maintained
-
     def test_crashed_node_timers_are_suppressed(self):
         injector = FaultInjector(FaultPlan(crashes=(CrashSpec("a", at_step=0),)))
         sim = self._sim()
         assert not injector.timer_allowed(sim, TimerToken("a", due=0))
         assert injector.timer_allowed(sim, TimerToken("b", due=0))
         assert injector.counts["timer-suppressed"] == 1
-        suppressed = [e for e in injector.log if e.kind == "timer-suppressed"]
-        assert len(suppressed) == 1
-        assert suppressed[0].dst == "a" and suppressed[0].src is None
+
+        # The simulator's Recorder is the per-event record: it names the node.
+        class _Node(SimNode):
+            def on_timer(self, tag):
+                pass
+
+        recorder = Recorder()
+        injector = FaultInjector(FaultPlan(crashes=(CrashSpec("a", at_step=0),)))
+        sim = Simulator(obs=recorder, faults=injector)
+        for name in "ab":
+            sim.add_node(_Node(name))
+            sim.schedule_timer(name, 1)
+        sim.run()
+        suppressed = [
+            e for e in recorder
+            if e.kind == "fault-action" and e.value == "timer-suppressed"
+        ]
+        assert [(e.node, e.peer) for e in suppressed] == [("a", None)]
+        assert injector.counts["timer-suppressed"] == 1
 
     def test_crash_drop_attributes_real_msg_type(self):
-        # Delivery-time drops peek at the channel head so the fault log
-        # records what kind of message died, not just that one did.
+        # A delivery-time drop is recorded by the simulator, which holds
+        # the popped message: the event says what kind of message died.
         class _Node(SimNode):
             def on_message(self, sender, message):
                 pass
@@ -177,15 +184,18 @@ class TestInjector:
             msg_type = "probe"
             bit_size = staticmethod(lambda id_bits: 1)
 
-        sim = Simulator()
+        recorder = Recorder()
+        injector = FaultInjector(FaultPlan(crashes=(CrashSpec("b", at_step=0),)))
+        sim = Simulator(obs=recorder, faults=injector)
         sim.add_node(_Node("a"))
         sim.add_node(_Node("b"))
         sim.transmit("a", "b", _Probe())
-        injector = FaultInjector(FaultPlan(crashes=(CrashSpec("b", at_step=0),)))
-        assert injector.deliver_action(sim, DeliverToken("a", "b")) == DROP
-        drops = [e for e in injector.log if e.kind == "crash-drop"]
-        assert len(drops) == 1
-        assert drops[0].msg_type == "probe"
+        sim.run()
+        drops = [
+            e for e in recorder if e.kind == "drop" and e.value == "crashed-receiver"
+        ]
+        assert [(e.node, e.peer, e.msg_type) for e in drops] == [("b", "a", "probe")]
+        assert injector.counts["crash-drop"] == 1
 
 
 class TestScenarios:

@@ -96,7 +96,7 @@ def test_fresh_across_amnesia_and_checkpoint_recovery():
             RecoverySpec(restored, crash_step=90, recover_step=260),
         )
     )
-    injector = FaultInjector(plan, seed=0, keep_log=False)
+    injector = FaultInjector(plan, seed=0)
     net = AdhocNetwork(graph, seed=0, faults=injector, reliable=True)
     manager = attach_recovery(net.sim, injector, checkpoint_every=64)
     for _ in range(20_000):

@@ -58,7 +58,7 @@ STEP_CAP = 6000
 def build_system(scenario, variant, transport, scheduler, seed):
     """``(net or None, sim, protocol nodes)`` for one drawn configuration."""
     graph = build_family("sparse-random", N, seed)
-    injector = FaultInjector(build_scenario(scenario, graph, seed), seed=seed, keep_log=False)
+    injector = FaultInjector(build_scenario(scenario, graph, seed), seed=seed)
     reliable = transport != "raw"
     kwargs = dict(
         scheduler=SCHEDULERS[scheduler](seed),

@@ -313,7 +313,7 @@ class TestEndToEndRecovery:
         from repro.faults.scenarios import build_scenario
 
         plan = build_scenario("recover-2", graph, 0)
-        injector = FaultInjector(plan, seed=0, keep_log=False)
+        injector = FaultInjector(plan, seed=0)
         sim, nodes = build_simulation(
             graph, "generic", seed=0, faults=injector, reliable=True
         )
