@@ -46,7 +46,15 @@ interleaved in the same process, and appends the results to
   committed series' value.  The sparse n = 30,000 Generic point is the
   footprint the knowledge slabs were sized on; the dense n = 20,000
   Ad-hoc point keeps a layout tuned only for sparse Generic from
-  passing.  A byte ratio, so comparable across runners.
+  passing.  A byte ratio, so comparable across runners.  Each point's
+  process also runs it ``OFF_LOOP_REPEATS`` times for the *off-loop
+  ratio* ``(run_s - loop_s) / loop_s``, each term the best of the runs: everything
+  ``run_graph`` does around the C loop (id space, column fill, component
+  labels, verification) over the loop itself.  It must stay below
+  ``OFF_LOOP_CEILING`` times the committed ``off_loop`` block, which the
+  test replaces: a Python walk over the edges creeping back into
+  ``run_graph`` shows here.  A time ratio within one process, so
+  comparable across runners.
 
 * ``test_graph_build`` (always runs; CI's perf-smoke job) -- the graph
   layer alone: build a dense-random n = 20,000 and a sparse-random
@@ -110,6 +118,11 @@ SCALING_POINTS = (
 FOOTPRINT_POINTS = (("generic", FAMILY, 30_000), ("adhoc", "dense-random", 20_000))
 #: Measured KiB per node must stay below this multiple of the committed one.
 FOOTPRINT_CEILING = 1.25
+#: Runs of each footprint point in its process; the off-loop ratio takes the
+#: best off-loop and loop seconds of them.
+OFF_LOOP_REPEATS = 3
+#: Measured off-loop ratio must stay below this multiple of the committed one.
+OFF_LOOP_CEILING = 1.25
 FULL = os.environ.get("BENCH_CORE_FULL", "") == "1"
 N_MILLION = 1_000_000
 MILLION = os.environ.get("BENCH_CORE_MILLION", "") == "1"
@@ -341,16 +354,18 @@ def _rss_kb():
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
 
 
-def _scale_point(variant, n, family=FAMILY):
+def _scale_point(variant, n, family=FAMILY, repeats=1):
     """One verified ``run_graph`` discovery, measured in this process.
 
     The delivery loop is timed by itself (``ArrayCore.run_loop`` wrapped
     by attribute, like the repository benchmark's ledger), and RSS is read
     where the loop returns: every column and channel is still alive there,
-    and the graph was built before the baseline was taken.
+    and the graph was built before the baseline was taken.  The first run
+    gives every figure; ``off_loop`` is ``(run_s - loop_s) / loop_s`` over
+    ``repeats`` runs, each term its best (least noise).
     """
     graph = build_family(family, n, seed=0)
-    seen = {}
+    seen, runs, loops = {}, [], []
     run_loop = ArrayCore.run_loop
 
     def timed_loop(core, *args):
@@ -358,39 +373,44 @@ def _scale_point(variant, n, family=FAMILY):
         try:
             return run_loop(core, *args)
         finally:
-            seen["loop_s"] = time.perf_counter() - start
-            seen["rss_kb"] = _rss_kb()
-            seen["channels"] = len(core.chan_src)
+            loops.append(time.perf_counter() - start)
+            if len(loops) == 1:
+                seen["rss_kb"] = _rss_kb()
+                seen["channels"] = len(core.chan_src)
 
     ArrayCore.run_loop = timed_loop
     try:
         before_kb = _rss_kb()
-        start = time.perf_counter()
-        result = run_graph(graph, variant, seed=0)
-        wall = time.perf_counter() - start
+        for _ in range(repeats):
+            start = time.perf_counter()
+            outcome = run_graph(graph, variant, seed=0)
+            runs.append(time.perf_counter() - start)
+            assert outcome.verified
+            if len(runs) == 1:
+                result = outcome
     finally:
         ArrayCore.run_loop = run_loop
-    assert result.verified
     return {
         "engine": variant,
         "family": family,
         "n": n,
         "cpus": os.cpu_count(),
-        "run_s": round(wall, 3),
-        "loop_s": round(seen["loop_s"], 3),
+        "run_s": round(runs[0], 3),
+        "loop_s": round(loops[0], 3),
         "steps": result.steps,
         "messages": result.total_messages,
         "channels": seen["channels"],
-        "steps_per_s": int(result.steps / seen["loop_s"]),
+        "steps_per_s": int(result.steps / loops[0]),
         "rss_per_node_kb": round((seen["rss_kb"] - before_kb) / n, 2),
+        "off_loop": round(min(r - l for r, l in zip(runs, loops)) / min(loops), 3),
     }
 
 
-def _scale_point_fresh(variant, n, family=FAMILY):
+def _scale_point_fresh(variant, n, family=FAMILY, repeats=1):
     """``_scale_point`` in a new interpreter: RSS growth read in a process
     that ran a larger point before measures the allocator's leftovers."""
     proc = subprocess.run(
-        [sys.executable, __file__, variant, str(n), family],
+        [sys.executable, __file__, variant, str(n), family, str(repeats)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True,
         text=True,
@@ -450,21 +470,28 @@ def test_core_scaling_series(benchmark, record_table):
 
 def test_core_footprint(benchmark, record_table):
     points = benchmark.pedantic(
-        lambda: [_scale_point_fresh(v, n, family) for v, family, n in FOOTPRINT_POINTS],
+        lambda: [
+            _scale_point_fresh(v, n, family, OFF_LOOP_REPEATS)
+            for v, family, n in FOOTPRINT_POINTS
+        ],
         rounds=1,
         iterations=1,
     )
     record_table(
         "BENCH-core-footprint",
-        _SCALING_HEADERS,
-        [_scaling_row(point) for point in points],
+        _SCALING_HEADERS + ["off-loop"],
+        [_scaling_row(point) + [point["off_loop"]] for point in points],
         notes=(
             "The sparse Generic and dense Ad-hoc points of BENCH-core-scaling. "
-            f"Criterion: rss-KiB/node within {FOOTPRINT_CEILING}x of the "
-            "committed series' value, each."
+            "off-loop = (run-s - loop-s) / loop-s, each term the best of "
+            f"{OFF_LOOP_REPEATS} runs in the point's process. Criterion: "
+            f"rss-KiB/node within {FOOTPRINT_CEILING}x of the committed "
+            f"series' value and off-loop within {OFF_LOOP_CEILING}x of the "
+            "committed off_loop block, each."
         ),
     )
-    series = _load_bench().get("scaling", {}).get("series", [])
+    data = _load_bench()
+    series = data.get("scaling", {}).get("series", [])
     for (variant, family, n), point in zip(FOOTPRINT_POINTS, points):
         committed = [
             p["rss_per_node_kb"]
@@ -479,6 +506,31 @@ def test_core_footprint(benchmark, record_table):
             f"KiB/node exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
             f"{FOOTPRINT_CEILING}x)"
         )
+    off_loop = [
+        {key: point[key] for key in ("engine", "family", "n", "off_loop")}
+        for point in points
+    ]
+    committed = {
+        (p["engine"], p["family"], p["n"]): p["off_loop"]
+        for p in data.get("off_loop", {}).get("points", [])
+    }
+    for point in off_loop:
+        before = committed.get((point["engine"], point["family"], point["n"]))
+        if before is None:
+            continue
+        assert point["off_loop"] <= OFF_LOOP_CEILING * before, (
+            f"run_graph {point['engine']} {point['family']} n={point['n']}: "
+            f"off-loop ratio {point['off_loop']} exceeds "
+            f"{OFF_LOOP_CEILING * before:.3f} (committed {before}, ceiling "
+            f"{OFF_LOOP_CEILING}x)"
+        )
+    data["off_loop"] = {
+        "date": datetime.date.today().isoformat(),
+        "cpus": os.cpu_count(),
+        "repeats": OFF_LOOP_REPEATS,
+        "points": off_loop,
+    }
+    BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
 def _graph_build_point(family, n):
@@ -621,4 +673,8 @@ def test_core_million(benchmark, record_table):
 
 
 if __name__ == "__main__":
-    print(json.dumps(_scale_point(sys.argv[1], int(sys.argv[2]), *sys.argv[3:])))
+    # variant n [family [repeats]]
+    variant, n, *rest = sys.argv[1:]
+    family = rest[0] if rest else FAMILY
+    repeats = int(rest[1]) if len(rest) > 1 else 1
+    print(json.dumps(_scale_point(variant, int(n), family, repeats)))

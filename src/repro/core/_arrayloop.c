@@ -1,4 +1,5 @@
-/* C delivery loop for the array-backed protocol core (repro.core.arraystate).
+/* C delivery loop for the array-backed protocol core (repro.core.arraystate),
+ * and the two kernels that bring a graph into its columns.
  *
  * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`,
  * then REPRO_ARRAYLOOP_CFLAGS: CI builds it under ASan + UBSan that way);
@@ -111,6 +112,23 @@
  *    Simulator.run_for inlines (k = the pool size's bit length); a popped
  *    token is never "un-popped" (the draw is spent), it is handed over via
  *    RC_DEOPT.
+ *
+ * The graph's way in: two entry points arraystate._run_columns calls once
+ * per from-graph run, after the column fill and before run() drains
+ * core.local.  Neither owns native memory: both write into int32 buffers
+ * (array('i')) the caller preallocated, bounds-checked before every store.
+ *
+ *   fill_local(succ, ids, idx, off, mem) -> None
+ *     core.local from KnowledgeGraph._succ: node i's members are idx[v]
+ *     for v in succ[ids[i]], in the set's iteration order (IdSlab.of's);
+ *     off gets the n + 1 offsets.  mem must hold exactly the members
+ *     (graph.n_edges): any other count is a ValueError, a member idx
+ *     lacks a KeyError, and nothing is written past either buffer.
+ *   component_labels(off, mem, labels) -> count
+ *     Weak components of the slab (edge direction ignored), a union-find
+ *     run in labels itself: labels[i] ends as the smallest int of i's
+ *     component.  Returns the component count; a malformed slab (offsets,
+ *     lengths, a member out of range) is a ValueError before any store.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1859,11 +1877,13 @@ heap_build(S *s, Heap *h, const int32_t *members, int32_t m)
     return 0;
 }
 
-/* o's buffer, checked to be int32s (array('i')); what names it. */
+/* o's buffer, checked to be int32s (array('i')); flags adds to
+ * PyBUF_FORMAT (PyBUF_WRITABLE: the caller stores into it); what names it.
+ * The caller releases the view, filled or not. */
 static int
-int32_view(PyObject *o, Py_buffer *b, const char *what)
+int32_view(PyObject *o, Py_buffer *b, int flags, const char *what)
 {
-    if (o == NULL || PyObject_GetBuffer(o, b, PyBUF_FORMAT) < 0)
+    if (o == NULL || PyObject_GetBuffer(o, b, PyBUF_FORMAT | flags) < 0)
         return -1;
     if (strcmp(b->format, "i") != 0 || b->itemsize != 4) {
         PyErr_Format(PyExc_ValueError, "arrayloop: core.%s is not int32",
@@ -1882,8 +1902,8 @@ slab_view(S *s, int c, Py_buffer *off, Py_buffer *mem)
     PyObject *o = attr_get(s->slabs[c], "off");
     PyObject *m = o == NULL ? NULL : attr_get(s->slabs[c], "mem");
     int rc = -1;
-    if (m == NULL || int32_view(o, off, k_column[c]) < 0 ||
-        int32_view(m, mem, k_column[c]) < 0)
+    if (m == NULL || int32_view(o, off, 0, k_column[c]) < 0 ||
+        int32_view(m, mem, 0, k_column[c]) < 0)
         goto done;
     const int32_t *ov = off->buf, *mv = mem->buf;
     Py_ssize_t len = mem->len / 4;
@@ -2037,8 +2057,8 @@ chans_load(S *s)
     memset(&sb, 0, sizeof(sb));
     memset(&db, 0, sizeof(db));
     int rc = -1;
-    if (int32_view(so, &sb, "chan_src") < 0 ||
-        int32_view(dobj, &db, "chan_dst") < 0)
+    if (int32_view(so, &sb, 0, "chan_src") < 0 ||
+        int32_view(dobj, &db, 0, "chan_dst") < 0)
         goto done;
     Py_ssize_t n = sb.len / 4;
     if (db.len != sb.len || n >= INT32_MAX) {
@@ -2653,6 +2673,151 @@ error: /* a raising handler left its exception set: it survives sync_out */
 }
 
 /* ------------------------------------------------------------------ */
+/* The graph's way in: fill_local and component_labels                 */
+/* ------------------------------------------------------------------ */
+/* fill_local: the file header states the contract. */
+static PyObject *
+loop_fill_local(PyObject *self, PyObject *args)
+{
+    PyObject *succ, *ids, *idx, *off_o, *mem_o, *result = NULL;
+    if (!PyArg_ParseTuple(args, "O!O!O!OO", &PyDict_Type, &succ, &PyList_Type,
+                          &ids, &PyDict_Type, &idx, &off_o, &mem_o))
+        return NULL;
+    Py_buffer off = {0}, mem = {0};
+    if (int32_view(off_o, &off, PyBUF_WRITABLE, "local") < 0 ||
+        int32_view(mem_o, &mem, PyBUF_WRITABLE, "local") < 0)
+        goto done;
+    Py_ssize_t n = PyList_GET_SIZE(ids), cap = mem.len / 4, pos = 0;
+    if (off.len != 4 * (n + 1) || cap > INT32_MAX) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: fill_local wants n + 1 offsets, got %zd for "
+                     "%zd nodes", off.len / 4, n);
+        goto done;
+    }
+    int32_t *ov = off.buf, *mv = mem.buf;
+    ov[0] = 0;
+    for (Py_ssize_t i = 0; i < n && PyList_GET_SIZE(ids) == n; i++) {
+        PyObject *x = Py_NewRef(PyList_GET_ITEM(ids, i));
+        PyObject *row = PyDict_GetItemWithError(succ, x);
+        if (row == NULL && !PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, x);
+        Py_DECREF(x);
+        if (row == NULL)
+            goto done;
+        PyObject *it = PyObject_GetIter(row), *v;
+        if (it == NULL)
+            goto done;
+        while ((v = PyIter_Next(it)) != NULL) {
+            PyObject *m = PyDict_GetItemWithError(idx, v);
+            long k = m == NULL ? -1 : PyLong_AsLong(m);
+            if (m == NULL && !PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, v);
+            Py_DECREF(v);
+            if (PyErr_Occurred())
+                break;
+            if (pos == cap) {
+                PyErr_Format(PyExc_ValueError,
+                             "arrayloop: fill_local has more members than "
+                             "mem's %zd", cap);
+                break;
+            }
+            if (k < 0 || k >= n) {
+                PyErr_Format(PyExc_ValueError,
+                             "arrayloop: fill_local member %ld", k);
+                break;
+            }
+            mv[pos++] = (int32_t)k;
+        }
+        Py_DECREF(it);
+        if (PyErr_Occurred())
+            goto done;
+        ov[i + 1] = (int32_t)pos;
+    }
+    if (PyList_GET_SIZE(ids) != n) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "arrayloop: fill_local ids changed size");
+        goto done;
+    }
+    if (pos != cap) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: fill_local wrote %zd members into mem's %zd",
+                     pos, cap);
+        goto done;
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&off);
+    PyBuffer_Release(&mem);
+    return result;
+}
+
+/* The root of x, halving the path; a root is the smallest int of its set
+ * and every parent is smaller than its child. */
+static inline int32_t
+uf_find(int32_t *up, int32_t x)
+{
+    while (up[x] != x) {
+        up[x] = up[up[x]];
+        x = up[x];
+    }
+    return x;
+}
+
+/* component_labels: the file header states the contract. */
+static PyObject *
+loop_component_labels(PyObject *self, PyObject *args)
+{
+    PyObject *off_o, *mem_o, *lab_o, *result = NULL;
+    if (!PyArg_ParseTuple(args, "OOO", &off_o, &mem_o, &lab_o))
+        return NULL;
+    Py_buffer off = {0}, mem = {0}, lab = {0};
+    if (int32_view(off_o, &off, 0, "local") < 0 ||
+        int32_view(mem_o, &mem, 0, "local") < 0 ||
+        int32_view(lab_o, &lab, PyBUF_WRITABLE, "labels") < 0)
+        goto done;
+    Py_ssize_t n = lab.len / 4, len = mem.len / 4, count = 0;
+    const int32_t *ov = off.buf, *mv = mem.buf;
+    int32_t *up = lab.buf;
+    int ok = n < INT32_MAX && off.len == 4 * (n + 1) && ov[0] == 0 &&
+             ov[n] == len;
+    for (Py_ssize_t i = 0; ok && i < n; i++)
+        ok = ov[i] <= ov[i + 1];
+    for (Py_ssize_t j = 0; ok && j < len; j++)
+        ok = mv[j] >= 0 && mv[j] < n;
+    if (!ok) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: component_labels wants an int32 slab over "
+                     "%zd nodes", n);
+        goto done;
+    }
+    for (int32_t i = 0; i < n; i++)
+        up[i] = i;
+    for (int32_t i = 0; i < n; i++) {
+        int32_t a = uf_find(up, i);
+        for (int32_t j = ov[i]; j < ov[i + 1]; j++) {
+            int32_t b = uf_find(up, mv[j]);
+            if (b < a) {
+                up[a] = b;
+                a = b;
+            }
+            else if (a < b)
+                up[b] = a;
+        }
+    }
+    /* parents are smaller, so ascending i meets a final parent */
+    for (int32_t i = 0; i < n; i++) {
+        up[i] = up[up[i]];
+        count += up[i] == i;
+    }
+    result = PyLong_FromSsize_t(count);
+done:
+    PyBuffer_Release(&off);
+    PyBuffer_Release(&mem);
+    PyBuffer_Release(&lab);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* configure + module                                                  */
 /* ------------------------------------------------------------------ */
 static PyObject *
@@ -2712,6 +2877,10 @@ static PyMethodDef loop_methods[] = {
      "Install the interpreter-side singletons the loop emits."},
     {"run", loop_run, METH_VARARGS,
      "Run steps of the array core; see the file header for the protocol."},
+    {"fill_local", loop_fill_local, METH_VARARGS,
+     "Write the successor ints of every node into a preallocated slab."},
+    {"component_labels", loop_component_labels, METH_VARARGS,
+     "Label each node of a slab by its weak component's smallest int."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,5 +1,14 @@
 """Compile-on-first-use loader for the C delivery loop of ``arraystate``.
 
+The module it loads has three entry points: ``run`` (the delivery loop)
+and the two graph kernels ``arraystate._run_columns`` calls once per
+from-graph run before it -- ``fill_local`` (``core.local`` straight from
+the graph's successor sets, into a preallocated slab) and
+``component_labels`` (each node's weak component, as the smallest int in
+it).  The C file's header states each contract.  Where the module is
+missing, ``run_graph`` takes the object route and labels components with
+:func:`repro.graphs.components.weakly_connected_components`.
+
 ``_arrayloop.c`` is shipped as source and built lazily with the platform C
 compiler into a content-hash-keyed cache (``~/.cache/repro-arrayloop``), so
 the repo needs no build step, no setuptools machinery, and no wheel: the

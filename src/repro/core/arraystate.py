@@ -89,7 +89,9 @@ engine-equivalence module beside them) pin all of this bit-for-bit.
 
 Two callers never build the objects: both fill the columns straight from
 a :class:`KnowledgeGraph` (:func:`_run_columns`, the one from-graph
-build).  :func:`offer_graph` is the *direct entry* of the one-shot runners
+build; two C kernels write ``core.local`` from the successor sets and
+label the weak components, once per run, before the loop).
+:func:`offer_graph` is the *direct entry* of the one-shot runners
 (``run_generic`` / ``run_bounded`` / ``run_adhoc``, one body in
 :func:`repro.core.runner.run_discovery`): a plain call -- ``fast``, no
 scheduler of the caller's, a non-empty graph, an unpatched node class, a C
@@ -970,10 +972,32 @@ class ScaleResult:
         return self.stats.total_bits
 
 
-def _graph_components(graph, idx, n: int) -> List[List[int]]:
-    """:func:`weakly_connected_components` as lists of the ``n`` int ids in
-    ``idx``: members ascending, components by their smallest member."""
-    return sorted(sorted([idx[x] for x in c]) for c in weakly_connected_components(graph))
+def _fill_local(graph, ids, idx) -> IdSlab:
+    """``core.local`` straight off ``graph``: node ``idx[x]``'s successor
+    ints for each ``x`` in ``ids``, in ``IdSlab.of``'s order, written by the
+    C kernel into a slab preallocated at ``graph.n_edges`` members (it
+    raises if the sets hold any other count)."""
+    local = IdSlab(array("i", [0]) * (len(ids) + 1), array("i", [0]) * graph.n_edges)
+    _arrayloop.load().fill_local(graph._succ, ids, idx, local.off, local.mem)
+    return local
+
+
+def _graph_components(graph, idx, local=None) -> Tuple[array, int]:
+    """The weak components of ``graph`` over the ints of ``idx`` as
+    ``(labels, count)``: ``labels[i]`` is the smallest int of node ``i``'s
+    component.  With ``local`` (the graph's successor slab) the C kernel
+    labels it in one pass; without, :func:`weakly_connected_components`
+    does."""
+    labels = array("i", [0]) * len(idx)
+    if local is not None:
+        return labels, _arrayloop.load().component_labels(local.off, local.mem, labels)
+    components = weakly_connected_components(graph)
+    for component in components:
+        ints = [idx[x] for x in component]
+        low = min(ints)
+        for i in ints:
+            labels[i] = low
+    return labels, len(components)
 
 
 def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
@@ -982,52 +1006,51 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
     The cheap mirror of :func:`repro.verification.invariants.verify_discovery`
     (which wants a per-node ``DiscoveryResult`` -- exactly the object
     blow-up this driver exists to avoid).  ``components`` is the graph's
-    :func:`_graph_components` when the caller already has them.  Returns
-    the component count.
+    :func:`_graph_components` when the caller already has them; they are
+    checked in the order of their smallest ints.  Returns the component
+    count.
     """
     n = core.n
+    ids = core.ids
     status = core.status
-    if components is None:
-        components = _graph_components(graph, core.idx, n)
+    labels, count = components or _graph_components(graph, core.idx)
 
     for i in range(n):
         name = STATUS_NAMES[status[i]]
         if name in TRANSIENT_STATES:
             raise SimulationError(
-                f"node {core.ids[i]!r} stuck in transient state {name!r} "
+                f"node {ids[i]!r} stuck in transient state {name!r} "
                 "at quiescence"
             )
 
-    comp_of = [0] * n
-    for ci, members in enumerate(components):
-        for m in members:
-            comp_of[m] = ci
-    leader_of_comp: List[Optional[int]] = [None] * len(components)
-    for i in range(n):
+    # per component, by its label: size and leader; the labels in order
+    size = [0] * n
+    leader_of: List[Optional[int]] = [None] * n
+    roots: List[int] = []
+    for i, label in enumerate(labels):
+        size[label] += 1
+        if label == i:
+            roots.append(i)
         if IS_LEADER[status[i]]:
-            ci = comp_of[i]
-            if leader_of_comp[ci] is not None:
-                raise SimulationError(
-                    f"component of {core.ids[i]!r} has two leaders"
-                )
-            leader_of_comp[ci] = i
-    for ci, members in enumerate(components):
-        leader = leader_of_comp[ci]
+            if leader_of[label] is not None:
+                raise SimulationError(f"component of {ids[i]!r} has two leaders")
+            leader_of[label] = i
+    for root in roots:
+        leader = leader_of[root]
         if leader is None:
-            raise SimulationError(
-                f"component of {core.ids[members[0]]!r} has no leader"
-            )
+            raise SimulationError(f"component of {ids[root]!r} has no leader")
         if variant == "bounded" and status[leader] != STATUS_CODES["terminated"]:
             raise SimulationError(
-                f"bounded leader {core.ids[leader]!r} did not terminate"
+                f"bounded leader {ids[leader]!r} did not terminate"
             )
         knowledge = {leader}.union(
             core.more[leader], core.done[leader], core.unaware[leader]
         )
-        if knowledge != set(members):
+        # as many ids as the component, none outside it: the component
+        if len(knowledge) != size[root] or any(labels[m] != root for m in knowledge):
             raise SimulationError(
-                f"leader {core.ids[leader]!r}: knowledge != component "
-                f"({len(knowledge)} vs {len(members)} ids)"
+                f"leader {ids[leader]!r}: knowledge != component "
+                f"({len(knowledge)} vs {size[root]} ids)"
             )
 
     nxt = core.nxt
@@ -1047,18 +1070,18 @@ def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
             while stack:
                 reach[stack.pop()] = root
             reach[i] = root
-            if root != leader_of_comp[comp_of[i]]:
+            if root != leader_of[labels[i]]:
                 raise SimulationError(
-                    f"node {core.ids[i]!r} does not reach its component leader"
+                    f"node {ids[i]!r} does not reach its component leader"
                 )
     else:
         # Strict property 3: non-leaders point directly at the leader.
         for i in range(n):
-            if not IS_LEADER[status[i]] and nxt[i] != leader_of_comp[comp_of[i]]:
+            if not IS_LEADER[status[i]] and nxt[i] != leader_of[labels[i]]:
                 raise SimulationError(
-                    f"node {core.ids[i]!r} does not point at its leader"
+                    f"node {ids[i]!r} does not point at its leader"
                 )
-    return len(components)
+    return count
 
 
 def _run_columns(
@@ -1068,7 +1091,8 @@ def _run_columns(
     node in graph order (or the ``wake_order`` given), the C loop to
     quiescence, the stats fold.  Raises what the object route would, in
     its order.  Returns ``(core, executed, stats, components)``, the last
-    ``None`` unless the variant needed them.
+    the graph's :func:`_graph_components`, labelled off ``core.local``
+    before the loop drains it.
     """
     from repro.core.runner import build_simulation, default_step_budget, id_bits_for
 
@@ -1094,17 +1118,18 @@ def _run_columns(
     # is then a no-op): the fill is n-sized and acyclic too.
     with _collector_paused():
         core = ArrayCore(space, id_bits_for(n), fill=True)
-        succ = graph._succ  # read in place: a successor set never holds its owner
-        core.local = IdSlab.of(map(idx.__getitem__, succ[x]) for x in space.ids)
+        # read in place: a successor set never holds its owner
+        core.local = _fill_local(graph, space.ids, idx)
+        components = _graph_components(graph, idx, core.local)
         if greedy_queries:
             core.greedy = bytearray(b"\x01" * n)
         core.variant = bytearray([_VARIANT_CODES[variant]]) * n
-        components = None
         if variant == "bounded":
-            components = _graph_components(graph, idx, n)
-            for members in components:
-                for m in members:
-                    core.csize[m] = len(members)
+            labels = components[0]
+            size = [0] * n
+            for label in labels:
+                size[label] += 1
+            core.csize = [size[label] for label in labels]
         executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
     if core.handback is not None:
         # No probes here, so a protocol-impossible message: the reference
@@ -1198,15 +1223,15 @@ def run_graph(
 
 
 def _scale_result(core, graph, variant, executed, stats, verify, components=None):
-    """The verified summary of a quiescent ``core`` (both run_graph paths)."""
+    """The verified summary of a quiescent ``core`` (both run_graph paths;
+    the declined one has no ``components`` yet)."""
     n = core.n
     leaders = [core.ids[i] for i in range(n) if IS_LEADER[core.status[i]]]
+    components = components or _graph_components(graph, core.idx)
     if verify:
         n_components = _verify_scale(core, graph, variant, components)
     else:
-        if components is None:
-            components = _graph_components(graph, core.idx, n)
-        n_components = len(components)
+        n_components = components[1]
     return ScaleResult(
         variant=variant,
         n=n,

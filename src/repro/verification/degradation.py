@@ -167,18 +167,19 @@ def verify_surviving(
     """
     survivors = frozenset(graph.nodes) - crashed
     subgraph = induced_subgraph(graph, survivors)
-    components = weakly_connected_components(subgraph)
     result, orphans = collect_tolerant(graph, nodes, sim, variant, exclude=crashed)
     try:
-        verify_discovery(result, subgraph)
+        n_components = verify_discovery(result, subgraph).n_components
         ok, detail = True, ""
     except InvariantViolation as exc:
-        ok, detail = False, str(exc)
+        n_components, ok, detail = None, False, str(exc)
     except RuntimeError as exc:  # defensive: tolerant collection should cover
-        ok, detail = False, f"collection failed: {exc}"
+        n_components, ok, detail = None, False, f"collection failed: {exc}"
+    if n_components is None:  # the raise took the report with it
+        n_components = len(weakly_connected_components(subgraph))
     return SurvivalReport(
         n_survivors=len(survivors),
-        n_components=len(components),
+        n_components=n_components,
         n_orphans=orphans,
         properties_ok=ok,
         detail=detail,

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arraystate import _graph_components
+from repro.core import arrayloop
+from repro.core.arraystate import _fill_local, _graph_components
 from repro.graphs.components import (
     component_of,
     is_strongly_connected,
@@ -26,6 +27,7 @@ from repro.graphs.generators import (
     star,
 )
 from repro.graphs.knowledge_graph import KnowledgeGraph
+from tests.graph_cases import bfs_components, built_graphs
 
 
 class TestWeak:
@@ -113,32 +115,6 @@ class TestAgainstNetworkx:
 # ----------------------------------------------------------------------
 # Union-find and derived adjacency against the code they replaced
 # ----------------------------------------------------------------------
-def bfs_components(nodes, edges):
-    """The breadth-first weak components the union-find replaced, over
-    brute-force undirected neighbours: sets in order of first node seen."""
-    neighbours = {node: set() for node in nodes}
-    for u, v in edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    visited = set()
-    components = []
-    for start in nodes:
-        if start in visited:
-            continue
-        component = set()
-        frontier = [start]
-        visited.add(start)
-        while frontier:
-            node = frontier.pop()
-            component.add(node)
-            for neighbor in neighbours[node]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-        components.append(component)
-    return components
-
-
 def int_components(graph, idx, n) -> List[List[int]]:
     """``arraystate._graph_components`` as it was: its own union-find over
     ``successors()``, components keyed by root in int order."""
@@ -165,34 +141,19 @@ def int_components(graph, idx, n) -> List[List[int]]:
     return list(components.values())
 
 
-ID_KINDS = {
-    "int": lambda i: 1000 * i + 7,  # sparse ints: set layouts collide
-    "str": lambda i: f"peer-{i}",
-    "tuple": lambda i: (i % 3, f"x{i}"),
-}
+def labels_of(components, n):
+    """``int_components`` in ``_graph_components``'s form: each node's
+    smallest component member, and the component count."""
+    labels = [0] * n
+    for members in components:
+        for m in members:
+            labels[m] = min(members)
+    return labels, len(components)
 
 
-@st.composite
-def built_graphs(draw):
-    """``(graph, edges)``: ids of one kind in a drawn order, some nodes and
-    edges added after construction, self-loop pairs among the inputs;
-    ``edges`` is the brute-force edge set."""
-    make = ID_KINDS[draw(st.sampled_from(sorted(ID_KINDS)))]
-    n = draw(st.integers(0, 16))
-    ids = [make(i) for i in draw(st.permutations(range(n)))]
-    pairs = (
-        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=48))
-        if n
-        else []
-    )
-    split = draw(st.integers(0, n))
-    first = [(ids[a], ids[b]) for a, b in pairs if a < split and b < split]
-    graph = KnowledgeGraph(ids[:split], first)
-    for node in ids[split:]:
-        graph.add_node(node)
-    for a, b in pairs:
-        graph.add_edge(ids[a], ids[b])
-    return graph, {(ids[a], ids[b]) for a, b in pairs if a != b}
+def as_lists(labelled):
+    labels, count = labelled
+    return list(labels), count
 
 
 class TestUnionFindAgainstReference:
@@ -204,8 +165,13 @@ class TestUnionFindAgainstReference:
         assert weakly_connected_components(graph) == bfs_components(graph.nodes, edges)
         order = graph.nodes
         rnd.shuffle(order)  # int ids need not follow node order
-        for idx in ({x: i for i, x in enumerate(graph.nodes)}, {x: i for i, x in enumerate(order)}):
-            assert _graph_components(graph, idx, graph.n) == int_components(graph, idx, graph.n)
+        for ids in (graph.nodes, order):
+            idx = {x: i for i, x in enumerate(ids)}
+            expected = labels_of(int_components(graph, idx, graph.n), graph.n)
+            assert as_lists(_graph_components(graph, idx)) == expected
+            if arrayloop.load() is not None:  # the C kernel over the filled slab
+                local = _fill_local(graph, ids, idx)
+                assert as_lists(_graph_components(graph, idx, local)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(built_graphs())

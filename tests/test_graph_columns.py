@@ -1,0 +1,296 @@
+"""The graph's way into the columns, and the verifier that reads it back.
+
+``run_graph`` fills ``core.local`` from the graph's successor sets and
+labels the graph's weak components before the loop runs; the O(n + E)
+verifier (``arraystate._verify_scale``) checks the quiescent columns
+against those labels.  This module holds:
+
+* every raising branch of the verifier, each on a quiescent core with one
+  column corrupted, asserting the exact ``SimulationError`` text;
+* the two C kernels, differentially: ``fill_local`` against
+  ``IdSlab.of`` over the same successor sets, ``component_labels``
+  against ``weakly_connected_components`` and the breadth-first
+  reference, on every graph family, disjoint unions with isolated nodes,
+  n = 1 and the hypothesis graphs of ``tests.graph_cases``.
+
+CI runs this file under ASan + UBSan too: a slab buffer one slot short
+fails there.
+"""
+
+from __future__ import annotations
+
+import random
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.experiments import GRAPH_FAMILIES, build_family
+from repro.core import arrayloop, arraystate
+from repro.core.arraystate import IS_LEADER, IdSlab, _verify_scale
+from repro.core.node import STATUS_CODES
+from repro.core.runner import build_simulation, default_step_budget
+from repro.graphs.components import weakly_connected_components
+from repro.graphs.generators import disjoint_union, random_weakly_connected, star
+from repro.graphs.knowledge_graph import KnowledgeGraph
+from repro.sim.network import SimulationError
+from tests.graph_cases import bfs_components, built_graphs
+
+
+# ----------------------------------------------------------------------
+# The verifier's failure paths
+# ----------------------------------------------------------------------
+def two_components():
+    """A star and a random graph side by side: two weak components."""
+    return disjoint_union(star(5), random_weakly_connected(9, 12, seed=3))
+
+
+def quiescent_core(graph, variant):
+    """The columns of a reference run at quiescence (``run_graph``'s
+    fallback route, so the same with and without a C loop)."""
+    sim, _nodes = build_simulation(graph, variant, fast=False)
+    sim.run(default_step_budget(graph))
+    core, _pool, _pending = arraystate._build_from_sim(sim, ())
+    return core
+
+
+def layout(core, graph):
+    """``(members, leader)``: each component's sorted ints by smallest
+    member, and its one leader."""
+    members = sorted(sorted(core.idx[x] for x in c) for c in weakly_connected_components(graph))
+    leaders = [next(i for i in c if IS_LEADER[core.status[i]]) for c in members]
+    return members, leaders
+
+
+def set_row(core, column, i, row):
+    """Replace node ``i``'s members in the ``column`` slab."""
+    slab = getattr(core, column)
+    rows = [list(row) if j == i else slab[j] for j in range(core.n)]
+    setattr(core, column, IdSlab.of(rows))
+
+
+def knowledge_of(core, leader):
+    return {leader}.union(core.more[leader], core.done[leader], core.unaware[leader])
+
+
+def fails_with(core, graph, variant, text):
+    with pytest.raises(SimulationError) as info:
+        _verify_scale(core, graph, variant)
+    assert str(info.value) == text
+
+
+class TestScaleVerifierFailures:
+    @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
+    def test_quiescent_core_passes(self, variant):
+        graph = two_components()
+        assert _verify_scale(quiescent_core(graph, variant), graph, variant) == 2
+
+    def test_transient_status(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        j = next(i for i in members[1] if i != leaders[1])
+        core.status[j] = STATUS_CODES["passive"]
+        fails_with(
+            core, graph, "generic",
+            f"node {core.ids[j]!r} stuck in transient state 'passive' at quiescence",
+        )
+
+    def test_two_leaders_in_one_component(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        j = next(i for i in members[1] if i != leaders[1])
+        core.status[j] = STATUS_CODES["wait"]
+        second = max(j, leaders[1])
+        fails_with(core, graph, "generic", f"component of {core.ids[second]!r} has two leaders")
+
+    def test_component_without_leader(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        core.status[leaders[1]] = STATUS_CODES["inactive"]
+        fails_with(
+            core, graph, "generic", f"component of {core.ids[members[1][0]]!r} has no leader"
+        )
+
+    def test_leader_knowledge_missing_an_id(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        leader = leaders[1]
+        drop = next(i for i in members[1] if i != leader)
+        for column in ("more", "done", "unaware"):
+            set_row(core, column, leader, [m for m in getattr(core, column)[leader] if m != drop])
+        size = len(members[1])
+        fails_with(
+            core, graph, "generic",
+            f"leader {core.ids[leader]!r}: knowledge != component ({size - 1} vs {size} ids)",
+        )
+
+    def test_leader_knowledge_with_a_foreign_id(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        leader = leaders[0]
+        set_row(core, "done", leader, [*core.done[leader], members[1][-1]])
+        size = len(members[0])
+        assert len(knowledge_of(core, leader)) == size + 1
+        fails_with(
+            core, graph, "generic",
+            f"leader {core.ids[leader]!r}: knowledge != component ({size + 1} vs {size} ids)",
+        )
+
+    def test_bounded_leader_not_terminated(self):
+        graph = two_components()
+        core = quiescent_core(graph, "bounded")
+        _members, leaders = layout(core, graph)
+        assert core.status[leaders[0]] == STATUS_CODES["terminated"]
+        core.status[leaders[0]] = STATUS_CODES["wait"]
+        fails_with(
+            core, graph, "bounded", f"bounded leader {core.ids[leaders[0]]!r} did not terminate"
+        )
+
+    def test_generic_non_leader_off_its_leader(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        j = next(i for i in members[1] if i != leaders[1])
+        core.nxt[j] = j
+        fails_with(core, graph, "generic", f"node {core.ids[j]!r} does not point at its leader")
+
+    def test_adhoc_pointer_cycle(self):
+        graph = two_components()
+        core = quiescent_core(graph, "adhoc")
+        members, leaders = layout(core, graph)
+        j, k = [i for i in members[1] if i != leaders[1]][:2]
+        core.nxt[j], core.nxt[k] = k, j
+        fails_with(core, graph, "adhoc", "adhoc next pointers form a cycle")
+
+    def test_adhoc_chain_to_the_wrong_leader(self):
+        graph = two_components()
+        core = quiescent_core(graph, "adhoc")
+        members, leaders = layout(core, graph)
+        # a non-leader nobody points at: the only node whose chain changes
+        pointed = {core.nxt[i] for i in range(core.n) if core.nxt[i] != i}
+        j = next(i for i in members[1] if i != leaders[1] and i not in pointed)
+        core.nxt[j] = leaders[0]
+        fails_with(
+            core, graph, "adhoc", f"node {core.ids[j]!r} does not reach its component leader"
+        )
+
+
+# ----------------------------------------------------------------------
+# The two kernels, differentially
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def kernels():
+    """The C module (the kernels run wherever the C loop runs)."""
+    module = arrayloop.load()
+    if module is None:
+        pytest.skip(f"no C loop: {arrayloop.why_missing()}")
+    return module
+
+
+def reference_local(graph, ids, idx):
+    return IdSlab.of(map(idx.__getitem__, graph._succ[x]) for x in ids)
+
+
+def labels_from(components, idx):
+    """Each node's smallest component int, from sets of node ids."""
+    labels = [0] * len(idx)
+    for component in components:
+        ints = [idx[x] for x in component]
+        for i in ints:
+            labels[i] = min(ints)
+    return labels
+
+
+def check_kernels(graph, ids):
+    """``fill_local`` equals ``IdSlab.of`` member for member, and
+    ``component_labels`` agrees with both component references."""
+    idx = {x: i for i, x in enumerate(ids)}
+    local = arraystate._fill_local(graph, ids, idx)
+    expected = reference_local(graph, ids, idx)
+    assert (local.off, local.mem) == (expected.off, expected.mem)
+    labels, count = arraystate._graph_components(graph, idx, local)
+    weak = weakly_connected_components(graph)
+    assert list(labels) == labels_from(weak, idx)
+    assert list(labels) == labels_from(bfs_components(graph.nodes, graph.edges()), idx)
+    assert count == len(weak)
+    return local, labels
+
+
+def shuffled(ids, seed):
+    ids = list(ids)
+    random.Random(seed).shuffle(ids)
+    return ids
+
+
+class TestKernels:
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_family(self, kernels, family, seed):
+        graph = build_family(family, 96, seed)
+        check_kernels(graph, graph.nodes)
+        check_kernels(graph, shuffled(graph.nodes, seed))
+
+    def test_disjoint_unions_with_isolated_nodes(self, kernels):
+        lone = KnowledgeGraph([0])
+        graph = disjoint_union(
+            lone, star(6), lone, random_weakly_connected(12, 20, seed=1), lone, lone
+        )
+        _local, labels = check_kernels(graph, shuffled(graph.nodes, 2))
+        assert len(set(labels)) == 6
+
+    def test_one_node(self, kernels):
+        local, labels = check_kernels(KnowledgeGraph(["only"]), ["only"])
+        assert (list(local.off), list(local.mem), list(labels)) == ([0, 0], [], [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(built_graphs(), st.randoms(use_true_random=False))
+    def test_built_graphs(self, kernels, built, rnd):
+        graph, _edges = built
+        order = graph.nodes
+        rnd.shuffle(order)
+        check_kernels(graph, order)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_edge_count_out_of_step_raises(self, kernels, delta):
+        graph = random_weakly_connected(20, 30, seed=4)
+        graph._n_edges += delta
+        ids = graph.nodes
+        idx = {x: i for i, x in enumerate(ids)}
+        with pytest.raises(ValueError, match="fill_local"):
+            arraystate._fill_local(graph, ids, idx)
+        with pytest.raises(ValueError, match="fill_local"):
+            arraystate.run_graph(graph, "generic")
+
+    def test_member_missing_from_the_index_raises(self, kernels):
+        graph = star(5)
+        ids = graph.nodes
+        idx = {x: i for i, x in enumerate(ids)}
+        del idx[ids[-1]]
+        with pytest.raises(KeyError):
+            arraystate._fill_local(graph, ids, idx)
+        idx[ids[-1]] = len(ids)  # an int past the slab
+        with pytest.raises(ValueError, match="fill_local member"):
+            arraystate._fill_local(graph, ids, idx)
+
+    def test_labels_reject_a_malformed_slab(self, kernels):
+        labels = array("i", [0]) * 3
+        for off, mem in (
+            ([0, 1, 1], [2]),  # n + 1 offsets for another n
+            ([0, 1, 1, 2], [2]),  # last offset past the members
+            ([0, 2, 1, 2], [1, 2]),  # offsets go down
+            ([0, 1, 1, 1], [3]),  # a member out of range
+        ):
+            with pytest.raises(ValueError, match="component_labels"):
+                kernels.component_labels(array("i", off), array("i", mem), labels)
+
+    def test_run_graph_counts_components_from_the_labels(self, kernels):
+        graph = two_components()
+        result = arraystate.run_graph(graph, "bounded", seed=1)
+        assert result.n_components == 2
+        assert arraystate.run_graph(graph, "adhoc", verify=False).n_components == 2
