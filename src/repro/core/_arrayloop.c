@@ -1,5 +1,5 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate),
- * and the two kernels that bring a graph into its columns.
+ * and the three kernels that bring a graph into its columns.
  *
  * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`,
  * then REPRO_ARRAYLOOP_CFLAGS: CI builds it under ASan + UBSan that way);
@@ -107,23 +107,46 @@
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
  *    live members at every entry and materialization, so layout is
- *    unobservable.  So is the order of a slab's members within a node.
+ *    unobservable.  So is the order of a slab's members within a node,
+ *    and that is load-bearing: a drawn graph's local slab holds each
+ *    node's members in draw order, fill_local's in set iteration order,
+ *    and tests/test_graph_columns.py's run differential holds steps,
+ *    counts, bits, leaders and components equal between the two.
  *  - Random mode runs the same getrandbits(k) rejection loop
  *    Simulator.run_for inlines (k = the pool size's bit length); a popped
  *    token is never "un-popped" (the draw is spent), it is handed over via
  *    RC_DEOPT.
  *
- * The graph's way in: two entry points arraystate._run_columns calls once
- * per from-graph run, after the column fill and before run() drains
- * core.local.  Neither owns native memory: both write into int32 buffers
- * (array('i')) the caller preallocated, bounds-checked before every store.
+ * The graph's way in: three entry points that own no state between calls.
+ *
+ *   draw_graph(rng, n, extra) -> (off, mem)
+ *     generators._arborescence followed by generators._add_random_edges,
+ *     draw for draw: MT19937 from rng.getstate() (mt_load), node i > 0
+ *     under getrandbits(i.bit_length()) redrawn until < i, then up to
+ *     budget = min(extra, n(n - 1) - (n - 1)) extra edges u -> v, u and v
+ *     each getrandbits(n.bit_length()) redrawn until < n, a loop or an
+ *     edge drawn before (a native (u, v) hash) rejected, giving up after
+ *     50 * (budget + 1) pairs; rng.setstate() afterwards (mt_store).  The
+ *     edges come back as a fresh CSR slab of array('i') -- n + 1 offsets,
+ *     node u's members in the order they were accepted (a stable counting
+ *     sort) -- which is exactly the sequence in which the Python loops add
+ *     them to u's successor set.  1 <= n < 2**31 and extra >= 0, else a
+ *     ValueError before any draw; a tree plus budget past INT32_MAX edges
+ *     is an OverflowError, also before any draw.
+ *
+ * The other two run once per from-graph run, after the column fill and
+ * before run() drains core.local.  Neither owns native memory: both write
+ * into int32 buffers (array('i')) the caller preallocated, bounds-checked
+ * before every store.
  *
  *   fill_local(succ, ids, idx, off, mem) -> None
  *     core.local from KnowledgeGraph._succ: node i's members are idx[v]
  *     for v in succ[ids[i]], in the set's iteration order (IdSlab.of's);
  *     off gets the n + 1 offsets.  mem must hold exactly the members
  *     (graph.n_edges): any other count is a ValueError, a member idx
- *     lacks a KeyError, and nothing is written past either buffer.
+ *     lacks a KeyError, and nothing is written past either buffer.  A
+ *     drawn graph skips it: its own slab is core.local, read, never
+ *     written (the loop's exit replaces core.local's arrays).
  *   component_labels(off, mem, labels) -> count
  *     Weak components of the slab (edge direction ignored), a union-find
  *     run in labels itself: labels[i] ends as the smallest int of i's
@@ -246,12 +269,16 @@ typedef struct {
     int32_t cnt[K_CLASSES];
 } Know;
 
-/* MT19937 exactly as CPython's _random keeps it: 624 words and an index. */
+/* MT19937 exactly as CPython's _random keeps it: 624 words and an index,
+ * plus what rng.getstate() returns beside them (the state version and
+ * gauss_next, owned) for setstate() to hand back unchanged. */
 #define MT_N 624
 #define MT_M 397
 typedef struct {
     uint32_t w[MT_N];
     int idx;
+    int version;
+    PyObject *gauss;
 } MT;
 
 /* ------------------------------------------------------------------ */
@@ -280,8 +307,6 @@ typedef struct {
     Fifo *prev, *inbq, *defq; /* per node: previous / inbox / deferred */
     Pool pool;
     MT mt;
-    int rng_version;
-    PyObject *gauss;
     /* run parameters */
     PyObject *pool_obj, *rng;
     int mode;
@@ -1730,7 +1755,7 @@ free_s(S *s)
     Py_XDECREF(s->counts_l);
     Py_XDECREF(s->xtra_l);
     Py_XDECREF(s->order);
-    Py_XDECREF(s->gauss);
+    Py_XDECREF(s->mt.gauss);
     for (int c = 0; c < K_CLASSES; c++)
         Py_XDECREF(s->slabs[c]);
     PyMem_Free(s->rrank);
@@ -2399,17 +2424,18 @@ pool_load(S *s)
     return rc;
 }
 
-/* rng.getstate(): (version, 624 words + index, gauss_next). */
+/* rng.getstate(): (version, 624 words + index, gauss_next) into mt, which
+ * then owns gauss (the caller releases it, loaded or not). */
 static int
-mt_load(S *s)
+mt_load(MT *mt, PyObject *rng)
 {
-    PyObject *state = PyObject_CallMethodNoArgs(s->rng, s_getstate);
+    PyObject *state = PyObject_CallMethodNoArgs(rng, s_getstate);
     if (state == NULL)
         return -1;
     PyObject *words, *gauss;
     int rc = -1;
     if (!PyArg_ParseTuple(state, "iO!O;arrayloop: rng.getstate()",
-                          &s->rng_version, &PyTuple_Type, &words, &gauss))
+                          &mt->version, &PyTuple_Type, &words, &gauss))
         goto done;
     if (PyTuple_GET_SIZE(words) != MT_N + 1) {
         PyErr_SetString(PyExc_ValueError, "arrayloop: rng state size");
@@ -2419,7 +2445,7 @@ mt_load(S *s)
         unsigned long w = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, j));
         if (w == (unsigned long)-1 && PyErr_Occurred())
             goto done;
-        s->mt.w[j] = (uint32_t)w;
+        mt->w[j] = (uint32_t)w;
     }
     long idx = PyLong_AsLong(PyTuple_GET_ITEM(words, MT_N));
     if (idx < 0 || idx > MT_N) {
@@ -2427,9 +2453,9 @@ mt_load(S *s)
             PyErr_SetString(PyExc_ValueError, "arrayloop: rng state index");
         goto done;
     }
-    s->mt.idx = (int)idx;
+    mt->idx = (int)idx;
     Py_INCREF(gauss);
-    s->gauss = gauss;
+    Py_XSETREF(mt->gauss, gauss);
     rc = 0;
 done:
     Py_DECREF(state);
@@ -2438,24 +2464,24 @@ done:
 
 /* rng.setstate() with the words drawn to; gauss_next goes back as read. */
 static int
-mt_store(S *s)
+mt_store(const MT *mt, PyObject *rng)
 {
     PyObject *words = PyTuple_New(MT_N + 1);
     if (words == NULL)
         return -1;
     for (int j = 0; j <= MT_N; j++) {
-        PyObject *w = j < MT_N ? PyLong_FromUnsignedLong(s->mt.w[j])
-                               : PyLong_FromLong(s->mt.idx);
+        PyObject *w = j < MT_N ? PyLong_FromUnsignedLong(mt->w[j])
+                               : PyLong_FromLong(mt->idx);
         if (w == NULL) {
             Py_DECREF(words);
             return -1;
         }
         PyTuple_SET_ITEM(words, j, w);
     }
-    PyObject *state = Py_BuildValue("(iNO)", s->rng_version, words, s->gauss);
+    PyObject *state = Py_BuildValue("(iNO)", mt->version, words, mt->gauss);
     if (state == NULL)
         return -1;
-    PyObject *r = PyObject_CallMethodOneArg(s->rng, s_setstate, state);
+    PyObject *r = PyObject_CallMethodOneArg(rng, s_setstate, state);
     Py_DECREF(state);
     Py_XDECREF(r);
     return r == NULL ? -1 : 0;
@@ -2507,7 +2533,7 @@ load_native(S *s)
     if (know_load(s) < 0 || chans_load(s) < 0 || msgs_load(s) < 0 ||
         pool_load(s) < 0)
         return -1;
-    return s->mode == MODE_RANDOM ? mt_load(s) : 0;
+    return s->mode == MODE_RANDOM ? mt_load(&s->mt, s->rng) : 0;
 }
 
 /* Write the step count, counts/xtra, the knowledge slabs, the pending
@@ -2531,7 +2557,7 @@ sync_out(S *s, PyObject *cell)
     }
     if (!PyErr_Occurred() && know_store(s) == 0 && msgs_store(s) == 0 &&
         pool_store(s) == 0 && s->mode == MODE_RANDOM)
-        mt_store(s);
+        mt_store(&s->mt, s->rng);
     if (et != NULL)
         PyErr_Restore(et, ev, tb); /* a write-back error gives way to it */
 }
@@ -2673,7 +2699,7 @@ error: /* a raising handler left its exception set: it survives sync_out */
 }
 
 /* ------------------------------------------------------------------ */
-/* The graph's way in: fill_local and component_labels                 */
+/* The graph's way in: fill_local, component_labels and draw_graph     */
 /* ------------------------------------------------------------------ */
 /* fill_local: the file header states the contract. */
 static PyObject *
@@ -2817,6 +2843,178 @@ done:
     return result;
 }
 
+/* draw_graph's accepted edges in draw order, at most cap of them, and the
+ * set of them: open addressing on u * n + v + 1 (0: empty), at most half
+ * full. */
+typedef struct {
+    int32_t *u, *v;
+    Py_ssize_t len, cap;
+    uint64_t *slot;
+    int bits;
+    uint64_t n;
+} Drawn;
+
+static inline uint64_t
+drawn_hash(uint64_t key, int bits)
+{
+    return (key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+}
+
+/* Room for cap edges over n nodes, all of it up front: the caller knows
+ * the most it can accept. */
+static int
+drawn_alloc(Drawn *d, uint64_t n, Py_ssize_t cap)
+{
+    d->n = n;
+    d->cap = cap > 0 ? cap : 1;
+    d->bits = 1;
+    while (((Py_ssize_t)1 << d->bits) < 2 * d->cap)
+        d->bits++;
+    d->u = PyMem_Malloc(d->cap * sizeof(int32_t));
+    d->v = PyMem_Malloc(d->cap * sizeof(int32_t));
+    d->slot = PyMem_Calloc((size_t)1 << d->bits, sizeof(uint64_t));
+    if (d->u == NULL || d->v == NULL || d->slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Accept u -> v unless drawn before: 1 if new, 0 if not, -1 on error. */
+static int
+drawn_add(Drawn *d, uint64_t u, uint64_t v)
+{
+    uint64_t key = u * d->n + v + 1, mask = ((uint64_t)1 << d->bits) - 1;
+    uint64_t h = drawn_hash(key, d->bits);
+    for (; d->slot[h] != 0; h = (h + 1) & mask) {
+        if (d->slot[h] == key)
+            return 0;
+    }
+    if (d->len == d->cap) {
+        PyErr_SetString(PyExc_SystemError,
+                        "arrayloop: draw_graph accepted past its budget");
+        return -1;
+    }
+    d->slot[h] = key;
+    d->u[d->len] = (int32_t)u;
+    d->v[d->len++] = (int32_t)v;
+    return 1;
+}
+
+/* getrandbits(k) below `below`: generators.py's rejection loop. */
+static inline uint64_t
+draw_below(MT *mt, int k, uint64_t below)
+{
+    uint64_t x = mt_bits(mt, k);
+    while (x >= below)
+        x = mt_bits(mt, k);
+    return x;
+}
+
+/* The accepted edges as a CSR slab (fresh array('i') offsets and members):
+ * a stable counting sort by source, so each node's members keep their
+ * draw order. */
+static PyObject *
+drawn_slab(const Drawn *d)
+{
+    Py_ssize_t n = (Py_ssize_t)d->n;
+    PyObject *ob = PyBytes_FromStringAndSize(NULL, 4 * (n + 1));
+    PyObject *mb = PyBytes_FromStringAndSize(NULL, 4 * d->len);
+    PyObject *o = NULL, *m = NULL, *result = NULL;
+    if (ob == NULL || mb == NULL)
+        goto done;
+    int32_t *ov = (int32_t *)PyBytes_AS_STRING(ob);
+    int32_t *mv = (int32_t *)PyBytes_AS_STRING(mb);
+    memset(ov, 0, 4 * (n + 1));
+    for (Py_ssize_t e = 0; e < d->len; e++)
+        ov[d->u[e] + 1]++;
+    for (Py_ssize_t i = 0; i < n; i++)
+        ov[i + 1] += ov[i];
+    /* ov[u] walks u's run; it ends at u's end, i.e. the next node's start */
+    for (Py_ssize_t e = 0; e < d->len; e++)
+        mv[ov[d->u[e]]++] = d->v[e];
+    memmove(ov + 1, ov, 4 * n);
+    ov[0] = 0;
+    o = PyObject_CallFunctionObjArgs(g_array_type, s_int32, ob, NULL);
+    m = o == NULL ? NULL
+                  : PyObject_CallFunctionObjArgs(g_array_type, s_int32, mb, NULL);
+    if (m != NULL)
+        result = PyTuple_Pack(2, o, m);
+done:
+    Py_XDECREF(ob);
+    Py_XDECREF(mb);
+    Py_XDECREF(o);
+    Py_XDECREF(m);
+    return result;
+}
+
+/* draw_graph: the file header states the contract. */
+static PyObject *
+loop_draw_graph(PyObject *self, PyObject *args)
+{
+    PyObject *rng, *result = NULL;
+    Py_ssize_t n, extra;
+    if (!PyArg_ParseTuple(args, "Onn", &rng, &n, &extra))
+        return NULL;
+    if (n < 1 || n > INT32_MAX || extra < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: draw_graph wants 1 <= n < 2**31 and extra "
+                     ">= 0, got n=%zd, extra=%zd", n, extra);
+        return NULL;
+    }
+    if (!g_configured) {
+        PyErr_SetString(PyExc_RuntimeError, "arrayloop: configure() first");
+        return NULL;
+    }
+    MT mt;
+    memset(&mt, 0, sizeof(MT));
+    Drawn d;
+    memset(&d, 0, sizeof(Drawn));
+    /* the most edges it can accept: the tree and the whole budget */
+    int64_t missing = (int64_t)n * (n - 1) - (n - 1);
+    int64_t budget = extra < missing ? extra : missing, added = 0;
+    if (n - 1 + budget > INT32_MAX) {
+        PyErr_Format(PyExc_OverflowError,
+                     "arrayloop: draw_graph may accept %lld edges, more than "
+                     "an int32 slab holds", (long long)(n - 1 + budget));
+        return NULL;
+    }
+    if (drawn_alloc(&d, (uint64_t)n, (Py_ssize_t)(n - 1 + budget)) < 0 ||
+        mt_load(&mt, rng) < 0)
+        goto done;
+    /* _arborescence: node i > 0 under getrandbits(i.bit_length()) < i */
+    for (uint64_t i = 1, k = 0; i < d.n; i++) {
+        k += (i & (i - 1)) == 0;
+        if (drawn_add(&d, draw_below(&mt, (int)k, i), i) < 0)
+            goto done;
+    }
+    /* _add_random_edges: u then v below n, kept when new and not a loop */
+    uint64_t max_attempts = 50 * (uint64_t)(budget + 1);
+    int kn = 0;
+    while (((uint64_t)1 << kn) <= d.n)
+        kn++;
+    for (uint64_t attempts = 0; added < budget && attempts < max_attempts;) {
+        attempts++;
+        uint64_t u = draw_below(&mt, kn, d.n), v = draw_below(&mt, kn, d.n);
+        if (u != v) {
+            int fresh = drawn_add(&d, u, v);
+            if (fresh < 0)
+                goto done;
+            added += fresh;
+        }
+        if ((attempts & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
+            goto done;
+    }
+    if (mt_store(&mt, rng) == 0)
+        result = drawn_slab(&d);
+done:
+    Py_XDECREF(mt.gauss);
+    PyMem_Free(d.u);
+    PyMem_Free(d.v);
+    PyMem_Free(d.slot);
+    return result;
+}
+
 /* ------------------------------------------------------------------ */
 /* configure + module                                                  */
 /* ------------------------------------------------------------------ */
@@ -2881,6 +3079,8 @@ static PyMethodDef loop_methods[] = {
      "Write the successor ints of every node into a preallocated slab."},
     {"component_labels", loop_component_labels, METH_VARARGS,
      "Label each node of a slab by its weak component's smallest int."},
+    {"draw_graph", loop_draw_graph, METH_VARARGS,
+     "Draw a random weakly connected graph's edges into a CSR slab."},
     {NULL, NULL, 0, NULL},
 };
 

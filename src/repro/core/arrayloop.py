@@ -1,12 +1,16 @@
 """Compile-on-first-use loader for the C delivery loop of ``arraystate``.
 
-The module it loads has three entry points: ``run`` (the delivery loop)
-and the two graph kernels ``arraystate._run_columns`` calls once per
-from-graph run before it -- ``fill_local`` (``core.local`` straight from
-the graph's successor sets, into a preallocated slab) and
-``component_labels`` (each node's weak component, as the smallest int in
-it).  The C file's header states each contract.  Where the module is
-missing, ``run_graph`` takes the object route and labels components with
+The module it loads has four entry points: ``run`` (the delivery loop)
+and three graph kernels.  ``draw_graph`` is the random generators' draw
+(``generators._arborescence`` plus ``_add_random_edges``, draw for draw),
+returning the graph as the CSR slab ``arraystate`` reads as ``core.local``
+(``KnowledgeGraph.from_slab``).  ``arraystate._run_columns`` calls the
+other two once per from-graph run before the loop: ``fill_local``
+(``core.local`` from a set-built graph's successor sets, into a
+preallocated slab) and ``component_labels`` (each node's weak component,
+as the smallest int in it).  The C file's header states each contract.
+Where the module is missing, the generators run their Python loops,
+``run_graph`` takes the object route and labels components with
 :func:`repro.graphs.components.weakly_connected_components`.
 
 ``_arrayloop.c`` is shipped as source and built lazily with the platform C

@@ -89,8 +89,9 @@ engine-equivalence module beside them) pin all of this bit-for-bit.
 
 Two callers never build the objects: both fill the columns straight from
 a :class:`KnowledgeGraph` (:func:`_run_columns`, the one from-graph
-build; two C kernels write ``core.local`` from the successor sets and
-label the weak components, once per run, before the loop).
+build: a drawn graph's own CSR slab is ``core.local``, a set-built
+graph's successor sets are written into one by a C kernel, and another
+labels the weak components, once per run, before the loop).
 :func:`offer_graph` is the *direct entry* of the one-shot runners
 (``run_generic`` / ``run_bounded`` / ``run_adhoc``, one body in
 :func:`repro.core.runner.run_discovery`): a plain call -- ``fast``, no
@@ -112,7 +113,7 @@ from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from random import Random as _Random
 from sys import maxsize
 from typing import Any, Hashable, List, Optional, Tuple
@@ -974,9 +975,24 @@ class ScaleResult:
 
 def _fill_local(graph, ids, idx) -> IdSlab:
     """``core.local`` straight off ``graph``: node ``idx[x]``'s successor
-    ints for each ``x`` in ``ids``, in ``IdSlab.of``'s order, written by the
-    C kernel into a slab preallocated at ``graph.n_edges`` members (it
-    raises if the sets hold any other count)."""
+    ints for each ``x`` in ``ids``.
+
+    A slab-born graph (``KnowledgeGraph.from_slab``) read in its node order
+    hands over its own two arrays: its ids are ``0..n-1``, so ``idx`` is the
+    identity, and nothing writes into them (the loop's exit replaces
+    ``core.local``'s arrays).  Otherwise the C kernel writes the successor
+    sets, in ``IdSlab.of``'s order, into a slab preallocated at
+    ``graph.n_edges`` members.  Either way a member count other than
+    ``graph.n_edges`` raises."""
+    csr = graph.slab()
+    if csr is not None and len(ids) == graph.n and all(map(eq, ids, range(graph.n))):
+        off, mem = csr
+        if len(mem) != graph.n_edges:
+            raise ValueError(
+                f"fill_local: the graph's slab holds {len(mem)} members, "
+                f"n_edges says {graph.n_edges}"
+            )
+        return IdSlab(off, mem)
     local = IdSlab(array("i", [0]) * (len(ids) + 1), array("i", [0]) * graph.n_edges)
     _arrayloop.load().fill_local(graph._succ, ids, idx, local.off, local.mem)
     return local
@@ -1118,7 +1134,7 @@ def _run_columns(
     # is then a no-op): the fill is n-sized and acyclic too.
     with _collector_paused():
         core = ArrayCore(space, id_bits_for(n), fill=True)
-        # read in place: a successor set never holds its owner
+        # read in place: a node never knows itself in the graph
         core.local = _fill_local(graph, space.ids, idx)
         components = _graph_components(graph, idx, core.local)
         if greedy_queries:

@@ -4,13 +4,16 @@ Resource Discovery is defined per *weakly connected component* (paths in the
 induced undirected graph), while the O(n) leader-election observation of
 Section 1 applies to *strongly connected* graphs.  Both component
 computations are implemented here from first principles (union-find over
-the successor sets and Tarjan's SCC algorithm); the test suite
-cross-checks them against networkx.
+the successor sets -- or the C module's over a drawn graph's slab -- and
+Tarjan's SCC algorithm); the test suite cross-checks them against
+networkx.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from array import array
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.graphs.knowledge_graph import KnowledgeGraph, NodeId
 
@@ -26,9 +29,37 @@ __all__ = [
 def weakly_connected_components(graph: KnowledgeGraph) -> List[Set[NodeId]]:
     """Return the weakly connected components, ordered by first node seen.
 
-    Union-find over the successor sets in place: each successor's root goes
-    under its knower's root, then nodes are grouped by root in node order.
+    Each node goes under a root, then nodes are grouped by root in node
+    order.  A drawn graph's slab is labelled by the C module's
+    ``component_labels`` (the root is the component's smallest id), so its
+    successor sets are never built here; successor sets get a union-find
+    in place: each successor's root goes under its knower's root.
     """
+    root_of = _slab_roots(graph) or _set_roots(graph)
+    components: Dict[NodeId, Set[NodeId]] = {}
+    for node in graph._nodes:
+        components.setdefault(root_of(node), set()).add(node)
+    return list(components.values())
+
+
+def _slab_roots(graph: KnowledgeGraph) -> Optional[Callable[[NodeId], NodeId]]:
+    """Each node's component label off a drawn graph's CSR slab, or ``None``
+    for a set-built graph (and for a slab without the C module)."""
+    csr = graph.slab()
+    if csr is None:
+        return None
+    from repro.core import arrayloop  # repro.core imports this package
+
+    module = arrayloop.load()
+    if module is None:
+        return None
+    labels = array("i", bytes(4 * graph.n))
+    module.component_labels(*csr, labels)
+    return labels.__getitem__
+
+
+def _set_roots(graph: KnowledgeGraph) -> Callable[[NodeId], NodeId]:
+    """Each node's union-find root over the successor sets."""
     succ = graph._succ
     parent = {node: node for node in succ}
     for u, known in succ.items():
@@ -40,10 +71,7 @@ def weakly_connected_components(graph: KnowledgeGraph) -> List[Set[NodeId]]:
                     if other != root:
                         parent[other] = root
                     parent[v] = root
-    components: Dict[NodeId, Set[NodeId]] = {}
-    for node in succ:  # node order: the dict was filled in it
-        components.setdefault(_root(parent, node), set()).add(node)
-    return list(components.values())
+    return partial(_root, parent)
 
 
 def _root(parent: Dict[NodeId, NodeId], node: NodeId) -> NodeId:

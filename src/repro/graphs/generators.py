@@ -95,7 +95,7 @@ def random_arborescence(n: int, seed: int = 0) -> KnowledgeGraph:
     never strongly connected.
     """
     _require_positive(n)
-    return _arborescence(n, random.Random(seed))
+    return _drawn(n, 0, random.Random(seed))
 
 
 def erdos_renyi(
@@ -177,10 +177,7 @@ def random_weakly_connected(n: int, extra_edges: int, seed: int = 0) -> Knowledg
     _require_positive(n)
     if extra_edges < 0:
         raise ValueError(f"extra_edges must be >= 0, got {extra_edges}")
-    rng = random.Random(seed)
-    graph = _arborescence(n, rng)
-    _add_random_edges(graph, rng, extra_edges)
-    return graph
+    return _drawn(n, extra_edges, random.Random(seed))
 
 
 def random_strongly_connected(n: int, extra_edges: int, seed: int = 0) -> KnowledgeGraph:
@@ -188,6 +185,26 @@ def random_strongly_connected(n: int, extra_edges: int, seed: int = 0) -> Knowle
     graph = directed_cycle(n)
     _add_random_edges(graph, random.Random(seed), extra_edges)
     return graph
+
+
+def _drawn(n: int, extra_edges: int, rng: random.Random) -> KnowledgeGraph:
+    """:func:`_arborescence` plus :func:`_add_random_edges` on ``rng``.
+
+    Where the C module loads, its ``draw_graph`` replays both loops draw
+    for draw and the graph is born as the CSR slab the array core reads
+    (:meth:`KnowledgeGraph.from_slab`); otherwise the loops run here, and
+    they stay the reference either way.
+    """
+    from repro.core import arrayloop  # repro.core imports this package
+
+    module = arrayloop.load()
+    if module is None:
+        graph = _arborescence(n, rng)
+        _add_random_edges(graph, rng, extra_edges)
+        return graph
+    # never more than are missing: the same budget, and an int the C call takes
+    extra_edges = min(extra_edges, n * (n - 1))
+    return KnowledgeGraph.from_slab(*module.draw_graph(rng, n, extra_edges))
 
 
 def _arborescence(n: int, rng: random.Random) -> KnowledgeGraph:

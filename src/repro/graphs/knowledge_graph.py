@@ -10,9 +10,20 @@ This module holds the *initial* graph ``(V, E0)`` handed to the algorithms;
 the dynamic knowledge accumulated during a protocol run lives in the
 protocol nodes themselves (``local``/``more``/``done``/... sets), not here.
 
-Storage is successor sets only (``_succ[u]`` is ``u``'s initial
-``local``); ``predecessors``, ``in_degree`` and ``undirected_neighbors``
-scan all of them, O(n) per call.
+Storage is one representation at a time.  A graph built node by node and
+edge by edge holds successor sets (``_succ[u]`` is ``u``'s initial
+``local``).  A graph the native generator drew (:meth:`from_slab`) holds
+a CSR slab instead, ``(off, mem)`` (:meth:`slab`): node ``u``'s successors are
+``mem[off[u]:off[u + 1]]``, ids ``0..n-1``; the array core reads the
+slab as its ``local`` column as it is, and
+:func:`~repro.graphs.components.weakly_connected_components` labels it
+natively.  The sets are built from it on the
+first access to ``_succ`` -- any method below that reads them,
+``add_node`` and ``add_edge`` included -- each filled in slab order, the
+order the Python generator adds them in, so the same sets with the same
+iteration order; the slab is dropped then.  ``predecessors``,
+``in_degree`` and ``undirected_neighbors`` scan all the sets, O(n) per
+call.
 
 Node ids may be any hashable, totally orderable values; the algorithms
 compare ids to break ties exactly as the paper's ``(phase, id)``
@@ -54,6 +65,35 @@ class KnowledgeGraph:
             self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def from_slab(cls, off, mem) -> "KnowledgeGraph":
+        """The graph over ids ``0..len(off)-2`` whose node ``u`` knows
+        ``mem[off[u]:off[u + 1]]``: a CSR slab (two ``array('i')``) taken
+        as it is, holding no loop, no duplicate and no id out of range."""
+        graph = cls.__new__(cls)
+        graph._nodes = range(len(off) - 1)
+        graph._csr = (off, mem)
+        graph._n_edges = len(mem)
+        return graph
+
+    def slab(self):
+        """``(off, mem)`` while the graph is still the slab it was born as
+        (:meth:`from_slab`), else ``None``; never builds the sets."""
+        return self.__dict__.get("_csr")
+
+    def __getattr__(self, name):
+        # Reached only for attributes the instance lacks: a slab-born
+        # graph's ``_succ``, built here once (it then shadows this hook).
+        csr = self.__dict__.pop("_csr", None) if name == "_succ" else None
+        if csr is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        off, mem = csr
+        self._succ = {u: set(mem[off[u] : off[u + 1]]) for u in self._nodes}
+        self._nodes = list(self._nodes)
+        return self._succ
 
     # ------------------------------------------------------------------
     # Construction

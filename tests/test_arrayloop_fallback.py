@@ -33,15 +33,14 @@ SRC = ROOT / "src"
 CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
 
 #: Prints one JSON line: what the gate said, the loader's cause, the
-#: warnings raised over three offers, and the run against ``fast=False``.
+#: warnings raised over a graph draw and three offers, and the run against
+#: ``fast=False``.
 SCRIPT = """
 import json, warnings
 from repro.analysis.experiments import build_family
 from repro.core import arrayloop
 from repro.core.arraystate import run_graph
 from repro.core.runner import build_simulation, default_step_budget
-
-graph = build_family("sparse-random", 64, 1)
 
 def run(fast):
     sim, nodes = build_simulation(graph, "generic", seed=3, fast=fast)
@@ -56,6 +55,7 @@ def run(fast):
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
+    graph = build_family("sparse-random", 64, 1)  # the draw loads it first
     said, outcome = run(True)
     scale = run_graph(graph, "generic", seed=3)
     run(True)
@@ -133,7 +133,8 @@ def test_every_missing_c_loop_is_a_slower_correct_run_that_says_why(broken, tmp_
     assert report["said"] == ["legacy", "no-c-loop"]
     assert cause in report["cause"]
     assert report["equal"] and report["scale_equal"]
-    # Three offers (gate, run_graph, gate), one warning, carrying the cause.
+    # A draw and three offers (gate, run_graph, gate), one warning, carrying
+    # the cause.
     (warning,) = report["warnings"]
     assert report["cause"] in warning and "object loop" in warning
 

@@ -7,11 +7,17 @@ against those labels.  This module holds:
 
 * every raising branch of the verifier, each on a quiescent core with one
   column corrupted, asserting the exact ``SimulationError`` text;
-* the two C kernels, differentially: ``fill_local`` against
-  ``IdSlab.of`` over the same successor sets, ``component_labels``
-  against ``weakly_connected_components`` and the breadth-first
-  reference, on every graph family, disjoint unions with isolated nodes,
-  n = 1 and the hypothesis graphs of ``tests.graph_cases``.
+* the C kernels, differentially: ``fill_local`` against ``IdSlab.of``
+  over the same successor sets, ``component_labels`` against
+  ``weakly_connected_components`` and the breadth-first reference, on
+  every graph family, disjoint unions with isolated nodes, n = 1 and the
+  hypothesis graphs of ``tests.graph_cases``; ``draw_graph`` against the
+  generators' Python loops on an equal ``Random`` (members, their order,
+  edge count, the rng state afterwards);
+* the run differential that makes a drawn graph's slab order safe to
+  hand to the loop as ``core.local``: ``run_graph`` and ``run_discovery``
+  on a drawn graph and on its set-built twin agree on everything a caller
+  sees, and leave the graph's arrays as they were.
 
 CI runs this file under ASan + UBSan too: a slab buffer one slot short
 fails there.
@@ -19,6 +25,7 @@ fails there.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from array import array
 
@@ -27,14 +34,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import GRAPH_FAMILIES, build_family
-from repro.core import arrayloop, arraystate
+from repro.core import arrayloop, arraystate, runner
 from repro.core.arraystate import IS_LEADER, IdSlab, _verify_scale
 from repro.core.node import STATUS_CODES
 from repro.core.runner import build_simulation, default_step_budget
 from repro.graphs.components import weakly_connected_components
+from repro.graphs import generators
 from repro.graphs.generators import disjoint_union, random_weakly_connected, star
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.network import SimulationError
+from repro.verification.invariants import verify_discovery
 from tests.graph_cases import bfs_components, built_graphs
 
 
@@ -211,8 +220,10 @@ def check_kernels(graph, ids):
     """``fill_local`` equals ``IdSlab.of`` member for member, and
     ``component_labels`` agrees with both component references."""
     idx = {x: i for i, x in enumerate(ids)}
-    local = arraystate._fill_local(graph, ids, idx)
+    # the reference reads the successor sets first, so a drawn graph has
+    # them too and the kernel fills from them
     expected = reference_local(graph, ids, idx)
+    local = arraystate._fill_local(graph, ids, idx)
     assert (local.off, local.mem) == (expected.off, expected.mem)
     labels, count = arraystate._graph_components(graph, idx, local)
     weak = weakly_connected_components(graph)
@@ -294,3 +305,193 @@ class TestKernels:
         result = arraystate.run_graph(graph, "bounded", seed=1)
         assert result.n_components == 2
         assert arraystate.run_graph(graph, "adhoc", verify=False).n_components == 2
+
+
+# ----------------------------------------------------------------------
+# draw_graph against the generators' Python loops
+# ----------------------------------------------------------------------
+def python_drawn(n, extra, seed):
+    """The reference: both Python loops on ``Random(seed)``; the graph and
+    the rng state they leave."""
+    rng = random.Random(seed)
+    graph = generators._arborescence(n, rng)
+    generators._add_random_edges(graph, rng, extra)
+    return graph, rng.getstate()
+
+
+def native_drawn(n, extra, seed):
+    rng = random.Random(seed)
+    graph = generators._drawn(n, extra, rng)
+    assert graph.slab() is not None  # born as a slab
+    return graph, rng.getstate()
+
+
+def rows_in_order(graph):
+    """Each node's successors in the sets' iteration order."""
+    return [list(graph._succ[u]) for u in graph.nodes]
+
+
+def same_draw(n, extra, seed):
+    expected, state = python_drawn(n, extra, seed)
+    drawn, drawn_state = native_drawn(n, extra, seed)
+    assert drawn.n_edges == expected.n_edges
+    assert drawn_state == state
+    off, mem = drawn.slab()
+    assert [set(mem[off[u] : off[u + 1]]) for u in drawn.nodes] == [
+        expected._succ[u] for u in expected.nodes
+    ]
+    assert rows_in_order(drawn) == rows_in_order(expected)
+    return drawn
+
+
+def extras(n):
+    """No extra edge, n of them, n * floor(log2 n), and more than fit."""
+    return (0, n, n * max(1, n.bit_length() - 1), n * (n - 1) + 3)
+
+
+#: What the Python loops leave for (1000, 999003, 0) -- eight seconds of
+#: draws in Python -- as ``outcome_digest``: the complete digraph.
+COMPLETE_1000 = "063f5a039d74d1813ab77152be6f47277c8d50c0df55cef9658e91293ea74125"
+
+
+def outcome_digest(graph, state):
+    """sha256 of the edge count, each node's member order and the rng state."""
+    return hashlib.sha256(
+        repr((graph.n_edges, rows_in_order(graph), state)).encode()
+    ).hexdigest()
+
+
+class TestDrawGraph:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_python_loops(self, kernels, n, seed):
+        for extra in extras(n):
+            if n == 1000 and extra > n * n // 2:
+                continue  # the complete digraph is pinned below
+            same_draw(n, extra, seed)
+
+    def test_the_complete_digraph_at_n_1000(self, kernels):
+        n = 1000
+        drawn, state = native_drawn(n, n * (n - 1) + 3, 0)
+        assert drawn.n_edges == n * (n - 1)
+        assert outcome_digest(drawn, state) == COMPLETE_1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2000), st.integers(0, 2**32))
+    def test_small_cases(self, kernels, n, extra, seed):
+        same_draw(n, min(extra, n * n), seed)
+
+    def test_bad_sizes_raise_before_any_draw(self, kernels):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="draw_graph"):
+            kernels.draw_graph(rng, 10, -1)
+        with pytest.raises(ValueError, match="draw_graph"):
+            kernels.draw_graph(rng, 0, 3)
+        with pytest.raises(OverflowError, match="int32 slab"):
+            kernels.draw_graph(rng, 100_000, 10**10)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError, match="extra_edges"):
+            random_weakly_connected(10, -1, seed=5)
+
+    def test_generators_return_slab_born_graphs(self, kernels):
+        for graph in (random_weakly_connected(50, 80, 1), generators.random_arborescence(50, 1)):
+            assert graph.slab() is not None and "_succ" not in vars(graph)
+
+
+# ----------------------------------------------------------------------
+# Runs on a drawn graph against its set-built twin
+# ----------------------------------------------------------------------
+DRAWN_FAMILIES = ("sparse-random", "dense-random")
+
+
+def twins(family, n, seed):
+    """``(drawn, set_built)``: the family's graph from the C draw, and the
+    same graph from the Python loops."""
+    drawn = build_family(family, n, seed)
+    assert drawn.slab() is not None
+    module, arrayloop._module = arrayloop._module, None
+    try:
+        set_built = build_family(family, n, seed)
+    finally:
+        arrayloop._module = module
+    assert set_built.slab() is None
+    return drawn, set_built
+
+
+def slab_copy(graph):
+    off, mem = graph.slab()
+    return array("i", off), array("i", mem)
+
+
+def scale_outcome(graph, variant, seed):
+    result = arraystate.run_graph(graph, variant, seed=seed)
+    return (
+        result.steps,
+        list(result.stats.messages_by_type.items()),
+        list(result.stats.bits_by_type.items()),
+        result.leaders,
+        result.n_components,
+        result.verified,
+    )
+
+
+def discovery_outcome(graph, variant, seed):
+    result = runner.run_discovery(graph, variant, seed=seed)
+    return (
+        result.steps,
+        list(result.stats.messages_by_type.items()),
+        list(result.stats.bits_by_type.items()),
+        result.leaders,
+        result.leader_of,
+        result.knowledge,
+        result.statuses,
+        result.path_lengths,
+    )
+
+
+class TestDrawnRuns:
+    @pytest.mark.parametrize("family", DRAWN_FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 300])
+    @pytest.mark.parametrize("seed", [None, 1], ids=["fifo", "seeded"])
+    def test_runs_equal_the_set_built_twin(self, kernels, family, n, seed):
+        for variant in ("generic", "bounded", "adhoc"):
+            drawn, set_built = twins(family, n, 7)
+            before = slab_copy(drawn)
+            assert scale_outcome(drawn, variant, seed) == scale_outcome(
+                set_built, variant, seed
+            )
+            assert discovery_outcome(drawn, variant, seed) == discovery_outcome(
+                set_built, variant, seed
+            )
+            assert "_succ" not in vars(drawn)  # no run built the sets
+            assert slab_copy(drawn) == before
+
+    def test_one_graph_for_three_variants(self, kernels):
+        drawn, set_built = twins("dense-random", 120, 3)
+        before = slab_copy(drawn)
+        for variant in ("generic", "bounded", "adhoc"):
+            assert scale_outcome(drawn, variant, 2) == scale_outcome(set_built, variant, 2)
+            assert slab_copy(drawn) == before
+
+    def test_run_verify_run(self, kernels):
+        """``verify_discovery`` labels the slab without building the sets;
+        a run after it, and one after the sets are built, is the run the
+        slab gave."""
+        drawn = build_family("sparse-random", 90, 4)
+        before = slab_copy(drawn)
+        first = discovery_outcome(drawn, "adhoc", 5)
+        assert slab_copy(drawn) == before
+        verify_discovery(runner.run_discovery(drawn, "adhoc", seed=5), drawn)
+        assert slab_copy(drawn) == before and "_succ" not in vars(drawn)
+        assert discovery_outcome(drawn, "adhoc", 5) == first
+        drawn.successors(0)
+        assert drawn.slab() is None
+        assert discovery_outcome(drawn, "adhoc", 5) == first
+
+    def test_the_loop_reads_the_slab_in_place(self, kernels):
+        drawn = build_family("dense-random", 40, 0)
+        ids = drawn.nodes
+        local = arraystate._fill_local(drawn, ids, {x: x for x in ids})
+        off, mem = drawn.slab()
+        assert local.off is off and local.mem is mem
