@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List
 
-from repro.graphs.components import weakly_connected_components
+from repro.core.result import DiscoveryResult
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.trace import MessageStats, bits_for_ids
+from repro.verification.invariants import verify_discovery
 
 NodeId = Hashable
 
@@ -72,27 +73,17 @@ class BaselineResult:
 
 
 def verify_baseline(result: BaselineResult, graph: KnowledgeGraph) -> None:
-    """Assert the resource-discovery goals on a baseline's outcome.
-
-    Same three properties as the core algorithms: one leader per weak
-    component, the leader knows the whole component, and every node resolves
-    to its component's leader.
-    """
-    leader_set = set(result.leaders)
-    for component in weakly_connected_components(graph):
-        leaders_here = leader_set & component
-        if len(leaders_here) != 1:
-            raise AssertionError(
-                f"{result.name}: component with {len(leaders_here)} leaders"
-            )
-        leader = next(iter(leaders_here))
-        if result.knowledge[leader] != frozenset(component):
-            raise AssertionError(
-                f"{result.name}: leader {leader!r} knowledge != component"
-            )
-        for member in component:
-            if result.leader_of[member] != leader:
-                raise AssertionError(
-                    f"{result.name}: {member!r} resolves to "
-                    f"{result.leader_of[member]!r}, expected {leader!r}"
-                )
+    """:func:`~repro.verification.invariants.verify_discovery` on a baseline's
+    outcome, raising its ``InvariantViolation`` (an ``AssertionError``).  A
+    baseline keeps no protocol state or pointer chain: every node reads as
+    resting (``inactive``) at chain length 0, which leaves one leader per
+    weak component, knowing it whole, with every node resolving to it."""
+    nodes = graph.nodes
+    verify_discovery(
+        DiscoveryResult(
+            result.name, result.n, result.n_edges, result.leaders, result.leader_of,
+            result.knowledge, statuses=dict.fromkeys(nodes, "inactive"),
+            path_lengths=dict.fromkeys(nodes, 0), stats=result.stats, steps=result.rounds,
+        ),
+        graph,
+    )

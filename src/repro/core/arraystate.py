@@ -100,9 +100,9 @@ loop, orderable ids, checked in :data:`DECLINE_REASONS` order --
 reads its ``DiscoveryResult`` off the columns; a declined one gets the
 reason back and takes the gate above.  :func:`run_graph` is the
 million-node driver (10^6 ``DiscoveryNode`` objects cost ~4 GB before the
-first message, the columns ~100 MB): an O(n + E) verification and a
-summary instead of per-node dicts.  Both build objects after all to let
-the reference raise on a handed-back step.
+first message, the columns ~100 MB): ``verify_discovery``'s checker over
+the columns, O(n + E), and a summary instead of per-node dicts.  Both
+build objects after all to let the reference raise on a handed-back step.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ from __future__ import annotations
 import gc
 import heapq
 from array import array
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from operator import eq, itemgetter
 from random import Random as _Random
 from sys import maxsize
@@ -125,7 +126,6 @@ from repro.core.node import (
     LEADER_STATES,
     STATUS_CODES,
     STATUS_NAMES,
-    TRANSIENT_STATES,
     VARIANTS,
     behavior_is_pristine,
 )
@@ -150,8 +150,11 @@ __all__ = [
     "run_graph",
 ]
 
-#: status code -> is this a leader state (paper definition; byte lookup).
-IS_LEADER = bytes(name in LEADER_STATES for name in STATUS_NAMES)
+#: status code -> is this a leader state (paper definition; byte lookup,
+#: and a ``bytes.translate`` table over a status column).
+IS_LEADER = bytes(name in LEADER_STATES for name in STATUS_NAMES).ljust(256, b"\0")
+#: 0 <-> 1: a leader flag column translated to chain lengths 0 / 1
+_FLIP = b"\1\0".ljust(256, b"\0")
 
 _VARIANT_CODES = {name: code for code, name in enumerate(VARIANTS)}
 
@@ -579,6 +582,44 @@ class ArrayCore:
                 self.bits[tag] = self.counts[tag] * bases[tag] + self.xtra[tag] * idc
         return cell[0] - self.steps
 
+    # ------------------------------------------------------------------
+    # Quiescent reads (collect_columns and _verify_scale)
+    # ------------------------------------------------------------------
+    def knowledge(self, i: int) -> set:
+        """The ints node ``i`` knows: itself, ``more``, ``done``, ``unaware``."""
+        return {i}.union(self.more[i], self.done[i], self.unaware[i])
+
+    def chains(self):
+        """``(leaders, resolved, lengths)``: the leader ints, and per node
+        the first leader on its ``next`` chain and the chain's length -- one
+        hop over whole columns, then a memoized walk for longer (Ad-hoc)
+        chains.  A chain that meets a node twice raises ``RuntimeError``
+        naming it, as :func:`repro.core.result.collect_result` does."""
+        n, nxt = self.n, self.nxt
+        lead = self.status.translate(IS_LEADER)
+        leaders = list(compress(range(n), lead))
+        resolved = list(nxt)
+        for i in leaders:
+            resolved[i] = i
+        lengths = lead.translate(_FLIP)
+        if all(map(lead.__getitem__, set(resolved))):  # one hop to a leader
+            return leaders, resolved, lengths
+        done = bytearray(map(lead.__getitem__, resolved))  # 1: ends at a leader
+        lengths = list(lengths)
+        for i in compress(range(n), done.translate(_FLIP)):
+            path, j = [], i
+            while done[j] != 1:
+                if done[j] == 2:  # on this walk already
+                    raise RuntimeError(f"next-pointer cycle through {self.ids[j]!r}")
+                done[j] = 2
+                path.append(j)
+                j = nxt[j]
+            root, depth = resolved[j], lengths[j]
+            for k in reversed(path):
+                depth += 1
+                resolved[k], lengths[k], done[k] = root, depth, 1
+        return leaders, resolved, lengths
+
 
 # ----------------------------------------------------------------------
 # Simulator-backed engagement
@@ -999,14 +1040,17 @@ def _fill_local(graph, ids, idx) -> IdSlab:
 
 
 def _graph_components(graph, idx, local=None) -> Tuple[array, int]:
-    """The weak components of ``graph`` over the ints of ``idx`` as
-    ``(labels, count)``: ``labels[i]`` is the smallest int of node ``i``'s
-    component.  With ``local`` (the graph's successor slab) the C kernel
-    labels it in one pass; without, :func:`weakly_connected_components`
-    does."""
+    """The weak components of ``graph`` over the ints of ``idx`` (a dict in
+    int order) as ``(labels, count)``: ``labels[i]`` is the smallest int of
+    node ``i``'s component.  With the C module the kernel labels ``local``
+    (the graph's successor slab, filled here when not given) in one pass;
+    without, :func:`weakly_connected_components` does."""
     labels = array("i", [0]) * len(idx)
-    if local is not None:
-        return labels, _arrayloop.load().component_labels(local.off, local.mem, labels)
+    module = _arrayloop.load()
+    if module is not None:
+        if local is None:
+            local = _fill_local(graph, list(idx), idx)
+        return labels, module.component_labels(local.off, local.mem, labels)
     components = weakly_connected_components(graph)
     for component in components:
         ints = [idx[x] for x in component]
@@ -1017,87 +1061,25 @@ def _graph_components(graph, idx, local=None) -> Tuple[array, int]:
 
 
 def _verify_scale(core: ArrayCore, graph, variant: str, components=None) -> int:
-    """O(n + E) check of properties (1)-(3)/(3a,3b) plus steady state.
-
-    The cheap mirror of :func:`repro.verification.invariants.verify_discovery`
-    (which wants a per-node ``DiscoveryResult`` -- exactly the object
-    blow-up this driver exists to avoid).  ``components`` is the graph's
-    :func:`_graph_components` when the caller already has them; they are
-    checked in the order of their smallest ints.  Returns the component
-    count.
+    """O(n + E) check of properties (1)-(3)/(3a,3b) plus steady state:
+    :func:`repro.verification.invariants.verify_quiescent` over a quiescent
+    core's columns (``components`` the graph's :func:`_graph_components`
+    when the caller has them).  Raises what ``verify_discovery`` raises on
+    the core's ``collect_columns`` snapshot; returns the component count.
     """
-    n = core.n
-    ids = core.ids
-    status = core.status
-    labels, count = components or _graph_components(graph, core.idx)
+    from repro.verification.invariants import verify_quiescent
 
-    for i in range(n):
-        name = STATUS_NAMES[status[i]]
-        if name in TRANSIENT_STATES:
-            raise SimulationError(
-                f"node {ids[i]!r} stuck in transient state {name!r} "
-                "at quiescence"
-            )
-
-    # per component, by its label: size and leader; the labels in order
-    size = [0] * n
-    leader_of: List[Optional[int]] = [None] * n
-    roots: List[int] = []
-    for i, label in enumerate(labels):
-        size[label] += 1
-        if label == i:
-            roots.append(i)
-        if IS_LEADER[status[i]]:
-            if leader_of[label] is not None:
-                raise SimulationError(f"component of {ids[i]!r} has two leaders")
-            leader_of[label] = i
-    for root in roots:
-        leader = leader_of[root]
-        if leader is None:
-            raise SimulationError(f"component of {ids[root]!r} has no leader")
-        if variant == "bounded" and status[leader] != STATUS_CODES["terminated"]:
-            raise SimulationError(
-                f"bounded leader {ids[leader]!r} did not terminate"
-            )
-        knowledge = {leader}.union(
-            core.more[leader], core.done[leader], core.unaware[leader]
-        )
-        # as many ids as the component, none outside it: the component
-        if len(knowledge) != size[root] or any(labels[m] != root for m in knowledge):
-            raise SimulationError(
-                f"leader {ids[leader]!r}: knowledge != component "
-                f"({len(knowledge)} vs {size[root]} ids)"
-            )
-
-    nxt = core.nxt
-    if variant == "adhoc":
-        # Properties 3a/3b: next-pointer chains are directed paths to the
-        # component leader.  Memoized walk, amortized O(n).
-        reach = [-1] * n
-        stack: List[int] = []
-        for i in range(n):
-            j = i
-            while reach[j] < 0 and not IS_LEADER[status[j]]:
-                stack.append(j)
-                j = nxt[j]
-                if len(stack) > n:
-                    raise SimulationError("adhoc next pointers form a cycle")
-            root = reach[j] if reach[j] >= 0 else j
-            while stack:
-                reach[stack.pop()] = root
-            reach[i] = root
-            if root != leader_of[labels[i]]:
-                raise SimulationError(
-                    f"node {ids[i]!r} does not reach its component leader"
-                )
-    else:
-        # Strict property 3: non-leaders point directly at the leader.
-        for i in range(n):
-            if not IS_LEADER[status[i]] and nxt[i] != leader_of[labels[i]]:
-                raise SimulationError(
-                    f"node {ids[i]!r} does not point at its leader"
-                )
-    return count
+    leaders, resolved, lengths = core.chains()
+    return verify_quiescent(
+        variant,
+        core.ids,
+        components or _graph_components(graph, core.idx),
+        core.status,
+        leaders,
+        resolved,
+        lengths,
+        {i: core.knowledge(i) for i in leaders},
+    ).n_components
 
 
 def _run_columns(
@@ -1141,11 +1123,8 @@ def _run_columns(
             core.greedy = bytearray(b"\x01" * n)
         core.variant = bytearray([_VARIANT_CODES[variant]]) * n
         if variant == "bounded":
-            labels = components[0]
-            size = [0] * n
-            for label in labels:
-                size[label] += 1
-            core.csize = [size[label] for label in labels]
+            size = Counter(components[0])
+            core.csize = list(map(size.__getitem__, components[0]))
         executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
     if core.handback is not None:
         # No probes here, so a protocol-impossible message: the reference
@@ -1212,7 +1191,10 @@ def run_graph(
     process) or a ``DiscoveryNode`` patched on the class -- is the
     reference ``Simulator(fast=False)`` run at the object path's price,
     the same result at any n the memory allows.  Ids the columns cannot
-    hold raise :class:`SimulationError`.
+    hold raise :class:`SimulationError`.  A failed verification raises
+    :class:`~repro.verification.invariants.InvariantViolation` with
+    ``verify_discovery``'s text, or, for a ``next`` chain that meets a node
+    twice, :meth:`ArrayCore.chains`'s ``RuntimeError``.
     """
     from repro.core.runner import build_simulation, default_step_budget
 
@@ -1241,19 +1223,13 @@ def run_graph(
 def _scale_result(core, graph, variant, executed, stats, verify, components=None):
     """The verified summary of a quiescent ``core`` (both run_graph paths;
     the declined one has no ``components`` yet)."""
-    n = core.n
-    leaders = [core.ids[i] for i in range(n) if IS_LEADER[core.status[i]]]
     components = components or _graph_components(graph, core.idx)
-    if verify:
-        n_components = _verify_scale(core, graph, variant, components)
-    else:
-        n_components = components[1]
     return ScaleResult(
         variant=variant,
-        n=n,
+        n=core.n,
         steps=executed,
         stats=stats,
-        n_components=n_components,
-        leaders=leaders,
+        n_components=_verify_scale(core, graph, variant, components) if verify else components[1],
+        leaders=list(compress(core.ids, core.status.translate(IS_LEADER))),
         verified=verify,
     )

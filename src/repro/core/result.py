@@ -9,9 +9,8 @@ quantities every theorem of the paper bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Hashable, List, Optional, Set
+from typing import AbstractSet, Dict, Hashable, List, Set
 
-from repro.core.arraystate import IS_LEADER
 from repro.core.node import STATUS_NAMES, DiscoveryNode
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.network import Simulator
@@ -115,22 +114,15 @@ def collect_result(
     )
     leader_of: Dict[NodeId, NodeId] = {}
     path_lengths: Dict[NodeId, int] = {}
-    for node_id, node in nodes.items():
-        if node.is_leader:
-            leader_of[node_id] = node_id
-            path_lengths[node_id] = 0
-            continue
-        length = 0
-        current = node_id
-        seen: Set[NodeId] = set()
+    for node_id in nodes:
+        current, seen = node_id, set()
         while not nodes[current].is_leader:
             if current in seen:
                 raise RuntimeError(f"next-pointer cycle through {current!r}")
             seen.add(current)
             current = nodes[current].next
-            length += 1
         leader_of[node_id] = current
-        path_lengths[node_id] = length
+        path_lengths[node_id] = len(seen)
     knowledge = {
         leader: nodes[leader].knowledge for leader in leaders
     }
@@ -153,28 +145,18 @@ def collect_columns(graph, core, variant: str, stats, steps: int) -> DiscoveryRe
     """:func:`collect_result` read off a quiescent array core's columns:
     the same fields in the same orders, the same error on a leaderless chain.
     """
-    ids, status, nxt = core.ids, core.status, core.nxt
-    leaders = [i for i in core.by_rrank if IS_LEADER[status[i]]]
-    leader_of, path_lengths = {}, {}
-    for i, node_id in enumerate(ids):
-        current, seen = i, set()
-        while not IS_LEADER[status[current]]:
-            if current in seen:
-                raise RuntimeError(f"next-pointer cycle through {ids[current]!r}")
-            seen.add(current)
-            current = nxt[current]
-        leader_of[node_id] = ids[current]
-        path_lengths[node_id] = len(seen)
-    census = [{i}.union(core.more[i], core.done[i], core.unaware[i]) for i in leaders]
+    ids = core.ids
+    leaders, resolved, lengths = core.chains()
+    leaders.sort(key=core.rrank.__getitem__)
     return DiscoveryResult(
         variant=variant,
         n=graph.n,
         n_edges=graph.n_edges,
         leaders=[ids[i] for i in leaders],
-        leader_of=leader_of,
-        knowledge={ids[i]: frozenset(ids[x] for x in c) for i, c in zip(leaders, census)},
-        statuses={x: STATUS_NAMES[code] for x, code in zip(ids, status)},
-        path_lengths=path_lengths,
+        leader_of=dict(zip(ids, map(ids.__getitem__, resolved))),
+        knowledge={ids[i]: frozenset(map(ids.__getitem__, core.knowledge(i))) for i in leaders},
+        statuses={x: STATUS_NAMES[code] for x, code in zip(ids, core.status)},
+        path_lengths=dict(zip(ids, lengths)),
         stats=stats,
         steps=steps,
     )

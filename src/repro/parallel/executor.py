@@ -15,6 +15,8 @@ future per job, with
   one-worker pool, so a job that kills its worker every time ends
   ``failed`` with a ``BrokenProcessPool`` error instead of taking the
   sweep down with it;
+* **no orphans**: a worker drops its parent's SIGTERM/SIGINT handlers for
+  the defaults and exits once its parent is gone;
 * a **per-job timeout** that marks exactly that job ``timeout`` and
   kills its worker once the round's other results are in, rather than
   hanging the sweep on one diverging simulation;
@@ -29,6 +31,9 @@ results, retries and progress lines are the campaign's.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -122,6 +127,22 @@ def _safe_execute(job: Job) -> JobResult:
     )
 
 
+def _worker_init(parent: int) -> None:
+    """Pool-worker initializer: the default SIGTERM/SIGINT, not the handlers
+    forked from the parent (the campaign runner's only sets a flag in this
+    copy), and an exit once ``parent`` is gone, which a worker blocked on
+    the call queue never notices.  Only the parent commits a result."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_DFL)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -200,6 +221,8 @@ class ParallelExecutor:
         pool = ProcessPoolExecutor(
             max_workers=1 if isolated else self.workers,
             mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init,
+            initargs=(os.getpid(),),
         )
         start = time.perf_counter()
         orphans: List[int] = []
@@ -237,10 +260,9 @@ class ParallelExecutor:
             orphans.extend(pending[len(futures):])
         finally:
             if stuck or orphans:
-                # SIGKILL what is left: a timed-out job never returns, and
-                # the SIGTERM a broken pool sends does not stop a forked
-                # worker that inherited the parent's Python SIGTERM handler
-                # (the campaign runner installs one).
+                # SIGKILL what is left: a timed-out job never returns, and a
+                # broken pool's SIGTERM may reach a worker still holding its
+                # parent's handler (before ``_worker_init`` ran).
                 for process in list(pool._processes.values()):
                     process.kill()
             pool.shutdown(wait=True)

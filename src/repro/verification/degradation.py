@@ -20,7 +20,7 @@ taxonomy every chaos trial is binned into.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Optional, Set
+from typing import Dict, FrozenSet, Hashable
 
 from repro.core.node import DiscoveryNode
 from repro.core.result import DiscoveryResult
@@ -98,33 +98,20 @@ def collect_tolerant(
     path_lengths: Dict[NodeId, int] = {}
     orphans = 0
     for node_id in keep:
-        if node_id in leader_set:
-            leader_of[node_id] = node_id
-            path_lengths[node_id] = 0
-            continue
-        current = node_id
-        length = 0
-        seen: Set[NodeId] = set()
-        resolved: Optional[NodeId] = None
-        while True:
-            if current in leader_set:
-                resolved = current
-                break
+        current, seen = node_id, set()
+        while current not in leader_set:
             if current in seen or current in exclude or not nodes[current].awake:
                 break  # cycle, dead leader, or asleep: unresolvable
-            seen.add(current)
-            nxt = nodes[current].next
-            if nxt == current:
+            if nodes[current].next == current:
                 break  # non-leader root: still mid-protocol
-            current = nxt
-            length += 1
-        if resolved is None:
+            seen.add(current)
+            current = nodes[current].next
+        if current in leader_set:
+            leader_of[node_id], path_lengths[node_id] = current, len(seen)
+        else:
             orphans += 1
             leader_of[node_id] = node_id
             path_lengths[node_id] = graph.n + 1  # sentinel: visibly broken
-        else:
-            leader_of[node_id] = resolved
-            path_lengths[node_id] = length
     result = DiscoveryResult(
         variant=variant,
         n=len(keep),
@@ -169,14 +156,9 @@ def verify_surviving(
     subgraph = induced_subgraph(graph, survivors)
     result, orphans = collect_tolerant(graph, nodes, sim, variant, exclude=crashed)
     try:
-        n_components = verify_discovery(result, subgraph).n_components
-        ok, detail = True, ""
+        n_components, ok, detail = verify_discovery(result, subgraph).n_components, True, ""
     except InvariantViolation as exc:
-        n_components, ok, detail = None, False, str(exc)
-    except RuntimeError as exc:  # defensive: tolerant collection should cover
-        n_components, ok, detail = None, False, f"collection failed: {exc}"
-    if n_components is None:  # the raise took the report with it
-        n_components = len(weakly_connected_components(subgraph))
+        n_components, ok, detail = len(weakly_connected_components(subgraph)), False, str(exc)
     return SurvivalReport(
         n_survivors=len(survivors),
         n_components=n_components,

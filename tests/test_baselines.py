@@ -48,6 +48,26 @@ def test_baseline_solves_discovery(gname, maker, bname, runner):
     verify_baseline(result, graph)
 
 
+def test_planted_faults_raise_assertion_errors():
+    """A broken baseline outcome fails ``verify_baseline`` with an
+    ``AssertionError`` naming the broken property."""
+    graph = disjoint_union(star(7), directed_path(5))
+    result = run_flooding(graph)
+    first, second = result.leaders
+    result.leaders = [first]
+    with pytest.raises(AssertionError, match="has 0 leaders"):
+        verify_baseline(result, graph)
+    result.leaders = [first, second]
+    result.knowledge[first] = result.knowledge[first] | {second}
+    with pytest.raises(AssertionError, match="knowledge mismatch"):
+        verify_baseline(result, graph)
+    result.knowledge[first] = result.knowledge[first] - {second}
+    verify_baseline(result, graph)
+    result.leader_of[first] = second
+    with pytest.raises(AssertionError, match="resolves to"):
+        verify_baseline(result, graph)
+
+
 class TestFlooding:
     def test_everyone_knows_everyone(self):
         graph = random_weakly_connected(15, 30, seed=1)

@@ -252,6 +252,7 @@ class TestKillAndResume:
     def test_sigkill_then_resume_recomputes_nothing(self, tmp_path):
         db = str(tmp_path / "killed.db")
         self.init(db)
+        # its own session, so the pool workers it forks share its group id
         worker = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "campaign", "run",
@@ -261,11 +262,25 @@ class TestKillAndResume:
             env=subprocess_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        # Let it get a few cells done (10 cells x 0.25s / 2 workers).
-        time.sleep(1.6)
-        worker.send_signal(signal.SIGKILL)
-        worker.wait(timeout=30)
+        try:
+            # Let it get a few cells done (10 cells x 0.25s / 2 workers).
+            time.sleep(1.6)
+            worker.send_signal(signal.SIGKILL)
+            worker.wait(timeout=30)
+            # The workers notice their parent is gone and exit: nothing of
+            # the killed campaign is left running.
+            deadline = time.monotonic() + 5
+            with pytest.raises(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(worker.pid, 0)
+                    time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(worker.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         status = run_cli("campaign", "status", "--db", db, "--json")
         before = json.loads(status.stdout)

@@ -5,8 +5,10 @@ labels the graph's weak components before the loop runs; the O(n + E)
 verifier (``arraystate._verify_scale``) checks the quiescent columns
 against those labels.  This module holds:
 
-* every raising branch of the verifier, each on a quiescent core with one
-  column corrupted, asserting the exact ``SimulationError`` text;
+* one planted fault per verifier branch, each on a quiescent core with one
+  column corrupted, asserting the exact class and text through
+  ``_verify_scale`` and through ``verify_discovery`` on the core's
+  ``collect_columns`` snapshot: the one checker, reached both ways;
 * the C kernels, differentially: ``fill_local`` against ``IdSlab.of``
   over the same successor sets, ``component_labels`` against
   ``weakly_connected_components`` and the breadth-first reference, on
@@ -37,13 +39,14 @@ from repro.analysis.experiments import GRAPH_FAMILIES, build_family
 from repro.core import arrayloop, arraystate, runner
 from repro.core.arraystate import IS_LEADER, IdSlab, _verify_scale
 from repro.core.node import STATUS_CODES
+from repro.core.result import collect_columns
 from repro.core.runner import build_simulation, default_step_budget
 from repro.graphs.components import weakly_connected_components
 from repro.graphs import generators
 from repro.graphs.generators import disjoint_union, random_weakly_connected, star
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.sim.network import SimulationError
-from repro.verification.invariants import verify_discovery
+from repro.sim.trace import MessageStats
+from repro.verification.invariants import InvariantViolation, verify_discovery
 from tests.graph_cases import bfs_components, built_graphs
 
 
@@ -83,17 +86,52 @@ def knowledge_of(core, leader):
     return {leader}.union(core.more[leader], core.done[leader], core.unaware[leader])
 
 
-def fails_with(core, graph, variant, text):
-    with pytest.raises(SimulationError) as info:
-        _verify_scale(core, graph, variant)
-    assert str(info.value) == text
+def named(core, ints):
+    """The ids of ``ints``, sorted by repr as the texts list them."""
+    return sorted((core.ids[i] for i in ints), key=repr)
+
+
+def fails_with(core, graph, variant, text, error=InvariantViolation):
+    """Both entries raise exactly ``error`` with ``text``: ``_verify_scale``
+    on the columns, and ``verify_discovery`` on their ``collect_columns``
+    snapshot (a pointer cycle stops the snapshot itself, with the same
+    error: the one chain walk's)."""
+    for check in (
+        lambda: _verify_scale(core, graph, variant),
+        lambda: verify_discovery(
+            collect_columns(graph, core, variant, MessageStats(), core.steps), graph
+        ),
+    ):
+        with pytest.raises(Exception) as info:
+            check()
+        assert type(info.value) is error
+        assert str(info.value) == text
+
+
+def first_cycle(core):
+    """The node a naive walk meets twice first, from the smallest int whose
+    ``next`` chain never reaches a leader."""
+    for i in range(core.n):
+        seen, j = set(), i
+        while not IS_LEADER[core.status[j]]:
+            if j in seen:
+                return core.ids[j]
+            seen.add(j)
+            j = core.nxt[j]
+    raise AssertionError("no cycle")
 
 
 class TestScaleVerifierFailures:
+    """One fault per test, planted on a quiescent core; both entries raise
+    ``verify_discovery``'s class and text."""
+
     @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
     def test_quiescent_core_passes(self, variant):
         graph = two_components()
-        assert _verify_scale(quiescent_core(graph, variant), graph, variant) == 2
+        core = quiescent_core(graph, variant)
+        assert _verify_scale(core, graph, variant) == 2
+        result = collect_columns(graph, core, variant, MessageStats(), core.steps)
+        assert verify_discovery(result, graph).n_components == 2
 
     def test_transient_status(self):
         graph = two_components()
@@ -103,7 +141,7 @@ class TestScaleVerifierFailures:
         core.status[j] = STATUS_CODES["passive"]
         fails_with(
             core, graph, "generic",
-            f"node {core.ids[j]!r} stuck in transient state 'passive' at quiescence",
+            f"nodes stuck in transient states at quiescence: {{{core.ids[j]!r}: 'passive'}}",
         )
 
     def test_two_leaders_in_one_component(self):
@@ -112,16 +150,22 @@ class TestScaleVerifierFailures:
         members, leaders = layout(core, graph)
         j = next(i for i in members[1] if i != leaders[1])
         core.status[j] = STATUS_CODES["wait"]
-        second = max(j, leaders[1])
-        fails_with(core, graph, "generic", f"component of {core.ids[second]!r} has two leaders")
+        fails_with(
+            core, graph, "generic",
+            f"component {named(core, members[1])[:8]}... has 2 leaders: "
+            f"{named(core, [j, leaders[1]])}",
+        )
 
     def test_component_without_leader(self):
         graph = two_components()
         core = quiescent_core(graph, "generic")
         members, leaders = layout(core, graph)
+        # the deposed leader follows the other component's: no chain cycles
         core.status[leaders[1]] = STATUS_CODES["inactive"]
+        core.nxt[leaders[1]] = leaders[0]
         fails_with(
-            core, graph, "generic", f"component of {core.ids[members[1][0]]!r} has no leader"
+            core, graph, "generic",
+            f"component {named(core, members[1])[:8]}... has 0 leaders: []",
         )
 
     def test_leader_knowledge_missing_an_id(self):
@@ -132,10 +176,10 @@ class TestScaleVerifierFailures:
         drop = next(i for i in members[1] if i != leader)
         for column in ("more", "done", "unaware"):
             set_row(core, column, leader, [m for m in getattr(core, column)[leader] if m != drop])
-        size = len(members[1])
         fails_with(
             core, graph, "generic",
-            f"leader {core.ids[leader]!r}: knowledge != component ({size - 1} vs {size} ids)",
+            f"leader {core.ids[leader]!r}: knowledge mismatch; "
+            f"missing={[core.ids[drop]]} extra=[]",
         )
 
     def test_leader_knowledge_with_a_foreign_id(self):
@@ -144,11 +188,11 @@ class TestScaleVerifierFailures:
         members, leaders = layout(core, graph)
         leader = leaders[0]
         set_row(core, "done", leader, [*core.done[leader], members[1][-1]])
-        size = len(members[0])
-        assert len(knowledge_of(core, leader)) == size + 1
+        assert len(knowledge_of(core, leader)) == len(members[0]) + 1
         fails_with(
             core, graph, "generic",
-            f"leader {core.ids[leader]!r}: knowledge != component ({size + 1} vs {size} ids)",
+            f"leader {core.ids[leader]!r}: knowledge mismatch; "
+            f"missing=[] extra={[core.ids[members[1][-1]]]}",
         )
 
     def test_bounded_leader_not_terminated(self):
@@ -158,16 +202,44 @@ class TestScaleVerifierFailures:
         assert core.status[leaders[0]] == STATUS_CODES["terminated"]
         core.status[leaders[0]] = STATUS_CODES["wait"]
         fails_with(
-            core, graph, "bounded", f"bounded leader {core.ids[leaders[0]]!r} did not terminate"
+            core, graph, "bounded",
+            f"bounded leaders did not detect termination: {[core.ids[leaders[0]]]}",
         )
 
     def test_generic_non_leader_off_its_leader(self):
+        """A non-leader pointing at itself: its chain meets it twice."""
         graph = two_components()
         core = quiescent_core(graph, "generic")
         members, leaders = layout(core, graph)
         j = next(i for i in members[1] if i != leaders[1])
         core.nxt[j] = j
-        fails_with(core, graph, "generic", f"node {core.ids[j]!r} does not point at its leader")
+        fails_with(
+            core, graph, "generic", f"next-pointer cycle through {core.ids[j]!r}", RuntimeError
+        )
+
+    def test_generic_node_resolving_to_another_components_leader(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        j = next(i for i in members[1] if i != leaders[1])
+        core.nxt[j] = leaders[0]
+        fails_with(
+            core, graph, "generic",
+            f"node {core.ids[j]!r} resolves to {core.ids[leaders[0]]!r}, "
+            f"component leader is {core.ids[leaders[1]]!r}",
+        )
+
+    def test_generic_chain_of_length_two(self):
+        graph = two_components()
+        core = quiescent_core(graph, "generic")
+        members, leaders = layout(core, graph)
+        j, k = [i for i in members[1] if i != leaders[1]][:2]
+        core.nxt[j] = k
+        fails_with(
+            core, graph, "generic",
+            "generic: non-leaders must point directly at their leader; "
+            f"offenders (node: chain length): {{{core.ids[j]!r}: 2}}",
+        )
 
     def test_adhoc_pointer_cycle(self):
         graph = two_components()
@@ -175,7 +247,9 @@ class TestScaleVerifierFailures:
         members, leaders = layout(core, graph)
         j, k = [i for i in members[1] if i != leaders[1]][:2]
         core.nxt[j], core.nxt[k] = k, j
-        fails_with(core, graph, "adhoc", "adhoc next pointers form a cycle")
+        fails_with(
+            core, graph, "adhoc", f"next-pointer cycle through {first_cycle(core)!r}", RuntimeError
+        )
 
     def test_adhoc_chain_to_the_wrong_leader(self):
         graph = two_components()
@@ -186,7 +260,9 @@ class TestScaleVerifierFailures:
         j = next(i for i in members[1] if i != leaders[1] and i not in pointed)
         core.nxt[j] = leaders[0]
         fails_with(
-            core, graph, "adhoc", f"node {core.ids[j]!r} does not reach its component leader"
+            core, graph, "adhoc",
+            f"node {core.ids[j]!r} resolves to {core.ids[leaders[0]]!r}, "
+            f"component leader is {core.ids[leaders[1]]!r}",
         )
 
 
