@@ -54,9 +54,9 @@
  *    from the slabs' members (heap layout is unobservable).
  * Wire tuples and frozensets exist only across the seam.  One codec, driven
  * by the field kinds configure() reads off messages.WIRE_TABLE (the rows
- * arraystate._to_wire / _to_message use), decodes whatever the caller
- * hands in at entry (msgs_load) and encodes whatever is still pending at
- * every exit (msgs_store): between calls a previous entry is a
+ * arraystate._to_message decodes), encodes whatever is still pending at
+ * every exit (msgs_store) and decodes it when a driver calls again on the
+ * same core (msgs_load): between calls a previous entry is a
  * (wire, sender) pair, an inbox or deferred entry a (sender, wire) pair,
  * and a per-node column slot is None or a list of them.
  *
@@ -67,9 +67,11 @@
  * caller's container, and rng.setstate() with the words drawn to and
  * gauss_next as read.  Everything native is freed.  Entry and exit cost
  * O(n + knowledge + channels + pool + pending) plain loads and stores plus
- * one getstate/setstate (625 ints); a run pays them once per call, and the
- * drivers call again only at a step limit or a hand-back.  If entry fails
- * nothing has been popped and nothing is written back.
+ * one getstate/setstate (625 ints); a run pays them once per call.  Both
+ * drivers build a core fresh -- from a graph or a just-built simulator --
+ * and call again on it only at a step limit; after a hand-back the
+ * reference takes over.  If entry fails nothing has been popped and
+ * nothing is written back.
  *
  *   RC_DRAINED: pool drained.
  *   RC_LIMIT: step limit boundary: a counted step just finished with

@@ -36,8 +36,9 @@ converts back.
   are wire tuples ``(tag, field, ...)`` (an id-set a frozenset of ints):
   ``chanq`` maps a channel id to its pending wires, only for channels
   that hold any, and ``chan_src``/``chan_dst`` are ``array('i')``.  The
-  C codec decodes them at entry and encodes them at every exit, driven by
-  the same table as :func:`_to_wire` / :func:`_to_message`.
+  C codec encodes them at every exit and decodes them when ``run_loop``
+  calls again on the same core, driven by the same table as
+  :func:`_to_message`.
 * **Int-only scheduler pool**: a pending delivery is its interned channel
   id (a non-negative int) and a *wake token* is ``-1 - node_int`` -- the
   whole pool is ints, so the pop loop dispatches on a sign check instead
@@ -52,35 +53,31 @@ Engagement, decline and hand-back
 offered every :meth:`Simulator.run`.  It requires: ``fast=True`` with
 nothing that needs per-message hooks (no fault interceptor, recorder,
 kept trace, non-FIFO channel discipline or non-stock scheduler); a
-pending pool large enough to amortize conversion (``4 * len(pool) >= n``
--- dynamic ad-hoc touch-ups with a handful of pending events stay on the
-object loop); nothing patched (an exact :class:`Simulator`, no
-instance-wrapped simulator or node method, a pristine
-:class:`DiscoveryNode` class); a C loop in this process; and state the
-columns can hold: strictly ordered ids, every node exactly a
-:class:`DiscoveryNode` (no transport wrappers, no recovery state), only
-stock message types, only wake and deliver tokens.  The first check that fails
-leaves its :data:`DECLINE_REASONS` name on ``sim._last_decline`` and
-returns ``None``; *nothing is mutated until every check has passed*.
+pending pool large enough to amortize conversion (``4 * len(pool) >= n``);
+nothing patched (an exact :class:`Simulator`, no instance-wrapped
+simulator or node method, a pristine :class:`DiscoveryNode` class); a C
+loop in this process; and a system that has not run yet: strictly
+ordered ids, every node exactly a :class:`DiscoveryNode` in its
+``__init__`` state, no channel, only wake tokens in the pool -- the
+paper's starting point, and the only state a workload hands it.  A
+resumed, probed or grown system runs on the object loop.  The first
+check that fails leaves its :data:`DECLINE_REASONS` name on
+``sim._last_decline`` and returns ``None``; *nothing is mutated until
+every check has passed*.
 
 The C loop executes only steps it can reproduce bit for bit.  A probe, a
 probe reply or a protocol-impossible message (every ``ProtocolError``
 path) stops it *before* the step mutates anything; the state is
 materialized and the reference executes exactly that step -- an error is
-raised by ``core/node.py`` itself, a probe answered from the node's
-knowledge snapshot -- and the rest of that ``run()`` call stays on the
-object loop (``sim._last_decline == "handed-back"``; the next call is
-offered again).  The probe bookkeeping (``probe_previous``,
-``probe_results``, ``_probe_outstanding``) has no column: the nodes keep
-it, untouched through an array run.
+raised by ``core/node.py`` itself -- and the rest of that ``run()`` call
+stays on the object loop (``sim._last_decline == "handed-back"``).
 
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
 objects, channel deques and scheduler pool, so the simulator is always in
-a legal object-path state when anyone else can look at it: the mid-run
-channels are registered on ``sim._channels`` as deques in creation order
-and every pending message goes back onto its channel, so every value
-there is a deque, base channels keep their identity and
+a legal object-path state when anyone else can look at it: every channel
+the run created is registered on ``sim._channels`` as a deque in
+creation order, every pending message goes back onto its channel, and
 ``sim._in_flight`` is exact.  Stats fold through
 :meth:`MessageStats.record_indexed` preserving the first-send key order
 the per-message path would have produced.  The differential suites
@@ -103,6 +100,9 @@ million-node driver (10^6 ``DiscoveryNode`` objects cost ~4 GB before the
 first message, the columns ~100 MB): ``verify_discovery``'s checker over
 the columns, O(n + E), and a summary instead of per-node dicts.  Both
 build objects after all to let the reference raise on a handed-back step.
+Only ``run_loop`` hands a core that has run back to the C loop (it calls
+again at a step limit), and the entry codec decodes what the exit
+encoded.
 """
 
 from __future__ import annotations
@@ -117,14 +117,13 @@ from itertools import compress
 from operator import eq, itemgetter
 from random import Random as _Random
 from sys import maxsize
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.core.messages import ABORT, MERGE, MSG_TYPES, WIRE_TABLE, fixed_bit_bases
 from repro.core import arrayloop as _arrayloop
 from repro.core.node import (
     DiscoveryNode,
     LEADER_STATES,
-    STATUS_CODES,
     STATUS_NAMES,
     VARIANTS,
     behavior_is_pristine,
@@ -173,13 +172,10 @@ _NODE_WRAPPABLE = frozenset(
     }
 )
 
-#: Fresh-node signature (see ``_build_from_sim``): two C-level itemgetter
-#: grabs plus a tuple compare and ``any()`` replace ~20 interpreted dict
-#: lookups per node on the dominant just-built workload.  The scalar
-#: compare is by equality where the long-hand check used truthiness; the
-#: only effect of that stricter gate is routing exotic hand-mutated
-#: states (``awake=None`` and friends) to the general conversion below,
-#: which normalizes them identically.
+#: Fresh-node signature, the one node state :func:`_build_from_sim` takes:
+#: two C-level itemgetter grabs plus a tuple compare and ``any()`` per
+#: node.  The scalars compare by equality, so a hand-mutated state
+#: (``awake=None`` and friends) declines as ``node-state``.
 _FRESH_SCALARS = itemgetter(
     "status",
     "awake",
@@ -202,18 +198,18 @@ _FRESH_CONTAINERS = itemgetter(
     "_deferred",
 )
 
-#: Do not convert tiny workloads: a post-quiescence touch-up (one probe,
-#: one add_link notification) is a handful of steps, while conversion and
-#: materialization are O(n + channels).  The object loop handles those;
-#: initial discovery runs (pool ~ n wake tokens) always engage.
+#: Do not convert tiny workloads: a pool of a few wake tokens is a handful
+#: of steps, while conversion and materialization are O(n + channels).
+#: The object loop handles those; initial discovery runs (pool ~ n wake
+#: tokens) always engage.
 _MIN_POOL_FACTOR = 4
 
 #: Why :func:`maybe_run_array` left a run to the object loop, in the order
 #: the gate checks (the first failing check names the run).  From
 #: ``id-order`` on the checks read the state: every id is interned first,
-#: then each node in turn is checked for ``node-type``, ``node-state`` and
-#: the ``message-type`` of its queued messages, so the first failing node
-#: names the run; the channels' messages and the pool's tokens come last.
+#: then each node in turn is checked for ``node-type`` and ``node-state``,
+#: so the first failing node names the run; the channels and the pool's
+#: tokens come last.
 DECLINE_REASONS = (
     "fast-off",  # Simulator(fast=False): the caller asked for the reference
     "faults",  # an interceptor must see every transport decision
@@ -226,9 +222,8 @@ DECLINE_REASONS = (
     "no-c-loop",  # arrayloop.load() is None: the object loop is the fallback
     "id-order",  # ids without unique reprs and a strict total order
     "node-type",  # a node that is not exactly a DiscoveryNode
-    "node-state",  # recovery/reentrancy state, odd fields, an unknown id
-    "message-type",  # an in-flight message that is not a stock dataclass
-    "token-type",  # the pool holds a timer or lifecycle token
+    "node-state",  # not just built: a node past __init__, a channel, an unknown id
+    "token-type",  # the pool holds a token that is not a wake-up
 )
 
 
@@ -359,20 +354,12 @@ class IdSlab:
 
 
 # ----------------------------------------------------------------------
-# Wire <-> object message conversion
+# Wire -> object message conversion
 # ----------------------------------------------------------------------
-# One codec for every row of ``messages.WIRE_TABLE``: a wire tuple is
-# ``(tag, field, ...)`` in the row's field order, each field converted by
-# its kind.  These run only when a live simulator with messages in flight
-# crosses the seam; the C loop builds and reads the same tuples by the
-# offsets ``arrayloop.defines`` derives from the same rows.
-_ENCODE = {
-    "id": lambda value, idx: idx[value],
-    "int": lambda value, idx: value,
-    "flag": lambda value, idx: value,
-    "verdict": lambda value, idx: value == MERGE,
-    "id-set": lambda value, idx: frozenset(idx[x] for x in value),
-}
+# A wire tuple is ``(tag, field, ...)`` in its ``messages.WIRE_TABLE``
+# row's field order; the C loop encodes the pending ones at every exit by
+# the offsets ``arrayloop.defines`` derives from the same rows, and the
+# materializer turns them back into messages, each field by its kind.
 _DECODE = {
     "id": lambda value, ids: ids[value],
     "int": lambda value, ids: value,
@@ -380,24 +367,6 @@ _DECODE = {
     "verdict": lambda value, ids: MERGE if value else ABORT,
     "id-set": lambda value, ids: frozenset(ids[x] for x in value),
 }
-#: exact message class -> (wire tag, fields) (exact type on purpose: a
-#: message subclass may change bit_size or semantics, so it deopts).
-_ROW_OF = {cls: (tag, fields) for tag, (cls, fields) in enumerate(WIRE_TABLE)}
-
-
-def _to_wire(message, idx) -> tuple:
-    """Convert a stock message object to its int-id wire tuple.
-
-    Raises :class:`_Ineligible` for unknown (or subclassed) message types
-    and ``KeyError`` for payload ids outside the interned space.
-    """
-    row = _ROW_OF.get(type(message))
-    if row is None:
-        raise _Ineligible(
-            "message-type", f"uninternable message type {type(message).__name__}"
-        )
-    tag, fields = row
-    return (tag, *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields])
 
 
 def _to_message(msg: tuple, ids):
@@ -414,13 +383,11 @@ def _to_message(msg: tuple, ids):
 class ArrayCore:
     """Columnar Figure-2 state for ``n`` nodes plus interned channels.
 
-    Built either from a live simulator (:func:`maybe_run_array`) or
-    straight from a graph (:func:`run_graph`).  ``fill=True`` initializes
-    every node to the fresh ``DiscoveryNode.__init__`` state (asleep,
-    ``more = {self}``) except ``local``, the one column whose fresh value
-    is the builder's input; ``fill=False`` leaves placeholder columns for
-    a builder that assigns every slot.  The five knowledge columns are
-    :class:`IdSlab` objects the builder assigns whole.
+    Built with every node in the fresh ``DiscoveryNode.__init__`` state
+    (asleep, ``more = {self}``, nothing sent) except ``local``, the one
+    column whose fresh value is the builder's input -- from a just-built
+    simulator (:func:`_build_from_sim`) or straight from a graph
+    (:func:`_run_columns`).  Only the C loop moves a core past that state.
     """
 
     __slots__ = (
@@ -458,7 +425,6 @@ class ArrayCore:
         "chanq",
         "chan_src",
         "chan_dst",
-        "base_channels",
         # -- canonical int objects (C loop) ----------------------------
         "iobj",
         # -- accounting ------------------------------------------------
@@ -471,7 +437,7 @@ class ArrayCore:
         "handback",
     )
 
-    def __init__(self, space: IdSpace, id_bits: int, *, fill: bool) -> None:
+    def __init__(self, space: IdSpace, id_bits: int) -> None:
         n = space.n
         self.space = space
         self.ids = space.ids
@@ -484,17 +450,13 @@ class ArrayCore:
         self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
+        self.nxt = list(range(n))
         #: the five knowledge sets, one :class:`IdSlab` each
         self.local = None
-        if fill:
-            self.nxt = list(range(n))
-            self.more = IdSlab.fresh(n, own=True)
-            self.done = IdSlab.fresh(n, own=False)
-            self.unaware = IdSlab.fresh(n, own=False)
-            self.unexp = IdSlab.fresh(n, own=False)
-        else:
-            self.nxt = [0] * n
-            self.done = self.more = self.unaware = self.unexp = None
+        self.more = IdSlab.fresh(n, own=True)
+        self.done = IdSlab.fresh(n, own=False)
+        self.unaware = IdSlab.fresh(n, own=False)
+        self.unexp = IdSlab.fresh(n, own=False)
         # Per node ``None`` or a list of pending pairs: ``(wire, sender)``
         # in ``previous``, ``(sender, wire)`` in ``inbox``/``deferred``.
         self.previous = [None] * n
@@ -512,11 +474,6 @@ class ArrayCore:
         self.chanq = {}
         self.chan_src = array("i")
         self.chan_dst = array("i")
-        #: channel count at build time; channels past this index were
-        #: created mid-run and must be registered on the simulator's
-        #: ``_channels`` dict at materialization (the graph driver has no
-        #: simulator, so they just live here).
-        self.base_channels = 0
         #: ``iobj[i] is i`` as a Python object -- the canonical int table
         #: the C loop borrows for set membership and message fields, so it
         #: never allocates node-int objects on the hot path.
@@ -624,25 +581,6 @@ class ArrayCore:
 # ----------------------------------------------------------------------
 # Simulator-backed engagement
 # ----------------------------------------------------------------------
-def _intern_space(sim, n: int) -> IdSpace:
-    """Per-simulator cached :class:`IdSpace` (nodes are append-only, so a
-    cached space is valid whenever the count still matches)."""
-    space = getattr(sim, "_array_space", None)
-    if space is not None and space.n == n:
-        return space
-    if getattr(sim, "_array_space_bad_n", -1) == n:
-        raise _Ineligible(
-            "id-order", "cached: id space ineligible at this node count"
-        )
-    try:
-        space = IdSpace(sim.nodes)
-    except _Ineligible:
-        sim._array_space_bad_n = n
-        raise
-    sim._array_space = space
-    return space
-
-
 def _arena_in_flight(chanq) -> int:
     """Messages pending on the channels (see ``ArrayCore.chanq``)."""
     return sum(map(len, chanq.values()))
@@ -657,127 +595,56 @@ def _limit_text(budget, chanq) -> str:
 
 
 def _build_from_sim(sim, pool):
-    """Validate and build the columnar image of a live simulator.
+    """The columnar image of a just-built simulator, or say why not.
 
-    Pure read phase: raises :class:`_Ineligible` without having mutated
-    the simulator, its nodes, channels or pool in any way.  Returns
-    ``(core, new_pool, chan_pending)`` where ``new_pool`` is the int token
-    list (in pool order) and ``chan_pending`` the simulator deques whose
-    messages ``core.chanq`` now holds, to empty at commit time.
+    The columns hold only what a run starts from: every node exactly a
+    :class:`DiscoveryNode` in its ``__init__`` state (the ``_FRESH_*``
+    signature), no channel, and only wake tokens in the pool.  Pure read
+    phase: raises :class:`_Ineligible` without having mutated the
+    simulator, its nodes or pool in any way.  Returns ``(core, new_pool)``
+    where ``new_pool`` is the int token list, in pool order.
     """
-    nodes_map = sim.nodes
-    n = len(nodes_map)
-    space = _intern_space(sim, n)
+    space = IdSpace(sim.nodes)
     idx = space.index
-    core = ArrayCore(space, sim.id_bits, fill=False)
+    core = ArrayCore(space, sim.id_bits)
     core.steps = sim.steps
-
-    status_codes = STATUS_CODES
-    variant_codes = _VARIANT_CODES
-    # one row of member ints per node and set, slabbed once all are read
-    local_rows, done_rows, more_rows, unaware_rows, unexp_rows = rows = (
-        [], [], [], [], []
-    )
-    nxt_col = core.nxt
+    local_rows = []
     variant_col = core.variant
     csize_col = core.csize
     greedy_col = core.greedy
     try:
-        for i, node in enumerate(nodes_map.values()):
+        for i, node in enumerate(sim.nodes.values()):
             if type(node) is not DiscoveryNode:
                 raise _Ineligible("node-type", "non-stock node type")
             d = node.__dict__
-            # Fresh-node fast path: the dominant workload converts a
-            # just-built simulator (every node asleep with only its
-            # ``local`` successors populated), where the full conversion
-            # below is pure overhead.  The chain verifies freshness
-            # outright, so hand-mutated nodes still take the general path.
-            if (
+            if not (
                 _FRESH_SCALARS(d) == _FRESH_STATE
                 and not any(_FRESH_CONTAINERS(d))
                 and len(d["more"]) == 1
                 and node.node_id in d["more"]
                 and d["next"] == node.node_id
             ):
-                local_rows.append([idx[x] for x in d["local"]])
-                nxt_col[i] = i
-                done_rows.append(())
-                more_rows.append((i,))
-                unaware_rows.append(())
-                unexp_rows.append(())
-                variant_col[i] = variant_codes[d["variant"]]
-                csize_col[i] = d["component_size"]
-                if d["greedy_queries"]:
-                    greedy_col[i] = 1
-                continue
-            if node._restarted or node._rejoining or node._processing:
                 raise _Ineligible(
-                    "node-state", "node carries recovery or reentrancy state"
+                    "node-state", f"node {node.node_id!r} left its initial state"
                 )
-            if node._inbox:
-                raise _Ineligible("node-state", "node inbox not drained")
-            code = status_codes.get(node.status)
-            if code is None:
-                raise _Ineligible("node-state", f"unknown status {node.status!r}")
-            core.status[i] = code
-            core.awake[i] = 1 if node.awake else 0
-            core.nxt[i] = idx[node.next]
-            core.phase[i] = node.phase
-            local_rows.append([idx[x] for x in node.local])
-            done_rows.append([idx[x] for x in node.done])
-            more_rows.append([idx[x] for x in node.more])
-            unaware_rows.append([idx[x] for x in node.unaware])
-            # The node's heaps are not read: the C loop builds its own
-            # from the *live* members, dropping the stale entries the
-            # object path skips lazily on pop -- same pop sequence.
-            unexp_rows.append([idx[x] for x in node.unexplored])
-            core.aw_rel[i] = 1 if node._awaiting_release else 0
-            aw_q = node._awaiting_query_from
-            core.aw_query[i] = -1 if aw_q is None else idx[aw_q]
-            core.aw_info[i] = 1 if node._awaiting_info else 0
-            core.expect_stale[i] = 1 if node._expect_stale_release else 0
-            if node.previous:
-                core.previous[i] = [(_to_wire(m, idx), idx[s]) for m, s in node.previous]
-            if node._deferred:
-                core.deferred[i] = [
-                    (idx[s], _to_wire(m, idx)) for s, m in node._deferred
-                ]
-            core.variant[i] = variant_codes[node.variant]
-            core.csize[i] = node.component_size
-            core.greedy[i] = 1 if node.greedy_queries else 0
-
-        # -- channels: intern every existing pair -------------------------
-        chanq = core.chanq
-        chan_src = core.chan_src
-        chan_dst = core.chan_dst
-        chan_pending = []
-        cid_of = {}
-        for (src, dst), queue in sim._channels.items():
-            cid = cid_of[src, dst] = len(chan_src)
-            chan_src.append(idx[src])
-            chan_dst.append(idx[dst])
-            if queue:
-                chanq[cid] = [_to_wire(m, idx) for m in queue]
-                chan_pending.append(queue)
-
-        # -- pool: wake and deliver tokens only --------------------------
+            local_rows.append([idx[x] for x in d["local"]])
+            variant_col[i] = _VARIANT_CODES[d["variant"]]
+            csize_col[i] = d["component_size"]
+            if d["greedy_queries"]:
+                greedy_col[i] = 1
+        if sim._channels:
+            raise _Ineligible("node-state", "a channel exists: messages were sent")
         new_pool = []
         append = new_pool.append
         for token in pool:
-            tcls = type(token)
-            if tcls is WakeToken:
-                append(-1 - idx[token.node])
-            elif tcls is DeliverToken:
-                append(cid_of[token.src, token.dst])
-            else:
-                raise _Ineligible("token-type", f"pool holds a {tcls.__name__}")
+            if type(token) is not WakeToken:
+                raise _Ineligible("token-type", f"pool holds a {type(token).__name__}")
+            append(-1 - idx[token.node])
     except (KeyError, TypeError) as exc:
-        # KeyError: state or a payload names an id outside the system
+        # KeyError: state names an id outside the system
         raise _Ineligible("node-state", f"uninternable state: {exc!r}")
-
-    core.local, core.done, core.more, core.unaware, core.unexp = map(IdSlab.of, rows)
-    core.base_channels = len(chan_src)
-    return core, new_pool, chan_pending
+    core.local = IdSlab.of(local_rows)
+    return core, new_pool
 
 
 def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
@@ -827,7 +694,8 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         node._drop_census()  # the three sets above were replaced
         unexplored = {ids[x] for x in unexp_col[i]}
         d["unexplored"] = unexplored
-        # Rebuild (repr, id) heaps from live members (see _build_from_sim).
+        # Rebuild (repr, id) heaps from live members (the C loop drops the
+        # stale entries the object path skips lazily on pop).
         more_heap = [(repr(w), w) for w in more]
         heapify(more_heap)
         d["_more_heap"] = more_heap
@@ -848,16 +716,16 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []
 
-    # Channels.  A base channel keeps the simulator's deque (emptied at
-    # commit); the channels created mid-run are registered in creation
-    # order (the insertion order the per-send path would have produced);
-    # then every channel the arena says holds messages gets them back.
+    # Channels.  The simulator had none at entry: every one the run
+    # created is registered in creation order (the insertion order the
+    # per-send path would have produced), then every channel the arena
+    # says holds messages gets them back.
     chanq = core.chanq
     sim._in_flight = _arena_in_flight(chanq)
     channels = sim._channels
     src_col = core.chan_src
     dst_col = core.chan_dst
-    for cid in range(core.base_channels, len(src_col)):
+    for cid in range(len(src_col)):
         channels[(ids[src_col[cid]], ids[dst_col[cid]])] = new_deque()
     for cid, wires in chanq.items():
         channels[(ids[src_col[cid]], ids[dst_col[cid]])].extend(map(to_message, wires))
@@ -900,20 +768,21 @@ def _run_handback(core: ArrayCore, sim) -> int:
 
 
 def maybe_run_array(sim, max_steps) -> Optional[int]:
-    """Run ``sim`` on the array core, or say why not.
+    """Run a just-built ``sim`` on the array core, or say why not.
 
-    The single array-or-object gate, offered every :meth:`Simulator.run`.
-    Returns the executed step count with ``sim._last_decline`` ``None``;
-    or returns ``None`` with the simulator untouched and the
+    The single array-or-object gate, offered every :meth:`Simulator.run`;
+    it takes only a system that has not run yet (:func:`_build_from_sim`),
+    so a resumed, probed or grown one stays on the object loop.  Returns
+    the executed step count with ``sim._last_decline`` ``None``; or
+    returns ``None`` with the simulator untouched and the
     :data:`DECLINE_REASONS` name of the first failed check on
     ``sim._last_decline``, and the caller's object loop proceeds.
 
     ``"handed-back"`` is the one name set *after* the array core ran: the
-    C loop met a step it does not execute (a probe, a probe reply, a
-    protocol-impossible message), the reference executed exactly that
-    step on the materialized simulator, and the count so far is returned
-    for the caller's object loop to finish the call (not re-offered
-    within it: conversion is O(n + channels) per hand-back).
+    C loop met a step it does not execute (a protocol-impossible message),
+    the reference executed exactly that step on the materialized
+    simulator, and the count so far is returned for the caller's object
+    loop to finish the call.
     """
     n = len(sim.nodes)
     mode, pool = stock_pool(sim.scheduler)
@@ -952,7 +821,7 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         try:
             if _arrayloop.load() is None:
                 raise _Ineligible("no-c-loop", _arrayloop.why_missing())
-            core, new_pool, chan_pending = _build_from_sim(sim, pool)
+            core, new_pool = _build_from_sim(sim, pool)
         except _Ineligible as exc:
             reason = exc.reason
     sim._last_decline = reason
@@ -961,8 +830,6 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         return None
 
     # -- commit point: from here on every exit materializes --------------
-    for queue in chan_pending:
-        queue.clear()
     if mode == _FIFO:
         pool.clear()
         pool.extend(new_pool)
@@ -1115,7 +982,7 @@ def _run_columns(
     # One collector pause over the fill and the loop (run_loop's own pause
     # is then a no-op): the fill is n-sized and acyclic too.
     with _collector_paused():
-        core = ArrayCore(space, id_bits_for(n), fill=True)
+        core = ArrayCore(space, id_bits_for(n))
         # read in place: a node never knows itself in the graph
         core.local = _fill_local(graph, space.ids, idx)
         components = _graph_components(graph, idx, core.local)
@@ -1190,13 +1057,16 @@ def run_graph(
     (:func:`repro.core.arrayloop.load` is ``None``; warned once per
     process) or a ``DiscoveryNode`` patched on the class -- is the
     reference ``Simulator(fast=False)`` run at the object path's price,
-    the same result at any n the memory allows.  Ids the columns cannot
-    hold raise :class:`SimulationError`.  A failed verification raises
+    verified by ``verify_discovery`` on its ``collect_result``: the same
+    result at any n the memory allows.  Ids the columns cannot hold raise
+    :class:`SimulationError`.  A failed verification raises
     :class:`~repro.verification.invariants.InvariantViolation` with
     ``verify_discovery``'s text, or, for a ``next`` chain that meets a node
-    twice, :meth:`ArrayCore.chains`'s ``RuntimeError``.
+    twice, ``collect_result``'s ``RuntimeError``.
     """
+    from repro.core.result import collect_result
     from repro.core.runner import build_simulation, default_step_budget
+    from repro.verification.invariants import verify_discovery
 
     if graph.n == 0:
         raise ValueError("run_graph needs a non-empty graph")
@@ -1205,31 +1075,37 @@ def run_graph(
     )
     if run is not None:
         core, executed, stats, components = run
-        return _scale_result(core, graph, variant, executed, stats, verify, components)
+        return ScaleResult(
+            variant=variant,
+            n=core.n,
+            steps=executed,
+            stats=stats,
+            n_components=(
+                _verify_scale(core, graph, variant, components) if verify else components[1]
+            ),
+            leaders=list(compress(core.ids, core.status.translate(IS_LEADER))),
+            verified=verify,
+        )
     try:
         space = IdSpace(graph.nodes)
     except _Ineligible as exc:
         raise SimulationError(f"graph ids not array-eligible: {exc}")
-    sim, _nodes = build_simulation(
+    sim, nodes = build_simulation(
         graph, variant, seed=seed, greedy_queries=greedy_queries, fast=False
     )
-    sim._array_space = space  # what _build_from_sim would intern again
     budget = max_steps if max_steps is not None else default_step_budget(graph)
     executed = sim.run(budget)
-    core, _pool, _pending = _build_from_sim(sim, ())
-    return _scale_result(core, graph, variant, executed, sim.stats, verify)
-
-
-def _scale_result(core, graph, variant, executed, stats, verify, components=None):
-    """The verified summary of a quiescent ``core`` (both run_graph paths;
-    the declined one has no ``components`` yet)."""
-    components = components or _graph_components(graph, core.idx)
+    result = collect_result(graph, nodes, sim, variant)
     return ScaleResult(
         variant=variant,
-        n=core.n,
+        n=graph.n,
         steps=executed,
-        stats=stats,
-        n_components=_verify_scale(core, graph, variant, components) if verify else components[1],
-        leaders=list(compress(core.ids, core.status.translate(IS_LEADER))),
+        stats=sim.stats,
+        n_components=(
+            verify_discovery(result, graph).n_components
+            if verify
+            else _graph_components(graph, space.index)[1]
+        ),
+        leaders=[x for x in graph.nodes if nodes[x].is_leader],
         verified=verify,
     )

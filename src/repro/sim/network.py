@@ -223,10 +223,11 @@ class Simulator:
     fast:
         Allow :meth:`run` to be offered to the array core
         (:func:`repro.core.arraystate.maybe_run_array`).  The gate there
-        engages only when nothing requires node objects or per-message
-        hooks, and is differentially tested to produce bit-identical
-        traces, stats and step counts.  ``fast=False`` forces the object
-        loop (the reference of the benchmarks and the equivalence suite).
+        engages only on a system that has not run yet and when nothing
+        requires node objects or per-message hooks, and is
+        differentially tested to produce bit-identical traces, stats and
+        step counts.  ``fast=False`` forces the object loop (the
+        reference of the benchmarks and the equivalence suite).
     """
 
     def __init__(
@@ -458,11 +459,13 @@ class Simulator:
 
         The run is first offered to the array core, whose gate
         (:func:`repro.core.arraystate.maybe_run_array`) holds every
-        eligibility condition and leaves the reason on ``_last_decline``
-        when it says no; a declined run is :meth:`run_for` plus the limit
-        check, with identical observable results.  So is the rest of a
-        run the array core handed back part-way (``"handed-back"``: the
-        reference executed the step the C loop would not).
+        eligibility condition -- among them a just-built system: a run
+        resumed after a cut, a probe or an added node is the object
+        loop's -- and leaves the reason on ``_last_decline`` when it says
+        no; a declined run is :meth:`run_for` plus the limit check, with
+        identical observable results.  So is the rest of a run the array
+        core handed back part-way (``"handed-back"``: the reference
+        executed the step the C loop would not).
         """
         if max_steps is not None and max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")

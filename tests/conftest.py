@@ -6,8 +6,11 @@ import pytest
 
 from repro.core import arrayloop, arraystate
 from repro.core.adhoc import run_adhoc
+from repro.core.arraystate import ArrayCore
 from repro.core.bounded import run_bounded
 from repro.core.generic import run_generic
+from repro.core.messages import MERGE, WIRE_TABLE
+from repro.sim.network import StepLimitExceeded
 from repro.verification.invariants import verify_discovery
 from repro.verification.lemmas import check_all_lemmas
 
@@ -50,6 +53,72 @@ def gate_says(reason):
     if arrayloop.load() is None and order.index(reason) > order.index("no-c-loop"):
         return "no-c-loop"
     return reason
+
+
+#: per field kind, a message field's wire value (``idx`` interns ids)
+_ENCODE = {
+    "id": lambda value, idx: idx[value],
+    "int": lambda value, idx: value,
+    "flag": lambda value, idx: value,
+    "verdict": lambda value, idx: value == MERGE,
+    "id-set": lambda value, idx: frozenset(idx[x] for x in value),
+}
+
+
+def to_wire(message, idx):
+    """The wire tuple of a stock message, the inverse of
+    ``arraystate._to_message``: how a test hands the C loop's entry
+    decoder a message no exit encoded."""
+    tag = next(t for t, (cls, _f) in enumerate(WIRE_TABLE) if cls is type(message))
+    fields = WIRE_TABLE[tag][1]
+    return (tag, *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields])
+
+
+def plant_wire(core, pool, src, dst, message):
+    """What the C loop's ``emit`` does for one send between two calls on
+    ``core``: the wire onto the ``src -> dst`` channel (a new one if need
+    be), its delivery onto ``pool`` and the send counted, as
+    ``Simulator.transmit`` does on the object loop."""
+    si, di = core.idx[src], core.idx[dst]
+    ends = list(zip(core.chan_src, core.chan_dst))
+    if (si, di) in ends:
+        cid = ends.index((si, di))
+    else:
+        cid = len(core.chan_src)
+        core.chan_src.append(si)
+        core.chan_dst.append(di)
+    wire = to_wire(message, core.idx)
+    core.chanq.setdefault(cid, []).append(wire)
+    pool.append(cid)
+    tag = wire[0]
+    if tag not in core.order:
+        core.order.append(tag)
+    core.counts[tag] += 1
+    core.xtra[tag] += sum(len(v) for v in wire[1:] if isinstance(v, frozenset))
+
+
+def cut_and_recall(cut, between=lambda core, pool: None):
+    """An ``ArrayCore.run_loop`` that stops the C run after ``cut`` steps,
+    calls ``between(core, pool)`` on the core as that exit left it, and
+    calls the C loop again on the same core to finish: the entry decoder
+    reads everything the exit encoded, and whatever ``between`` planted."""
+    run_loop = ArrayCore.run_loop
+
+    def recall(core, pool, mode, rng, limit, quiescent, limit_msg):
+        start = core.steps
+        try:
+            run_loop(core, pool, mode, rng, cut, quiescent, limit_msg)
+        except StepLimitExceeded:
+            pass
+        core.steps = core.steps_out
+        between(core, pool)
+        try:
+            run_loop(core, pool, mode, rng, limit, quiescent, limit_msg)
+        finally:
+            core.steps = start
+        return core.steps_out - start
+
+    return recall
 
 
 @pytest.fixture(params=sorted(RUNNERS))

@@ -22,10 +22,10 @@ Seven layers:
   channels, pool and limit text -- state equality after each delivery --
   with the message codec decoding and re-encoding every exit in between;
 * the message seam: between C calls pending messages are wire tuples
-  (``chanq`` maps a channel to its pending ones), and every engine reads
-  every form -- runs interrupted mid-flight and resumed on a different
-  engine equal the uninterrupted object run, the exit encoder and the
-  entry decoder each meet every form, and neither leaks;
+  (``chanq`` maps a channel to its pending ones) -- runs interrupted
+  mid-flight and resumed on the object loop, or cut and called again on
+  the same core, equal the uninterrupted object run, the exit encoder and
+  the entry decoder each meet every form, and neither leaks;
 * the knowledge slabs: after every C exit the five knowledge sets are
   int32 slabs and a drained ``previous``/``inbox``/``deferred`` is
   ``None``.
@@ -69,7 +69,7 @@ from repro.sim.scheduler import (
     LifoScheduler,
     RandomScheduler,
 )
-from tests.conftest import array_engaged, gate_says
+from tests.conftest import array_engaged, cut_and_recall, gate_says
 
 FAMILY = "sparse-random"
 N = 32
@@ -186,8 +186,11 @@ class _SubRandom(random.Random):
 
 
 #: gate name -> the triggers :func:`_declining_system` builds for it:
-#: ``patched`` has one per kind of monkeypatch, ``node-state`` one more for
-#: state naming an id outside the system.
+#: ``patched`` has one per kind of monkeypatch; ``node-state`` one per way
+#: a system is not just built -- a node past its initial state, state
+#: naming an id outside the system, a message in flight (a subclassed
+#: one, ``message-type``, or a stock one), a run resumed after a cut, and
+#: a node added after a warmup run.
 TRIGGERS = {reason: (reason,) for reason in arraystate.DECLINE_REASONS}
 TRIGGERS["patched"] = (
     "simulator-subclass",
@@ -195,7 +198,9 @@ TRIGGERS["patched"] = (
     "patched-node-class",
     "wrapped-node",
 )
-TRIGGERS["node-state"] = ("node-state", "unknown-id")
+TRIGGERS["node-state"] = (
+    "node-state", "unknown-id", "message-type", "in-flight", "resumed", "grown",
+)
 GATE_CASES = [(reason, t) for reason, triggers in TRIGGERS.items() for t in triggers]
 
 
@@ -242,6 +247,16 @@ def _declining_system(*triggers, fast):
         nodes[first].local.add(999)  # the object loop raises on the send
     if "message-type" in triggers:
         sim.transmit(first, second, _SubProbe(first))
+    if "in-flight" in triggers:
+        sim.transmit(first, second, Probe(first))
+    if "resumed" in triggers:
+        with pytest.raises(StepLimitExceeded):
+            sim.run(5)
+    if "grown" in triggers:
+        sim.run()
+        new = max(graph.nodes) + 1
+        sim.add_node(DiscoveryNode(new, frozenset({first}), variant="generic"))
+        sim.schedule_wake(new)
     if "token-type" in triggers:
         sim.schedule_timer(first, 3)
     return sim, nodes
@@ -322,14 +337,19 @@ class TestEngagement:
             monkeypatch.setattr(DiscoveryNode, "on_wake", lambda node: on_wake(node))
         elif trigger == "no-c-loop":
             monkeypatch.setattr(arrayloop, "_module", None)
+        elif trigger == "grown":  # one wake token: below the pool threshold
+            monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
         named = gate_says(reason)
         sim, nodes = _declining_system(trigger, fast=True)
         before = copy.deepcopy(_gate_view(sim, nodes))
         assert arraystate.maybe_run_array(sim, None) is None
         assert (sim._last_run_path, sim._last_decline) == ("legacy", named)
         assert _gate_view(sim, nodes) == before
-        # ... and the run it was declined for equals the reference run.
-        ref, ref_nodes = _declining_system(trigger, fast=False)
+        # ... and the run it was declined for equals the reference run
+        # (built alike, warmup included: the engines bump protocol_stamp
+        # at different steps).
+        ref, ref_nodes = _declining_system(trigger, fast=True)
+        ref.fast = False
         assert _run_outcome(sim) == _run_outcome(ref)
         assert (sim._last_decline, ref._last_decline) == (named, "fast-off")
         assert sim.steps > 0
@@ -471,8 +491,8 @@ class TestProbeAnswerStamps:
         with pytest.raises(StepLimitExceeded):
             net.run(max_steps=200)
         first = (sim._last_run_path, sim._last_decline)
-        # Mid-discovery, with the pool still full: the C loop resumes the
-        # run and hands it back at the first probe it pops.
+        # Mid-discovery, with the pool still full: a system that has run
+        # is the object loop's, which answers every probe.
         handles = [
             net.probe_async(x) for x in graph.nodes if net.can_probe(x)
         ]
@@ -495,10 +515,7 @@ class TestProbeAnswerStamps:
             monkeypatch.setattr(arrayloop, "_module", None)
         first, resumed, stamps, per_node = self._drive(True, seed)
         assert first == array_engaged()
-        if first[0] == "array":
-            assert resumed == ("array", "handed-back")
-        else:
-            assert resumed == ("legacy", "no-c-loop")
+        assert resumed == ("legacy", gate_says("node-state"))
         assert sum(stamp is not None for stamp in stamps) >= 8
         reference = ("legacy", "fast-off")
         assert self._drive(False, seed) == (reference, reference, stamps, per_node)
@@ -569,8 +586,8 @@ SCHEDULERS = {
 #: (engine before the cut, engine after it).  "c" is the array core, "py"
 #: (an id the suite's floor list pins) the same offer in a process
 #: without a C loop -- declined as ``no-c-loop`` -- and "obj" the object
-#: loop asked for by name (``fast=False``); after an "obj" or "py" first
-#: leg the array core adopts non-empty base deques.
+#: loop asked for by name (``fast=False``).  The array core takes only a
+#: system that has not run, so a second "c" leg declines as ``node-state``.
 HANDOFFS = [("c", "py"), ("py", "c"), ("c", "obj"), ("obj", "c"), ("obj", "py")]
 
 _NODE_FIELDS = (
@@ -615,9 +632,6 @@ def _snapshot(sim, nodes):
 #: names them.  An inbox is live only at an ``RC_PUMP`` exit (a pump that
 #: does not hand back drains it), which ``test_handback`` pins.
 EXIT_FORMS = frozenset({"channel>=2", "previous", "deferred", "info", "query-reply"})
-#: What a live simulator can hand the entry decoder: the same (the gate
-#: declines a node whose inbox is not drained).
-ADOPTED_FORMS = EXIT_FORMS
 
 
 def live_forms(core):
@@ -678,6 +692,7 @@ class TestChannelSlotForms:
     def _leg(self, sim, engine, max_steps, monkeypatch):
         """Run ``sim`` on ``engine``; returns the StepLimitExceeded text
         (``None`` at quiescence)."""
+        resumed = sim.steps > 0
         sim.fast = engine != "obj"
         monkeypatch.setattr(
             arrayloop, "_module", self.c_module if engine == "c" else None
@@ -689,7 +704,12 @@ class TestChannelSlotForms:
         else:
             message = None
         ran = (sim._last_run_path, sim._last_decline)
-        assert ran == (("legacy", "fast-off") if engine == "obj" else array_engaged())
+        if engine == "obj":
+            assert ran == ("legacy", "fast-off")
+        elif resumed:
+            assert ran == ("legacy", gate_says("node-state"))
+        else:
+            assert ran == array_engaged()
         return message
 
     def _build(self, variant, policy):
@@ -731,21 +751,22 @@ class TestChannelSlotForms:
     def test_adoption_hands_the_decoder_every_form(
         self, policy, needs_arena, entries, monkeypatch
     ):
-        """Object-loop cuts every third step, each resumed on the C loop,
-        in all three variants: every resumed run ends where the object
-        run does, and the entry decoder met every form a live simulator
-        can hand over."""
+        """C runs cut every third step, each called again on the same core,
+        in all three variants: every run ends where the object run does,
+        and the entry decoder met every form an exit leaves."""
         for variant in VARIANTS:
             ref, ref_nodes, budget = self._build(variant, policy)
             self._leg(ref, "obj", budget, monkeypatch)
             final = _snapshot(ref, ref_nodes)
             for cut in range(3, ref.steps, 3):
                 sim, nodes, _ = self._build(variant, policy)
-                self._leg(sim, "obj", cut, monkeypatch)
-                self._leg(sim, "c", budget, monkeypatch)
+                with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut)):
+                    self._leg(sim, "c", budget, monkeypatch)
                 assert _snapshot(sim, nodes) == final, cut
+        # ``entries`` sees each core at its first entry and as the cut left
+        # it, before the call that decodes it
         handed = Counter(f for forms, _chanq in entries for f in forms)
-        assert all(handed[f] > 0 for f in ADOPTED_FORMS), handed
+        assert all(handed[f] > 0 for f in EXIT_FORMS), handed
 
     @pytest.mark.parametrize("engine", ["c"])  # the id the floor list pins
     def test_all_three_slot_forms_occur_mid_run(
@@ -768,24 +789,31 @@ class TestChannelSlotForms:
                 mixed += 1
         assert mixed >= 3
 
-    def test_adopted_base_channels_are_nonempty_deques(
-        self, needs_arena, entries, monkeypatch
-    ):
-        sim, _nodes, budget = self._build("generic", "random")
-        total = _object_outcome("generic", seed=7, fast=False)["steps"]
-        self._leg(sim, "obj", total // 2, monkeypatch)
-        adopted = list(sim._channels.values())
-        pending = {cid: list(q) for cid, q in enumerate(adopted) if q}
+    def test_adopted_base_channels_are_nonempty_deques(self, needs_arena, monkeypatch):
+        ref, _nodes, budget = self._build("generic", "random")
+        cut = _object_outcome("generic", seed=7, fast=False)["steps"] // 2
+        self._leg(ref, "obj", cut, monkeypatch)
+        pending = {key: list(q) for key, q in ref._channels.items() if q}
         assert len(pending) >= 2
-        self._leg(sim, "c", budget, monkeypatch)
-        # The entry decoder was handed exactly the adopted messages, as
-        # wires by channel id; the simulator's own deques stay its
-        # channels, and channels first used by the array leg join them.
-        _forms, chanq = entries[0]
-        to_message = functools.partial(arraystate._to_message, ids=list(sim.nodes))
-        assert {cid: list(map(to_message, w)) for cid, w in chanq.items()} == pending
-        assert all(a is b for a, b in zip(sim._channels.values(), adopted))
-        assert len(sim._channels) > len(adopted)
+        handed = []
+
+        def read(core, _pool):
+            ids, src, dst = core.ids, core.chan_src, core.chan_dst
+            handed.append({
+                (ids[src[cid]], ids[dst[cid]]): [arraystate._to_message(w, ids) for w in wires]
+                for cid, wires in core.chanq.items()
+            })
+
+        sim, _nodes, _ = self._build("generic", "random")
+        with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut, read)):
+            self._leg(sim, "c", budget, monkeypatch)
+        # The call after the cut was handed exactly the object run's
+        # pending messages at the cut, as wires by channel id; every
+        # channel comes back a deque, in the object run's creation order.
+        assert handed == [pending]
+        self._leg(ref, "obj", budget, monkeypatch)
+        assert list(sim._channels) == list(ref._channels)
+        assert all(type(q) is deque for q in sim._channels.values())
 
     def test_slots_at_quiescence_hold_nothing(self, needs_arena, monkeypatch):
         captured = []
@@ -922,9 +950,9 @@ class TestChannelHandOffOwnership:
     message; its codec builds the wire tuples and frozensets a caller
     hands in or gets back.  A reference the codec drops or keeps once per
     message shows as blocks that grow per run -- on runs built fresh from
-    a graph (encoded at a limit) and on runs ``adopted`` from a
-    ``fast=False`` simulator cut with messages in flight (decoded at
-    entry).  Zero growth between the 2nd and the 6th run is the bar: the
+    a graph (encoded at a limit) and on runs cut with messages in flight
+    and called again on the same core (``adopted``: decoded at entry).
+    Zero growth between the 2nd and the 6th run is the bar: the
     readings land in a preallocated array, so not even their own ints
     stay allocated, and the loop looks attributes up by interned name
     (the type attribute cache keeps the last name of each slot alive)."""
@@ -942,25 +970,17 @@ class TestChannelHandOffOwnership:
     def test_repeated_runs_allocate_nothing_lasting(
         self, seed, limited, variant, monkeypatch
     ):
-        # a resumed pool may sit below the engagement threshold
-        monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
         graph = _graph(self.N)
         full = run_graph(graph, variant, seed=seed)
+        if limited == "adopted":
+            monkeypatch.setattr(ArrayCore, "run_loop", cut_and_recall(full.steps // 2))
 
         def run():
-            if limited == "drained":
-                assert run_graph(graph, variant, seed=seed).steps == full.steps
-            elif limited == "limit":
+            if limited == "limit":
                 with pytest.raises(StepLimitExceeded):
                     run_graph(graph, variant, seed=seed, max_steps=full.steps // 2)
             else:
-                sim, _nodes = build_simulation(graph, variant, seed=seed, fast=False)
-                with pytest.raises(StepLimitExceeded):
-                    sim.run(full.steps // 2)
-                assert sim.in_flight() > 0
-                sim.fast = True
-                sim.run()
-                assert sim._last_run_path == "array" and sim.steps == full.steps
+                assert run_graph(graph, variant, seed=seed).steps == full.steps
 
         blocks = array("q", [0, 0])
         for reading, runs in enumerate((2, 4)):

@@ -119,12 +119,14 @@ class TestDifferentialEquivalence:
     def test_interrupted_run_resumes_on_either_path(self, order, monkeypatch):
         """A step-limited run leaves the scheduler in a legal object-path
         state (int tokens materialized back to token objects), stats
-        folded; the execution can then *continue* on either engine and
-        still match an uninterrupted object-loop run."""
+        folded; the execution can then *continue* with ``fast`` flipped
+        and still match an uninterrupted object-loop run.  The array core
+        takes only a just-built system, so the resumed leg is the object
+        loop's either way: declined as ``node-state`` when ``fast``."""
         first_fast = order == "fast_then_legacy"
         reference, _ = _execute("generic", GlobalFifoScheduler, "obj")
         reference["trace"] = None  # an array leg keeps none
-        # The resumed pool is below the engagement threshold; always engage.
+        # The resumed pool is below the engagement threshold; offer it.
         monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
 
         graph = build_family("sparse-random", 48, 3)
@@ -140,11 +142,15 @@ class TestDifferentialEquivalence:
         )
         assert sim.steps == 60
         assert sim.in_flight() > 0
-        first_path = sim._last_run_path
+        first = (sim._last_run_path, sim._last_decline)
 
         sim.fast = not first_fast
         sim.run(default_step_budget(graph))
-        assert {first_path, sim._last_run_path} == {array_engaged()[0], "legacy"}
+        then = (sim._last_run_path, sim._last_decline)
+        if first_fast:
+            assert (first, then) == (array_engaged(), ("legacy", "fast-off"))
+        else:
+            assert (first, then) == (("legacy", "fast-off"), ("legacy", gate_says("node-state")))
         assert _outcome(graph, sim, nodes, "generic") == reference
 
 

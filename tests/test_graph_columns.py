@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import GRAPH_FAMILIES, build_family
 from repro.core import arrayloop, arraystate, runner
-from repro.core.arraystate import IS_LEADER, IdSlab, _verify_scale
+from repro.core.arraystate import IS_LEADER, ArrayCore, IdSlab, IdSpace, _verify_scale
 from repro.core.node import STATUS_CODES
 from repro.core.result import collect_columns
 from repro.core.runner import build_simulation, default_step_budget
@@ -59,11 +59,22 @@ def two_components():
 
 
 def quiescent_core(graph, variant):
-    """The columns of a reference run at quiescence (``run_graph``'s
-    fallback route, so the same with and without a C loop)."""
-    sim, _nodes = build_simulation(graph, variant, fast=False)
+    """The columns of a reference run at quiescence, read off its nodes
+    (so the same with and without a C loop): the status, ``next`` and
+    knowledge columns the checker and ``collect_columns`` read."""
+    sim, nodes = build_simulation(graph, variant, fast=False)
     sim.run(default_step_budget(graph))
-    core, _pool, _pending = arraystate._build_from_sim(sim, ())
+    core = ArrayCore(IdSpace(sim.nodes), sim.id_bits)
+    idx = core.idx
+    for i, node in enumerate(nodes.values()):
+        core.status[i] = STATUS_CODES[node.status]
+        core.nxt[i] = idx[node.next]
+    for column, field in (
+        ("local", "local"), ("more", "more"), ("done", "done"),
+        ("unaware", "unaware"), ("unexp", "unexplored"),
+    ):
+        rows = ([idx[x] for x in getattr(node, field)] for node in nodes.values())
+        setattr(core, column, IdSlab.of(rows))
     return core
 
 

@@ -10,6 +10,12 @@ Nothing else states those arms any more, so these tests hold the seam to
 the ``fast=False`` run: probe answers and their step stamps, final state,
 stats with key order, exception type and text, the state a raise leaves
 behind, and the run after it.
+
+The array core takes only a just-built system, so a message planted
+between two ``run()`` calls reaches the object loop; to meet the C loop
+it is planted inside one run, at the ``ArrayCore.run_loop`` seam
+(``conftest.cut_and_recall``): the C run stops at the cut, the message
+goes onto the core's channels and the C loop is called again.
 """
 
 import copy
@@ -23,12 +29,12 @@ from repro.analysis.experiments import GRAPH_FAMILIES, build_family
 from repro.core import arrayloop, arraystate
 from repro.core.adhoc import AdhocNetwork
 from repro.core.arraystate import ArrayCore, run_graph
-from repro.core.messages import ABORT, Info, MergeAccept, Query, Release, Search
+from repro.core.messages import ABORT, Info, MergeAccept, Probe, Query, Release, Search
 from repro.core.node import VARIANTS, ProtocolError
 from repro.core.runner import build_simulation, default_step_budget
-from repro.sim.network import StepLimitExceeded
+from repro.sim.network import SimulationError, StepLimitExceeded
 from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
-from tests.conftest import array_engaged
+from tests.conftest import array_engaged, cut_and_recall, gate_says, plant_wire
 from tests.test_arraystate import _snapshot
 
 SCHEDULERS = {
@@ -121,17 +127,25 @@ def _run(sim, max_steps=None):
         return type(exc), str(exc)
 
 
-def scenario(fast, family, n, graph_seed, variant, policy, sched_seed, cut, probes, plant):
-    """Run to ``cut``, inject probes and the planted message, run on, run
-    once more; returns everything the two engines are compared on, and
-    what the engine said about the run that met the injections."""
+def _system(fast, family, n, graph_seed, variant, policy, sched_seed):
+    """``(graph, net, sim, nodes)`` just built; ``net`` is the Ad-hoc
+    variant's :class:`AdhocNetwork`, else ``None``."""
     graph = build_family(family, n, graph_seed)
     scheduler = SCHEDULERS[policy](sched_seed)
     if variant == "adhoc":
         net = AdhocNetwork(graph, scheduler=scheduler, fast=fast)
-        sim, nodes = net.sim, net.nodes
-    else:
-        sim, nodes = build_simulation(graph, variant, scheduler=scheduler, fast=fast)
+        return graph, net, net.sim, net.nodes
+    sim, nodes = build_simulation(graph, variant, scheduler=scheduler, fast=fast)
+    return graph, None, sim, nodes
+
+
+def scenario(fast, family, n, graph_seed, variant, policy, sched_seed, cut, probes, plant):
+    """Run to ``cut``, inject probes and the planted message, run on, run
+    once more; returns everything the two engines are compared on, and
+    what the engine said about the run that met the injections."""
+    graph, net, sim, nodes = _system(
+        fast, family, n, graph_seed, variant, policy, sched_seed
+    )
     budget = default_step_budget(graph)
     observed = [_run(sim, cut), _view(sim, nodes)]
 
@@ -148,7 +162,7 @@ def scenario(fast, family, n, graph_seed, variant, policy, sched_seed, cut, prob
     pending = len(sim.scheduler)
 
     # A resumed pool is usually below the engagement threshold; offer
-    # every non-empty one to the array core.
+    # every non-empty one to the gate.
     with mock.patch.object(arraystate, "_MIN_POOL_FACTOR", 1 << 30):
         outcome = _run(sim, budget)
         ran = (sim._last_run_path, sim._last_decline)
@@ -166,19 +180,35 @@ def scenario(fast, family, n, graph_seed, variant, policy, sched_seed, cut, prob
     return observed, (pending, ran, handed_back), (again_pending, again)
 
 
-def _engine_said(pending, ran, handed_back=None):
-    """Check what the array-side engine reported for one offered run.
-    ``handed_back=None`` is the follow-up run: through the gate afresh,
-    whatever it then meets (a raise from inside a pump may have left an
-    inbox only the object loop takes)."""
+def _engine_said(pending, ran):
+    """Check what the array-side engine reported for one offered run of a
+    system that has run: the gate takes only a just-built one, so it
+    declines as ``node-state`` (``no-c-loop`` without a C loop)."""
     if not pending:
         assert ran == ("legacy", "small-pool")
-    elif array_engaged()[0] == "legacy":
-        assert ran == array_engaged()
-    elif handed_back is None:
-        assert ran[0] == "array" or ran == ("legacy", "node-state")
     else:
-        assert ran == ("array", "handed-back" if handed_back else None)
+        assert ran == ("legacy", gate_says("node-state"))
+
+
+def planted_in_the_loop(family, n, graph_seed, variant, policy, sched_seed, cut, plant):
+    """``scenario``'s plant, made inside one C run: the reference run cut,
+    planted and resumed on the object loop, against a just-built
+    simulator whose ``run_loop`` stops at ``cut``, plants the message the
+    reference got on the core's channels and calls the C loop again.
+    Returns both runs' ``(outcome, view)`` and what the engine said about
+    the planted one."""
+    args = (family, n, graph_seed, variant, policy, sched_seed)
+    graph, _net, ref, ref_nodes = _system(False, *args)
+    budget = default_step_budget(graph)
+    _run(ref, cut)
+    planted = _plant(plant, ref_nodes)
+    ref.transmit(*planted)
+    reference = (_run(ref, budget), _view(ref, ref_nodes))
+    _graph, _net, sim, nodes = _system(True, *args)
+    recall = cut_and_recall(cut, lambda core, pool: plant_wire(core, pool, *planted))
+    with mock.patch.object(ArrayCore, "run_loop", recall):
+        observed = (_run(sim, budget), _view(sim, nodes))
+    return observed, reference, (sim._last_run_path, sim._last_decline)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +228,7 @@ def test_handed_back_runs_equal_the_reference(**case):
     reference, ref_said, _ = scenario(False, **case)
     assert observed == reference
     assert ref_said[1] == ("legacy", "fast-off")
-    _engine_said(*said)
+    _engine_said(*said[:2])
     _engine_said(*said_again)
 
 
@@ -235,8 +265,15 @@ def test_each_arm_is_really_handed_back(arm, policy):
         assert isinstance(outcome, int)
     else:
         assert outcome[0] is ProtocolError and text in outcome[1]
-    assert said[2]  # a hand-back was due ...
-    _engine_said(*said)  # ... and reported (or the process has no C loop)
+        if array_engaged()[0] == "array":
+            # ... and met inside one C run, the arm is handed back and the
+            # reference raises the same from the materialized state.
+            del case["probes"]
+            seam, seam_reference, ran = planted_in_the_loop(**case)
+            assert seam == seam_reference and seam[0] == outcome
+            assert ran == ("array", "handed-back")
+    assert said[2]  # the arm was met ...
+    _engine_said(*said[:2])  # ... by the object loop: the system had run
     _engine_said(*said_again)
 
 
@@ -245,7 +282,19 @@ def test_pump_hands_back_with_the_inbox_live(monkeypatch):
     messages queues in its inbox, and the pump hands it back there
     (``RC_PUMP``): the one exit that leaves an inbox live, so the exit
     encoder writes that form too, and the reference's ``_pump`` resumes
-    from it and raises."""
+    from it and raises.  Planted between two runs, the object loop meets
+    it; planted inside one C run, the pump hands it back."""
+    case = dict(
+        family="community", n=32, graph_seed=1, variant="generic", policy="fifo",
+        sched_seed=3, cut=100, plant="busy-info",
+    )
+    observed, said, _ = scenario(True, probes=[], **case)
+    reference, _, _ = scenario(False, probes=[], **case)
+    assert observed == reference
+    assert observed[2][0] is ProtocolError and "info in status" in observed[2][1]
+    _engine_said(*said[:2])
+    if array_engaged()[0] == "legacy":
+        return
     exits = []
     run_loop = ArrayCore.run_loop
 
@@ -256,40 +305,20 @@ def test_pump_hands_back_with_the_inbox_live(monkeypatch):
             exits.append((core.handback, [q for q in core.inbox if q is not None]))
 
     monkeypatch.setattr(ArrayCore, "run_loop", spy)
-    case = dict(
-        family="community", n=32, graph_seed=1, variant="generic", policy="fifo",
-        sched_seed=3, cut=100, probes=[], plant="busy-info",
-    )
-    observed, said, _ = scenario(True, **case)
-    reference, _, _ = scenario(False, **case)
-    assert observed == reference
-    assert observed[2][0] is ProtocolError and "info in status" in observed[2][1]
-    _engine_said(*said)
-    if array_engaged()[0] == "array":
-        pumped = [
-            inbox for handback, inbox in exits
-            if handback and handback[0] == arrayloop.RC_PUMP
-        ]
-        assert pumped and all(len(inbox) == 1 for inbox in pumped)
+    seam, seam_reference, ran = planted_in_the_loop(**case)
+    assert seam == seam_reference and seam[0] == observed[2]
+    assert ran == ("array", "handed-back")
+    pumped = [
+        inbox for handback, inbox in exits
+        if handback and handback[0] == arrayloop.RC_PUMP
+    ]
+    assert pumped and all(len(inbox) == 1 for inbox in pumped)
 
 
 # ----------------------------------------------------------------------
 # run_graph: a hand-back there is a raise path, executed on objects built
 # for the purpose
 # ----------------------------------------------------------------------
-def _plant_wire(core, pool, src, dst, message):
-    """What ``emit`` does for one send, minus the accounting."""
-    si, di = core.idx[src], core.idx[dst]
-    ends = list(zip(core.chan_src, core.chan_dst))
-    cid = ends.index((si, di)) if (si, di) in ends else None
-    if cid is None:
-        cid = len(core.chan_src)
-        core.chan_src.append(si)
-        core.chan_dst.append(di)
-    core.chanq.setdefault(cid, []).append(arraystate._to_wire(message, core.idx))
-    pool.append(cid)
-
-
 def planted_raise(arm, seed, monkeypatch):
     """One pinned raise arm against a from-graph run: returns ``(graph,
     variant, reference)`` -- ``reference`` the ``ProtocolError`` the object
@@ -306,26 +335,36 @@ def planted_raise(arm, seed, monkeypatch):
     with pytest.raises(ProtocolError, match=text) as reference:
         sim.run(default_step_budget(graph))
 
-    run_loop = ArrayCore.run_loop
-
-    def planting(core, pool, mode, rng, limit, quiescent, limit_msg):
-        try:
-            executed = run_loop(core, pool, mode, rng, cut, quiescent, limit_msg)
-        except StepLimitExceeded:
-            executed = cut
-        core.steps = core.steps_out
-        _plant_wire(core, pool, *planted)
-        return executed + run_loop(core, pool, mode, rng, limit, quiescent, limit_msg)
-
-    monkeypatch.setattr(ArrayCore, "run_loop", planting)
+    recall = cut_and_recall(cut, lambda core, pool: plant_wire(core, pool, *planted))
+    monkeypatch.setattr(ArrayCore, "run_loop", recall)
     return graph, variant, reference.value
 
 
-@pytest.mark.parametrize("arm", sorted(set(PINNED) - {"probes"}))
+@pytest.mark.parametrize("arm", [*sorted(set(PINNED) - {"probes"}), "probe"])
 @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
 def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
     if array_engaged()[0] == "legacy":
         pytest.skip("no C loop in this process: run_graph is the reference run")
+    if arm == "probe":
+        # A probe is handed back (RC_DEOPT) like a raise arm; the
+        # reference executes it, and run_graph, which answers no probes,
+        # raises the direct entry's own text.
+        graph = build_family("sparse-random", 32, 1)
+        src, dst = graph.nodes[:2]
+        plant = lambda core, pool: plant_wire(core, pool, src, dst, Probe(src))  # noqa: E731
+        monkeypatch.setattr(ArrayCore, "run_loop", cut_and_recall(150, plant))
+        codes = []
+        handback = arraystate._run_handback
+
+        def spy(core, sim):
+            codes.append(core.handback[0])
+            return handback(core, sim)
+
+        monkeypatch.setattr(arraystate, "_run_handback", spy)
+        with pytest.raises(SimulationError, match="handed back a step the reference executes"):
+            run_graph(graph, "adhoc", seed=seed)
+        assert codes == [arrayloop.RC_DEOPT]
+        return
     graph, variant, reference = planted_raise(arm, seed, monkeypatch)
     with pytest.raises(ProtocolError) as raised:
         run_graph(graph, variant, seed=seed)

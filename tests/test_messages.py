@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import arrayloop
-from repro.core.arraystate import IdSpace, _to_message, _to_wire
+from repro.core.arraystate import ArrayCore, IdSlab, IdSpace, _to_message
 from repro.core.messages import (
     ABORT,
     MERGE,
@@ -29,7 +29,9 @@ from repro.core.messages import (
     Search,
     fixed_bit_bases,
 )
+from repro.sim.scheduler import _FIFO
 from repro.sim.trace import HEADER_BITS
+from tests.conftest import plant_wire, to_wire
 from tests.test_direct_entry import ID_TYPES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,9 +139,19 @@ class TestWireTable:
     def test_codec_round_trips_and_bits_follow_the_kinds(self, tag, id_type, data):
         space = SPACES[id_type]
         message = data.draw(instances(WIRE_TABLE[tag], space.ids))
-        wire = _to_wire(message, space.index)
+        wire = to_wire(message, space.index)
         assert wire[0] == tag and len(wire) == 1 + len(WIRE_TABLE[tag][1])
         assert _to_message(wire, space.ids) == message
+        module = arrayloop.load()
+        if module is not None:
+            # ... and through the C codec: a call with nothing to run
+            # decodes the pending wire at entry and encodes it at exit.
+            core = ArrayCore(space, B)
+            core.local = IdSlab.fresh(space.n, own=False)
+            plant_wire(core, [], space.ids[0], space.ids[1], message)
+            cell = [0]
+            assert module.run(core, [], _FIFO, None, 0, cell) == (arrayloop.RC_DRAINED, -1)
+            assert core.chanq == {0: [wire]}
         extra_ids = sum(
             len(getattr(message, name))
             for name, kind in WIRE_TABLE[tag][1]

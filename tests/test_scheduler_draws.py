@@ -20,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import GRAPH_FAMILIES, build_family
-from repro.core import arraystate
+from repro.core import arrayloop, arraystate
+from repro.core.arraystate import ArrayCore
 from repro.core.messages import Search
 from repro.core.node import VARIANTS
 from repro.core.runner import build_simulation, default_step_budget
 from repro.sim.network import SimulationError
 from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
-from tests.conftest import array_engaged
+from tests.conftest import array_engaged, cut_and_recall, gate_says, plant_wire
 from tests.test_arraystate import _snapshot
 
 POLICIES = ("fifo", "lifo", "random")
@@ -76,7 +77,7 @@ def _cut_and_drain(
         wake_order=graph.nodes[:1] if one_waker else None,
     )
     views, paths = [], []
-    # Every non-empty pool reaches the array core, the resumed one too.
+    # Every non-empty pool reaches the gate, the resumed one too.
     with mock.patch.object(arraystate, "_MIN_POOL_FACTOR", 1 << 30):
         for budget in (cut, default_step_budget(graph)):
             views.append(_exit_view(sim, _run(sim, budget)))
@@ -102,7 +103,11 @@ def test_every_exit_leaves_the_reference_draws_and_pool(**case):
     reference, _ = _cut_and_drain(False, **case)
     assert views == reference
     assert paths[0] == array_engaged()
-    assert paths[1] in (array_engaged(), ("legacy", "small-pool"))
+    # The drain is the array core's only if the cut ran no step (the
+    # system is still just built); else the object loop's.
+    assert paths[1] in (
+        array_engaged(), ("legacy", "small-pool"), ("legacy", gate_says("node-state"))
+    )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -138,29 +143,50 @@ def test_the_pool_outgrows_its_ring_mid_run(policy):
 def test_a_raise_inside_the_c_loop_leaves_the_reference_draws_and_pool(policy):
     """An inactive node whose ``next`` names itself routes the next search
     to itself: ``SimNode.send``'s ``SimulationError`` on the object loop,
-    ``emit``'s on the C loop, mid-step, after draws and sends."""
+    ``emit``'s on the C loop, mid-step, after draws and sends.  The object
+    run is cut, edited and resumed; the C run makes the same edit inside
+    its one ``run()`` call, at the ``run_loop`` seam."""
+    graph = build_family("sparse-random", 32, 1)
+    cut = 150
 
-    def scenario(fast):
-        graph = build_family("sparse-random", 32, 1)
+    def build(fast):
         scheduler = _scheduler(policy, prep="drawn", draws=5)
-        sim, nodes = build_simulation(graph, "generic", scheduler=scheduler, fast=fast)
-        _run(sim, 150)
+        return build_simulation(graph, "generic", scheduler=scheduler, fast=fast)
+
+    def edit(sim, nodes):
         victim = next(
             x for x, node in nodes.items() if node.status == "inactive" and not node.previous
         )
         sender = next(x for x in nodes if x != victim)
         nodes[victim].next = victim
         sim.transmit(sender, victim, Search(sender, 1, sender, False))
-        with mock.patch.object(arraystate, "_MIN_POOL_FACTOR", 1 << 30):
-            outcome = _run(sim, default_step_budget(graph))
-        path = (sim._last_run_path, sim._last_decline)
-        return _exit_view(sim, outcome), _snapshot(sim, nodes), path
+        return victim, sender
 
-    view, snapshot, path = scenario(True)
-    assert scenario(False)[:2] == (view, snapshot)
-    raised, text = view[0]
+    def finish(sim, nodes):
+        outcome = _run(sim, default_step_budget(graph))
+        return _exit_view(sim, outcome), _snapshot(sim, nodes)
+
+    ref, ref_nodes = build(False)
+    _run(ref, cut)
+    victim, sender = edit(ref, ref_nodes)
+    reference = finish(ref, ref_nodes)
+
+    def edit_core(core, pool):
+        core.nxt[core.idx[victim]] = core.idx[victim]
+        plant_wire(core, pool, sender, victim, Search(sender, 1, sender, False))
+
+    sim, nodes = build(True)
+    if arrayloop.load() is None:  # the same edit between two object runs
+        _run(sim, cut)
+        edit(sim, nodes)
+        view = finish(sim, nodes)
+    else:
+        with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut, edit_core)):
+            view = finish(sim, nodes)
+    assert view == reference
+    raised, text = view[0][0]
     assert raised is SimulationError and "tried to message itself" in text
-    assert path == array_engaged()
+    assert sim._last_run_path == array_engaged()[0]
 
 
 def test_a_spied_generator_declines_and_sees_every_draw():
