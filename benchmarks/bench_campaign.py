@@ -11,7 +11,7 @@ robustness acceptance criteria:
   uninterrupted control campaign over the same grid.
 
 Wall-clocks for the interrupted, resumed and control phases are appended
-to ``BENCH_campaign.json`` at the repository root, together with the
+to ``BENCH_campaign.json`` at the repository root, with ``cpus`` and the
 resume overhead ratio (interrupted + resumed vs control) -- the price of
 crash safety, which should stay near 1 since the store adds one SQLite
 transaction per claim round, not per cell.
@@ -19,6 +19,7 @@ transaction per claim round, not per cell.
 
 import datetime
 import json
+import os
 import pathlib
 import time
 
@@ -119,6 +120,7 @@ def test_campaign_resume_zero_recompute(benchmark, record_table, tmp_path):
 
     entry = {
         "date": datetime.date.today().isoformat(),
+        "cpus": os.cpu_count(),
         "experiment": EXPERIMENT,
         "cells": cells,
         "interrupted_after": INTERRUPT_AFTER,

@@ -5,6 +5,8 @@ The runner is a thin deterministic shell around the process pool
 it is): each round it renews its leases, claims the next id-ordered
 chunk of runnable cells, fans the reconstructed jobs out over the pool,
 and commits each outcome through the store's classification machinery.
+One pool serves every round of a :meth:`CampaignRunner.run`, forked at
+its first round and joined before it returns.
 Crash safety lives in the store; the runner adds
 
 * **heartbeats** -- leases are renewed before every claim round, so a
@@ -135,10 +137,11 @@ class CampaignRunner:
 
     ``workers``/``timeout`` configure the pool
     (:class:`~repro.parallel.executor.ParallelExecutor`) exactly as for
-    ``sweep``.  ``chunk`` caps how many cells one claim round leases
-    (default ``2 * workers``, two jobs per worker per round) -- small
-    chunks keep leases short and takeover granular, large chunks amortize
-    claim transactions.
+    ``sweep``; one pool serves all of a :meth:`run`'s rounds.  ``chunk``
+    caps how many cells one claim round leases (default ``2 * workers``,
+    two jobs per worker per round) -- small chunks keep leases short and
+    takeover granular, large chunks amortize claim transactions, not
+    forks.
     ``max_cells`` (>= 1) stops the runner after that many computed cells
     (a deterministic, signal-free way to interrupt a campaign mid-flight;
     leases are released exactly as for a signal).  ``progress``, a
@@ -244,6 +247,7 @@ class CampaignRunner:
                 if self._stop.is_set():
                     break
         finally:
+            executor.close()
             self._restore_signals(previous)
             released = self.store.release(self.worker_id)
             report.released = released

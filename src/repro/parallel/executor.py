@@ -4,6 +4,11 @@
 over a ``concurrent.futures.ProcessPoolExecutor`` (forked workers), one
 future per job, with
 
+* **one pool per executor**: forked at the first parallel :meth:`run`,
+  reused by every later one, rebuilt only after it breaks or after a
+  timeout kill, and joined by :meth:`~ParallelExecutor.close` (the
+  executor is a context manager), so a campaign's claim rounds share
+  warm workers instead of forking and reaping a pool each;
 * a **serial fallback** for ``workers=1`` and for platforms without
   ``fork`` -- the exact same code path minus the pool, so behaviour never
   depends on the backend;
@@ -12,9 +17,9 @@ future per job, with
   ``os._exit``) breaks the pool; every job that already finished keeps
   its result (the pool reads pending results before it declares itself
   broken), and every job without one runs again in its own fresh
-  one-worker pool, so a job that kills its worker every time ends
-  ``failed`` with a ``BrokenProcessPool`` error instead of taking the
-  sweep down with it;
+  one-worker pool, never kept, so a job that kills its worker every time
+  ends ``failed`` with a ``BrokenProcessPool`` error instead of taking
+  the sweep down with it;
 * **no orphans**: a worker drops its parent's SIGTERM/SIGINT handlers for
   the defaults and exits once its parent is gone;
 * a **per-job timeout** that marks exactly that job ``timeout`` and
@@ -38,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .jobs import Job, resolve_experiment
@@ -173,21 +178,38 @@ class ParallelExecutor:
     """Deterministic fan-out of experiment jobs over a process pool.
 
     ``workers=1`` (the default) runs serially in-process; higher counts
-    fork a pool.  ``timeout`` bounds the wait for each job's result in
-    seconds (pool runs only; the serial path has no way to interrupt a
-    job).  Every job runs once: a failure is a result, not a retry.
-    ``on_result`` sees each result as it is collected.
+    fork a pool at the first :meth:`run` and keep it for later ones until
+    :meth:`close` (or the ``with`` block's end).  ``timeout`` bounds the
+    wait for each job's result in seconds (pool runs only; the serial
+    path has no way to interrupt a job).  Every job runs once: a failure
+    is a result, not a retry.  ``on_result`` sees each result as it is
+    collected.
     """
 
     workers: int = 1
     timeout: Optional[float] = None
     on_result: Optional[Callable[[JobResult], None]] = None
+    _pool: Optional[ProcessPoolExecutor] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Join the kept pool's workers; a later :meth:`run` forks anew."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
         """Execute ``jobs``; results align index-for-index with the input."""
@@ -208,6 +230,23 @@ class ParallelExecutor:
         for index in pending:
             yield index, _safe_execute(jobs[index])
 
+    def _fork(self, workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init,
+            initargs=(os.getpid(),),
+        )
+
+    def _kept_pool(self) -> ProcessPoolExecutor:
+        """The kept pool, forked now if there is none yet or a worker died
+        since the last round, which no job of this round can have caused."""
+        if self._pool is not None and self._pool._broken:
+            self.close()
+        if self._pool is None:
+            self._pool = self._fork(self.workers)
+        return self._pool
+
     def _run_pool(
         self, jobs: Sequence[Job], pending: Sequence[int], isolated: bool = False
     ) -> Iterator[Tuple[int, JobResult]]:
@@ -216,17 +255,14 @@ class ParallelExecutor:
         A worker death breaks the pool; each job that has no result by
         then runs again ``isolated``: alone in a one-worker pool of its
         own, where a break can only be that job's doing and makes it
-        ``failed``.
+        ``failed``.  The kept pool outlives a round that ends cleanly; a
+        break, a timeout or an unfinished round discards it.
         """
-        pool = ProcessPoolExecutor(
-            max_workers=1 if isolated else self.workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init,
-            initargs=(os.getpid(),),
-        )
+        pool = self._fork(1) if isolated else self._kept_pool()
         start = time.perf_counter()
         orphans: List[int] = []
         stuck = False
+        finished = False
         try:
             futures = []
             for index in pending:
@@ -258,6 +294,7 @@ class ParallelExecutor:
                     )
                 yield index, result
             orphans.extend(pending[len(futures):])
+            finished = True
         finally:
             if stuck or orphans:
                 # SIGKILL what is left: a timed-out job never returns, and a
@@ -265,6 +302,9 @@ class ParallelExecutor:
                 # parent's handler (before ``_worker_init`` ran).
                 for process in list(pool._processes.values()):
                     process.kill()
-            pool.shutdown(wait=True)
+            if isolated or stuck or orphans or not finished:
+                if not isolated:
+                    self._pool = None
+                pool.shutdown(wait=True)
         for index in orphans:
             yield from self._run_pool(jobs, [index], isolated=True)

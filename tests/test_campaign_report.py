@@ -48,7 +48,8 @@ def complete_cells(store, results):
 
 
 def run_jobs(jobs):
-    return ParallelExecutor(workers=1).run(jobs)
+    with ParallelExecutor(workers=1) as executor:
+        return executor.run(jobs)
 
 
 class TestFold:

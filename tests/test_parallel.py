@@ -7,17 +7,20 @@ are a sweep's campaign store (:func:`repro.campaign.runner.run_sweep`).
 """
 
 import io
+import multiprocessing
 import os
 import pathlib
+import signal
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.registry import ExperimentRecord, compare_records
-from repro.campaign import CampaignError, CampaignStore
+from repro.campaign import CampaignError, CampaignRunner, CampaignStore
 from repro.campaign.runner import ProgressReporter, run_sweep
 from repro.parallel.executor import JobFailure, ParallelExecutor
 from repro.parallel.jobs import Job, experiment_name, resolve_experiment, sweep_jobs
@@ -180,16 +183,16 @@ class TestCache:
 
 class TestSerialExecution:
     def test_results_align_with_jobs(self):
-        executor = ParallelExecutor(workers=1)
         jobs = sweep_jobs(TOY, [3, 0, 2], {"scale": 5})
-        results = executor.run(jobs)
+        with ParallelExecutor(workers=1) as executor:
+            results = executor.run(jobs)
         assert [r.job.seed for r in results] == [3, 0, 2]
         assert [r.table[1][0][2] for r in results] == [20, 5, 15]
         assert all(r.status == "done" for r in results)
 
     def test_crash_isolation(self):
-        executor = ParallelExecutor(workers=1)
-        results = executor.run(sweep_jobs(FLAKY, range(4)))
+        with ParallelExecutor(workers=1) as executor:
+            results = executor.run(sweep_jobs(FLAKY, range(4)))
         statuses = [r.status for r in results]
         assert statuses == ["done", "failed", "done", "done"]
         assert "boom" in results[1].error
@@ -197,8 +200,8 @@ class TestSerialExecution:
             results[1].table
 
     def test_messages_extracted_for_progress(self):
-        executor = ParallelExecutor(workers=1)
-        (result,) = executor.run([Job.create(TOY, {"scale": 4}, seed=1)])
+        with ParallelExecutor(workers=1) as executor:
+            (result,) = executor.run([Job.create(TOY, {"scale": 4}, seed=1)])
         assert result.messages == 8
 
     def test_invalid_worker_count(self):
@@ -240,18 +243,18 @@ class TestParallelExecution:
         assert compare_records(records[2], rerun, rel_tolerance=0) == []
 
     def test_parallel_crash_isolation(self):
-        executor = ParallelExecutor(workers=2)
-        results = executor.run(sweep_jobs(FLAKY, range(4)))
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(sweep_jobs(FLAKY, range(4)))
         assert [r.status for r in results] == ["done", "failed", "done", "done"]
 
     def test_per_job_timeout(self):
-        executor = ParallelExecutor(workers=2, timeout=0.3)
         jobs = [
             Job.create(SLEEPY, {"duration": 30.0}, seed=0),
             Job.create(TOY, {"scale": 2}, seed=1),
         ]
         start = time.perf_counter()
-        results = executor.run(jobs)
+        with ParallelExecutor(workers=2, timeout=0.3) as executor:
+            results = executor.run(jobs)
         assert time.perf_counter() - start < 10
         assert results[0].status == "timeout"
         assert results[1].status == "done"
@@ -348,8 +351,8 @@ class TestBrokenPoolRecovery:
             Job.create(SLEEPY, {"duration": 0.5}, seed=1),
             Job.create(KILLER, {"marker": str(tmp_path / "marker")}, seed=2),
         ]
-        executor = ParallelExecutor(workers=2)
-        results = executor.run(jobs)
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(jobs)
         assert [r.status for r in results] == ["done", "done", "done"]
         # job0's result survived the worker death: executed exactly once.
         assert len(list(counter.iterdir())) == 1
@@ -361,8 +364,8 @@ class TestBrokenPoolRecovery:
         results (finished futures are reused, dead ones run again)."""
         jobs = [Job.create(KILLER, {"marker": str(tmp_path / "marker")}, seed=0)]
         jobs += sweep_jobs(TOY, range(1, 6), {"scale": 3})
-        executor = ParallelExecutor(workers=2)
-        results = executor.run(jobs)
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(jobs)
         assert [r.status for r in results] == ["done"] * 6
         assert [r.table[1][0][2] for r in results[1:]] == [6, 9, 12, 15, 18]
 
@@ -374,9 +377,9 @@ class TestBrokenPoolRecovery:
             Job.create(TOY, {"scale": 2}, seed=1),
             Job.create(SLEEPY, {"duration": 30.0}, seed=2),
         ]
-        executor = ParallelExecutor(workers=2, timeout=0.4)
         start = time.perf_counter()
-        results = executor.run(jobs)
+        with ParallelExecutor(workers=2, timeout=0.4) as executor:
+            results = executor.run(jobs)
         assert time.perf_counter() - start < 10
         assert [r.status for r in results] == ["done", "done", "timeout"]
         assert len(list(counter.iterdir())) == 1
@@ -385,7 +388,8 @@ class TestBrokenPoolRecovery:
         """A job that kills every process it runs in used to be re-run
         inside the parent, which it then killed too.  Now it breaks only
         its own one-worker child and ends failed; the sweep goes on."""
-        results = ParallelExecutor(workers=2).run(sweep_jobs(ALWAYS_KILLER, range(4)))
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(sweep_jobs(ALWAYS_KILLER, range(4)))
         assert [r.status for r in results] == ["failed", "done", "done", "done"]
         assert results[0].error.startswith("BrokenProcessPool: ")
         assert [r.rows for r in results[1:]] == [[["spared", s]] for s in (1, 2, 3)]
@@ -404,7 +408,8 @@ class TestBrokenPoolRecovery:
             return submit(pool, fn, *args, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
-        results = ParallelExecutor(workers=2).run(sweep_jobs(TOY, range(4), {"scale": 2}))
+        with ParallelExecutor(workers=2) as executor:
+            results = executor.run(sweep_jobs(TOY, range(4), {"scale": 2}))
         assert [r.status for r in results] == ["done"] * 4
         assert [r.rows for r in results] == [[["toy", 2, (s + 1) * 2]] for s in range(4)]
         assert calls == [2, 2, 1, 1, 1]  # jobs 1-3 each ran in a pool of its own
@@ -428,12 +433,94 @@ class TestBrokenPoolRecovery:
         guard.daemon = True
         guard.start()
         try:
-            results = ParallelExecutor(workers=2).run(sweep_jobs(ALWAYS_KILLER, range(2)))
+            with ParallelExecutor(workers=2) as executor:
+                results = executor.run(sweep_jobs(ALWAYS_KILLER, range(2)))
         finally:
             guard.cancel()
         assert [r.status for r in results] == ["failed", "done"]
         assert results[1].rows == [["spared", 1]]
         assert calls == [2, 2, 1, 1]  # both jobs ran again, each in a pool of its own
+
+
+def worker_pids(counter_dir, seeds=None):
+    """The pids named by ``exp_counted``'s markers: who ran the jobs (of
+    ``seeds``, or all)."""
+    pids = set()
+    for path in counter_dir.iterdir():
+        seed, pid, _ns = path.name.split("-")
+        if seeds is None or int(seed[len("seed"):]) in seeds:
+            pids.add(int(pid))
+    return pids
+
+
+class TestPoolLifetime:
+    """One pool per executor: forked at the first round, reused by every
+    later one, forked anew only after a break or a timeout kill, and
+    joined before ``CampaignRunner.run`` returns."""
+
+    def test_campaign_rounds_share_one_pool(self, tmp_path):
+        counter = tmp_path / "counts"
+        jobs = sweep_jobs(COUNTED, range(8), {"counter_dir": str(counter)})
+        store = CampaignStore.create(tmp_path / "campaign.db", jobs)
+        report = CampaignRunner(store, workers=2, chunk=2, handle_signals=False).run()
+        store.close()
+        assert report.drained and report.computed == 8
+        assert len(list(counter.iterdir())) == 8
+        # Four claim rounds, two workers: a pool per round would fork at
+        # least one new pid per round.
+        assert len(worker_pids(counter)) <= 2
+
+    @pytest.mark.parametrize("failure", ["worker-death", "timeout", "idle-death"])
+    def test_round_after_a_failure_runs_in_a_fresh_pool(self, tmp_path, failure):
+        counter = tmp_path / "counts"
+        kwargs = {"counter_dir": str(counter)}
+        first = sweep_jobs(COUNTED, [0], kwargs)
+        if failure == "worker-death":
+            first.append(Job.create(KILLER, {"marker": str(tmp_path / "marker")}, seed=1))
+        elif failure == "timeout":
+            first.append(Job.create(SLEEPY, {"duration": 30.0}, seed=1))
+        with ParallelExecutor(workers=2, timeout=0.4 if failure == "timeout" else None) as ex:
+            statuses = [r.status for r in ex.run(first)]
+            before = worker_pids(counter)
+            if failure == "idle-death":
+                # A worker dies between rounds: the next round finds the
+                # kept pool broken once its manager thread has noticed.
+                os.kill(next(iter(before)), signal.SIGKILL)
+                deadline = time.monotonic() + 10
+                while not ex._pool._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            results = ex.run(sweep_jobs(COUNTED, range(2, 6), kwargs))
+        expected = {"worker-death": ["done", "done"], "timeout": ["done", "timeout"]}
+        assert statuses == expected.get(failure, ["done"])
+        assert [r.status for r in results] == ["done"] * 4
+        after = worker_pids(counter, range(2, 6))
+        # one new two-worker pool, not one isolated pool per job
+        assert after.isdisjoint(before) and 1 <= len(after) <= 2
+
+    @pytest.mark.parametrize("ending", ["drained", "max_cells", "stopped"])
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch, ending):
+        # Hold every pool, so that only an explicit join ends its workers,
+        # not the garbage collector's asynchronous shutdown of a dropped one.
+        pools, fork = [], ParallelExecutor._fork
+        monkeypatch.setattr(
+            ParallelExecutor, "_fork", lambda ex, n: pools.append(fork(ex, n)) or pools[-1]
+        )
+        jobs = sweep_jobs(TOY, range(8), {"scale": 2})
+        store = CampaignStore.create(tmp_path / "campaign.db", jobs)
+        runner = CampaignRunner(
+            store, workers=2, chunk=2, handle_signals=False,
+            max_cells=4 if ending == "max_cells" else None,
+        )
+        if ending == "stopped":
+            runner.progress = SimpleNamespace(report=lambda _result: runner.request_stop())
+        before = set(multiprocessing.active_children())
+        report = runner.run()
+        store.close()
+        assert len(pools) == 1
+        assert set(multiprocessing.active_children()) <= before
+        computed = {"drained": 8, "max_cells": 4, "stopped": 2}[ending]
+        assert report.computed == computed
+        assert report.drained == (ending == "drained")
 
 
 class TestCacheDegradation:
