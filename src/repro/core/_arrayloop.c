@@ -1,5 +1,6 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate),
- * and the three kernels that bring a graph into its columns.
+ * the three kernels that bring a graph into its columns, and the one that
+ * ranks the ids 0..n-1.
  *
  * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`,
  * then REPRO_ARRAYLOOP_CFLAGS: CI builds it under ASan + UBSan that way);
@@ -28,8 +29,9 @@
  *  - the pending-token pool: an int64 ring read from `pool` (a list or a
  *    deque of ints); FIFO pops its head, LIFO its tail, random mode swaps
  *    the drawn slot with the tail;
- *  - the scheduler's MT19937: the 624 words and index of rng.getstate()
- *    (random mode only), drawn exactly as CPython's getrandbits;
+ *  - the scheduler's MT19937: the 624 words and index, copied in place out
+ *    of the random.Random object (random mode only; configure() checked
+ *    the layout), drawn exactly as CPython's getrandbits;
  *  - the channels: endpoints by id, an open-addressed (src, dst) -> id
  *    table and per channel a FIFO of message records, from core.chan_src /
  *    chan_dst (array('i')) and core.chanq (channel id -> its pending wire
@@ -44,7 +46,8 @@
  *    messages sent;
  *  - previous / inbox / deferred: per node a FIFO over the same records
  *    (a record waits in at most one FIFO);
- *  - the rank orders rrank / by_rrank / nrank as int32 arrays;
+ *  - the rank orders rrank / by_rrank / nrank as int32 arrays, copied from
+ *    the IdSpace's array('i') columns;
  *  - the knowledge: per node one open-addressed int32 table (Know) keyed
  *    by id with a class bitmask, built from the five IdSlab columns
  *    core.local / more / done / unaware / unexp (node-major int32 slabs:
@@ -64,10 +67,11 @@
  * a raising handler alike (sync_out): the step count into `cell`, the
  * counts, the knowledge tables into fresh array('i') slabs, the pending
  * messages and the channel endpoints (msgs_store), the pool order into the
- * caller's container, and rng.setstate() with the words drawn to and
- * gauss_next as read.  Everything native is freed.  Entry and exit cost
- * O(n + knowledge + channels + pool + pending) plain loads and stores plus
- * one getstate/setstate (625 ints); a run pays them once per call.  Both
+ * caller's container, and the words drawn to and the index, copied in
+ * place into the rng (gauss_next is never touched).  Everything native is
+ * freed.  Entry and exit cost O(n + knowledge + channels + pool + pending)
+ * plain loads and stores plus two 2.5 KB copies of the generator state; a
+ * run pays them once per call.  Both
  * drivers build a core fresh -- from a graph or a just-built simulator --
  * and call again on it only at a step limit; after a hand-back the
  * reference takes over.  If entry fails nothing has been popped and
@@ -123,12 +127,13 @@
  *
  *   draw_graph(rng, n, extra) -> (off, mem)
  *     generators._arborescence followed by generators._add_random_edges,
- *     draw for draw: MT19937 from rng.getstate() (mt_load), node i > 0
- *     under getrandbits(i.bit_length()) redrawn until < i, then up to
- *     budget = min(extra, n(n - 1) - (n - 1)) extra edges u -> v, u and v
- *     each getrandbits(n.bit_length()) redrawn until < n, a loop or an
+ *     draw for draw: MT19937 copied in place out of rng (mt_load; rng
+ *     exactly a random.Random, else a TypeError before any draw), node
+ *     i > 0 under getrandbits(i.bit_length()) redrawn until < i, then up
+ *     to budget = min(extra, n(n - 1) - (n - 1)) extra edges u -> v, u and
+ *     v each getrandbits(n.bit_length()) redrawn until < n, a loop or an
  *     edge drawn before (a native (u, v) hash) rejected, giving up after
- *     50 * (budget + 1) pairs; rng.setstate() afterwards (mt_store).  The
+ *     50 * (budget + 1) pairs; copied back in place after (mt_store).  The
  *     edges come back as a fresh CSR slab of array('i') -- n + 1 offsets,
  *     node u's members in the order they were accepted (a stable counting
  *     sort) -- which is exactly the sequence in which the Python loops add
@@ -154,6 +159,17 @@
  *     run in labels itself: labels[i] ends as the smallest int of i's
  *     component.  Returns the component count; a malformed slab (offsets,
  *     lengths, a member out of range) is a ValueError before any store.
+ *
+ * And one that IdSpace tries first, in place of sorting reprs:
+ *
+ *   range_ranks(ids, by, rank, nat) -> bool
+ *     Whether the list ids is exactly the ints 0..n-1 in order (exact int
+ *     objects: a bool, an int subclass or a float is not one); if so, the
+ *     three int32 buffers of n each get the two orders: nat the identity,
+ *     by[k] the id whose repr sorts k-th -- 0, then 1..n-1 in the preorder
+ *     of their decimal trie (1, 10, 100, ..., 11, ..., 2, ...) -- and
+ *     rank[by[k]] = k.  If not, nothing is written.  Buffers of another
+ *     length, or n > 2**31, are a ValueError before any store.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -171,7 +187,8 @@ static PyObject *g_array_type;    /* array.array */
 static PyObject *g_sim_error;     /* repro.sim.network.SimulationError */
 static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
 static PyObject *g_tag_objs[N_TAGS];
-static PyObject *s_clear, *s_extend, *s_getstate, *s_setstate, *s_int32;
+static PyObject *s_clear, *s_extend, *s_int32;
+static PyTypeObject *g_random;  /* random.Random: the one rng type copied */
 static int g_configured = 0;
 
 /* The codec's field kinds (messages.WIRE_TABLE), per tag and offset. */
@@ -271,17 +288,24 @@ typedef struct {
     int32_t cnt[K_CLASSES];
 } Know;
 
-/* MT19937 exactly as CPython's _random keeps it: 624 words and an index,
- * plus what rng.getstate() returns beside them (the state version and
- * gauss_next, owned) for setstate() to hand back unchanged. */
+/* MT19937 exactly as CPython's _random keeps it: 624 words and an index.
+ * MTObject mirrors _random.Random's instance layout (Modules/_randommodule.c
+ * in 3.10-3.12); configure() holds a seeded generator's words and index to
+ * its getstate() before any copy is made, and refuses the module if they
+ * differ.  The Python-level state beside them (gauss_next) is the
+ * instance's own and never touched. */
 #define MT_N 624
 #define MT_M 397
 typedef struct {
     uint32_t w[MT_N];
     int idx;
-    int version;
-    PyObject *gauss;
 } MT;
+
+typedef struct {
+    PyObject_HEAD
+    int index;
+    uint32_t state[MT_N];
+} MTObject;
 
 /* ------------------------------------------------------------------ */
 /* Per-call state: every column of the ArrayCore as a direct pointer.  */
@@ -1757,7 +1781,6 @@ free_s(S *s)
     Py_XDECREF(s->counts_l);
     Py_XDECREF(s->xtra_l);
     Py_XDECREF(s->order);
-    Py_XDECREF(s->mt.gauss);
     for (int c = 0; c < K_CLASSES; c++)
         Py_XDECREF(s->slabs[c]);
     PyMem_Free(s->rrank);
@@ -1851,41 +1874,6 @@ fill_s(S *s, PyObject *core)
     return PyErr_Occurred() ? -1 : 0;
 }
 
-/* The ints of list core.<name>, n of them, each in [0, n). */
-static int32_t *
-load_ints(S *s, const char *name)
-{
-    PyObject *list = attr_get(s->core, name);
-    if (list == NULL)
-        return NULL;
-    int32_t *a = NULL;
-    if (!PyList_Check(list) || PyList_GET_SIZE(list) != s->n) {
-        PyErr_Format(PyExc_TypeError, "arrayloop: core.%s is not a list of %zd",
-                     name, s->n);
-        goto done;
-    }
-    a = PyMem_Malloc((s->n + 1) * sizeof(int32_t));
-    if (a == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < s->n; j++) {
-        long v = GETL(list, j);
-        if (v < 0 || v >= s->n) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError, "arrayloop: core.%s[%zd] = %ld",
-                             name, j, v);
-            PyMem_Free(a);
-            a = NULL;
-            goto done;
-        }
-        a[j] = (int32_t)v;
-    }
-done:
-    Py_DECREF(list);
-    return a;
-}
-
 /* A heap over the repr ranks of m members. */
 static int
 heap_build(S *s, Heap *h, const int32_t *members, int32_t m)
@@ -1918,6 +1906,43 @@ int32_view(PyObject *o, Py_buffer *b, int flags, const char *what)
         return -1;
     }
     return 0;
+}
+
+/* The int32 column core.<name> (an IdSpace rank order: array('i')), n
+ * ints each in [0, n), copied. */
+static int32_t *
+load_ints(S *s, const char *name)
+{
+    PyObject *col = attr_get(s->core, name);
+    Py_buffer b = {0};
+    int32_t *a = NULL;
+    if (int32_view(col, &b, 0, name) < 0)
+        goto done;
+    if (b.len != 4 * s->n) {
+        PyErr_Format(PyExc_ValueError, "arrayloop: core.%s holds %zd ints, not %zd",
+                     name, b.len / 4, s->n);
+        goto done;
+    }
+    a = PyMem_Malloc((s->n + 1) * sizeof(int32_t));
+    if (a == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const int32_t *v = b.buf;
+    for (Py_ssize_t j = 0; j < s->n; j++) {
+        if (v[j] < 0 || v[j] >= s->n) {
+            PyErr_Format(PyExc_ValueError, "arrayloop: core.%s[%zd] = %d",
+                         name, j, v[j]);
+            PyMem_Free(a);
+            a = NULL;
+            goto done;
+        }
+        a[j] = v[j];
+    }
+done:
+    PyBuffer_Release(&b);
+    Py_XDECREF(col);
+    return a;
 }
 
 /* One slab's two int32 arrays (IdSlab.off, IdSlab.mem) as buffers, checked
@@ -2426,67 +2451,35 @@ pool_load(S *s)
     return rc;
 }
 
-/* rng.getstate(): (version, 624 words + index, gauss_next) into mt, which
- * then owns gauss (the caller releases it, loaded or not). */
+/* The rng's words and index, copied out of the object in place (the
+ * layout configure() checked).  Only an exact random.Random: a subclass may
+ * draw through its own getrandbits, which a copy would bypass. */
 static int
 mt_load(MT *mt, PyObject *rng)
 {
-    PyObject *state = PyObject_CallMethodNoArgs(rng, s_getstate);
-    if (state == NULL)
+    if (Py_TYPE(rng) != g_random) {
+        PyErr_Format(PyExc_TypeError,
+                     "arrayloop: rng must be a random.Random, not %.100s",
+                     Py_TYPE(rng)->tp_name);
         return -1;
-    PyObject *words, *gauss;
-    int rc = -1;
-    if (!PyArg_ParseTuple(state, "iO!O;arrayloop: rng.getstate()",
-                          &mt->version, &PyTuple_Type, &words, &gauss))
-        goto done;
-    if (PyTuple_GET_SIZE(words) != MT_N + 1) {
-        PyErr_SetString(PyExc_ValueError, "arrayloop: rng state size");
-        goto done;
     }
-    for (int j = 0; j < MT_N; j++) {
-        unsigned long w = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, j));
-        if (w == (unsigned long)-1 && PyErr_Occurred())
-            goto done;
-        mt->w[j] = (uint32_t)w;
+    const MTObject *r = (const MTObject *)rng;
+    if (r->index < 0 || r->index > MT_N) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: rng state index");
+        return -1;
     }
-    long idx = PyLong_AsLong(PyTuple_GET_ITEM(words, MT_N));
-    if (idx < 0 || idx > MT_N) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "arrayloop: rng state index");
-        goto done;
-    }
-    mt->idx = (int)idx;
-    Py_INCREF(gauss);
-    Py_XSETREF(mt->gauss, gauss);
-    rc = 0;
-done:
-    Py_DECREF(state);
-    return rc;
+    memcpy(mt->w, r->state, sizeof mt->w);
+    mt->idx = r->index;
+    return 0;
 }
 
-/* rng.setstate() with the words drawn to; gauss_next goes back as read. */
-static int
+/* The words drawn to and the index, copied back in place. */
+static void
 mt_store(const MT *mt, PyObject *rng)
 {
-    PyObject *words = PyTuple_New(MT_N + 1);
-    if (words == NULL)
-        return -1;
-    for (int j = 0; j <= MT_N; j++) {
-        PyObject *w = j < MT_N ? PyLong_FromUnsignedLong(mt->w[j])
-                               : PyLong_FromLong(mt->idx);
-        if (w == NULL) {
-            Py_DECREF(words);
-            return -1;
-        }
-        PyTuple_SET_ITEM(words, j, w);
-    }
-    PyObject *state = Py_BuildValue("(iNO)", mt->version, words, mt->gauss);
-    if (state == NULL)
-        return -1;
-    PyObject *r = PyObject_CallMethodOneArg(rng, s_setstate, state);
-    Py_DECREF(state);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
+    MTObject *r = (MTObject *)rng;
+    memcpy(r->state, mt->w, sizeof r->state);
+    r->index = mt->idx;
 }
 
 /* The pool order back into the caller's container. */
@@ -2845,6 +2838,65 @@ done:
     return result;
 }
 
+/* range_ranks: the file header states the contract. */
+static PyObject *
+loop_range_ranks(PyObject *self, PyObject *args)
+{
+    PyObject *ids, *by_o, *rank_o, *nat_o, *result = NULL;
+    if (!PyArg_ParseTuple(args, "O!OOO", &PyList_Type, &ids, &by_o, &rank_o,
+                          &nat_o))
+        return NULL;
+    Py_buffer by = {0}, rank = {0}, nat = {0};
+    if (int32_view(by_o, &by, PyBUF_WRITABLE, "by_repr_rank") < 0 ||
+        int32_view(rank_o, &rank, PyBUF_WRITABLE, "repr_rank") < 0 ||
+        int32_view(nat_o, &nat, PyBUF_WRITABLE, "nat_rank") < 0)
+        goto done;
+    /* exact ints compare without running Python code: ids keeps its size */
+    int64_t n = PyList_GET_SIZE(ids), top = n - 1;
+    if (by.len != 4 * n || rank.len != 4 * n || nat.len != 4 * n ||
+        n > (int64_t)INT32_MAX + 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrayloop: range_ranks wants three int32 buffers of "
+                     "len(ids) = %zd <= 2**31", (Py_ssize_t)n);
+        goto done;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        PyObject *x = PyList_GET_ITEM(ids, i);
+        int overflow;
+        if (!PyLong_CheckExact(x) ||
+            PyLong_AsLongLongAndOverflow(x, &overflow) != i) {
+            result = Py_NewRef(Py_False);
+            goto done;
+        }
+    }
+    int32_t *bv = by.buf, *rv = rank.buf, *nv = nat.buf;
+    for (int64_t i = 0; i < n; i++)
+        nv[i] = (int32_t)i;
+    /* "0" sorts first: no other id's repr starts with a 0 */
+    if (n > 0)
+        bv[0] = rv[0] = 0;
+    /* then 1..top in the preorder of their decimal trie: down a digit while
+     * that stays <= top, else up past the last digits that have no next
+     * sibling <= top, and on to the next sibling */
+    for (int64_t k = 1, cur = 1; k < n; k++) {
+        bv[k] = (int32_t)cur;
+        rv[cur] = (int32_t)k;
+        if (cur * 10 <= top)
+            cur *= 10;
+        else {
+            while (cur % 10 == 9 || cur + 1 > top)
+                cur /= 10;
+            cur++;
+        }
+    }
+    result = Py_NewRef(Py_True);
+done:
+    PyBuffer_Release(&by);
+    PyBuffer_Release(&rank);
+    PyBuffer_Release(&nat);
+    return result;
+}
+
 /* draw_graph's accepted edges in draw order, at most cap of them, and the
  * set of them: open addressing on u * n + v + 1 (0: empty), at most half
  * full. */
@@ -3007,10 +3059,9 @@ loop_draw_graph(PyObject *self, PyObject *args)
         if ((attempts & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
             goto done;
     }
-    if (mt_store(&mt, rng) == 0)
-        result = drawn_slab(&d);
+    mt_store(&mt, rng);
+    result = drawn_slab(&d);
 done:
-    Py_XDECREF(mt.gauss);
     PyMem_Free(d.u);
     PyMem_Free(d.v);
     PyMem_Free(d.slot);
@@ -3020,12 +3071,78 @@ done:
 /* ------------------------------------------------------------------ */
 /* configure + module                                                  */
 /* ------------------------------------------------------------------ */
+#define MT_PROBE_SEED 20030713
+
+/* Whether the generators of type `rtype` hold their words and index where
+ * MTObject says, `mtype` being the C type whose instance layout that is:
+ * NULL with nothing set if so, else the one line why not (a str), or NULL
+ * with an exception if the probe itself failed.  The probe is a generator
+ * seeded and drawn from once (index 1: neither 0 nor 624), read in place
+ * and against its getstate(). */
+static PyObject *
+mt_layout_refusal(PyObject *rtype, PyObject *mtype)
+{
+    if (!PyType_Check(rtype) || !PyType_Check(mtype) ||
+        !PyType_IsSubtype((PyTypeObject *)rtype, (PyTypeObject *)mtype))
+        return PyUnicode_FromString(
+            "generator layout: the rng type is not a subtype of the MT19937 "
+            "type");
+    Py_ssize_t size = ((PyTypeObject *)mtype)->tp_basicsize;
+    if (size != (Py_ssize_t)sizeof(MTObject))
+        return PyUnicode_FromFormat(
+            "generator layout: %s instances are %zd bytes, the in-place copy "
+            "expects %zd", ((PyTypeObject *)mtype)->tp_name, size,
+            (Py_ssize_t)sizeof(MTObject));
+    PyObject *probe = PyObject_CallFunction(rtype, "i", MT_PROBE_SEED);
+    PyObject *drawn = probe == NULL
+                          ? NULL
+                          : PyObject_CallMethod(probe, "getrandbits", "i", 32);
+    PyObject *state = drawn == NULL
+                          ? NULL
+                          : PyObject_CallMethod(probe, "getstate", NULL);
+    PyObject *version, *words, *gauss, *result = NULL;
+    if (state == NULL ||
+        !PyArg_ParseTuple(state, "OO!O;arrayloop: rng.getstate()", &version,
+                          &PyTuple_Type, &words, &gauss))
+        goto done;
+    int same = PyObject_TypeCheck(probe, (PyTypeObject *)mtype) &&
+               PyTuple_GET_SIZE(words) == MT_N + 1;
+    const MTObject *r = (const MTObject *)probe;
+    for (int j = 0; same && j <= MT_N; j++) {
+        unsigned long w = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, j));
+        if (w == (unsigned long)-1 && PyErr_Occurred())
+            goto done;
+        same = w == (j < MT_N ? r->state[j] : (unsigned long)r->index);
+    }
+    result = same ? NULL
+                  : PyUnicode_FromString(
+                        "generator layout: the words and index read in place "
+                        "differ from rng.getstate()'s");
+done:
+    Py_XDECREF(probe);
+    Py_XDECREF(drawn);
+    Py_XDECREF(state);
+    return result;
+}
+
+/* configure(cfg) -> None, or the one line why the generator layout refuses
+ * the module (nothing installed then: an earlier configuration stands). */
 static PyObject *
 loop_configure(PyObject *self, PyObject *args)
 {
     PyObject *cfg;
     if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &cfg))
         return NULL;
+    PyObject *rtype = PyDict_GetItemString(cfg, "random");
+    PyObject *mtype = PyDict_GetItemString(cfg, "mt19937");
+    if (rtype == NULL || mtype == NULL) {
+        PyErr_SetString(PyExc_KeyError,
+                        "arrayloop configure: missing random / mt19937");
+        return NULL;
+    }
+    PyObject *refusal = mt_layout_refusal(rtype, mtype);
+    if (refusal != NULL || PyErr_Occurred())
+        return refusal;
 #define CFG(var, key)                                                     \
     do {                                                                  \
         PyObject *v = PyDict_GetItemString(cfg, key);                     \
@@ -3068,19 +3185,24 @@ loop_configure(PyObject *self, PyObject *args)
                             "arrayloop configure: msg_types / kinds mismatch");
         return NULL;
     }
+    Py_INCREF(rtype);
+    Py_XSETREF(g_random, (PyTypeObject *)rtype);
     g_configured = 1;
     Py_RETURN_NONE;
 }
 
 static PyMethodDef loop_methods[] = {
     {"configure", loop_configure, METH_VARARGS,
-     "Install the interpreter-side singletons the loop emits."},
+     "Install the interpreter-side singletons the loop emits, or say why "
+     "the generator layout refuses them."},
     {"run", loop_run, METH_VARARGS,
      "Run steps of the array core; see the file header for the protocol."},
     {"fill_local", loop_fill_local, METH_VARARGS,
      "Write the successor ints of every node into a preallocated slab."},
     {"component_labels", loop_component_labels, METH_VARARGS,
      "Label each node of a slab by its weak component's smallest int."},
+    {"range_ranks", loop_range_ranks, METH_VARARGS,
+     "Rank the ids 0..n-1, if that is what they are, into three buffers."},
     {"draw_graph", loop_draw_graph, METH_VARARGS,
      "Draw a random weakly connected graph's edges into a CSR slab."},
     {NULL, NULL, 0, NULL},
@@ -3101,11 +3223,8 @@ PyInit__arrayloop(void)
     }
     s_clear = PyUnicode_InternFromString("clear");
     s_extend = PyUnicode_InternFromString("extend");
-    s_getstate = PyUnicode_InternFromString("getstate");
-    s_setstate = PyUnicode_InternFromString("setstate");
     s_int32 = PyUnicode_InternFromString("i"); /* array('i') */
-    if (s_clear == NULL || s_extend == NULL || s_getstate == NULL ||
-        s_setstate == NULL || s_int32 == NULL)
+    if (s_clear == NULL || s_extend == NULL || s_int32 == NULL)
         return NULL;
     return PyModule_Create(&loop_module);
 }

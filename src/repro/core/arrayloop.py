@@ -1,7 +1,9 @@
 """Compile-on-first-use loader for the C delivery loop of ``arraystate``.
 
-The module it loads has four entry points: ``run`` (the delivery loop)
-and three graph kernels.  ``draw_graph`` is the random generators' draw
+The module it loads has five entry points: ``run`` (the delivery loop),
+three graph kernels and ``range_ranks``, the two orders of the ids
+``0..n-1`` that :class:`repro.core.arraystate.IdSpace` takes in place of
+sorting their reprs.  ``draw_graph`` is the random generators' draw
 (``generators._arborescence`` plus ``_add_random_edges``, draw for draw),
 returning the graph as the CSR slab ``arraystate`` reads as ``core.local``
 (``KnowledgeGraph.from_slab``).  ``arraystate._run_columns`` calls the
@@ -27,6 +29,10 @@ an unusable cache directory, a failed build or import -- degrades to
 ``no-c-loop`` and the object loop (``Simulator.run_for``) runs it, the
 same results several times slower.  The failed attempt warns (once per
 process: the miss is memoized) and :func:`why_missing` keeps the cause.
+So does an interpreter whose ``random.Random`` is not laid out as the C
+file copies it: ``run`` and ``draw_graph`` read and write the generator's
+624 words and index in place, and ``configure()`` holds a seeded
+generator's words to its ``getstate()`` before it installs anything.
 
 Set ``REPRO_PURE_PYTHON=1`` to force that fallback silently (CI runs the
 whole suite a second time under it).  ``REPRO_ARRAYLOOP_CFLAGS`` is
@@ -37,6 +43,7 @@ beside the plain one in the same cache.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import importlib.util
 import os
@@ -47,6 +54,7 @@ import sysconfig
 import warnings
 from array import array
 from pathlib import Path
+from random import Random  # bound at import: a later patch of random.Random is not it
 from typing import Optional
 
 from repro.core.messages import MSG_TYPES, WIRE_TABLE
@@ -176,6 +184,25 @@ def _build() -> Path:
             pass
 
 
+def _config() -> dict:
+    """What ``configure()`` installs: the interpreter-side objects the C
+    file names, and the generator types whose state it copies in place
+    (``random``, the one type it accepts, laid out as ``mt19937``'s
+    instances; ``configure()`` checks that layout before it installs
+    anything)."""
+    return {
+        "array": array,
+        "simulation_error": SimulationError,
+        "msg_types": MSG_TYPES,
+        # the codec's field kinds per tag, in field order
+        "kinds": tuple(
+            tuple(kind for _name, kind in fields) for _cls, fields in WIRE_TABLE
+        ),
+        "random": Random,
+        "mt19937": _random.Random,
+    }
+
+
 def _import() -> object:
     """Build, import and configure the module, or raise :class:`_Unavailable`."""
     if os.environ.get("REPRO_PURE_PYTHON"):
@@ -187,17 +214,7 @@ def _import() -> object:
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        mod.configure(
-            {
-                "array": array,
-                "simulation_error": SimulationError,
-                "msg_types": MSG_TYPES,
-                # the codec's field kinds per tag, in field order
-                "kinds": tuple(
-                    tuple(kind for _name, kind in fields) for _cls, fields in WIRE_TABLE
-                ),
-            }
-        )
+        refusal = mod.configure(_config())
     except Exception as exc:  # a missing spec included
         # Do not leave an object this interpreter cannot load to pin every
         # later process to the fallback: the next one rebuilds.
@@ -206,6 +223,10 @@ def _import() -> object:
         except OSError:
             pass
         raise _Unavailable(f"import of {so_path.name} failed: {exc}")
+    if refusal is not None:
+        # The object is sound; this interpreter's generators are not laid
+        # out as it copies them.  A rebuild would not change that.
+        raise _Unavailable(refusal)
     return mod
 
 

@@ -44,8 +44,9 @@ converts back.
   whole pool is ints, so the pop loop dispatches on a sign check instead
   of ``type(token)``.  For the length of one C call the pool, the
   scheduler's Mersenne Twister and the ``(src, dst) -> cid`` table are
-  native arrays; the pool order and ``rng.setstate()`` are written back
-  on every exit.
+  native arrays (the generator's words and index copied in place out of
+  the ``random.Random`` object); the pool order and the words drawn to
+  are written back, in place, on every exit.
 
 Engagement, decline and hand-back
 ---------------------------------
@@ -271,7 +272,13 @@ class IdSpace:
     Both must be *strict* total orders for rank comparisons to agree with
     object comparisons; any violation (duplicate reprs, unorderable or
     equal-comparing ids) raises and the caller falls back to the object
-    path.
+    path.  The three rank columns are ``array('i')``.
+
+    Ids that are exactly the ints ``0..n-1`` in order (every drawn family)
+    are ranked by the C module's ``range_ranks`` without a string: the
+    natural rank is the identity, the repr order the preorder of the
+    decimal trie (``0, 1, 10, 100, ..., 11, ..., 2, ...``).  Other ids, and
+    a process without the C module, sort here.
     """
 
     __slots__ = ("ids", "index", "repr_rank", "by_repr_rank", "nat_rank", "n")
@@ -279,36 +286,38 @@ class IdSpace:
     def __init__(self, ids) -> None:
         ids = list(ids)
         n = len(ids)
-        reprs = [repr(x) for x in ids]
-        if len(set(reprs)) != n:
-            raise _Ineligible("id-order", "node id reprs are not unique")
-        by_repr = sorted(range(n), key=reprs.__getitem__)
-        repr_rank = [0] * n
-        for rank, i in enumerate(by_repr):
-            repr_rank[i] = rank
-        try:
-            by_nat = sorted(range(n), key=ids.__getitem__)
-        except TypeError as exc:
-            raise _Ineligible(
-                "id-order", f"node ids are not mutually orderable: {exc}"
-            )
-        for a, b in zip(by_nat, by_nat[1:]):
-            # Strictness: stable sort gives equal-comparing distinct ids
-            # adjacent ranks, which would invent an order the object
-            # path's tuple comparison does not have.
-            if not ids[a] < ids[b]:
-                raise _Ineligible(
-                    "id-order", "node ids are not strictly totally ordered"
-                )
-        nat_rank = [0] * n
-        for rank, i in enumerate(by_nat):
-            nat_rank[i] = rank
+        columns = [array("i", bytes(4 * n)) for _ in range(3)]
+        module = _arrayloop.load()
+        if module is None or not module.range_ranks(ids, *columns):
+            _sort_ranks(ids, *columns)
         self.ids = ids
-        self.index = {x: i for i, x in enumerate(ids)}
-        self.repr_rank = repr_rank
-        self.by_repr_rank = by_repr
-        self.nat_rank = nat_rank
+        self.index = dict(zip(ids, range(n)))
+        self.by_repr_rank, self.repr_rank, self.nat_rank = columns
         self.n = n
+
+
+def _sort_ranks(ids: list, by_repr: array, repr_rank: array, nat_rank: array) -> None:
+    """Fill the three rank columns by sorting the ids' reprs, which must be
+    unique, and the ids, which ``<`` must order strictly."""
+    n = len(ids)
+    reprs = [repr(x) for x in ids]
+    if len(set(reprs)) != n:
+        raise _Ineligible("id-order", "node id reprs are not unique")
+    by_repr[:] = array("i", sorted(range(n), key=reprs.__getitem__))
+    for rank, i in enumerate(by_repr):
+        repr_rank[i] = rank
+    try:
+        by_nat = sorted(range(n), key=ids.__getitem__)
+    except TypeError as exc:
+        raise _Ineligible("id-order", f"node ids are not mutually orderable: {exc}")
+    for a, b in zip(by_nat, by_nat[1:]):
+        # Strictness: stable sort gives equal-comparing distinct ids
+        # adjacent ranks, which would invent an order the object
+        # path's tuple comparison does not have.
+        if not ids[a] < ids[b]:
+            raise _Ineligible("id-order", "node ids are not strictly totally ordered")
+    for rank, i in enumerate(by_nat):
+        nat_rank[i] = rank
 
 
 # ----------------------------------------------------------------------
@@ -801,8 +810,9 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     elif mode is None or rng is not None and (
         type(rng) is not _Random or "getrandbits" in vars(rng)
     ):
-        # The C loop runs the stdlib MT19937 on ``getstate()``'s words and
-        # calls nobody's ``getrandbits``: no other generator, no spy.
+        # The C loop copies the stdlib MT19937's words in place out of an
+        # exact ``random.Random`` and calls nobody's ``getrandbits``: no
+        # other generator, no spy.
         reason = "scheduler"
     elif n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
         reason = "small-pool"
@@ -848,8 +858,11 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
     finally:
         _materialize_to_sim(core, sim, pool, mode)
-        if sim.steps != core.steps:
-            sim.protocol_stamp += 1
+        # The object loop's count: one per node woken (every node started
+        # asleep) and one per message delivered (sent and off its channel).
+        sim.protocol_stamp += (
+            core.n - core.awake.count(0) + sum(core.counts) - sim._in_flight
+        )
     if core.handback is not None:
         sim._last_decline = "handed-back"
         executed += _run_handback(core, sim)

@@ -20,6 +20,7 @@ The families cover the regimes the paper's analysis distinguishes:
 from __future__ import annotations
 
 import random
+from random import Random as _Random  # the one type the C draw copies
 from typing import List, Optional, Tuple
 
 from repro.graphs.knowledge_graph import KnowledgeGraph
@@ -190,15 +191,17 @@ def random_strongly_connected(n: int, extra_edges: int, seed: int = 0) -> Knowle
 def _drawn(n: int, extra_edges: int, rng: random.Random) -> KnowledgeGraph:
     """:func:`_arborescence` plus :func:`_add_random_edges` on ``rng``.
 
-    Where the C module loads, its ``draw_graph`` replays both loops draw
-    for draw and the graph is born as the CSR slab the array core reads
-    (:meth:`KnowledgeGraph.from_slab`); otherwise the loops run here, and
-    they stay the reference either way.
+    Where the C module loads and ``rng`` is exactly a ``random.Random``,
+    its ``draw_graph`` replays both loops draw for draw on the generator's
+    state, copied in place, and the graph is born as the CSR slab the
+    array core reads (:meth:`KnowledgeGraph.from_slab`); otherwise -- a
+    subclass may replace ``getrandbits`` -- the loops run here, and they
+    stay the reference either way.
     """
     from repro.core import arrayloop  # repro.core imports this package
 
     module = arrayloop.load()
-    if module is None:
+    if module is None or type(rng) is not _Random:
         graph = _arborescence(n, rng)
         _add_random_edges(graph, rng, extra_edges)
         return graph

@@ -23,8 +23,9 @@ The three stock policies expose their underlying pool (``_queue`` /
 through :func:`stock_pool`: ``Simulator.run_for`` pops it in place, and the
 array core (:mod:`repro.core.arraystate`) swaps int tokens into it for the
 length of a run.  Its C loop copies those into a native ring at entry and
-runs ``_rng`` as the MT19937 of ``_rng.getstate()``; every exit writes the
-pool order back into the container and calls ``_rng.setstate()``, so
+runs ``_rng``'s MT19937 on its words and index, copied in place out of the
+generator; every exit writes the pool order back into the container and
+copies the words drawn to back in place (``gauss_next`` untouched), so
 ``len(scheduler)``, quiescence detection and the generator's stream are
 as the object loop leaves them, without a method call per step.
 

@@ -7,7 +7,7 @@ and the results equal the ``fast=False`` run.  And the one way of getting
 it that involves a race -- several processes meeting an empty cache at
 once -- must leave every one of them on the C loop.  A cached object the
 interpreter cannot load is dropped, not kept to pin every later process to
-the fallback.  And the loader is where the C file gets every number it
+the fallback; one refused by the generator layout check is kept.  And the loader is where the C file gets every number it
 uses: a copy of the package with two rows of the wire table swapped builds
 a *different* object and both engines still agree.
 
@@ -84,9 +84,9 @@ def _env(cache, path=None, src=SRC):
     return env
 
 
-def _spawn(cache, path=None, src=SRC):
+def _spawn(cache, path=None, src=SRC, preamble=""):
     return subprocess.Popen(
-        [sys.executable, "-c", SCRIPT], env=_env(cache, path, src), text=True,
+        [sys.executable, "-c", preamble + SCRIPT], env=_env(cache, path, src), text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
@@ -225,3 +225,74 @@ def test_swapped_table_rows_renumber_both_engines(tmp_path):
         capture_output=True, timeout=600,
     )
     assert differential.returncode == 0, differential.stdout + differential.stderr
+
+
+#: Run before SCRIPT: the loader hands ``configure()`` a generator type
+#: laid out otherwise than ``_random.Random`` -- wider instances, or words
+#: that getstate() reports otherwise than they lie in memory.
+WIDER = """
+import _random
+from repro.core import arrayloop
+class Wider(_random.Random):
+    __slots__ = ("pad",)
+_config = arrayloop._config
+arrayloop._config = lambda: dict(_config(), random=Wider, mt19937=Wider)
+"""
+MISREPORTED = """
+import random
+from repro.core import arrayloop
+class Misreported(random.Random):
+    __slots__ = ()
+    def getstate(self):
+        version, words, gauss = super().getstate()
+        return version, (words[0] ^ 1,) + words[1:], gauss
+_config = arrayloop._config
+arrayloop._config = lambda: dict(_config(), random=Misreported)
+"""
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "preamble, cause",
+    [
+        (WIDER, "generator layout: Wider instances are "),
+        (MISREPORTED, "generator layout: the words and index read in place differ"),
+    ],
+    ids=["wider", "misreported"],
+)
+def test_a_generator_layout_refusal_is_a_slower_correct_run(tmp_path, preamble, cause):
+    """The C file copies the generator's words in place; where the layout
+    check refuses, the module is not installed, every run takes the object
+    loop with the same results, one warning and ``why_missing()`` say why
+    in one line, and the built object stays in the cache (a rebuild would
+    not change the interpreter)."""
+    cache = tmp_path / "cache"
+    report = _report(_spawn(cache, preamble=preamble))
+    assert report["said"] == ["legacy", "no-c-loop"]
+    assert report["cause"].startswith(cause) and "\n" not in report["cause"]
+    assert report["equal"] and report["scale_equal"]
+    (warning,) = report["warnings"]
+    assert report["cause"] in warning
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def test_a_refused_configure_installs_nothing():
+    """A refusal leaves the configuration in force as it was: the loaded
+    module keeps drawing from a ``random.Random``."""
+    import _random
+    import random
+
+    module = arrayloop.load()
+    if module is None:
+        pytest.skip(f"no C loop: {arrayloop.why_missing()}")
+
+    class Wider(_random.Random):
+        __slots__ = ("pad",)
+
+    refusal = module.configure(dict(arrayloop._config(), random=Wider, mt19937=Wider))
+    assert refusal.startswith("generator layout: Wider instances are ")
+    assert module.configure(dict(arrayloop._config(), random=int)).startswith(
+        "generator layout: the rng type is not a subtype"
+    )
+    off, mem = module.draw_graph(random.Random(3), 20, 10)
+    assert len(off) == 21 and len(mem) == 29

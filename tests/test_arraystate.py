@@ -145,6 +145,47 @@ class TestIdSpace:
         assert err.value.reason == "id-order"
 
 
+    def test_range_ids_rank_like_the_repr_sort(self):
+        """Ids exactly ``0..n-1`` are ranked without strings (the C
+        module's ``range_ranks`` where it loads): every n up to 3,000 and
+        n = 10**5 give the repr sort's orders, the identity as the natural
+        one."""
+        top = 3000
+        order = sorted(range(top), key=repr)
+        for n in list(range(1, top + 1)) + [10**5]:
+            if n > top:
+                top, order = n, sorted(range(n), key=repr)
+            space = IdSpace(range(n))
+            by, rank = space.by_repr_rank.tolist(), space.repr_rank.tolist()
+            assert by == list(filter(n.__gt__, order)), n
+            assert list(map(rank.__getitem__, by)) == list(range(n)), n
+            assert space.nat_rank.tolist() == list(range(n)), n
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [0, 1.0, 2],
+            [0, 1, 3],
+            [0, True, 2],
+            [0, 1, 2**70],
+            random.Random(4).sample(range(40), 40),
+            [str(i) for i in range(12)],
+        ],
+        ids=["a-float", "a-gap", "a-bool", "a-bignum", "shuffled", "digit-strings"],
+    )
+    def test_near_range_ids_take_the_sort(self, ids):
+        module = arrayloop.load()
+        if module is not None:
+            columns = [array("i", bytes(4 * len(ids))) for _ in range(3)]
+            assert module.range_ranks(ids, *columns) is False
+            assert columns == [array("i", bytes(4 * len(ids)))] * 3  # untouched
+        space = IdSpace(ids)
+        by_repr, by_nat = sorted(ids, key=repr), sorted(ids)
+        assert [ids[i] for i in space.by_repr_rank] == by_repr
+        assert list(space.repr_rank) == [by_repr.index(x) for x in ids]
+        assert list(space.nat_rank) == [by_nat.index(x) for x in ids]
+
+
 # ----------------------------------------------------------------------
 # Engagement and decline
 # ----------------------------------------------------------------------
@@ -477,6 +518,40 @@ class TestStepLimitAndResume:
         assert fast_path == array_engaged()[0]
         assert legacy_path == "legacy"
         assert fast_final == legacy_final
+
+
+class TestProtocolStampParity:
+    """``sim.protocol_stamp`` moves as the object loop moves it -- one per
+    node woken, one per message delivered -- whichever engine ran: after a
+    5-step cut (the C run's exit) and after the object loop finished the
+    resumed run, and for runs the C loop drains."""
+
+    @staticmethod
+    def _stamps(fast, scheduler, variant, cut):
+        graph = _graph(24)
+        sim, _nodes = build_simulation(
+            graph, variant, scheduler=scheduler(), fast=fast
+        )
+        stamps = []
+        if cut is not None:
+            with pytest.raises(StepLimitExceeded):
+                sim.run(cut)
+            stamps.append((sim.steps, sim.protocol_stamp))
+        sim.run(default_step_budget(graph))
+        stamps.append((sim.steps, sim.protocol_stamp))
+        return stamps, sim._last_run_path
+
+    @pytest.mark.parametrize("cut", [None, 5], ids=["drained", "cut-5"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "scheduler",
+        [GlobalFifoScheduler, LifoScheduler, lambda: RandomScheduler(3)],
+        ids=["fifo", "lifo", "seeded"],
+    )
+    def test_equal_to_the_object_loop(self, scheduler, variant, cut):
+        fast, path = self._stamps(True, scheduler, variant, cut)
+        assert path == (array_engaged()[0] if cut is None else "legacy")
+        assert fast == self._stamps(False, scheduler, variant, cut)[0]
 
 
 # ----------------------------------------------------------------------

@@ -448,6 +448,36 @@ def outcome_digest(graph, state):
     ).hexdigest()
 
 
+def _at_index_zero():
+    version, words, gauss = random.Random(7).getstate()
+    rng = random.Random()
+    rng.setstate((version, words[:-1] + (0,), gauss))
+    return rng
+
+
+def _mid_block():
+    rng = random.Random(7)
+    rng.getrandbits(32 * 300)
+    return rng
+
+
+def _after_gauss():
+    rng = random.Random(7)
+    rng.gauss(0.0, 1.0)  # leaves gauss_next set
+    return rng
+
+
+#: generators whose streams stand mid-stream, and the index each stands at:
+#: 0, mid-block, just seeded, and after gauss() (two random() calls in,
+#: gauss_next set)
+STREAMS = {
+    "index-0": (_at_index_zero, 0),
+    "mid-block": (_mid_block, 300),
+    "index-624": (lambda: random.Random(7), 624),
+    "after-gauss": (_after_gauss, 4),
+}
+
+
 class TestDrawGraph:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -480,6 +510,40 @@ class TestDrawGraph:
         assert rng.getstate() == state
         with pytest.raises(ValueError, match="extra_edges"):
             random_weakly_connected(10, -1, seed=5)
+
+    @pytest.mark.parametrize("stream", list(STREAMS), ids=list(STREAMS))
+    @pytest.mark.parametrize("n, extra", [(1, 0), (40, 70), (300, 2000)])
+    def test_mid_stream_generators(self, kernels, stream, n, extra):
+        """The state is copied out of the generator and back in place from
+        wherever its stream stands (the index, and gauss_next left alone):
+        getstate() and the slab equal the Python loops' from the same
+        state."""
+        make, index = STREAMS[stream]
+        reference, native = make(), make()
+        assert native.getstate() == reference.getstate()
+        assert native.getstate()[1][-1] == index
+        expected = generators._arborescence(n, reference)
+        generators._add_random_edges(expected, reference, extra)
+        drawn = generators._drawn(n, extra, native)
+        assert native.getstate() == reference.getstate()
+        assert drawn.n_edges == expected.n_edges
+        assert rows_in_order(drawn) == rows_in_order(expected)
+        # and the generator's own draws carry on from there
+        assert native.random() == reference.random()
+
+    def test_a_non_random_rng_raises_before_any_draw(self, kernels):
+        """Only an exact ``random.Random`` is copied: a subclass may draw
+        through its own ``getrandbits``, SystemRandom has no state."""
+
+        class Sub(random.Random):
+            pass
+
+        sub = Sub(5)
+        state = sub.getstate()
+        for rng in (None, object(), random.SystemRandom(), sub):
+            with pytest.raises(TypeError, match="must be a random.Random"):
+                kernels.draw_graph(rng, 10, 5)
+        assert sub.getstate() == state
 
     def test_generators_return_slab_born_graphs(self, kernels):
         for graph in (random_weakly_connected(50, 80, 1), generators.random_arborescence(50, 1)):

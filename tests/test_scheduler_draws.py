@@ -1,9 +1,10 @@
 """The scheduler's pool and draws, handed to the C loop and back.
 
 For the length of one C call the array core keeps the pending-token pool
-as a native ring and runs the scheduler's Mersenne Twister on the words
-``rng.getstate()`` gave it; every exit writes the pool order back into the
-scheduler's container and calls ``rng.setstate()``.  These tests hold both
+as a native ring and runs the scheduler's Mersenne Twister on its words
+and index, copied in place out of the generator; every exit writes the
+pool order back into the scheduler's container and copies the words back
+in place (``gauss_next`` is never touched).  These tests hold both
 to the ``fast=False`` run after every kind of exit -- drained, a step
 limit, a handler raising inside the C loop -- for generators anywhere in
 their stream (fresh at index 624, mid-block, after ``gauss()``) and pools
