@@ -36,14 +36,18 @@ interleaved in the same process, and appends the results to
   plus one dense-random n = 20,000 Ad-hoc point (the set-heavy shape),
   one fresh process per point, replacing the ``scaling`` block of
   ``BENCH_core.json``.  Each row carries the delivery loop's own
-  ``steps_per_s``, the channel count and ``rss_per_node_kb`` (RSS growth
-  across the ``run_graph`` call over n).  Takes ~2 minutes and ~1 GB RSS
+  ``steps_per_s``, the channel count, ``rss_per_node_kb`` (RSS growth
+  across the ``run_graph`` call over n) and ``peak_per_node_kb`` (peak
+  RSS over the same baseline, over n).  Takes ~2 minutes and ~1 GB RSS
   at the top size, hence opt-in.
 
 * ``test_core_footprint`` (always runs; CI's perf-smoke job) -- two
   points of that series, each gated on bytes per node:
-  ``rss_per_node_kb`` must stay below ``FOOTPRINT_CEILING`` times the
-  committed series' value.  The sparse n = 30,000 Generic point is the
+  ``rss_per_node_kb`` (held where the loop returns) and
+  ``peak_per_node_kb`` (the process's ``ru_maxrss`` after the run, over
+  the same baseline: the peak inside the C call, which the first misses)
+  must each stay below ``FOOTPRINT_CEILING`` times the committed series'
+  value.  The sparse n = 30,000 Generic point is the
   footprint the knowledge slabs were sized on; the dense n = 20,000
   Ad-hoc point keeps a layout tuned only for sparse Generic from
   passing.  A byte ratio, so comparable across runners.  Each point's
@@ -364,9 +368,12 @@ def _scale_point(variant, n, family=FAMILY, repeats=1):
     The delivery loop is timed by itself (``ArrayCore.run_loop`` wrapped
     by attribute, like the repository benchmark's ledger), and RSS is read
     where the loop returns: every column and channel is still alive there,
-    and the graph was built before the baseline was taken.  The first run
-    gives every figure; ``off_loop`` is ``(run_s - loop_s) / loop_s`` over
-    ``repeats`` runs, each term its best (least noise).
+    and the graph was built before the baseline was taken.  The peak is
+    the process's ``ru_maxrss`` after the first run over the same baseline:
+    what the run held at its highest, inside the C call included (at small
+    n the imports' own peak can exceed the run's and set it).  The first
+    run gives every figure; ``off_loop`` is ``(run_s - loop_s) / loop_s``
+    over ``repeats`` runs, each term its best (least noise).
     """
     graph = build_family(family, n, seed=0)
     seen, runs, loops = {}, [], []
@@ -392,6 +399,7 @@ def _scale_point(variant, n, family=FAMILY, repeats=1):
             assert outcome.verified
             if len(runs) == 1:
                 result = outcome
+                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     finally:
         ArrayCore.run_loop = run_loop
     return {
@@ -406,6 +414,7 @@ def _scale_point(variant, n, family=FAMILY, repeats=1):
         "channels": seen["channels"],
         "steps_per_s": int(result.steps / loops[0]),
         "rss_per_node_kb": round((seen["rss_kb"] - before_kb) / n, 2),
+        "peak_per_node_kb": round((peak_kb - before_kb) / n, 2),
         "off_loop": round(min(r - l for r, l in zip(runs, loops)) / min(loops), 3),
     }
 
@@ -427,12 +436,13 @@ def _scaling_row(p):
     return [
         p["engine"], p["family"], p["n"], p["run_s"], p["loop_s"], p["steps"],
         p["messages"], p["channels"], p["steps_per_s"], p["rss_per_node_kb"],
+        p["peak_per_node_kb"],
     ]
 
 
 _SCALING_HEADERS = [
     "engine", "family", "n", "run-s", "loop-s", "steps", "messages", "channels",
-    "loop-steps/s", "rss-KiB/node",
+    "loop-steps/s", "rss-KiB/node", "peak-KiB/node",
 ]
 
 
@@ -457,7 +467,9 @@ def test_core_scaling_series(benchmark, record_table):
             "verified run per size, each in a fresh process. run-s is the "
             "whole call (column build + loop + O(n+E) verification), "
             "loop-s the delivery loop alone, rss-KiB/node the RSS growth "
-            "from before the call to the loop's return over n. Criterion: "
+            "from before the call to the loop's return over n, "
+            "peak-KiB/node the process's peak RSS after the call over the "
+            "same baseline, over n. Criterion: "
             "completes n=200,000 for both engines within the step budget; "
             "wall-clock informative."
         ),
@@ -489,27 +501,28 @@ def test_core_footprint(benchmark, record_table):
             "The sparse Generic and dense Ad-hoc points of BENCH-core-scaling. "
             "off-loop = (run-s - loop-s) / loop-s, each term the best of "
             f"{OFF_LOOP_REPEATS} runs in the point's process. Criterion: "
-            f"rss-KiB/node within {FOOTPRINT_CEILING}x of the committed "
-            f"series' value and off-loop within {OFF_LOOP_CEILING}x of the "
-            "committed off_loop block, each."
+            f"rss-KiB/node and peak-KiB/node within {FOOTPRINT_CEILING}x of "
+            f"the committed series' values and off-loop within "
+            f"{OFF_LOOP_CEILING}x of the committed off_loop block, each."
         ),
     )
     data = _load_bench()
     series = data.get("scaling", {}).get("series", [])
     for (variant, family, n), point in zip(FOOTPRINT_POINTS, points):
-        committed = [
-            p["rss_per_node_kb"]
-            for p in series
-            if (p["engine"], p["family"], p["n"]) == (variant, family, n)
-            and "rss_per_node_kb" in p
-        ]
-        assert committed, f"BENCH_core.json has no {variant} {family} n={n} row"
-        ceiling = FOOTPRINT_CEILING * committed[0]
-        assert point["rss_per_node_kb"] <= ceiling, (
-            f"run_graph {variant} {family} n={n}: {point['rss_per_node_kb']} "
-            f"KiB/node exceeds {ceiling:.2f} (committed {committed[0]}, ceiling "
-            f"{FOOTPRINT_CEILING}x)"
-        )
+        for key in ("rss_per_node_kb", "peak_per_node_kb"):
+            committed = [
+                p[key]
+                for p in series
+                if (p["engine"], p["family"], p["n"]) == (variant, family, n)
+                and key in p
+            ]
+            assert committed, f"BENCH_core.json has no {variant} {family} n={n} {key}"
+            ceiling = FOOTPRINT_CEILING * committed[0]
+            assert point[key] <= ceiling, (
+                f"run_graph {variant} {family} n={n}: {key} {point[key]} "
+                f"KiB/node exceeds {ceiling:.2f} (committed {committed[0]}, "
+                f"ceiling {FOOTPRINT_CEILING}x)"
+            )
     off_loop = [
         {key: point[key] for key in ("engine", "family", "n", "off_loop")}
         for point in points

@@ -27,8 +27,9 @@
  * What one call owns.  Python reads none of this while a call runs, so for
  * its length it lives in plain C arrays (PyMem_Malloc), built at entry:
  *  - the pending-token pool: an int64 ring read from `pool` (a list or a
- *    deque of ints); FIFO pops its head, LIFO its tail, random mode swaps
- *    the drawn slot with the tail;
+ *    deque of ints), which is emptied once the ring holds it; FIFO pops
+ *    its head, LIFO its tail, random mode swaps the drawn slot with the
+ *    tail;
  *  - the scheduler's MT19937: the 624 words and index, copied in place out
  *    of the random.Random object (random mode only; configure() checked
  *    the layout), drawn exactly as CPython's getrandbits;
@@ -64,18 +65,23 @@
  * and a per-node column slot is None or a list of them.
  *
  * What every exit writes back -- drained, RC_LIMIT, RC_DEOPT / RC_PUMP, and
- * a raising handler alike (sync_out): the step count into `cell`, the
- * counts, the knowledge tables into fresh array('i') slabs, the pending
- * messages and the channel endpoints (msgs_store), the pool order into the
- * caller's container, and the words drawn to and the index, copied in
- * place into the rng (gauss_next is never touched).  Everything native is
- * freed.  Entry and exit cost O(n + knowledge + channels + pool + pending)
- * plain loads and stores plus two 2.5 KB copies of the generator state; a
- * run pays them once per call.  Both
- * drivers build a core fresh -- from a graph or a just-built simulator --
- * and call again on it only at a step limit; after a hand-back the
- * reference takes over.  If entry fails nothing has been popped and
- * nothing is written back.
+ * a raising handler alike (sync_out), in this order: the step count into
+ * `cell` and the counts; then, after the (src, dst) -> id table, both heap
+ * columns and the three rank copies are freed, the knowledge tables into
+ * fresh array('i') slabs (know_store); then, after the tables are freed,
+ * the pending messages and the channel endpoints (msgs_store); the pool
+ * order into the caller's container; and the words drawn to and the index,
+ * copied in place into the rng (gauss_next is never touched).  The rest of
+ * the native state is freed last.  Freeing each structure before the next
+ * write-back allocates keeps the exit from stacking the slabs it builds on
+ * the tables they come from.  Entry and exit cost O(n + knowledge +
+ * channels + pool + pending) plain loads and stores plus two 2.5 KB copies
+ * of the generator state; a run pays them once per call.  Both drivers
+ * build a core fresh -- from a graph or a just-built simulator -- and call
+ * again on it only at a step limit; after a hand-back the reference takes
+ * over.  If entry fails nothing has been popped and nothing is written
+ * back: the caller's containers are untouched, the pool included, because
+ * the pool is emptied only after everything has loaded.
  *
  *   RC_DRAINED: pool drained.
  *   RC_LIMIT: step limit boundary: a counted step just finished with
@@ -149,9 +155,12 @@
  *   fill_local(succ, ids, idx, off, mem) -> None
  *     core.local from KnowledgeGraph._succ: node i's members are idx[v]
  *     for v in succ[ids[i]], in the set's iteration order (IdSlab.of's);
- *     off gets the n + 1 offsets.  mem must hold exactly the members
- *     (graph.n_edges): any other count is a ValueError, a member idx
- *     lacks a KeyError, and nothing is written past either buffer.  A
+ *     off gets the n + 1 offsets.  idx is a dict, or a mapping under which
+ *     an exact int in 0..n-1 is its own index (IdSpace's IdentityIndex):
+ *     such a member is read as itself, any other one is idx[v].  mem must
+ *     hold exactly the members (graph.n_edges): any other count is a
+ *     ValueError, a member idx lacks a KeyError, and nothing is written
+ *     past either buffer.  A
  *     drawn graph skips it: its own slab is core.local, read, never
  *     written (the loop's exit replaces core.local's arrays).
  *   component_labels(off, mem, labels) -> count
@@ -1025,11 +1034,16 @@ emit(S *s, long src, long dst, int32_t r)
     return pool_push(&s->pool, cid);
 }
 
+/* emit, and the id-set's extra ids counted once the send went out (a
+ * self-send raises before SimNode.send counts anything). */
 static int
 emitx(S *s, long src, long dst, int32_t r, long extra_ids)
 {
-    s->xtra[TAG(s, r)] += extra_ids;
-    return emit(s, src, dst, r);
+    int tag = TAG(s, r);
+    if (emit(s, src, dst, r) < 0)
+        return -1;
+    s->xtra[tag] += extra_ids;
+    return 0;
 }
 
 /* A fresh record of a field-less row, sent; -1 on error. */
@@ -1759,6 +1773,46 @@ c_pump(S *s, long i)
 /* ------------------------------------------------------------------ */
 /* Per-call setup / teardown                                           */
 /* ------------------------------------------------------------------ */
+/* The knowledge tables, freed; NULL after. */
+static void
+know_free(S *s)
+{
+    if (s->know != NULL) {
+        for (Py_ssize_t i = 0; i < s->n; i++)
+            PyMem_Free(s->know[i].slot);
+        PyMem_Free(s->know);
+        s->know = NULL;
+    }
+}
+
+/* The more / unexplored heaps, freed; NULL after. */
+static void
+heaps_free(S *s)
+{
+    if (s->mheap != NULL) {
+        for (Py_ssize_t i = 0; i < 2 * s->n; i++)
+            PyMem_Free(s->mheap[i].v);
+        PyMem_Free(s->mheap);
+        s->mheap = s->uheap = NULL;
+    }
+}
+
+/* What no write-back reads -- the (src, dst) -> id table, the heaps and the
+ * three rank copies -- freed; NULL after. */
+static void
+scaffolding_free(S *s)
+{
+    PyMem_Free(s->ch.slot);
+    s->ch.slot = NULL;
+    heaps_free(s);
+    PyMem_Free(s->rrank);
+    PyMem_Free(s->by_rrank);
+    PyMem_Free(s->nrank);
+    s->rrank = s->by_rrank = s->nrank = NULL;
+}
+
+/* Everything: the references taken and whatever native memory an exit has
+ * not freed yet (the pointers it freed are NULL). */
 static void
 free_s(S *s)
 {
@@ -1783,21 +1837,9 @@ free_s(S *s)
     Py_XDECREF(s->order);
     for (int c = 0; c < K_CLASSES; c++)
         Py_XDECREF(s->slabs[c]);
-    PyMem_Free(s->rrank);
-    PyMem_Free(s->by_rrank);
-    PyMem_Free(s->nrank);
-    if (s->know != NULL) {
-        for (Py_ssize_t i = 0; i < s->n; i++)
-            PyMem_Free(s->know[i].slot);
-        PyMem_Free(s->know);
-    }
-    if (s->mheap != NULL) {
-        for (Py_ssize_t i = 0; i < 2 * s->n; i++)
-            PyMem_Free(s->mheap[i].v);
-        PyMem_Free(s->mheap);
-    }
+    scaffolding_free(s);
+    know_free(s);
     PyMem_Free(s->ch.ends);
-    PyMem_Free(s->ch.slot);
     PyMem_Free(s->msg.rec);
     PyMem_Free(s->msg.pay);
     PyMem_Free(s->prev);
@@ -2482,6 +2524,17 @@ mt_store(const MT *mt, PyObject *rng)
     r->index = mt->idx;
 }
 
+/* The caller's pool container emptied, once the ring holds its tokens. */
+static int
+pool_empty(S *s)
+{
+    if (PyList_Check(s->pool_obj))
+        return PyList_SetSlice(s->pool_obj, 0, PY_SSIZE_T_MAX, NULL);
+    PyObject *r = PyObject_CallMethodNoArgs(s->pool_obj, s_clear);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
 /* The pool order back into the caller's container. */
 static int
 pool_store(S *s)
@@ -2533,7 +2586,9 @@ load_native(S *s)
 
 /* Write the step count, counts/xtra, the knowledge slabs, the pending
  * messages, the pool order and the rng state back out; preserves any
- * pending exception. */
+ * pending exception.  Each native structure is freed as soon as nothing
+ * after it reads it: the scaffolding before know_store allocates the slabs,
+ * the knowledge tables before msgs_store encodes. */
 static void
 sync_out(S *s, PyObject *cell)
 {
@@ -2550,8 +2605,11 @@ sync_out(S *s, PyObject *cell)
         if (x != NULL)
             PyList_SetItem(s->xtra_l, t, x);
     }
-    if (!PyErr_Occurred() && know_store(s) == 0 && msgs_store(s) == 0 &&
-        pool_store(s) == 0 && s->mode == MODE_RANDOM)
+    scaffolding_free(s);
+    int ok = !PyErr_Occurred() && know_store(s) == 0;
+    know_free(s);
+    if (ok && msgs_store(s) == 0 && pool_store(s) == 0 &&
+        s->mode == MODE_RANDOM)
         mt_store(&s->mt, s->rng);
     if (et != NULL)
         PyErr_Restore(et, ev, tb); /* a write-back error gives way to it */
@@ -2582,10 +2640,11 @@ loop_run(PyObject *self, PyObject *args)
     s.mode = mode;
     s.stop = stop;
     long steps = GETL(cell, 0);
-    /* Nothing is written back unless everything loaded: the caller's
-     * containers are only read until the first pop. */
+    /* Nothing is written back unless everything loaded, and until then the
+     * caller's containers are only read.  Once the ring holds the pool the
+     * caller's container is emptied; every exit refills it (sync_out). */
     if ((steps == -1 && PyErr_Occurred()) || fill_s(&s, core) < 0 ||
-        load_native(&s) < 0) {
+        load_native(&s) < 0 || pool_empty(&s) < 0) {
         free_s(&s);
         return NULL;
     }
@@ -2696,13 +2755,36 @@ error: /* a raising handler left its exception set: it survives sync_out */
 /* ------------------------------------------------------------------ */
 /* The graph's way in: fill_local, component_labels and draw_graph     */
 /* ------------------------------------------------------------------ */
+/* The int idx gives member v (fill_local's contract); -1 with an exception
+ * set on a miss. */
+static long
+fill_index(PyObject *idx, PyObject *v, Py_ssize_t n)
+{
+    if (PyDict_Check(idx)) {
+        PyObject *m = PyDict_GetItemWithError(idx, v);
+        if (m == NULL && !PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, v);
+        return m == NULL ? -1 : PyLong_AsLong(m);
+    }
+    if (PyLong_CheckExact(v)) {
+        int overflow;
+        long k = PyLong_AsLongAndOverflow(v, &overflow);
+        if (k >= 0 && k < n)
+            return k;
+    }
+    PyObject *m = PyObject_GetItem(idx, v);
+    long k = m == NULL ? -1 : PyLong_AsLong(m);
+    Py_XDECREF(m);
+    return k;
+}
+
 /* fill_local: the file header states the contract. */
 static PyObject *
 loop_fill_local(PyObject *self, PyObject *args)
 {
     PyObject *succ, *ids, *idx, *off_o, *mem_o, *result = NULL;
-    if (!PyArg_ParseTuple(args, "O!O!O!OO", &PyDict_Type, &succ, &PyList_Type,
-                          &ids, &PyDict_Type, &idx, &off_o, &mem_o))
+    if (!PyArg_ParseTuple(args, "O!O!OOO", &PyDict_Type, &succ, &PyList_Type,
+                          &ids, &idx, &off_o, &mem_o))
         return NULL;
     Py_buffer off = {0}, mem = {0};
     if (int32_view(off_o, &off, PyBUF_WRITABLE, "local") < 0 ||
@@ -2729,10 +2811,7 @@ loop_fill_local(PyObject *self, PyObject *args)
         if (it == NULL)
             goto done;
         while ((v = PyIter_Next(it)) != NULL) {
-            PyObject *m = PyDict_GetItemWithError(idx, v);
-            long k = m == NULL ? -1 : PyLong_AsLong(m);
-            if (m == NULL && !PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, v);
+            long k = fill_index(idx, v, n);
             Py_DECREF(v);
             if (PyErr_Occurred())
                 break;

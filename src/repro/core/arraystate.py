@@ -16,7 +16,9 @@ converts back.
   deterministic-choice heaps and broadcasts, and the *natural order* the
   ``(phase, id)`` conquest comparisons use.  Ids whose reprs collide or
   that are not strictly totally ordered make the system ineligible (the
-  object path keeps running them).
+  object path keeps running them).  Ids that are already ``0..n-1`` keep
+  no id -> int dict (:class:`IdentityIndex`), and their int objects are
+  the core's canonical ints.
 * **Columnar node state**: every Figure-2 scalar becomes a flat list or
   bytearray indexed by node int, and each of the five knowledge sets
   (``local``/``more``/``done``/``unaware``/``unexp``) one :class:`IdSlab`:
@@ -112,10 +114,11 @@ import gc
 import heapq
 from array import array
 from collections import Counter, deque
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from random import Random as _Random
 from sys import maxsize
 from typing import Hashable, List, Optional, Tuple
@@ -142,6 +145,7 @@ from repro.sim.trace import MessageStats
 
 __all__ = [
     "IdSpace",
+    "IdentityIndex",
     "IdSlab",
     "ArrayCore",
     "ScaleResult",
@@ -277,8 +281,10 @@ class IdSpace:
     Ids that are exactly the ints ``0..n-1`` in order (every drawn family)
     are ranked by the C module's ``range_ranks`` without a string: the
     natural rank is the identity, the repr order the preorder of the
-    decimal trie (``0, 1, 10, 100, ..., 11, ..., 2, ...``).  Other ids, and
-    a process without the C module, sort here.
+    decimal trie (``0, 1, 10, 100, ..., 11, ..., 2, ...``), and ``index``
+    is the read-only :class:`IdentityIndex` instead of a dict of ``n``
+    entries.  Other ids, and a process without the C module, sort here and
+    get the dict.
     """
 
     __slots__ = ("ids", "index", "repr_rank", "by_repr_rank", "nat_rank", "n")
@@ -288,12 +294,42 @@ class IdSpace:
         n = len(ids)
         columns = [array("i", bytes(4 * n)) for _ in range(3)]
         module = _arrayloop.load()
-        if module is None or not module.range_ranks(ids, *columns):
+        if module is not None and module.range_ranks(ids, *columns):
+            self.index = IdentityIndex(ids)
+        else:
             _sort_ranks(ids, *columns)
+            self.index = dict(zip(ids, range(n)))
         self.ids = ids
-        self.index = dict(zip(ids, range(n)))
         self.by_repr_rank, self.repr_rank, self.nat_rank = columns
         self.n = n
+
+
+class IdentityIndex(Mapping):
+    """The id -> int index of ids that are exactly the ints ``0..n-1`` in
+    order, without storing it: an exact ``int`` in range answers itself.
+    Any other key -- ``True``, ``1.0``, ``-1``, ``n``, a string -- builds
+    the dict :class:`IdSpace` would have built, once, and answers from it,
+    so every lookup gives a dict's answer or its ``KeyError``.  Iterates
+    the ids in int order, like that dict."""
+
+    __slots__ = ("_ids", "_dict")
+
+    def __init__(self, ids: list) -> None:
+        self._ids = ids
+        self._dict = None
+
+    def __getitem__(self, key):
+        if type(key) is int and 0 <= key < len(self._ids):
+            return key
+        if self._dict is None:
+            self._dict = dict(zip(self._ids, range(len(self._ids))))
+        return self._dict[key]
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
 
 
 def _sort_ranks(ids: list, by_repr: array, repr_rank: array, nat_rank: array) -> None:
@@ -459,7 +495,6 @@ class ArrayCore:
         self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
-        self.nxt = list(range(n))
         #: the five knowledge sets, one :class:`IdSlab` each
         self.local = None
         self.more = IdSlab.fresh(n, own=True)
@@ -483,10 +518,17 @@ class ArrayCore:
         self.chanq = {}
         self.chan_src = array("i")
         self.chan_dst = array("i")
-        #: ``iobj[i] is i`` as a Python object -- the canonical int table
+        #: ``iobj[i] == i`` as a Python object -- the canonical int table
         #: the C loop borrows for set membership and message fields, so it
-        #: never allocates node-int objects on the hot path.
-        self.iobj = list(range(n))
+        #: never allocates node-int objects on the hot path.  Ids that are
+        #: exactly ``0..n-1`` (an :class:`IdentityIndex`) are that table
+        #: already, so it is ``space.ids`` itself; ``nxt`` (every node its
+        #: own) copies the table and shares its int objects.
+        if type(space.index) is IdentityIndex:
+            self.iobj = space.ids
+        else:
+            self.iobj = list(range(n))
+        self.nxt = list(self.iobj)
         self.counts = [0] * len(MSG_TYPES)
         self.bits = [0] * len(MSG_TYPES)
         #: extra id payload count per tag; ``bits`` is derived from
@@ -558,20 +600,48 @@ class ArrayCore:
     def chains(self):
         """``(leaders, resolved, lengths)``: the leader ints, and per node
         the first leader on its ``next`` chain and the chain's length -- one
-        hop over whole columns, then a memoized walk for longer (Ad-hoc)
-        chains.  A chain that meets a node twice raises ``RuntimeError``
-        naming it, as :func:`repro.core.result.collect_result` does."""
-        n, nxt = self.n, self.nxt
+        hop over whole columns, then pointer doubling for longer (Ad-hoc)
+        chains: each round every node not yet at a leader jumps to where
+        its target's jump ends, by C-level gathers over the nodes still
+        unresolved.  A chain unresolved after ``ceil(log2 n) + 1`` rounds
+        meets a node twice, and the per-node walk (:meth:`_walk_chains`)
+        raises ``RuntimeError`` naming it, as
+        :func:`repro.core.result.collect_result` does."""
+        n = self.n
         lead = self.status.translate(IS_LEADER)
         leaders = list(compress(range(n), lead))
-        resolved = list(nxt)
+        resolved = list(self.nxt)
         for i in leaders:
             resolved[i] = i
         lengths = lead.translate(_FLIP)
         if all(map(lead.__getitem__, set(resolved))):  # one hop to a leader
             return leaders, resolved, lengths
+        lengths = list(lengths)  # 0 exactly at a leader, which points at itself
+        todo = list(compress(range(n), map(lengths.__getitem__, resolved)))
+        for _ in range((n - 1).bit_length() + 1):
+            # one index more than ``todo`` holds, so every gather is a
+            # tuple (``itemgetter`` of one index is the bare item); the
+            # zips stop at ``todo``'s end
+            at = itemgetter(*todo, todo[0])
+            hop = itemgetter(*at(resolved))
+            ahead = hop(resolved)
+            for i, r, length in zip(todo, ahead, map(add, at(lengths), hop(lengths))):
+                resolved[i] = r
+                lengths[i] = length
+            todo = list(compress(todo, map(lengths.__getitem__, ahead)))
+            if not todo:
+                return leaders, resolved, lengths
+        return self._walk_chains(lead, leaders)
+
+    def _walk_chains(self, lead, leaders):
+        """:meth:`chains` one node at a time from the ``next`` column,
+        memoizing each walked path; raises on the first node met twice."""
+        n, nxt = self.n, self.nxt
+        resolved = list(nxt)
+        for i in leaders:
+            resolved[i] = i
         done = bytearray(map(lead.__getitem__, resolved))  # 1: ends at a leader
-        lengths = list(lengths)
+        lengths = list(lead.translate(_FLIP))
         for i in compress(range(n), done.translate(_FLIP)):
             path, j = [], i
             while done[j] != 1:
@@ -615,6 +685,10 @@ def _build_from_sim(sim, pool):
     """
     space = IdSpace(sim.nodes)
     idx = space.index
+    if type(idx) is IdentityIndex:
+        # read once per member below: beside n node objects a dict costs
+        # little, and it answers at C speed
+        idx = dict(zip(space.ids, range(space.n)))
     core = ArrayCore(space, sim.id_bits)
     core.steps = sim.steps
     local_rows = []
@@ -903,7 +977,8 @@ def _fill_local(graph, ids, idx) -> IdSlab:
     identity, and nothing writes into them (the loop's exit replaces
     ``core.local``'s arrays).  Otherwise the C kernel writes the successor
     sets, in ``IdSlab.of``'s order, into a slab preallocated at
-    ``graph.n_edges`` members.  Either way a member count other than
+    ``graph.n_edges`` members; ``idx`` is a dict or an
+    :class:`IdentityIndex`.  Either way a member count other than
     ``graph.n_edges`` raises."""
     csr = graph.slab()
     if csr is not None and len(ids) == graph.n and all(map(eq, ids, range(graph.n))):
@@ -920,10 +995,11 @@ def _fill_local(graph, ids, idx) -> IdSlab:
 
 
 def _graph_components(graph, idx, local=None) -> Tuple[array, int]:
-    """The weak components of ``graph`` over the ints of ``idx`` (a dict in
-    int order) as ``(labels, count)``: ``labels[i]`` is the smallest int of
-    node ``i``'s component.  With the C module the kernel labels ``local``
-    (the graph's successor slab, filled here when not given) in one pass;
+    """The weak components of ``graph`` over the ints of ``idx`` (an
+    ``IdSpace.index``: a dict in int order or an :class:`IdentityIndex`)
+    as ``(labels, count)``: ``labels[i]`` is the smallest int of node
+    ``i``'s component.  With the C module the kernel labels ``local`` (the
+    graph's successor slab, filled here when not given) in one pass;
     without, :func:`weakly_connected_components` does."""
     labels = array("i", [0]) * len(idx)
     module = _arrayloop.load()
@@ -978,11 +1054,14 @@ def _run_columns(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     idx = space.index
     n = space.n
-    woken = space.ids if wake_order is None else wake_order
-    try:
-        pool = [-1 - idx[x] for x in woken]  # a list in every mode
-    except KeyError as exc:  # Simulator.schedule_wake's error, not the index's
-        raise KeyError(f"unknown node {exc.args[0]!r}") from None
+    # a list in every mode; node i's wake is -1 - i
+    if wake_order is None:
+        pool = list(range(-1, -1 - n, -1))
+    else:
+        try:
+            pool = [-1 - idx[x] for x in wake_order]
+        except KeyError as exc:  # Simulator.schedule_wake's error, not the index's
+            raise KeyError(f"unknown node {exc.args[0]!r}") from None
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     limit = max_steps if max_steps is not None else default_step_budget(graph)

@@ -170,8 +170,13 @@ class TestIdSpace:
             [0, 1, 2**70],
             random.Random(4).sample(range(40), 40),
             [str(i) for i in range(12)],
+            [0, 2, 1],
+            [0.0, 1.0],
         ],
-        ids=["a-float", "a-gap", "a-bool", "a-bignum", "shuffled", "digit-strings"],
+        ids=[
+            "a-float", "a-gap", "a-bool", "a-bignum", "shuffled", "digit-strings",
+            "out-of-order", "floats",
+        ],
     )
     def test_near_range_ids_take_the_sort(self, ids):
         module = arrayloop.load()
@@ -184,6 +189,45 @@ class TestIdSpace:
         assert [ids[i] for i in space.by_repr_rank] == by_repr
         assert list(space.repr_rank) == [by_repr.index(x) for x in ids]
         assert list(space.nat_rank) == [by_nat.index(x) for x in ids]
+        assert type(space.index) is dict
+        assert space.index == {x: i for i, x in enumerate(ids)}
+
+    def test_a_bool_beside_its_int_is_no_range(self):
+        """``[True, 1]``: not exact ints, so the sort, which finds the two
+        equal."""
+        module = arrayloop.load()
+        if module is not None:
+            assert module.range_ranks([True, 1], *[array("i", [0, 0])] * 3) is False
+        with pytest.raises(_Ineligible, match="not strictly totally ordered"):
+            IdSpace([True, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 300])
+    def test_range_ids_index_themselves(self, n):
+        """Where ``range_ranks`` takes the ids the index is the identity,
+        and every key -- in range or not, an int or not -- gets the dict's
+        answer or the dict's error."""
+        space = IdSpace(range(n))
+        reference = {x: i for i, x in enumerate(range(n))}
+        index = space.index
+        if arrayloop.load() is None:
+            assert type(index) is dict
+        else:
+            assert type(index) is arraystate.IdentityIndex
+        assert len(index) == n and list(index) == list(reference)
+        assert index == reference and dict(index.items()) == reference
+        for key in [0, n - 1, n // 2, -1, n, 2**70, -(2**70), True, False, 1.0,
+                    0.0, "0", None, (0,)]:
+            want = reference.get(key, KeyError)
+            if want is KeyError:
+                with pytest.raises(KeyError) as err:
+                    index[key]
+                assert err.value.args == (key,)
+                assert key not in index
+            else:
+                assert index[key] == want and type(index[key]) is int
+                assert key in index
+        with pytest.raises(TypeError):
+            index[[0]]
 
 
 # ----------------------------------------------------------------------

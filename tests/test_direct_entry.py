@@ -53,8 +53,27 @@ def relabel(graph, make_id):
 def outcome(variant, graph, **kwargs):
     """Everything a caller can observe of one ``run_*`` call, dict and
     stats key orders included; an exception as ``(type, text)``."""
+    return observed(lambda: RUNNERS[variant](graph, **kwargs))
+
+
+def through_gate(variant, graph, **kwargs):
+    """``outcome`` of ``build_simulation`` + ``Simulator.run`` +
+    ``collect_result``: the simulator's gate, whose columns come from
+    ``_build_from_sim``, and the path it took."""
+    path = []
+
+    def run():
+        sim, nodes = build_simulation(graph, variant, **kwargs)
+        sim.run(runner.default_step_budget(graph))
+        path.append((sim._last_run_path, sim._last_decline))
+        return runner.collect_result(graph, nodes, sim, variant)
+
+    return observed(run), path
+
+
+def observed(call):
     try:
-        result = RUNNERS[variant](graph, **kwargs)
+        result = call()
     except Exception as exc:
         return type(exc), str(exc)
     return (
@@ -166,6 +185,50 @@ def test_each_pitfall_is_the_object_runs_answer(variant, seed):
     doubled = same_as_object_run(variant, graph, seed=seed, wake_order=ids + ids)
     if seed is None:  # (a seeded schedule draws over a different pool)
         assert doubled[3] == steps + len(ids)
+
+
+@pytest.mark.parametrize(
+    "stray", [-1, 9, 1.0, True, "0"], ids=["minus-one", "n", "float", "bool", "str"]
+)
+@pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
+def test_stray_wake_ids_on_a_range_graph(variant, stray, seed):
+    """Ids ``0..n-1`` index themselves (``arraystate.IdentityIndex``): a
+    wake id that is not an exact int in range -- one that equals one
+    (``1.0``, ``True``) or none -- gets the dict's answer on the direct
+    entry, through the simulator's gate and on the object loop alike."""
+    graph = build_family("sparse-random", 9, 2)
+    assert graph.nodes == list(range(9))
+    order = [0, stray, 2]
+    direct = same_as_object_run(variant, graph, seed=seed, wake_order=order)
+    gated, path = through_gate(variant, graph, seed=seed, wake_order=order)
+    assert gated == direct
+    if stray in (1.0, True):
+        assert len(direct) > 2 and path == [array_engaged()]
+        assert direct == outcome(variant, graph, seed=seed, wake_order=[0, 1, 2])
+    else:  # build_simulation's error: the gate is never reached
+        assert direct == (KeyError, repr(f"unknown node {stray!r}")) and path == []
+
+
+def test_set_built_range_graph_fills_through_the_identity(variant, monkeypatch):
+    """A set-built graph over ``0..n-1`` (``community``: no slab) has
+    ``fill_local`` read its successor sets through the identity index, and
+    the run is the object run's."""
+    graph = build_family("community", 60, 1)
+    assert graph.slab() is None and graph.nodes == list(range(graph.n))
+    indexes = []
+    fill_local = arraystate._fill_local
+
+    def spy(graph, ids, idx):
+        indexes.append(type(idx))
+        return fill_local(graph, ids, idx)
+
+    monkeypatch.setattr(arraystate, "_fill_local", spy)
+    for seed in (None, 4):
+        same_as_object_run(variant, graph, seed=seed)
+    if arrayloop.load() is None:
+        assert indexes == []
+    else:
+        assert indexes == [arraystate.IdentityIndex] * 2
 
 
 def test_empty_graph_is_the_empty_result(variant):

@@ -277,6 +277,61 @@ class TestScaleVerifierFailures:
         )
 
 
+class TestChains:
+    """``ArrayCore.chains`` resolves ``next`` chains by pointer doubling and
+    falls back to the per-node walk when a chain never ends: on any
+    ``next`` column both give the same three columns or the same error."""
+
+    @staticmethod
+    def core_over(nxt, leaders):
+        core = ArrayCore(IdSpace([f"n{i}" for i in range(len(nxt))]), 8)
+        core.nxt[:] = nxt
+        for i in leaders:
+            core.status[i] = STATUS_CODES["wait"]
+        return core
+
+    @staticmethod
+    def both(core):
+        lead = core.status.translate(IS_LEADER)
+        walked = (lambda: core._walk_chains(lead, [i for i in range(core.n) if lead[i]]))
+        out = []
+        for run in (core.chains, walked):
+            try:
+                leaders, resolved, lengths = run()
+            except RuntimeError as exc:
+                out.append(str(exc))
+            else:
+                out.append((leaders, list(resolved), list(lengths)))
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_doubling_equals_the_walk(self, data):
+        n = data.draw(st.integers(1, 80))
+        nxt = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        leaders = data.draw(st.sets(st.integers(0, n - 1)))
+        doubled, walked = self.both(self.core_over(nxt, leaders))
+        assert doubled == walked
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 63, 64, 65, 200])
+    def test_one_long_chain(self, length):
+        """A path of ``length`` hops to the leader, around each power of
+        two the rounds double through: resolved within the round cap."""
+        n = length + 1
+        doubled, walked = self.both(self.core_over([max(i - 1, 0) for i in range(n)], [0]))
+        assert doubled == walked and doubled[2] == list(range(n))
+
+    def test_a_long_tail_into_a_cycle_raises_the_walks_text(self):
+        """Chains that resolve beside a 100-node tail ending in a 3-cycle:
+        every round runs, then the walk names the node it meets twice."""
+        nxt = [0] + [i - 1 for i in range(1, 50)]  # resolves to 0
+        tail = list(range(50, 150))
+        nxt += [i + 1 for i in tail[:-1]] + [150]
+        nxt += [151, 152, 150]  # the cycle 150 -> 151 -> 152 -> 150
+        doubled, walked = self.both(self.core_over(nxt, [0]))
+        assert doubled == walked == "next-pointer cycle through 'n150'"
+
+
 # ----------------------------------------------------------------------
 # The two kernels, differentially
 # ----------------------------------------------------------------------
@@ -375,6 +430,25 @@ class TestKernels:
         idx[ids[-1]] = len(ids)  # an int past the slab
         with pytest.raises(ValueError, match="fill_local member"):
             arraystate._fill_local(graph, ids, idx)
+
+    def test_identity_index_reads_like_the_dict(self, kernels):
+        """Over ids ``0..n-1`` the kernel takes ``IdSpace``'s identity
+        index: an exact int member is its own index, any other member --
+        ``True``, ``2.0``, an int out of range, a string -- is looked up,
+        with the dict's answer or the dict's ``KeyError``."""
+        graph = KnowledgeGraph(range(5), [(0, True), (1, 2.0), (3, 0), (4, 3)])
+        ids = graph.nodes
+        index = IdSpace(ids).index
+        assert type(index) is arraystate.IdentityIndex
+        expected = reference_local(graph, ids, {x: i for i, x in enumerate(ids)})
+        local = arraystate._fill_local(graph, ids, index)
+        assert (local.off, local.mem) == (expected.off, expected.mem)
+        assert list(local.mem) == [1, 2, 0, 3]
+        for stray in (-1, 5, 2**70, "x"):
+            graph._succ[4] = {stray}
+            with pytest.raises(KeyError) as err:
+                arraystate._fill_local(graph, ids, index)
+            assert err.value.args == (stray,)
 
     def test_labels_reject_a_malformed_slab(self, kernels):
         labels = array("i", [0]) * 3

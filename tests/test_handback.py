@@ -19,6 +19,10 @@ goes onto the core's channels and the C loop is called again.
 """
 
 import copy
+import gc
+import sys
+from array import array
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -33,7 +37,7 @@ from repro.core.messages import ABORT, Info, MergeAccept, Probe, Query, Release,
 from repro.core.node import VARIANTS, ProtocolError
 from repro.core.runner import build_simulation, default_step_budget
 from repro.sim.network import SimulationError, StepLimitExceeded
-from repro.sim.scheduler import GlobalFifoScheduler, LifoScheduler, RandomScheduler
+from repro.sim.scheduler import _FIFO, GlobalFifoScheduler, LifoScheduler, RandomScheduler
 from tests.conftest import array_engaged, cut_and_recall, gate_says, plant_wire
 from tests.test_arraystate import _snapshot
 
@@ -369,3 +373,132 @@ def test_run_graph_raises_the_reference_text(arm, seed, monkeypatch):
     with pytest.raises(ProtocolError) as raised:
         run_graph(graph, variant, seed=seed)
     assert str(raised.value) == str(reference)
+
+
+# ----------------------------------------------------------------------
+# Exit order: every kind of exit writes back what it wrote before, frees
+# what it built, and the caller's pool is the ring's while a call runs
+# ----------------------------------------------------------------------
+def _self_query(nodes):
+    # an inactive node that queries itself answers itself: SimNode.send's
+    # self-send error, raised from inside the C loop's query handler
+    dst = _first(nodes, lambda node: node.status == "inactive")
+    return dst, dst, Query(1)
+
+
+#: exit kind -> (family, cut, plant): a Generic run that leaves a C call
+#: that way (``cut`` ``None``: one call to quiescence; ``plant`` ``None``:
+#: cut and called again with nothing planted, an ``RC_LIMIT`` re-call;
+#: else ``(src, dst, message)`` from the nodes at the cut).
+EXIT_CASES = {
+    "drained": ("sparse-random", None, None),
+    "limit": ("sparse-random", 150, None),
+    "deopt": ("sparse-random", 150, lambda nodes: _plant("query", nodes)),
+    "pump": ("community", 100, lambda nodes: _plant("busy-info", nodes)),
+    "raise": ("sparse-random", 150, _self_query),
+}
+
+
+def _run_to_exit(fast, kind, policy, planted=None):
+    """One run of ``kind``'s case on a just-built simulator: on the object
+    loop, cut, planted (``transmit``) and run on; on the C loop, one run
+    under :func:`_cut_at_exit`'s seam.  Returns ``(outcome, view,
+    planted)``."""
+    family, cut, plant = EXIT_CASES[kind]
+    graph, _net, sim, nodes = _system(fast, family, 32, 1, "generic", policy, 3)
+    budget = default_step_budget(graph)
+
+    def run():
+        try:
+            return _run(sim, budget)
+        except SimulationError as exc:
+            return type(exc), str(exc)
+
+    if fast or cut is None:
+        return run(), _view(sim, nodes), planted
+    _run(sim, cut)
+    if plant is not None:
+        planted = plant(nodes)
+        sim.transmit(*planted)
+    outcome = run()  # the C loop's one run counts the steps to the cut too
+    outcome = outcome + cut if isinstance(outcome, int) else outcome
+    return outcome, _view(sim, nodes), planted
+
+
+def _cut_at_exit(kind, planted, monkeypatch):
+    """``ArrayCore.run_loop`` cut at ``kind``'s cut and called again, with
+    the reference's message (if any) planted at the seam."""
+    cut = EXIT_CASES[kind][1]
+    if cut is not None:
+        between = (lambda core, pool: None) if planted is None else (
+            lambda core, pool: plant_wire(core, pool, *planted)
+        )
+        monkeypatch.setattr(ArrayCore, "run_loop", cut_and_recall(cut, between))
+
+
+class TestExitOrder:
+    """``_arrayloop.c``'s exits free the native scaffolding before the
+    write-back allocates, and the caller's pool is emptied once the ring
+    holds it: each exit kind still ends in the object run's state, pool
+    and rng included, and leaves no allocation behind."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_c_loop(self):
+        if arrayloop.load() is None:
+            pytest.skip("no C loop in this process: nothing exits the C loop")
+
+    @pytest.mark.parametrize(
+        "kind, policy",
+        # seeded, the community case meets its stray info at a delivery
+        [(k, p) for k in sorted(EXIT_CASES) for p in ("fifo", "random")
+         if (k, p) != ("pump", "random")],
+    )
+    def test_each_exit_ends_in_the_object_runs_state(self, kind, policy, monkeypatch):
+        reference = _run_to_exit(False, kind, policy)
+        exits = []
+        run_loop = ArrayCore.run_loop
+
+        def spy(core, pool, *args):
+            try:
+                return run_loop(core, pool, *args)
+            finally:
+                exits.append(core.handback and core.handback[0])
+
+        monkeypatch.setattr(ArrayCore, "run_loop", spy)
+        _cut_at_exit(kind, reference[2], monkeypatch)
+        observed = _run_to_exit(True, kind, policy, reference[2])
+        assert observed == reference
+        said = {"deopt": arrayloop.RC_DEOPT, "pump": arrayloop.RC_PUMP}.get(kind)
+        assert exits == ([None] if kind == "drained" else [None, said])
+        if kind == "raise":
+            assert observed[0][0] is SimulationError
+            assert "tried to message itself" in observed[0][1]
+
+    @pytest.mark.parametrize("kind", sorted(EXIT_CASES))
+    def test_repeated_exits_allocate_nothing_lasting(self, kind, monkeypatch):
+        planted = _run_to_exit(False, kind, "fifo")[2]
+        _cut_at_exit(kind, planted, monkeypatch)
+        blocks = array("q", [0, 0])
+        for reading, runs in enumerate((2, 4)):
+            gc.collect()
+            for _ in range(runs):
+                _run_to_exit(True, kind, "fifo", planted)
+            gc.collect()
+            blocks[reading] = sys.getallocatedblocks()
+        assert blocks[1] == blocks[0]
+
+    @pytest.mark.parametrize("container", [list, deque])
+    def test_a_failed_entry_leaves_the_pool_untouched(self, container):
+        """A token naming no channel fails the entry after the pool was
+        read: nothing was emptied, nothing written back."""
+        graph = build_family("sparse-random", 32, 1)
+        space = arraystate.IdSpace(graph.nodes)
+        core = ArrayCore(space, 6)
+        core.local = arraystate._fill_local(graph, space.ids, space.index)
+        tokens = [-1 - i for i in range(32)] + [0]  # channel 0 does not exist
+        pool = container(tokens)
+        cell = [0]
+        with pytest.raises(ValueError, match="pool token 0"):
+            arrayloop.load().run(core, pool, _FIFO, None, 10, cell)
+        assert type(pool) is container and list(pool) == tokens
+        assert cell == [0] and core.chanq == {} and len(core.chan_src) == 0
