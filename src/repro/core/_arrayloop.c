@@ -1,6 +1,6 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate),
- * the three kernels that bring a graph into its columns, and the one that
- * ranks the ids 0..n-1.
+ * the three kernels that bring a graph into its columns, the one that ranks
+ * the ids 0..n-1, and the object loop's tick lane.
  *
  * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`,
  * then REPRO_ARRAYLOOP_CFLAGS: CI builds it under ASan + UBSan that way);
@@ -179,6 +179,22 @@
  *     of their decimal trie (1, 10, 100, ..., 11, ..., 2, ...) -- and
  *     rank[by[k]] = k.  If not, nothing is written.  Buffers of another
  *     length, or n > 2**31, are a ValueError before any store.
+ *
+ * And one the object loop calls, Simulator.run_for on a random pool:
+ *
+ *   tick(pool, rng, steps, budget) -> (ticks, index)
+ *     run_for's draw and not-due tick.  pool is the scheduler's exact list
+ *     of tokens, rng exactly a random.Random, drawn on in place: its words
+ *     and index where they lie, no copy (anything else is a TypeError
+ *     before any draw).  Each draw is getrandbits(k), redrawn until below
+ *     len(pool), k = len(pool).bit_length().  A drawn TimerToken that is
+ *     not cancelled or a LifecycleToken, whose due is an int above
+ *     steps + ticks + 1, is swapped with the tail and charged a step (a
+ *     tick).  Any other token stops the call, index its slot: one the
+ *     caller pops and executes, drops (a cancelled timer) or, when a field
+ *     is no exact bool or int, examines itself.  index is -1 when the
+ *     budget is spent, the pool is empty or 2**20 ticks went by (the
+ *     caller's loop head calls again).  gauss_next is never touched.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -198,6 +214,9 @@ static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
 static PyObject *g_tag_objs[N_TAGS];
 static PyObject *s_clear, *s_extend, *s_int32;
 static PyTypeObject *g_random;  /* random.Random: the one rng type copied */
+static PyTypeObject *g_timer;   /* repro.sim.events.TimerToken */
+static PyTypeObject *g_lifecycle; /* repro.sim.events.LifecycleToken */
+static PyObject *s_due, *s_cancelled;
 static int g_configured = 0;
 
 /* The codec's field kinds (messages.WIRE_TABLE), per tag and offset. */
@@ -961,12 +980,12 @@ chan_add(Chans *c, long src, long dst)
 /* ------------------------------------------------------------------ */
 /* Scheduler draws: CPython's MT19937 and getrandbits, word for word    */
 /* ------------------------------------------------------------------ */
-static uint32_t
-mt_next(MT *mt)
+static inline uint32_t
+mt_word(uint32_t *w, int *idx)
 {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y, *w = mt->w;
-    if (mt->idx >= MT_N) {
+    uint32_t y;
+    if (*idx >= MT_N) {
         int kk;
         for (kk = 0; kk < MT_N - MT_M; kk++) {
             y = (w[kk] & 0x80000000U) | (w[kk + 1] & 0x7fffffffU);
@@ -978,9 +997,9 @@ mt_next(MT *mt)
         }
         y = (w[MT_N - 1] & 0x80000000U) | (w[0] & 0x7fffffffU);
         w[MT_N - 1] = w[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt->idx = 0;
+        *idx = 0;
     }
-    y = w[mt->idx++];
+    y = w[(*idx)++];
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -988,15 +1007,22 @@ mt_next(MT *mt)
     return y;
 }
 
-/* getrandbits(k) for 1 <= k <= 64: 32-bit words least significant first,
- * the last word's surplus low bits dropped. */
+/* getrandbits(k) for 1 <= k <= 64 on the words w at index *idx: 32-bit
+ * words least significant first, the last word's surplus low bits
+ * dropped.  mt_bits draws on a copy (MT), tick in place on the object. */
+static inline uint64_t
+mt_bits_at(uint32_t *w, int *idx, int k)
+{
+    if (k <= 32)
+        return mt_word(w, idx) >> (32 - k);
+    uint64_t lo = mt_word(w, idx);
+    return ((uint64_t)(mt_word(w, idx) >> (64 - k)) << 32) | lo;
+}
+
 static uint64_t
 mt_bits(MT *mt, int k)
 {
-    if (k <= 32)
-        return mt_next(mt) >> (32 - k);
-    uint64_t lo = mt_next(mt);
-    return ((uint64_t)(mt_next(mt) >> (64 - k)) << 32) | lo;
+    return mt_bits_at(mt->w, &mt->idx, k);
 }
 
 /* ------------------------------------------------------------------ */
@@ -3148,6 +3174,112 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* tick(pool, rng, steps, budget): the object loop's not-due tokens     */
+/* ------------------------------------------------------------------ */
+/* Most calls return at once (a token to execute), so one call ticks at
+ * most this many before it hands control back to the interpreter, whose
+ * loop head is where a pending signal is seen. */
+#define TICK_SLICE (1 << 20)
+
+/* Whether the live timed token tok is not due at step next: 1 if not
+ * due, 0 if due, -1 if only the interpreter can tell (a field that is no
+ * exact bool or int, or that does not read), with no exception set. */
+static int
+tick_not_due(PyObject *tok, long long next)
+{
+    PyObject *due = PyObject_GetAttr(tok, s_due);
+    if (due == NULL || !PyLong_CheckExact(due)) {
+        PyErr_Clear();
+        Py_XDECREF(due);
+        return -1;
+    }
+    int overflow;
+    long long at = PyLong_AsLongLongAndOverflow(due, &overflow);
+    Py_DECREF(due);
+    return overflow ? overflow > 0 : next < at;
+}
+
+/* tick: the file header states the contract. */
+static PyObject *
+loop_tick(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "arrayloop: tick(pool, rng, steps, budget)");
+        return NULL;
+    }
+    PyObject *pool = args[0], *rng = args[1];
+    if (!g_configured) {
+        PyErr_SetString(PyExc_RuntimeError, "arrayloop: configure() first");
+        return NULL;
+    }
+    if (!PyList_CheckExact(pool) || Py_TYPE(rng) != g_random) {
+        PyErr_Format(PyExc_TypeError,
+                     "arrayloop: tick wants a list and a random.Random, not "
+                     "%.100s and %.100s", Py_TYPE(pool)->tp_name,
+                     Py_TYPE(rng)->tp_name);
+        return NULL;
+    }
+    int overflow;
+    long long steps = PyLong_AsLongLong(args[2]);
+    long long budget = PyLong_AsLongLongAndOverflow(args[3], &overflow);
+    if ((steps == -1 || budget == -1) && PyErr_Occurred())
+        return NULL;
+    if (overflow > 0)
+        budget = LLONG_MAX;
+    MTObject *r = (MTObject *)rng;
+    if (r->index < 0 || r->index > MT_N) {
+        PyErr_SetString(PyExc_ValueError, "arrayloop: rng state index");
+        return NULL;
+    }
+    long long ticks = 0, slice = budget < TICK_SLICE ? budget : TICK_SLICE;
+    Py_ssize_t index = -1;
+    while (ticks < slice) {
+        Py_ssize_t size = PyList_GET_SIZE(pool);
+        if (size == 0)
+            break;
+        int k = 64 - __builtin_clzll((unsigned long long)size);
+        uint64_t x;
+        do
+            x = mt_bits_at(r->state, &r->index, k);
+        while (x >= (uint64_t)size);
+        PyObject *tok = Py_NewRef(PyList_GET_ITEM(pool, x));
+        int not_due = 0;
+        if (Py_TYPE(tok) == g_timer) {
+            PyObject *cancelled = PyObject_GetAttr(tok, s_cancelled);
+            if (cancelled == Py_False)
+                not_due = tick_not_due(tok, steps + 1);
+            else if (cancelled != Py_True) /* no exact bool, or unreadable */
+                PyErr_Clear();
+            Py_XDECREF(cancelled);
+        }
+        else if (Py_TYPE(tok) == g_lifecycle)
+            not_due = tick_not_due(tok, steps + 1);
+        /* The field reads run no Python code on the stock token types; a
+         * class patched to run some must not have moved the pool. */
+        int moved = PyList_GET_SIZE(pool) != size ||
+                    PyList_GET_ITEM(pool, x) != tok;
+        Py_DECREF(tok);
+        if (moved) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "arrayloop: the pool changed under tick");
+            return NULL;
+        }
+        if (not_due != 1) {
+            index = (Py_ssize_t)x;
+            break;
+        }
+        /* the tick: the token goes to the tail, one step is charged */
+        PyObject **items = ((PyListObject *)pool)->ob_item;
+        items[x] = items[size - 1];
+        items[size - 1] = tok;
+        steps++;
+        ticks++;
+    }
+    return Py_BuildValue("(Ln)", ticks, index);
+}
+
+/* ------------------------------------------------------------------ */
 /* configure + module                                                  */
 /* ------------------------------------------------------------------ */
 #define MT_PROBE_SEED 20030713
@@ -3264,8 +3396,20 @@ loop_configure(PyObject *self, PyObject *args)
                             "arrayloop configure: msg_types / kinds mismatch");
         return NULL;
     }
+    PyObject *timer = PyDict_GetItemString(cfg, "timer");
+    PyObject *lifecycle = PyDict_GetItemString(cfg, "lifecycle");
+    if (timer == NULL || lifecycle == NULL || !PyType_Check(timer) ||
+        !PyType_Check(lifecycle)) {
+        PyErr_SetString(PyExc_KeyError,
+                        "arrayloop configure: missing timer / lifecycle type");
+        return NULL;
+    }
     Py_INCREF(rtype);
     Py_XSETREF(g_random, (PyTypeObject *)rtype);
+    Py_INCREF(timer);
+    Py_XSETREF(g_timer, (PyTypeObject *)timer);
+    Py_INCREF(lifecycle);
+    Py_XSETREF(g_lifecycle, (PyTypeObject *)lifecycle);
     g_configured = 1;
     Py_RETURN_NONE;
 }
@@ -3284,6 +3428,8 @@ static PyMethodDef loop_methods[] = {
      "Rank the ids 0..n-1, if that is what they are, into three buffers."},
     {"draw_graph", loop_draw_graph, METH_VARARGS,
      "Draw a random weakly connected graph's edges into a CSR slab."},
+    {"tick", (PyCFunction)(void (*)(void))loop_tick, METH_FASTCALL,
+     "Draw from a random pool, ticking not-due timed tokens to the tail."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3303,7 +3449,10 @@ PyInit__arrayloop(void)
     s_clear = PyUnicode_InternFromString("clear");
     s_extend = PyUnicode_InternFromString("extend");
     s_int32 = PyUnicode_InternFromString("i"); /* array('i') */
-    if (s_clear == NULL || s_extend == NULL || s_int32 == NULL)
+    s_due = PyUnicode_InternFromString("due");
+    s_cancelled = PyUnicode_InternFromString("cancelled");
+    if (s_clear == NULL || s_extend == NULL || s_int32 == NULL ||
+        s_due == NULL || s_cancelled == NULL)
         return NULL;
     return PyModule_Create(&loop_module);
 }

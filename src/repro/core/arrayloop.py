@@ -1,9 +1,11 @@
 """Compile-on-first-use loader for the C delivery loop of ``arraystate``.
 
-The module it loads has five entry points: ``run`` (the delivery loop),
-three graph kernels and ``range_ranks``, the two orders of the ids
+The module it loads has six entry points: ``run`` (the delivery loop),
+three graph kernels, ``range_ranks``, the two orders of the ids
 ``0..n-1`` that :class:`repro.core.arraystate.IdSpace` takes in place of
-sorting their reprs.  ``draw_graph`` is the random generators' draw
+sorting their reprs, and ``tick``, the draw and not-due tick loop that
+:meth:`repro.sim.network.Simulator.run_for` runs on a random pool.
+``draw_graph`` is the random generators' draw
 (``generators._arborescence`` plus ``_add_random_edges``, draw for draw),
 returning the graph as the CSR slab ``arraystate`` reads as ``core.local``
 (``KnowledgeGraph.from_slab``).  ``arraystate._run_columns`` calls the
@@ -13,7 +15,8 @@ preallocated slab) and ``component_labels`` (each node's weak component,
 as the smallest int in it).  The C file's header states each contract.
 Where the module is missing, the generators run their Python loops,
 ``run_graph`` takes the object route and labels components with
-:func:`repro.graphs.components.weakly_connected_components`.
+:func:`repro.graphs.components.weakly_connected_components`, and
+``run_for`` ticks in Python.
 
 ``_arrayloop.c`` is shipped as source and built lazily with the platform C
 compiler into a content-hash-keyed cache (``~/.cache/repro-arrayloop``), so
@@ -31,8 +34,9 @@ same results several times slower.  The failed attempt warns (once per
 process: the miss is memoized) and :func:`why_missing` keeps the cause.
 So does an interpreter whose ``random.Random`` is not laid out as the C
 file copies it: ``run`` and ``draw_graph`` read and write the generator's
-624 words and index in place, and ``configure()`` holds a seeded
-generator's words to its ``getstate()`` before it installs anything.
+624 words and index in place (``tick`` draws on them where they lie),
+and ``configure()`` holds a seeded generator's words to its
+``getstate()`` before it installs anything.
 
 Set ``REPRO_PURE_PYTHON=1`` to force that fallback silently (CI runs the
 whole suite a second time under it).  ``REPRO_ARRAYLOOP_CFLAGS`` is
@@ -59,6 +63,7 @@ from typing import Optional
 
 from repro.core.messages import MSG_TYPES, WIRE_TABLE
 from repro.core.node import STATUS_NAMES, VARIANTS
+from repro.sim.events import LifecycleToken, TimerToken
 from repro.sim.network import SimulationError
 from repro.sim.scheduler import _FIFO, _LIFO, _RANDOM
 
@@ -186,10 +191,10 @@ def _build() -> Path:
 
 def _config() -> dict:
     """What ``configure()`` installs: the interpreter-side objects the C
-    file names, and the generator types whose state it copies in place
+    file names, the generator types whose state it copies in place
     (``random``, the one type it accepts, laid out as ``mt19937``'s
     instances; ``configure()`` checks that layout before it installs
-    anything)."""
+    anything), and the two timed token types ``tick`` may tick."""
     return {
         "array": array,
         "simulation_error": SimulationError,
@@ -200,6 +205,8 @@ def _config() -> dict:
         ),
         "random": Random,
         "mt19937": _random.Random,
+        "timer": TimerToken,
+        "lifecycle": LifecycleToken,
     }
 
 

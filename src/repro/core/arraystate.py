@@ -140,7 +140,7 @@ from repro.sim.network import (
     Simulator,
     StepLimitExceeded,
 )
-from repro.sim.scheduler import _FIFO, _RANDOM, stock_pool
+from repro.sim.scheduler import _FIFO, _RANDOM, native_draws, stock_pool
 from repro.sim.trace import MessageStats
 
 __all__ = [
@@ -881,12 +881,7 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
         reason = "trace"
     elif sim.channel_discipline != "fifo":
         reason = "channel-discipline"
-    elif mode is None or rng is not None and (
-        type(rng) is not _Random or "getrandbits" in vars(rng)
-    ):
-        # The C loop copies the stdlib MT19937's words in place out of an
-        # exact ``random.Random`` and calls nobody's ``getrandbits``: no
-        # other generator, no spy.
+    elif mode is None or rng is not None and not native_draws(rng):
         reason = "scheduler"
     elif n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
         reason = "small-pool"

@@ -1030,7 +1030,7 @@ class DiscoveryNode(SimNode):
 
     def _on_probe_reply(self, sender: NodeId, message: ProbeReply) -> bool:
         if message.initiator == self.node_id:
-            self.record_probe_answer(message.leader, message.ids, self._sim.steps)
+            self.record_probe_answer(message.leader, message.ids, self.sim.steps)
             self._probe_outstanding = False
             if self._rejoining:
                 # Crash-recovery re-attach: the reply names the component's

@@ -67,6 +67,7 @@ integers per frame, charged to the frame's own type.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
@@ -182,17 +183,28 @@ class _Port:
 
     Routes the node's sends through the wrapper's reliable path; everything
     else (stats, id_bits, ...) forwards to the real simulator, so protocol
-    code that inspects its environment keeps working.
+    code that inspects its environment keeps working.  The wrapper owns
+    its port; the port and the inner node point back up weakly, so the
+    wrapper, its node and its port form no reference cycle.
     """
 
     def __init__(self, wrapper: "ReliableNode") -> None:
-        self._wrapper = wrapper
+        self._wrapper = weakref.ref(wrapper)
+        self._node_id = wrapper.node_id
+
+    def _owner(self) -> "ReliableNode":
+        wrapper = self._wrapper()
+        if wrapper is None:
+            raise SimulationError(
+                f"node {self._node_id!r} is not bound to a simulator"
+            )
+        return wrapper
 
     def transmit(self, src: NodeId, dst: NodeId, message: Any) -> None:
-        self._wrapper.reliable_send(dst, message)
+        self._owner().reliable_send(dst, message)
 
     def __getattr__(self, name: str) -> Any:
-        return getattr(self._wrapper.sim, name)
+        return getattr(self._owner().sim, name)
 
 
 class _Channel:
@@ -283,12 +295,13 @@ class ReliableNode(SimNode):
         if max_rto < min_rto:
             raise ValueError(f"need max_rto >= min_rto, got {max_rto} < {min_rto}")
         super().__init__(inner.node_id)
-        if inner._sim is not None:
+        if inner._sim() is not None:
             raise SimulationError(
                 f"node {inner.node_id!r} is already bound; wrap before add_node"
             )
         self.inner = inner
-        inner._sim = _Port(self)
+        self._port = _Port(self)
+        inner._sim = weakref.ref(self._port)
         self.base_timeout = base_timeout
         self.max_retries = max_retries
         self.ack_delay = ack_delay

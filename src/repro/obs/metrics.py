@@ -17,6 +17,7 @@ and round-trip losslessly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -284,10 +285,16 @@ def attach_metrics(
     ``in-flight`` backlog, the ``live-nodes`` count, the per-state node
     ``census``, and the ``phase-histogram`` -- the quantities the Section 5
     lemmas and the chaos taxonomy reason about, now as time series.
+
+    The instruments read ``sim`` through a weak proxy: the simulator owns
+    the recorder and the recorder the timeline, so a strong reference back
+    would make the run a reference cycle.  Sampling a timeline whose
+    simulator is gone raises :class:`ReferenceError`.
     """
+    sim = weakref.proxy(sim)
     registry = MetricsRegistry()
     registry.gauge("steps", lambda: sim.steps)
-    registry.gauge("in-flight", sim.in_flight)
+    registry.gauge("in-flight", lambda: sim.in_flight())
     registry.gauge("live-nodes", lambda: _live_count(sim))
     registry.gauge("messages-total", lambda: sim.stats.total_messages)
     registry.gauge("bits-total", lambda: sim.stats.total_bits)

@@ -24,13 +24,21 @@ evaluation procedure.
 from __future__ import annotations
 
 import random as _random
+import weakref
 from collections import deque
 from sys import maxsize
-from typing import Any, Deque, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
 from repro.obs.events import Recorder, RunEvent
 from repro.sim.events import DeliverToken, LifecycleToken, TimerToken, Token, WakeToken
-from repro.sim.scheduler import _FIFO, _RANDOM, GlobalFifoScheduler, Scheduler, stock_pool
+from repro.sim.scheduler import (
+    _FIFO,
+    _RANDOM,
+    GlobalFifoScheduler,
+    Scheduler,
+    native_draws,
+    stock_pool,
+)
 from repro.sim.trace import ExecutionTrace, MessageStats, TraceEvent
 
 __all__ = [
@@ -125,6 +133,11 @@ class StepLimitExceeded(SimulationError):
     """The execution did not quiesce within the step budget."""
 
 
+def _unbound() -> None:
+    """A never-bound node's ``_sim``: answers like a dead reference."""
+    return None
+
+
 class SimNode:
     """Base class for protocol participants.
 
@@ -132,24 +145,34 @@ class SimNode:
     actions) and :meth:`on_message`.  The :meth:`send` helper hands messages
     to the simulator; sending to oneself is a protocol bug (the paper's
     algorithms short-circuit self-interactions locally) and raises.
+
+    The simulator owns its nodes; a node points back up only weakly
+    (``_sim`` is a :func:`weakref.ref`), so a run's object graph has no
+    reference cycle and is freed the moment its last owner drops it.  A
+    node whose simulator is gone is unbound again.
     """
 
     def __init__(self, node_id: Hashable) -> None:
         self.node_id = node_id
         self.awake = False
-        self._sim: Optional["Simulator"] = None
+        #: weak reference to what :meth:`send` transmits through -- the
+        #: simulator, or a transport wrapper's port; calling it answers
+        #: ``None`` while unbound or once that owner is gone.
+        self._sim: Callable[[], Optional["Simulator"]] = _unbound
 
     # -- wiring ---------------------------------------------------------
     def bind(self, sim: "Simulator") -> None:
-        if self._sim is not None and self._sim is not sim:
+        bound = self._sim()
+        if bound is not None and bound is not sim:
             raise SimulationError(f"node {self.node_id!r} already bound")
-        self._sim = sim
+        self._sim = weakref.ref(sim)
 
     @property
     def sim(self) -> "Simulator":
-        if self._sim is None:
+        sim = self._sim()
+        if sim is None:
             raise SimulationError(f"node {self.node_id!r} is not bound to a simulator")
-        return self._sim
+        return sim
 
     # -- actions --------------------------------------------------------
     def send(self, dst: Hashable, message: Any) -> None:
@@ -160,10 +183,10 @@ class SimNode:
                 f"{getattr(message, 'msg_type', message)!r}; self-interactions "
                 "must be simulated internally (Section 4.1)"
             )
-        # Direct attribute access instead of the ``sim`` property: send is
-        # the hottest node->simulator edge and the property's guard costs a
-        # call per message.  Same error contract for unbound nodes.
-        sim = self._sim
+        # The weak reference called here instead of through the ``sim``
+        # property: send is the hottest node->simulator edge and the
+        # property costs a call per message.  Same error contract.
+        sim = self._sim()
         if sim is None:
             raise SimulationError(
                 f"node {self.node_id!r} is not bound to a simulator"
@@ -504,11 +527,17 @@ class Simulator:
         every token that does anything.  What it saves is the tick -- a
         timer or lifecycle token popped before its due step, which
         ``step`` carries through four calls only to push it back.  Here
-        that is one draw, one swap and ``steps += 1``.  A wrapper that
-        must see every ``step``/``_execute_*`` call (an instance attribute
-        named in ``_WRAPPABLE``, a ``step`` replaced on the class) or a
-        scheduler with selection state of its own gets the plain
-        ``while self.step()`` loop instead.
+        that is one draw, one swap and ``steps += 1``, and on a random
+        pool the C loop's ``tick`` (:mod:`repro.core.arrayloop`) runs the
+        draws and ticks natively, on the generator's own words, and
+        hands back the first drawn token that is no tick; the Python
+        lane below is its reference and runs where there is no C loop,
+        where the generator is not exactly ``random.Random`` or shadows
+        ``getrandbits`` on the instance, and on FIFO and LIFO pools.  A
+        wrapper that must see every ``step``/``_execute_*`` call (an
+        instance attribute named in ``_WRAPPABLE``, a ``step`` replaced
+        on the class) or a scheduler with selection state of its own gets
+        the plain ``while self.step()`` loop instead.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")
@@ -523,17 +552,30 @@ class Simulator:
                 executed += 1
             return executed
 
+        tick = None
         if mode == _RANDOM:
-            getrandbits = self.scheduler._rng.getrandbits
+            rng = self.scheduler._rng
+            if native_draws(rng):
+                tick = _tick if _tick is not _UNSET else _native_tick()
+            getrandbits = rng.getrandbits
             sized = bits = 0
         steps = self.steps
         executed = 0
         try:
             while executed < max_steps:
-                size = len(pool)
-                if not size:
-                    break
-                if mode == _RANDOM:
+                if tick is not None:
+                    ticks, index = tick(pool, rng, steps, max_steps - executed)
+                    steps += ticks
+                    executed += ticks
+                    if index < 0:
+                        if pool:
+                            continue  # a budget spent, or a slice of ticks
+                        break
+                    token = pool[index]
+                elif mode == _RANDOM:
+                    size = len(pool)
+                    if not size:
+                        break
                     # ``rng.randrange(size)``, i.e. ``_randbelow(size)``,
                     # written out: draw size.bit_length() bits until the
                     # value is in range.
@@ -543,6 +585,8 @@ class Simulator:
                     while index >= size:
                         index = getrandbits(bits)
                     token = pool[index]
+                elif not pool:
+                    break
                 elif mode == _FIFO:
                     token = pool[0]
                 else:
@@ -794,6 +838,25 @@ class Simulator:
             self.obs.emit(
                 RunEvent(self.steps, "phase-change", node=node_id, value=phase)
             )
+
+
+#: The C loop's ``tick`` (``None``: no C loop in this process), looked
+#: up by the first ``run_for`` that can use it; ``_UNSET`` until then.
+_UNSET = object()
+_tick = _UNSET
+
+
+def _native_tick():
+    """Look the C loop's ``tick`` up, once: ``run_for`` on a monitor's
+    cadence of one is called per step, so it reads :data:`_tick` and calls
+    nothing more."""
+    global _tick
+    # Imported here: repro.core.arrayloop imports this module.
+    from repro.core.arrayloop import load
+
+    module = load()
+    _tick = None if module is None else module.tick
+    return _tick
 
 
 #: ``Simulator.step`` as defined here; ``run_for`` inlines it only while

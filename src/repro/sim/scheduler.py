@@ -22,7 +22,9 @@ The three stock policies expose their underlying pool (``_queue`` /
 ``_stack`` / ``_pool`` plus ``_rng``) as a documented-internal seam, read
 through :func:`stock_pool`: ``Simulator.run_for`` pops it in place, and the
 array core (:mod:`repro.core.arraystate`) swaps int tokens into it for the
-length of a run.  Its C loop copies those into a native ring at entry and
+length of a run (``run_for``'s random-pool draws and ticks run in the C
+loop's ``tick`` when :func:`native_draws` says so).  Its C loop copies
+those into a native ring at entry and
 runs ``_rng``'s MT19937 on its words and index, copied in place out of the
 generator; every exit writes the pool order back into the container and
 copies the words drawn to back in place (``gauss_next`` untouched), so
@@ -173,6 +175,18 @@ def stock_pool(scheduler: Scheduler):
     with selection state of its own."""
     mode, attr = _STOCK_MODES.get(type(scheduler), (None, None))
     return mode, (getattr(scheduler, attr) if attr else None)
+
+
+#: Bound at import: a later patch of ``random.Random`` is not it.
+_Random = random.Random
+
+
+def native_draws(rng) -> bool:
+    """Whether the C loop may draw on ``rng``'s MT19937 words in place of
+    calling its ``getrandbits``: only an exact ``random.Random`` (a
+    subclass may draw its own way) with no ``getrandbits`` shadowed on the
+    instance (a spy must see every draw)."""
+    return type(rng) is _Random and "getrandbits" not in vars(rng)
 
 
 class Adversary:

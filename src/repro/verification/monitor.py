@@ -41,7 +41,9 @@ the *protocol-entering* steps, not to steps: under the reliable transport
 never reach a protocol node, and at ``every=64`` about two checkpoints in
 three fall between two protocol events.  The loop advances with
 :meth:`~repro.sim.network.Simulator.run_for`, whose ticks cost one RNG
-draw and one list swap.
+draw and one list swap -- on a random pool in the C loop's native
+``tick``, which draws on the generator's own words and returns to Python
+only for a token that does something.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.campaign.cli import parse_grid
+from repro.campaign.store import DONE, CampaignStore
 from repro.cli import main
 
 TOY = "tests.test_parallel:exp_toy"
@@ -265,8 +266,16 @@ class TestKillAndResume:
             start_new_session=True,
         )
         try:
-            # Let it get a few cells done (10 cells x 0.25s / 2 workers).
-            time.sleep(1.6)
+            # Let it get a cell or two done (10 cells x 0.25s / 2 workers),
+            # then kill it.  The store is polled: a fixed sleep lands after
+            # the last cell whenever start-up takes under ~0.35 s.
+            store = CampaignStore.open(db)
+            try:
+                deadline = time.monotonic() + 60
+                while store.counts()[DONE] < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                store.close()
             worker.send_signal(signal.SIGKILL)
             worker.wait(timeout=30)
             # The workers notice their parent is gone and exit: nothing of

@@ -9,14 +9,19 @@ The pinned cases at the bottom hold the gate in place -- which
 configurations take the inlined loop and which must not.
 """
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import arrayloop
 from repro.lowerbounds.tree_adversary import TreeAdversary
 from repro.obs.events import Recorder
 from repro.obs.profile import Profiler
-from repro.sim.events import TimerToken
+from repro.sim import network
+from repro.sim.events import LifecycleToken, TimerToken, WakeToken
 from repro.sim.network import SimNode, Simulator
 from repro.sim.scheduler import (
     AdversarialScheduler,
@@ -275,3 +280,188 @@ def test_run_shares_the_inlined_loop_and_keeps_its_limit_contract():
     with pytest.raises(StepLimitExceeded):
         short.run(total - 1)
     assert short.steps == total - 1
+
+
+# ----------------------------------------------------------------------
+# The native tick lane: every exit of the C loop's ``tick``
+# ----------------------------------------------------------------------
+@pytest.fixture
+def exits(monkeypatch):
+    """Every native ``tick`` call ``run_for`` makes, as ``(steps, ticks,
+    index, drawn token, pool size)``; ``None`` with no C loop."""
+    module = arrayloop.load()
+    if module is None:
+        yield None
+        return
+    seen = []
+
+    def spy(pool, rng, steps, budget):
+        ticks, index = module.tick(pool, rng, steps, budget)
+        drawn = pool[index] if index >= 0 else None
+        seen.append((steps, ticks, index, drawn, len(pool)))
+        return ticks, index
+
+    monkeypatch.setattr(network, "_tick", spy)
+    yield seen
+
+
+def timed(seed, *arm):
+    """A builder of a random-pool system of two quiet nodes (nothing
+    woken) whose pool holds what the ``arm`` callables push."""
+
+    def build():
+        sim = Simulator(RandomScheduler(seed), fast=False)
+        for node_id in (0, 1):
+            sim.add_node(Busy(node_id, 1 - node_id, []))
+        for push in arm:
+            push(sim)
+        return sim
+
+    return build
+
+
+def timer(node, delay, cancel=False):
+    def push(sim):
+        token = sim.schedule_timer(node, delay, tag=("x", delay))
+        if cancel:
+            sim.cancel_timer(token)
+
+    return push
+
+
+def lifecycle(node, at, action):
+    return lambda sim: sim.schedule_lifecycle(node, at, action)
+
+
+def wake(node):
+    return lambda sim: sim.schedule_wake(node)
+
+
+def lane_view(sim):
+    return {
+        "rng": sim.scheduler._rng.getstate(),
+        "pool": [token_key(token) for token in sim.scheduler.pending()],
+        "steps": sim.steps,
+        "cancelled": sim._cancelled_timers,
+        "fired": [node.fired for node in sim.nodes.values()],
+        "lifecycle": [node.lifecycle for node in sim.nodes.values()],
+    }
+
+
+def held_to_step(build, chunks):
+    """``run_for`` chunk by chunk against as many single ``step()``s."""
+    lane, ref = build(), build()
+    for chunk in chunks:
+        assert lane.run_for(chunk) == step_many(ref, chunk)
+        assert lane_view(lane) == lane_view(ref)
+    return lane
+
+
+#: name -> (system, run_for chunks, what one native exit must show)
+TICK_CASES = {
+    "cancelled-timer-drawn": (
+        timed(1, timer(0, 40), timer(1, 3, cancel=True), timer(0, 9, cancel=True)),
+        [10_000],
+        lambda steps, ticks, index, drawn, size: isinstance(drawn, TimerToken)
+        and drawn.cancelled,
+    ),
+    "lifecycle": (
+        timed(2, lifecycle(0, 30, "crash"), lifecycle(0, 55, "recover")),
+        [7, 10_000],
+        lambda steps, ticks, index, drawn, size: ticks
+        and isinstance(drawn, LifecycleToken)
+        and drawn.due == steps + ticks + 1,
+    ),
+    "due-at-next-step": (
+        # alone in the pool, so the draw that stops the ticks is the
+        # first one at which it is due
+        timed(3, timer(0, 25)),
+        [10_000],
+        lambda steps, ticks, index, drawn, size: ticks
+        and isinstance(drawn, TimerToken)
+        and drawn.due == steps + ticks + 1,
+    ),
+    "budget-spent-mid-ticks": (
+        timed(4, timer(0, 90), lifecycle(1, 120, "crash")),
+        [13, 1, 30, 10_000],
+        lambda steps, ticks, index, drawn, size: ticks in (13, 30)
+        and index == -1
+        and size == 2,
+    ),
+    "pool-of-one": (
+        timed(5, lifecycle(1, 60, "crash")),
+        [25, 10_000],
+        lambda steps, ticks, index, drawn, size: size == 1 and ticks and index == 0,
+    ),
+    "empty-pool": (
+        timed(6, wake(0)),
+        [1, 10_000],
+        lambda steps, ticks, index, drawn, size: size == 0 and (ticks, index) == (0, -1),
+    ),
+    "no-exact-int-due": (
+        # a float delay: the kernel cannot tell, the interpreter ticks it
+        timed(7, timer(0, 6.5), wake(1)),
+        [10_000],
+        lambda steps, ticks, index, drawn, size: isinstance(drawn, TimerToken)
+        and isinstance(drawn.due, float),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TICK_CASES))
+def test_each_exit_of_the_native_tick_equals_repeated_step(case, exits):
+    build, chunks, shows = TICK_CASES[case]
+    lane = held_to_step(build, chunks)
+    assert lane.is_quiescent
+    if exits is not None:
+        assert any(shows(*exit) for exit in exits), exits
+
+
+def test_a_slice_of_ticks_returns_to_the_loop_head(exits, monkeypatch):
+    """A due step past 2**20 ticks away: the kernel returns after a slice
+    of them and is called again; the Python lane agrees to the draw."""
+    build = timed(8, lifecycle(0, (1 << 20) + 40, "crash"))
+    lane = build()
+    assert lane.run_for(1 << 21) == (1 << 20) + 40
+    monkeypatch.setattr(network, "_tick", None)
+    python_lane = build()
+    assert python_lane.run_for(1 << 21) == (1 << 20) + 40
+    assert lane_view(lane) == lane_view(python_lane)
+    if exits is not None:
+        assert exits[0] == (0, 1 << 20, -1, None, 1)
+
+
+def test_a_generator_subclass_takes_the_python_lane(exits):
+    class Subclassed(random.Random):
+        pass
+
+    def build():
+        sim = timed(9, timer(0, 30), lifecycle(1, 50, "crash"), wake(0))()
+        sim.scheduler._rng = Subclassed(9)
+        return sim
+
+    held_to_step(build, [5, 10_000])
+    assert not exits
+
+
+def test_the_kernel_takes_only_a_list_and_an_exact_generator():
+    module = arrayloop.load()
+    if module is None:
+        pytest.skip(arrayloop.why_missing())
+
+    class Subclassed(random.Random):
+        pass
+
+    rng = random.Random(3)
+    before = rng.getstate()
+    for pool, generator in (
+        (deque([WakeToken(0)]), rng),
+        ([WakeToken(0)], Subclassed(3)),
+        ([WakeToken(0)], random.SystemRandom()),
+    ):
+        with pytest.raises(TypeError, match="tick wants a list and a random.Random"):
+            module.tick(pool, generator, 0, 10)
+    assert rng.getstate() == before
+    assert module.tick([], rng, 0, 10) == (0, -1)
+    assert module.tick([WakeToken(0)], rng, 0, 0) == (0, -1)
+    assert rng.getstate() == before  # nothing drawn
