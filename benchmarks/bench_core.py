@@ -5,7 +5,7 @@ Times the array core (:mod:`repro.core.arraystate`, what ``fast=True``
 (``fast=False``, ``Simulator.run_for``) on identical workloads,
 interleaved in the same process, and appends the results to
 ``BENCH_core.json`` at the repository root (whose ``fast_ms`` /
-``legacy_ms`` keys are those two engines).  Six parts:
+``legacy_ms`` keys are those two engines).  Seven parts:
 
 * ``test_core_fast_vs_legacy`` (always runs; CI's perf-smoke job) -- the
   n=128 sparse-random comparison workload plus an n=4096 smoke point.
@@ -44,8 +44,9 @@ interleaved in the same process, and appends the results to
 * ``test_core_footprint`` (always runs; CI's perf-smoke job) -- two
   points of that series, each gated on bytes per node:
   ``rss_per_node_kb`` (held where the loop returns) and
-  ``peak_per_node_kb`` (the process's ``ru_maxrss`` after the run, over
-  the same baseline: the peak inside the C call, which the first misses)
+  ``peak_per_node_kb`` (the process's own peak, ``VmHWM``, after the
+  run, over the same baseline: the peak inside the C call, which the
+  first misses)
   must each stay below ``FOOTPRINT_CEILING`` times the committed series'
   value.  The sparse n = 30,000 Generic point is the
   footprint the knowledge slabs were sized on; the dense n = 20,000
@@ -73,11 +74,23 @@ interleaved in the same process, and appends the results to
   with the cache the box's other tenants leave it, and no reference
   timed beside it in the process moves with it.
 
+* ``test_core_materialize`` (always runs; CI's perf-smoke job) -- one
+  sparse Generic n = 30,000 discovery through a simulator:
+  ``build_simulation`` and ``sim.run()``, which the array core runs and
+  hands back to the objects through ``_materialize_to_sim``, in a fresh
+  process.  At quiescence ``sim._channels`` must be empty (a channel
+  exists only while it carries a message), and ``peak_per_node_kb`` (the
+  process's ``VmHWM`` after the run over the RSS before
+  ``build_simulation``, over n) must stay below ``FOOTPRINT_CEILING``
+  times the committed ``materialize`` block, which the test replaces.
+  ``python benchmarks/bench_core.py materialize 100000 3`` prints one
+  point at another size and seed.
+
 * ``test_core_million`` (opt-in: ``BENCH_CORE_MILLION=1``) -- one
   n = 10^6 discovery per engine through the object-free
   :func:`repro.core.arraystate.run_graph` driver with full invariant
   verification, each in a fresh process so its ``peak_rss_mb``
-  (``ru_maxrss``) is its own, beside ``graph_mb``, the RSS the graph
+  (``VmHWM``) is its own, beside ``graph_mb``, the RSS the graph
   build added, replacing the ``million`` block of ``BENCH_core.json``.
   ``python benchmarks/bench_core.py million generic`` prints one run.
   The object paths cannot represent this size (a million node objects
@@ -90,7 +103,6 @@ import datetime
 import json
 import os
 import pathlib
-import resource
 import subprocess
 import sys
 import time
@@ -104,6 +116,7 @@ from repro.core.arraystate import ArrayCore, run_graph
 from repro.core.generic import run_generic
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
+from repro.obs.profile import peak_rss_kb
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_core.json"
 
@@ -126,6 +139,8 @@ SCALING_POINTS = (
 )
 #: (engine, family, n) points of the footprint gate
 FOOTPRINT_POINTS = (("generic", FAMILY, 30_000), ("adhoc", "dense-random", 20_000))
+#: n of the simulator-backed (materialize) footprint gate
+N_MATERIALIZE = 30_000
 #: Measured KiB per node must stay below this multiple of the committed one.
 FOOTPRINT_CEILING = 1.25
 #: Runs of each footprint point in its process; the off-loop ratio takes the
@@ -369,7 +384,7 @@ def _scale_point(variant, n, family=FAMILY, repeats=1):
     by attribute, like the repository benchmark's ledger), and RSS is read
     where the loop returns: every column and channel is still alive there,
     and the graph was built before the baseline was taken.  The peak is
-    the process's ``ru_maxrss`` after the first run over the same baseline:
+    the process's ``VmHWM`` after the first run over the same baseline:
     what the run held at its highest, inside the C call included (at small
     n the imports' own peak can exceed the run's and set it).  The first
     run gives every figure; ``off_loop`` is ``(run_s - loop_s) / loop_s``
@@ -399,7 +414,7 @@ def _scale_point(variant, n, family=FAMILY, repeats=1):
             assert outcome.verified
             if len(runs) == 1:
                 result = outcome
-                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                peak_kb = peak_rss_kb()
     finally:
         ArrayCore.run_loop = run_loop
     return {
@@ -550,6 +565,87 @@ def test_core_footprint(benchmark, record_table):
     BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
+def _materialize_point(n, seed=0):
+    """One sparse Generic discovery through a simulator, measured in this
+    process: ``build_simulation`` and ``sim.run()``, which the array core
+    runs and ends in ``_materialize_to_sim``.  The peak is the process's
+    ``VmHWM`` after the run over the RSS before ``build_simulation``, over
+    n."""
+    graph = build_family(FAMILY, n, seed=seed)
+    before_kb = _rss_kb()
+    start = time.perf_counter()
+    sim, _nodes = build_simulation(graph, "generic", seed=seed)
+    built = time.perf_counter()
+    steps = sim.run(default_step_budget(graph))
+    ran = time.perf_counter()
+    peak_kb = peak_rss_kb()
+    assert (sim._last_run_path, sim._last_decline) == ("array", None), (
+        f"the array core did not run the whole call: {sim._last_decline}"
+    )
+    return {
+        "engine": "generic",
+        "family": FAMILY,
+        "n": n,
+        "seed": seed,
+        "cpus": os.cpu_count(),
+        "build_s": round(built - start, 3),
+        "run_s": round(ran - built, 3),
+        "steps": steps,
+        "messages": sim.stats.total_messages,
+        "channels": len(sim._channels),
+        "in_flight": sim.in_flight(),
+        "peak_per_node_kb": round((peak_kb - before_kb) / n, 2),
+    }
+
+
+def test_core_materialize(benchmark, record_table):
+    point = benchmark.pedantic(
+        lambda: json.loads(
+            subprocess.run(
+                [sys.executable, __file__, "materialize", str(N_MATERIALIZE)],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    record_table(
+        "BENCH-core-materialize",
+        ["engine", "family", "n", "build-s", "run-s", "steps", "messages",
+         "channels", "peak-KiB/node"],
+        [[point["engine"], point["family"], point["n"], point["build_s"],
+          point["run_s"], point["steps"], point["messages"], point["channels"],
+          point["peak_per_node_kb"]]],
+        notes=(
+            f"build_simulation + sim.run() on {FAMILY}, seed 0, in a fresh "
+            "process; run-s is sim.run() with the hand-back to the objects "
+            "(_materialize_to_sim). channels = len(sim._channels) at "
+            "quiescence. "
+            "peak-KiB/node = (VmHWM after the run - RSS before "
+            "build_simulation) / n. Criterion: channels = 0 and "
+            f"peak-KiB/node within {FOOTPRINT_CEILING}x of the committed "
+            "materialize block."
+        ),
+    )
+    assert point["channels"] == point["in_flight"] == 0, (
+        f"{point['channels']} channels registered at quiescence"
+    )
+    data = _load_bench()
+    before = data.get("materialize", {}).get("peak_per_node_kb")
+    if before is not None:
+        ceiling = FOOTPRINT_CEILING * before
+        assert point["peak_per_node_kb"] <= ceiling, (
+            f"simulator-backed n={point['n']}: peak_per_node_kb "
+            f"{point['peak_per_node_kb']} exceeds {ceiling:.2f} (committed "
+            f"{before}, ceiling {FOOTPRINT_CEILING}x)"
+        )
+    data["materialize"] = {"date": datetime.date.today().isoformat(), **point}
+    BENCH_PATH.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def _graph_build_point(family, n):
     """Best-of generator build time, and the graph's traced size; the
     graph must be the slab the C module drew."""
@@ -644,7 +740,7 @@ def _million_run(variant):
         "steps_per_s": int(result.steps / wall),
         "verified": result.verified,
         "graph_mb": round(graph_kb / 1024, 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(peak_rss_kb() / 1024, 1),
     }
 
 
@@ -681,7 +777,7 @@ def test_core_million(benchmark, record_table):
             f"run_graph on {FAMILY}, seed 0, global-FIFO, single run per "
             "engine, each in a fresh process (run_s covers columnar build + "
             "run loop + O(n+E) invariant verification; graph-MB is the RSS "
-            "the graph build added, peak-MB the process's ru_maxrss). "
+            "the graph build added, peak-MB the process's VmHWM). "
             "Criterion: both engines complete n=10^6 verified within the "
             "step budget; wall-clock and memory informative."
         ),
@@ -700,6 +796,9 @@ def test_core_million(benchmark, record_table):
 if __name__ == "__main__":
     if sys.argv[1] == "million":  # million variant
         print(json.dumps(_million_run(sys.argv[2])))
+        sys.exit()
+    if sys.argv[1] == "materialize":  # materialize n [seed]
+        print(json.dumps(_materialize_point(*map(int, sys.argv[2:]))))
         sys.exit()
     # variant n [family [repeats]]
     variant, n, *rest = sys.argv[1:]

@@ -43,13 +43,13 @@ import datetime
 import json
 import os
 import pathlib
-import resource
 import time
 import tracemalloc
 
 from repro.analysis.experiments import build_family
 from repro.core.adhoc import AdhocNetwork
 from repro.core.runner import build_simulation, default_step_budget
+from repro.obs.profile import peak_rss_kb
 from repro.service import ServiceDriver, build_workload, summarize_service
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_service.json"
@@ -277,7 +277,7 @@ def test_service_steady_series(benchmark, record_table):
         "wall_ms": round(best["wall"] * 1e3, 1),
         "ops_per_s": int(summary.operations / best["wall"]),
         "steps_per_s": int(steps_per_s),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(peak_rss_kb() / 1024, 1),
         "us_per_step_first_quarter": round(best["first"], 2),
         "us_per_step_last_quarter": round(best["last"], 2),
         "growth": round(best["last"] / best["first"], 3),

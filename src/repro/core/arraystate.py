@@ -61,8 +61,8 @@ nothing patched (an exact :class:`Simulator`, no instance-wrapped
 simulator or node method, a pristine :class:`DiscoveryNode` class); a C
 loop in this process; and a system that has not run yet: strictly
 ordered ids, every node exactly a :class:`DiscoveryNode` in its
-``__init__`` state, no channel, only wake tokens in the pool -- the
-paper's starting point, and the only state a workload hands it.  A
+``__init__`` state, no message pending, only wake tokens in the pool --
+the paper's starting point, and the only state a workload hands it.  A
 resumed, probed or grown system runs on the object loop.  The first
 check that fails leaves its :data:`DECLINE_REASONS` name on
 ``sim._last_decline`` and returns ``None``; *nothing is mutated until
@@ -78,10 +78,11 @@ stays on the object loop (``sim._last_decline == "handed-back"``).
 On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
 exception -- the columnar state is materialized back onto the live node
 objects, channel deques and scheduler pool, so the simulator is always in
-a legal object-path state when anyone else can look at it: every channel
-the run created is registered on ``sim._channels`` as a deque in
-creation order, every pending message goes back onto its channel, and
-``sim._in_flight`` is exact.  Stats fold through
+a legal object-path state when anyone else can look at it: as on the
+object loop, ``sim._channels`` holds a deque for exactly the channels
+with messages pending (registered in channel-id order, each with its
+messages in channel order; empty at quiescence), and ``sim._in_flight``
+is exact.  Stats fold through
 :meth:`MessageStats.record_indexed` preserving the first-send key order
 the per-message path would have produced.  The differential suites
 (``tests/test_arraystate.py``, ``tests/test_handback.py`` and the
@@ -678,8 +679,8 @@ def _build_from_sim(sim, pool):
 
     The columns hold only what a run starts from: every node exactly a
     :class:`DiscoveryNode` in its ``__init__`` state (the ``_FRESH_*``
-    signature), no channel, and only wake tokens in the pool.  Pure read
-    phase: raises :class:`_Ineligible` without having mutated the
+    signature), no message pending, and only wake tokens in the pool.
+    Pure read phase: raises :class:`_Ineligible` without having mutated the
     simulator, its nodes or pool in any way.  Returns ``(core, new_pool)``
     where ``new_pool`` is the int token list, in pool order.
     """
@@ -716,7 +717,7 @@ def _build_from_sim(sim, pool):
             if d["greedy_queries"]:
                 greedy_col[i] = 1
         if sim._channels:
-            raise _Ineligible("node-state", "a channel exists: messages were sent")
+            raise _Ineligible("node-state", "a message is pending")
         new_pool = []
         append = new_pool.append
         for token in pool:
@@ -799,19 +800,19 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []
 
-    # Channels.  The simulator had none at entry: every one the run
-    # created is registered in creation order (the insertion order the
-    # per-send path would have produced), then every channel the arena
-    # says holds messages gets them back.
+    # Channels.  The simulator had none at entry and, like the object
+    # loop, holds one only while it carries a message: each channel the
+    # exit wrote into ``chanq`` (in channel-id order) is registered with
+    # its wires.
     chanq = core.chanq
     sim._in_flight = _arena_in_flight(chanq)
     channels = sim._channels
     src_col = core.chan_src
     dst_col = core.chan_dst
-    for cid in range(len(src_col)):
-        channels[(ids[src_col[cid]], ids[dst_col[cid]])] = new_deque()
     for cid, wires in chanq.items():
-        channels[(ids[src_col[cid]], ids[dst_col[cid]])].extend(map(to_message, wires))
+        channels[(ids[src_col[cid]], ids[dst_col[cid]])] = new_deque(
+            map(to_message, wires)
+        )
 
     # Pool: ints -> tokens, preserving order.
     if pool:

@@ -10,14 +10,38 @@ Instrumentation is per-simulator-instance (bound-method shadowing on the
 instance, never on the class), so profiling one run cannot slow any other.
 The report is a plain ``(headers, rows)`` table that renders through
 :func:`repro.analysis.tables.render_table` -- same as every experiment.
+:func:`peak_rss_kb` is the memory side: the process's own peak resident
+set, which the benchmarks read after a run.
 """
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["Profiler"]
+__all__ = ["Profiler", "peak_rss_kb"]
+
+
+def peak_rss_kb() -> int:
+    """This process's peak resident set size in KiB.
+
+    ``VmHWM`` from ``/proc/self/status``, which ``exec`` resets, so a
+    process started by a large parent reports its own peak; Linux carries
+    ``ru_maxrss`` across fork + exec, so a child's ``ru_maxrss`` is at
+    least its parent's RSS at the fork.  Where there is no ``/proc``,
+    ``ru_maxrss`` all the same (bytes on macOS, KiB elsewhere).
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 Table = Tuple[List[str], List[List[Any]]]
 

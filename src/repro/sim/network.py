@@ -279,6 +279,10 @@ class Simulator:
         )
         self.id_bits = id_bits
         self.nodes: Dict[Hashable, SimNode] = {}
+        #: the pending messages of each ordered channel that holds any: a
+        #: channel enters with its first pending message (``transmit``) and
+        #: leaves with its last (``_pop_channel_message``), so every value
+        #: is a non-empty deque and an idle pair costs nothing.
         self._channels: Dict[Tuple[Hashable, Hashable], Deque[Any]] = {}
         #: sent-but-undelivered messages over all channels, kept current by
         #: ``transmit``/``_pop_channel_message``; the array core bypasses
@@ -713,8 +717,9 @@ class Simulator:
                 self.scheduler.push(WakeToken(token.node))
 
     def _execute_deliver(self, token: DeliverToken) -> None:
-        channel = self._channels.get((token.src, token.dst))
-        if not channel:
+        key = (token.src, token.dst)
+        channel = self._channels.get(key)
+        if channel is None:
             raise SimulationError(
                 f"deliver token for empty channel {token.src!r} -> {token.dst!r}"
             )
@@ -739,7 +744,7 @@ class Simulator:
             if action == DROP:
                 # Crash-stop receiver: the message is consumed by the
                 # network but no handler runs.
-                dropped = self._pop_channel_message(channel)
+                dropped = self._pop_channel_message(key, channel)
                 self.protocol_stamp += 1
                 if self.obs is not None:
                     self.obs.emit(
@@ -755,7 +760,7 @@ class Simulator:
                 return
             if action != DELIVER:
                 raise SimulationError(f"bad interceptor verdict {action!r}")
-        message = self._pop_channel_message(channel)
+        message = self._pop_channel_message(key, channel)
         node = self.nodes[token.dst]
         before = self._observed_state(node) if self.obs is not None else None
         if not node.awake:
@@ -795,10 +800,17 @@ class Simulator:
         if before is not None:
             self._emit_state_changes(token.dst, node, before)
 
-    def _pop_channel_message(self, channel: Deque[Any]) -> Any:
-        """Take the next message off a channel per the delivery discipline."""
+    def _pop_channel_message(
+        self, key: Tuple[Hashable, Hashable], channel: Deque[Any]
+    ) -> Any:
+        """Take the next message off channel ``key`` per the delivery
+        discipline; the channel leaves ``_channels`` with its last message
+        (one message takes no draw under either discipline)."""
         self._in_flight -= 1
-        if self.channel_discipline == "fifo" or len(channel) == 1:
+        if len(channel) == 1:
+            del self._channels[key]
+            return channel[0]
+        if self.channel_discipline == "fifo":
             return channel.popleft()
         index = self._channel_rng.randrange(len(channel))
         message = channel[index]

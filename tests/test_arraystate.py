@@ -285,6 +285,7 @@ TRIGGERS["patched"] = (
 )
 TRIGGERS["node-state"] = (
     "node-state", "unknown-id", "message-type", "in-flight", "resumed", "grown",
+    "delivered",
 )
 GATE_CASES = [(reason, t) for reason, triggers in TRIGGERS.items() for t in triggers]
 
@@ -342,6 +343,11 @@ def _declining_system(*triggers, fast):
         new = max(graph.nodes) + 1
         sim.add_node(DiscoveryNode(new, frozenset({first}), variant="generic"))
         sim.schedule_wake(new)
+    if "delivered" in triggers:
+        # Every message sent and delivered: no channel is left to see.
+        sim.run()
+        assert sim.stats.total_messages > 0 and not sim._channels
+        sim.schedule_wake(first)
     if "token-type" in triggers:
         sim.schedule_timer(first, 3)
     return sim, nodes
@@ -422,7 +428,8 @@ class TestEngagement:
             monkeypatch.setattr(DiscoveryNode, "on_wake", lambda node: on_wake(node))
         elif trigger == "no-c-loop":
             monkeypatch.setattr(arrayloop, "_module", None)
-        elif trigger == "grown":  # one wake token: below the pool threshold
+        elif trigger in ("grown", "delivered"):
+            # one wake token: below the pool threshold
             monkeypatch.setattr(arraystate, "_MIN_POOL_FACTOR", 1 << 30)
         named = gate_says(reason)
         sim, nodes = _declining_system(trigger, fast=True)
@@ -734,8 +741,8 @@ def _snapshot(sim, nodes):
             x: dict(zip(_NODE_FIELDS, _node_fields(getattr(node, "inner", node))))
             for x, node in nodes.items()
         },
-        "channels": [(key, list(q)) for key, q in channels.items()],
-        "backlog": [sim.channel_backlog(*key) for key in channels],
+        "channels": {key: list(q) for key, q in channels.items()},
+        "backlog": {key: sim.channel_backlog(*key) for key in channels},
         "in_flight": sim.in_flight(),
         # Timer tokens compare by identity; their fields are what matters.
         # Every token is a slotted dataclass of ids, ints, strs and bools,

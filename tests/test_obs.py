@@ -1,9 +1,16 @@
 """Unit and integration tests for the observability layer (repro.obs)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import build_family
 from repro.analysis.protocol_stats import phase_evolution, profile_execution
+from repro.core import arrayloop
 from repro.core.runner import build_simulation
 from repro.faults.harness import run_chaos_trial
 from repro.faults.plan import FaultPlan
@@ -20,6 +27,7 @@ from repro.obs import (
     timeline_from_run,
     write_timeline,
 )
+from repro.obs.profile import peak_rss_kb
 
 
 def _recorded_run(n=24, seed=0, cadence=32, variant="generic"):
@@ -158,6 +166,38 @@ class TestProfiler:
         profiler.instrument(sim)
         sim.run()
         assert "step" in profiler.summary()
+
+
+class TestPeakRss:
+    """``ru_maxrss`` carries a parent's RSS into a child across fork + exec;
+    ``peak_rss_kb``, and so the benches' fresh-process points, must not."""
+
+    BENCH_CORE = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_core.py"
+
+    def _child_of_a_large_parent(self, *argv):
+        ballast = b"\x01" * (200 << 20)  # written, so resident
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        del ballast
+        return json.loads(proc.stdout)
+
+    def test_a_child_reports_its_own_peak(self):
+        probe = "from repro.obs.profile import peak_rss_kb; print(peak_rss_kb())"
+        peak_kb = self._child_of_a_large_parent("-c", probe)
+        assert 0 < peak_kb < 64 << 10  # < 64 MiB
+        assert peak_kb < peak_rss_kb()
+
+    def test_a_bench_point_reports_its_own_peak(self):
+        if arrayloop.load() is None:
+            pytest.skip("no C loop in this process: the bench point needs it")
+        point = self._child_of_a_large_parent(str(self.BENCH_CORE), "generic", "1024")
+        assert point["n"] == 1024
+        assert 0 < point["peak_per_node_kb"] * 1024 < 64 << 10  # KiB: < 64 MiB
 
 
 class TestTimelineRoundTrip:
