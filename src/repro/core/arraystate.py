@@ -128,6 +128,7 @@ from repro.core.messages import ABORT, MERGE, MSG_TYPES, WIRE_TABLE, fixed_bit_b
 from repro.core import arrayloop as _arrayloop
 from repro.core.node import (
     DiscoveryNode,
+    EMPTY_QUEUE,
     LEADER_STATES,
     STATUS_NAMES,
     VARIANTS,
@@ -791,11 +792,15 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         d["_awaiting_query_from"] = None if aw_q < 0 else ids[aw_q]
         d["_awaiting_info"] = aw_info_col[i] != 0
         d["_expect_stale_release"] = expect_stale_col[i] != 0
+        # An empty queue is the shared EMPTY_QUEUE, as the object loop
+        # leaves it.
         prev = previous_col[i]
-        d["previous"] = new_deque((to_message(m), ids[s]) for m, s in prev or ())
+        d["previous"] = (
+            new_deque((to_message(m), ids[s]) for m, s in prev) if prev else EMPTY_QUEUE
+        )
         ib = inbox_col[i]
         d["_inbox"] = (
-            new_deque((ids[s], to_message(m)) for s, m in ib) if ib else new_deque()
+            new_deque((ids[s], to_message(m)) for s, m in ib) if ib else EMPTY_QUEUE
         )
         df = deferred_col[i]
         d["_deferred"] = [(ids[s], to_message(m)) for s, m in df] if df else []

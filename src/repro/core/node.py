@@ -73,6 +73,7 @@ NodeId = Hashable
 __all__ = [
     "CensusView",
     "DiscoveryNode",
+    "EMPTY_QUEUE",
     "ProtocolError",
     "VARIANTS",
     "LEADER_STATES",
@@ -117,6 +118,24 @@ TRANSIENT_STATES = frozenset({"asleep", "explore", "conquered", "passive"})
 #: leaders start at phase 1, so a phase-0 search loses every comparison and
 #: is always answered with an abort.
 NOTIFY_PHASE = 0
+
+#: What a node's ``previous``, ``_inbox`` and ``probe_previous`` hold while
+#: they are empty, which is nearly always: one shared empty tuple instead
+#: of three deques of 760 B each.  The first append opens a deque
+#: (:func:`_open`) and the pop that empties it puts this back.  Readers
+#: only test truthiness, take ``len``, iterate or read ``[0]``, which the
+#: tuple answers as an empty deque would.
+EMPTY_QUEUE: Tuple[()] = ()
+
+
+def _open(queue):
+    """``queue`` itself, or a new deque in place of :data:`EMPTY_QUEUE`.
+
+    An identity test, not a truth test: :meth:`DiscoveryNode._pump` holds
+    the inbox it drains, and a message enqueued while that deque is empty
+    but not yet put back must still land in it.
+    """
+    return deque() if queue is EMPTY_QUEUE else queue
 
 
 class ProtocolError(SimulationError):
@@ -201,9 +220,10 @@ class DiscoveryNode(SimNode):
     #: Kept in slots beside the instance ``__dict__``, not in it.  CPython
     #: shares one key table between the dicts of all instances of a class
     #: only up to 29 attributes, which this class already has; a 30th key
-    #: un-shares every node's dict (4.1 -> 5.5 KB per node, +5% peak RSS
-    #: on an n=128 discovery).  Code that writes node state through
-    #: ``node.__dict__`` (the array core) must set these three by attribute.
+    #: un-shares every node's dict (2.4 -> 3.3 KB per node allocated by
+    #: ``build_simulation`` on a sparse n=2,000 graph).  Code that writes
+    #: node state through ``node.__dict__`` (the array core) must set these
+    #: four by attribute.
     __slots__ = ("_census_ids", "_census_at", "_knowledge", "probe_answer_steps")
 
     def __init__(
@@ -233,7 +253,7 @@ class DiscoveryNode(SimNode):
         self.more: Set[NodeId] = set()
         self.unaware: Set[NodeId] = set()
         self.unexplored: Set[NodeId] = set()
-        self.previous: Deque[Tuple[Search, NodeId]] = deque()
+        self.previous: Deque[Tuple[Search, NodeId]] | Tuple[()] = EMPTY_QUEUE
         #: the census log behind :attr:`knowledge`: every id of ``more``,
         #: ``done``, ``unaware`` and the node's own, in arrival order, and
         #: each one's position.  ``None`` until ``knowledge`` is first read;
@@ -247,7 +267,7 @@ class DiscoveryNode(SimNode):
         self._knowledge: Optional[CensusView] = None
 
         # -- event-driven bookkeeping -------------------------------------
-        self._inbox: Deque[Tuple[NodeId, Any]] = deque()
+        self._inbox: Deque[Tuple[NodeId, Any]] | Tuple[()] = EMPTY_QUEUE
         self._deferred: List[Tuple[NodeId, Any]] = []
         self._processing = False
         self._more_heap: List[Tuple[str, NodeId]] = []
@@ -267,7 +287,7 @@ class DiscoveryNode(SimNode):
         self._expect_stale_release = False
 
         # -- Ad-hoc probe machinery (Section 4.5.2) ------------------------
-        self.probe_previous: Deque[Tuple[Probe, NodeId]] = deque()
+        self.probe_previous: Deque[Tuple[Probe, NodeId]] | Tuple[()] = EMPTY_QUEUE
         self.probe_results: List[Tuple[NodeId, AbstractSet[NodeId]]] = []
         #: ``probe_answer_steps[i]`` is the simulator step at which
         #: ``probe_results[i]`` landed: latency is read off the node, never
@@ -424,7 +444,8 @@ class DiscoveryNode(SimNode):
         # ``_deferred`` and the replay rule only fires when ``_deferred``
         # was non-empty *before* the dispatch.
         if self._processing or self._inbox or self._deferred:
-            self._inbox.append((sender, message))
+            inbox = self._inbox = _open(self._inbox)
+            inbox.append((sender, message))
             self._pump()
             return
         self._processing = True
@@ -468,6 +489,8 @@ class DiscoveryNode(SimNode):
                     deferred.clear()
         finally:
             self._processing = False
+            if not inbox:
+                self._inbox = EMPTY_QUEUE
 
     def _substate_token(self) -> Tuple:
         return (
@@ -481,7 +504,8 @@ class DiscoveryNode(SimNode):
         """Move deferred messages back into the inbox (state just changed
         outside the pump loop, e.g. via a dynamic-addition entry point)."""
         if self._deferred:
-            self._inbox.extendleft(reversed(self._deferred))
+            inbox = self._inbox = _open(self._inbox)
+            inbox.extendleft(reversed(self._deferred))
             self._deferred.clear()
 
     # ------------------------------------------------------------------
@@ -638,8 +662,9 @@ class DiscoveryNode(SimNode):
     def _route_search(self, sender: NodeId, message: Search) -> None:
         """Figure 5: inactive nodes enqueue and forward searches."""
         message = self._absorb_search_target(message)
-        self.previous.append((message, sender))
-        if len(self.previous) == 1:
+        previous = self.previous = _open(self.previous)
+        previous.append((message, sender))
+        if len(previous) == 1:
             self.send(self.next, message)
 
     def _absorb_search_target(self, message: Search) -> Search:
@@ -774,7 +799,8 @@ class DiscoveryNode(SimNode):
     def _route_release(self, message: Release) -> None:
         """Figure 5: pop the oldest pending search, send the release back
         along its path, path-compress, and launch the next pending search."""
-        if not self.previous:
+        previous = self.previous
+        if not previous:
             if self._restarted:
                 # The routing queue died with the old incarnation; the
                 # stranded initiator is a measured degradation (see
@@ -783,16 +809,18 @@ class DiscoveryNode(SimNode):
             raise ProtocolError(
                 f"{self.node_id!r}: release to route but previous queue empty"
             )
-        _search, came_from = self.previous.popleft()
+        _search, came_from = previous.popleft()
         if message.phase >= self.phase:
             # Path compression, phase-guarded (finding F3): never replace a
             # newer leader's pointer with a stale one.
             self.next = message.leader
             self.phase = message.phase
         self.send(came_from, message)
-        if self.previous:
-            pending_search, _y = self.previous[0]
+        if previous:
+            pending_search, _y = previous[0]
             self.send(self.next, pending_search)
+        else:
+            self.previous = EMPTY_QUEUE
 
     # ------------------------------------------------------------------
     # Merging (Figures 4, 6)
@@ -996,7 +1024,8 @@ class DiscoveryNode(SimNode):
         self._probe_outstanding = True
         # Route through the normal inbox so passive/conquered nodes park the
         # probe until they resolve to inactive (and thus have a real ``next``).
-        self._inbox.append((self.node_id, Probe(self.node_id)))
+        inbox = self._inbox = _open(self._inbox)
+        inbox.append((self.node_id, Probe(self.node_id)))
         self._pump()
         return None
 
@@ -1011,8 +1040,9 @@ class DiscoveryNode(SimNode):
             self.send(sender, ProbeReply(self.node_id, self.knowledge, message.initiator))
             return True
         if self.status == "inactive":
-            self.probe_previous.append((message, sender))
-            if len(self.probe_previous) == 1:
+            queue = self.probe_previous = _open(self.probe_previous)
+            queue.append((message, sender))
+            if len(queue) == 1:
                 self.send(self.next, message)
             return True
         # Passive / conquered nodes resolve to inactive eventually; park it.
@@ -1046,18 +1076,21 @@ class DiscoveryNode(SimNode):
             raise ProtocolError(
                 f"{self.node_id!r}: probe-reply to route in status {self.status}"
             )
-        if not self.probe_previous:
+        queue = self.probe_previous
+        if not queue:
             if self._restarted:
                 return True  # probe route died with the old incarnation
             raise ProtocolError(
                 f"{self.node_id!r}: probe-reply but probe queue empty"
             )
-        _probe, came_from = self.probe_previous.popleft()
+        _probe, came_from = queue.popleft()
         self.next = message.leader
         self.send(came_from, message)
-        if self.probe_previous:
-            pending_probe, _y = self.probe_previous[0]
+        if queue:
+            pending_probe, _y = queue[0]
             self.send(self.next, pending_probe)
+        else:
+            self.probe_previous = EMPTY_QUEUE
         return True
 
     # ------------------------------------------------------------------
@@ -1130,7 +1163,8 @@ class DiscoveryNode(SimNode):
             # Route through the normal inbox, exactly like initiate_probe
             # (bypassing its Ad-hoc guard: the probe plumbing is variant-
             # agnostic and rejoin needs it everywhere).
-            self._inbox.append((self.node_id, Probe(self.node_id)))
+            inbox = self._inbox = _open(self._inbox)
+            inbox.append((self.node_id, Probe(self.node_id)))
             self._pump()
 
     def notify_new_link(self, target: NodeId) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Optional
 
-from repro.core.node import DiscoveryNode
+from repro.core.node import EMPTY_QUEUE, DiscoveryNode
 from repro.faults.plan import FaultInjector, RecoverySpec
 from repro.faults.reliable import ReliableNode
 from repro.sim.network import Simulator
@@ -239,10 +239,10 @@ class RecoveryManager:
         inner._unexplored_heap = []
         for u in sorted(ckpt.unexplored, key=repr):
             inner._add_unexplored(u)
-        inner.previous.clear()
-        inner._inbox.clear()
+        inner.previous = EMPTY_QUEUE
+        inner._inbox = EMPTY_QUEUE
         inner._deferred.clear()
-        inner.probe_previous.clear()
+        inner.probe_previous = EMPTY_QUEUE
         inner._processing = False
         inner._awaiting_release = False
         inner._awaiting_query_from = None

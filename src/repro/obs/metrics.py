@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import Recorder, RunEvent
@@ -79,21 +80,37 @@ class Histogram:
 
     Either observe values one by one or pull a whole distribution from a
     callable at sample time; keys are stringified when read so samples are
-    JSON-stable.
+    JSON-stable.  An ``int`` or ``str`` key is rendered once per histogram:
+    every sample that holds it shares the one string.  Other keys are
+    rendered at every read, since equal ones can print differently
+    (``True`` and ``1``, ``0.0`` and ``-0.0``).
     """
 
-    __slots__ = ("_fn", "_counts")
+    __slots__ = ("_fn", "_counts", "_names")
 
     def __init__(self, fn: Optional[Callable[[], Dict[Any, int]]] = None) -> None:
         self._fn = fn
         self._counts: Dict[Any, int] = {}
+        self._names: Dict[Any, str] = {}
 
     def observe(self, value: Any, count: int = 1) -> None:
         self._counts[value] = self._counts.get(value, 0) + count
 
     def read(self) -> Dict[str, int]:
         counts = self._fn() if self._fn is not None else self._counts
-        return {str(key): count for key, count in sorted(counts.items(), key=lambda kv: str(kv[0]))}
+        names = self._names
+        named = []
+        for key, count in counts.items():
+            kind = type(key)
+            if kind is int or kind is str:
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = str(key)
+            else:
+                name = str(key)
+            named.append((name, count))
+        named.sort(key=itemgetter(0))
+        return dict(named)
 
     # -- order statistics ----------------------------------------------
     def total(self) -> int:

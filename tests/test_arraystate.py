@@ -450,7 +450,11 @@ class TestEngagement:
     @pytest.mark.parametrize(
         "reason,spoil",
         [
-            ("node-state", lambda sim, a, b: sim.nodes[a]._inbox.append((b, Probe(b)))),
+            # An empty inbox is a shared tuple: plant a one-entry deque.
+            (
+                "node-state",
+                lambda sim, a, b: setattr(sim.nodes[a], "_inbox", deque([(b, Probe(b))])),
+            ),
             ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "status", "bogus")),
             ("node-state", lambda sim, a, b: setattr(sim.nodes[a], "local", None)),
             ("node-state", lambda sim, a, b: sim.transmit(a, b, Probe(999))),
@@ -934,12 +938,16 @@ class TestChannelSlotForms:
         with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut, read)):
             self._leg(sim, "c", budget, monkeypatch)
         # The call after the cut was handed exactly the object run's
-        # pending messages at the cut, as wires by channel id; every
-        # channel comes back a deque, in the object run's creation order.
+        # pending messages at the cut, as wires by channel id.
         assert handed == [pending]
-        self._leg(ref, "obj", budget, monkeypatch)
-        assert list(sim._channels) == list(ref._channels)
-        assert all(type(q) is deque for q in sim._channels.values())
+        # A C run that stops at the cut hands them back as the object run
+        # holds them there, every channel a non-empty deque.  The table's
+        # order is channel-id order, not the object run's creation order;
+        # nothing reads ``_channels`` in order.
+        cut_sim, _nodes, _ = self._build("generic", "random")
+        self._leg(cut_sim, "c", cut, monkeypatch)
+        assert {key: list(q) for key, q in cut_sim._channels.items()} == pending
+        assert all(type(q) is deque and q for q in cut_sim._channels.values())
 
     def test_slots_at_quiescence_hold_nothing(self, needs_arena, monkeypatch):
         captured = []

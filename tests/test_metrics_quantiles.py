@@ -1,6 +1,9 @@
-"""Order statistics on the obs Histogram (``percentile`` / ``quantiles``)."""
+"""The obs Histogram: order statistics (``percentile`` / ``quantiles``)
+and the rendered sample (``read``)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import Histogram
 
@@ -78,3 +81,58 @@ class TestQuantiles:
     def test_custom_set_formats_keys(self):
         histogram = _histogram(range(1, 101))
         assert histogram.quantiles((25.0, 99.9)) == {"p25": 25.0, "p99.9": 100.0}
+
+
+def _rendered(counts):
+    """What ``read`` returned before it kept key names: every key
+    rendered at every read, sorted by its name."""
+    return {str(k): c for k, c in sorted(counts.items(), key=lambda kv: str(kv[0]))}
+
+
+_KEYS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.text(max_size=4),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.sampled_from((0.0, -0.0, 1, 1.0, True, "1", "True", "1.0")),
+)
+
+
+class TestRead:
+    @given(st.lists(st.dictionaries(_KEYS, st.integers(0, 9), max_size=12), max_size=6))
+    def test_equals_the_rendering_of_every_sample(self, samples):
+        pending = list(samples)
+        histogram = Histogram(lambda: pending.pop(0))
+        for counts in samples:
+            read = histogram.read()
+            assert read == _rendered(counts)
+            assert list(read) == list(_rendered(counts))
+
+    def test_equal_keys_that_print_differently(self):
+        # ``True == 1 == 1.0`` and ``0.0 == -0.0``: one dict slot each,
+        # but each sample prints the key it holds.
+        samples = [{1: 2}, {True: 3}, {1.0: 4}, {1: 5}, {0.0: 1}, {-0.0: 1}]
+        pending = list(samples)
+        histogram = Histogram(lambda: pending.pop(0))
+        assert [histogram.read() for _ in samples] == [
+            {"1": 2}, {"True": 3}, {"1.0": 4}, {"1": 5}, {"0.0": 1}, {"-0.0": 1}
+        ]
+
+    def test_names_that_collide_keep_the_old_order_and_value(self):
+        counts = {10: 1, "10": 2, 9: 3, "x": 4}
+        assert Histogram(lambda: counts).read() == _rendered(counts)
+        assert list(Histogram(lambda: counts).read().items()) == [
+            ("10", 2), ("9", 3), ("x", 4)
+        ]
+
+    def test_equal_keys_share_one_string(self):
+        histogram = Histogram()
+        for value in (1234, 56789, "probe", 1234):
+            histogram.observe(value)
+        first, second = histogram.read(), histogram.read()
+        assert first == {"1234": 2, "56789": 1, "probe": 1}
+        assert all(a is b for a, b in zip(first, second))
+        # ... also when each sample is a fresh dict of fresh ints.
+        sampled = Histogram(lambda: {int("98765"): 1, int("43210"): 2})
+        first, second = sampled.read(), sampled.read()
+        assert all(a is b for a, b in zip(first, second))
