@@ -24,12 +24,13 @@ converts back.
   (``local``/``more``/``done``/``unaware``/``unexp``) one :class:`IdSlab`:
   a node-major ``array('i')`` of members plus ``n + 1`` offsets, with no
   per-node Python object (a fresh ``more`` is ``range(n)``, a fresh
-  ``done`` all-zero lengths).  For one call the C loop turns the slabs
-  into one open-addressed int32 table per node, keyed by id with a class
-  bitmask, and writes them back on every exit.  The ``more``/``unexplored``
-  choice heaps have no column: the C loop builds them as repr-rank int
-  arrays from the slabs at entry (the object path's ``(repr_string, id)``
-  heaps pop in the same order) and frees them at exit.
+  ``done`` all-zero lengths).  For a run the C loop holds one
+  open-addressed int32 table per node, keyed by id with a class bitmask,
+  built from ``local`` and the node itself (a fresh node's other sets),
+  and writes the slabs back on every exit.  The ``more``/``unexplored``
+  choice heaps have no column: the C loop keeps them as repr-rank int
+  arrays (the object path's ``(repr_string, id)`` heaps pop in the same
+  order) and frees them with the run.
 * **Native messages**: for one C call a message is a fixed-width record
   (the tag and its row's fields at the ``messages.WIRE_TABLE`` offsets)
   and an id-set field an int32 span in a payload arena; a channel and a
@@ -38,13 +39,12 @@ converts back.
   are wire tuples ``(tag, field, ...)`` (an id-set a frozenset of ints):
   ``chanq`` maps a channel id to its pending wires, only for channels
   that hold any, and ``chan_src``/``chan_dst`` are ``array('i')``.  The
-  C codec encodes them at every exit and decodes them when ``run_loop``
-  calls again on the same core, driven by the same table as
-  :func:`_to_message`.
+  C codec encodes them at every exit, driven by the same table as
+  :func:`_to_message`; nothing decodes them back in.
 * **Int-only scheduler pool**: a pending delivery is its interned channel
   id (a non-negative int) and a *wake token* is ``-1 - node_int`` -- the
   whole pool is ints, so the pop loop dispatches on a sign check instead
-  of ``type(token)``.  For the length of one C call the pool, the
+  of ``type(token)``.  For the length of a C run the pool, the
   scheduler's Mersenne Twister and the ``(src, dst) -> cid`` table are
   native arrays (the generator's words and index copied in place out of
   the ``random.Random`` object); the pool order and the words drawn to
@@ -104,9 +104,8 @@ million-node driver (10^6 ``DiscoveryNode`` objects cost ~4 GB before the
 first message, the columns ~100 MB): ``verify_discovery``'s checker over
 the columns, O(n + E), and a summary instead of per-node dicts.  Both
 build objects after all to let the reference raise on a handed-back step.
-Only ``run_loop`` hands a core that has run back to the C loop (it calls
-again at a step limit), and the entry codec decodes what the exit
-encoded.
+Production makes one C call per core; only the tests resume a run
+suspended at a cut (``tests/conftest.cut_and_recall``) and plant on it.
 """
 
 from __future__ import annotations
@@ -434,7 +433,8 @@ class ArrayCore:
     (asleep, ``more = {self}``, nothing sent) except ``local``, the one
     column whose fresh value is the builder's input -- from a just-built
     simulator (:func:`_build_from_sim`) or straight from a graph
-    (:func:`_run_columns`).  Only the C loop moves a core past that state.
+    (:func:`_run_columns`).  Only the C loop moves a core past that state,
+    and it enters a core only in that state or to resume :attr:`suspended`.
     """
 
     __slots__ = (
@@ -482,6 +482,7 @@ class ArrayCore:
         "steps",
         "steps_out",
         "handback",
+        "suspended",
     )
 
     def __init__(self, space: IdSpace, id_bits: int) -> None:
@@ -546,19 +547,24 @@ class ArrayCore:
         #: ``aux`` the node whose inbox pump must resume, step counted),
         #: else ``None``.
         self.handback = None
+        #: the native state of a run stopped at its step limit (a capsule)
+        self.suspended = None
 
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
     def run_loop(self, pool, mode, rng, limit, quiescent, limit_msg):
-        """Drive the C loop until the pool drains, ``limit`` trips or the
-        loop hands a step back (``self.handback``, see ``__init__``).
+        """One C call, until the pool drains, ``limit`` trips or the loop
+        hands a step back (``self.handback``, see ``__init__``).  A stop at
+        ``limit`` suspends the run on ``self.suspended`` (and raises
+        :class:`StepLimitExceeded` unless ``quiescent()``); the next call
+        with the same arguments resumes it.
 
         ``pool`` (a list or a deque) holds only ints: channel ids ``>= 0``
         (deliveries) and ``-1 - node_int`` (wake-ups); ``rng`` is the
-        scheduler's ``random.Random`` in random mode, else ``None``.  The
-        C loop reads both at entry and writes the pool order and the rng
-        state back on every exit.  ``quiescent``/``limit_msg`` are
+        scheduler's ``random.Random`` in random mode, else ``None``.  A
+        fresh entry reads both and every exit writes the pool order and
+        the rng state back.  ``quiescent``/``limit_msg`` are
         callables so the simulator-backed and graph-backed drivers can
         plug their own formulas.  Returns executed step count; updates
         ``self.steps_out`` on every exit for the materializer.
@@ -571,15 +577,12 @@ class ArrayCore:
         self.handback = None
         try:
             with _collector_paused():
-                while True:
-                    code, aux = crun(self, pool, mode, rng, stop, cell)
-                    if code == _arrayloop.RC_LIMIT:  # a counted step reached ``stop``
-                        if not quiescent():
-                            raise StepLimitExceeded(limit_msg())
-                        continue
-                    if code != _arrayloop.RC_DRAINED:  # RC_DEOPT or RC_PUMP
-                        self.handback = (code, aux)
-                    break
+                code, aux = crun(self, pool, mode, rng, stop, cell)
+            if code == _arrayloop.RC_LIMIT:  # a counted step reached ``stop``
+                if not quiescent():
+                    raise StepLimitExceeded(limit_msg())
+            elif code != _arrayloop.RC_DRAINED:  # RC_DEOPT or RC_PUMP
+                self.handback = (code, aux)
         finally:
             self.steps_out = cell[0]
             # Fold the deferred bit accounting: per-tag totals are fully
@@ -932,6 +935,7 @@ def maybe_run_array(sim, max_steps) -> Optional[int]:
     try:
         executed = core.run_loop(pool, mode, rng, limit, quiescent, limit_msg)
     finally:
+        core.suspended = None  # nothing resumes it: its native state goes first
         _materialize_to_sim(core, sim, pool, mode)
         # The object loop's count: one per node woken (every node started
         # asleep) and one per message delivered (sent and off its channel).
@@ -1085,7 +1089,10 @@ def _run_columns(
         if variant == "bounded":
             size = Counter(components[0])
             core.csize = list(map(size.__getitem__, components[0]))
-        executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
+        try:
+            executed = core.run_loop(pool, mode, rng, limit, lambda: not pool, limit_msg)
+        finally:
+            core.suspended = None  # nothing resumes it
     if core.handback is not None:
         # No probes here, so a protocol-impossible message: the reference
         # raises its own error, on objects built for the purpose.

@@ -67,41 +67,25 @@ _ENCODE = {
 
 def to_wire(message, idx):
     """The wire tuple of a stock message, the inverse of
-    ``arraystate._to_message``: how a test hands the C loop's entry
-    decoder a message no exit encoded."""
+    ``arraystate._to_message``."""
     tag = next(t for t, (cls, _f) in enumerate(WIRE_TABLE) if cls is type(message))
     fields = WIRE_TABLE[tag][1]
     return (tag, *[_ENCODE[kind](getattr(message, name), idx) for name, kind in fields])
 
 
-def plant_wire(core, pool, src, dst, message):
-    """What the C loop's ``emit`` does for one send between two calls on
-    ``core``: the wire onto the ``src -> dst`` channel (a new one if need
-    be), its delivery onto ``pool`` and the send counted, as
+def plant_wire(core, src, dst, message):
+    """Send ``message`` from ``src`` to ``dst`` on the run suspended on
+    ``core``, as the C loop's ``emit`` sends: onto the channel (a new one
+    if need be), its delivery onto the pool and the send counted, as
     ``Simulator.transmit`` does on the object loop."""
-    si, di = core.idx[src], core.idx[dst]
-    ends = list(zip(core.chan_src, core.chan_dst))
-    if (si, di) in ends:
-        cid = ends.index((si, di))
-    else:
-        cid = len(core.chan_src)
-        core.chan_src.append(si)
-        core.chan_dst.append(di)
-    wire = to_wire(message, core.idx)
-    core.chanq.setdefault(cid, []).append(wire)
-    pool.append(cid)
-    tag = wire[0]
-    if tag not in core.order:
-        core.order.append(tag)
-    core.counts[tag] += 1
-    core.xtra[tag] += sum(len(v) for v in wire[1:] if isinstance(v, frozenset))
+    arrayloop.load().plant(core, core.idx[src], core.idx[dst], to_wire(message, core.idx))
 
 
 def cut_and_recall(cut, between=lambda core, pool: None):
     """An ``ArrayCore.run_loop`` that stops the C run after ``cut`` steps,
     calls ``between(core, pool)`` on the core as that exit left it, and
-    calls the C loop again on the same core to finish: the entry decoder
-    reads everything the exit encoded, and whatever ``between`` planted."""
+    calls the C loop again on the same core to finish: the second call
+    resumes the suspended run, with whatever ``between`` planted."""
     run_loop = ArrayCore.run_loop
 
     def recall(core, pool, mode, rng, limit, quiescent, limit_msg):

@@ -19,13 +19,12 @@ Seven layers:
   boundary;
 * every-step cut: ``run(max_steps=k)`` on the C loop equals the object
   loop's for *every* k up to quiescence, on full per-node state, stats,
-  channels, pool and limit text -- state equality after each delivery --
-  with the message codec decoding and re-encoding every exit in between;
+  channels, pool and limit text -- state equality after each delivery;
 * the message seam: between C calls pending messages are wire tuples
   (``chanq`` maps a channel to its pending ones) -- runs interrupted
-  mid-flight and resumed on the object loop, or cut and called again on
-  the same core, equal the uninterrupted object run, the exit encoder and
-  the entry decoder each meet every form, and neither leaks;
+  mid-flight and resumed on the object loop, or cut and resumed on the
+  same core, equal the uninterrupted object run, the exit encoder meets
+  every form, and nothing leaks;
 * the knowledge slabs: after every C exit the five knowledge sets are
   int32 slabs and a drained ``previous``/``inbox``/``deferred`` is
   ``None``.
@@ -64,7 +63,6 @@ from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.obs import Recorder
 from repro.sim.network import Simulator, StepLimitExceeded
 from repro.sim.scheduler import (
-    _FIFO,
     GlobalFifoScheduler,
     LifoScheduler,
     RandomScheduler,
@@ -807,14 +805,16 @@ class TestChannelSlotForms:
         return seen
 
     @pytest.fixture
-    def entries(self, monkeypatch):
-        """What each C run was handed: ``(live_forms, chanq)`` at entry."""
+    def exits(self, monkeypatch):
+        """The :func:`live_forms` each C call's exit left."""
         seen = []
         run_loop = ArrayCore.run_loop
 
         def spy(core, *args):
-            seen.append((live_forms(core), {c: list(w) for c, w in core.chanq.items()}))
-            return run_loop(core, *args)
+            try:
+                return run_loop(core, *args)
+            finally:
+                seen.append(live_forms(core))
 
         monkeypatch.setattr(ArrayCore, "run_loop", spy)
         return seen
@@ -879,11 +879,11 @@ class TestChannelSlotForms:
 
     @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
     def test_adoption_hands_the_decoder_every_form(
-        self, policy, needs_arena, entries, monkeypatch
+        self, policy, needs_arena, exits, monkeypatch
     ):
-        """C runs cut every third step, each called again on the same core,
-        in all three variants: every run ends where the object run does,
-        and the entry decoder met every form an exit leaves."""
+        """C runs cut every third step, each resumed on the same core, in
+        all three variants: every run ends where the object run does, and
+        the cuts' exits left every form an exit can encode."""
         for variant in VARIANTS:
             ref, ref_nodes, budget = self._build(variant, policy)
             self._leg(ref, "obj", budget, monkeypatch)
@@ -893,10 +893,9 @@ class TestChannelSlotForms:
                 with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut)):
                     self._leg(sim, "c", budget, monkeypatch)
                 assert _snapshot(sim, nodes) == final, cut
-        # ``entries`` sees each core at its first entry and as the cut left
-        # it, before the call that decodes it
-        handed = Counter(f for forms, _chanq in entries for f in forms)
-        assert all(handed[f] > 0 for f in EXIT_FORMS), handed
+        # ``exits`` sees each core as the cut left it and as it ended
+        left = Counter(f for forms in exits for f in forms)
+        assert all(left[f] > 0 for f in EXIT_FORMS), left
 
     @pytest.mark.parametrize("engine", ["c"])  # the id the floor list pins
     def test_all_three_slot_forms_occur_mid_run(
@@ -1011,25 +1010,19 @@ class TestKnowledgeSlabs:
 def every_cut(graph, variant, policy):
     """``run(max_steps=k)`` on the C loop for every k up to quiescence,
     each against the object loop cut at k: limit text, full per-node
-    state, stats key order, channels, pool and rng state.  Each exit is
-    decoded and encoded once more by a C call with an empty pool before
-    the materializer reads it, so the state equality holds the codec's
-    round trip too.  Returns the number of cuts and how many exits left
-    each of :func:`live_forms`'s forms live."""
+    state, stats key order, channels, pool and rng state.  Returns the
+    number of cuts and how many exits left each of :func:`live_forms`'s
+    forms live."""
     if arrayloop.load() is None:
         pytest.skip("no C loop in this process")
     forms = Counter()
     run_loop = ArrayCore.run_loop
 
-    def round_trip(core, *args):
+    def exits(core, *args):
         try:
             return run_loop(core, *args)
         finally:
             forms.update(live_forms(core))
-            cell = [core.steps_out]
-            assert arrayloop.load().run(core, [], _FIFO, None, cell[0], cell) == (
-                arrayloop.RC_DRAINED, -1
-            )
 
     def build(fast):
         return build_simulation(
@@ -1050,7 +1043,7 @@ def every_cut(graph, variant, policy):
         ref.run_for(1)
         sim, nodes = build(fast=True)
         try:
-            with mock.patch.object(ArrayCore, "run_loop", round_trip):
+            with mock.patch.object(ArrayCore, "run_loop", exits):
                 sim.run(k)
             message = None
         except StepLimitExceeded as exc:
@@ -1075,17 +1068,17 @@ class TestEveryStepCut:
     def test_every_cut_equals_the_object_run(self, variant, policy):
         cuts, forms = every_cut(_graph(12), variant, policy)
         assert cuts > 8 * 12  # cut everywhere
-        # the exit encoder and the round trip met every form
+        # the exit encoder met every form
         assert all(forms[f] > 0 for f in EXIT_FORMS), forms
 
 
 class TestChannelHandOffOwnership:
     """Between entry and exit the C loop allocates no Python object per
     message; its codec builds the wire tuples and frozensets a caller
-    hands in or gets back.  A reference the codec drops or keeps once per
+    gets back.  A reference the codec drops or keeps once per
     message shows as blocks that grow per run -- on runs built fresh from
     a graph (encoded at a limit) and on runs cut with messages in flight
-    and called again on the same core (``adopted``: decoded at entry).
+    and resumed on the same core (``adopted``).
     Zero growth between the 2nd and the 6th run is the bar: the
     readings land in a preallocated array, so not even their own ints
     stay allocated, and the loop looks attributes up by interned name

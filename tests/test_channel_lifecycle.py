@@ -170,7 +170,7 @@ def _planted_run(sim, graph, cut, message):
         return sim.run(default_step_budget(graph))
 
     def plant(core, pool):
-        plant_wire(core, pool, src, dst, message)
+        plant_wire(core, src, dst, message)
 
     with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(cut, plant)):
         try:

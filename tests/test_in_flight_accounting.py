@@ -117,7 +117,7 @@ def test_pinned_exits_really_hit_each_engine(engine):
         # (``node-state``): the C loop meets the stray query only planted
         # inside its run, and hands it back to raise.
         u, v = build_family("sparse-random", 24, 1).nodes[:2]
-        plant = lambda core, pool: plant_wire(core, pool, u, v, Query(1))  # noqa: E731
+        plant = lambda core, pool: plant_wire(core, u, v, Query(1))  # noqa: E731
         with mock.patch.object(ArrayCore, "run_loop", cut_and_recall(1, plant)):
             raised = run_exits(engine, "generic", 1, None, None, stray=False)
     else:

@@ -1,8 +1,9 @@
 """Every-step cuts where the C loop's knowledge tables grow.
 
-For one call ``_arrayloop.c`` holds a node's five knowledge sets in one
-open-addressed table: sized at entry from the ``IdSlab`` columns, doubled
-as ids join, written back into the slabs on every exit.  On a star whose
+For a run ``_arrayloop.c`` holds a node's five knowledge sets in one
+open-addressed table: built at entry from its ``local`` row and itself,
+doubled as ids join, written back into the ``IdSlab`` columns on every
+exit.  On a star whose
 leaves know only the centre, and on the complete digraph, the winner's
 table grows from a handful of slots to every id of the n = 48 system.
 ``run(max_steps=k)`` for every k up to quiescence must leave exactly the

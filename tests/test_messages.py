@@ -144,14 +144,16 @@ class TestWireTable:
         assert _to_message(wire, space.ids) == message
         module = arrayloop.load()
         if module is not None:
-            # ... and through the C codec: a call with nothing to run
-            # decodes the pending wire at entry and encodes it at exit.
+            # ... and through the C codec: planted on a suspended run (two
+            # nodes that know nobody woken one call at a time), the wire is
+            # decoded onto a channel and the next exit encodes it.
             core = ArrayCore(space, B)
             core.local = IdSlab.fresh(space.n, own=False)
-            plant_wire(core, [], space.ids[0], space.ids[1], message)
-            cell = [0]
-            assert module.run(core, [], _FIFO, None, 0, cell) == (arrayloop.RC_DRAINED, -1)
-            assert core.chanq == {0: [wire]}
+            pool, cell = [-3, -4], [0]
+            assert module.run(core, pool, _FIFO, None, 1, cell) == (arrayloop.RC_LIMIT, -1)
+            plant_wire(core, space.ids[0], space.ids[1], message)
+            assert module.run(core, pool, _FIFO, None, 2, cell) == (arrayloop.RC_LIMIT, -1)
+            assert core.chanq == {0: [wire]} and pool == [0]
         extra_ids = sum(
             len(getattr(message, name))
             for name, kind in WIRE_TABLE[tag][1]

@@ -174,7 +174,7 @@ def test_a_raise_inside_the_c_loop_leaves_the_reference_draws_and_pool(policy):
 
     def edit_core(core, pool):
         core.nxt[core.idx[victim]] = core.idx[victim]
-        plant_wire(core, pool, sender, victim, Search(sender, 1, sender, False))
+        plant_wire(core, sender, victim, Search(sender, 1, sender, False))
 
     sim, nodes = build(True)
     if arrayloop.load() is None:  # the same edit between two object runs
