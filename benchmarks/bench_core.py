@@ -26,9 +26,12 @@ interleaved in the same process, and appends the results to
   entry: columns straight off the graph), the same call with
   ``fast=False`` (objects, object loop), and ``build_simulation`` +
   ``sim.run`` + ``collect_result`` (objects around the array core: what
-  ``run_generic`` was before the direct entry).  Results are
-  cross-checked equal; the two ratios over the direct entry are gated at
-  ``REGRESSION_FLOOR`` against the committed ``direct_entry`` block.
+  ``run_generic`` was before the direct entry).  Each route is timed
+  alone and with its ``verify_discovery`` (the ``*_verified_ms`` keys):
+  every experiment row verifies what it ran.  Results are cross-checked
+  equal; the two ratios over the direct entry, and the verified
+  ``object/direct`` one, are gated at ``REGRESSION_FLOOR`` against the
+  committed ``direct_entry`` block.
 
 * ``test_core_scaling_series`` (opt-in: ``BENCH_CORE_FULL=1``) -- the
   scaling series up to n = 200,000 for the Generic and Ad-hoc engines
@@ -117,6 +120,7 @@ from repro.core.generic import run_generic
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
 from repro.obs.profile import peak_rss_kb
+from repro.verification.invariants import verify_discovery
 
 BENCH_PATH = pathlib.Path(__file__).parents[1] / "BENCH_core.json"
 
@@ -303,21 +307,30 @@ DIRECT_ROUTES = {
 
 def _direct_entry_medians():
     """Median over seeds of each route's best-of-repeats per-discovery ms,
+    alone (``route``) and with its ``verify_discovery`` (``route_verified``),
     the routes interleaved seed by seed and their results held equal."""
     graphs = [(seed, build_family(FAMILY, N_COMPARE, seed)) for seed in DIRECT_SEEDS]
-    best = {route: [float("inf")] * len(graphs) for route in DIRECT_ROUTES}
+    best = {
+        key: [float("inf")] * len(graphs)
+        for route in DIRECT_ROUTES
+        for key in (route, route + "_verified")
+    }
     for _ in range(1 + DIRECT_REPEATS):  # the first pass warms up and counts
         for i, (seed, graph) in enumerate(graphs):
             results = []
             for route, discover in DIRECT_ROUTES.items():
                 start = time.perf_counter()
                 results.append(discover(graph, seed))
-                wall = time.perf_counter() - start
-                best[route][i] = min(best[route][i], wall)
+                ran = time.perf_counter()
+                verify_discovery(results[-1], graph)
+                verified = time.perf_counter()
+                best[route][i] = min(best[route][i], ran - start)
+                key = route + "_verified"
+                best[key][i] = min(best[key][i], verified - start)
             assert results[0] == results[1] == results[2], f"routes differ, seed {seed}"
     return {
-        route: round(1e3 * sorted(walls)[len(walls) // 2], 3)
-        for route, walls in best.items()
+        key: round(1e3 * sorted(walls)[len(walls) // 2], 3)
+        for key, walls in best.items()
     }
 
 
@@ -332,13 +345,19 @@ def test_core_direct_entry(benchmark, record_table):
         "direct_ms": medians["direct"],
         "simulator_ms": medians["simulator"],
         "object_ms": medians["object"],
+        "direct_verified_ms": medians["direct_verified"],
+        "simulator_verified_ms": medians["simulator_verified"],
+        "object_verified_ms": medians["object_verified"],
         "simulator_over_direct": round(medians["simulator"] / medians["direct"], 3),
         "object_over_direct": round(medians["object"] / medians["direct"], 3),
+        "object_over_direct_verified": round(
+            medians["object_verified"] / medians["direct_verified"], 3
+        ),
     }
 
     data = _load_bench()
     committed = data.get("direct_entry", {})
-    for ratio in ("simulator_over_direct", "object_over_direct"):
+    for ratio in ("simulator_over_direct", "object_over_direct", "object_over_direct_verified"):
         if ratio in committed:
             floor = REGRESSION_FLOOR * committed[ratio]
             assert measured[ratio] >= floor, (
@@ -350,12 +369,15 @@ def test_core_direct_entry(benchmark, record_table):
     record_table(
         "BENCH-core-direct-entry",
         ["n", "seeds", "direct-ms", "simulator-ms", "object-ms",
-         "simulator/direct", "object/direct"],
+         "simulator/direct", "object/direct", "verified direct-ms",
+         "verified object-ms", "verified object/direct"],
         [[
             measured["n"], measured["seeds"], measured["direct_ms"],
             measured["simulator_ms"], measured["object_ms"],
             f"{measured['simulator_over_direct']:.2f}x",
             f"{measured['object_over_direct']:.2f}x",
+            measured["direct_verified_ms"], measured["object_verified_ms"],
+            f"{measured['object_over_direct_verified']:.2f}x",
         ]],
         notes=(
             f"One whole Generic discovery on {FAMILY} (graph in, "
@@ -363,8 +385,9 @@ def test_core_direct_entry(benchmark, record_table):
             f"seeds of the best of {DIRECT_REPEATS} interleaved repeats. "
             "direct = run_generic (columns off the graph), simulator = "
             "build_simulation + sim.run + collect_result (objects around "
-            "the array core), object = run_generic(fast=False). Criterion: "
-            "equal results; both ratios within "
+            "the array core), object = run_generic(fast=False); verified = "
+            "the same call plus verify_discovery(result, graph). Criterion: "
+            "equal results; the three ratios within "
             f"{REGRESSION_FLOOR:.0%} of the committed block."
         ),
     )

@@ -365,9 +365,13 @@ class IdSlab:
     member ints are ``mem[off[i]:off[i + 1]]`` (``off`` holds ``n + 1``
     offsets from 0), both ``array('i')``.
 
-    Python builds a slab whole (:meth:`of`, :meth:`fresh`) and reads one
-    node at a time (``slab[i]``); the C loop reads both arrays at entry and
-    replaces them on every exit.  Nothing else writes one.
+    Python builds a slab whole (:meth:`of`) and reads one node at a time
+    (``slab[i]``); the C loop reads ``local``'s arrays at entry and replaces
+    all five slabs' on every exit.  Nothing else writes one.  The four it
+    only writes start *unfilled* (``off`` and ``mem`` ``None``), every row
+    read as empty: their fresh value, but for ``more``'s ``{i}``, which its
+    readers add (``ArrayCore.knowledge``, ``_materialize_to_sim``).  An
+    entry that raises before its write-back leaves them so.
     """
 
     __slots__ = ("off", "mem")
@@ -386,16 +390,10 @@ class IdSlab:
             push(len(mem))
         return cls(off, mem)
 
-    @classmethod
-    def fresh(cls, n: int, *, own: bool) -> "IdSlab":
-        """``n`` fresh sets: ``{i}`` for node ``i`` if ``own`` (``more``),
-        else empty."""
-        if own:
-            return cls(array("i", range(n + 1)), array("i", range(n)))
-        return cls(array("i", bytes(4 * (n + 1))), array("i"))
-
     def __getitem__(self, i: int) -> array:
         off = self.off
+        if off is None:  # unfilled
+            return array("i")
         return self.mem[off[i] : off[i + 1]]
 
 
@@ -498,12 +496,13 @@ class ArrayCore:
         self.status = bytearray(n)  # all asleep: code 0 (core.node asserts it)
         self.awake = bytearray(n)
         self.phase = [1] * n
-        #: the five knowledge sets, one :class:`IdSlab` each
+        #: the five knowledge sets, one :class:`IdSlab` each; the four
+        #: the C loop's exit fills start unfilled
         self.local = None
-        self.more = IdSlab.fresh(n, own=True)
-        self.done = IdSlab.fresh(n, own=False)
-        self.unaware = IdSlab.fresh(n, own=False)
-        self.unexp = IdSlab.fresh(n, own=False)
+        self.more = IdSlab(None, None)
+        self.done = IdSlab(None, None)
+        self.unaware = IdSlab(None, None)
+        self.unexp = IdSlab(None, None)
         # Per node ``None`` or a list of pending pairs: ``(wire, sender)``
         # in ``previous``, ``(sender, wire)`` in ``inbox``/``deferred``.
         self.previous = [None] * n
@@ -599,7 +598,8 @@ class ArrayCore:
     # Quiescent reads (collect_columns and _verify_scale)
     # ------------------------------------------------------------------
     def knowledge(self, i: int) -> set:
-        """The ints node ``i`` knows: itself, ``more``, ``done``, ``unaware``."""
+        """The ints node ``i`` knows: itself, ``more``, ``done``, ``unaware``
+        (an unfilled ``more`` is ``{i}``, which ``itself`` already is)."""
         return {i}.union(self.more[i], self.done[i], self.unaware[i])
 
     def chains(self):
@@ -776,7 +776,7 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
         d["phase"] = phase_col[i]
         d["local"] = {ids[x] for x in local_col[i]}
         d["done"] = {ids[x] for x in done_col[i]}
-        more = {ids[x] for x in more_col[i]}
+        more = {ids[x] for x in more_col[i]} if more_col.off is not None else {ids[i]}
         d["more"] = more
         d["unaware"] = {ids[x] for x in unaware_col[i]}
         node._drop_census()  # the three sets above were replaced

@@ -191,8 +191,8 @@ def run_discovery(
         graph, variant, seed, scheduler, wake_order, max_steps, greedy_queries, fast
     )
     if run is not None:
-        core, executed, stats, _components = run
-        return collect_columns(graph, core, variant, stats, executed)
+        core, executed, stats, components = run
+        return collect_columns(graph, core, variant, stats, executed, components)
     sim, nodes = build_simulation(
         graph, variant, seed=seed, scheduler=scheduler, wake_order=wake_order,
         greedy_queries=greedy_queries, fast=fast,

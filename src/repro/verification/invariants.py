@@ -15,14 +15,18 @@ Asynchronous Resource Discovery (Section 1.2) requires, at the steady state
 :func:`verify_quiescent` checks them all, once, over an index view: the
 graph's nodes as ints ``0..n-1`` with ``arraystate._graph_components``' weak
 component labels, a status code, the end and length of each ``next`` chain,
-and the leaders' knowledge as ints.  Its three callers only build that view:
-:func:`verify_discovery` from a :class:`~repro.core.result.DiscoveryResult`
-(after every test run, and on every chaos trial's survivors),
-``arraystate._verify_scale`` from a quiescent array core's columns (no
-per-node object, up to n = 10^6) and ``baselines.verify_baseline`` from an
-EXP-11 baseline's outcome.  Every route raises :class:`InvariantViolation`
-with ``verify_discovery``'s text, naming ids in the order of the components'
-first nodes: the chaos goldens and the degradation tables print it.
+and the leaders' knowledge as ints.  Four routes build that view:
+``result.collect_columns`` keeps it in the ``DiscoveryResult`` of a direct
+entry run (``run_generic`` & co.), which :func:`verify_discovery` on that
+run's own graph object hands over as it is; :func:`verify_discovery`
+interns any other :class:`~repro.core.result.DiscoveryResult` (the object
+path's, after every test run and on every chaos trial's survivors, or
+one checked on another graph); ``arraystate._verify_scale`` reads a
+quiescent array core's columns (no per-node object, up to n = 10^6) and
+``baselines.verify_baseline`` an EXP-11 baseline's outcome.  Every route
+raises :class:`InvariantViolation` with ``verify_discovery``'s text, naming
+ids in the order of the components' first nodes: the chaos goldens and the
+degradation tables print it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import List
 
 from repro.core.arraystate import _graph_components
 from repro.core.node import STATUS_CODES, STATUS_NAMES, TRANSIENT_STATES
-from repro.core.result import DiscoveryResult
+from repro.core.result import DiscoveryResult, int_view
 from repro.graphs.knowledge_graph import KnowledgeGraph
 
 __all__ = ["InvariantViolation", "InvariantReport", "verify_discovery", "verify_quiescent"]
@@ -79,7 +83,13 @@ def verify_discovery(result: DiscoveryResult, graph: KnowledgeGraph) -> Invarian
 
     Assumes the execution quiesced with every node awake (the setting of
     liveness property 4).  Raises :class:`InvariantViolation` on failure.
+    A result read off the columns of a run on ``graph`` itself is checked
+    on the ints it holds (:func:`~repro.core.result.int_view`); any other
+    is interned here.
     """
+    view = int_view(result, graph)
+    if view is not None:
+        return verify_quiescent(result.variant, *view)
     nodes = graph.nodes
     index = _Interned(zip(nodes, range(len(nodes))))
     labels, count = _graph_components(graph, index)

@@ -1,8 +1,17 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and its hypothesis profiles.
+
+``tier1`` (the default) draws the same examples on every run, so a
+failure reproduces by running the suite again; ``ci-long`` draws fresh
+ones each run, for CI legs that keep exploring (``HYPOTHESIS_PROFILE``).
+Neither changes any test's ``max_examples``.
+"""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core import arrayloop, arraystate
 from repro.core.adhoc import run_adhoc
@@ -13,6 +22,10 @@ from repro.core.messages import MERGE, WIRE_TABLE
 from repro.sim.network import StepLimitExceeded
 from repro.verification.invariants import verify_discovery
 from repro.verification.lemmas import check_all_lemmas
+
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("ci-long", deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 RUNNERS = {
     "generic": run_generic,

@@ -1007,6 +1007,38 @@ class TestKnowledgeSlabs:
             assert not containers
 
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_refused_entry_materializes_the_fresh_sets(self, variant, monkeypatch):
+        """``more``/``done``/``unaware``/``unexp`` start unfilled, and only
+        the C loop's exit fills them: an entry that refuses the core (here a
+        ``local`` slab one offset short) writes nothing back, and the
+        simulator it leaves holds every node's fresh sets, as built."""
+        if arrayloop.load() is None:
+            pytest.skip("no C loop in this process")
+        run_loop = ArrayCore.run_loop
+
+        def refused(core, *args):
+            assert all(
+                getattr(core, name).off is None
+                for name in ("more", "done", "unaware", "unexp")
+            )
+            local = core.local
+            core.local = IdSlab(local.off[:-1], local.mem)
+            try:
+                return run_loop(core, *args)
+            finally:
+                core.local = local
+
+        graph = _graph(24)
+        fresh, fresh_nodes = build_simulation(graph, variant, seed=2)
+        sim, nodes = build_simulation(graph, variant, seed=2)
+        monkeypatch.setattr(ArrayCore, "run_loop", refused)
+        with pytest.raises(ValueError, match="core.local is not an int32 slab"):
+            sim.run()
+        assert sim._last_run_path == "array"
+        assert _snapshot(sim, nodes) == _snapshot(fresh, fresh_nodes)
+
+
 def every_cut(graph, variant, policy):
     """``run(max_steps=k)`` on the C loop for every k up to quiescence,
     each against the object loop cut at k: limit text, full per-node

@@ -148,7 +148,7 @@ class TestWireTable:
             # nodes that know nobody woken one call at a time), the wire is
             # decoded onto a channel and the next exit encodes it.
             core = ArrayCore(space, B)
-            core.local = IdSlab.fresh(space.n, own=False)
+            core.local = IdSlab.of([()] * space.n)
             pool, cell = [-3, -4], [0]
             assert module.run(core, pool, _FIFO, None, 1, cell) == (arrayloop.RC_LIMIT, -1)
             plant_wire(core, space.ids[0], space.ids[1], message)
