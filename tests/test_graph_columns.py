@@ -8,7 +8,8 @@ against those labels.  This module holds:
 * one planted fault per verifier branch, each on a quiescent core with one
   column corrupted, asserting the exact class and text through
   ``_verify_scale`` and through ``verify_discovery`` on the core's
-  ``collect_columns`` snapshot: the one checker, reached both ways;
+  ``collect_columns`` snapshot, as kept and as interned dicts: the one
+  checker, reached every way;
 * the C kernels, differentially: ``fill_local`` against ``IdSlab.of``
   over the same successor sets, ``component_labels`` against
   ``weakly_connected_components`` and the breadth-first reference, on
@@ -48,6 +49,7 @@ from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.sim.trace import MessageStats
 from repro.verification.invariants import InvariantViolation, verify_discovery
 from tests.graph_cases import bfs_components, built_graphs
+from tests.test_column_result import as_dicts
 
 
 # ----------------------------------------------------------------------
@@ -103,15 +105,19 @@ def named(core, ints):
 
 
 def fails_with(core, graph, variant, text, error=InvariantViolation):
-    """Both entries raise exactly ``error`` with ``text``: ``_verify_scale``
+    """Every entry raises exactly ``error`` with ``text``: ``_verify_scale``
     on the columns, and ``verify_discovery`` on their ``collect_columns``
-    snapshot (a pointer cycle stops the snapshot itself, with the same
-    error: the one chain walk's)."""
+    snapshot, both as it is (the ints it keeps) and with its views turned
+    into dicts (interned, as an object-path result is).  A pointer cycle
+    stops the snapshot itself, with the same error: the one chain walk's."""
+
+    def snapshot():
+        return collect_columns(graph, core, variant, MessageStats(), core.steps)
+
     for check in (
         lambda: _verify_scale(core, graph, variant),
-        lambda: verify_discovery(
-            collect_columns(graph, core, variant, MessageStats(), core.steps), graph
-        ),
+        lambda: verify_discovery(snapshot(), graph),
+        lambda: verify_discovery(as_dicts(snapshot()), graph),
     ):
         with pytest.raises(Exception) as info:
             check()
@@ -133,7 +139,7 @@ def first_cycle(core):
 
 
 class TestScaleVerifierFailures:
-    """One fault per test, planted on a quiescent core; both entries raise
+    """One fault per test, planted on a quiescent core; every entry raises
     ``verify_discovery``'s class and text."""
 
     @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
